@@ -17,8 +17,6 @@
 //! higher-is-better metric fields (default `utility,rounds_per_s`) and
 //! `--pair-max-regress` overrides the global bound for that pair (raw
 //! throughput sweeps are noisier on shared runners than utility ratios).
-//! The legacy single-pair spelling `--baseline X --current Y` still
-//! works.
 //!
 //! By default the gate compares the **mean across shared variants** per
 //! metric — quick-mode runs on shared CI runners are individually
@@ -315,8 +313,7 @@ fn usage(msg: &str) -> ! {
         "usage: compare --pair <baseline.json> <current.json> \
          [--metrics a,b] [--pair-max-regress f] [--pair-stat mean|median] \
          [--pair ...] [--max-regress 0.25] [--write-summary] \
-         [--update-baselines]\n\
-         legacy: compare --baseline <BENCH.json> --current <BENCH.json>"
+         [--update-baselines]"
     );
     std::process::exit(1);
 }
@@ -335,8 +332,6 @@ struct Cli {
 fn parse_args(argv: &[String]) -> Cli {
     let default_metrics: Vec<String> = DEFAULT_METRICS.iter().map(|s| s.to_string()).collect();
     let mut pairs: Vec<Pair> = Vec::new();
-    let mut legacy_baseline: Option<String> = None;
-    let mut legacy_current: Option<String> = None;
     let mut max_regress = 0.25;
     let mut write_summary = false;
     let mut update_baselines = false;
@@ -406,22 +401,6 @@ fn parse_args(argv: &[String]) -> Cli {
                     None => usage("--pair-stat must follow a --pair"),
                 }
             }
-            "--baseline" => {
-                i += 1;
-                legacy_baseline = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--baseline needs a path")),
-                );
-            }
-            "--current" => {
-                i += 1;
-                legacy_current = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--current needs a path")),
-                );
-            }
             "--max-regress" => {
                 i += 1;
                 max_regress = argv
@@ -433,19 +412,8 @@ fn parse_args(argv: &[String]) -> Cli {
         }
         i += 1;
     }
-    match (legacy_baseline, legacy_current) {
-        (Some(baseline), Some(current)) => pairs.push(Pair {
-            baseline,
-            current,
-            metrics: default_metrics,
-            max_regress: None,
-            stat: Stat::Mean,
-        }),
-        (None, None) => {}
-        _ => usage("--baseline and --current must be given together"),
-    }
     if pairs.is_empty() {
-        usage("nothing to compare: give --pair (or --baseline/--current)");
+        usage("nothing to compare: give --pair");
     }
     Cli {
         pairs,
@@ -568,16 +536,6 @@ mod tests {
         assert_eq!(cli.pairs[1].max_regress, Some(0.5));
         assert!(!cli.write_summary);
         assert!(!cli.update_baselines);
-    }
-
-    #[test]
-    fn parse_legacy_single_pair() {
-        let cli = parse_args(&argv(&["--baseline", "b.json", "--current", "c.json"]));
-        assert_eq!(cli.max_regress, 0.25);
-        assert_eq!(cli.pairs.len(), 1);
-        assert_eq!(cli.pairs[0].baseline, "b.json");
-        assert_eq!(cli.pairs[0].current, "c.json");
-        assert_eq!(cli.pairs[0].metrics, metrics());
     }
 
     #[test]

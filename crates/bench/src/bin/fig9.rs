@@ -16,7 +16,7 @@
 //! the signal; `--time-scale` is ignored here).
 
 use imbalance::OnlineStats;
-use pcoll::{PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, SyncAllreduce};
+use pcoll::{PartialOpts, QuorumPolicy, RankCtx};
 use pcoll_comm::{DType, ReduceOp, TypedBuf, World, WorldConfig};
 use repro_bench::report::{comment, row, shape_check};
 use repro_bench::HarnessArgs;
@@ -39,27 +39,20 @@ fn bench(algo: Algo, p: usize, len: usize, iters: u64, seed: u64) -> RunResult {
     let per_rank = World::launch(WorldConfig::instant(p).with_seed(seed), move |c| {
         let ctx = RankCtx::new(c);
         let rank = ctx.rank();
-        enum Ar {
-            Sync(SyncAllreduce),
-            Partial(PartialAllreduce),
-        }
-        let mut ar = match algo {
-            Algo::Sync => Ar::Sync(ctx.sync_allreduce(DType::F32, len, ReduceOp::Sum, None)),
-            Algo::Majority => Ar::Partial(ctx.partial_allreduce(
-                DType::F32,
-                len,
-                ReduceOp::Sum,
-                QuorumPolicy::Majority,
-                PartialOpts::default(),
-            )),
-            Algo::Solo => Ar::Partial(ctx.partial_allreduce(
-                DType::F32,
-                len,
-                ReduceOp::Sum,
-                QuorumPolicy::Solo,
-                PartialOpts::default(),
-            )),
+        // One frontend for all three: the synchronous baseline is the
+        // Full endpoint of the same collective.
+        let policy = match algo {
+            Algo::Sync => QuorumPolicy::Full,
+            Algo::Majority => QuorumPolicy::Majority,
+            Algo::Solo => QuorumPolicy::Solo,
         };
+        let mut ar = ctx.partial_allreduce(
+            DType::F32,
+            len,
+            ReduceOp::Sum,
+            policy,
+            PartialOpts::default(),
+        );
         let mut lat = OnlineStats::new();
         for _it in 0..iters {
             ctx.host_barrier(); // exact alignment before the skew
@@ -67,21 +60,11 @@ fn bench(algo: Algo, p: usize, len: usize, iters: u64, seed: u64) -> RunResult {
             std::thread::sleep(Duration::from_millis(rank as u64 + 1));
             let sendbuf = TypedBuf::from(vec![1.0f32; len]);
             let t0 = Instant::now();
-            match &mut ar {
-                Ar::Sync(a) => {
-                    let _ = a.allreduce(&sendbuf);
-                }
-                Ar::Partial(a) => {
-                    let _ = a.allreduce(&sendbuf);
-                }
-            }
+            let _ = ar.allreduce(&sendbuf);
             lat.push(t0.elapsed().as_secs_f64() * 1e3);
             ctx.barrier(); // Fig. 8 line 12
         }
-        let traces = match &ar {
-            Ar::Partial(a) => a.traces(),
-            Ar::Sync(_) => Vec::new(),
-        };
+        let traces = ar.traces();
         ctx.finalize();
         (lat.mean(), traces)
     });

@@ -79,6 +79,7 @@ fn main() {
             let sum = ar.allreduce(&TypedBuf::from(contribution));
             let want: f64 = (0..P).map(|r| r as f64 + round as f64).sum();
             ok &= sum
+                .data
                 .as_f64()
                 .expect("f64 result")
                 .iter()
@@ -95,7 +96,7 @@ fn main() {
         // reassembly on TCP).
         let fill: Vec<f32> = (0..big).map(|i| ((me + 1) * (i % 13 + 1)) as f32).collect();
         let big_sum = big_ar.allreduce(&TypedBuf::from(fill));
-        let got = big_sum.as_f32().expect("f32 result");
+        let got = big_sum.data.as_f32().expect("f32 result");
         ok &= (0..big).step_by((big / 64).max(1)).all(|i| {
             let want: f32 = (0..P).map(|r| ((r + 1) * (i % 13 + 1)) as f32).sum();
             (got[i] - want).abs() < 1e-3

@@ -663,108 +663,6 @@ pub fn reduce_schedule(rank: Rank, p: usize, root: Rank, op: ReduceOp) -> Schedu
     b.build()
 }
 
-/// Synchronous allreduce for *any* world size: a binomial reduce to rank
-/// `root` composed with a binomial broadcast back out, in one schedule.
-/// Every rank's sends are gated on its own internal activation, so the
-/// operation "cannot terminate before the slowest process joins" — the
-/// `MPI_Allreduce` semantics the paper baselines against. The broadcast
-/// also makes the result bitwise identical on every rank (it is computed
-/// once, at the root).
-pub fn sync_allreduce_schedule(rank: Rank, p: usize, root: Rank, op: ReduceOp) -> Schedule {
-    let mut b = ScheduleBuilder::new();
-    let gate = b.op(OpKind::InternalGate, vec![]);
-    if p == 1 {
-        b.slots(1);
-        b.completion(gate).result_slot(CONTRIB_SLOT);
-        return b.build();
-    }
-    let rel = (rank + p - root) % p;
-    let join_level = if rel == 0 {
-        None
-    } else {
-        Some(crate::topology::highest_bit(rel))
-    };
-    let levels = usize::BITS - p.leading_zeros();
-
-    // --- Reduce phase: fold children's partial sums into slot 0. ---
-    let from = join_level.map_or(0, |h| h + 1);
-    let mut slot_count = 1;
-    let mut prev = gate;
-    for j in from..levels {
-        let child_rel = rel + (1usize << j);
-        if child_rel >= p {
-            continue;
-        }
-        let child = (child_rel + root) % p;
-        let scratch = slot_count;
-        slot_count += 1;
-        let recv = b.op(
-            OpKind::Recv {
-                peer: child,
-                sem: SEM_REDUCE + j,
-                into: Some(scratch),
-            },
-            vec![],
-        );
-        prev = b.op(
-            OpKind::Combine {
-                op,
-                src: scratch,
-                dst: CONTRIB_SLOT,
-            },
-            vec![recv, prev],
-        );
-    }
-    b.slots(slot_count);
-
-    // --- Turnaround: send partial sum up / receive the total down. ---
-    let have_total: OpId = match join_level {
-        None => prev, // root holds the total once all children folded in
-        Some(h) => {
-            let parent_rel = rel - (1usize << h);
-            let parent = (parent_rel + root) % p;
-            let up = b.op(
-                OpKind::SendData {
-                    peer: parent,
-                    sem: SEM_REDUCE + h,
-                    src: CONTRIB_SLOT,
-                },
-                vec![prev],
-            );
-            // The broadcast payload overwrites our partial sum.
-            b.op(
-                OpKind::Recv {
-                    peer: parent,
-                    sem: SEM_BCAST,
-                    into: Some(CONTRIB_SLOT),
-                },
-                vec![up],
-            )
-        }
-    };
-
-    // --- Broadcast phase: forward the total to our bcast children. ---
-    let mut finals = vec![have_total];
-    for j in (from..levels).rev() {
-        let child_rel = rel + (1usize << j);
-        if child_rel >= p {
-            continue;
-        }
-        let child = (child_rel + root) % p;
-        finals.push(b.op(
-            OpKind::SendData {
-                peer: child,
-                sem: SEM_BCAST,
-                src: CONTRIB_SLOT,
-            },
-            vec![have_total],
-        ));
-    }
-    let done = b.op(OpKind::Nop, finals);
-    b.completion(done).result_slot(CONTRIB_SLOT);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,20 +930,6 @@ mod tests {
                         .filter(|o| matches!(o.kind, OpKind::Recv { .. }))
                         .count();
                     assert_eq!(recvs, usize::from(r != root), "p={p} root={root} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sync_allreduce_pairing_any_p_any_root() {
-        for p in [1usize, 2, 3, 5, 8, 12, 16, 17] {
-            for root in [0, p / 2, p - 1] {
-                let scheds =
-                    all_schedules(p, &|r| sync_allreduce_schedule(r, p, root, ReduceOp::Sum));
-                check_send_recv_pairing(&scheds);
-                for s in &scheds {
-                    s.validate().unwrap();
                 }
             }
         }

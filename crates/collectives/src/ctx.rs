@@ -15,8 +15,8 @@
 //! [`RankCtx::host_barrier`], which is explicitly thread-world test
 //! scaffolding (a no-op under process-per-rank).
 
-use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy};
-use crate::sync::{SyncAllreduce, SyncBarrier, SyncBcast, SyncReduce};
+use crate::partial::{MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy};
+use crate::sync::{SyncBarrier, SyncBcast, SyncReduce};
 use pcoll_comm::{CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf};
 use pcoll_sched::Engine;
 use std::cell::Cell;
@@ -54,7 +54,8 @@ impl RankCtx {
         let membership = Arc::clone(comm.membership());
         let (handle, inbox) = comm.split();
         let engine = Engine::spawn(handle, inbox);
-        let barrier = SyncBarrier::register(&engine, CollId(0), rank, size);
+        let world: Vec<Rank> = (0..size).collect();
+        let barrier = SyncBarrier::register_over(&engine, CollId(0), &world, rank);
         RankCtx {
             rank,
             size,
@@ -114,7 +115,8 @@ impl RankCtx {
     }
 
     /// Create a partial allreduce (§4): the eager collective of the paper.
-    /// World size must be a power of two.
+    /// Any world size: powers of two pick recursive doubling or the
+    /// segmented ring by message size, other sizes always take the ring.
     pub fn partial_allreduce(
         &self,
         dtype: DType,
@@ -123,11 +125,33 @@ impl RankCtx {
         policy: QuorumPolicy,
         opts: PartialOpts,
     ) -> PartialAllreduce {
+        self.register_allreduce(
+            self.alloc(),
+            MembershipLog::new(self.size),
+            dtype,
+            len,
+            op,
+            policy,
+            opts,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn register_allreduce(
+        &self,
+        coll: CollId,
+        membership: MembershipLog,
+        dtype: DType,
+        len: usize,
+        op: ReduceOp,
+        policy: QuorumPolicy,
+        opts: PartialOpts,
+    ) -> PartialAllreduce {
         PartialAllreduce::register(
             Arc::new(self.engine.clone()),
-            self.alloc(),
+            coll,
             self.rank,
-            self.size,
+            membership,
             self.seed,
             dtype,
             len,
@@ -137,25 +161,22 @@ impl RankCtx {
         )
     }
 
-    /// Create a blocking allreduce (any world size). `scale` multiplies
-    /// the result (pass `Some(1.0 / P)` for averaging).
+    /// Create a blocking allreduce (any world size): the synchronous
+    /// baseline, i.e. [`RankCtx::partial_allreduce`] at
+    /// [`QuorumPolicy::Full`] with the default algorithm selection.
+    /// `scale` multiplies the result (pass `Some(1.0 / P)` for averaging).
     pub fn sync_allreduce(
         &self,
         dtype: DType,
         len: usize,
         op: ReduceOp,
         scale: Option<f64>,
-    ) -> SyncAllreduce {
-        SyncAllreduce::register(
-            &self.engine,
-            self.alloc(),
-            self.rank,
-            self.size,
-            dtype,
-            len,
-            op,
+    ) -> PartialAllreduce {
+        let opts = PartialOpts {
             scale,
-        )
+            ..PartialOpts::default()
+        };
+        self.partial_allreduce(dtype, len, op, QuorumPolicy::Full, opts)
     }
 
     /// Create a blocking broadcast from `root`.
@@ -171,6 +192,30 @@ impl RankCtx {
     /// Message-based barrier across all ranks (the built-in collective 0).
     pub fn barrier(&self) {
         self.barrier.wait();
+    }
+
+    /// The consensus half of [`RankCtx::evict`] and [`RankCtx::admit`]:
+    /// Max-allreduce the build horizons over `live` (sorted) and return
+    /// the agreed fence round, plus the live-set barrier the caller
+    /// enters once it has applied the membership change. Both collectives
+    /// are registered lazily at the id pair reserved for `ar`'s next
+    /// membership event — the epoch counts evictions *and* admissions, so
+    /// mixed sequences never reuse a pair.
+    fn agree_fence(&self, ar: &PartialAllreduce, live: &[Rank]) -> (u64, SyncBarrier) {
+        let base = EVICTION_COLL_BASE + 2 * ar.eviction_epoch() as u32;
+        let mut fence = self.register_allreduce(
+            CollId(base),
+            MembershipLog::over(self.size, live.to_vec()),
+            DType::I64,
+            1,
+            ReduceOp::Max,
+            QuorumPolicy::Full,
+            PartialOpts::default(),
+        );
+        let gate = SyncBarrier::register_over(&self.engine, CollId(base + 1), live, self.rank);
+        let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
+        let fence_round = agreed.data.as_i64().expect("i64 fence")[0] as u64;
+        (fence_round, gate)
     }
 
     /// Evict `dead` ranks from a partial allreduce: every survivor must
@@ -206,21 +251,7 @@ impl RankCtx {
             "rank {} cannot evict itself",
             self.rank
         );
-        let epoch = ar.eviction_epoch();
-        let base = EVICTION_COLL_BASE + 2 * epoch as u32;
-        let mut fence = SyncAllreduce::register_over(
-            &self.engine,
-            CollId(base),
-            &live,
-            self.rank,
-            DType::I64,
-            1,
-            ReduceOp::Max,
-            None,
-        );
-        let gate = SyncBarrier::register_over(&self.engine, CollId(base + 1), &live, self.rank);
-        let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
-        let fence_round = agreed.as_i64().unwrap()[0] as u64;
+        let (fence_round, gate) = self.agree_fence(ar, &live);
         ar.evict_from(fence_round, dead);
         for &d in dead {
             // Promote the local suspicion to a consensus fact in the
@@ -274,11 +305,6 @@ impl RankCtx {
             "rank {} is neither a survivor nor a joiner",
             self.rank
         );
-        // Epoch counts *all* membership events (evictions and
-        // admissions), so the reserved id pair never collides with an
-        // earlier fence's — mixed evict/admit sequences stay aligned.
-        let epoch = ar.eviction_epoch();
-        let base = EVICTION_COLL_BASE + 2 * epoch as u32;
         for &j in joiners {
             // Reverse the liveness verdict *before* the fence consensus:
             // the transport drops sends to Down peers, so a survivor's
@@ -294,19 +320,7 @@ impl RankCtx {
             // nulling the joiner's contributions.
             self.engine.peer_up(j);
         }
-        let mut fence = SyncAllreduce::register_over(
-            &self.engine,
-            CollId(base),
-            &live,
-            self.rank,
-            DType::I64,
-            1,
-            ReduceOp::Max,
-            None,
-        );
-        let gate = SyncBarrier::register_over(&self.engine, CollId(base + 1), &live, self.rank);
-        let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
-        let fence_round = agreed.as_i64().unwrap()[0] as u64;
+        let (fence_round, gate) = self.agree_fence(ar, &live);
         if joiners.contains(&self.rank) {
             ar.fast_forward_to(fence_round);
         }
@@ -356,8 +370,8 @@ mod tests {
                 let payload = TypedBuf::from(vec![round * 100]);
                 let x = bc.bcast((ctx.rank() == 0).then_some(&payload));
                 got.push((
-                    s.as_i64().unwrap()[0],
-                    m.as_i64().unwrap()[0],
+                    s.data.as_i64().unwrap()[0],
+                    m.data.as_i64().unwrap()[0],
                     x.as_i64().unwrap()[0],
                 ));
             }

@@ -3,23 +3,30 @@
 //! This crate turns the schedule engine (`pcoll-sched`) into user-facing
 //! collectives:
 //!
-//! - [`SyncAllreduce`]: classic blocking allreduce (recursive doubling),
-//!   the `MPI_Allreduce` stand-in — it "cannot terminate before the
-//!   slowest process joins it".
-//! - [`PartialAllreduce`]: the paper's contribution. With
-//!   [`QuorumPolicy::Solo`] any rank that arrives first becomes the
-//!   initiator and broadcasts an activation along a binomial tree rooted at
-//!   itself; every other rank is dragged in by its engine and contributes
-//!   whatever its send buffer holds (fresh, stale, or null). With
-//!   [`QuorumPolicy::Majority`] a pseudo-randomly designated per-round
-//!   initiator (same seed on all ranks ⇒ no communication needed for
-//!   consensus) delays the start so that, in expectation, half the ranks
-//!   arrive before it (§4.2). [`QuorumPolicy::FirstOf`]/[`QuorumPolicy::Chain`]
-//!   generalize this to the solo–majority–full *spectrum* named in §8.
-//! - [`SyncBarrier`]: dissemination barrier; [`SyncBcast`]: binomial-tree
-//!   broadcast (used by the Horovod-style negotiation baseline).
+//! - [`PartialAllreduce`]: the one allreduce frontend, parameterised by a
+//!   [`QuorumPolicy`]. With [`QuorumPolicy::Solo`] any rank that arrives
+//!   first becomes the initiator and broadcasts an activation along a
+//!   binomial tree rooted at itself; every other rank is dragged in by its
+//!   engine and contributes whatever its send buffer holds (fresh, stale,
+//!   or null). With [`QuorumPolicy::Majority`] a pseudo-randomly
+//!   designated per-round initiator (same seed on all ranks ⇒ no
+//!   communication needed for consensus) delays the start so that, in
+//!   expectation, half the ranks arrive before it (§4.2).
+//!   [`QuorumPolicy::FirstOf`]/[`QuorumPolicy::Chain`] generalize this to
+//!   the solo–majority–full *spectrum* named in §8, and
+//!   [`QuorumPolicy::Full`] is its synchronous endpoint: the
+//!   `MPI_Allreduce` stand-in that "cannot terminate before the slowest
+//!   process joins it" ([`RankCtx::sync_allreduce`]). Every policy runs
+//!   the same data phase, chosen by [`AlgoSelector`] from message size
+//!   and world size: recursive doubling for small messages on
+//!   power-of-two worlds, the segmented reduce-scatter + allgather ring
+//!   otherwise.
+//! - [`SyncBarrier`]: dissemination barrier; [`SyncBcast`] and
+//!   [`SyncReduce`]: binomial-tree broadcast and reduce (used by the
+//!   Horovod-style negotiation baseline).
 //! - [`algos`]: blocking ring and Rabenseifner allreduce over the plain
-//!   matcher, for the allreduce-algorithm ablation.
+//!   matcher, for the allreduce-algorithm ablation and as the reference
+//!   the engine's results are tested against.
 //!
 //! [`RankCtx`] packages the per-rank engine plus collective constructors;
 //! collectives must be created in the same order on every rank (SPMD), as
@@ -38,9 +45,9 @@ pub mod topology;
 
 pub use ctx::RankCtx;
 pub use partial::{
-    AllreduceOutcome, EvictionLog, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline,
-    QuorumPolicy, RoundEvent, RoundObserver, RoundTrace, StaleMode,
+    AllreduceOutcome, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline, QuorumPolicy,
+    RoundEvent, RoundObserver, RoundTrace, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec, WindowStats};
-pub use sync::{SyncAllreduce, SyncBarrier, SyncBcast, SyncReduce};
+pub use sync::{SyncBarrier, SyncBcast, SyncReduce};

@@ -238,16 +238,22 @@ pub struct MembershipLog {
     p: usize,
 }
 
-/// The pre-rejoin name of [`MembershipLog`], kept as an alias: a log
-/// whose segments could only shrink.
-pub type EvictionLog = MembershipLog;
-
 impl MembershipLog {
     /// A log where all `p` ranks are live from round 0.
     pub fn new(p: usize) -> Self {
+        MembershipLog::over(p, (0..p).collect())
+    }
+
+    /// A log born over a partial world: only `live` (sorted global ranks
+    /// below `p`) participate from round 0. This is what the eviction and
+    /// admission fences' consensus collectives run on — seeded before
+    /// registration, so even a round built from a pre-registration
+    /// message sees the live set.
+    pub fn over(p: usize, live: Vec<Rank>) -> Self {
+        debug_assert!(live.windows(2).all(|w| w[0] < w[1]) && live.last().is_some_and(|&r| r < p));
         MembershipLog {
-            segments: Mutex::new(vec![(0, (0..p).collect())]),
-            changed: AtomicBool::new(false),
+            changed: AtomicBool::new(live.len() != p),
+            segments: Mutex::new(vec![(0, live)]),
             p,
         }
     }
@@ -777,6 +783,15 @@ impl CollectiveTemplate for PartialTemplate {
 ///
 /// Not `Sync`: one owner (the training thread) advances rounds.
 ///
+/// Under [`QuorumPolicy::Full`] this is the blocking allreduce the paper
+/// baselines against (`MPI_Allreduce`: quorum = P, no rank returns before
+/// the slowest arrives, `result_round == requested_round` always). **One
+/// round in flight per handle under Full**: the contribution is captured
+/// when the deposit activates the round, so a second deposit before the
+/// first round's snapshot would fold into it. Overlap comes from several
+/// handles (one per tensor: deposit on all, then
+/// [`PartialAllreduce::wait_for`] each), not from several rounds of one.
+///
 /// The handle talks to its engine through the [`TemplateHost`] trait, so
 /// the identical frontend drives the threaded [`pcoll_sched::Engine`]
 /// (in-process and TCP worlds) and the simulator's staged
@@ -801,7 +816,7 @@ impl PartialAllreduce {
         host: Arc<dyn TemplateHost>,
         coll: CollId,
         rank: Rank,
-        p: usize,
+        membership: MembershipLog,
         seed: u64,
         dtype: DType,
         len: usize,
@@ -812,6 +827,7 @@ impl PartialAllreduce {
         // Any initial world size is legal: non-power-of-two worlds (and
         // non-power-of-two post-eviction live sets) always take the
         // segmented-ring data path, whose structure works for any P.
+        let p = membership.p;
         let shared = Arc::new(Shared {
             dtype,
             len,
@@ -835,7 +851,7 @@ impl PartialAllreduce {
             built_horizon: AtomicU64::new(0),
         });
         let timeline = Arc::new(PolicyTimeline::new(policy));
-        let membership = Arc::new(MembershipLog::new(p));
+        let membership = Arc::new(membership);
         host.register_template(
             coll,
             Box::new(PartialTemplate {
@@ -1048,11 +1064,30 @@ impl PartialAllreduce {
     /// discrete-event simulator, whose single thread must never block —
     /// use this split; `allreduce` is exactly `deposit` + a blocking wait.
     pub fn deposit(&mut self, contrib: &TypedBuf) -> u64 {
-        assert_eq!(contrib.dtype(), self.shared.dtype, "contribution dtype");
-        assert_eq!(contrib.len(), self.shared.len, "contribution length");
+        self.deposit_with(contrib.dtype(), contrib.len(), |send, overwrite| {
+            let dst = send.data.to_mut();
+            if overwrite {
+                dst.copy_from_at(0, contrib, 0, contrib.len())
+            } else {
+                dst.combine(contrib, ReduceOp::Sum)
+            }
+        })
+    }
+
+    /// The deposit protocol around `fill(send buffer, overwrite)`: claim
+    /// the next round, write the contribution in — wholesale when the
+    /// buffer is logically null (or under [`StaleMode::Replace`]),
+    /// accumulating otherwise — and activate the round.
+    fn deposit_with(
+        &mut self,
+        dtype: DType,
+        len: usize,
+        fill: impl FnOnce(&mut SendBuf, bool) -> Result<(), pcoll_comm::BufError>,
+    ) -> u64 {
+        assert_eq!(dtype, self.shared.dtype, "contribution dtype");
+        assert_eq!(len, self.shared.len, "contribution length");
         let round = self.next_round;
         self.next_round += 1;
-
         {
             let mut send = self.shared.send.lock();
             let overwrite = match self.shared.opts.stale_mode {
@@ -1062,17 +1097,7 @@ impl PartialAllreduce {
                 StaleMode::Accumulate => !send.filled,
                 StaleMode::Replace => true,
             };
-            if overwrite {
-                send.data
-                    .to_mut()
-                    .copy_from_at(0, contrib, 0, contrib.len())
-                    .expect("deposit shape checked above");
-            } else {
-                send.data
-                    .to_mut()
-                    .combine(contrib, ReduceOp::Sum)
-                    .expect("deposit shape checked above");
-            }
+            fill(&mut send, overwrite).expect("deposit shape checked above");
             send.filled = true;
             send.last_deposit_round = Some(round);
         }
@@ -1099,47 +1124,31 @@ impl PartialAllreduce {
     /// and starve the engine's scratch pool). The accumulate path folds
     /// with [`Payload::reduce_assign`].
     pub fn deposit_owned(&mut self, contrib: Payload) -> u64 {
-        assert_eq!(contrib.dtype(), self.shared.dtype, "contribution dtype");
-        assert_eq!(contrib.len(), self.shared.len, "contribution length");
-        let round = self.next_round;
-        self.next_round += 1;
-
-        {
-            let mut send = self.shared.send.lock();
-            let overwrite = match self.shared.opts.stale_mode {
-                StaleMode::Accumulate => !send.filled,
-                StaleMode::Replace => true,
-            };
-            if overwrite {
-                if contrib.ref_count() == 1 && !contrib.is_view() && !contrib.is_wire() {
-                    let old = std::mem::replace(&mut send.data, contrib);
-                    if send.spare.is_none() {
-                        if let Ok(buf) = old.try_into_buf() {
-                            send.spare = Some(buf);
-                        }
-                    }
-                } else {
-                    contrib
-                        .copy_into_at(send.data.to_mut(), 0)
-                        .expect("deposit shape checked above");
-                }
-            } else {
-                send.data
-                    .reduce_assign(&contrib, ReduceOp::Sum)
-                    .expect("deposit shape checked above");
+        self.deposit_with(contrib.dtype(), contrib.len(), |send, overwrite| {
+            if !overwrite {
+                return send.data.reduce_assign(&contrib, ReduceOp::Sum);
             }
-            send.filled = true;
-            send.last_deposit_round = Some(round);
-        }
-        self.host.activate_round(self.coll, round);
-        round
+            if contrib.ref_count() > 1 || contrib.is_view() || contrib.is_wire() {
+                return contrib.copy_into_at(send.data.to_mut(), 0);
+            }
+            let old = std::mem::replace(&mut send.data, contrib);
+            if send.spare.is_none() {
+                send.spare = old.try_into_buf().ok();
+            }
+            Ok(())
+        })
     }
 
     /// Non-blocking poll for a result for `round` or newer: `Some` with
     /// the latest-wins outcome once available, `None` while the round is
     /// still in flight. Miss accounting matches the blocking path.
     pub fn try_outcome(&self, round: u64) -> Option<AllreduceOutcome> {
-        let recv = self.shared.recv.lock();
+        self.outcome_if_ready(&self.shared.recv.lock(), round)
+    }
+
+    /// The latest-wins outcome for `round` if a result for it or a newer
+    /// round has landed in `recv`, with miss accounting.
+    fn outcome_if_ready(&self, recv: &RecvBuf, round: u64) -> Option<AllreduceOutcome> {
         let latest = recv.latest_round.filter(|l| *l >= round)?;
         if latest > round {
             self.shared.missed_rounds.fetch_add(1, Ordering::Relaxed);
@@ -1154,25 +1163,16 @@ impl PartialAllreduce {
         })
     }
 
-    /// Wait until a result for `round` or newer is available.
-    fn wait_for(&self, round: u64) -> AllreduceOutcome {
+    /// Block until a result for `round` (as returned by
+    /// [`PartialAllreduce::deposit`] / [`PartialAllreduce::deposit_owned`])
+    /// or newer is available — the blocking half of
+    /// [`PartialAllreduce::allreduce`].
+    pub fn wait_for(&self, round: u64) -> AllreduceOutcome {
         let deadline = std::time::Instant::now() + self.shared.opts.wait_timeout;
         let mut recv = self.shared.recv.lock();
         loop {
-            if let Some(latest) = recv.latest_round {
-                if latest >= round {
-                    if latest > round {
-                        self.shared.missed_rounds.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &self.shared.opts.observer {
-                            obs.on_miss(round, latest);
-                        }
-                    }
-                    return AllreduceOutcome {
-                        data: recv.data.clone(),
-                        requested_round: round,
-                        result_round: latest,
-                    };
-                }
+            if let Some(outcome) = self.outcome_if_ready(&recv, round) {
+                return outcome;
             }
             let timeout = deadline.saturating_duration_since(std::time::Instant::now());
             if timeout.is_zero() {
@@ -1422,55 +1422,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_averages_result() {
-        let p = 4;
-        let out = World::launch(WorldConfig::instant(p), move |c| {
-            let ctx = RankCtx::new(c);
-            let mut ar = ctx.partial_allreduce(
-                DType::F32,
-                1,
-                ReduceOp::Sum,
-                QuorumPolicy::Full,
-                PartialOpts {
-                    scale: Some(1.0 / p as f64),
-                    ..PartialOpts::default()
-                },
-            );
-            let out = ar.allreduce(&f32s(&[8.0]));
-            ctx.finalize();
-            out.data.as_f32().unwrap()[0]
-        });
-        assert_eq!(out, vec![8.0; 4]);
-    }
-
-    #[test]
-    fn full_policy_includes_everyone_despite_skew() {
-        let p = 8;
-        let out = World::launch(WorldConfig::instant(p), move |c| {
-            let ctx = RankCtx::new(c);
-            let mut ar = ctx.partial_allreduce(
-                DType::F32,
-                1,
-                ReduceOp::Sum,
-                QuorumPolicy::Full,
-                PartialOpts::default(),
-            );
-            for _ in 0..3 {
-                std::thread::sleep(Duration::from_millis(7 * ctx.rank() as u64));
-                let out = ar.allreduce(&f32s(&[1.0]));
-                assert_eq!(
-                    out.data.as_f32().unwrap()[0],
-                    p as f32,
-                    "full quorum always sums all fresh contributions"
-                );
-            }
-            ctx.finalize();
-            true
-        });
-        assert_eq!(out, vec![true; 8]);
-    }
-
-    #[test]
     fn results_are_bitwise_identical_across_ranks() {
         // Recursive doubling's pairwise exchanges make the reduction order
         // commute identically on every rank — results must match bitwise.
@@ -1648,37 +1599,157 @@ mod tests {
         }
     }
 
+    // --- The blocking contract of the synchronous baseline
+    // (`RankCtx::sync_allreduce` = this frontend at `Full`). ---
+
     #[test]
-    fn min_and_max_reductions_work() {
-        let p = 4;
+    fn full_sums_any_world_size() {
+        // Non-powers of two must route to the segmented ring: recursive
+        // doubling's builder rejects them outright, so these sizes
+        // completing *is* the routing check.
+        for p in [1usize, 2, 3, 5, 8, 12] {
+            let out = World::launch(WorldConfig::instant(p), move |c| {
+                let ctx = RankCtx::new(c);
+                let mut ar = ctx.sync_allreduce(DType::F64, 3, ReduceOp::Sum, None);
+                let me = ctx.rank() as f64;
+                let r = ar.allreduce(&TypedBuf::from(vec![me, 1.0, -me]));
+                ctx.finalize();
+                r.data.as_f64().unwrap().to_vec()
+            });
+            let total: f64 = (0..p).map(|r| r as f64).sum();
+            for (r, v) in out.iter().enumerate() {
+                assert_eq!(v, &[total, p as f64, -total], "p={p} rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_waits_for_slowest() {
+        // The straggler delays everyone: no rank's call returns before
+        // it arrives.
+        let delay = Duration::from_millis(150);
+        let out = World::launch(WorldConfig::instant(4), move |c| {
+            let ctx = RankCtx::new(c);
+            let mut ar = ctx.sync_allreduce(DType::F32, 1, ReduceOp::Sum, None);
+            ctx.host_barrier();
+            let t0 = std::time::Instant::now();
+            if ctx.rank() == 2 {
+                std::thread::sleep(delay);
+            }
+            let _ = ar.allreduce(&f32s(&[1.0]));
+            let dt = t0.elapsed();
+            ctx.finalize();
+            dt
+        });
+        for (r, dt) in out.iter().enumerate() {
+            assert!(*dt >= delay, "rank {r} returned after {dt:?} < {delay:?}");
+        }
+    }
+
+    #[test]
+    fn full_reduces_every_dtype_and_op_and_scales() {
+        // Ranks 0..4 contribute (me, -me): sum (6, -6), max (3, 0), min
+        // (0, -3); `scale` 0.5 halves the float results.
+        let cases = [
+            (ReduceOp::Sum, [6i32, -6]),
+            (ReduceOp::Max, [3, 0]),
+            (ReduceOp::Min, [0, -3]),
+        ];
+        let out = World::launch(WorldConfig::instant(4), move |c| {
+            let ctx = RankCtx::new(c);
+            let me = ctx.rank() as i32;
+            let mut got = Vec::new();
+            for (op, _) in cases {
+                for contrib in [
+                    TypedBuf::from(vec![me as f32, -me as f32]),
+                    TypedBuf::from(vec![f64::from(me), f64::from(-me)]),
+                    TypedBuf::from(vec![me, -me]),
+                    TypedBuf::from(vec![i64::from(me), i64::from(-me)]),
+                ] {
+                    let scale = (contrib.dtype() == DType::F64).then_some(0.5);
+                    let mut ar = ctx.sync_allreduce(contrib.dtype(), 2, op, scale);
+                    got.push(ar.allreduce(&contrib).data.to_buf());
+                }
+            }
+            ctx.finalize();
+            got
+        });
+        for got in out {
+            let mut it = got.into_iter();
+            for (_, [a, b]) in cases {
+                assert_eq!(it.next(), Some(TypedBuf::from(vec![a as f32, b as f32])));
+                let half = vec![f64::from(a) / 2.0, f64::from(b) / 2.0];
+                assert_eq!(it.next(), Some(TypedBuf::from(half)));
+                assert_eq!(it.next(), Some(TypedBuf::from(vec![a, b])));
+                assert_eq!(
+                    it.next(),
+                    Some(TypedBuf::from(vec![i64::from(a), i64::from(b)]))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_full_collectives_in_flight_do_not_cross_talk() {
+        // One round in flight per handle, several handles at once: deposit
+        // on both, then wait on both in reverse order (the per-tensor
+        // trainer's shape).
+        let out = World::launch(WorldConfig::instant(4), move |c| {
+            let ctx = RankCtx::new(c);
+            let mut a = ctx.sync_allreduce(DType::F32, 3, ReduceOp::Sum, None);
+            let mut b = ctx.sync_allreduce(DType::F32, 5, ReduceOp::Max, None);
+            let me = ctx.rank() as f32;
+            let ha = a.deposit(&f32s(&[me; 3]));
+            let hb = b.deposit(&f32s(&[me; 5]));
+            let rb = b.wait_for(hb).data.as_f32().unwrap().to_vec();
+            let ra = a.wait_for(ha).data.as_f32().unwrap().to_vec();
+            ctx.finalize();
+            (ra, rb)
+        });
+        for (ra, rb) in out {
+            assert_eq!(ra, vec![6.0; 3]); // sum of ranks
+            assert_eq!(rb, vec![3.0; 5]); // max rank
+        }
+    }
+
+    #[test]
+    fn full_rounds_never_miss_under_a_rotating_straggler() {
+        // 200 blocking rounds on 4 ranks with a different rank 5 ms late
+        // each time: every call returns its own round's result (never a
+        // newer one), every contribution is fresh, and the data — the
+        // exact sum of all four, whatever the skew — is bit-identical
+        // on every rank.
+        const ROUNDS: u64 = 200;
+        let (p, n) = (4usize, 33usize);
+        // Integer-valued, so the f32 sum is exact in any order.
+        let val =
+            |rank: usize, i: usize, round: u64| ((rank * 31 + i * 7 + round as usize) % 17) as f32;
         let out = World::launch(WorldConfig::instant(p), move |c| {
             let ctx = RankCtx::new(c);
-            let mut lo = ctx.partial_allreduce(
-                DType::I64,
-                2,
-                ReduceOp::Min,
-                QuorumPolicy::Full,
-                PartialOpts::default(),
-            );
-            let mut hi = ctx.partial_allreduce(
-                DType::I64,
-                2,
-                ReduceOp::Max,
-                QuorumPolicy::Full,
-                PartialOpts::default(),
-            );
-            let me = ctx.rank() as i64;
-            let a = lo.allreduce(&TypedBuf::from(vec![me, -me]));
-            let b = hi.allreduce(&TypedBuf::from(vec![me, -me]));
+            let mut ar = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, None);
+            let me = ctx.rank();
+            for round in 0..ROUNDS {
+                if round as usize % p == me {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let contrib: Vec<f32> = (0..n).map(|i| val(me, i, round)).collect();
+                let got = ar.allreduce(&TypedBuf::from(contrib));
+                assert_eq!((got.requested_round, got.result_round), (round, round));
+                let want: Vec<f32> = (0..n)
+                    .map(|i| (0..p).map(|r| val(r, i, round)).sum())
+                    .collect();
+                assert_eq!(
+                    got.data.as_f32().unwrap(),
+                    &want[..],
+                    "rank {me} round {round}"
+                );
+            }
+            let counters = ar.counters();
             ctx.finalize();
-            (
-                a.data.as_i64().unwrap().to_vec(),
-                b.data.as_i64().unwrap().to_vec(),
-            )
+            counters
         });
-        for (lo, hi) in out {
-            assert_eq!(lo, vec![0, -3]);
-            assert_eq!(hi, vec![3, 0]);
+        for (rank, (fresh, missed, _)) in out.iter().enumerate() {
+            assert_eq!((*fresh, *missed), (ROUNDS, 0), "rank {rank}");
         }
     }
 }

@@ -28,7 +28,7 @@
 //! `from_round = max` over ranks of the next round), which is the
 //! simulator's version of the trainer's decide→fence consensus protocol.
 
-use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy, RoundTrace};
+use crate::partial::{MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy, RoundTrace};
 use pcoll_comm::{
     DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TypedBuf, WorldConfig,
 };
@@ -262,7 +262,7 @@ impl SimHarness {
                 Arc::new(queue.clone()),
                 pcoll_comm::CollId(1),
                 rank,
-                p,
+                MembershipLog::new(p),
                 seed,
                 DType::F32,
                 spec.len,

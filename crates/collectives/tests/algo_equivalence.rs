@@ -208,3 +208,86 @@ fn float_sums_agree_within_tolerance() {
     assert_eq!(engine[0].0, engine[0].1);
     assert_eq!(engine[0].1, ring[0]);
 }
+
+/// NaN under Min/Max. The engine's `Combine` folds with `if s < d { d =
+/// s }`: a NaN accumulator stays NaN and a NaN source is skipped, so on
+/// NaN-bearing input the result depends on which operand accumulates, and
+/// algorithms agree only where they fold in the same operand roles. At
+/// P = 2 those roles are fully determined, which ties all four paths to
+/// recursive doubling (rank r's result is "r accumulates its partner"):
+///
+/// - both rings finish chunk 0 (the lower half) on rank 1 and chunk 1 on
+///   rank 0;
+/// - the direct Rabenseifner keeps the lower half on rank 0 and the upper
+///   half on rank 1. Its last level folds through
+///   `Matcher::recv_combine`, i.e. the bare-slice kernels behind
+///   `Payload::reduce_into_f32`, which used `f32::min`/`max` and so
+///   dropped a NaN accumulator where the engine keeps it.
+#[test]
+fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
+    let (p, n, mid) = (2usize, 8usize, 4usize);
+    // Per half: a NaN only on the rank that accumulates it under
+    // Rabenseifner (index 1 on rank 0, 6 on rank 1), a NaN only on the
+    // other rank (2, 5), and a NaN on both (3).
+    let val = |rank: usize, i: usize| -> f32 {
+        if matches!((rank, i), (0, 1) | (1, 6) | (1, 2) | (0, 5) | (_, 3)) {
+            f32::NAN
+        } else {
+            int_val(rank, i)
+        }
+    };
+    let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+    for op in [ReduceOp::Min, ReduceOp::Max] {
+        let engine = World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
+            let ctx = RankCtx::new(c);
+            let contrib: Vec<f32> = (0..n).map(|i| val(ctx.rank(), i)).collect();
+            let contrib = TypedBuf::from(contrib);
+            let run = |algo: AlgoSelector| {
+                let opts = PartialOpts {
+                    algo,
+                    ..PartialOpts::default()
+                };
+                let mut ar = ctx.partial_allreduce(DType::F32, n, op, QuorumPolicy::Full, opts);
+                let out = ar.allreduce(&contrib);
+                out.data.as_f32().expect("f32 result").to_vec()
+            };
+            let rd = run(AlgoSelector::pinned(AllreduceAlgo::RecursiveDoubling));
+            // One segment, so the chunks are the direct ring's.
+            let seg = run(AlgoSelector::segmented(n * 4));
+            ctx.finalize();
+            (rd, seg)
+        });
+        let direct = World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
+            let me = c.rank();
+            let (h, inbox) = c.split();
+            let mut m = Matcher::new(inbox);
+            let mut dc = DirectCollectives::new(&h, &mut m, CollId(8801));
+            let mut ring: Vec<f32> = (0..n).map(|i| val(me, i)).collect();
+            dc.ring_allreduce_f32(&mut ring, op);
+            let mut rab: Vec<f32> = (0..n).map(|i| val(me, i)).collect();
+            dc.rabenseifner_allreduce_f32(&mut rab, op);
+            (ring, rab)
+        });
+        let (rd0, rd1) = (&engine[0].0, &engine[1].0);
+        // The accumulator's NaN survives and the source's is skipped, or
+        // the case exercises nothing.
+        assert!(rd0[1].is_nan() && rd1[6].is_nan(), "{op:?}");
+        assert!(!rd0[2].is_nan() && !rd1[5].is_nan(), "{op:?}");
+        for r in 0..p {
+            let (seg, (ring, rab)) = (&engine[r].1, &direct[r]);
+            assert_eq!(bits(seg), bits(ring), "{op:?} rank {r}: seg vs direct ring");
+            assert_eq!(bits(&ring[..mid]), bits(&rd1[..mid]), "{op:?} rank {r}");
+            assert_eq!(bits(&ring[mid..]), bits(&rd0[mid..]), "{op:?} rank {r}");
+            assert_eq!(
+                bits(&rab[..mid]),
+                bits(&rd0[..mid]),
+                "{op:?} rank {r}: rabenseifner lower half vs recursive doubling on rank 0"
+            );
+            assert_eq!(
+                bits(&rab[mid..]),
+                bits(&rd1[mid..]),
+                "{op:?} rank {r}: rabenseifner upper half vs recursive doubling on rank 1"
+            );
+        }
+    }
+}

@@ -719,14 +719,12 @@ impl TypedBuf {
 /// Elementwise `dst = dst ⊕ src` over bare `f32` slices — the shared
 /// reduction kernel for code that operates on borrowed slices (the direct
 /// ring/Rabenseifner algorithms) rather than owned buffers.
+///
+/// `Min`/`Max` use [`TypedBuf::combine`]'s comparison form, not
+/// `f32::min`/`max`: a NaN accumulator stays and a NaN source is skipped,
+/// so the slice-based oracle agrees with the engine bit for bit.
 pub fn reduce_f32_slices(dst: &mut [f32], src: &[f32], op: ReduceOp) {
-    debug_assert_eq!(dst.len(), src.len());
-    match op {
-        ReduceOp::Sum => dst.iter_mut().zip(src).for_each(|(d, s)| *d += *s),
-        ReduceOp::Prod => dst.iter_mut().zip(src).for_each(|(d, s)| *d *= *s),
-        ReduceOp::Min => dst.iter_mut().zip(src).for_each(|(d, s)| *d = d.min(*s)),
-        ReduceOp::Max => dst.iter_mut().zip(src).for_each(|(d, s)| *d = d.max(*s)),
-    }
+    elementwise!(dst, src, op);
 }
 
 /// Elementwise `dst = dst ⊕ decode_f32(bytes)` over a bare slice — the
@@ -741,8 +739,17 @@ pub fn reduce_f32_from_le_bytes(dst: &mut [f32], bytes: &[u8], op: ReduceOp) {
     match op {
         ReduceOp::Sum => dst.iter_mut().zip(src).for_each(|(d, s)| *d += s),
         ReduceOp::Prod => dst.iter_mut().zip(src).for_each(|(d, s)| *d *= s),
-        ReduceOp::Min => dst.iter_mut().zip(src).for_each(|(d, s)| *d = d.min(s)),
-        ReduceOp::Max => dst.iter_mut().zip(src).for_each(|(d, s)| *d = d.max(s)),
+        // Same comparison form (and NaN behaviour) as `reduce_f32_slices`.
+        ReduceOp::Min => dst.iter_mut().zip(src).for_each(|(d, s)| {
+            if s < *d {
+                *d = s;
+            }
+        }),
+        ReduceOp::Max => dst.iter_mut().zip(src).for_each(|(d, s)| {
+            if s > *d {
+                *d = s;
+            }
+        }),
     }
 }
 
@@ -954,5 +961,27 @@ mod tests {
         let mut d = [1.0f32, 3.0];
         reduce_f32_slices(&mut d, &src, ReduceOp::Max);
         assert_eq!(d, [2.0, 3.0]);
+    }
+
+    #[test]
+    fn slice_kernels_fold_nan_like_combine() {
+        // NaN accumulator, NaN source, both: the bare-slice kernels (typed
+        // and from-wire) must land on `combine`'s bits for every op.
+        let acc = [f32::NAN, 1.0, f32::NAN, 4.0];
+        let src = [2.0, f32::NAN, f32::NAN, -3.0];
+        let mut wire = Vec::new();
+        TypedBuf::from(src.to_vec()).extend_le_bytes(&mut wire);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
+            let mut want = TypedBuf::from(acc.to_vec());
+            want.combine(&TypedBuf::from(src.to_vec()), op).unwrap();
+            let want = bits(want.as_f32().unwrap());
+            let mut typed = acc;
+            reduce_f32_slices(&mut typed, &src, op);
+            assert_eq!(bits(&typed), want, "{op:?} typed");
+            let mut from_wire = acc;
+            reduce_f32_from_le_bytes(&mut from_wire, &wire, op);
+            assert_eq!(bits(&from_wire), want, "{op:?} from wire");
+        }
     }
 }

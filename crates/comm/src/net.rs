@@ -18,7 +18,6 @@
 //! and senders push straight into the route (lowest overhead; the default
 //! for unit tests).
 
-use crate::sim::Planet;
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank};
 use crate::transport::{bounded_send, Route};
@@ -119,27 +118,6 @@ pub(crate) enum NetCmd {
     Shutdown,
 }
 
-/// Precomputed per-pair extra latency from a [`Planet`]'s region matrix —
-/// the co-simulation hook: `Transport::Sim` closure worlds run the normal
-/// wall-clock shaper with the planet's geography added to every message.
-pub(crate) struct ExtraLatency {
-    p: usize,
-    table: Vec<Duration>,
-}
-
-impl ExtraLatency {
-    pub(crate) fn from_planet(planet: &Planet, p: usize) -> ExtraLatency {
-        let table = (0..p * p)
-            .map(|i| planet.one_way(planet.rank_region(i / p, p), planet.rank_region(i % p, p)))
-            .collect();
-        ExtraLatency { p, table }
-    }
-
-    fn get(&self, src: Rank, dst: Rank) -> Duration {
-        self.table[src * self.p + dst]
-    }
-}
-
 /// Runs the delivery loop: accept sends, hold them until due, release
 /// through the route. A deterministic xorshift PRNG provides jitter
 /// (avoids pulling `rand` into the lowest layer).
@@ -156,7 +134,6 @@ pub(crate) fn delivery_loop(
     seed: u64,
     stats: Arc<CommStats>,
     queue_deadline: Duration,
-    extra: Option<Arc<ExtraLatency>>,
 ) {
     let mut heap: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
     let mut seq: u64 = 0;
@@ -251,11 +228,7 @@ pub(crate) fn delivery_loop(
 
         match cmd {
             Some(NetCmd::Send { dst, msg }) => {
-                let geography = extra
-                    .as_ref()
-                    .map_or(Duration::ZERO, |e| e.get(msg.src, dst));
-                let latency =
-                    geography + model.base_latency(msg.wire_bytes()) + next_jitter(model.jitter());
+                let latency = model.base_latency(msg.wire_bytes()) + next_jitter(model.jitter());
                 let sent = Instant::now();
                 let mut due = sent + latency;
                 let key = (msg.src, dst);
@@ -315,12 +288,11 @@ pub(crate) fn spawn_network(
     queue_capacity: usize,
     queue_deadline: Duration,
     stats: Arc<CommStats>,
-    extra: Option<Arc<ExtraLatency>>,
 ) -> (NetHandle, std::thread::JoinHandle<()>) {
     let (tx, rx) = bounded(queue_capacity);
     let join = std::thread::Builder::new()
         .name("pcoll-net".into())
-        .spawn(move || delivery_loop(model, rx, route, seed, stats, queue_deadline, extra))
+        .spawn(move || delivery_loop(model, rx, route, seed, stats, queue_deadline))
         .expect("spawn network thread");
     (NetHandle { tx }, join)
 }
@@ -357,7 +329,6 @@ mod tests {
             1024,
             Duration::from_secs(10),
             Arc::clone(&stats),
-            None,
         );
         (net, join, mb_rx, stats)
     }

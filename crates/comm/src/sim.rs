@@ -1,4 +1,4 @@
-//! `Transport::Sim`: a single-process discrete-event network simulator.
+//! [`SimWorld`]: a single-process discrete-event network simulator.
 //!
 //! The third transport. Where the in-process backend runs ranks as
 //! threads and the TCP backend runs them as processes, the simulator runs

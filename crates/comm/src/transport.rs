@@ -49,8 +49,10 @@
 //!   stay alive for the whole run. A relaunched worker (env
 //!   `PCOLL_TCP_REJOIN=1`, or automatic under [`TcpOpts::respawn`])
 //!   re-registers with the parent, dials every live peer — whose accept
-//!   threads splice a fresh connection into the dead rank's slot — and
-//!   fetches the state it missed through the parent's blackboard
+//!   threads splice a fresh connection into the dead rank's slot and
+//!   acknowledge it, so the worker's closure starts only once every
+//!   survivor routes to the new connection — and fetches the state it
+//!   missed through the parent's blackboard
 //!   ([`RendezvousClient`]); the app layer then runs the admission
 //!   fence (`RankCtx::admit` in the `pcoll` crate) to bring it back
 //!   into the collectives.
@@ -64,7 +66,7 @@
 use crate::membership::Membership;
 use crate::net::spawn_network;
 use crate::pool::FRAME_POOL;
-use crate::sim::{SimOpts, SimRoute};
+use crate::sim::SimRoute;
 use crate::stats::CommStats;
 use crate::tag::{CollId, Message, Rank, WireTag};
 use crate::world::{CommHandle, Communicator, Envelope, Inbox, WorldConfig};
@@ -93,23 +95,15 @@ pub enum Transport {
     InProcess,
     /// One OS process per rank over loopback TCP.
     Tcp(TcpOpts),
-    /// Single-process discrete-event simulation (see [`crate::sim`]).
-    /// Under [`crate::World::launch_with`] the same SPMD closure runs
-    /// thread-per-rank with the planet's region latencies composed into
-    /// the delivery thread (co-simulation over wall time); the pure
-    /// virtual-time path is [`crate::sim::SimWorld`], driven event by
-    /// event from one thread.
-    Sim(SimOpts),
 }
 
 impl Transport {
-    /// Parse a `--transport` flag value (`inproc` / `tcp` / `sim`); the
+    /// Parse a `--transport` flag value (`inproc` / `tcp`); the
     /// TCP variant gets `label` as its launch-site label.
     pub fn parse(s: &str, label: &str) -> Option<Transport> {
         match s {
             "inproc" | "in-process" | "thread" => Some(Transport::InProcess),
             "tcp" => Some(Transport::Tcp(TcpOpts::labeled(label))),
-            "sim" => Some(Transport::Sim(SimOpts::default())),
             _ => None,
         }
     }
@@ -1463,20 +1457,15 @@ fn spawn_worker_process(
 #[allow(clippy::too_many_arguments)]
 fn spawn_peer_threads(
     stream: TcpStream,
+    rx: Receiver<PeerCmd>,
     rank: Rank,
     peer: Rank,
     membership: &Arc<Membership>,
     inbox_tx: &Sender<Envelope>,
     stats: &Arc<CommStats>,
-    queue_capacity: usize,
     queue_deadline: Duration,
-) -> (
-    Sender<PeerCmd>,
-    std::thread::JoinHandle<()>,
-    std::thread::JoinHandle<()>,
-) {
+) -> (std::thread::JoinHandle<()>, std::thread::JoinHandle<()>) {
     let read_half = stream.try_clone().expect("clone mesh stream");
-    let (tx, rx) = bounded(queue_capacity);
     let writer_membership = Arc::clone(membership);
     let writer_inbox = inbox_tx.clone();
     let writer_stats = Arc::clone(stats);
@@ -1509,16 +1498,18 @@ fn spawn_peer_threads(
             )
         })
         .expect("spawn reader");
-    (tx, w, r)
+    (w, r)
 }
 
 /// Mid-run mesh accept loop: the mesh listener outlives initial setup so
 /// an evicted-and-relaunched rank can dial back in. Each accepted
 /// connection identifies itself with the usual 4-byte rank id and gets a
-/// fresh writer/reader pair spliced into its slot. The rank's `Down`
-/// mark stays until the app-level admission fence calls
-/// [`Membership::readmit`] — sends stay suppressed until the world has
-/// actually agreed to take the rank back.
+/// fresh writer/reader pair spliced into its slot, then a heartbeat
+/// frame back as the splice acknowledgement the dialer blocks on (see
+/// the rejoin branch of `run_worker`). The rank's `Down` mark stays
+/// until the app-level admission fence calls [`Membership::readmit`] —
+/// sends stay suppressed until the world has actually agreed to take the
+/// rank back.
 #[allow(clippy::too_many_arguments)]
 fn mesh_accept_loop(
     listener: TcpListener,
@@ -1552,17 +1543,24 @@ fn mesh_accept_loop(
                     eprintln!("pcoll-comm: ignoring stray mesh connection (id {peer})");
                     continue;
                 }
-                let (tx, w, r) = spawn_peer_threads(
+                let (tx, rx) = bounded(queue_capacity);
+                peers.swap_peer(peer, tx);
+                // Acknowledge only now that this rank routes to the new
+                // connection, and before the writer thread owns the
+                // stream (so the ack cannot interleave with a frame).
+                if write_frame(&mut &s, &[FRAME_HEARTBEAT]).is_err() {
+                    continue;
+                }
+                let (w, r) = spawn_peer_threads(
                     s,
+                    rx,
                     rank,
                     peer,
                     &membership,
                     &inbox_tx,
                     &stats,
-                    queue_capacity,
                     queue_deadline,
                 );
-                peers.swap_peer(peer, tx);
                 spliced.push(w);
                 spliced.push(r);
             }
@@ -1692,6 +1690,25 @@ where
                 .expect("send mesh id");
             streams[peer] = Some(s);
         }
+        // `connect` returns once the peer's *kernel* has queued the
+        // connection; its accept thread splices it in some milliseconds
+        // later. Until then the peer still routes to the dead
+        // incarnation's writer, and a message sent there is lost without
+        // a trace (the write into the dead socket's buffer succeeds). So
+        // wait for every peer's splice acknowledgement before this rank
+        // can announce itself ready: readiness then implies every
+        // survivor's first message reaches the new connection.
+        for s in streams.iter().flatten() {
+            s.set_read_timeout(Some(remaining(deadline)))
+                .expect("set splice-ack timeout");
+            let ack = read_frame(&mut &*s).expect("mesh splice ack");
+            assert_eq!(
+                ack.as_deref(),
+                Some(&[FRAME_HEARTBEAT][..]),
+                "mesh peer closed before acknowledging the splice"
+            );
+            s.set_read_timeout(None).expect("clear splice-ack timeout");
+        }
     } else {
         for (peer, peer_addr) in addrs.iter().enumerate().take(rank) {
             let retry_seed = cfg.seed ^ ((rank as u64) << 32) ^ peer as u64;
@@ -1750,14 +1767,15 @@ where
     let mut readers = Vec::new();
     for (peer, slot) in streams.into_iter().enumerate() {
         let Some(stream) = slot else { continue };
-        let (tx, w, r) = spawn_peer_threads(
+        let (tx, rx) = bounded(cfg.queue_capacity);
+        let (w, r) = spawn_peer_threads(
             stream,
+            rx,
             rank,
             peer,
             &membership,
             &inbox_tx,
             &stats,
-            cfg.queue_capacity,
             cfg.queue_deadline,
         );
         peers.swap_peer(peer, tx);
@@ -1810,7 +1828,6 @@ where
                 cfg.queue_capacity,
                 cfg.queue_deadline,
                 Arc::clone(&stats),
-                None,
             );
             (Some(h), Some(j))
         }

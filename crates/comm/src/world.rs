@@ -21,9 +21,8 @@
 //! counted per rank in [`CommStats`].
 
 use crate::membership::Membership;
-use crate::net::{spawn_network, ExtraLatency, NetHandle};
+use crate::net::{spawn_network, NetHandle};
 use crate::payload::Payload;
-use crate::sim::SimOpts;
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank, WireTag};
 use crate::transport::{launch_tcp, Route, TcpOpts, Transport};
@@ -500,16 +499,6 @@ impl World {
         T: Send + 'static,
         F: Fn(Communicator) -> T + Send + Sync + 'static,
     {
-        Self::launch_threaded(cfg, None, f)
-    }
-
-    /// Thread-per-rank launch, optionally composing a planet's region
-    /// geography into the delivery thread (`Transport::Sim` closure mode).
-    fn launch_threaded<T, F>(cfg: WorldConfig, extra: Option<Arc<ExtraLatency>>, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(Communicator) -> T + Send + Sync + 'static,
-    {
         assert!(cfg.nranks > 0, "world must have at least one rank");
         let (mb_txs, mb_rxs): (Vec<_>, Vec<_>) =
             (0..cfg.nranks).map(|_| bounded(cfg.queue_capacity)).unzip();
@@ -520,9 +509,8 @@ impl World {
         // ranks would otherwise connect unrelated epochs).
         let trace_clock = Clock::wall();
 
-        // The shaper is bypassed only when there is nothing to model:
-        // instant network *and* no geography.
-        let modeled = !matches!(cfg.network, NetworkModel::Instant) || extra.is_some();
+        // The shaper is bypassed when there is nothing to model.
+        let modeled = !matches!(cfg.network, NetworkModel::Instant);
         let (net, net_join) = if modeled {
             // The shared shaper thread accounts its own queue pressure
             // (it delivers on behalf of every rank). Its recorder track
@@ -535,7 +523,6 @@ impl World {
                 cfg.queue_capacity,
                 cfg.queue_deadline,
                 Arc::new(CommStats::with_recorder(shaper_rec)),
-                extra,
             );
             (Some(h), Some(j))
         } else {
@@ -598,10 +585,8 @@ impl World {
     }
 
     /// Launch over an explicit [`Transport`]: the same SPMD closure runs
-    /// thread-per-rank ([`World::launch`]), process-per-rank over loopback
-    /// TCP ([`World::launch_tcp`]), or thread-per-rank with a simulated
-    /// planet's region latencies composed into the delivery thread
-    /// ([`World::launch_sim`]).
+    /// thread-per-rank ([`World::launch`]) or process-per-rank over
+    /// loopback TCP ([`World::launch_tcp`]).
     ///
     /// Returns `None` only in a TCP worker process that serves a
     /// *different* launch label (skip that call site and fall through);
@@ -623,22 +608,7 @@ impl World {
         match transport {
             Transport::InProcess => Some(Self::launch(cfg, f)),
             Transport::Tcp(opts) => launch_tcp(cfg, opts, f),
-            Transport::Sim(opts) => Some(Self::launch_sim(cfg, opts, f)),
         }
-    }
-
-    /// Launch the SPMD closure thread-per-rank with `opts.planet`'s
-    /// region-to-region latencies added to every message (co-simulation
-    /// over wall time: real threads, simulated geography). For the pure
-    /// virtual-time discrete-event path — no threads, a virtual clock,
-    /// bit-identical replays — drive a [`crate::sim::SimWorld`] directly.
-    pub fn launch_sim<T, F>(cfg: WorldConfig, opts: SimOpts, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(Communicator) -> T + Send + Sync + 'static,
-    {
-        let extra = Arc::new(ExtraLatency::from_planet(&opts.planet, cfg.nranks));
-        Self::launch_threaded(cfg, Some(extra), f)
     }
 
     /// Launch `cfg.nranks` rank *processes* over loopback TCP (the
@@ -779,33 +749,6 @@ mod tests {
         assert!(out[0].0, "sender must have stalled on the full queue");
         assert!(out[0].1, "queue depth must respect the bound");
         assert_eq!(out[1].2, 32, "all messages delivered");
-    }
-
-    #[test]
-    fn launch_sim_composes_region_latency_over_wall_time() {
-        use crate::sim::{Planet, SimOpts};
-        use std::time::Instant;
-        // Two ranks in different regions, 20ms one-way: a round trip
-        // through the shaper must take >= 20ms even under Instant model.
-        let opts = SimOpts {
-            planet: Planet::uniform(2, Duration::from_millis(20)),
-            ..SimOpts::default()
-        };
-        let out = World::launch_sim(WorldConfig::instant(2), opts, |c| {
-            let peer = 1 - c.rank();
-            let t0 = Instant::now();
-            c.send(peer, tag(0), Some(TypedBuf::from(vec![c.rank() as i64])));
-            match c.inbox().recv() {
-                Some(Envelope::Data(m)) => {
-                    let v = m.payload.unwrap().as_i64().unwrap()[0];
-                    (v, t0.elapsed() >= Duration::from_millis(20))
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        });
-        assert_eq!(out[0].0, 1);
-        assert_eq!(out[1].0, 0);
-        assert!(out[0].1 && out[1].1, "geography must delay delivery");
     }
 
     #[test]

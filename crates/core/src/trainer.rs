@@ -30,7 +30,6 @@ use imbalance::Injector;
 use minitensor::TensorRng;
 use pcoll::{
     AlgoSelector, PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundObserver, StaleMode,
-    SyncAllreduce,
 };
 use pcoll_comm::{DType, Payload, ReduceOp, TypedBuf};
 use serde::{Deserialize, Serialize};
@@ -71,22 +70,21 @@ impl SgdVariant {
         }
     }
 
-    fn quorum_policy(&self) -> Option<QuorumPolicy> {
+    /// Where on the quorum spectrum the gradient allreduce sits: the
+    /// synchronous baselines are its `Full` endpoint (§4).
+    fn quorum_policy(&self) -> QuorumPolicy {
         match self {
-            SgdVariant::EagerSolo => Some(QuorumPolicy::Solo),
-            SgdVariant::EagerMajority => Some(QuorumPolicy::Majority),
-            SgdVariant::EagerQuorum { chain, race } => Some(if *race {
-                QuorumPolicy::FirstOf(*chain)
-            } else {
-                QuorumPolicy::Chain(*chain)
-            }),
-            _ => None,
+            SgdVariant::SynchDeep500 | SgdVariant::SynchHorovod => QuorumPolicy::Full,
+            SgdVariant::EagerSolo => QuorumPolicy::Solo,
+            SgdVariant::EagerMajority => QuorumPolicy::Majority,
+            SgdVariant::EagerQuorum { chain, race: true } => QuorumPolicy::FirstOf(*chain),
+            SgdVariant::EagerQuorum { chain, race: false } => QuorumPolicy::Chain(*chain),
         }
     }
 
     /// Is this an eager (partial-collective) variant?
     pub fn is_eager(&self) -> bool {
-        self.quorum_policy().is_some()
+        self.quorum_policy() != QuorumPolicy::Full
     }
 }
 
@@ -199,8 +197,8 @@ pub enum GradFusion {
     /// semantics are defined on the fused buffer).
     #[default]
     Fused,
-    /// One non-blocking allreduce per parameter tensor, posted together
-    /// and waited together (synchronous variants only).
+    /// One allreduce per parameter tensor, all deposited and then all
+    /// waited on (synchronous variants only).
     PerTensor,
 }
 
@@ -230,9 +228,10 @@ pub struct TrainerConfig {
     /// Stale-gradient handling in the partial collective (ablation; the
     /// paper's protocol is `Accumulate`).
     pub stale_mode: StaleMode,
-    /// Allreduce data-phase algorithm for the eager gradient collective:
-    /// adaptive (recursive doubling for small fused gradients, segmented
-    /// ring for multi-MiB ones) by default, or pinned via
+    /// Allreduce data-phase algorithm for the gradient collective (eager
+    /// and synchronous variants alike — the baseline differs in quorum
+    /// only): adaptive (recursive doubling for small fused gradients,
+    /// segmented ring for multi-MiB ones) by default, or pinned via
     /// [`AlgoSelector::pinned`] for ablations. Quorum semantics are
     /// unchanged either way.
     pub allreduce_algo: AlgoSelector,
@@ -272,63 +271,28 @@ impl TrainerConfig {
     }
 }
 
-enum GradReducer {
-    Partial(PartialAllreduce),
-    Sync(SyncAllreduce),
-    /// One collective per parameter tensor; `sizes` gives the flat-buffer
-    /// segmentation. All tensors are posted non-blocking, then waited
-    /// (§3's tagged in-flight allreduces + waitall).
-    SyncPerTensor {
-        reducers: Vec<SyncAllreduce>,
-        sizes: Vec<usize>,
-    },
-}
-
-impl GradReducer {
-    /// Reduce `grads` in place semantics: returns the averaged gradient.
-    fn allreduce(&mut self, grads: &[f32]) -> TypedBuf {
-        match self {
-            // The owned deposit moves the freshly built gradient buffer
-            // into the send slot (no element copy); `into_buf` copies
-            // only while the latest-wins receive buffer still aliases
-            // the result — the price the old by-value outcome paid
-            // unconditionally.
-            GradReducer::Partial(ar) => ar
-                .allreduce_owned(Payload::new(TypedBuf::from(grads.to_vec())))
-                .data
-                .into_buf(),
-            GradReducer::Sync(ar) => ar.allreduce(&TypedBuf::from(grads.to_vec())),
-            GradReducer::SyncPerTensor { reducers, sizes } => {
-                // Post every tensor, then waitall and reassemble.
-                let mut handles = Vec::with_capacity(reducers.len());
-                let mut off = 0;
-                for (r, &n) in reducers.iter_mut().zip(sizes.iter()) {
-                    let seg = TypedBuf::from(grads[off..off + n].to_vec());
-                    handles.push(r.post(&seg));
-                    off += n;
-                }
-                let mut out = Vec::with_capacity(grads.len());
-                for (r, h) in reducers.iter_mut().zip(handles) {
-                    let seg = r.wait(h);
-                    out.extend_from_slice(seg.as_f32().expect("f32 gradients"));
-                }
-                TypedBuf::from(out)
-            }
-        }
+/// Average `grads` across ranks through `reducers`, one collective per
+/// `sizes` segment of the flat buffer (a single fused one, or one per
+/// tensor): deposit every segment, then wait on each — §3's tagged
+/// in-flight allreduces + waitall. Each deposit moves a freshly built
+/// buffer into the send slot (no element copy inside the collective); the
+/// result is copied out once, into the returned flat gradient.
+fn allreduce_grads(reducers: &mut [PartialAllreduce], sizes: &[usize], grads: &[f32]) -> Vec<f32> {
+    let mut off = 0;
+    let rounds: Vec<u64> = reducers
+        .iter_mut()
+        .zip(sizes)
+        .map(|(r, &len)| {
+            let seg = TypedBuf::from(grads[off..off + len].to_vec());
+            off += len;
+            r.deposit_owned(Payload::new(seg))
+        })
+        .collect();
+    let mut avg = Vec::with_capacity(grads.len());
+    for (r, round) in reducers.iter().zip(rounds) {
+        avg.extend_from_slice(r.wait_for(round).data.as_f32().expect("f32 gradients"));
     }
-
-    fn counters(&self) -> (u64, u64) {
-        match self {
-            GradReducer::Partial(ar) => {
-                let (fresh, missed, _) = ar.counters();
-                (fresh, missed)
-            }
-            GradReducer::Sync(ar) => (ar.rounds(), 0),
-            GradReducer::SyncPerTensor { reducers, .. } => {
-                (reducers.first().map_or(0, |r| r.rounds()), 0)
-            }
-        }
-    }
+    avg
 }
 
 /// Run the full training loop on this rank. SPMD: every rank calls this
@@ -364,20 +328,26 @@ pub fn run_rank(
     // SPMD collective construction order: gradient reducer(s),
     // negotiation pair (Horovod only), weight synchronizer, tuner
     // consensus allreduce (adaptive runs only).
-    let mut reducer = match cfg.variant.quorum_policy() {
-        Some(policy) => {
-            assert_eq!(
-                cfg.fusion,
-                GradFusion::Fused,
+    let sizes = match cfg.fusion {
+        GradFusion::Fused => vec![n],
+        GradFusion::PerTensor => {
+            assert!(
+                !cfg.variant.is_eager(),
                 "eager variants define their send-buffer semantics on the fused buffer"
             );
-            let policy = tuner
-                .as_ref()
-                .and_then(|t| t.initial_policy())
-                .unwrap_or(policy);
-            GradReducer::Partial(ctx.partial_allreduce(
+            model.param_sizes()
+        }
+    };
+    let policy = tuner
+        .as_ref()
+        .and_then(|t| t.initial_policy())
+        .unwrap_or(cfg.variant.quorum_policy());
+    let mut reducers: Vec<PartialAllreduce> = sizes
+        .iter()
+        .map(|&len| {
+            ctx.partial_allreduce(
                 DType::F32,
-                n,
+                len,
                 ReduceOp::Sum,
                 policy,
                 PartialOpts {
@@ -387,22 +357,9 @@ pub fn run_rank(
                     algo: cfg.allreduce_algo,
                     ..PartialOpts::default()
                 },
-            ))
-        }
-        None => match cfg.fusion {
-            GradFusion::Fused => {
-                GradReducer::Sync(ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale))
-            }
-            GradFusion::PerTensor => {
-                let sizes = model.param_sizes();
-                let reducers = sizes
-                    .iter()
-                    .map(|&len| ctx.sync_allreduce(DType::F32, len, ReduceOp::Sum, scale))
-                    .collect();
-                GradReducer::SyncPerTensor { reducers, sizes }
-            }
-        },
-    };
+            )
+        })
+        .collect();
     let mut negotiation = (cfg.variant == SgdVariant::SynchHorovod)
         .then(|| (ctx.reduce(0, ReduceOp::Max), ctx.bcast(0)));
     let mut weight_sync = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale);
@@ -454,8 +411,7 @@ pub fn run_rank(
             }
 
             model.write_grads(&mut grads);
-            let mut avg = reducer.allreduce(&grads);
-            let avg = avg.as_f32_mut().expect("f32 gradients");
+            let mut avg = allreduce_grads(&mut reducers, &sizes, &grads);
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = avg.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > max_norm {
@@ -463,13 +419,12 @@ pub fn run_rank(
                     avg.iter_mut().for_each(|g| *g *= s);
                 }
             }
-            opt.delta(avg, &mut delta);
+            opt.delta(&avg, &mut delta);
             model.apply_delta(&delta);
 
             // --- Closed-loop quorum control (eager + tuner only). ---
-            if let (Some(t), Some(cons), GradReducer::Partial(ar)) =
-                (tuner.as_mut(), consensus.as_mut(), &mut reducer)
-            {
+            if let (Some(t), Some(cons)) = (tuner.as_mut(), consensus.as_mut()) {
+                let ar = &reducers[0];
                 // Arrival offsets of *all* ranks this step: every rank can
                 // evaluate the injector's global pattern from the shared
                 // seed without communication. Scaled to wall-clock ms so
@@ -481,7 +436,7 @@ pub fn run_rank(
                 if (step + 1).is_multiple_of(t.period().max(1)) {
                     // measure → agree → decide → apply → fence.
                     let summed = cons.allreduce(&TypedBuf::from(t.local_stats()));
-                    let summed = summed.as_f32().expect("f32 stats vector");
+                    let summed = summed.data.as_f32().expect("f32 stats vector");
                     let from_round = ar.rounds();
                     if let Some(d) = t.decide(from_round, summed) {
                         ar.set_policy_from(from_round, d.policy);
@@ -529,8 +484,9 @@ pub fn run_rank(
                 if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
                     let t0 = Instant::now();
                     model.write_params(&mut flat_params);
-                    let avg = weight_sync.allreduce(&TypedBuf::from(flat_params.clone()));
-                    model.read_params(avg.as_f32().expect("f32 params"));
+                    let params = Payload::new(TypedBuf::from(flat_params.clone()));
+                    let avg = weight_sync.allreduce_owned(params);
+                    model.read_params(avg.data.as_f32().expect("f32 params"));
                     train_time += t0.elapsed().as_secs_f64();
                 }
             }
@@ -564,7 +520,7 @@ pub fn run_rank(
         });
     }
 
-    let (fresh, missed) = reducer.counters();
+    let (fresh, missed, _) = reducers[0].counters();
     log.fresh_rounds = fresh;
     log.missed_rounds = missed;
     log.steps = step;

@@ -24,9 +24,11 @@
 //! straggler message for a dropped round is counted and ignored exactly
 //! once instead of resurrecting the instance — a resurrection would steal
 //! the *next* round's deposit as this round's contribution. The dropped
-//! instance's uniquely-owned buffers are harvested into a per-collective
-//! scratch pool that feeds the copy-on-write combines of later rounds, so
-//! the steady state pins one round of tensors and allocates none.
+//! instance's uniquely-owned buffers are harvested into one engine-wide
+//! scratch pool that feeds the copy-on-write combines of later rounds —
+//! of *any* collective of the same `(dtype, len)`, so a collective
+//! registered after another went idle starts on a primed pool — and the
+//! steady state pins one round of tensors and allocates none.
 //! Messages addressed below the GC floor are dropped (they can only be
 //! duplicate activations or stragglers of rounds whose result has long
 //! been superseded).
@@ -60,7 +62,7 @@ use std::sync::{Arc, Mutex};
 /// recognized and dropped instead of force-joining a ghost instance.
 const GC_LAG: u64 = 8;
 
-/// Upper bound on buffers parked in a collective's scratch pool. Sized
+/// Upper bound on buffers parked in the engine's scratch pool. Sized
 /// for the deepest in-flight working set we build (a segmented ring at
 /// full pipeline depth cycles ~`3p` chunk buffers); beyond this, excess
 /// harvests are simply freed.
@@ -390,14 +392,6 @@ struct CollState {
     /// for these are counted (`dropped_late`) and ignored — never allowed
     /// to resurrect an instance (which would consume a fresh deposit).
     completed_rounds: HashSet<u64>,
-    /// Recycle pool fed by completed instances' uniquely-owned buffers;
-    /// drained by fused copy-on-write combines and `CopyAt` assembly of
-    /// later rounds. Exact dtype+len matching.
-    scratch: Vec<TypedBuf>,
-    /// Harvest candidates that were still shared at completion (their
-    /// sender's handle had not drained yet). Retried at the next
-    /// completion; a buffer that stays shared is eventually dropped.
-    limbo: Vec<Payload>,
     /// Highest completed round, if any.
     latest_completed: Option<u64>,
     /// Messages for rounds below this are dropped.
@@ -428,6 +422,18 @@ pub struct EngineCore {
     /// (the Fig. 7 null-contribution semantics). Empty in a healthy run,
     /// so the liveness machinery costs one `is_empty` check per event.
     down: HashSet<Rank>,
+    /// Recycle pool fed by completed instances' uniquely-owned buffers
+    /// (of every collective on this engine); drained by fused
+    /// copy-on-write combines and `CopyAt` assembly of later rounds.
+    /// Exact dtype+len matching. One pool per engine rather than per
+    /// collective: collectives are never deregistered, so a per-collective
+    /// pool would pin an idle collective's buffers until shutdown while
+    /// its successor allocates the same shapes afresh.
+    scratch: Vec<TypedBuf>,
+    /// Harvest candidates that were still shared at completion (their
+    /// sender's handle had not drained yet). Retried at the next
+    /// completion; a buffer that stays shared is eventually dropped.
+    limbo: Vec<Payload>,
 }
 
 impl EngineCore {
@@ -448,6 +454,8 @@ impl EngineCore {
             stats,
             comm_stats,
             down: HashSet::new(),
+            scratch: Vec::new(),
+            limbo: Vec::new(),
         }
     }
 
@@ -579,8 +587,6 @@ impl EngineCore {
                 template,
                 instances: HashMap::new(),
                 completed_rounds: HashSet::new(),
-                scratch: Vec::new(),
-                limbo: Vec::new(),
                 latest_completed: None,
                 gc_floor: 0,
             },
@@ -697,18 +703,16 @@ impl EngineCore {
     /// Execute fireable ops to quiescence, then handle completion/GC.
     fn drive(&mut self, coll: CollId, round: u64, mut queue: Vec<OpId>) {
         let cs = self.colls.get_mut(&coll).expect("driven coll exists");
-        // Borrow-split the collective state: the op loop mutates the
-        // driven instance *and* draws recycled buffers from the scratch
-        // pool at the same time.
         let CollState {
             instances,
-            scratch,
-            limbo,
             completed_rounds,
             template,
             latest_completed,
             gc_floor,
         } = cs;
+        // Disjoint field borrows: the op loop mutates the driven instance
+        // *and* draws recycled buffers from the engine's pool.
+        let scratch = &mut self.scratch;
         let inst = instances.get_mut(&round).expect("driven instance exists");
         while let Some(id) = queue.pop() {
             let kind = inst.sched.ops[id].kind.clone();
@@ -863,7 +867,7 @@ impl EngineCore {
             template.on_round_stats(&stats);
             completed_rounds.insert(round);
             *latest_completed = Some(latest_completed.map_or(round, |l| l.max(round)));
-            harvest_instance(inst, scratch, limbo);
+            harvest_instance(inst, scratch, &mut self.limbo);
             collect_garbage(instances, completed_rounds, *latest_completed, gc_floor);
         }
     }

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use minitensor::{Mat, TensorRng};
     pub use pcoll::{
         AlgoSelector, AllreduceAlgo, Hiccup, Pacing, PartialAllreduce, PartialOpts, QuorumPolicy,
-        RankCtx, SimHarness, SimReport, SimSpec, StaleMode, SyncAllreduce,
+        RankCtx, SimHarness, SimReport, SimSpec, StaleMode,
     };
     pub use pcoll_comm::{
         DType, NetworkModel, Planet, ReduceOp, SimOpts, TypedBuf, World, WorldConfig,

@@ -60,7 +60,7 @@ fn run_and_count(p: usize, rounds: u64) -> u64 {
         let contrib = TypedBuf::from(vec![1.0f32; ELEMS]);
         for _ in 0..rounds {
             let sum = ar.allreduce(&contrib);
-            assert_eq!(sum.as_f32().unwrap()[0], p as f32);
+            assert_eq!(sum.data.as_f32().unwrap()[0], p as f32);
         }
         ctx.finalize();
     });

@@ -87,6 +87,28 @@ fn run_and_count(p: usize, rounds: u64, fresh_contrib: bool) -> u64 {
     LARGE_ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Tensor-sized allocations across the whole world when each rank runs
+/// one same-shape blocking collective after another on one engine:
+/// collective `i` is registered once collective `i - 1` has gone idle on
+/// every rank, and runs `rounds[i]` rounds on a retained contribution.
+fn run_and_count_in_sequence(p: usize, rounds: &'static [u64]) -> u64 {
+    let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+    World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
+        let ctx = RankCtx::new(c);
+        let retained = Payload::new(TypedBuf::from(vec![1.0f32; ELEMS]));
+        for &rounds in rounds {
+            let mut ar = ctx.sync_allreduce(DType::F32, ELEMS, ReduceOp::Sum, None);
+            for _ in 0..rounds {
+                let out = ar.allreduce_owned(retained.clone());
+                assert_eq!(out.data.as_f32().unwrap()[0], p as f32);
+            }
+            ctx.barrier();
+        }
+        ctx.finalize();
+    });
+    LARGE_ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_partial_allreduce_rounds_are_allocation_free() {
     const R_SHORT: u64 = 6;
@@ -110,6 +132,31 @@ fn steady_state_partial_allreduce_rounds_are_allocation_free() {
         seg < 0.05,
         "P=8 steady state allocates {seg:.3} tensors/rank/round, expected 0"
     );
+
+    // The engine-wide pool: a second same-shape collective, registered
+    // after the first went idle, draws its copy-on-write and assembly
+    // buffers from what the first one's completed rounds left behind. Its
+    // steady state is allocation-free like the first's, and its whole
+    // life costs its own frontend buffers (send + receive at
+    // registration, one snapshot swap) and nothing to prime the engine —
+    // with a pool per collective it paid the first one's warm-up again
+    // (5 per rank instead of 3).
+    for p in [2usize, 8] {
+        let first_only = run_and_count_in_sequence(p, &[R_SHORT]);
+        let short = run_and_count_in_sequence(p, &[R_SHORT, R_SHORT]);
+        let long = run_and_count_in_sequence(p, &[R_SHORT, R_LONG]);
+        let slope = long.saturating_sub(short) as f64 / ((R_LONG - R_SHORT) as f64 * p as f64);
+        assert!(
+            slope < 0.05,
+            "P={p}: a second collective allocates {slope:.3} tensors/rank/round, expected 0"
+        );
+        let life = short.saturating_sub(first_only) as f64 / p as f64;
+        assert!(
+            life <= 4.0,
+            "P={p}: a second collective's whole life allocates {life:.2} tensors/rank, \
+             expected 3 (its own send/receive/spare buffers)"
+        );
+    }
 
     // Trainer shape: the caller's fresh gradient is the round's only
     // tensor-sized allocation; `deposit_owned` moves it in and recycles

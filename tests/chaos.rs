@@ -365,7 +365,7 @@ fn external_body(c: Communicator) -> f64 {
     let ctx = RankCtx::new(c);
     let mut ar = ctx.sync_allreduce(DType::F64, 4, ReduceOp::Sum, None);
     let out = ar.allreduce(&TypedBuf::from(vec![(ctx.rank() + 1) as f64; 4]));
-    let sum = out.as_f64().unwrap()[0];
+    let sum = out.data.as_f64().unwrap()[0];
     ctx.finalize();
     sum
 }

@@ -93,7 +93,7 @@ fn sync_allreduce_matches_direct_ring_and_rabenseifner() {
         let data: Vec<f32> = (0..N).map(|i| ((me * N + i) as f32).sin()).collect();
         let out = ar.allreduce(&TypedBuf::from(data));
         ctx.finalize();
-        out.as_f32().unwrap().to_vec()
+        out.data.as_f32().unwrap().to_vec()
     });
     let ring_result = World::launch(WorldConfig::instant(P), |c| {
         let me = c.rank();
@@ -164,7 +164,7 @@ fn many_concurrent_collectives_do_not_cross_talk() {
             acc.push((
                 a.data.as_i64().unwrap()[0],
                 b.data.as_i64().unwrap()[0],
-                c_.as_i64().unwrap()[0],
+                c_.data.as_i64().unwrap()[0],
                 d.as_i64().unwrap()[0],
                 e.map(|x| x.as_i64().unwrap()[0]),
             ));

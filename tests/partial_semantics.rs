@@ -31,7 +31,7 @@ fn sync_collectives_work_in_single_rank_world() {
         let ctx = RankCtx::new(c);
         let mut ar = ctx.sync_allreduce(DType::I64, 2, ReduceOp::Max, None);
         let r = ar.allreduce(&TypedBuf::from(vec![5i64, -5]));
-        assert_eq!(r.as_i64().unwrap(), &[5, -5]);
+        assert_eq!(r.data.as_i64().unwrap(), &[5, -5]);
         ctx.barrier();
         ctx.finalize();
     });

@@ -269,7 +269,7 @@ fn collectives_results_identical_on_both_backends() {
             let payload = TypedBuf::from(vec![round * 7]);
             let b = bc.bcast((ctx.rank() == 1).then_some(&payload));
             acc.push((
-                s.as_i64().unwrap()[0],
+                s.data.as_i64().unwrap()[0],
                 p.data.as_i64().unwrap()[0],
                 b.as_i64().unwrap()[0],
             ));
