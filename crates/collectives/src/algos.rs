@@ -13,8 +13,12 @@
 //! are shared [`Payload`]s — a ring hop sends a reference-count bump (or
 //! a sub-range [`Payload::view`]), a received chunk is forwarded without
 //! copying, and receive-side reductions fold straight into the
-//! accumulator ([`Payload::reduce_assign`], [`Matcher::recv_combine`]) —
-//! over TCP directly from the frame's undecoded wire bytes.
+//! accumulator ([`Payload::reduce_assign`] into a chunk payload,
+//! [`Payload::fold_into`] / [`Payload::store_into`] into a range of the
+//! caller's slice) — over TCP directly from the frame's undecoded wire
+//! bytes. Those are the same `pcoll_comm` kernel the engine's `Combine`
+//! and `CopyAt` run, which is what makes these algorithms an oracle for
+//! the schedules and not for the arithmetic.
 
 use pcoll_comm::{CollId, CommHandle, Matcher, Payload, ReduceOp, TypedBuf, WireTag};
 
@@ -99,7 +103,7 @@ impl<'a> DirectCollectives<'a> {
         // received payload as-is.
         let own = (me + 1) % p;
         chunks[own]
-            .copy_into_f32(&mut data[chunk_range(own)])
+            .store_into(&mut data[chunk_range(own)])
             .expect("own chunk shape");
         let mut carry = chunks[own].clone();
         for s in 0..p - 1 {
@@ -113,7 +117,7 @@ impl<'a> DirectCollectives<'a> {
                 .expect("ring allgather recv");
             let incoming = msg.payload.expect("data message");
             incoming
-                .copy_into_f32(&mut data[chunk_range(recv_chunk)])
+                .store_into(&mut data[chunk_range(recv_chunk)])
                 .expect("ring allgather shape");
             carry = incoming;
         }
@@ -163,7 +167,7 @@ impl<'a> DirectCollectives<'a> {
                 // (`Matcher::recv_combine`) — no intermediate window.
                 window
                     .view(keep.0 - lo, keep.1 - keep.0)
-                    .copy_into_f32(&mut data[keep.0..keep.1])
+                    .store_into(&mut data[keep.0..keep.1])
                     .expect("final window shape");
                 self.matcher
                     .recv_combine(partner, self.tag(sem), &mut data[keep.0..keep.1], op)
@@ -245,7 +249,7 @@ impl<'a> DirectCollectives<'a> {
             // The block arriving at step s originated at rank (me-1-s).
             let origin = (me + p - 1 - s) % p;
             incoming
-                .copy_into_f32(&mut out[origin * n..(origin + 1) * n])
+                .store_into(&mut out[origin * n..(origin + 1) * n])
                 .expect("allgather shape");
             carry = incoming;
         }

@@ -33,6 +33,7 @@
 //! with MPI communicator construction.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod algos;
 pub mod builders;

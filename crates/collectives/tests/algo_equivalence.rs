@@ -220,9 +220,9 @@ fn float_sums_agree_within_tolerance() {
 ///   rank 0;
 /// - the direct Rabenseifner keeps the lower half on rank 0 and the upper
 ///   half on rank 1. Its last level folds through
-///   `Matcher::recv_combine`, i.e. the bare-slice kernels behind
-///   `Payload::reduce_into_f32`, which used `f32::min`/`max` and so
-///   dropped a NaN accumulator where the engine keeps it.
+///   `Matcher::recv_combine`, i.e. `Payload::fold_into` on a bare
+///   slice, which once had kernels of its own that used `f32::min`/`max`
+///   and so dropped a NaN accumulator where the engine keeps it.
 #[test]
 fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
     let (p, n, mid) = (2usize, 8usize, 4usize);

@@ -1,12 +1,12 @@
-//! Typed message buffers and elementwise reduction kernels.
+//! Typed message buffers.
 //!
 //! The collective engine is dtype-generic in the way MPI is: a buffer is a
 //! vector of one of the basic types, and reductions ([`ReduceOp`]) combine
-//! two buffers of identical dtype and length elementwise. The `f32` path is
-//! the hot one (gradients); the loops below are written so the compiler can
-//! auto-vectorize them (no bounds checks in the hot loop thanks to
-//! `zip`-style iteration).
+//! two buffers of identical dtype and length elementwise. The methods here
+//! resolve the dtype and check shapes; the loops themselves live in the
+//! crate's one kernel module (`kernel.rs`).
 
+use crate::kernel::{self, with_elem, Elem, Src};
 use serde::{Deserialize, Serialize};
 
 /// Element type of a [`TypedBuf`], mirroring the MPI basic types the paper's
@@ -100,68 +100,6 @@ pub enum TypedBuf {
     I64(Vec<i64>),
 }
 
-macro_rules! elementwise {
-    ($dst:expr, $src:expr, $op:expr) => {{
-        debug_assert_eq!($dst.len(), $src.len());
-        match $op {
-            ReduceOp::Sum => {
-                for (d, s) in $dst.iter_mut().zip($src.iter()) {
-                    *d += *s;
-                }
-            }
-            ReduceOp::Prod => {
-                for (d, s) in $dst.iter_mut().zip($src.iter()) {
-                    *d *= *s;
-                }
-            }
-            ReduceOp::Min => {
-                for (d, s) in $dst.iter_mut().zip($src.iter()) {
-                    if *s < *d {
-                        *d = *s;
-                    }
-                }
-            }
-            ReduceOp::Max => {
-                for (d, s) in $dst.iter_mut().zip($src.iter()) {
-                    if *s > *d {
-                        *d = *s;
-                    }
-                }
-            }
-        }
-    }};
-}
-
-/// Fused `out[i] = a[i] ⊕ b[i]` with the exact operand order of
-/// [`elementwise!`] (`a` plays the accumulator role), so a fused pass is
-/// bit-identical to materialize-then-fold even for `Min`/`Max` over NaNs.
-macro_rules! fused_elementwise {
-    ($out:expr, $a:expr, $b:expr, $op:expr) => {{
-        match $op {
-            ReduceOp::Sum => {
-                for (o, (x, y)) in $out.iter_mut().zip($a.iter().zip($b.iter())) {
-                    *o = *x + *y;
-                }
-            }
-            ReduceOp::Prod => {
-                for (o, (x, y)) in $out.iter_mut().zip($a.iter().zip($b.iter())) {
-                    *o = *x * *y;
-                }
-            }
-            ReduceOp::Min => {
-                for (o, (x, y)) in $out.iter_mut().zip($a.iter().zip($b.iter())) {
-                    *o = if *y < *x { *y } else { *x };
-                }
-            }
-            ReduceOp::Max => {
-                for (o, (x, y)) in $out.iter_mut().zip($a.iter().zip($b.iter())) {
-                    *o = if *y > *x { *y } else { *x };
-                }
-            }
-        }
-    }};
-}
-
 impl TypedBuf {
     /// An all-zeros buffer of the given dtype and length — the "null
     /// gradient" (G_null) absent ranks contribute in a partial collective.
@@ -218,26 +156,10 @@ impl TypedBuf {
     /// This is the `Compute` operation of the schedule DAG (§4.1.1: "simple
     /// computations defined between two arrays of data items").
     pub fn combine(&mut self, other: &TypedBuf, op: ReduceOp) -> Result<(), BufError> {
-        if self.dtype() != other.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: other.dtype(),
-            });
-        }
-        if self.len() != other.len() {
-            return Err(BufError::LenMismatch {
-                expected: self.len(),
-                got: other.len(),
-            });
-        }
-        match (self, other) {
-            (TypedBuf::F32(d), TypedBuf::F32(s)) => elementwise!(d, s, op),
-            (TypedBuf::F64(d), TypedBuf::F64(s)) => elementwise!(d, s, op),
-            (TypedBuf::I32(d), TypedBuf::I32(s)) => elementwise!(d, s, op),
-            (TypedBuf::I64(d), TypedBuf::I64(s)) => elementwise!(d, s, op),
-            _ => unreachable!("dtype equality checked above"),
-        }
-        Ok(())
+        with_elem!(self.dtype(), T => {
+            let src = Src::<T>::typed(other)?;
+            kernel::fold(T::of_mut(self).expect("own dtype"), None, src, op)
+        })
     }
 
     /// Multiply every element by `factor` (used for the `1/P` averaging in
@@ -334,232 +256,12 @@ impl TypedBuf {
     /// side uses to fold an incoming frame into an accumulator without
     /// first materializing a second `TypedBuf`. `bytes` must be the wire
     /// representation ([`TypedBuf::extend_le_bytes`]) of a buffer with
-    /// this dtype and length. This is the primitive behind
-    /// `Payload::reduce_assign` on wire-borne payloads (the engine's
-    /// `Combine` over a TCP-received chunk) and `Matcher::recv_combine`.
+    /// this dtype and length.
     pub fn combine_le_bytes(&mut self, bytes: &[u8], op: ReduceOp) -> Result<(), BufError> {
-        let len = self.len();
-        self.combine_le_bytes_at(0, len, bytes, op)
-    }
-
-    /// Range form of [`TypedBuf::combine_le_bytes`]: fold the wire bytes
-    /// into `self[dst_start .. dst_start + len]`.
-    pub fn combine_le_bytes_at(
-        &mut self,
-        dst_start: usize,
-        len: usize,
-        bytes: &[u8],
-        op: ReduceOp,
-    ) -> Result<(), BufError> {
-        let esz = self.dtype().size_of();
-        if bytes.len() != len * esz {
-            return Err(BufError::LenMismatch {
-                expected: len,
-                got: bytes.len() / esz,
-            });
-        }
-        if dst_start + len > self.len() {
-            return Err(BufError::LenMismatch {
-                expected: self.len(),
-                got: dst_start + len,
-            });
-        }
-        macro_rules! fold_chunks {
-            ($dst:expr, $ty:ty, $n:literal) => {{
-                let dst = &mut $dst[dst_start..dst_start + len];
-                let src = bytes
-                    .chunks_exact($n)
-                    .map(|c| <$ty>::from_le_bytes(c.try_into().expect("exact chunk")));
-                match op {
-                    ReduceOp::Sum => dst.iter_mut().zip(src).for_each(|(d, s)| *d += s),
-                    ReduceOp::Prod => dst.iter_mut().zip(src).for_each(|(d, s)| *d *= s),
-                    ReduceOp::Min => dst.iter_mut().zip(src).for_each(|(d, s)| {
-                        if s < *d {
-                            *d = s;
-                        }
-                    }),
-                    ReduceOp::Max => dst.iter_mut().zip(src).for_each(|(d, s)| {
-                        if s > *d {
-                            *d = s;
-                        }
-                    }),
-                }
-            }};
-        }
-        match self {
-            TypedBuf::F32(d) => fold_chunks!(d, f32, 4),
-            TypedBuf::F64(d) => fold_chunks!(d, f64, 8),
-            TypedBuf::I32(d) => fold_chunks!(d, i32, 4),
-            TypedBuf::I64(d) => fold_chunks!(d, i64, 8),
-        }
-        Ok(())
-    }
-
-    /// Elementwise `self ⊕= src[src_start .. src_start + self.len()]` —
-    /// the range-aware combine a sub-range payload view reduces through.
-    pub fn combine_offset(
-        &mut self,
-        src: &TypedBuf,
-        src_start: usize,
-        op: ReduceOp,
-    ) -> Result<(), BufError> {
-        if self.dtype() != src.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: src.dtype(),
-            });
-        }
-        let len = self.len();
-        if src_start + len > src.len() {
-            return Err(BufError::LenMismatch {
-                expected: src.len(),
-                got: src_start + len,
-            });
-        }
-        match (self, src) {
-            (TypedBuf::F32(d), TypedBuf::F32(s)) => {
-                elementwise!(d, s[src_start..src_start + len], op)
-            }
-            (TypedBuf::F64(d), TypedBuf::F64(s)) => {
-                elementwise!(d, s[src_start..src_start + len], op)
-            }
-            (TypedBuf::I32(d), TypedBuf::I32(s)) => {
-                elementwise!(d, s[src_start..src_start + len], op)
-            }
-            (TypedBuf::I64(d), TypedBuf::I64(s)) => {
-                elementwise!(d, s[src_start..src_start + len], op)
-            }
-            _ => unreachable!("dtype equality checked above"),
-        }
-        Ok(())
-    }
-
-    /// Fused single-pass `self[i] = a[a_start + i] ⊕ b[b_start + i]` over
-    /// all of `self`, fully overwriting any previous contents (so a dirty
-    /// recycled buffer is a valid destination). This is the one-pass
-    /// combine `Payload::reduce_assign` uses when the destination is
-    /// shared: instead of materializing a private copy of `a` and then
-    /// folding `b` into it (two passes, one allocation touched twice), the
-    /// fold happens while writing the output. Operand order matches
-    /// [`TypedBuf::combine`] (`a` is the accumulator side), so results are
-    /// bit-identical to the two-pass fold.
-    pub fn fill_combine(
-        &mut self,
-        a: &TypedBuf,
-        a_start: usize,
-        b: &TypedBuf,
-        b_start: usize,
-        op: ReduceOp,
-    ) -> Result<(), BufError> {
-        if self.dtype() != a.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: a.dtype(),
-            });
-        }
-        if self.dtype() != b.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: b.dtype(),
-            });
-        }
-        let len = self.len();
-        if a_start + len > a.len() {
-            return Err(BufError::LenMismatch {
-                expected: a.len(),
-                got: a_start + len,
-            });
-        }
-        if b_start + len > b.len() {
-            return Err(BufError::LenMismatch {
-                expected: b.len(),
-                got: b_start + len,
-            });
-        }
-        match (self, a, b) {
-            (TypedBuf::F32(o), TypedBuf::F32(x), TypedBuf::F32(y)) => {
-                fused_elementwise!(o, x[a_start..a_start + len], y[b_start..b_start + len], op)
-            }
-            (TypedBuf::F64(o), TypedBuf::F64(x), TypedBuf::F64(y)) => {
-                fused_elementwise!(o, x[a_start..a_start + len], y[b_start..b_start + len], op)
-            }
-            (TypedBuf::I32(o), TypedBuf::I32(x), TypedBuf::I32(y)) => {
-                fused_elementwise!(o, x[a_start..a_start + len], y[b_start..b_start + len], op)
-            }
-            (TypedBuf::I64(o), TypedBuf::I64(x), TypedBuf::I64(y)) => {
-                fused_elementwise!(o, x[a_start..a_start + len], y[b_start..b_start + len], op)
-            }
-            _ => unreachable!("dtype equality checked above"),
-        }
-        Ok(())
-    }
-
-    /// Wire-source form of [`TypedBuf::fill_combine`]: single-pass
-    /// `self[i] = a[a_start + i] ⊕ decode(bytes)[i]`, decoding the
-    /// little-endian frame while folding — no intermediate buffer, same
-    /// semantics as [`TypedBuf::combine_le_bytes_at`] (the decoded side is
-    /// the incoming operand).
-    pub fn fill_combine_le_bytes(
-        &mut self,
-        a: &TypedBuf,
-        a_start: usize,
-        bytes: &[u8],
-        op: ReduceOp,
-    ) -> Result<(), BufError> {
-        if self.dtype() != a.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: a.dtype(),
-            });
-        }
-        let len = self.len();
-        let esz = self.dtype().size_of();
-        if bytes.len() != len * esz {
-            return Err(BufError::LenMismatch {
-                expected: len,
-                got: bytes.len() / esz,
-            });
-        }
-        if a_start + len > a.len() {
-            return Err(BufError::LenMismatch {
-                expected: a.len(),
-                got: a_start + len,
-            });
-        }
-        macro_rules! fused_chunks {
-            ($out:expr, $a:expr, $ty:ty, $n:literal) => {{
-                let acc = &$a[a_start..a_start + len];
-                let src = bytes
-                    .chunks_exact($n)
-                    .map(|c| <$ty>::from_le_bytes(c.try_into().expect("exact chunk")));
-                match op {
-                    ReduceOp::Sum => $out
-                        .iter_mut()
-                        .zip(acc.iter().zip(src))
-                        .for_each(|(o, (x, y))| *o = *x + y),
-                    ReduceOp::Prod => $out
-                        .iter_mut()
-                        .zip(acc.iter().zip(src))
-                        .for_each(|(o, (x, y))| *o = *x * y),
-                    ReduceOp::Min => $out
-                        .iter_mut()
-                        .zip(acc.iter().zip(src))
-                        .for_each(|(o, (x, y))| *o = if y < *x { y } else { *x }),
-                    ReduceOp::Max => $out
-                        .iter_mut()
-                        .zip(acc.iter().zip(src))
-                        .for_each(|(o, (x, y))| *o = if y > *x { y } else { *x }),
-                }
-            }};
-        }
-        match (self, a) {
-            (TypedBuf::F32(o), TypedBuf::F32(x)) => fused_chunks!(o, x, f32, 4),
-            (TypedBuf::F64(o), TypedBuf::F64(x)) => fused_chunks!(o, x, f64, 8),
-            (TypedBuf::I32(o), TypedBuf::I32(x)) => fused_chunks!(o, x, i32, 4),
-            (TypedBuf::I64(o), TypedBuf::I64(x)) => fused_chunks!(o, x, i64, 8),
-            _ => unreachable!("dtype equality checked above"),
-        }
-        Ok(())
+        with_elem!(self.dtype(), T => {
+            let src = Src::<T>::wire(T::DTYPE, bytes)?;
+            kernel::fold(T::of_mut(self).expect("own dtype"), None, src, op)
+        })
     }
 
     /// Copy `src[src_start .. src_start + len]` into
@@ -571,84 +273,12 @@ impl TypedBuf {
         src_start: usize,
         len: usize,
     ) -> Result<(), BufError> {
-        if self.dtype() != src.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: src.dtype(),
-            });
-        }
-        if dst_start + len > self.len() || src_start + len > src.len() {
-            return Err(BufError::LenMismatch {
-                expected: self.len(),
-                got: dst_start + len,
-            });
-        }
-        match (self, src) {
-            (TypedBuf::F32(d), TypedBuf::F32(s)) => {
-                d[dst_start..dst_start + len].copy_from_slice(&s[src_start..src_start + len])
-            }
-            (TypedBuf::F64(d), TypedBuf::F64(s)) => {
-                d[dst_start..dst_start + len].copy_from_slice(&s[src_start..src_start + len])
-            }
-            (TypedBuf::I32(d), TypedBuf::I32(s)) => {
-                d[dst_start..dst_start + len].copy_from_slice(&s[src_start..src_start + len])
-            }
-            (TypedBuf::I64(d), TypedBuf::I64(s)) => {
-                d[dst_start..dst_start + len].copy_from_slice(&s[src_start..src_start + len])
-            }
-            _ => unreachable!("dtype equality checked above"),
-        }
-        Ok(())
-    }
-
-    /// Decode the wire bytes of `bytes.len() / size_of(dtype)` elements
-    /// into `self[dst_start ..]` — the write-from-wire counterpart of
-    /// [`TypedBuf::combine_le_bytes_at`] (allgather hops copy, they do
-    /// not reduce).
-    pub fn write_le_bytes_at(&mut self, dst_start: usize, bytes: &[u8]) -> Result<(), BufError> {
-        let esz = self.dtype().size_of();
-        if !bytes.len().is_multiple_of(esz) {
-            return Err(BufError::LenMismatch {
-                expected: bytes.len().div_ceil(esz),
-                got: bytes.len() / esz,
-            });
-        }
-        let len = bytes.len() / esz;
-        if dst_start + len > self.len() {
-            return Err(BufError::LenMismatch {
-                expected: self.len(),
-                got: dst_start + len,
-            });
-        }
-        macro_rules! write_chunks {
-            ($dst:expr, $ty:ty, $n:literal) => {{
-                for (d, c) in $dst[dst_start..dst_start + len]
-                    .iter_mut()
-                    .zip(bytes.chunks_exact($n))
-                {
-                    *d = <$ty>::from_le_bytes(c.try_into().expect("exact chunk"));
-                }
-            }};
-        }
-        match self {
-            TypedBuf::F32(d) => write_chunks!(d, f32, 4),
-            TypedBuf::F64(d) => write_chunks!(d, f64, 8),
-            TypedBuf::I32(d) => write_chunks!(d, i32, 4),
-            TypedBuf::I64(d) => write_chunks!(d, i64, 8),
-        }
-        Ok(())
-    }
-
-    /// Materialize `self[start .. start + len]` as an owned buffer (the
-    /// chunk extraction of the segmented schedule's `SliceCopy` op).
-    pub fn slice_buf(&self, start: usize, len: usize) -> TypedBuf {
-        assert!(start + len <= self.len(), "slice_buf out of range");
-        match self {
-            TypedBuf::F32(v) => TypedBuf::F32(v[start..start + len].to_vec()),
-            TypedBuf::F64(v) => TypedBuf::F64(v[start..start + len].to_vec()),
-            TypedBuf::I32(v) => TypedBuf::I32(v[start..start + len].to_vec()),
-            TypedBuf::I64(v) => TypedBuf::I64(v[start..start + len].to_vec()),
-        }
+        with_elem!(self.dtype(), T => {
+            let src = Src::<T>::typed(src)?.slice(src_start, len)?;
+            let dst = T::of_mut(self).expect("own dtype");
+            let r = kernel::range(dst.len(), dst_start, len)?;
+            kernel::store(&mut dst[r], src)
+        })
     }
 
     /// Append the elements to `out` as little-endian raw bytes — the wire
@@ -662,103 +292,17 @@ impl TypedBuf {
     /// `self[start .. start + len]` — what lets a sub-range payload view
     /// hit the wire without first materializing the slice.
     pub fn extend_le_bytes_range(&self, start: usize, len: usize, out: &mut Vec<u8>) {
-        assert!(start + len <= self.len(), "encode range out of bounds");
-        out.reserve(len * self.dtype().size_of());
-        macro_rules! encode {
-            ($v:expr) => {
-                for x in &$v[start..start + len] {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            };
-        }
-        match self {
-            TypedBuf::F32(v) => encode!(v),
-            TypedBuf::F64(v) => encode!(v),
-            TypedBuf::I32(v) => encode!(v),
-            TypedBuf::I64(v) => encode!(v),
-        }
+        let r = kernel::range(self.len(), start, len).expect("encode range out of bounds");
+        with_elem!(self.dtype(), T => kernel::encode(&T::of(self).expect("own dtype")[r], out))
     }
 
     /// Rebuild a buffer from the little-endian raw bytes produced by
     /// [`TypedBuf::extend_le_bytes`]. `None` if `bytes` is not a whole
     /// number of `dtype` elements.
     pub fn from_le_bytes(dtype: DType, bytes: &[u8]) -> Option<Self> {
-        let esz = dtype.size_of();
-        if !bytes.len().is_multiple_of(esz) {
-            return None;
-        }
-        Some(match dtype {
-            DType::F32 => TypedBuf::F32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect(),
-            ),
-            DType::F64 => TypedBuf::F64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
-            ),
-            DType::I32 => TypedBuf::I32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect(),
-            ),
-            DType::I64 => TypedBuf::I64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
-            ),
+        with_elem!(dtype, T => {
+            Src::<T>::wire(dtype, bytes).ok().map(|src| src.to_vec().into())
         })
-    }
-}
-
-/// Elementwise `dst = dst ⊕ src` over bare `f32` slices — the shared
-/// reduction kernel for code that operates on borrowed slices (the direct
-/// ring/Rabenseifner algorithms) rather than owned buffers.
-///
-/// `Min`/`Max` use [`TypedBuf::combine`]'s comparison form, not
-/// `f32::min`/`max`: a NaN accumulator stays and a NaN source is skipped,
-/// so the slice-based oracle agrees with the engine bit for bit.
-pub fn reduce_f32_slices(dst: &mut [f32], src: &[f32], op: ReduceOp) {
-    elementwise!(dst, src, op);
-}
-
-/// Elementwise `dst = dst ⊕ decode_f32(bytes)` over a bare slice — the
-/// reduce-from-wire kernel for slice-based consumers (the direct ring
-/// algorithms fold a TCP frame's borrowed bytes straight into their chunk
-/// accumulator; see `Matcher::recv_combine`).
-pub fn reduce_f32_from_le_bytes(dst: &mut [f32], bytes: &[u8], op: ReduceOp) {
-    debug_assert_eq!(dst.len() * 4, bytes.len());
-    let src = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
-    match op {
-        ReduceOp::Sum => dst.iter_mut().zip(src).for_each(|(d, s)| *d += s),
-        ReduceOp::Prod => dst.iter_mut().zip(src).for_each(|(d, s)| *d *= s),
-        // Same comparison form (and NaN behaviour) as `reduce_f32_slices`.
-        ReduceOp::Min => dst.iter_mut().zip(src).for_each(|(d, s)| {
-            if s < *d {
-                *d = s;
-            }
-        }),
-        ReduceOp::Max => dst.iter_mut().zip(src).for_each(|(d, s)| {
-            if s > *d {
-                *d = s;
-            }
-        }),
-    }
-}
-
-/// Decode the wire bytes of f32 elements into `dst` (the copy
-/// counterpart of [`reduce_f32_from_le_bytes`], for allgather hops).
-pub fn write_f32_from_le_bytes(dst: &mut [f32], bytes: &[u8]) {
-    debug_assert_eq!(dst.len() * 4, bytes.len());
-    for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
-        *d = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
     }
 }
 
@@ -905,39 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn combine_le_bytes_matches_combine() {
-        let cases = [
-            (
-                TypedBuf::from(vec![1.5f32, -2.0]),
-                TypedBuf::from(vec![0.5f32, 4.0]),
-            ),
-            (
-                TypedBuf::from(vec![1.0f64, 9.0]),
-                TypedBuf::from(vec![2.0f64, -3.0]),
-            ),
-            (
-                TypedBuf::from(vec![1i32, -5]),
-                TypedBuf::from(vec![7i32, 5]),
-            ),
-            (
-                TypedBuf::from(vec![10i64, 20]),
-                TypedBuf::from(vec![-1i64, 2]),
-            ),
-        ];
-        for (a, b) in cases {
-            for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
-                let mut via_combine = a.clone();
-                via_combine.combine(&b, op).unwrap();
-                let mut wire = Vec::new();
-                b.extend_le_bytes(&mut wire);
-                let mut via_bytes = a.clone();
-                via_bytes.combine_le_bytes(&wire, op).unwrap();
-                assert_eq!(via_bytes, via_combine, "{op:?}");
-            }
-        }
-    }
-
-    #[test]
     fn combine_le_bytes_rejects_wrong_length() {
         let mut a = TypedBuf::from(vec![1.0f32, 2.0]);
         assert!(matches!(
@@ -947,41 +458,26 @@ mod tests {
     }
 
     #[test]
-    fn reduce_f32_slices_all_ops() {
-        let src = [2.0f32, -1.0];
-        let mut d = [1.0f32, 3.0];
-        reduce_f32_slices(&mut d, &src, ReduceOp::Sum);
-        assert_eq!(d, [3.0, 2.0]);
-        let mut d = [1.0f32, 3.0];
-        reduce_f32_slices(&mut d, &src, ReduceOp::Prod);
-        assert_eq!(d, [2.0, -3.0]);
-        let mut d = [1.0f32, 3.0];
-        reduce_f32_slices(&mut d, &src, ReduceOp::Min);
-        assert_eq!(d, [1.0, -1.0]);
-        let mut d = [1.0f32, 3.0];
-        reduce_f32_slices(&mut d, &src, ReduceOp::Max);
-        assert_eq!(d, [2.0, 3.0]);
-    }
-
-    #[test]
-    fn slice_kernels_fold_nan_like_combine() {
-        // NaN accumulator, NaN source, both: the bare-slice kernels (typed
-        // and from-wire) must land on `combine`'s bits for every op.
-        let acc = [f32::NAN, 1.0, f32::NAN, 4.0];
-        let src = [2.0, f32::NAN, f32::NAN, -3.0];
-        let mut wire = Vec::new();
-        TypedBuf::from(src.to_vec()).extend_le_bytes(&mut wire);
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
-            let mut want = TypedBuf::from(acc.to_vec());
-            want.combine(&TypedBuf::from(src.to_vec()), op).unwrap();
-            let want = bits(want.as_f32().unwrap());
-            let mut typed = acc;
-            reduce_f32_slices(&mut typed, &src, op);
-            assert_eq!(bits(&typed), want, "{op:?} typed");
-            let mut from_wire = acc;
-            reduce_f32_from_le_bytes(&mut from_wire, &wire, op);
-            assert_eq!(bits(&from_wire), want, "{op:?} from wire");
-        }
+    fn copy_from_at_blames_the_operand_that_overflowed() {
+        let mut dst = TypedBuf::zeros(DType::F32, 4);
+        let src = TypedBuf::from(vec![1.0f32, 2.0]);
+        // Source range 1..3 of 2 elements; the destination's 0..2 of 4 fits.
+        assert_eq!(
+            dst.copy_from_at(0, &src, 1, 2),
+            Err(BufError::LenMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(
+            dst.copy_from_at(3, &src, 0, 2),
+            Err(BufError::LenMismatch {
+                expected: 4,
+                got: 5
+            })
+        );
+        // A wrapped `start + len` is an error, not a slice-index panic.
+        assert!(dst.copy_from_at(usize::MAX, &src, 0, 2).is_err());
+        assert!(dst.is_null(), "failed copies write nothing");
     }
 }

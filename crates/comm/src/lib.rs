@@ -5,8 +5,9 @@
 //! Cray MPICH played in the paper: reliable, tagged, point-to-point message
 //! delivery between `P` ranks.
 //!
-//! Three [`Transport`] backends sit behind the same [`CommHandle`] /
-//! [`Inbox`] API:
+//! Three backends sit behind the same [`CommHandle`] / [`Inbox`] API; a
+//! [`Transport`] (`--transport inproc|tcp` in the harnesses) selects
+//! between the first two, and the simulator is a world of its own:
 //!
 //! - **In-process** (the [`World::launch`] default): ranks are OS threads
 //!   inside one process, messages move over channels — zero setup cost,
@@ -17,12 +18,13 @@
 //!   an orderly goodbye handshake — real process-level SPMD, honest
 //!   latency, and a process-skew scenario axis (see the [`transport`]
 //!   module).
-//! - **Sim** ([`sim::SimWorld`], `--transport sim`): a single-process
-//!   discrete-event simulator with a virtual [`Clock`], a priority-queue
-//!   event schedule, and deliveries drawn from a region-to-region
-//!   [`sim::Planet`] latency matrix composed with the [`NetworkModel`] —
-//!   P = 1,024+ rank experiments on one box, bit-identical at a fixed
-//!   seed (see the [`sim`] module).
+//! - **Sim** ([`sim::SimWorld`], which `pcoll`'s `SimHarness` and the
+//!   `sim_scale` harness drive; there is no `--transport` value for it):
+//!   a single-process discrete-event simulator with a virtual [`Clock`],
+//!   a priority-queue event schedule, and deliveries drawn from a
+//!   region-to-region [`sim::Planet`] latency matrix composed with the
+//!   [`NetworkModel`] — P = 1,024+ rank experiments on one box,
+//!   bit-identical at a fixed seed (see the [`sim`] module).
 //!
 //! A configurable [`NetworkModel`] injects per-message latency (`alpha +
 //! bytes * beta + jitter`) through a delivery thread on every backend,
@@ -35,9 +37,17 @@
 //! it on); see `pcoll_obs` for the event schema and Perfetto export.
 //!
 //! Design notes:
-//! - Buffers are **typed** ([`TypedBuf`]) rather than raw bytes: reductions
-//!   dispatch on dtype with no `unsafe`; the TCP wire format is the raw
-//!   little-endian element bytes.
+//! - Buffers are **typed** ([`TypedBuf`]) rather than raw bytes; the TCP
+//!   wire format is the raw little-endian element bytes.
+//! - There is **one element-wise kernel** (the private `kernel` module): a
+//!   sealed element trait for `f32`/`f64`/`i32`/`i64`, a borrowed source
+//!   operand that is either a typed slice or undecoded wire bytes, one
+//!   `fold` (`out = out ⊕ src` in place, or the fused `out = acc ⊕ src`
+//!   into a separate buffer), one `store` (copy or decode) and one range
+//!   check. [`TypedBuf`], [`Payload`] and [`Matcher`] resolve the dtype,
+//!   check shapes and call it; the loops are monomorphised per element
+//!   type, source form and operator so the compiler vectorises them, and
+//!   the crate forbids `unsafe`.
 //! - Payloads are **shared** ([`Payload`], an `Arc`-backed buffer): fanning
 //!   one tensor out to many destinations bumps a reference count per copy
 //!   instead of cloning element data, and mutation is copy-on-write.
@@ -53,8 +63,10 @@
 //!   [`Inbox`] and performs its own matching.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod buf;
+mod kernel;
 pub mod matcher;
 pub mod membership;
 pub mod net;
@@ -68,7 +80,7 @@ pub mod world;
 
 pub use pcoll_obs::time;
 
-pub use buf::{reduce_f32_slices, BufError, DType, ReduceOp, TypedBuf};
+pub use buf::{BufError, DType, ReduceOp, TypedBuf};
 pub use matcher::Matcher;
 pub use membership::{Membership, PeerStatus};
 pub use net::NetworkModel;

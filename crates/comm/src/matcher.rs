@@ -6,6 +6,7 @@
 //! `recv(src, tag)` semantics without standing up the engine.
 
 use crate::buf::ReduceOp;
+use crate::kernel::Elem;
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank, WireTag};
 use crate::world::{Envelope, Inbox};
@@ -136,23 +137,22 @@ impl Matcher {
     }
 
     /// Blocking receive of `(src, tag)` that folds the payload straight
-    /// into `dst` under `op` — the reduce-from-wire receive. On the TCP
-    /// backend the payload still holds the frame's raw little-endian
-    /// bytes, so the fold (`Payload::reduce_into_f32`, backed by the
-    /// `combine_le_bytes` family) reads them without materializing an
-    /// intermediate buffer; in-process it reduces over the sender's
+    /// into `dst` under `op` ([`Payload::fold_into`](crate::Payload::fold_into))
+    /// — the reduce-from-wire receive. On the TCP backend the payload
+    /// still holds the frame's raw little-endian bytes, which the kernel
+    /// decodes while folding; in-process it reduces over the sender's
     /// shared allocation. Returns `None` on world teardown.
-    pub fn recv_combine(
+    pub fn recv_combine<T: Elem>(
         &mut self,
         src: Rank,
         tag: WireTag,
-        dst: &mut [f32],
+        dst: &mut [T],
         op: ReduceOp,
     ) -> Option<()> {
         let msg = self.recv(src, tag)?;
         let payload = msg.payload.expect("recv_combine expects a data message");
         payload
-            .reduce_into_f32(dst, op)
+            .fold_into(dst, op)
             .expect("recv_combine shape mismatch");
         if let Some(stats) = &self.stats {
             stats.recorder().record(pcoll_obs::LEVEL_VERBOSE, || {
@@ -169,12 +169,10 @@ impl Matcher {
 
     /// Blocking receive of `(src, tag)` that copies the payload into
     /// `dst` (the allgather counterpart of [`Matcher::recv_combine`]).
-    pub fn recv_copy(&mut self, src: Rank, tag: WireTag, dst: &mut [f32]) -> Option<()> {
+    pub fn recv_copy<T: Elem>(&mut self, src: Rank, tag: WireTag, dst: &mut [T]) -> Option<()> {
         let msg = self.recv(src, tag)?;
         let payload = msg.payload.expect("recv_copy expects a data message");
-        payload
-            .copy_into_f32(dst)
-            .expect("recv_copy shape mismatch");
+        payload.store_into(dst).expect("recv_copy shape mismatch");
         Some(())
     }
 

@@ -16,16 +16,23 @@
 //!   carried them. The socket reader wraps the frame body without
 //!   decoding it; the bytes are only interpreted where they are consumed —
 //!   and the hot consumer, a reduction ([`Payload::reduce_assign`], the
-//!   engine's `Combine`), folds them straight into the destination buffer
-//!   via [`TypedBuf::combine_le_bytes`] with **no** intermediate
-//!   `TypedBuf` materialization.
+//!   engine's `Combine`), decodes them element by element while folding,
+//!   with **no** intermediate `TypedBuf` materialization.
+//!
+//! Either representation, narrowed to the payload's range, is one borrowed
+//! source operand of the crate's element-wise kernel (`kernel.rs`): every
+//! method here that reads elements — reduce, copy, compare, null test —
+//! resolves `self` to that operand and hands it to the same `fold` /
+//! `store` loops [`TypedBuf::combine`] runs.
 //!
 //! Mutation goes through the `*_assign` methods, which are copy-on-write:
 //! a uniquely-owned full-range typed payload (the steady-state reduction
-//! accumulator) mutates in place; a shared, viewed, or wire-borne one
-//! first materializes exactly its own range.
+//! accumulator) mutates in place; a shared or viewed one is written, fused
+//! with the operation, into a fresh or recycled buffer of exactly its own
+//! range.
 
 use crate::buf::{BufError, TypedBuf};
+use crate::kernel::{self, with_elem, Elem, Src};
 use crate::{DType, ReduceOp};
 use std::sync::Arc;
 
@@ -139,12 +146,9 @@ impl Payload {
     /// A sub-range view sharing this payload's allocation: a reference
     /// count bump, never an element copy. Panics on an out-of-range view.
     pub fn view(&self, start: usize, len: usize) -> Payload {
-        assert!(
-            start + len <= self.len,
-            "view {start}..{} exceeds payload of {} elements",
-            start + len,
-            self.len
-        );
+        if let Err(e) = kernel::range(self.len, start, len) {
+            panic!("view at {start} of {len} elements exceeds payload: {e}");
+        }
         Payload {
             repr: self.repr.clone(),
             start: self.start + start,
@@ -195,47 +199,30 @@ impl Payload {
         }
     }
 
-    /// True if every element in this payload's range is exactly zero (a
-    /// null contribution). Zero-copy for typed payloads; wire payloads
-    /// decode first so float edge cases (`-0.0`) agree with
-    /// [`TypedBuf::is_null`] on the decoded values.
-    pub fn is_null(&self) -> bool {
+    /// This payload's range as the kernel's source operand, which must
+    /// hold `T`s.
+    fn src<T: Elem>(&self) -> Result<Src<'_, T>, BufError> {
         match &self.repr {
-            Repr::Typed(_) => self
-                .as_f32()
-                .map(|v| v.iter().all(|x| *x == 0.0))
-                .or_else(|| self.as_f64().map(|v| v.iter().all(|x| *x == 0.0)))
-                .or_else(|| self.as_i32().map(|v| v.iter().all(|x| *x == 0)))
-                .or_else(|| self.as_i64().map(|v| v.iter().all(|x| *x == 0)))
-                .expect("typed payload matches one dtype"),
-            Repr::Wire { .. } => self.to_buf().is_null(),
-        }
+            Repr::Typed(b) => Src::typed(b),
+            Repr::Wire { dtype, bytes } => Src::wire(*dtype, bytes),
+        }?
+        .slice(self.start, self.len)
     }
 
-    /// This payload's range of the wire bytes, when wire-borne.
-    fn wire_range(&self) -> Option<(DType, &[u8])> {
-        match &self.repr {
-            Repr::Wire { dtype, bytes } => {
-                let esz = dtype.size_of();
-                Some((
-                    *dtype,
-                    &bytes[self.start * esz..(self.start + self.len) * esz],
-                ))
-            }
-            Repr::Typed(_) => None,
-        }
+    /// True if every element in this payload's range is exactly zero (a
+    /// null contribution). Compares decoded values, so float edge cases
+    /// (`-0.0`) agree with [`TypedBuf::is_null`] on either representation.
+    pub fn is_null(&self) -> bool {
+        with_elem!(self.dtype(), T => {
+            let src = self.src::<T>().expect("own dtype");
+            (0..self.len).all(|i| src.get(i) == T::ZERO)
+        })
     }
 
     /// Materialize this payload's range as an owned buffer (decodes wire
     /// bytes; copies a typed range).
     pub fn to_buf(&self) -> TypedBuf {
-        match &self.repr {
-            Repr::Typed(b) => b.slice_buf(self.start, self.len),
-            Repr::Wire { .. } => {
-                let (dtype, raw) = self.wire_range().expect("wire repr");
-                TypedBuf::from_le_bytes(dtype, raw).expect("whole elements by construction")
-            }
-        }
+        with_elem!(self.dtype(), T => self.src::<T>().expect("own dtype").to_vec().into())
     }
 
     /// Recover an owned buffer: free for the last owner of a full-range
@@ -305,9 +292,9 @@ impl Payload {
     /// reduction accumulator) mutates in place. A shared, viewed, or
     /// wire-borne *source* folds in without materializing. When the
     /// destination itself needs copy-on-write (it was cloned onto the
-    /// wire and a sharer is still in flight), the old materialize-then-
-    /// fold is fused into one `out[i] = dst[i] ⊕ src[i]` pass
-    /// ([`TypedBuf::fill_combine`]) — same bits, half the memory traffic.
+    /// wire and a sharer is still in flight), materialize-then-fold is
+    /// fused into one `out[i] = dst[i] ⊕ src[i]` pass — same bits, half
+    /// the memory traffic.
     pub fn reduce_assign(&mut self, src: &Payload, op: ReduceOp) -> Result<(), BufError> {
         self.reduce_assign_pooled(src, op, &mut Vec::new())
     }
@@ -324,134 +311,57 @@ impl Payload {
         op: ReduceOp,
         pool: &mut Vec<TypedBuf>,
     ) -> Result<(), BufError> {
-        if self.dtype() != src.dtype() {
-            return Err(BufError::DTypeMismatch {
-                expected: self.dtype(),
-                got: src.dtype(),
-            });
-        }
-        if self.len != src.len {
-            return Err(BufError::LenMismatch {
-                expected: self.len,
-                got: src.len,
-            });
-        }
-        let in_place = !self.is_view()
-            && matches!(&self.repr, Repr::Typed(arc) if Arc::strong_count(arc) == 1);
-        if in_place {
+        with_elem!(self.dtype(), T => {
+            let src = src.src::<T>()?;
+            kernel::same_len(self.len, src.len())?;
+            if self.is_wire() {
+                // An accumulator that adopted a received frame: decode it
+                // once, then fold in place like any other.
+                self.to_mut();
+            }
+            let whole = !self.is_view();
             let Repr::Typed(arc) = &mut self.repr else {
-                unreachable!("checked typed above");
+                unreachable!("decoded above");
             };
-            let dst = Arc::get_mut(arc).expect("uniquely owned");
-            return match &src.repr {
-                Repr::Typed(b) => dst.combine_offset(b, src.start, op),
-                Repr::Wire { .. } => {
-                    let (_, raw) = src.wire_range().expect("wire repr");
-                    dst.combine_le_bytes(raw, op)
+            match Arc::get_mut(arc) {
+                Some(dst) if whole => {
+                    return kernel::fold(T::of_mut(dst).expect("own dtype"), None, src, op);
                 }
-            };
-        }
-        match &self.repr {
-            // Shared or viewed typed destination: fused single pass into a
-            // recycled (or zero-page-fresh) buffer. The old allocation is
-            // released to its remaining sharers untouched.
-            Repr::Typed(a) => {
-                let mut out = take_matching(pool, self.dtype(), self.len)
-                    .unwrap_or_else(|| TypedBuf::zeros(self.dtype(), self.len));
-                match &src.repr {
-                    Repr::Typed(b) => out.fill_combine(a, self.start, b, src.start, op)?,
-                    Repr::Wire { .. } => {
-                        let (_, raw) = src.wire_range().expect("wire repr");
-                        out.fill_combine_le_bytes(a, self.start, raw, op)?
-                    }
-                }
-                *self = Payload::new(out);
-                Ok(())
+                _ => {}
             }
-            // Wire-borne destination (an accumulator never starts life on
-            // the wire in any schedule we build): decode, then fold.
-            Repr::Wire { .. } => {
-                let dst = self.to_mut();
-                match &src.repr {
-                    Repr::Typed(b) => dst.combine_offset(b, src.start, op),
-                    Repr::Wire { .. } => {
-                        let (_, raw) = src.wire_range().expect("wire repr");
-                        dst.combine_le_bytes(raw, op)
-                    }
-                }
-            }
-        }
+            // Shared or viewed destination: one fused pass into a recycled
+            // (or zero-page-fresh) buffer. The old allocation is released
+            // to its remaining sharers untouched.
+            let mut out = pooled_buffer(pool, T::DTYPE, self.len);
+            let acc = &T::of(arc).expect("own dtype")[self.start..self.start + self.len];
+            kernel::fold(T::of_mut(&mut out).expect("pooled dtype"), Some(acc), src, op)?;
+            *self = Payload::new(out);
+            Ok(())
+        })
     }
 
     /// Write this payload's elements into `dst[dst_start ..]` (the
     /// segmented allgather's assembly step). Decodes wire bytes directly
     /// into the destination range.
     pub fn copy_into_at(&self, dst: &mut TypedBuf, dst_start: usize) -> Result<(), BufError> {
-        match &self.repr {
-            Repr::Typed(b) => dst.copy_from_at(dst_start, b, self.start, self.len),
-            Repr::Wire { .. } => {
-                let (dtype, raw) = self.wire_range().expect("wire repr");
-                if dst.dtype() != dtype {
-                    return Err(BufError::DTypeMismatch {
-                        expected: dst.dtype(),
-                        got: dtype,
-                    });
-                }
-                dst.write_le_bytes_at(dst_start, raw)
-            }
-        }
+        with_elem!(dst.dtype(), T => {
+            let dst = T::of_mut(dst).expect("own dtype");
+            let r = kernel::range(dst.len(), dst_start, self.len)?;
+            self.store_into(&mut dst[r])
+        })
     }
 
-    /// Fold this payload into a bare `f32` slice (the direct ring
-    /// algorithms' accumulator). Errors on dtype/length mismatch.
-    pub fn reduce_into_f32(&self, dst: &mut [f32], op: ReduceOp) -> Result<(), BufError> {
-        if self.dtype() != DType::F32 {
-            return Err(BufError::DTypeMismatch {
-                expected: DType::F32,
-                got: self.dtype(),
-            });
-        }
-        if self.len != dst.len() {
-            return Err(BufError::LenMismatch {
-                expected: dst.len(),
-                got: self.len,
-            });
-        }
-        match &self.repr {
-            Repr::Typed(_) => {
-                crate::buf::reduce_f32_slices(dst, self.as_f32().expect("f32 typed"), op)
-            }
-            Repr::Wire { .. } => {
-                let (_, raw) = self.wire_range().expect("wire repr");
-                crate::buf::reduce_f32_from_le_bytes(dst, raw, op);
-            }
-        }
-        Ok(())
+    /// Fold this payload into a bare slice of its element type (`f32`,
+    /// `f64`, `i32` or `i64`) — the direct ring algorithms' accumulator.
+    /// Errors on dtype/length mismatch.
+    pub fn fold_into<T: Elem>(&self, dst: &mut [T], op: ReduceOp) -> Result<(), BufError> {
+        kernel::fold(dst, None, self.src()?, op)
     }
 
-    /// Copy this payload into a bare `f32` slice (allgather hops write,
-    /// they do not reduce).
-    pub fn copy_into_f32(&self, dst: &mut [f32]) -> Result<(), BufError> {
-        if self.dtype() != DType::F32 {
-            return Err(BufError::DTypeMismatch {
-                expected: DType::F32,
-                got: self.dtype(),
-            });
-        }
-        if self.len != dst.len() {
-            return Err(BufError::LenMismatch {
-                expected: dst.len(),
-                got: self.len,
-            });
-        }
-        match &self.repr {
-            Repr::Typed(_) => dst.copy_from_slice(self.as_f32().expect("f32 typed")),
-            Repr::Wire { .. } => {
-                let (_, raw) = self.wire_range().expect("wire repr");
-                crate::buf::write_f32_from_le_bytes(dst, raw);
-            }
-        }
-        Ok(())
+    /// Copy this payload into a bare slice of its element type (allgather
+    /// hops write, they do not reduce).
+    pub fn store_into<T: Elem>(&self, dst: &mut [T]) -> Result<(), BufError> {
+        kernel::store(dst, self.src()?)
     }
 
     /// Append this payload's range as little-endian wire bytes — the TCP
@@ -461,9 +371,9 @@ impl Payload {
     pub fn extend_wire_bytes(&self, out: &mut Vec<u8>) {
         match &self.repr {
             Repr::Typed(b) => b.extend_le_bytes_range(self.start, self.len, out),
-            Repr::Wire { .. } => {
-                let (_, raw) = self.wire_range().expect("wire repr");
-                out.extend_from_slice(raw);
+            Repr::Wire { dtype, bytes } => {
+                let esz = dtype.size_of();
+                out.extend_from_slice(&bytes[self.start * esz..(self.start + self.len) * esz]);
             }
         }
     }
@@ -487,12 +397,17 @@ impl Payload {
     }
 }
 
-/// Pop a buffer with exactly matching shape from a recycle pool.
-fn take_matching(pool: &mut Vec<TypedBuf>, dtype: DType, len: usize) -> Option<TypedBuf> {
-    let i = pool
+/// Take a buffer of exactly this shape from a recycle pool, or allocate
+/// one. A recycled buffer's contents are unspecified: callers must
+/// overwrite every element.
+pub fn pooled_buffer(pool: &mut Vec<TypedBuf>, dtype: DType, len: usize) -> TypedBuf {
+    match pool
         .iter()
-        .position(|b| b.dtype() == dtype && b.len() == len)?;
-    Some(pool.swap_remove(i))
+        .position(|b| b.dtype() == dtype && b.len() == len)
+    {
+        Some(i) => pool.swap_remove(i),
+        None => TypedBuf::zeros(dtype, len),
+    }
 }
 
 impl PartialEq for Payload {
@@ -502,26 +417,19 @@ impl PartialEq for Payload {
         {
             return true;
         }
-        if self.dtype() != other.dtype() || self.len != other.len {
-            return false;
-        }
-        // Typed payloads compare their ranges in place; only a
-        // wire-borne side pays for a decode.
-        if let (Repr::Typed(_), Repr::Typed(_)) = (&self.repr, &other.repr) {
-            return match self.dtype() {
-                DType::F32 => self.as_f32() == other.as_f32(),
-                DType::F64 => self.as_f64() == other.as_f64(),
-                DType::I32 => self.as_i32() == other.as_i32(),
-                DType::I64 => self.as_i64() == other.as_i64(),
-            };
-        }
-        self.to_buf() == other.to_buf()
+        // Elements compare in place, decoded one at a time where a side is
+        // wire-borne.
+        with_elem!(self.dtype(), T => {
+            other.src::<T>().is_ok_and(|b| self.src::<T>().expect("own dtype") == b)
+        })
     }
 }
 
 impl PartialEq<TypedBuf> for Payload {
     fn eq(&self, other: &TypedBuf) -> bool {
-        self.dtype() == other.dtype() && self.len == other.len() && self.to_buf() == *other
+        with_elem!(self.dtype(), T => {
+            Src::<T>::typed(other).is_ok_and(|b| self.src::<T>().expect("own dtype") == b)
+        })
     }
 }
 
@@ -626,23 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_assign_folds_typed_views_and_wire_bytes() {
-        for wire in [false, true] {
-            let src = TypedBuf::from(vec![10.0f32, 20.0, 30.0, 40.0]);
-            let src_p = if wire {
-                let mut raw = Vec::new();
-                src.extend_le_bytes(&mut raw);
-                Payload::from_wire(DType::F32, raw).unwrap()
-            } else {
-                Payload::new(src)
-            };
-            let mut acc = Payload::new(TypedBuf::from(vec![1.0f32, 2.0]));
-            acc.reduce_assign(&src_p.view(1, 2), ReduceOp::Sum).unwrap();
-            assert_eq!(acc.as_f32().unwrap(), &[21.0, 32.0], "wire={wire}");
-        }
-    }
-
-    #[test]
     fn reduce_assign_materializes_only_the_viewed_range() {
         let base = Payload::new(TypedBuf::from(vec![0.0f32; 1024]));
         let mut chunk = base.view(512, 16);
@@ -659,42 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_at_writes_typed_and_wire_sources() {
-        let src = TypedBuf::from(vec![5.0f32, 6.0]);
-        let mut raw = Vec::new();
-        src.extend_le_bytes(&mut raw);
-        for p in [
-            Payload::new(src.clone()),
-            Payload::from_wire(DType::F32, raw).unwrap(),
-        ] {
-            let mut dst = TypedBuf::zeros(DType::F32, 5);
-            p.copy_into_at(&mut dst, 2).unwrap();
-            assert_eq!(dst.as_f32().unwrap(), &[0.0, 0.0, 5.0, 6.0, 0.0]);
-        }
-    }
-
-    #[test]
-    fn f32_slice_paths_reduce_and_copy_from_both_reprs() {
-        let src = TypedBuf::from(vec![2.0f32, 4.0]);
-        let mut raw = Vec::new();
-        src.extend_le_bytes(&mut raw);
-        for p in [
-            Payload::new(src.clone()),
-            Payload::from_wire(DType::F32, raw).unwrap(),
-        ] {
-            let mut acc = [1.0f32, 1.0];
-            p.reduce_into_f32(&mut acc, ReduceOp::Sum).unwrap();
-            assert_eq!(acc, [3.0, 5.0]);
-            let mut out = [0.0f32; 2];
-            p.copy_into_f32(&mut out).unwrap();
-            assert_eq!(out, [2.0, 4.0]);
-        }
-        // Shape errors are reported, not panicked.
-        let p = Payload::new(TypedBuf::from(vec![1i32]));
-        assert!(p.reduce_into_f32(&mut [0.0], ReduceOp::Sum).is_err());
-    }
-
-    #[test]
     fn extend_wire_bytes_round_trips_views_and_wire() {
         let src = TypedBuf::from((0..6).map(|i| i as f32).collect::<Vec<_>>());
         let p = Payload::new(src.clone());
@@ -703,7 +558,7 @@ mod tests {
         v.extend_wire_bytes(&mut enc);
         assert_eq!(enc.len(), 12, "only the view range is encoded");
         let back = Payload::from_wire(DType::F32, enc).unwrap();
-        assert_eq!(back.to_buf(), src.slice_buf(2, 3));
+        assert_eq!(back.to_buf(), TypedBuf::from(vec![2.0f32, 3.0, 4.0]));
         // Wire → wire forwarding is a byte copy of the same range.
         let mut enc2 = Vec::new();
         back.extend_wire_bytes(&mut enc2);

@@ -471,9 +471,9 @@ pub(crate) fn decode_frame(body: &[u8]) -> Result<WireFrame, String> {
                     let raw = cur.bytes(nbytes)?;
                     // One allocation: the (pooled) frame body's payload
                     // range is copied out as raw bytes and *not* decoded —
-                    // a reduction consumer folds it straight into its
-                    // accumulator (`TypedBuf::combine_le_bytes`), so the
-                    // hot path never materializes an intermediate buffer.
+                    // a reduction consumer decodes it while folding it
+                    // into its accumulator (`Payload::reduce_assign`), so
+                    // the hot path never materializes an intermediate buffer.
                     Some(
                         crate::Payload::from_wire(dtype, raw.to_vec())
                             .ok_or("ragged payload bytes")?,

@@ -1,29 +1,54 @@
 //! Property tests for the wire byte codec: `extend_le_bytes` /
-//! `from_le_bytes` / `combine_le_bytes` must round-trip **byte-exactly**
-//! across every dtype and arbitrary (including odd and zero) lengths —
-//! the invariant the TCP receive path's no-intermediate-copy decode
-//! relies on. Buffers are built from raw bit patterns, so denormals,
-//! negative zero, and NaN payloads are all exercised; exactness is
-//! asserted on the re-encoded bytes (NaN != NaN would foil a value-level
-//! comparison but must still ship faithfully).
+//! `from_le_bytes` must round-trip **byte-exactly** across every dtype and
+//! arbitrary (including odd and zero) lengths — the invariant the TCP
+//! receive path's no-intermediate-copy decode relies on — and `combine` /
+//! `combine_le_bytes` must land on the bytes of `common::reference`, a
+//! scalar fold that shares no code with the crate's kernel. Buffers are
+//! built from raw bit patterns, so denormals, negative zero, and NaN
+//! payloads are all exercised; exactness is asserted on the re-encoded
+//! bytes (NaN != NaN would foil a value-level comparison but must still
+//! ship faithfully).
 
+mod common;
+
+use common::{assert_folded, buf_from_bits, bytes_of, operands, special_grid, DTYPES, OPS};
 use pcoll_comm::{DType, ReduceOp, TypedBuf};
 use proptest::prelude::*;
 
-const DTYPES: [DType; 4] = [DType::F32, DType::F64, DType::I32, DType::I64];
+/// `combine` (typed source) and `combine_le_bytes` (source still on the
+/// wire) against the scalar reference.
+fn check_combines(dtype: DType, op: ReduceOp, abits: &[u64], bbits: &[u64]) {
+    let acc0 = buf_from_bits(dtype, abits);
+    let src = buf_from_bits(dtype, bbits);
+    let (acc, wire) = (bytes_of(&acc0), bytes_of(&src));
+    let check = |got: &TypedBuf, what: &str| {
+        assert_folded(
+            dtype,
+            op,
+            &acc,
+            &wire,
+            &bytes_of(got),
+            &format!("{dtype:?} {op:?} {what}"),
+        )
+    };
 
-/// Build a buffer of `dtype` from raw 64-bit patterns (truncated to the
-/// element width), so every representable bit pattern can appear.
-fn buf_from_bits(dtype: DType, bits: &[u64]) -> TypedBuf {
-    match dtype {
-        DType::F32 => TypedBuf::from(
-            bits.iter()
-                .map(|&b| f32::from_bits(b as u32))
-                .collect::<Vec<_>>(),
-        ),
-        DType::F64 => TypedBuf::from(bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()),
-        DType::I32 => TypedBuf::from(bits.iter().map(|&b| b as i32).collect::<Vec<_>>()),
-        DType::I64 => TypedBuf::from(bits.iter().map(|&b| b as i64).collect::<Vec<_>>()),
+    let mut via_buf = acc0.clone();
+    via_buf.combine(&src, op).expect("shape matches");
+    check(&via_buf, "combine");
+    let mut via_bytes = acc0;
+    via_bytes
+        .combine_le_bytes(&wire, op)
+        .expect("length matches");
+    check(&via_bytes, "combine_le_bytes");
+}
+
+#[test]
+fn combines_fold_the_special_values_like_the_scalar_reference() {
+    for dtype in DTYPES {
+        for op in OPS {
+            let (abits, bbits) = special_grid(dtype, op);
+            check_combines(dtype, op, &abits, &bbits);
+        }
     }
 }
 
@@ -61,34 +86,13 @@ proptest! {
     }
 
     #[test]
-    fn combine_le_bytes_equals_materialize_then_combine(
+    fn combine_and_combine_le_bytes_match_the_scalar_reference(
         dt in 0usize..4,
         op in 0usize..4,
-        pairs in collection::vec((any::<u64>(), any::<u64>()), 1..33),
+        draws in collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..33),
     ) {
-        let dtype = DTYPES[dt];
-        let op = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max][op];
-        // Integer dtypes only for Sum/Prod would overflow-panic in debug;
-        // map the raw bits into a small range for I32/I64 to keep the
-        // arithmetic defined, and keep floats at full bit generality.
-        let (abits, bbits): (Vec<u64>, Vec<u64>) = match dtype {
-            DType::I32 | DType::I64 => pairs.iter().map(|&(a, b)| (a % 1000, b % 1000)).unzip(),
-            _ => pairs.iter().cloned().unzip(),
-        };
-        let acc0 = buf_from_bits(dtype, &abits);
-        let src = buf_from_bits(dtype, &bbits);
-        let mut wire = Vec::new();
-        src.extend_le_bytes(&mut wire);
-
-        let mut via_bytes = acc0.clone();
-        via_bytes.combine_le_bytes(&wire, op).expect("length matches");
-        let mut via_buf = acc0;
-        via_buf.combine(&src, op).expect("shape matches");
-
-        // Byte-level equality again, to stay NaN-proof.
-        let (mut w1, mut w2) = (Vec::new(), Vec::new());
-        via_bytes.extend_le_bytes(&mut w1);
-        via_buf.extend_le_bytes(&mut w2);
-        prop_assert_eq!(w1, w2);
+        let (dtype, op) = (DTYPES[dt], OPS[op]);
+        let (abits, bbits) = operands(dtype, op, &draws);
+        check_combines(dtype, op, &abits, &bbits);
     }
 }

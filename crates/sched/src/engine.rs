@@ -46,9 +46,10 @@
 use crate::dag::DagState;
 use crate::op::{OpId, OpKind, Schedule, CONTRIB_SLOT};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use pcoll_comm::payload::pooled_buffer;
 use pcoll_comm::{
-    Clock, CollId, CommHandle, CommStats, DType, Envelope, Inbox, Message, Payload, Rank,
-    TimePoint, TypedBuf, WireTag,
+    Clock, CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint,
+    TypedBuf, WireTag,
 };
 use pcoll_obs::{EventKind as Ev, MetricsRegistry, LEVEL_SPANS, LEVEL_VERBOSE};
 use std::collections::{HashMap, HashSet};
@@ -903,19 +904,6 @@ fn harvest_instance(inst: Instance, scratch: &mut Vec<TypedBuf>, limbo: &mut Vec
                 }
             }
         }
-    }
-}
-
-/// Take a shape-matching buffer from the pool (contents unspecified —
-/// callers must overwrite every element) or allocate one.
-fn pooled_buffer(pool: &mut Vec<TypedBuf>, dtype: DType, len: usize) -> TypedBuf {
-    if let Some(i) = pool
-        .iter()
-        .position(|b| b.dtype() == dtype && b.len() == len)
-    {
-        pool.swap_remove(i)
-    } else {
-        TypedBuf::zeros(dtype, len)
     }
 }
 

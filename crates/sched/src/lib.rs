@@ -29,6 +29,8 @@
 //! property-tested in isolation; [`engine`] adds buffers, matching, and the
 //! progress thread.
 
+#![forbid(unsafe_code)]
+
 pub mod dag;
 pub mod engine;
 pub mod op;
