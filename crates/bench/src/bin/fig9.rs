@@ -16,10 +16,11 @@
 //! the signal; `--time-scale` is ignored here).
 
 use imbalance::OnlineStats;
-use pcoll::{PartialOpts, QuorumPolicy, RankCtx};
+use pcoll::{PartialOpts, QuorumPolicy, RankCtx, RoundLog};
 use pcoll_comm::{DType, ReduceOp, TypedBuf, World, WorldConfig};
 use repro_bench::report::{comment, row, shape_check};
 use repro_bench::HarnessArgs;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -46,12 +47,16 @@ fn bench(algo: Algo, p: usize, len: usize, iters: u64, seed: u64) -> RunResult {
             Algo::Majority => QuorumPolicy::Majority,
             Algo::Solo => QuorumPolicy::Solo,
         };
+        let log = Arc::new(RoundLog::default());
         let mut ar = ctx.partial_allreduce(
             DType::F32,
             len,
             ReduceOp::Sum,
             policy,
-            PartialOpts::default(),
+            PartialOpts {
+                observer: Some(log.clone()),
+                ..PartialOpts::default()
+            },
         );
         let mut lat = OnlineStats::new();
         for _it in 0..iters {
@@ -64,9 +69,8 @@ fn bench(algo: Algo, p: usize, len: usize, iters: u64, seed: u64) -> RunResult {
             lat.push(t0.elapsed().as_secs_f64() * 1e3);
             ctx.barrier(); // Fig. 8 line 12
         }
-        let traces = ar.traces();
         ctx.finalize();
-        (lat.mean(), traces)
+        (lat.mean(), log.events())
     });
 
     let mean_latency_ms = per_rank.iter().map(|(m, _)| *m).sum::<f64>() / per_rank.len() as f64;

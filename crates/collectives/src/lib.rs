@@ -47,7 +47,7 @@ pub mod topology;
 pub use ctx::RankCtx;
 pub use partial::{
     AllreduceOutcome, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline, QuorumPolicy,
-    RoundEvent, RoundObserver, RoundTrace, StaleMode,
+    RoundCounters, RoundEvent, RoundLog, RoundObserver, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec, WindowStats};

@@ -14,9 +14,12 @@
 //!   newest available result (possibly from a later round — the documented
 //!   divergence source that periodic model synchronization repairs, §5).
 //!
-//! Per-round [`RoundTrace`]s record whether this rank's snapshot carried
-//! fresh data — exactly the paper's "active process" definition used for
-//! the NAP (number of active processes) measurements of Fig. 9.
+//! A round's facts are emitted once, at completion, from the engine-side
+//! template's `complete`: it bumps the always-on [`RoundCounters`] and, if
+//! a [`RoundObserver`] is wired, hands it one [`RoundEvent`]. The event's
+//! `fresh` bit — did this rank's snapshot carry fresh data — is exactly
+//! the paper's "active process" definition used for the NAP (number of
+//! active processes) measurements of Fig. 9.
 
 use crate::builders::{allreduce_schedule, policy_activation_mode, segmented_allreduce_schedule};
 use crate::select::{AlgoSelector, AllreduceAlgo};
@@ -25,6 +28,7 @@ use parking_lot::{Condvar, Mutex};
 use pcoll_comm::{CollId, DType, Payload, Rank, ReduceOp, TypedBuf};
 use pcoll_sched::{CollectiveTemplate, RoundStats, Schedule, SnapshotTiming, TemplateHost};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -393,10 +397,9 @@ impl MembershipLog {
 }
 
 /// One completed round as seen by this rank — the unit of telemetry the
-/// partial collective publishes to a [`RoundObserver`] (and, through it,
-/// onto `pcoll_tune`'s bus). `fresh` is the paper's "active process" bit
-/// (the NAP numerator of Fig. 9); `latency_ms` and `external` come from
-/// the engine's [`RoundStats`].
+/// partial collective hands to a [`RoundObserver`]. `fresh` is the
+/// paper's "active process" bit (the NAP numerator of Fig. 9);
+/// `latency_ms` and `external` come from the engine's [`RoundStats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundEvent {
     /// Collective id (raw).
@@ -415,18 +418,73 @@ pub struct RoundEvent {
     pub latency_ms: f64,
 }
 
-/// Telemetry sink for per-round completion events and staleness misses.
+/// The one per-round push tap: completion events and staleness misses.
 /// Called from the engine thread (`on_round`) and the application thread
-/// (`on_miss`); implementations must be cheap and non-blocking — the
-/// intended implementation is a lock-light channel publisher
-/// (`pcoll_tune::TelemetryBus`).
+/// (`on_miss`); implementations must be cheap and non-blocking
+/// ([`RoundLog`] is a mutex push). Windowed totals need no observer —
+/// diff two [`PartialAllreduce::counters`] snapshots instead.
 pub trait RoundObserver: Send + Sync {
-    /// A round completed on this rank.
+    /// A round completed on this rank. Delivered before the round's
+    /// result (and its [`RoundCounters`] bump) becomes visible to the
+    /// application thread.
     fn on_round(&self, ev: &RoundEvent);
 
     /// An `allreduce` call found its requested round already superseded
     /// (§5's staleness effect): the caller got `result_round`'s data.
     fn on_miss(&self, _requested_round: u64, _result_round: u64) {}
+}
+
+/// A [`RoundObserver`] that keeps every [`RoundEvent`] it is handed — the
+/// per-round detail behind NAP plots and tests. Unbounded: wire it for
+/// measurement runs, not for long training.
+#[derive(Debug, Default)]
+pub struct RoundLog {
+    events: Mutex<Vec<RoundEvent>>,
+}
+
+impl RoundLog {
+    /// The events collected so far, sorted by round.
+    pub fn events(&self) -> Vec<RoundEvent> {
+        let mut events = self.events.lock().clone();
+        events.sort_by_key(|e| e.round);
+        events
+    }
+}
+
+impl RoundObserver for RoundLog {
+    fn on_round(&self, ev: &RoundEvent) {
+        self.events.lock().push(ev.clone());
+    }
+}
+
+/// Cumulative per-collective round counters on one rank: always on,
+/// lossless, and mutually consistent (all four move under one lock). A
+/// window is the delta of two snapshots, [`RoundCounters::since`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundCounters {
+    /// Rounds completed on this rank.
+    pub completions: u64,
+    /// Completed rounds whose snapshot carried this rank's fresh deposit
+    /// (Σ [`RoundEvent::fresh`]; `fresh ≤ completions` in every window).
+    pub fresh: u64,
+    /// `allreduce` calls whose requested round had been superseded
+    /// (`result_round > requested_round`, §5's staleness effect).
+    pub missed: u64,
+    /// Completed rounds this rank was dragged into by a peer
+    /// (Σ [`RoundEvent::external`]).
+    pub external: u64,
+}
+
+impl RoundCounters {
+    /// Counter deltas since `earlier`.
+    pub fn since(&self, earlier: &RoundCounters) -> RoundCounters {
+        RoundCounters {
+            completions: self.completions.saturating_sub(earlier.completions),
+            fresh: self.fresh.saturating_sub(earlier.fresh),
+            missed: self.missed.saturating_sub(earlier.missed),
+            external: self.external.saturating_sub(earlier.external),
+        }
+    }
 }
 
 /// How a deposit that missed its round is treated.
@@ -450,9 +508,6 @@ pub struct PartialOpts {
     /// How long a blocked `allreduce` call waits before panicking with a
     /// diagnostic (deadlocks should fail loudly, not hang CI).
     pub wait_timeout: Duration,
-    /// Keep per-round traces (tiny, but off for long training runs if
-    /// undesired).
-    pub trace: bool,
     /// Per-round telemetry sink (completion events, staleness misses).
     pub observer: Option<Arc<dyn RoundObserver>>,
     /// Data-phase algorithm policy: adaptive by size/P, or pinned (the
@@ -467,7 +522,6 @@ impl fmt::Debug for PartialOpts {
             .field("scale", &self.scale)
             .field("stale_mode", &self.stale_mode)
             .field("wait_timeout", &self.wait_timeout)
-            .field("trace", &self.trace)
             .field("observer", &self.observer.as_ref().map(|_| ".."))
             .field("algo", &self.algo)
             .finish()
@@ -480,23 +534,10 @@ impl Default for PartialOpts {
             scale: None,
             stale_mode: StaleMode::Accumulate,
             wait_timeout: Duration::from_secs(60),
-            trace: true,
             observer: None,
             algo: AlgoSelector::default(),
         }
     }
-}
-
-/// Per-round record of this rank's participation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RoundTrace {
-    /// Round number within this collective.
-    pub round: u64,
-    /// Did this rank's snapshot carry a fresh deposit (made since the
-    /// previous snapshot)? This is the paper's "active process" bit.
-    pub fresh: bool,
-    /// Was the snapshot all zeros (a pure G_null contribution)?
-    pub null: bool,
 }
 
 /// What an [`PartialAllreduce::allreduce`] call returns.
@@ -548,6 +589,10 @@ struct SendBuf {
 struct RecvBuf {
     latest_round: Option<u64>,
     data: Payload,
+    /// Bumped under this lock — at completion beside the result it
+    /// publishes, on a miss beside the read that detects it — so a
+    /// caller that has seen round `r`'s result also sees `r` counted.
+    counters: RoundCounters,
 }
 
 struct Shared {
@@ -557,16 +602,6 @@ struct Shared {
     send: Mutex<SendBuf>,
     recv: Mutex<RecvBuf>,
     cv: Condvar,
-    traces: Mutex<HashMap<u64, RoundTrace>>,
-    /// `(fresh, null)` of the latest snapshot per round, kept only while an
-    /// observer is wired: consumed by `on_round_stats` to assemble the
-    /// completed [`RoundEvent`].
-    snap_flags: Mutex<HashMap<u64, (bool, bool)>>,
-    /// Rounds whose result arrived too late (result_round > requested).
-    missed_rounds: AtomicU64,
-    /// Rounds where this rank contributed fresh data.
-    fresh_rounds: AtomicU64,
-    completions: AtomicU64,
     /// One past the highest round whose schedule this rank has built —
     /// internal *or external* activation. This is the rank's message
     /// horizon: every message it has ever received is for a round below
@@ -581,6 +616,9 @@ struct Shared {
 /// buffers.
 struct PartialTemplate {
     shared: Arc<Shared>,
+    /// `(fresh, null)` of each in-flight round's snapshot, consumed by
+    /// `complete` — engine-thread state, bounded by the rounds in flight.
+    snap_flags: RefCell<HashMap<u64, (bool, bool)>>,
     rank: Rank,
     p: usize,
     op: ReduceOp,
@@ -668,25 +706,9 @@ impl CollectiveTemplate for PartialTemplate {
         send.filled = false;
         send.last_deposit_round = None;
         drop(send);
-        if fresh {
-            self.shared.fresh_rounds.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.shared.opts.trace {
-            self.shared.traces.lock().insert(
-                round,
-                RoundTrace {
-                    round,
-                    fresh,
-                    null: data.is_null(),
-                },
-            );
-        }
-        if self.shared.opts.observer.is_some() {
-            self.shared
-                .snap_flags
-                .lock()
-                .insert(round, (fresh, data.is_null()));
-        }
+        self.snap_flags
+            .borrow_mut()
+            .insert(round, (fresh, data.is_null()));
         Some(data)
     }
 
@@ -722,34 +744,36 @@ impl CollectiveTemplate for PartialTemplate {
         }
     }
 
-    fn on_round_stats(&self, stats: &RoundStats) {
-        let Some(obs) = &self.shared.opts.observer else {
-            return;
-        };
-        let (fresh, null) = self
-            .shared
-            .snap_flags
-            .lock()
-            .remove(&stats.round)
-            .unwrap_or((false, true));
-        obs.on_round(&RoundEvent {
-            coll: self.coll.0,
-            round: stats.round,
-            policy: self.timeline.policy_at(stats.round),
-            fresh,
-            null,
-            external: stats.external,
-            latency_ms: stats.elapsed.as_secs_f64() * 1e3,
-        });
-    }
-
-    fn complete(&self, round: u64, result: Option<TypedBuf>) {
+    /// The one place a round's facts are emitted: the observer's event,
+    /// then — under the lock that publishes the result — the counters.
+    fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+        let round = stats.round;
         let mut data = result.expect("allreduce completion carries data");
         if let Some(s) = self.shared.opts.scale {
             data.scale(s);
         }
-        self.shared.completions.fetch_add(1, Ordering::Relaxed);
+        // A round that completed without ever snapshotting contributed
+        // nothing of this rank's.
+        let (fresh, null) = self
+            .snap_flags
+            .borrow_mut()
+            .remove(&round)
+            .unwrap_or((false, true));
+        if let Some(obs) = &self.shared.opts.observer {
+            obs.on_round(&RoundEvent {
+                coll: self.coll.0,
+                round,
+                policy: self.timeline.policy_at(round),
+                fresh,
+                null,
+                external: stats.external,
+                latency_ms: stats.elapsed.as_secs_f64() * 1e3,
+            });
+        }
         let mut recv = self.shared.recv.lock();
+        recv.counters.completions += 1;
+        recv.counters.fresh += u64::from(fresh);
+        recv.counters.external += u64::from(stats.external);
         // Latest-wins: never let an out-of-order old round overwrite a
         // newer result.
         let superseded = if recv.latest_round.is_none_or(|l| round > l) {
@@ -841,13 +865,9 @@ impl PartialAllreduce {
             recv: Mutex::new(RecvBuf {
                 latest_round: None,
                 data: Payload::new(TypedBuf::zeros(dtype, len)),
+                counters: RoundCounters::default(),
             }),
             cv: Condvar::new(),
-            traces: Mutex::new(HashMap::new()),
-            snap_flags: Mutex::new(HashMap::new()),
-            missed_rounds: AtomicU64::new(0),
-            fresh_rounds: AtomicU64::new(0),
-            completions: AtomicU64::new(0),
             built_horizon: AtomicU64::new(0),
         });
         let timeline = Arc::new(PolicyTimeline::new(policy));
@@ -856,6 +876,7 @@ impl PartialAllreduce {
             coll,
             Box::new(PartialTemplate {
                 shared: Arc::clone(&shared),
+                snap_flags: RefCell::new(HashMap::new()),
                 rank,
                 p,
                 op,
@@ -1143,15 +1164,15 @@ impl PartialAllreduce {
     /// the latest-wins outcome once available, `None` while the round is
     /// still in flight. Miss accounting matches the blocking path.
     pub fn try_outcome(&self, round: u64) -> Option<AllreduceOutcome> {
-        self.outcome_if_ready(&self.shared.recv.lock(), round)
+        self.outcome_if_ready(&mut self.shared.recv.lock(), round)
     }
 
     /// The latest-wins outcome for `round` if a result for it or a newer
     /// round has landed in `recv`, with miss accounting.
-    fn outcome_if_ready(&self, recv: &RecvBuf, round: u64) -> Option<AllreduceOutcome> {
+    fn outcome_if_ready(&self, recv: &mut RecvBuf, round: u64) -> Option<AllreduceOutcome> {
         let latest = recv.latest_round.filter(|l| *l >= round)?;
         if latest > round {
-            self.shared.missed_rounds.fetch_add(1, Ordering::Relaxed);
+            recv.counters.missed += 1;
             if let Some(obs) = &self.shared.opts.observer {
                 obs.on_miss(round, latest);
             }
@@ -1171,7 +1192,7 @@ impl PartialAllreduce {
         let deadline = std::time::Instant::now() + self.shared.opts.wait_timeout;
         let mut recv = self.shared.recv.lock();
         loop {
-            if let Some(outcome) = self.outcome_if_ready(&recv, round) {
+            if let Some(outcome) = self.outcome_if_ready(&mut recv, round) {
                 return outcome;
             }
             let timeout = deadline.saturating_duration_since(std::time::Instant::now());
@@ -1191,21 +1212,9 @@ impl PartialAllreduce {
         self.next_round
     }
 
-    /// Per-round participation traces (sorted by round).
-    pub fn traces(&self) -> Vec<RoundTrace> {
-        let mut v: Vec<RoundTrace> = self.shared.traces.lock().values().copied().collect();
-        v.sort_by_key(|t| t.round);
-        v
-    }
-
-    /// (fresh-contribution rounds, rounds whose requested result was
-    /// superseded, completions observed).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.shared.fresh_rounds.load(Ordering::Relaxed),
-            self.shared.missed_rounds.load(Ordering::Relaxed),
-            self.shared.completions.load(Ordering::Relaxed),
-        )
+    /// Snapshot of this collective's cumulative round counters.
+    pub fn counters(&self) -> RoundCounters {
+        self.shared.recv.lock().counters
     }
 }
 
@@ -1343,12 +1352,16 @@ mod tests {
         let p = 4;
         let out = World::launch(WorldConfig::instant(p), move |c| {
             let ctx = RankCtx::new(c);
+            let log = Arc::new(RoundLog::default());
             let mut ar = ctx.partial_allreduce(
                 DType::F32,
                 1,
                 ReduceOp::Sum,
                 QuorumPolicy::Solo,
-                PartialOpts::default(),
+                PartialOpts {
+                    observer: Some(log.clone()),
+                    ..PartialOpts::default()
+                },
             );
             if ctx.rank() != 0 {
                 std::thread::sleep(Duration::from_millis(300));
@@ -1362,7 +1375,7 @@ mod tests {
             (
                 r0.data.as_f32().unwrap()[0],
                 r1.data.as_f32().unwrap()[0],
-                ar.traces(),
+                log.events(),
             )
         });
         for (r, o) in out.iter().enumerate() {
@@ -1381,7 +1394,7 @@ mod tests {
             let t = &o.2;
             assert!(
                 t.iter().any(|t| t.round == 0 && t.null),
-                "rank {r} round-0 contribution must be G_null, traces {t:?}"
+                "rank {r} round-0 contribution must be G_null, events {t:?}"
             );
         }
         assert!(out[0].2.iter().any(|t| t.round == 0 && t.fresh));
@@ -1576,16 +1589,68 @@ mod tests {
     }
 
     #[test]
-    fn round_trace_and_policy_serialize_to_json() {
-        let t = RoundTrace {
+    fn round_log_totals_equal_the_counters() {
+        // Every per-round fact is emitted once, from one place: under a
+        // skewed Solo run (null, stale, fresh and dragged-in rounds all
+        // occur) the observer's events and the counters agree exactly.
+        const ROUNDS: u64 = 40;
+        let p = 4;
+        let out = World::launch(WorldConfig::instant(p), move |c| {
+            let ctx = RankCtx::new(c);
+            let log = Arc::new(RoundLog::default());
+            let mut ar = ctx.partial_allreduce(
+                DType::F32,
+                2,
+                ReduceOp::Sum,
+                QuorumPolicy::Solo,
+                PartialOpts {
+                    observer: Some(log.clone()),
+                    ..PartialOpts::default()
+                },
+            );
+            let mut before = RoundCounters::default();
+            for round in 0..ROUNDS {
+                std::thread::sleep(Duration::from_micros(
+                    (ctx.rank() as u64 * 700 + round * 130) % 2500,
+                ));
+                let _ = ar.allreduce(&f32s(&[1.0; 2]));
+                let now = ar.counters();
+                let window = now.since(&before);
+                assert!(window.fresh <= window.completions, "{window:?}");
+                before = now;
+            }
+            ctx.barrier();
+            ctx.finalize();
+            (log.events(), ar.counters())
+        });
+        let mut dragged = 0;
+        for (rank, (events, c)) in out.iter().enumerate() {
+            assert_eq!(events.len() as u64, c.completions, "rank {rank}");
+            assert_eq!(c.completions, ROUNDS, "rank {rank}: every round completes");
+            let fresh = events.iter().filter(|e| e.fresh).count() as u64;
+            let external = events.iter().filter(|e| e.external).count() as u64;
+            assert_eq!((fresh, external), (c.fresh, c.external), "rank {rank}");
+            assert!(events.windows(2).all(|w| w[0].round < w[1].round));
+            dragged += c.external;
+        }
+        assert!(dragged > 0, "the skew never dragged anyone in");
+    }
+
+    #[test]
+    fn round_event_and_policy_serialize_to_json() {
+        let e = RoundEvent {
+            coll: 1,
             round: 3,
+            policy: QuorumPolicy::Chain(2),
             fresh: true,
             null: false,
+            external: true,
+            latency_ms: 1.5,
         };
-        let s = serde_json::to_string(&t).unwrap();
+        let s = serde_json::to_string(&e).unwrap();
         assert!(s.contains("\"round\":3"), "{s}");
-        let back: RoundTrace = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, t);
+        let back: RoundEvent = serde_json::from_str(&s).unwrap();
+        assert_eq!(back, e);
         for policy in [
             QuorumPolicy::Solo,
             QuorumPolicy::FirstOf(3),
@@ -1748,8 +1813,12 @@ mod tests {
             ctx.finalize();
             counters
         });
-        for (rank, (fresh, missed, _)) in out.iter().enumerate() {
-            assert_eq!((*fresh, *missed), (ROUNDS, 0), "rank {rank}");
+        for (rank, c) in out.iter().enumerate() {
+            assert_eq!(
+                (c.completions, c.fresh, c.missed),
+                (ROUNDS, ROUNDS, 0),
+                "rank {rank}"
+            );
         }
     }
 }

@@ -28,7 +28,9 @@
 //! `from_round = max` over ranks of the next round), which is the
 //! simulator's version of the trainer's decide→fence consensus protocol.
 
-use crate::partial::{MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy, RoundTrace};
+use crate::partial::{
+    MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog,
+};
 use pcoll_comm::{
     DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TypedBuf, WorldConfig,
 };
@@ -101,7 +103,9 @@ pub struct SimSpec {
     pub len: usize,
     /// When ranks deposit.
     pub pacing: Pacing,
-    /// Frontend options (algorithm selector, observer, …).
+    /// Frontend options (algorithm selector, stale mode, …). The observer
+    /// slot is the harness's: it wires a [`RoundLog`] per rank to build
+    /// [`SimReport::traces`], so `partial.observer` must be `None`.
     pub partial: PartialOpts,
 }
 
@@ -131,8 +135,9 @@ pub struct WindowStats {
     pub from_round: u64,
     /// Exclusive end of the window.
     pub to_round: u64,
-    /// Fraction of (rank, round) snapshots in the window carrying a fresh
-    /// deposit — the NAP numerator, normalized to `[0, 1]`.
+    /// Fraction of the (rank, round) completions in the window whose
+    /// snapshot carried a fresh deposit — the NAP numerator, normalized
+    /// to `[0, 1]`.
     pub fresh_fraction: f64,
     /// Completed rounds per *virtual* second over the window.
     pub rounds_per_s: f64,
@@ -154,9 +159,10 @@ pub struct SimReport {
     pub delivered: u64,
     /// Virtual time at the last event.
     pub virtual_time: Duration,
-    /// Per-rank, per-round participation traces (sorted by round).
-    pub traces: Vec<Vec<RoundTrace>>,
-    /// Number of fresh contributors per round — the measured NAP stream.
+    /// Per-rank completed rounds (sorted by round).
+    pub traces: Vec<Vec<RoundEvent>>,
+    /// Number of fresh contributors per round — the measured NAP stream,
+    /// counted over the rounds each rank completed.
     pub nap_per_round: Vec<u32>,
     /// Mean of `nap_per_round`.
     pub mean_nap: f64,
@@ -206,6 +212,7 @@ struct SimRank {
     queue: CmdQueue,
     inbox: Inbox,
     ar: PartialAllreduce,
+    log: Arc<RoundLog>,
     /// Rounds deposited so far (== `ar.rounds()`).
     deposited: u64,
     /// Self-paced: round whose outcome this rank is blocked on.
@@ -227,7 +234,8 @@ pub struct SimHarness {
     period: Option<u64>,
     window_start_round: u64,
     window_start_time: Duration,
-    window_start_fresh: u64,
+    /// World-summed `(fresh, completions)` counters at the window start.
+    window_start_counts: (u64, u64),
     /// Whether the fault plan can change membership (gates the per-event
     /// death scan so fault-free runs pay nothing).
     chaos: bool,
@@ -252,12 +260,17 @@ impl SimHarness {
                 assert!(hiccup.k <= p, "hiccup cannot stall more than P ranks");
             }
         }
+        assert!(
+            spec.partial.observer.is_none(),
+            "the harness wires its own observer"
+        );
         let seed = spec.world.seed;
         let mut sim = SimWorld::new(spec.world.clone(), spec.opts.clone());
         let mut ranks = Vec::with_capacity(p);
         for rank in 0..p {
             let queue = CmdQueue::new();
             let mut core = EngineCore::new(sim.comm(rank), sim.clock());
+            let log = Arc::new(RoundLog::default());
             let ar = PartialAllreduce::register(
                 Arc::new(queue.clone()),
                 pcoll_comm::CollId(1),
@@ -268,7 +281,10 @@ impl SimHarness {
                 spec.len,
                 ReduceOp::Sum,
                 spec.policy,
-                spec.partial.clone(),
+                PartialOpts {
+                    observer: Some(log.clone()),
+                    ..spec.partial.clone()
+                },
             );
             core.drain_cmds(&queue);
             ranks.push(SimRank {
@@ -276,6 +292,7 @@ impl SimHarness {
                 queue,
                 inbox: sim.take_inbox(rank),
                 ar,
+                log,
                 deposited: 0,
                 waiting: None,
                 last_result: 0.0,
@@ -298,7 +315,7 @@ impl SimHarness {
             period: None,
             window_start_round: 0,
             window_start_time: Duration::ZERO,
-            window_start_fresh: 0,
+            window_start_counts: (0, 0),
             chaos,
             evicted: vec![false; p],
             evictions: Vec::new(),
@@ -424,7 +441,7 @@ impl SimHarness {
             );
         }
 
-        let traces: Vec<Vec<RoundTrace>> = self.ranks.iter().map(|r| r.ar.traces()).collect();
+        let traces: Vec<Vec<RoundEvent>> = self.ranks.iter().map(|r| r.log.events()).collect();
         let mut nap = vec![0u32; self.spec.rounds as usize];
         for per_rank in &traces {
             for t in per_rank {
@@ -603,21 +620,24 @@ impl SimHarness {
         if self.ranks.iter().any(|r| r.deposited < window_end) {
             return;
         }
-        let fresh_now: u64 = self.ranks.iter().map(|r| r.ar.counters().0).sum();
+        let (fresh_now, done_now) = self.ranks.iter().fold((0, 0), |(f, d), r| {
+            let c = r.ar.counters();
+            (f + c.fresh, d + c.completions)
+        });
+        let (fresh_then, done_then) = self.window_start_counts;
         let now = self.sim.now().duration_since(pcoll_comm::TimePoint::ZERO);
         let d_rounds = window_end - self.window_start_round;
         let d_time = (now - self.window_start_time).as_secs_f64().max(1e-12);
         let stats = WindowStats {
             from_round: self.window_start_round,
             to_round: window_end,
-            fresh_fraction: (fresh_now - self.window_start_fresh) as f64
-                / (d_rounds as f64 * self.ranks.len() as f64),
+            fresh_fraction: (fresh_now - fresh_then) as f64 / (done_now - done_then).max(1) as f64,
             rounds_per_s: d_rounds as f64 / d_time,
             policy: self.policy,
         };
         self.window_start_round = window_end;
         self.window_start_time = now;
-        self.window_start_fresh = fresh_now;
+        self.window_start_counts = (fresh_now, done_now);
         if let Some(next) = hook(&stats) {
             // The decision lands on rank 0's recorder track: the sim's
             // tuner is a global observer, not a per-rank agent.
@@ -885,6 +905,49 @@ mod tests {
         // Everyone (the rejoiner included) finishes the final round.
         for r in 0..p {
             assert_eq!(rep.traces[r].last().unwrap().round, 39, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_joiner_hears_of_peers_readmitted_while_it_was_dead() {
+        // Rank 5 dies after rank 1 and is still dead when rank 1 comes
+        // back, so it never saw that PeerUp. If its engine kept rank 1 in
+        // its down set it would null-synthesize the activation messages
+        // rank 1 forwards it and fork those rounds, which then never
+        // complete on the other ranks. Every round past the last admission
+        // fence must complete on every rank.
+        use pcoll_comm::{FaultPlan, TimePoint};
+        let (p, rounds) = (8, 100);
+        let unit = Duration::from_millis(1);
+        let mut spec = SimSpec::linear_skew(p, rounds, unit, QuorumPolicy::Majority);
+        let at_round = |r: u32| TimePoint::ZERO + unit * (p as u32 + 1) * 2 * r;
+        spec.opts.faults = FaultPlan::none()
+            .with(Fault::Kill {
+                rank: 1,
+                at: at_round(5),
+            })
+            .with(Fault::Kill {
+                rank: 5,
+                at: at_round(10),
+            })
+            .with(Fault::Rejoin {
+                rank: 1,
+                at: at_round(20),
+            })
+            .with(Fault::Rejoin {
+                rank: 5,
+                at: at_round(25),
+            });
+        let rep = SimHarness::run(spec);
+        assert_eq!(rep.live, (0..p).collect::<Vec<_>>());
+        let fence = rep.rejoins.last().expect("two admissions").0;
+        for (rank, events) in rep.traces.iter().enumerate() {
+            let done: Vec<u64> = events
+                .iter()
+                .map(|e| e.round)
+                .filter(|r| *r >= fence)
+                .collect();
+            assert_eq!(done, (fence..rounds).collect::<Vec<_>>(), "rank {rank}");
         }
     }
 

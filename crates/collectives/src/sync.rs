@@ -13,7 +13,7 @@
 use crate::builders::{barrier_schedule, bcast_schedule, reduce_schedule};
 use parking_lot::{Condvar, Mutex};
 use pcoll_comm::{CollId, Payload, Rank, ReduceOp, TypedBuf};
-use pcoll_sched::{CollectiveTemplate, Engine, Schedule, SnapshotTiming};
+use pcoll_sched::{CollectiveTemplate, Engine, RoundStats, Schedule, SnapshotTiming};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,8 +95,8 @@ impl<F: Fn(u64) -> Schedule + Send> CollectiveTemplate for SyncTemplate<F> {
         SnapshotTiming::Activation
     }
 
-    fn complete(&self, round: u64, result: Option<TypedBuf>) {
-        self.shared.complete(round, result);
+    fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+        self.shared.complete(stats.round, result);
     }
 }
 

@@ -547,25 +547,30 @@ impl SimWorld {
             return;
         }
         self.dead[rank] = true;
-        let now = self.clock.now();
         for dst in 0..self.cfg.nranks {
             if dst == rank || self.dead[dst] {
                 continue;
             }
-            self.heap.push(Reverse(SimEntry {
-                due: now,
-                seq: self.seq,
-                kind: EventKind::Deliver {
-                    src: rank,
-                    dst,
-                    env: Envelope::PeerDown { peer: rank },
-                    delay_ns: 0,
-                    held_ns: 0,
-                    held_behind: 0,
-                },
-            }));
-            self.seq += 1;
+            self.notify_now(rank, dst, Envelope::PeerDown { peer: rank });
         }
+    }
+
+    /// Deliver a membership notice about `src` to `dst` at the current
+    /// virtual time, through the normal mailbox path.
+    fn notify_now(&mut self, src: Rank, dst: Rank, env: Envelope) {
+        self.heap.push(Reverse(SimEntry {
+            due: self.clock.now(),
+            seq: self.seq,
+            kind: EventKind::Deliver {
+                src,
+                dst,
+                env,
+                delay_ns: 0,
+                held_ns: 0,
+                held_behind: 0,
+            },
+        }));
+        self.seq += 1;
     }
 
     /// Bring a killed `rank` back *now*: clears its dead flag, re-admits
@@ -573,8 +578,12 @@ impl SimWorld {
     /// own view to the current world (live peers alive with fresh timing
     /// state, dead peers down) — the simulator's stand-in for a freshly
     /// relaunched process that learned the membership from the admission
-    /// state transfer. The *collective* side of admission (fence
-    /// agreement, schedule rebuild) is the driver's job, triggered by the
+    /// state transfer. The joiner is also sent a `PeerUp` for every live
+    /// peer: drivers keep a corpse's engine, whose down set froze when it
+    /// died, so a peer readmitted meanwhile would stay null-synthesized on
+    /// the joiner forever and the rounds that peer feeds it would fork.
+    /// The *collective* side of admission (fence agreement, schedule
+    /// rebuild) is the driver's job, triggered by the
     /// [`SimEvent::Rejoin`] this surfaces through [`SimWorld::step`] when
     /// scripted. Idempotent: rejoining a live rank is a no-op.
     pub fn rejoin(&mut self, rank: Rank) {
@@ -583,7 +592,6 @@ impl SimWorld {
             return;
         }
         self.dead[rank] = false;
-        let now = self.clock.now();
         for r in 0..self.cfg.nranks {
             if r == rank || self.dead[r] {
                 continue;
@@ -597,25 +605,16 @@ impl SimWorld {
             // drivers run the admission protocol first, then the engines
             // learn of the comeback — still before any post-fence
             // deposit timer can fire.
-            self.heap.push(Reverse(SimEntry {
-                due: now,
-                seq: self.seq,
-                kind: EventKind::Deliver {
-                    src: rank,
-                    dst: r,
-                    env: Envelope::PeerUp { peer: rank },
-                    delay_ns: 0,
-                    held_ns: 0,
-                    held_behind: 0,
-                },
-            }));
-            self.seq += 1;
+            self.notify_now(rank, r, Envelope::PeerUp { peer: rank });
         }
         for q in 0..self.cfg.nranks {
             if self.dead[q] {
                 self.memberships[rank].report_down(q);
             } else {
                 self.memberships[rank].readmit(q);
+                if q != rank {
+                    self.notify_now(q, rank, Envelope::PeerUp { peer: q });
+                }
             }
         }
     }

@@ -5,9 +5,10 @@
 //! through, how many found the queue full and had to block, how long they
 //! blocked, and the deepest backlog observed. One [`CommStats`] lives per
 //! rank (shared by its `CommHandle` clones and, under TCP, its shaper
-//! thread); the adaptive-quorum layer snapshots it per decision window
-//! and exports the deltas onto the `pcoll_tune` telemetry bus so the
-//! controller can see congestion, not just skew.
+//! thread). The counters are cumulative and lossless; a window is the
+//! delta of two snapshots ([`CommStatsSnapshot::since`]), which is how
+//! the adaptive-quorum layer reads congestion at each decision boundary
+//! and how the benches bracket a loop.
 
 use pcoll_obs::Recorder;
 use serde::{Deserialize, Serialize};
@@ -23,9 +24,9 @@ pub struct CommStats {
     pub sends: AtomicU64,
     /// Payload bytes handed to the transport by this rank's sends
     /// (control messages count zero). Telemetry consumers (the
-    /// `coll_micro` bench, the tune bus's `Queue` events) divide deltas
-    /// of this by wall time to report *achieved* wire bandwidth per
-    /// algorithm instead of inferring it from message counts.
+    /// `coll_micro` bench, `stepbench`) divide deltas of this by wall
+    /// time to report *achieved* wire bandwidth per algorithm instead of
+    /// inferring it from message counts.
     pub bytes_sent: AtomicU64,
     /// Data messages this rank's receive paths consumed (the matcher's
     /// `recv_*` family, the engine's envelope intake, the TCP reader).
@@ -88,19 +89,8 @@ impl CommStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Drain the running queue-depth maximum: returns the deepest backlog
-    /// observed since the previous call and resets the gauge, so periodic
-    /// callers (the tuner's per-step telemetry) get *windowed* peaks
-    /// instead of an all-time high-water mark that never decays.
-    pub fn take_peak_queue_depth(&self) -> u64 {
-        self.peak_queue_depth.swap(0, Ordering::Relaxed)
-    }
-
-    /// Read every counter at once. The `peak_queue_depth` field is a
-    /// *non-destructive* read of the depth gauge: it holds the maximum
-    /// since the last [`CommStats::take_peak_queue_depth`] drain, not
-    /// since any particular snapshot — windowed peaks come only from
-    /// the drain.
+    /// Read every counter at once. `peak_queue_depth` is the all-time
+    /// high-water mark of the depth gauge, not a per-window figure.
     pub fn snapshot(&self) -> CommStatsSnapshot {
         CommStatsSnapshot {
             sends: self.sends.load(Ordering::Relaxed),
@@ -158,9 +148,8 @@ pub struct CommStatsSnapshot {
     pub send_stalls: u64,
     /// Total time spent blocked on full queues.
     pub stall_ms: f64,
-    /// The depth gauge as read at snapshot time: maximum backlog since
-    /// the last [`CommStats::take_peak_queue_depth`] drain (see
-    /// [`CommStatsSnapshot::since`] for why deltas zero this).
+    /// The depth gauge as read at snapshot time: the deepest backlog seen
+    /// so far (see [`CommStatsSnapshot::since`] for why deltas zero this).
     pub peak_queue_depth: u64,
     /// Messages dropped because the destination had already finished.
     pub dropped_closed: u64,
@@ -173,12 +162,9 @@ pub struct CommStatsSnapshot {
 }
 
 impl CommStatsSnapshot {
-    /// Counter deltas since `earlier`. The peak-depth gauge is *not* a
-    /// monotonic counter, so no meaningful "peak within this window" can
-    /// be derived from two snapshots — historically this field carried
-    /// the raw gauge through, which went stale the moment any caller
-    /// drained it with [`CommStats::take_peak_queue_depth`]. Deltas now
-    /// zero it: the drain is the single windowed-peak path.
+    /// Counter deltas since `earlier`. The peak-depth gauge is a running
+    /// maximum, not a monotonic counter, so no "peak within this window"
+    /// can be derived from two snapshots: deltas zero it.
     pub fn since(&self, earlier: &CommStatsSnapshot) -> CommStatsSnapshot {
         CommStatsSnapshot {
             sends: self.sends.saturating_sub(earlier.sends),
@@ -215,17 +201,6 @@ mod tests {
         assert_eq!(snap.send_stalls, 2);
         assert!((snap.stall_ms - 3.0).abs() < 1e-9);
         assert_eq!(snap.peak_queue_depth, 7);
-    }
-
-    #[test]
-    fn take_peak_queue_depth_drains_the_gauge() {
-        let s = CommStats::default();
-        s.record_depth(9);
-        s.record_depth(5);
-        assert_eq!(s.take_peak_queue_depth(), 9);
-        assert_eq!(s.take_peak_queue_depth(), 0, "gauge resets per window");
-        s.record_depth(2);
-        assert_eq!(s.take_peak_queue_depth(), 2);
     }
 
     #[test]
@@ -268,27 +243,6 @@ mod tests {
         assert_eq!(d.dropped_peer_down, 2);
         assert_eq!(d.drain_skips, 1);
         assert_eq!(d.heartbeats, 5);
-    }
-
-    #[test]
-    fn windowed_peak_comes_only_from_the_drain() {
-        // Regression for the interleaving bug: a tuner drains the gauge
-        // every step while another observer diffs snapshots. The diff
-        // must not resurrect the pre-drain running max as if it were
-        // this window's peak.
-        let s = CommStats::default();
-        s.record_depth(9);
-        let a = s.snapshot();
-        assert_eq!(a.peak_queue_depth, 9, "snapshot reads the gauge as-is");
-        assert_eq!(s.take_peak_queue_depth(), 9, "tuner drains its window");
-        s.record_depth(3);
-        let b = s.snapshot();
-        assert_eq!(b.peak_queue_depth, 3, "gauge restarted after the drain");
-        let d = b.since(&a);
-        assert_eq!(
-            d.peak_queue_depth, 0,
-            "take_peak_queue_depth is the single windowed-peak path"
-        );
     }
 
     #[test]

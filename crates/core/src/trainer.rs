@@ -29,9 +29,9 @@ use dnn::{EvalMetrics, Model, Optimizer};
 use imbalance::Injector;
 use minitensor::TensorRng;
 use pcoll::{
-    AlgoSelector, PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundObserver, StaleMode,
+    AlgoSelector, PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundCounters, StaleMode,
 };
-use pcoll_comm::{DType, Payload, ReduceOp, TypedBuf};
+use pcoll_comm::{CommStatsSnapshot, DType, Payload, ReduceOp, TypedBuf};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -108,11 +108,13 @@ pub struct QuorumDecision {
 /// loop every [`QuorumTuner::period`] steps:
 ///
 /// 1. each step, [`QuorumTuner::record_step`] feeds the injector's
-///    per-rank arrival offsets (and, through the observer wired into the
-///    partial collective, per-round completion telemetry);
-/// 2. at a decision boundary, every rank's [`QuorumTuner::local_stats`]
-///    vector is summed with a blocking allreduce, so all ranks see the
-///    identical global view;
+///    per-rank arrival offsets;
+/// 2. at a decision boundary, the trainer hands
+///    [`QuorumTuner::local_stats`] the gradient collective's cumulative
+///    [`RoundCounters`] and the rank's transport counters; the tuner
+///    windows them by diffing against the previous boundary's, and every
+///    rank's stats vector is summed with a blocking allreduce, so all
+///    ranks see the identical global view;
 /// 3. [`QuorumTuner::decide`] must be a *deterministic* function of that
 ///    summed vector (plus internal state updated only from such vectors) —
 ///    this is what keeps the SPMD ranks choosing the same policy with no
@@ -127,11 +129,6 @@ pub trait QuorumTuner: Send {
     /// Decide every this-many steps.
     fn period(&self) -> u64;
 
-    /// Telemetry sink to wire into the partial collective's options.
-    fn observer(&self) -> Option<Arc<dyn RoundObserver>> {
-        None
-    }
-
     /// Overrides the variant's construction-time policy (so one trainer
     /// variant can start anywhere on the spectrum, including `Full`).
     fn initial_policy(&self) -> Option<QuorumPolicy> {
@@ -142,17 +139,14 @@ pub trait QuorumTuner: Send {
     /// shared-seed global view.
     fn record_step(&mut self, _step: u64, _offsets_ms: &[f64]) {}
 
-    /// Wire in this rank's transport queue-pressure counters so the
-    /// tuner can publish congestion telemetry alongside skew. Called once
-    /// by the trainer before the first step; default: ignore.
-    fn attach_comm(&mut self, _stats: std::sync::Arc<pcoll_comm::CommStats>) {}
-
     /// Length of the stats vector (must match on every rank).
     fn stats_len(&self) -> usize;
 
     /// This rank's contribution to the decision, summed elementwise
-    /// across ranks by the consensus allreduce.
-    fn local_stats(&mut self) -> Vec<f32>;
+    /// across ranks by the consensus allreduce. `rounds` and `comm` are
+    /// cumulative totals since the trainer started; the window is what
+    /// moved since the previous call.
+    fn local_stats(&mut self, rounds: RoundCounters, comm: CommStatsSnapshot) -> Vec<f32>;
 
     /// Deterministic decision from the rank-summed stats. `None` means
     /// "keep the current policy and record nothing".
@@ -315,15 +309,15 @@ pub fn run_rank(
     let injector = cfg.injector.clone().with_seed(cfg.seed);
 
     // Per-rank closed-loop tuner (eager variants only): built before the
-    // collectives so its observer and initial policy can be wired in.
+    // collectives so its initial policy can be wired in.
     let mut tuner = if cfg.variant.is_eager() {
         cfg.tuner.as_ref().map(|t| t.build(rank, p))
     } else {
         None
     };
-    if let Some(t) = tuner.as_mut() {
-        t.attach_comm(ctx.comm_stats());
-    }
+    // Transport counters when training starts: decision windows count
+    // what moved since, not the world's setup traffic.
+    let comm_at_start = ctx.comm_stats().snapshot();
 
     // SPMD collective construction order: gradient reducer(s),
     // negotiation pair (Horovod only), weight synchronizer, tuner
@@ -353,7 +347,6 @@ pub fn run_rank(
                 PartialOpts {
                     scale,
                     stale_mode: cfg.stale_mode,
-                    observer: tuner.as_ref().and_then(|t| t.observer()),
                     algo: cfg.allreduce_algo,
                     ..PartialOpts::default()
                 },
@@ -435,11 +428,21 @@ pub fn run_rank(
                 t.record_step(step, &offsets);
                 if (step + 1).is_multiple_of(t.period().max(1)) {
                     // measure → agree → decide → apply → fence.
-                    let summed = cons.allreduce(&TypedBuf::from(t.local_stats()));
+                    let comm = ctx.comm_stats().snapshot().since(&comm_at_start);
+                    let local = t.local_stats(ar.counters(), comm);
+                    let summed = cons.allreduce(&TypedBuf::from(local));
                     let summed = summed.data.as_f32().expect("f32 stats vector");
                     let from_round = ar.rounds();
                     if let Some(d) = t.decide(from_round, summed) {
                         ar.set_policy_from(from_round, d.policy);
+                        // Every rank decides the same thing from the summed
+                        // stats, so every track shows the same timeline.
+                        ctx.recorder().record(pcoll_obs::LEVEL_SPANS, || {
+                            pcoll_obs::EventKind::TunerDecision {
+                                step,
+                                policy: format!("{:?}", d.policy),
+                            }
+                        });
                         ctx.recorder().record(pcoll_obs::LEVEL_SPANS, || {
                             pcoll_obs::EventKind::PolicySwitch {
                                 from_round,
@@ -520,9 +523,9 @@ pub fn run_rank(
         });
     }
 
-    let (fresh, missed, _) = reducers[0].counters();
-    log.fresh_rounds = fresh;
-    log.missed_rounds = missed;
+    let rounds = reducers[0].counters();
+    log.fresh_rounds = rounds.fresh;
+    log.missed_rounds = rounds.missed;
     log.steps = step;
     log.total_train_s = train_time;
     log
@@ -723,7 +726,7 @@ mod tests {
             fn stats_len(&self) -> usize {
                 2
             }
-            fn local_stats(&mut self) -> Vec<f32> {
+            fn local_stats(&mut self, _: RoundCounters, _: CommStatsSnapshot) -> Vec<f32> {
                 vec![1.0, 3.0]
             }
             fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {

@@ -2,8 +2,8 @@
 //! histograms behind one [`MetricsRegistry::render`].
 //!
 //! The repo's telemetry grew up scattered — `CommStats` atomics in the
-//! transport, `RoundStats`/`EngineStats` in the scheduler, tune-bus
-//! snapshot arrays — each with its own ad-hoc read path. The registry
+//! transport, `RoundStats`/`EngineStats` in the scheduler, the
+//! collective's `RoundCounters` — each with its own read path. The registry
 //! gives them a single sink: producers export into it under stable
 //! names, and one `render()` call emits everything in a deterministic
 //! text exposition format (Prometheus-flavored: `name value` lines plus

@@ -74,9 +74,9 @@ const SCRATCH_CAP: usize = 128;
 const LIMBO_CAP: usize = 32;
 
 /// Per-round completion statistics handed to
-/// [`CollectiveTemplate::on_round_stats`]: the engine-side half of the
-/// telemetry a closed-loop tuner needs (the app-side half — freshness,
-/// staleness — lives with the template's buffers).
+/// [`CollectiveTemplate::complete`]: the engine-side half of a round's
+/// facts (the app-side half — freshness, staleness — lives with the
+/// template's buffers).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundStats {
     /// The completed round.
@@ -132,15 +132,11 @@ pub trait CollectiveTemplate: Send {
         SnapshotTiming::Creation
     }
 
-    /// Deliver the completed result for `round`. Called on the engine
-    /// thread; implementations should only update state and notify.
-    fn complete(&self, round: u64, result: Option<TypedBuf>);
-
-    /// Engine-side per-round statistics, delivered on the engine thread
-    /// immediately after [`CollectiveTemplate::complete`]. Default: ignore.
-    /// Telemetry-publishing templates (the partial allreduce feeding
-    /// `pcoll_tune`'s bus) override this.
-    fn on_round_stats(&self, _stats: &RoundStats) {}
+    /// Deliver the completed result for round `stats.round`, with the
+    /// engine-side facts of that round. The one call the engine makes per
+    /// completion, on the engine thread; implementations should only
+    /// update state and notify.
+    fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>);
 }
 
 /// Monotonic counters exposed for tests, ablations and diagnostics.
@@ -864,8 +860,7 @@ impl EngineCore {
                     external: stats.external,
                     dur_ns: stats.elapsed.as_nanos() as u64,
                 });
-            template.complete(round, result);
-            template.on_round_stats(&stats);
+            template.complete(&stats, result);
             completed_rounds.insert(round);
             *latest_completed = Some(latest_completed.map_or(round, |l| l.max(round)));
             harvest_instance(inst, scratch, &mut self.limbo);
@@ -1078,8 +1073,8 @@ mod tests {
             ])))
         }
 
-        fn complete(&self, round: u64, result: Option<TypedBuf>) {
-            self.sink.push(round, result);
+        fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+            self.sink.push(stats.round, result);
         }
     }
 
@@ -1271,10 +1266,8 @@ mod tests {
                 fn snapshot(&self, round: u64) -> Option<Payload> {
                     self.inner.snapshot(round)
                 }
-                fn complete(&self, round: u64, result: Option<TypedBuf>) {
-                    self.inner.complete(round, result);
-                }
-                fn on_round_stats(&self, stats: &RoundStats) {
+                fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+                    self.inner.complete(stats, result);
                     self.log.lock().push((self.inner.me, stats.elapsed));
                 }
             }

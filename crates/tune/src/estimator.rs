@@ -1,5 +1,5 @@
 //! Online skew estimation: P² streaming quantiles plus EWMA moments over
-//! the per-rank arrival offsets flowing in from the telemetry bus. The
+//! the per-rank arrival offsets the trainer reports every step. The
 //! summary feeds `eager_sgd::theory::NapModel` — the E\[NAP\] model the
 //! controllers use to reason about the quorum spectrum.
 

@@ -6,15 +6,14 @@
 //! policy so the runtime re-tunes itself as the skew regime shifts:
 //!
 //! ```text
-//!  collectives / sched / trainer          pcoll_tune                    pcoll
+//!  comm / collectives / trainer          pcoll_tune                    pcoll
 //!  ──────────────────────────────   ───────────────────────   ──────────────────────
-//!  RoundEvent, misses, arrival  →   TelemetryBus (lock-light
-//!  offsets (injector view)          channel, drained every K)
-//!                                      │
-//!                                      ▼
-//!                                   SkewEstimator (P² quantiles
-//!                                   + EWMA) ──► NapModel (E[NAP],
+//!  arrival offsets (injector    →   SkewEstimator (P² quantiles
+//!  view, every step)                + EWMA) ──► NapModel (E[NAP],
 //!                                   round latency, utility)
+//!                                      │
+//!  RoundCounters, CommStats     →   window = delta of two
+//!  snapshots (every K steps)        cumulative snapshots
 //!                                      │
 //!                                      ▼
 //!                                   Controller (static / hill-  →  PolicyTimeline
@@ -38,13 +37,10 @@
 //! untried arm (`Controller::seed_values`), so exploration starts from
 //! the theory's best guess and is then refined by measured rewards.
 
-pub mod bus;
 pub mod controller;
 pub mod estimator;
 pub mod model;
 pub mod tuner;
-
-pub use bus::{TelemetryBus, TelemetryEvent, TelemetryPublisher};
 
 /// Serialize any telemetry/decision record to the shared JSON format
 /// (convenience for examples and downstream logging).

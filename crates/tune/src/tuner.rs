@@ -1,23 +1,19 @@
 //! [`AdaptiveTuner`]: the concrete closed-loop controller handed to the
-//! trainer. It owns one telemetry bus, one skew estimator, and one
-//! deterministic [`Controller`], and implements
-//! [`eager_sgd::QuorumTuner`]'s measure → stats → decide protocol.
+//! trainer. It owns one skew estimator and one deterministic
+//! [`Controller`], windows the trainer's cumulative counter snapshots,
+//! and implements [`eager_sgd::QuorumTuner`]'s measure → stats → decide
+//! protocol.
 
-use crate::bus::{TelemetryBus, TelemetryEvent, TelemetryPublisher};
 use crate::controller::{spectrum, Controller, ControllerKind};
 use crate::estimator::{SkewEstimator, SkewSummary};
 use eager_sgd::{NapModel, QuorumDecision, QuorumTuner, TunerSetup};
-use pcoll::{QuorumPolicy, RoundObserver};
-use pcoll_comm::{Clock, CommStats, CommStatsSnapshot, TimePoint};
-use std::sync::Arc;
+use pcoll::{QuorumPolicy, RoundCounters};
+use pcoll_comm::{Clock, CommStatsSnapshot, TimePoint};
 
-/// Stats-vector layout (summed elementwise across ranks):
-/// `[rank_count, rounds, fresh, misses, latency_ms_sum, step_spread_ms,
-///   elapsed_s, mean_offset_ms, queue_stall_ms, queue_peak_depth]`.
-/// `queue_peak_depth` is this window's per-rank peak backlog (the depth
-/// gauge is drained per step), so `summed[9] / ranks` reads as the mean
-/// per-rank peak queue depth of the window.
-const STATS_LEN: usize = 10;
+/// Stats-vector layout (summed elementwise across ranks; `decide` reads
+/// every entry): `[rank_count, rounds, fresh, step_spread_ms, elapsed_s,
+/// mean_offset_ms, queue_stall_ms]`.
+const STATS_LEN: usize = 7;
 
 /// Construction knobs for [`AdaptiveTuner`].
 #[derive(Debug, Clone)]
@@ -55,30 +51,27 @@ impl Default for AdaptiveTunerCfg {
     }
 }
 
-/// Per-rank closed-loop quorum tuner (bus → estimator → model →
-/// controller).
+/// Per-rank closed-loop quorum tuner (counter windows → estimator →
+/// model → controller).
 pub struct AdaptiveTuner {
     period: u64,
     beta: f64,
     p: usize,
-    bus: TelemetryBus,
-    publisher: TelemetryPublisher,
     estimator: SkewEstimator,
     controller: Controller,
     /// Time source for reward windows: wall by default, virtual under the
     /// simulation backend (keeps window rates deterministic in tests).
     clock: Clock,
     window_started: TimePoint,
+    /// The cumulative counters handed in at the last decision boundary:
+    /// a window is what moved since.
+    window_rounds: RoundCounters,
+    window_comm: CommStatsSnapshot,
     /// Whether untried arms were already seeded from the E\[NAP\] model.
     /// Only the bandit is seeded: marking arms as observed would disable
     /// hill-climb's visit-unexplored-neighbors sweep, which is what lets
     /// it cross valleys in the utility curve.
     seeded: bool,
-    /// Transport queue-pressure counters (wired in by the trainer via
-    /// [`QuorumTuner::attach_comm`]), and the snapshot at the last
-    /// published step, so each `Queue` event carries per-step deltas.
-    comm: Option<Arc<CommStats>>,
-    comm_last: CommStatsSnapshot,
 }
 
 impl AdaptiveTuner {
@@ -101,23 +94,19 @@ impl AdaptiveTuner {
                 (arms, idx)
             }
         };
-        let bus = TelemetryBus::new();
-        let publisher = bus.publisher();
         let clock = Clock::wall();
         let window_started = clock.now();
         AdaptiveTuner {
             period: cfg.period,
             beta: cfg.beta,
             p,
-            bus,
-            publisher,
             estimator: SkewEstimator::new(cfg.ewma_alpha),
             controller: Controller::new(cfg.kind, arms, initial_arm),
             clock,
             window_started,
+            window_rounds: RoundCounters::default(),
+            window_comm: CommStatsSnapshot::default(),
             seeded: !matches!(cfg.kind, ControllerKind::Ucb { .. }),
-            comm: None,
-            comm_last: CommStatsSnapshot::default(),
         }
     }
 
@@ -147,102 +136,44 @@ impl QuorumTuner for AdaptiveTuner {
         self.period
     }
 
-    fn observer(&self) -> Option<Arc<dyn RoundObserver>> {
-        Some(Arc::new(self.publisher.clone()))
-    }
-
     fn initial_policy(&self) -> Option<QuorumPolicy> {
         Some(self.controller.current_policy())
     }
 
-    fn record_step(&mut self, step: u64, offsets_ms: &[f64]) {
-        self.publisher.publish(TelemetryEvent::Arrival {
-            step,
-            offsets_ms: offsets_ms.to_vec(),
-        });
-        // Congestion rides the same bus as skew: per-step deltas of this
-        // rank's transport queue-pressure counters. The depth gauge is
-        // drained (not snapshotted) so each event carries the peak of
-        // *this* step, not an all-time high-water mark.
-        if let Some(comm) = &self.comm {
-            let peak_depth = comm.take_peak_queue_depth();
-            let now = comm.snapshot();
-            let d = now.since(&self.comm_last);
-            self.comm_last = now;
-            self.publisher.publish(TelemetryEvent::Queue {
-                step,
-                sends: d.sends,
-                bytes: d.bytes_sent,
-                recvs: d.recvs,
-                bytes_received: d.bytes_received,
-                stalls: d.send_stalls,
-                stall_ms: d.stall_ms,
-                peak_depth,
-            });
-        }
-    }
-
-    fn attach_comm(&mut self, stats: Arc<CommStats>) {
-        self.comm_last = stats.snapshot();
-        self.comm = Some(stats);
+    fn record_step(&mut self, _step: u64, offsets_ms: &[f64]) {
+        self.estimator.observe_offsets(offsets_ms);
     }
 
     fn stats_len(&self) -> usize {
         STATS_LEN
     }
 
-    fn local_stats(&mut self) -> Vec<f32> {
-        let mut rounds = 0u64;
-        let mut fresh = 0u64;
-        let mut misses = 0u64;
-        let mut latency_ms = 0.0f64;
-        let mut queue_stall_ms = 0.0f64;
-        let mut queue_peak_depth = 0u64;
-        for ev in self.bus.drain() {
-            match ev {
-                TelemetryEvent::Round(e) => {
-                    rounds += 1;
-                    fresh += u64::from(e.fresh);
-                    latency_ms += e.latency_ms;
-                }
-                TelemetryEvent::Miss { .. } => misses += 1,
-                TelemetryEvent::Arrival { offsets_ms, .. } => {
-                    self.estimator.observe_offsets(&offsets_ms);
-                }
-                TelemetryEvent::Queue {
-                    stall_ms,
-                    peak_depth,
-                    ..
-                } => {
-                    queue_stall_ms += stall_ms;
-                    queue_peak_depth = queue_peak_depth.max(peak_depth);
-                }
-            }
-        }
+    fn local_stats(&mut self, rounds: RoundCounters, comm: CommStatsSnapshot) -> Vec<f32> {
+        let window = rounds.since(&self.window_rounds);
+        let stall_ms = comm.since(&self.window_comm).stall_ms;
+        self.window_rounds = rounds;
+        self.window_comm = comm;
         let now = self.clock.now();
         let elapsed = now.duration_since(self.window_started).as_secs_f64();
         self.window_started = now;
         let s = self.estimator.summary();
         vec![
             1.0,
-            rounds as f32,
-            fresh as f32,
-            misses as f32,
-            latency_ms as f32,
+            window.completions as f32,
+            window.fresh as f32,
             s.step_spread_ms as f32,
             elapsed as f32,
             s.mean_ms as f32,
-            queue_stall_ms as f32,
-            queue_peak_depth as f32,
+            stall_ms as f32,
         ]
     }
 
-    fn decide(&mut self, from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+    fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
         assert_eq!(summed.len(), STATS_LEN, "stats vector shape");
         let ranks = f64::from(summed[0]).max(1.0);
         let rounds = f64::from(summed[1]);
         let fresh = f64::from(summed[2]);
-        let elapsed = f64::from(summed[6]);
+        let elapsed = f64::from(summed[4]);
         let fresh_fraction = if rounds > 0.0 { fresh / rounds } else { 0.0 };
         let rounds_per_s = if elapsed > 0.0 { rounds / elapsed } else { 0.0 };
         let reward = fresh_fraction.powf(self.beta) * rounds_per_s;
@@ -253,8 +184,8 @@ impl QuorumTuner for AdaptiveTuner {
         // measured reward. Deterministic: inputs are the summed stats only.
         if !self.seeded && rounds > 0.0 && rounds_per_s > 0.0 && reward > 0.0 {
             self.seeded = true;
-            let mean = f64::from(summed[7]) / ranks;
-            let spread = f64::from(summed[5]) / ranks;
+            let mean = f64::from(summed[5]) / ranks;
+            let spread = f64::from(summed[3]) / ranks;
             let pf = self.p as f64;
             let offsets: Vec<f64> = (0..self.p)
                 .map(|i| (mean - spread / 2.0 + spread * (i as f64 + 0.5) / pf).max(0.0))
@@ -276,24 +207,13 @@ impl QuorumTuner for AdaptiveTuner {
             self.controller.seed_values(&priors);
         }
         let policy = self.controller.step(reward);
-        // The decision lands on this rank's flight-recorder track (every
-        // rank decides the same thing from the summed stats, so every
-        // track shows the same policy timeline).
-        if let Some(comm) = &self.comm {
-            comm.recorder().record(pcoll_obs::LEVEL_SPANS, || {
-                pcoll_obs::EventKind::TunerDecision {
-                    step: from_round,
-                    policy: format!("{policy:?}"),
-                }
-            });
-        }
         Some(QuorumDecision {
             policy,
             reward,
             fresh_fraction,
             rounds_per_s,
-            spread_ms: f64::from(summed[5]) / ranks,
-            queue_stall_ms: f64::from(summed[8]) / ranks,
+            spread_ms: f64::from(summed[3]) / ranks,
+            queue_stall_ms: f64::from(summed[6]) / ranks,
         })
     }
 }
@@ -303,7 +223,7 @@ pub fn adaptive_setup(cfg: AdaptiveTunerCfg) -> TunerSetup {
     TunerSetup::new(move |_rank, p| Box::new(AdaptiveTuner::new(p, cfg.clone())))
 }
 
-/// [`TunerSetup`] that pins `policy` forever but still runs the telemetry
+/// [`TunerSetup`] that pins `policy` forever but still runs the measurement
 /// loop — the static baseline with identical measurement overhead, so
 /// adaptive-vs-static comparisons isolate the *decisions*.
 pub fn static_setup(policy: QuorumPolicy, period: u64) -> TunerSetup {
@@ -318,38 +238,39 @@ pub fn static_setup(policy: QuorumPolicy, period: u64) -> TunerSetup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcoll::RoundEvent;
 
-    fn round_ev(round: u64, fresh: bool) -> RoundEvent {
-        RoundEvent {
-            coll: 1,
-            round,
-            policy: QuorumPolicy::Majority,
+    fn rounds(completions: u64, fresh: u64) -> RoundCounters {
+        RoundCounters {
+            completions,
             fresh,
-            null: !fresh,
-            external: false,
-            latency_ms: 2.0,
+            ..RoundCounters::default()
+        }
+    }
+
+    fn stalled(stall_ms: f64) -> CommStatsSnapshot {
+        CommStatsSnapshot {
+            stall_ms,
+            ..CommStatsSnapshot::default()
         }
     }
 
     #[test]
-    fn local_stats_aggregates_the_window_and_resets() {
+    fn local_stats_windows_the_cumulative_counters() {
         let mut t = AdaptiveTuner::new(8, AdaptiveTunerCfg::default());
-        let obs = t.observer().unwrap();
-        obs.on_round(&round_ev(0, true));
-        obs.on_round(&round_ev(1, false));
-        obs.on_miss(1, 2);
         t.record_step(0, &[0.0, 4.0, 8.0, 12.0]);
-        let v = t.local_stats();
+        let v = t.local_stats(rounds(2, 1), stalled(1.5));
+        assert_eq!(v.len(), STATS_LEN);
         assert_eq!(v[0], 1.0);
         assert_eq!(v[1], 2.0, "rounds");
         assert_eq!(v[2], 1.0, "fresh");
-        assert_eq!(v[3], 1.0, "misses");
-        assert_eq!(v[4], 4.0, "latency sum");
-        assert!(v[7] > 0.0, "mean offset fed from arrivals");
-        // Window reset: a second call sees nothing new.
-        let v2 = t.local_stats();
-        assert_eq!(v2[1], 0.0);
+        assert!(v[5] > 0.0, "mean offset fed from arrivals");
+        assert_eq!(v[6], 1.5, "stall ms");
+        // Unchanged totals: the next window is empty.
+        let v2 = t.local_stats(rounds(2, 1), stalled(1.5));
+        assert_eq!((v2[1], v2[2], v2[6]), (0.0, 0.0, 0.0));
+        // Totals keep growing: each window is what moved since the last.
+        let v3 = t.local_stats(rounds(7, 4), stalled(4.0));
+        assert_eq!((v3[1], v3[2], v3[6]), (5.0, 3.0, 2.5));
     }
 
     /// On a virtual clock the reward window's `elapsed` is an exact
@@ -359,23 +280,19 @@ mod tests {
     fn virtual_clock_makes_window_rates_exact() {
         let clock = Clock::virtual_clock();
         let mut t = AdaptiveTuner::new(4, AdaptiveTunerCfg::default()).with_clock(clock.clone());
-        let obs = t.observer().unwrap();
-        for round in 0..10 {
-            obs.on_round(&round_ev(round, true));
-        }
         clock.advance(std::time::Duration::from_millis(2500));
-        let v = t.local_stats();
+        let v = t.local_stats(rounds(10, 10), stalled(0.0));
         assert_eq!(v[1], 10.0, "rounds");
-        assert_eq!(v[6], 2.5, "elapsed is exactly the advanced virtual time");
+        assert_eq!(v[4], 2.5, "elapsed is exactly the advanced virtual time");
         // decide() on the summed vector sees an exact 4 rounds/s.
-        let summed = [1.0, 10.0, 10.0, 0.0, 0.0, 0.0, v[6], 0.0, 0.0, 0.0];
+        let summed = [1.0, 10.0, 10.0, 0.0, v[4], 0.0, 0.0];
         let d = t.decide(0, &summed).unwrap();
         assert!((d.rounds_per_s - 4.0).abs() < 1e-9);
 
         // The next window starts where the last one ended.
         clock.advance(std::time::Duration::from_millis(500));
-        let v2 = t.local_stats();
-        assert_eq!(v2[6], 0.5, "window restarts at the previous drain");
+        let v2 = t.local_stats(rounds(10, 10), stalled(0.0));
+        assert_eq!(v2[4], 0.5, "window restarts at the previous boundary");
     }
 
     #[test]
@@ -394,7 +311,7 @@ mod tests {
         for t in 0..50u64 {
             // Synthetic rank-summed stats: 8 ranks, varying freshness.
             let fresh = (t % 9) as f32;
-            let summed = [8.0, 8.0, fresh, 0.0, 12.0, 40.0, 0.5, 20.0, 1.5, 3.0];
+            let summed = [8.0, 8.0, fresh, 40.0, 0.5, 20.0, 1.5];
             let da = a.decide(t, &summed).unwrap();
             let db = b.decide(t, &summed).unwrap();
             assert_eq!(da.policy, db.policy, "diverged at {t}");
@@ -412,7 +329,7 @@ mod tests {
             },
         );
         // 4 ranks, 40 rounds total, 10 fresh, 2 s total elapsed.
-        let summed = [4.0, 40.0, 10.0, 0.0, 0.0, 0.0, 2.0, 0.0, 8.0, 2.0];
+        let summed = [4.0, 40.0, 10.0, 0.0, 2.0, 0.0, 8.0];
         let d = t.decide(0, &summed).unwrap();
         assert!((d.fresh_fraction - 0.25).abs() < 1e-6);
         assert!((d.rounds_per_s - 20.0).abs() < 1e-4);
@@ -425,9 +342,7 @@ mod tests {
         let mut t = setup.build(0, 8);
         assert_eq!(t.initial_policy(), Some(QuorumPolicy::Full));
         for i in 0..5 {
-            let d = t
-                .decide(i, &[8.0, 8.0, 8.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-                .unwrap();
+            let d = t.decide(i, &[8.0, 8.0, 8.0, 0.0, 1.0, 0.0, 0.0]).unwrap();
             assert_eq!(d.policy, QuorumPolicy::Full);
         }
     }

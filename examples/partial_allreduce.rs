@@ -1,6 +1,6 @@
 //! Direct use of the partial-collective API (no training): solo,
 //! majority, and quorum-chain allreduce under an artificial straggler,
-//! with per-round participation traces.
+//! with per-rank freshness counts.
 //!
 //! ```sh
 //! cargo run --release --example partial_allreduce
@@ -38,16 +38,15 @@ fn demo(policy: QuorumPolicy, name: &str) {
             }
             ctx.barrier();
         }
-        let traces = ar.traces();
         ctx.finalize();
-        (lines, traces)
+        (lines, ar.counters().fresh)
     });
 
     for line in &results[0].0 {
         println!("{line}");
     }
     // How often was the slow rank's own gradient fresh?
-    let slow_fresh = results[7].1.iter().filter(|t| t.fresh).count();
+    let slow_fresh = results[7].1;
     println!("  slow rank contributed fresh data in {slow_fresh}/{ROUNDS} rounds\n");
 }
 

@@ -33,8 +33,8 @@ fn measure(policy: QuorumPolicy, label: &str) {
             lat_ms += t0.elapsed().as_secs_f64() * 1e3;
             ctx.barrier();
         }
-        let fresh = ar.traces().iter().filter(|t| t.fresh).count();
         ctx.finalize();
+        let fresh = ar.counters().fresh;
         (lat_ms / ROUNDS as f64, fresh as f64 / ROUNDS as f64)
     });
     let mean_lat = out.iter().map(|(l, _)| l).sum::<f64>() / out.len() as f64;

@@ -48,12 +48,12 @@ pub mod prelude {
     pub use minitensor::{Mat, TensorRng};
     pub use pcoll::{
         AlgoSelector, AllreduceAlgo, Hiccup, Pacing, PartialAllreduce, PartialOpts, QuorumPolicy,
-        RankCtx, SimHarness, SimReport, SimSpec, StaleMode,
+        RankCtx, RoundCounters, RoundLog, SimHarness, SimReport, SimSpec, StaleMode,
     };
     pub use pcoll_comm::{
         DType, NetworkModel, Planet, ReduceOp, SimOpts, TypedBuf, World, WorldConfig,
     };
     pub use pcoll_tune::{
-        adaptive_setup, static_setup, AdaptiveTunerCfg, ControllerKind, SkewEstimator, TelemetryBus,
+        adaptive_setup, static_setup, AdaptiveTunerCfg, ControllerKind, SkewEstimator,
     };
 }

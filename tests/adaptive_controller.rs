@@ -1,9 +1,9 @@
 //! Closed-loop convergence of the adaptive quorum controllers.
 //!
 //! The loop under test is the real production path — injector offsets →
-//! telemetry bus → P² skew estimator → E\[NAP\] model → controller →
-//! policy — driven by a deterministic environment simulator so the test
-//! measures *controller* convergence, not thread-scheduler noise: each
+//! P² skew estimator → E\[NAP\] model → controller → policy — driven by a
+//! deterministic environment simulator so the test measures *controller*
+//! convergence, not thread-scheduler noise: each
 //! decision window's rank-summed stats vector is synthesized from the
 //! `NapModel` evaluated on the injector's exact offsets (the same
 //! quantity the real system measures), plus deterministic wobble.
@@ -12,11 +12,14 @@
 //! paper's majority default, the controller must converge toward the
 //! theory-optimal quorum size `m` within a bounded number of rounds.
 
+use eager_sgd_repro::comm::CommStatsSnapshot;
+use eager_sgd_repro::core::QuorumDecision;
+use eager_sgd_repro::obs::EventKind;
 use eager_sgd_repro::prelude::*;
 use eager_sgd_repro::tune::{
     adaptive_setup, spectrum, theory_optimal, AdaptiveTunerCfg, ControllerKind,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const P: usize = 8;
 const PERIOD: u64 = 16;
@@ -43,14 +46,11 @@ fn window_stats(offsets: &[f64], policy: QuorumPolicy, wobble: f64) -> Vec<f32> 
         P as f32,
         rounds as f32,
         fresh as f32,
-        0.0,
-        (rounds * pred.round_ms) as f32,
         (offsets.iter().cloned().fold(f64::MIN, f64::max)
             - offsets.iter().cloned().fold(f64::MAX, f64::min)) as f32,
         elapsed_s as f32,
         (offsets.iter().sum::<f64>() / P as f64) as f32,
         // No queue congestion in the synthetic window.
-        0.0,
         0.0,
     ]
 }
@@ -72,12 +72,11 @@ fn drive(kind: ControllerKind, decisions: usize, inj: &Injector) -> Vec<QuorumPo
     let mut chosen = Vec::new();
     let mut step = 0u64;
     for d in 0..decisions {
-        // Feed one window of injector telemetry through the bus/estimator.
+        // Feed one window of injector telemetry to the estimator.
         for _ in 0..PERIOD {
             tuner.record_step(step, &injector_offsets(inj, step));
             step += 1;
         }
-        let _local = tuner.local_stats();
         let summed = window_stats(&injector_offsets(inj, step), policy, wobble(d as u64));
         let decision = tuner
             .decide(step, &summed)
@@ -144,29 +143,16 @@ fn controllers_converge_to_theory_optimal_quorum_under_shifting_skew() {
 
 #[test]
 fn estimator_view_reproduces_the_exact_offset_optimum() {
-    // Feed the injector pattern over the real telemetry bus into the P²
-    // estimator, then ask the theory model for the best arm from the
-    // *estimated* offsets: the measurement half of the loop must not
-    // distort the decision.
+    // Feed the injector pattern into the P² estimator, then ask the theory
+    // model for the best arm from the *estimated* offsets: the measurement
+    // half of the loop must not distort the decision.
     let inj = Injector::ShiftingSkew {
         min_ms: 5.0,
         max_ms: 60.0,
     };
-    let bus = eager_sgd_repro::tune::TelemetryBus::new();
-    let publisher = bus.publisher();
-    let mut est = eager_sgd_repro::tune::SkewEstimator::new(0.1);
+    let mut est = SkewEstimator::new(0.1);
     for step in 0..512u64 {
-        publisher.publish(eager_sgd_repro::tune::TelemetryEvent::Arrival {
-            step,
-            offsets_ms: injector_offsets(&inj, step),
-        });
-        if (step + 1) % PERIOD == 0 {
-            for ev in bus.drain() {
-                if let eager_sgd_repro::tune::TelemetryEvent::Arrival { offsets_ms, .. } = ev {
-                    est.observe_offsets(&offsets_ms);
-                }
-            }
-        }
+        est.observe_offsets(&injector_offsets(&inj, step));
     }
     let exact = injector_offsets(&inj, 0);
     let est_offsets = est.offsets_for_model(P);
@@ -223,4 +209,104 @@ fn adaptive_training_runs_end_to_end_with_identical_decisions_on_all_ranks() {
         .map(|d| d.policy.to_string())
         .collect();
     assert!(policies.len() > 1, "no exploration happened: {policies:?}");
+}
+
+/// A tuner that delegates to the real one and keeps every rank-summed
+/// vector `decide` is handed.
+struct Spy {
+    inner: Box<dyn QuorumTuner>,
+    seen: Arc<Mutex<Vec<Vec<f32>>>>,
+}
+
+impl QuorumTuner for Spy {
+    fn period(&self) -> u64 {
+        self.inner.period()
+    }
+    fn initial_policy(&self) -> Option<QuorumPolicy> {
+        self.inner.initial_policy()
+    }
+    fn record_step(&mut self, step: u64, offsets_ms: &[f64]) {
+        self.inner.record_step(step, offsets_ms);
+    }
+    fn stats_len(&self) -> usize {
+        self.inner.stats_len()
+    }
+    fn local_stats(&mut self, rounds: RoundCounters, comm: CommStatsSnapshot) -> Vec<f32> {
+        self.inner.local_stats(rounds, comm)
+    }
+    fn decide(&mut self, from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+        self.seen.lock().unwrap().push(summed.to_vec());
+        self.inner.decide(from_round, summed)
+    }
+}
+
+/// 16 steps on 4 ranks with the policy pinned at Full and a decision
+/// every 4 steps, traced at span level. Per rank: the train log, the
+/// summed vectors its tuner decided from, and the `TunerDecision` steps
+/// on its flight-recorder track.
+fn pinned_full_run() -> Vec<(TrainLog, Vec<Vec<f32>>, Vec<u64>)> {
+    let task = Arc::new(HyperplaneTask::new(16, 256, 0.05, 32, 7));
+    let cfg = WorldConfig::instant(4).with_seed(3).with_trace(1, 1 << 16);
+    World::launch(cfg, move |c| {
+        let ctx = RankCtx::new(c);
+        let mut rng = TensorRng::new(9);
+        let mut model = eager_sgd_repro::nn::zoo::hyperplane_mlp(16, &mut rng);
+        let mut opt = Sgd::new(0.02);
+        let wl = HyperplaneWorkload {
+            task: Arc::clone(&task),
+            local_batch: 8,
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 2, 8, 0.02);
+        cfg.eval_every = 1000;
+        let spied = Arc::clone(&seen);
+        cfg.tuner = Some(TunerSetup::new(move |rank, p| {
+            Box::new(Spy {
+                inner: static_setup(QuorumPolicy::Full, 4).build(rank, p),
+                seen: Arc::clone(&spied),
+            })
+        }));
+        let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
+        let steps = ctx
+            .recorder()
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TunerDecision { step, .. } => Some(step),
+                _ => None,
+            })
+            .collect();
+        ctx.finalize();
+        let seen = seen.lock().unwrap().clone();
+        (log, seen, steps)
+    })
+}
+
+#[test]
+fn counter_delta_windows_are_exact_under_full() {
+    // Under Full every round is fresh and complete before the next step,
+    // so each 4-step window holds exactly 4 rounds per rank — no event
+    // lost, none counted twice, nothing carried across the boundary.
+    let out = pinned_full_run();
+    for (log, seen, _) in &out {
+        assert_eq!(seen.len(), 4, "rank {}: 16 steps / period 4", log.rank);
+        for (w, summed) in seen.iter().enumerate() {
+            assert_eq!(summed.len(), 7);
+            assert_eq!(summed[0], 4.0, "window {w}: ranks");
+            assert_eq!(summed[1], 16.0, "window {w}: rounds = period × P");
+            assert_eq!(summed[2], 16.0, "window {w}: every round fresh");
+        }
+        assert_eq!(seen, &out[0].1, "rank {} saw a different view", log.rank);
+        assert!(log.decisions.iter().all(|d| d.fresh_fraction == 1.0));
+        assert_eq!((log.fresh_rounds, log.missed_rounds), (16, 0));
+    }
+}
+
+#[test]
+fn traced_tuner_decisions_carry_the_trainer_step() {
+    for (log, _, traced) in pinned_full_run() {
+        let logged: Vec<u64> = log.decisions.iter().map(|d| d.step).collect();
+        assert_eq!(logged, [3, 7, 11, 15], "rank {}", log.rank);
+        assert_eq!(traced, logged, "rank {}", log.rank);
+    }
 }

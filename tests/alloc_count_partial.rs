@@ -17,11 +17,17 @@
 //! the per-round slope from launch/teardown constants (same long-minus-
 //! short cancellation as `alloc_count.rs`). This file holds exactly one
 //! `#[test]` because the counter is process-global.
+//!
+//! The same allocator also tracks *live* bytes (allocated minus freed),
+//! and the same long-minus-short method gates per-round state: whatever
+//! a round leaves behind on any rank — a map entry, a log line — shows up
+//! as a slope in bytes per round per rank, and must be ~0 with the
+//! default options.
 
 use eager_sgd_repro::comm::{DType, Payload, ReduceOp, TypedBuf, World, WorldConfig};
 use eager_sgd_repro::pcoll::{PartialOpts, QuorumPolicy, RankCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// 1 MiB of f32 per tensor — large enough that at P=8 the default
 /// selector takes the segmented-ring path, so the gate covers both the
@@ -33,16 +39,23 @@ const LARGE: usize = ELEMS * 4 / 2;
 struct CountingAlloc;
 
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, process-wide.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no memory
+// the allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -50,6 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if new_size >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -107,6 +121,34 @@ fn run_and_count_in_sequence(p: usize, rounds: &'static [u64]) -> u64 {
         ctx.finalize();
     });
     LARGE_ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Process-wide live bytes after `rounds` small Full rounds on 4 ranks
+/// with the default options, read by rank 0 while every rank idles
+/// between two host barriers just before teardown. The tensor is tiny
+/// (8 elements) so the engine's scratch pool fills within the short run
+/// and does not masquerade as growth.
+fn live_bytes_after(rounds: u64) -> i64 {
+    let live = World::launch(WorldConfig::instant(4).with_seed(5), move |c| {
+        let ctx = RankCtx::new(c);
+        let mut ar = ctx.partial_allreduce(
+            DType::F32,
+            8,
+            ReduceOp::Sum,
+            QuorumPolicy::Full,
+            PartialOpts::default(),
+        );
+        let contrib = TypedBuf::from(vec![1.0f32; 8]);
+        for _ in 0..rounds {
+            let _ = ar.allreduce(&contrib);
+        }
+        ctx.host_barrier();
+        let live = LIVE_BYTES.load(Ordering::Relaxed);
+        ctx.host_barrier();
+        ctx.finalize();
+        live
+    });
+    live[0]
 }
 
 #[test]
@@ -168,5 +210,17 @@ fn steady_state_partial_allreduce_rounds_are_allocation_free() {
         (0.95..1.5).contains(&fresh),
         "fresh-contribution rounds allocate {fresh:.3} tensors/rank/round, \
          expected ~1 (the caller's own gradient buffer)"
+    );
+
+    // Per-round state is bounded: nothing a completed round touched stays
+    // allocated. (A per-round map that is never pruned measured 48 B per
+    // round per rank here.)
+    const L_SHORT: u64 = 2_000;
+    const L_LONG: u64 = 34_000;
+    let grown = live_bytes_after(L_LONG) - live_bytes_after(L_SHORT);
+    let per_round = grown as f64 / ((L_LONG - L_SHORT) as f64 * 4.0);
+    assert!(
+        per_round < 4.0,
+        "live heap grows {per_round:.3} B per round per rank, expected ~0"
     );
 }

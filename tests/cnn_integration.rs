@@ -4,6 +4,7 @@
 //! what produced the gradient.
 
 use eager_sgd_repro::core::workloads::SpatialWorkload;
+use eager_sgd_repro::nn::optim::LrSchedule;
 use eager_sgd_repro::nn::zoo::resnet_cnn;
 use eager_sgd_repro::nn::ImgShape;
 use eager_sgd_repro::prelude::*;
@@ -26,7 +27,12 @@ fn train_cnn(variant: SgdVariant) -> (f32, f64) {
             task: Arc::clone(&task),
             local_batch: 16,
         };
-        let mut cfg = TrainerConfig::new(variant, 4, 10, 0.05);
+        let mut cfg = TrainerConfig::new(variant, 6, 10, 0.05);
+        // Two settling epochs at a fifth of the rate: the final iterate of
+        // constant-rate SGD swings with thread scheduling under eager
+        // updates (0.52–0.87 accuracy over 120 runs at 4 epochs); decayed,
+        // every run lands above 0.8 and the 0.6 floor is not marginal.
+        cfg.lr = LrSchedule::staircase(0.05, &[4], 0.2);
         cfg.model_sync_every = Some(2);
         cfg.eval_every = 2;
         let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);

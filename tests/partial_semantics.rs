@@ -3,6 +3,7 @@
 //! spectrum behavior, and long-run garbage-collection stress.
 
 use eager_sgd_repro::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -61,7 +62,7 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
                 // deposit below is genuinely stale. (A fixed sleep here is
                 // racy under parallel-test machine load.)
                 let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                while ar.counters().2 == 0 {
+                while ar.counters().completions == 0 {
                     assert!(
                         std::time::Instant::now() < deadline,
                         "round 0 never completed externally"
@@ -223,23 +224,27 @@ fn trace_rounds_are_consistent_with_calls() {
     let rounds = 10u64;
     let out = World::launch(WorldConfig::instant(p), move |c| {
         let ctx = RankCtx::new(c);
+        let log = Arc::new(RoundLog::default());
         let mut ar = ctx.partial_allreduce(
             DType::F32,
             1,
             ReduceOp::Sum,
             QuorumPolicy::Chain(p), // deterministic: everyone fresh
-            PartialOpts::default(),
+            PartialOpts {
+                observer: Some(log.clone()),
+                ..PartialOpts::default()
+            },
         );
         for _ in 0..rounds {
             let _ = ar.allreduce(&TypedBuf::from(vec![1.0f32]));
         }
         ctx.barrier();
         ctx.finalize();
-        ar.traces()
+        log.events()
     });
-    for (rank, traces) in out.iter().enumerate() {
-        assert_eq!(traces.len(), rounds as usize, "rank {rank}");
-        for t in traces {
+    for (rank, events) in out.iter().enumerate() {
+        assert_eq!(events.len(), rounds as usize, "rank {rank}");
+        for t in events {
             assert!(
                 t.fresh,
                 "rank {rank} round {}: chain-P is always fresh",
