@@ -113,7 +113,7 @@ fn main() {
     );
     println!(
         "# finding: with heavy staleness, replacement converged {}x {} here — \
-         gradient conservation is not free (see EXPERIMENTS.md)",
+         gradient conservation is not free",
         if rep_loss < acc_loss {
             format!("{:.1}", acc_loss / rep_loss)
         } else {

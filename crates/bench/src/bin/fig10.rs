@@ -30,7 +30,7 @@ fn main() {
     // ⇒ per-step compute ≈ 1560/8 ≈ 195 ms/rank... but their 8-node
     // synch throughput (no injection headroom) implies an effective
     // ≈400 ms step; we use 400 so the speedup ratios land in the paper's
-    // regime (see EXPERIMENTS.md).
+    // regime.
     let base_compute_ms = 400.0;
     let injections = [200.0, 300.0, 400.0];
 

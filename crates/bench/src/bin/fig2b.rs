@@ -5,8 +5,7 @@
 //! runtime distribution inherits the length distribution's shape: heavily
 //! right-skewed with the extreme bucket at ≈3.4 s. (The paper's mean of
 //! 1235 ms implies coarser buckets than ours — granularity is unspecified
-//! there; the range and skew are the load-imbalance signal either way.
-//! See EXPERIMENTS.md.)
+//! there; the range and skew are the load-imbalance signal either way.)
 
 use datagen::{VideoDatasetSpec, VideoTask};
 use imbalance::cost::lstm_batch_ms;

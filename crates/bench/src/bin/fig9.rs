@@ -114,8 +114,7 @@ fn main() {
     // claims describe. Above ~1 MB our in-process transport becomes
     // memcpy-bandwidth-bound and recursive doubling moves ~2.5x more
     // bytes per rank than the sync reduce+bcast tree, so the partial
-    // variants lose their latency edge there — reported, not hidden
-    // (see EXPERIMENTS.md).
+    // variants lose their latency edge there — reported, not hidden.
     const LATENCY_BOUND_MAX_BYTES: usize = 1 << 20;
     let mut ratios_solo = Vec::new();
     let mut ratios_major = Vec::new();

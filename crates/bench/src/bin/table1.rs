@@ -6,7 +6,7 @@ use repro_bench::report::{comment, row};
 fn main() {
     comment("Table 1: Neural networks used for evaluation.");
     comment(
-        "paper_params = Table 1; our_params = instantiated proxy (see DESIGN.md substitutions)",
+        "paper_params = Table 1; our_params = instantiated proxy (substitutions: dnn::zoo docs)",
     );
     row(&[
         "task",

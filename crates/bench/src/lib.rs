@@ -1,7 +1,7 @@
 //! # repro-bench — figure/table harnesses
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). This library holds the shared machinery: the distributed
+//! One binary per table/figure of the paper (README "Running
+//! experiments" is the index). This library holds the shared machinery: the distributed
 //! experiment runner, result summaries, and TSV output helpers.
 //!
 //! Every harness prints:

@@ -29,10 +29,9 @@
 //! lower-step receives covers **all** P possible initiators with `O(log P)`
 //! consumable operations — precisely the paper's Fig. 6 schedule.
 
-use crate::partial::QuorumPolicy;
 use crate::topology::{log2_exact, rd_partner, require_power_of_two};
-use pcoll_comm::{CollId, Rank, ReduceOp};
-use pcoll_sched::{OpId, OpKind, Schedule, ScheduleBuilder, Slot, CONTRIB_SLOT};
+use pcoll_comm::{Rank, ReduceOp};
+use pcoll_sched::{OpId, OpKind, Schedule, ScheduleBuilder, Slot, SnapshotTiming, CONTRIB_SLOT};
 
 /// Number of activation-broadcast steps for a world of `p` ranks:
 /// `ceil(log2 p)` (equals `log2_exact(p)` when `p` is a power of two).
@@ -81,7 +80,9 @@ pub const SEM_REDUCE: u32 = 0x600;
 /// `+ (P−1) + s` (allgather).
 pub const SEM_SEG: u32 = 0x1000;
 
-/// How the activation phase of a partial collective starts.
+/// How the activation phase of one round of a partial collective starts —
+/// a [`crate::QuorumPolicy`] resolved for that round by the collective's
+/// round plan (candidates are ranks of the round's virtual world).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActivationMode {
     /// Any of the listed candidate ranks may initiate; the first to arrive
@@ -95,38 +96,17 @@ pub enum ActivationMode {
     Full,
 }
 
-/// The per-round policy hook: resolve a [`QuorumPolicy`] into the
-/// [`ActivationMode`] of one specific round. Deterministic in
-/// `(seed, coll, round)`, so every rank materializes the identical mode —
-/// including a rank building the round's schedule on *external*
-/// activation. This is the seam a per-round policy timeline plugs into:
-/// the policy may change between rounds, the mode for a given round never
-/// does.
-pub fn policy_activation_mode(
-    policy: QuorumPolicy,
-    seed: u64,
-    coll: CollId,
-    round: u64,
-    p: usize,
-) -> ActivationMode {
-    // One source of truth for the candidate set: the same derivation
-    // snapshot_timing and candidate queries use.
-    match policy {
-        QuorumPolicy::Full => ActivationMode::Full,
-        QuorumPolicy::Solo | QuorumPolicy::FirstOf(_) => {
-            ActivationMode::Race(policy.round_candidates(seed, coll, round, p))
-        }
-        QuorumPolicy::Majority | QuorumPolicy::Chain(_) => {
-            ActivationMode::Chain(policy.round_candidates(seed, coll, round, p))
-        }
-    }
-}
-
 /// Build the activation phase of a partial collective into `b` and
 /// return `n1`, the "this rank is activated" junction every data-phase
 /// send gates on. Shared by the recursive-doubling and segmented-ring
 /// data phases — the quorum semantics (race, chain, full) live entirely
-/// here, so swapping the data-phase algorithm cannot change them.
+/// here, so swapping the data-phase algorithm cannot change them — and so
+/// does the snapshot timing: the arms that make a rank's own arrival gate
+/// the round (`Full`, a `Chain` candidate) are the ones that defer its
+/// snapshot to that arrival, so its contribution is the fresh deposit even
+/// if a chain token created the instance first. Race candidates can be
+/// dragged in externally before they arrive; their slot is filled at
+/// creation.
 /// Works for **any** `p` (see [`act_recv_peer`]): power-of-two worlds
 /// keep the paper's XOR structure, others use mod-p dissemination — the
 /// property that lets a post-eviction live set of arbitrary size keep
@@ -144,6 +124,7 @@ fn activation_phase(b: &mut ScheduleBuilder, rank: Rank, p: usize, mode: &Activa
             match pos {
                 None => None,
                 Some(k) => {
+                    b.snapshot_at(SnapshotTiming::Activation);
                     let gate = b.op(OpKind::InternalGate, vec![]);
                     // Receive the token from the previous candidate (k>0).
                     let ready = if k == 0 {
@@ -176,7 +157,10 @@ fn activation_phase(b: &mut ScheduleBuilder, rank: Rank, p: usize, mode: &Activa
                 }
             }
         }
-        ActivationMode::Full => Some(b.op(OpKind::InternalGate, vec![])),
+        ActivationMode::Full => {
+            b.snapshot_at(SnapshotTiming::Activation);
+            Some(b.op(OpKind::InternalGate, vec![]))
+        }
     };
 
     // --- Activation broadcast (omitted entirely in Full mode). ---
@@ -218,6 +202,15 @@ fn activation_phase(b: &mut ScheduleBuilder, rank: Rank, p: usize, mode: &Activa
     }
 }
 
+/// The allreduce of a one-rank world, under any mode: the rank's own
+/// arrival completes the round with its deposit as the result.
+fn single_rank_schedule(mut b: ScheduleBuilder) -> Schedule {
+    b.snapshot_at(SnapshotTiming::Activation);
+    let gate = b.op(OpKind::InternalGate, vec![]);
+    b.completion(gate).result_slot(CONTRIB_SLOT);
+    b.build()
+}
+
 /// Build the partial (or full) allreduce schedule for `rank` of `p` ranks.
 ///
 /// The data phase is a recursive-doubling allreduce over slot 0
@@ -231,9 +224,7 @@ pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationM
 
     if p == 1 {
         // Degenerate world: the gate is the whole collective.
-        let gate = b.op(OpKind::InternalGate, vec![]);
-        b.completion(gate).result_slot(CONTRIB_SLOT);
-        return b.build();
+        return single_rank_schedule(b);
     }
 
     let n1 = activation_phase(&mut b, rank, p, mode);
@@ -320,9 +311,7 @@ pub fn segmented_allreduce_schedule(
 
     if p == 1 {
         b.slots(1);
-        let gate = b.op(OpKind::InternalGate, vec![]);
-        b.completion(gate).result_slot(CONTRIB_SLOT);
-        return b.build();
+        return single_rank_schedule(b);
     }
 
     let segment_elems = segment_elems.max(1);
@@ -499,7 +488,7 @@ pub fn segmented_allreduce_schedule(
 /// activation); carries no data.
 pub fn barrier_schedule(rank: Rank, p: usize) -> Schedule {
     let mut b = ScheduleBuilder::new();
-    b.slots(0);
+    b.slots(0).snapshot_at(SnapshotTiming::Activation);
     let gate = b.op(OpKind::InternalGate, vec![]);
     if p == 1 {
         b.completion(gate);
@@ -546,7 +535,10 @@ pub fn bcast_schedule(rank: Rank, p: usize, root: Rank) -> Schedule {
         Some(crate::topology::highest_bit(rel))
     };
     let trigger: OpId = match recv_level {
-        None => b.op(OpKind::InternalGate, vec![]),
+        None => {
+            b.snapshot_at(SnapshotTiming::Activation);
+            b.op(OpKind::InternalGate, vec![])
+        }
         Some(h) => {
             let parent_rel = rel - (1usize << h);
             let parent = (parent_rel + root) % p;
@@ -591,6 +583,7 @@ pub fn bcast_schedule(rank: Rank, p: usize, root: Rank) -> Schedule {
 pub fn reduce_schedule(rank: Rank, p: usize, root: Rank, op: ReduceOp) -> Schedule {
     let mut b = ScheduleBuilder::new();
     let rel = (rank + p - root) % p;
+    b.snapshot_at(SnapshotTiming::Activation);
     let gate = b.op(OpKind::InternalGate, vec![]);
     if p == 1 {
         b.slots(1);
@@ -664,14 +657,14 @@ pub fn reduce_schedule(rank: Rank, p: usize, root: Rank, op: ReduceOp) -> Schedu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
 
     /// Every send must have exactly one matching receive on the peer, and
     /// vice versa — the SPMD pairing invariant that makes the engine's
     /// message routing sound.
-    fn check_send_recv_pairing(schedules: &[Schedule]) {
+    pub(crate) fn check_send_recv_pairing(schedules: &[Schedule]) {
         let p = schedules.len();
         // (from, to, sem) -> count
         let mut sends: HashMap<(Rank, Rank, u32), usize> = HashMap::new();

@@ -15,9 +15,10 @@
 //! [`RankCtx::host_barrier`], which is explicitly thread-world test
 //! scaffolding (a no-op under process-per-rank).
 
-use crate::partial::{MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy};
+use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy};
 use crate::sync::{SyncBarrier, SyncBcast, SyncReduce};
 use pcoll_comm::{CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf};
+use pcoll_obs::{EventKind, LEVEL_SPANS};
 use pcoll_sched::Engine;
 use std::cell::Cell;
 use std::sync::{Arc, Barrier};
@@ -127,7 +128,7 @@ impl RankCtx {
     ) -> PartialAllreduce {
         self.register_allreduce(
             self.alloc(),
-            MembershipLog::new(self.size),
+            (0..self.size).collect(),
             dtype,
             len,
             op,
@@ -140,7 +141,7 @@ impl RankCtx {
     fn register_allreduce(
         &self,
         coll: CollId,
-        membership: MembershipLog,
+        live: Vec<Rank>,
         dtype: DType,
         len: usize,
         op: ReduceOp,
@@ -151,7 +152,8 @@ impl RankCtx {
             Arc::new(self.engine.clone()),
             coll,
             self.rank,
-            membership,
+            self.size,
+            live,
             self.seed,
             dtype,
             len,
@@ -199,13 +201,14 @@ impl RankCtx {
     /// the agreed fence round, plus the live-set barrier the caller
     /// enters once it has applied the membership change. Both collectives
     /// are registered lazily at the id pair reserved for `ar`'s next
-    /// membership event — the epoch counts evictions *and* admissions, so
-    /// mixed sequences never reuse a pair.
+    /// membership event — the epoch counts evictions *and* admissions as
+    /// they are applied, so neither mixed sequences nor several events
+    /// that agree on one fence ever reuse a pair.
     fn agree_fence(&self, ar: &PartialAllreduce, live: &[Rank]) -> (u64, SyncBarrier) {
         let base = EVICTION_COLL_BASE + 2 * ar.eviction_epoch() as u32;
         let mut fence = self.register_allreduce(
             CollId(base),
-            MembershipLog::over(self.size, live.to_vec()),
+            live.to_vec(),
             DType::I64,
             1,
             ReduceOp::Max,
@@ -257,6 +260,10 @@ impl RankCtx {
             // Promote the local suspicion to a consensus fact in the
             // liveness view: the rank is gone for good, not just quiet.
             self.membership.evict(d);
+            self.recorder().record(LEVEL_SPANS, || EventKind::Eviction {
+                peer: d as u32,
+                from_round: fence_round,
+            });
         }
         gate.wait();
         fence_round
@@ -389,53 +396,51 @@ mod tests {
     }
 
     #[test]
-    fn evict_agrees_on_fence_and_survivors_continue() {
-        // Four ranks run five Full-quorum rounds in lockstep, then ranks
-        // 0-2 evict rank 3 and keep going over the live set (p=3, which
-        // also exercises the non-power-of-two segmented-ring fallback).
-        // Rank 3 stops contributing and heads straight for finalize.
-        let p = 4;
+    fn back_to_back_evictions_agree_on_one_fence_and_survivors_continue() {
+        // Eight ranks run three Full rounds in lockstep, then the
+        // survivors evict 7, 6 and 5 one call at a time with no round in
+        // between: nobody has built past round 3, so all three fences
+        // are 3 and share one segment — yet each must run its consensus
+        // on a fresh collective-id pair (a reused pair finds its round 0
+        // already completed and hangs). The five survivors keep going
+        // (a non-power-of-two live set: the segmented-ring fallback);
+        // the evicted head straight for finalize.
+        let p = 8;
         let out = World::launch(WorldConfig::instant(p), move |c| {
             let ctx = RankCtx::new(c);
-            let mut ar = ctx.partial_allreduce(
-                DType::F32,
-                8,
-                ReduceOp::Sum,
-                QuorumPolicy::Full,
-                PartialOpts::default(),
-            );
-            let me = ctx.rank() as f32 + 1.0; // contributions 1..=4
+            let mut ar = ctx.sync_allreduce(DType::F32, 8, ReduceOp::Sum, None);
+            let me = ctx.rank() as f32 + 1.0; // contributions 1..=8
             let mut sums = Vec::new();
-            for _ in 0..5 {
+            for _ in 0..3 {
                 let out = ar.allreduce(&TypedBuf::from(vec![me; 8]));
                 sums.push(out.data.as_f32().unwrap()[0]);
             }
-            // Full quorum left every rank in lockstep at next_round = 5
-            // and nobody has built further, so the fence is deterministic.
-            let mut fence = 0;
-            if ctx.rank() != 3 {
-                fence = ctx.evict(&ar, &[3]);
-                assert_eq!(ar.evicted_ranks(), vec![3]);
-                assert_eq!(ar.live_ranks(), vec![0, 1, 2]);
-                for _ in 0..5 {
+            let fences: Vec<u64> = [7, 6, 5]
+                .into_iter()
+                .filter(|victim| ctx.rank() < *victim)
+                .map(|victim| ctx.evict(&ar, &[victim]))
+                .collect();
+            if ctx.rank() < 5 {
+                assert_eq!(ar.evicted_ranks(), vec![5, 6, 7]);
+                assert_eq!(ar.live_ranks(), vec![0, 1, 2, 3, 4]);
+                assert_eq!(ar.eviction_epoch(), 3);
+                for _ in 0..3 {
                     let out = ar.allreduce(&TypedBuf::from(vec![me; 8]));
                     sums.push(out.data.as_f32().unwrap()[0]);
                 }
             }
             ctx.finalize();
-            (fence, sums)
+            (fences, sums)
         });
-        for (rank, (fence, sums)) in out.iter().enumerate() {
-            for (r, s) in sums.iter().enumerate() {
-                let want = if r < 5 { 10.0 } else { 6.0 }; // 1+2+3+4 vs 1+2+3
-                assert_eq!(*s, want, "rank {rank} round {r}");
-            }
-            if rank != 3 {
-                assert_eq!(*fence, 5, "rank {rank} fence");
-                assert_eq!(sums.len(), 10);
+        for (rank, (fences, sums)) in out.iter().enumerate() {
+            let calls = 7usize.saturating_sub(rank).min(3);
+            assert_eq!(fences, &vec![3; calls], "rank {rank}");
+            let want: &[f32] = if rank < 5 {
+                &[36.0, 36.0, 36.0, 15.0, 15.0, 15.0]
             } else {
-                assert_eq!(sums.len(), 5);
-            }
+                &[36.0; 3]
+            };
+            assert_eq!(sums, want, "rank {rank}"); // 1+…+8, then 1+…+5
         }
     }
 

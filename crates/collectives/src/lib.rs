@@ -46,8 +46,8 @@ pub mod topology;
 
 pub use ctx::RankCtx;
 pub use partial::{
-    AllreduceOutcome, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline, QuorumPolicy,
-    RoundCounters, RoundEvent, RoundLog, RoundObserver, StaleMode,
+    AllreduceOutcome, PartialAllreduce, PartialOpts, QuorumPolicy, RoundCounters, RoundEvent,
+    RoundLog, RoundObserver, RoundRules, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec, WindowStats};

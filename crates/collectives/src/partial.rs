@@ -14,6 +14,16 @@
 //!   newest available result (possibly from a later round — the documented
 //!   divergence source that periodic model synchronization repairs, §5).
 //!
+//! A round is planned once. What governs round `r` — quorum policy and
+//! live set — is one append-only round → [`RoundRules`] timeline that a
+//! policy switch, an eviction and an admission all extend the same way,
+//! and `plan(r)` is the single derivation every rank runs from it and the
+//! shared seed: virtual world, candidate draw, activation mode, data-phase
+//! algorithm. The engine-side template builds round `r`'s schedule from
+//! that plan (the builder stamps the snapshot timing on the schedule),
+//! candidate queries read the same plan, and the plan's policy rides with
+//! the round's in-flight record to its completion event.
+//!
 //! A round's facts are emitted once, at completion, from the engine-side
 //! template's `complete`: it bumps the always-on [`RoundCounters`] and, if
 //! a [`RoundObserver`] is wired, hands it one [`RoundEvent`]. The event's
@@ -21,17 +31,17 @@
 //! the paper's "active process" definition used for the NAP (number of
 //! active processes) measurements of Fig. 9.
 
-use crate::builders::{allreduce_schedule, policy_activation_mode, segmented_allreduce_schedule};
+use crate::builders::{allreduce_schedule, segmented_allreduce_schedule, ActivationMode};
 use crate::select::{AlgoSelector, AllreduceAlgo};
 use crate::topology::round_candidates;
 use parking_lot::{Condvar, Mutex};
 use pcoll_comm::{CollId, DType, Payload, Rank, ReduceOp, TypedBuf};
-use pcoll_sched::{CollectiveTemplate, RoundStats, Schedule, SnapshotTiming, TemplateHost};
+use pcoll_sched::{CollectiveTemplate, RoundStats, Schedule, TemplateHost};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,287 +123,229 @@ impl fmt::Display for QuorumPolicy {
     }
 }
 
-/// Append-only round → policy schedule, shared between the application
-/// handle and the engine-side template. This is what makes the quorum
-/// policy a *per-round* property instead of a construction-time constant:
-/// a closed-loop tuner appends `(from_round, policy)` segments and both
-/// the app thread (deposits, candidate queries) and the engine thread
-/// (schedule building on internal *or external* activation) resolve the
-/// policy for any round by segment lookup.
-///
-/// SPMD contract: every rank must append identical segments at identical
-/// `from_round` boundaries, and a segment for round `r` must be appended
-/// before any rank can send a message for round `r` (the trainer enforces
-/// this with a consensus-allreduce + barrier around each decision — see
-/// `eager_sgd::trainer`).
-#[derive(Debug)]
-pub struct PolicyTimeline {
-    /// `(from_round, policy)` pairs, strictly increasing in `from_round`.
-    segments: Mutex<Vec<(u64, QuorumPolicy)>>,
+/// What governs a span of rounds. A collective keeps one append-only
+/// `(from_round, RoundRules)` segment list — a policy switch, an eviction
+/// and an admission are the same operation, *append rules at an agreed
+/// fence* — and ships it whole to a re-admitted rank
+/// ([`PartialAllreduce::rule_segments`] → [`PartialAllreduce::import_state`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RoundRules {
+    /// Which ranks may trigger a round.
+    pub policy: QuorumPolicy,
+    /// The sorted global ranks that participate. A partial world builds
+    /// its schedules over `live.len()` virtual ranks: candidates are live
+    /// ranks, nothing is addressed to an absent rank, and a population
+    /// that is not a power of two takes the any-P segmented ring.
+    pub live: Vec<Rank>,
+    /// Evictions and admissions that changed `live`, up to and including
+    /// this segment. Events, not segments — two events agreed at one
+    /// fence share a segment — so the fences' consensus ids never repeat.
+    pub events: usize,
 }
 
-impl PolicyTimeline {
-    /// A timeline that applies `initial` from round 0.
-    pub fn new(initial: QuorumPolicy) -> Self {
-        PolicyTimeline {
-            segments: Mutex::new(vec![(0, initial)]),
-        }
+impl RoundRules {
+    fn evict(&mut self, dead: &[Rank]) {
+        let before = self.live.len();
+        self.live.retain(|r| !dead.contains(r));
+        assert!(!self.live.is_empty(), "cannot evict the last live rank");
+        self.events += usize::from(self.live.len() != before);
     }
 
-    /// The policy governing `round`.
-    pub fn policy_at(&self, round: u64) -> QuorumPolicy {
-        let segs = self.segments.lock();
-        segs.iter()
-            .rev()
-            .find(|(from, _)| *from <= round)
-            .map(|(_, p)| *p)
-            .expect("timeline starts at round 0")
-    }
-
-    /// Apply `policy` to every round ≥ `from_round`. No-op if the tail
-    /// segment already holds `policy`. Panics if `from_round` precedes the
-    /// current tail segment (segments are append-only; rounds already
-    /// governed by an agreed policy must never be rewritten — an in-flight
-    /// instance may have been built from it).
-    pub fn set_from(&self, from_round: u64, policy: QuorumPolicy) {
-        let mut segs = self.segments.lock();
-        let &(tail_from, tail_policy) = segs.last().expect("timeline never empty");
-        assert!(
-            from_round >= tail_from,
-            "policy segments are append-only: {from_round} < {tail_from}"
-        );
-        if tail_policy == policy {
-            return;
-        }
-        if from_round == tail_from {
-            segs.last_mut().expect("timeline never empty").1 = policy;
-        } else {
-            segs.push((from_round, policy));
-        }
-    }
-
-    /// Number of policy switches applied so far (segments beyond the
-    /// initial one).
-    pub fn switch_count(&self) -> usize {
-        self.segments.lock().len() - 1
-    }
-
-    /// Snapshot of the `(from_round, policy)` segments.
-    pub fn segments(&self) -> Vec<(u64, QuorumPolicy)> {
-        self.segments.lock().clone()
-    }
-
-    /// Replace a pristine timeline with `segments` — the joiner's state
-    /// transfer (see [`MembershipLog::import`]): a re-admitted rank
-    /// missed every policy switch since it died, so it installs the
-    /// survivors' timeline wholesale before entering its first round
-    /// back. Panics if this timeline already recorded switches, if the
-    /// segments don't start at round 0, or if boundaries are not
-    /// strictly increasing.
-    pub fn import(&self, segments: Vec<(u64, QuorumPolicy)>) {
-        let mut segs = self.segments.lock();
-        assert!(
-            segs.len() == 1,
-            "import requires a pristine timeline (has {} switches)",
-            segs.len() - 1
-        );
-        assert!(
-            segments.first().is_some_and(|(from, _)| *from == 0),
-            "imported segments must start at round 0"
-        );
-        assert!(
-            segments.windows(2).all(|w| w[0].0 < w[1].0),
-            "imported segment boundaries must strictly increase"
-        );
-        *segs = segments;
-    }
-}
-
-/// Append-only round → live-set schedule, the membership counterpart of
-/// [`PolicyTimeline`]: the live ranks agree (via the same decide → fence
-/// consensus the policy switches use) on a round `F` from which the live
-/// set *changes* — shrinking when survivors evict a dead rank, growing
-/// when they re-admit a joiner. Rounds before `F` keep their previous
-/// schedule shape (in-flight instances complete through the engine's
-/// peer-down null synthesis); rounds ≥ `F` are built over the new live
-/// set — candidates are drawn from live ranks only, no message is ever
-/// addressed to an absent rank, and the data phase falls back to the
-/// any-P segmented ring when the live population is not a power of two.
-///
-/// SPMD contract: identical segments on every live rank, and a segment
-/// for round `F` must be applied on every participant of round `F`
-/// (survivors *and* joiners) before any rank can send a message for
-/// round `F` (see [`crate::RankCtx::evict`] and
-/// [`crate::RankCtx::admit`]).
-#[derive(Debug)]
-pub struct MembershipLog {
-    /// `(from_round, sorted live ranks)`, strictly increasing in
-    /// `from_round`.
-    segments: Mutex<Vec<(u64, Vec<Rank>)>>,
-    /// False until the first membership change lands: lets the per-round
-    /// hot paths skip the lock and the live-set clone while the world is
-    /// whole and has always been (the overwhelmingly common case —
-    /// failure handling must cost nothing when nothing fails). Latched:
-    /// once any segment exists it stays true forever, even if the world
-    /// grows back to full size (old shrunken segments still govern their
-    /// rounds).
-    changed: AtomicBool,
-    /// Initial world size (the `p` every global rank id lives in).
-    p: usize,
-}
-
-impl MembershipLog {
-    /// A log where all `p` ranks are live from round 0.
-    pub fn new(p: usize) -> Self {
-        MembershipLog::over(p, (0..p).collect())
-    }
-
-    /// A log born over a partial world: only `live` (sorted global ranks
-    /// below `p`) participate from round 0. This is what the eviction and
-    /// admission fences' consensus collectives run on — seeded before
-    /// registration, so even a round built from a pre-registration
-    /// message sees the live set.
-    pub fn over(p: usize, live: Vec<Rank>) -> Self {
-        debug_assert!(live.windows(2).all(|w| w[0] < w[1]) && live.last().is_some_and(|&r| r < p));
-        MembershipLog {
-            changed: AtomicBool::new(live.len() != p),
-            segments: Mutex::new(vec![(0, live)]),
-            p,
-        }
-    }
-
-    /// The sorted live ranks participating in `round`.
-    pub fn live_at(&self, round: u64) -> Vec<Rank> {
-        let segs = self.segments.lock();
-        segs.iter()
-            .rev()
-            .find(|(from, _)| *from <= round)
-            .map(|(_, live)| live.clone())
-            .expect("membership log starts at round 0")
-    }
-
-    /// `Some(live ranks)` when `round` runs over a partial world, `None`
-    /// when all `p` ranks participate — without touching the lock until
-    /// the first membership change has actually happened. A round
-    /// governed by a full-size segment (e.g. after every evicted rank
-    /// rejoined) also returns `None`: a full live set is the identity
-    /// mapping, so the virtual-world compaction is skippable.
-    pub fn live_if_partial(&self, round: u64) -> Option<Vec<Rank>> {
-        if !self.changed.load(Ordering::Acquire) {
-            return None;
-        }
-        let live = self.live_at(round);
-        (live.len() != self.p).then_some(live)
-    }
-
-    /// Mark `dead` as evicted for every round ≥ `from_round`. Panics if
-    /// `from_round` precedes the current tail segment (append-only, like
-    /// the policy timeline).
-    pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
-        let mut segs = self.segments.lock();
-        let (tail_from, tail_live) = segs.last().cloned().expect("membership log never empty");
-        assert!(
-            from_round >= tail_from,
-            "membership segments are append-only: {from_round} < {tail_from}"
-        );
-        let live: Vec<Rank> = tail_live
-            .iter()
-            .copied()
-            .filter(|r| !dead.contains(r))
-            .collect();
-        if live.len() == tail_live.len() {
-            return; // all already evicted
-        }
-        assert!(!live.is_empty(), "cannot evict the last live rank");
-        if from_round == tail_from {
-            segs.last_mut().expect("membership log never empty").1 = live;
-        } else {
-            segs.push((from_round, live));
-        }
-        self.changed.store(true, Ordering::Release);
-    }
-
-    /// Re-admit `joiners` for every round ≥ `from_round` — the grow
-    /// direction of [`MembershipLog::evict_from`]. Panics if `from_round`
-    /// precedes the current tail segment or a joiner is outside the
-    /// original world (rank ids are stable across evictions; growth
-    /// re-admits previously evicted ranks, it does not mint new ids).
-    pub fn admit_from(&self, from_round: u64, joiners: &[Rank]) {
-        let mut segs = self.segments.lock();
-        let (tail_from, tail_live) = segs.last().cloned().expect("membership log never empty");
-        assert!(
-            from_round >= tail_from,
-            "membership segments are append-only: {from_round} < {tail_from}"
-        );
-        let mut live = tail_live.clone();
+    /// Rank ids are stable across evictions: growth re-admits previously
+    /// evicted ranks of the original world `p`, it does not mint new ids.
+    fn admit(&mut self, joiners: &[Rank], p: usize) {
+        let before = self.live.len();
         for &j in joiners {
-            assert!(
-                j < self.p,
-                "joiner {j} outside the original world {}",
-                self.p
-            );
-            if !live.contains(&j) {
-                live.push(j);
+            assert!(j < p, "joiner {j} outside the original world {p}");
+            if !self.live.contains(&j) {
+                self.live.push(j);
             }
         }
-        if live.len() == tail_live.len() {
-            return; // all already live
+        self.live.sort_unstable();
+        self.events += usize::from(self.live.len() != before);
+    }
+}
+
+/// What [`RuleTimeline::plan`] derives for one round: identical on every
+/// rank of the round (bar `vrank`) without any communication.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RoundPlan {
+    pub policy: QuorumPolicy,
+    /// `live[virtual] = global` for a round over a partial world; `None`
+    /// when all `p` ranks participate (nothing to clone or remap).
+    pub live: Option<Vec<Rank>>,
+    /// This rank in the round's virtual world (`None`: evicted from it).
+    pub vrank: Option<Rank>,
+    /// Size of the round's virtual world.
+    pub p_live: usize,
+    /// How the round starts; candidates are virtual ranks.
+    pub mode: ActivationMode,
+    pub algo: AllreduceAlgo,
+}
+
+impl RoundPlan {
+    /// The round's initiator candidates as global ranks (every live rank
+    /// under solo/full).
+    fn candidates(self) -> Vec<Rank> {
+        let virt = match self.mode {
+            ActivationMode::Race(c) | ActivationMode::Chain(c) => c,
+            ActivationMode::Full => (0..self.p_live).collect(),
+        };
+        match self.live {
+            None => virt,
+            Some(live) => virt.into_iter().map(|v| live[v]).collect(),
         }
-        live.sort_unstable();
-        if from_round == tail_from {
-            segs.last_mut().expect("membership log never empty").1 = live;
-        } else {
-            segs.push((from_round, live));
+    }
+}
+
+/// The collective's append-only round → [`RoundRules`] timeline plus the
+/// constants every per-round derivation needs, shared by the application
+/// handle (candidate queries, rule changes) and the engine-side template
+/// (schedule building on internal *or external* activation). Policy and
+/// membership are per-round properties: both threads resolve any round
+/// through [`RuleTimeline::plan`], under the SPMD contract stated on
+/// [`PartialAllreduce::set_policy_from`].
+#[derive(Debug)]
+pub(crate) struct RuleTimeline {
+    /// Strictly increasing in `from_round`, starting at round 0.
+    segments: Mutex<Vec<(u64, RoundRules)>>,
+    coll: CollId,
+    rank: Rank,
+    /// Initial world size (the `p` every global rank id lives in).
+    p: usize,
+    seed: u64,
+    /// Data-phase selection inputs: the override knob and message size.
+    algo: AlgoSelector,
+    bytes: usize,
+}
+
+impl RuleTimeline {
+    pub(crate) fn new(
+        coll: CollId,
+        rank: Rank,
+        p: usize,
+        seed: u64,
+        initial: RoundRules,
+        algo: AlgoSelector,
+        bytes: usize,
+    ) -> Self {
+        let segments = vec![(0, initial)];
+        check_segments(p, &segments);
+        RuleTimeline {
+            segments: Mutex::new(segments),
+            coll,
+            rank,
+            p,
+            seed,
+            algo,
+            bytes,
         }
-        self.changed.store(true, Ordering::Release);
     }
 
-    /// Number of membership events (evictions + admissions) applied so
-    /// far.
-    pub fn epoch(&self) -> usize {
-        self.segments.lock().len() - 1
-    }
-
-    /// All ranks currently absent (complement of the tail live set).
-    pub fn evicted(&self) -> Vec<Rank> {
+    /// Read the rules governing `round` (`u64::MAX` = the tail).
+    fn with_rules<T>(&self, round: u64, read: impl FnOnce(&RoundRules) -> T) -> T {
         let segs = self.segments.lock();
-        let live = &segs.last().expect("membership log never empty").1;
-        (0..self.p).filter(|r| !live.contains(r)).collect()
+        let (_, rules) = segs
+            .iter()
+            .rev()
+            .find(|(from, _)| *from <= round)
+            .expect("timeline starts at round 0");
+        read(rules)
     }
 
-    /// Snapshot of the `(from_round, live ranks)` segments.
-    pub fn segments(&self) -> Vec<(u64, Vec<Rank>)> {
+    /// The one derivation of a round: rules → virtual world → candidate
+    /// draw from the shared seed (§4.2's consensus without communication)
+    /// → data-phase algorithm. Deterministic in `(seed, coll, round)` and
+    /// the agreed rules, so a rank dragged into the round plans exactly
+    /// what its initiator did.
+    pub(crate) fn plan(&self, round: u64) -> RoundPlan {
+        let (policy, live) = self.with_rules(round, |r| {
+            (r.policy, (r.live.len() != self.p).then(|| r.live.clone()))
+        });
+        let (vrank, p_live) = match &live {
+            None => (Some(self.rank), self.p),
+            Some(live) => (live.iter().position(|&r| r == self.rank), live.len()),
+        };
+        let draw = || policy.round_candidates(self.seed, self.coll, round, p_live);
+        let mode = match policy {
+            QuorumPolicy::Full => ActivationMode::Full,
+            QuorumPolicy::Solo | QuorumPolicy::FirstOf(_) => ActivationMode::Race(draw()),
+            QuorumPolicy::Majority | QuorumPolicy::Chain(_) => ActivationMode::Chain(draw()),
+        };
+        // Recursive doubling's data phase needs a power of two; the
+        // ring does not.
+        let algo = if p_live.is_power_of_two() {
+            self.algo.choose(self.bytes, p_live)
+        } else {
+            AllreduceAlgo::SegmentedRing
+        };
+        RoundPlan {
+            policy,
+            live,
+            vrank,
+            p_live,
+            mode,
+            algo,
+        }
+    }
+
+    /// The one mutation: apply `change` to the tail rules for every round
+    /// ≥ `from_round`. No-op if nothing changes; a change at the tail's
+    /// own fence rewrites it, merging it away if that restores its
+    /// predecessor's rules. Panics if `from_round` precedes the tail or
+    /// `next_round` (the caller's next unrequested round): an in-flight
+    /// instance may have been built from the rules already agreed.
+    fn amend(&self, next_round: u64, from_round: u64, change: impl FnOnce(&mut RoundRules)) {
+        let mut segs = self.segments.lock();
+        let (tail_from, tail) = segs.last().cloned().expect("timeline never empty");
+        assert!(
+            from_round >= next_round.max(tail_from),
+            "round rules are append-only: cannot re-plan round {from_round} \
+             (rounds < {next_round} were requested, rules are agreed up to {tail_from})"
+        );
+        let mut rules = tail.clone();
+        change(&mut rules);
+        if rules == tail {
+            return;
+        }
+        if from_round > tail_from {
+            segs.push((from_round, rules));
+        } else if segs.len() >= 2 && segs[segs.len() - 2].1 == rules {
+            segs.pop();
+        } else {
+            segs.last_mut().expect("timeline never empty").1 = rules;
+        }
+    }
+
+    fn segments(&self) -> Vec<(u64, RoundRules)> {
         self.segments.lock().clone()
     }
 
-    /// Replace a pristine log with `segments` — the joiner's state
-    /// transfer: a rank re-admitted at an admission fence missed every
-    /// membership event since it died, so it installs the survivors'
-    /// segment history wholesale before entering its first round back.
-    /// Panics if this log has already recorded events of its own (the
-    /// two histories cannot be merged), if the segments don't start at
-    /// round 0, or if boundaries are not strictly increasing.
-    pub fn import(&self, segments: Vec<(u64, Vec<Rank>)>) {
+    /// Replace a pristine timeline with the survivors' `segments` (two
+    /// histories cannot be merged).
+    fn import(&self, segments: Vec<(u64, RoundRules)>) {
         let mut segs = self.segments.lock();
         assert!(
             segs.len() == 1,
-            "import requires a pristine log (has {} events)",
+            "import requires a pristine timeline (has {} changes)",
             segs.len() - 1
         );
-        assert!(
-            segments.first().is_some_and(|(from, _)| *from == 0),
-            "imported segments must start at round 0"
-        );
-        assert!(
-            segments.windows(2).all(|w| w[0].0 < w[1].0),
-            "imported segment boundaries must strictly increase"
-        );
-        let had_events = segments.len() > 1;
+        check_segments(self.p, &segments);
         *segs = segments;
-        if had_events {
-            self.changed.store(true, Ordering::Release);
-        }
     }
+}
+
+/// Segments start at round 0 with strictly increasing boundaries, and
+/// every live set is a non-empty sorted subset of the world `p`.
+fn check_segments(p: usize, segments: &[(u64, RoundRules)]) {
+    let sorted_in_world =
+        |live: &[Rank]| live.windows(2).all(|w| w[0] < w[1]) && live.last().is_some_and(|&r| r < p);
+    assert!(
+        segments.first().is_some_and(|(from, _)| *from == 0)
+            && segments.windows(2).all(|w| w[0].0 < w[1].0)
+            && segments.iter().all(|(_, r)| sorted_in_world(&r.live)),
+        "malformed round rules for a world of {p}: {segments:?}"
+    );
 }
 
 /// One completed round as seen by this rank — the unit of telemetry the
@@ -599,6 +551,7 @@ struct Shared {
     dtype: DType,
     len: usize,
     opts: PartialOpts,
+    rules: RuleTimeline,
     send: Mutex<SendBuf>,
     recv: Mutex<RecvBuf>,
     cv: Condvar,
@@ -611,79 +564,52 @@ struct Shared {
     built_horizon: AtomicU64,
 }
 
-/// The engine-side template: builds per-round schedules with the policy's
-/// candidate set and implements snapshot/complete against the shared
-/// buffers.
+/// The engine-side template: builds each round's schedule from its plan
+/// and implements snapshot/complete against the shared buffers.
 struct PartialTemplate {
     shared: Arc<Shared>,
-    /// `(fresh, null)` of each in-flight round's snapshot, consumed by
-    /// `complete` — engine-thread state, bounded by the rounds in flight.
-    snap_flags: RefCell<HashMap<u64, (bool, bool)>>,
-    rank: Rank,
-    p: usize,
+    /// `(policy, fresh, null)` of each in-flight round — the plan's
+    /// policy from `build`, the snapshot's flags from `snapshot` —
+    /// consumed by `complete`. Engine-thread state, bounded by the rounds
+    /// in flight.
+    in_flight: RefCell<HashMap<u64, (QuorumPolicy, bool, bool)>>,
     op: ReduceOp,
-    timeline: Arc<PolicyTimeline>,
-    membership: Arc<MembershipLog>,
-    seed: u64,
-    coll: CollId,
 }
 
 impl CollectiveTemplate for PartialTemplate {
+    /// Plan, call the builder, remap peers. The builder's activation
+    /// phase also fixes the schedule's snapshot timing.
     fn build(&self, round: u64) -> Schedule {
-        self.shared
-            .built_horizon
-            .fetch_max(round + 1, Ordering::Relaxed);
-        // Rounds after a membership change run over the round's live
-        // set: the schedule is built in a virtual world of `p_live`
-        // ranks (this rank's virtual id is its index in the sorted live
-        // set, and the policy's candidates are drawn from the virtual
-        // world) and its peer ids are then remapped back to global
-        // ranks. Healthy runs take the `p_live == p` fast path
-        // untouched.
-        let live = self.membership.live_if_partial(round);
-        let (vrank, p_live) = match &live {
-            None => (self.rank, self.p),
-            Some(live) => {
-                let vrank = live
-                    .iter()
-                    .position(|&r| r == self.rank)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "rank {} builds round {round} of {:?} but is evicted from it",
-                            self.rank, self.coll
-                        )
-                    });
-                (vrank, live.len())
+        let shared = &self.shared;
+        shared.built_horizon.fetch_max(round + 1, Ordering::Relaxed);
+        let rules = &shared.rules;
+        let plan = rules.plan(round);
+        let vrank = plan.vrank.unwrap_or_else(|| {
+            panic!(
+                "rank {} builds round {round} of {:?} but is evicted from it",
+                rules.rank, rules.coll
+            )
+        });
+        // A round that completes without ever snapshotting contributed
+        // nothing of this rank's.
+        self.in_flight
+            .borrow_mut()
+            .insert(round, (plan.policy, false, true));
+        let mut sched = match plan.algo {
+            AllreduceAlgo::RecursiveDoubling => {
+                allreduce_schedule(vrank, plan.p_live, self.op, &plan.mode)
             }
-        };
-        let policy = self.timeline.policy_at(round);
-        let mode = policy_activation_mode(policy, self.seed, self.coll, round, p_live);
-        // The algorithm is a pure function of (size, P) plus the override
-        // knob — identical on every rank and every round, so a rank
-        // dragged in externally builds the same schedule shape as the
-        // round's initiator (the SPMD consensus requirement). Non-power-
-        // of-two live sets always take the segmented ring (recursive
-        // doubling's data phase needs a power of two; the ring does not).
-        let selector = &self.shared.opts.algo;
-        let bytes = self.shared.len * self.shared.dtype.size_of();
-        let algo = if p_live.is_power_of_two() {
-            selector.choose(bytes, p_live)
-        } else {
-            AllreduceAlgo::SegmentedRing
-        };
-        let mut sched = match algo {
-            AllreduceAlgo::RecursiveDoubling => allreduce_schedule(vrank, p_live, self.op, &mode),
             AllreduceAlgo::SegmentedRing => segmented_allreduce_schedule(
                 vrank,
-                p_live,
+                plan.p_live,
                 self.op,
-                &mode,
-                self.shared.len,
-                selector.segment_elems(self.shared.dtype),
-                selector.pipeline_depth,
+                &plan.mode,
+                shared.len,
+                shared.opts.algo.segment_elems(shared.dtype),
+                shared.opts.algo.pipeline_depth,
             ),
         };
-        if let Some(live) = &live {
+        if let Some(live) = &plan.live {
             sched.remap_peers(live);
         }
         sched
@@ -706,42 +632,10 @@ impl CollectiveTemplate for PartialTemplate {
         send.filled = false;
         send.last_deposit_round = None;
         drop(send);
-        self.snap_flags
-            .borrow_mut()
-            .insert(round, (fresh, data.is_null()));
-        Some(data)
-    }
-
-    fn snapshot_timing(&self, round: u64) -> SnapshotTiming {
-        let policy = self.timeline.policy_at(round);
-        match policy {
-            // Full quorum behaves synchronously: contribution is captured
-            // at internal activation (the deposit made just before).
-            QuorumPolicy::Full => SnapshotTiming::Activation,
-            // Chain candidates gate the round on their own arrival, so
-            // their contribution must be their fresh deposit even if a
-            // chain token created the instance before they arrived.
-            // Candidates live in the round's (possibly compacted) virtual
-            // world — the same derivation `build` uses.
-            QuorumPolicy::Majority | QuorumPolicy::Chain(_) => {
-                let (vrank, p_live) = match self.membership.live_if_partial(round) {
-                    None => (self.rank, self.p),
-                    Some(live) => match live.iter().position(|&r| r == self.rank) {
-                        Some(v) => (v, live.len()),
-                        None => return SnapshotTiming::Creation,
-                    },
-                };
-                let cands = policy.round_candidates(self.seed, self.coll, round, p_live);
-                if cands.contains(&vrank) {
-                    SnapshotTiming::Activation
-                } else {
-                    SnapshotTiming::Creation
-                }
-            }
-            // Race candidates can be dragged in externally before they
-            // arrive; their slot must be filled at creation.
-            QuorumPolicy::Solo | QuorumPolicy::FirstOf(_) => SnapshotTiming::Creation,
+        if let Some(flags) = self.in_flight.borrow_mut().get_mut(&round) {
+            (flags.1, flags.2) = (fresh, data.is_null());
         }
+        Some(data)
     }
 
     /// The one place a round's facts are emitted: the observer's event,
@@ -752,18 +646,16 @@ impl CollectiveTemplate for PartialTemplate {
         if let Some(s) = self.shared.opts.scale {
             data.scale(s);
         }
-        // A round that completed without ever snapshotting contributed
-        // nothing of this rank's.
-        let (fresh, null) = self
-            .snap_flags
+        let (policy, fresh, null) = self
+            .in_flight
             .borrow_mut()
             .remove(&round)
-            .unwrap_or((false, true));
+            .expect("a completing round was built");
         if let Some(obs) = &self.shared.opts.observer {
             obs.on_round(&RoundEvent {
-                coll: self.coll.0,
+                coll: self.shared.rules.coll.0,
                 round,
-                policy: self.timeline.policy_at(round),
+                policy,
                 fresh,
                 null,
                 external: stats.external,
@@ -823,24 +715,24 @@ impl CollectiveTemplate for PartialTemplate {
 pub struct PartialAllreduce {
     shared: Arc<Shared>,
     host: Arc<dyn TemplateHost>,
-    coll: CollId,
     next_round: u64,
-    timeline: Arc<PolicyTimeline>,
-    membership: Arc<MembershipLog>,
-    seed: u64,
-    p: usize,
 }
 
 impl PartialAllreduce {
-    /// Register a partial allreduce with the given template host. Must be
-    /// called in the same order on all ranks (SPMD); prefer
+    /// Register a partial allreduce with the given template host, run
+    /// from round 0 under `policy` by the sorted `live` ranks of a world
+    /// of `p` (a partial set for the fences' consensus collectives, which
+    /// are born over the survivors, so even a round built from a
+    /// pre-registration message sees them). Must be called in the same
+    /// order on all ranks (SPMD); prefer
     /// [`crate::RankCtx::partial_allreduce`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn register(
         host: Arc<dyn TemplateHost>,
         coll: CollId,
         rank: Rank,
-        membership: MembershipLog,
+        p: usize,
+        live: Vec<Rank>,
         seed: u64,
         dtype: DType,
         len: usize,
@@ -851,10 +743,16 @@ impl PartialAllreduce {
         // Any initial world size is legal: non-power-of-two worlds (and
         // non-power-of-two post-eviction live sets) always take the
         // segmented-ring data path, whose structure works for any P.
-        let p = membership.p;
+        let bytes = len * dtype.size_of();
+        let initial = RoundRules {
+            policy,
+            live,
+            events: 0,
+        };
         let shared = Arc::new(Shared {
             dtype,
             len,
+            rules: RuleTimeline::new(coll, rank, p, seed, initial, opts.algo, bytes),
             opts,
             send: Mutex::new(SendBuf {
                 data: Payload::new(TypedBuf::zeros(dtype, len)),
@@ -870,176 +768,117 @@ impl PartialAllreduce {
             cv: Condvar::new(),
             built_horizon: AtomicU64::new(0),
         });
-        let timeline = Arc::new(PolicyTimeline::new(policy));
-        let membership = Arc::new(membership);
         host.register_template(
             coll,
             Box::new(PartialTemplate {
                 shared: Arc::clone(&shared),
-                snap_flags: RefCell::new(HashMap::new()),
-                rank,
-                p,
+                in_flight: RefCell::new(HashMap::new()),
                 op,
-                timeline: Arc::clone(&timeline),
-                membership: Arc::clone(&membership),
-                seed,
-                coll,
             }),
         );
         PartialAllreduce {
             shared,
             host,
-            coll,
             next_round: 0,
-            timeline,
-            membership,
-            seed,
-            p,
         }
     }
 
-    /// The initiator-candidate ranks of `round` under the policy governing
-    /// that round (all ranks for solo/full, the chain/race set otherwise),
-    /// as **global** rank ids — evicted ranks are never candidates.
+    /// The initiator-candidate ranks of `round` under the rules governing
+    /// that round (all live ranks for solo/full, the chain/race set
+    /// otherwise), as **global** rank ids — evicted ranks are never
+    /// candidates.
     pub fn candidates(&self, round: u64) -> Vec<Rank> {
-        match self.membership.live_if_partial(round) {
-            None => self
-                .timeline
-                .policy_at(round)
-                .round_candidates(self.seed, self.coll, round, self.p),
-            Some(live) => self
-                .timeline
-                .policy_at(round)
-                .round_candidates(self.seed, self.coll, round, live.len())
-                .into_iter()
-                .map(|v| live[v])
-                .collect(),
-        }
-    }
-
-    /// The policy governing `round` (per the policy timeline).
-    pub fn policy_at(&self, round: u64) -> QuorumPolicy {
-        self.timeline.policy_at(round)
+        self.shared.rules.plan(round).candidates()
     }
 
     /// The policy that will govern the next `allreduce` call.
     pub fn current_policy(&self) -> QuorumPolicy {
-        self.timeline.policy_at(self.next_round)
+        self.shared.rules.with_rules(self.next_round, |r| r.policy)
     }
 
     /// Switch the quorum policy for every round ≥ `from_round`
     /// (`from_round` must be ≥ [`PartialAllreduce::rounds`] — rounds
     /// already requested keep their agreed schedule shape).
     ///
-    /// SPMD + consensus contract: all ranks must apply the identical
-    /// switch, and no rank may *enter* round `from_round` before every
-    /// rank has applied it (otherwise a fast peer could drag a slow rank
-    /// into a round whose schedule the slow rank would still build from
-    /// the old policy). A dissemination barrier between `set_policy_from`
-    /// and the next `allreduce` call provides exactly this ordering; the
-    /// adaptive trainer's decision protocol does allreduce(stats) →
-    /// decide → `set_policy_from` → barrier.
+    /// SPMD + consensus contract, shared by every rule change: all
+    /// participants of round `from_round` must apply the identical
+    /// change, and none may *enter* that round before all have applied it
+    /// (otherwise a fast peer could drag a slow rank into a round whose
+    /// schedule the slow rank would still build from the old rules). A
+    /// barrier between the change and the next `allreduce` call provides
+    /// exactly this ordering — the adaptive trainer does allreduce(stats)
+    /// → decide → `set_policy_from` → barrier, the simulation harness
+    /// applies changes at one virtual instant.
     pub fn set_policy_from(&self, from_round: u64, policy: QuorumPolicy) {
-        assert!(
-            from_round >= self.next_round,
-            "cannot re-policy round {from_round}: rounds < {} were already requested",
-            self.next_round
-        );
-        self.timeline.set_from(from_round, policy);
-    }
-
-    /// Number of policy switches applied so far.
-    pub fn policy_switches(&self) -> usize {
-        self.timeline.switch_count()
+        self.amend(from_round, |r| r.policy = policy);
     }
 
     /// Mark `dead` as evicted for every round ≥ `from_round`: those
     /// rounds build their schedules over the surviving live set only
     /// (candidates included), while earlier in-flight rounds complete
-    /// through the engine's peer-down null synthesis.
-    ///
-    /// Same SPMD + consensus contract as
-    /// [`PartialAllreduce::set_policy_from`]: every survivor must apply
-    /// the identical eviction, and no rank may enter round `from_round`
-    /// before every survivor has applied it. [`crate::RankCtx::evict`]
-    /// packages the fence protocol that provides this ordering; the
-    /// simulation harness applies it omnisciently at one virtual instant.
+    /// through the engine's peer-down null synthesis. Same contract as
+    /// [`PartialAllreduce::set_policy_from`] among the survivors;
+    /// [`crate::RankCtx::evict`] packages the fence protocol that
+    /// provides the ordering.
     pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
-        assert!(
-            from_round >= self.next_round,
-            "cannot evict from round {from_round}: rounds < {} were already requested",
-            self.next_round
-        );
-        self.membership.evict_from(from_round, dead);
+        self.amend(from_round, |r| r.evict(dead));
     }
 
     /// Re-admit `joiners` for every round ≥ `from_round`: those rounds
     /// build their schedules over the grown live set — the reverse of
-    /// [`PartialAllreduce::evict_from`], with the same SPMD + consensus
-    /// contract. Every participant of round `from_round` (survivors and
-    /// joiners alike) must apply the identical admission, and no rank
-    /// may enter round `from_round` before all of them have.
-    /// [`crate::RankCtx::admit`] packages the admission-fence protocol
-    /// that provides this ordering; the simulation harness applies it
-    /// omnisciently at one virtual instant.
+    /// [`PartialAllreduce::evict_from`], under the same contract among
+    /// survivors and joiners alike; [`crate::RankCtx::admit`] packages
+    /// the admission-fence protocol.
     pub fn admit_from(&self, from_round: u64, joiners: &[Rank]) {
-        assert!(
-            from_round >= self.next_round,
-            "cannot admit from round {from_round}: rounds < {} were already requested",
-            self.next_round
-        );
-        self.membership.admit_from(from_round, joiners);
+        let p = self.shared.rules.p;
+        self.amend(from_round, |r| r.admit(joiners, p));
+    }
+
+    fn amend(&self, from_round: u64, change: impl FnOnce(&mut RoundRules)) {
+        self.shared.rules.amend(self.next_round, from_round, change);
     }
 
     /// The ranks live in the current tail segment (i.e. not currently
     /// evicted).
     pub fn live_ranks(&self) -> Vec<Rank> {
-        self.membership.live_at(u64::MAX)
+        self.shared.rules.with_rules(u64::MAX, |r| r.live.clone())
     }
 
-    /// All ranks currently evicted.
+    /// All ranks currently evicted (the complement of
+    /// [`PartialAllreduce::live_ranks`]).
     pub fn evicted_ranks(&self) -> Vec<Rank> {
-        self.membership.evicted()
+        let live = self.live_ranks();
+        (0..self.shared.rules.p)
+            .filter(|r| !live.contains(r))
+            .collect()
     }
 
     /// Number of membership events (evictions + admissions) applied so
-    /// far.
+    /// far — events, not segments, so two events agreed at one fence
+    /// count twice.
     pub fn eviction_epoch(&self) -> usize {
-        self.membership.epoch()
+        self.shared.rules.with_rules(u64::MAX, |r| r.events)
     }
 
-    /// Snapshot of the `(from_round, live ranks)` membership segments —
-    /// what a joiner's state transfer ships (see
-    /// [`PartialAllreduce::import_state`]).
-    pub fn membership_segments(&self) -> Vec<(u64, Vec<Rank>)> {
-        self.membership.segments()
+    /// Snapshot of the `(from_round, rules)` segments — what a joiner's
+    /// state transfer ships (see [`PartialAllreduce::import_state`]).
+    pub fn rule_segments(&self) -> Vec<(u64, RoundRules)> {
+        self.shared.rules.segments()
     }
 
-    /// Snapshot of the `(from_round, policy)` timeline segments — the
-    /// other half of the joiner's state transfer.
-    pub fn policy_segments(&self) -> Vec<(u64, QuorumPolicy)> {
-        self.timeline.segments()
-    }
-
-    /// Install the survivors' full segment state on a freshly registered
-    /// handle — the joiner side of the admission protocol. The joiner
-    /// registers its collectives in SPMD order exactly like a newborn
-    /// rank, then imports the policy timeline and membership log the
-    /// survivors shipped it, then fast-forwards to the admission fence
-    /// ([`PartialAllreduce::fast_forward_to`]). Panics if this handle
-    /// already made local progress (deposits or segment appends of its
-    /// own) — import is for pristine handles only.
-    pub fn import_state(
-        &self,
-        policy_segments: Vec<(u64, QuorumPolicy)>,
-        membership_segments: Vec<(u64, Vec<Rank>)>,
-    ) {
+    /// Install the survivors' segments on a freshly registered handle —
+    /// the joiner side of the admission protocol. A re-admitted rank
+    /// missed every rule change since it died, so it registers its
+    /// collectives in SPMD order like a newborn rank, installs the
+    /// survivors' history wholesale, then fast-forwards to the admission
+    /// fence ([`PartialAllreduce::fast_forward_to`]). Panics if this
+    /// handle already made local progress or the segments are malformed.
+    pub fn import_state(&self, segments: Vec<(u64, RoundRules)>) {
         assert_eq!(
             self.next_round, 0,
             "import_state on a handle that already ran rounds"
         );
-        self.timeline.import(policy_segments);
-        self.membership.import(membership_segments);
+        self.shared.rules.import(segments);
     }
 
     /// Advance this handle's round counter to `round` without running
@@ -1122,7 +961,7 @@ impl PartialAllreduce {
             send.filled = true;
             send.last_deposit_round = Some(round);
         }
-        self.host.activate_round(self.coll, round);
+        self.host.activate_round(self.shared.rules.coll, round);
         round
     }
 
@@ -1200,7 +1039,7 @@ impl PartialAllreduce {
                 panic!(
                     "partial allreduce {:?} round {round} timed out after {:?} \
                      (latest completed: {:?})",
-                    self.coll, self.shared.opts.wait_timeout, recv.latest_round
+                    self.shared.rules.coll, self.shared.opts.wait_timeout, recv.latest_round
                 );
             }
             self.shared.cv.wait_for(&mut recv, timeout);
@@ -1485,13 +1324,16 @@ mod tests {
             ar.set_policy_from(ar.rounds(), QuorumPolicy::Chain(p));
             ctx.barrier();
             assert_eq!(ar.current_policy(), QuorumPolicy::Chain(p));
-            assert_eq!(ar.policy_at(0), QuorumPolicy::Solo);
             let me = ctx.rank() as f32;
             let mut sums = Vec::new();
             for _ in 0..3 {
                 sums.push(ar.allreduce(&f32s(&[me])).data.as_f32().unwrap()[0]);
             }
-            assert_eq!(ar.policy_switches(), 1);
+            let switches = ar.rule_segments().into_iter().map(|(f, r)| (f, r.policy));
+            assert_eq!(
+                switches.collect::<Vec<_>>(),
+                [(0, QuorumPolicy::Solo), (2, QuorumPolicy::Chain(p))]
+            );
             ctx.finalize();
             sums
         });
@@ -1504,25 +1346,212 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "append-only")]
-    fn policy_timeline_rejects_rewrites() {
-        let t = PolicyTimeline::new(QuorumPolicy::Solo);
-        t.set_from(10, QuorumPolicy::Majority);
-        t.set_from(5, QuorumPolicy::Full);
+    // --- The one timeline: what governs round r, derived once. ---
+
+    fn whole(p: usize, policy: QuorumPolicy) -> RoundRules {
+        RoundRules {
+            policy,
+            live: (0..p).collect(),
+            events: 0,
+        }
+    }
+
+    fn timeline(p: usize, policy: QuorumPolicy) -> RuleTimeline {
+        RuleTimeline::new(
+            CollId(1),
+            0,
+            p,
+            7,
+            whole(p, policy),
+            AlgoSelector::default(),
+            16,
+        )
     }
 
     #[test]
-    fn policy_timeline_lookup_follows_segments() {
-        let t = PolicyTimeline::new(QuorumPolicy::Solo);
-        t.set_from(4, QuorumPolicy::Chain(2));
-        t.set_from(4, QuorumPolicy::Majority); // same boundary: replace
-        t.set_from(9, QuorumPolicy::Majority); // no-op: tail already holds it
-        assert_eq!(t.policy_at(0), QuorumPolicy::Solo);
-        assert_eq!(t.policy_at(3), QuorumPolicy::Solo);
-        assert_eq!(t.policy_at(4), QuorumPolicy::Majority);
-        assert_eq!(t.policy_at(100), QuorumPolicy::Majority);
-        assert_eq!(t.switch_count(), 1);
+    #[should_panic(expected = "append-only")]
+    fn timeline_rejects_rewrites() {
+        let t = timeline(4, QuorumPolicy::Solo);
+        t.amend(0, 10, |r| r.policy = QuorumPolicy::Majority);
+        t.amend(0, 5, |r| r.policy = QuorumPolicy::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "append-only")]
+    fn timeline_rejects_rounds_already_requested() {
+        timeline(4, QuorumPolicy::Solo).amend(3, 2, |r| r.policy = QuorumPolicy::Full);
+    }
+
+    #[test]
+    fn timeline_lookup_follows_segments() {
+        let t = timeline(4, QuorumPolicy::Solo);
+        t.amend(0, 4, |r| r.policy = QuorumPolicy::Chain(2));
+        t.amend(0, 4, |r| r.policy = QuorumPolicy::Majority); // same boundary: replace
+        t.amend(0, 9, |r| r.policy = QuorumPolicy::Majority); // no-op: tail already holds it
+        assert_eq!(t.plan(0).policy, QuorumPolicy::Solo);
+        assert_eq!(t.plan(3).policy, QuorumPolicy::Solo);
+        assert_eq!(t.plan(4).policy, QuorumPolicy::Majority);
+        assert_eq!(t.plan(100).policy, QuorumPolicy::Majority);
+        assert_eq!(t.segments().len(), 2, "one switch");
+        // A rewrite back to the predecessor's rules never governed a
+        // round: it leaves no segment behind.
+        t.amend(0, 4, |r| r.policy = QuorumPolicy::Solo);
+        assert_eq!(t.segments(), [(0, whole(4, QuorumPolicy::Solo))]);
+    }
+
+    #[test]
+    fn the_epoch_counts_events_not_segments() {
+        // Two events agreed at one fence share a segment; the count that
+        // allocates the fences' consensus ids must still move twice.
+        let epoch = |t: &RuleTimeline| t.with_rules(u64::MAX, |r| r.events);
+        let t = timeline(8, QuorumPolicy::Full);
+        t.amend(0, 5, |r| r.evict(&[3]));
+        t.amend(0, 5, |r| r.evict(&[2]));
+        t.amend(0, 5, |r| r.evict(&[2])); // already gone: not an event
+        assert_eq!((epoch(&t), t.segments().len()), (2, 2));
+        assert_eq!(t.plan(4).live, None);
+        assert_eq!(t.plan(5).live, Some(vec![0, 1, 4, 5, 6, 7]));
+        let t = timeline(8, QuorumPolicy::Full);
+        t.amend(0, 5, |r| r.evict(&[3]));
+        t.amend(0, 5, |r| r.admit(&[3], 8));
+        assert_eq!((epoch(&t), t.plan(5).live), (2, None), "whole again");
+    }
+
+    #[test]
+    fn schedules_timing_and_candidates_all_follow_the_plan() {
+        // Every policy × world size × rank × round, the second half of
+        // the rounds over a live set with a hole: the built schedules
+        // pair up, snapshot at activation exactly where the rank's own
+        // arrival gates the round, and candidate queries agree.
+        use pcoll_sched::{CmdQueue, OpKind, ScheduleBuilder, SnapshotTiming};
+        use QuorumPolicy::*;
+        const FENCE: u64 = 8;
+        for p in 2..=9usize {
+            let mut policies = vec![Solo, Majority, Full];
+            policies.extend((1..=p).flat_map(|m| [FirstOf(m), Chain(m)]));
+            for policy in policies {
+                let world: Vec<_> = (0..p)
+                    .map(|rank| {
+                        let ar = PartialAllreduce::register(
+                            Arc::new(CmdQueue::new()),
+                            CollId(1),
+                            rank,
+                            p,
+                            (0..p).collect(),
+                            11,
+                            DType::F32,
+                            4,
+                            ReduceOp::Sum,
+                            policy,
+                            PartialOpts::default(),
+                        );
+                        ar.evict_from(FENCE, &[1]);
+                        let template = PartialTemplate {
+                            shared: Arc::clone(&ar.shared),
+                            in_flight: RefCell::default(),
+                            op: ReduceOp::Sum,
+                        };
+                        (ar, template)
+                    })
+                    .collect();
+                for round in 0..2 * FENCE {
+                    let live: Vec<Rank> = (0..p).filter(|&r| round < FENCE || r != 1).collect();
+                    let build = |rank: Rank| {
+                        let (ar, template) = &world[rank];
+                        let Some(vrank) = live.iter().position(|&r| r == rank) else {
+                            // Not in the round: nothing may address it.
+                            let mut idle = ScheduleBuilder::new();
+                            let nop = idle.op(OpKind::Nop, vec![]);
+                            idle.completion(nop);
+                            return idle.build();
+                        };
+                        let (gated, virt) = match ar.shared.rules.plan(round).mode {
+                            ActivationMode::Full => (true, (0..live.len()).collect()),
+                            ActivationMode::Chain(c) => (c.contains(&vrank), c),
+                            ActivationMode::Race(c) => (false, c),
+                        };
+                        let cands: Vec<Rank> = virt.iter().map(|&v| live[v]).collect();
+                        assert_eq!(ar.candidates(round), cands, "{policy} p={p} round {round}");
+                        let sched = template.build(round);
+                        let at_activation = sched.snapshot_at == SnapshotTiming::Activation;
+                        // (A one-rank world is its own gate under any mode.)
+                        let gated = gated || live.len() == 1;
+                        assert_eq!(
+                            at_activation, gated,
+                            "{policy} p={p} rank {rank} round {round}"
+                        );
+                        sched
+                    };
+                    let scheds: Vec<Schedule> = (0..p).map(build).collect();
+                    crate::builders::tests::check_send_recv_pairing(&scheds);
+                }
+            }
+        }
+    }
+
+    mod proptests {
+        use super::QuorumPolicy::*;
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The timeline answers every round like a naive replay of
+            /// the event list, survives a state transfer, counts the
+            /// events that changed the live set, and is append-only.
+            /// An event is `(round advance, kind, policy pick, rank mask)`.
+            #[test]
+            fn timeline_equals_a_naive_replay(
+                p in 1usize..10,
+                events in proptest::collection::vec(
+                    (0u64..4, 0usize..3, 0usize..12, any::<u16>()), 0..24),
+            ) {
+                let t = timeline(p, Solo);
+                // (from_round, policy, live) after each applied event.
+                let mut replay = vec![(0u64, Solo, (0..p).collect::<Vec<Rank>>())];
+                let mut changes = 0;
+                for (advance, kind, m, mask) in events {
+                    let (last, mut policy, before) = replay.last().cloned().unwrap();
+                    let from = last + advance;
+                    let picked = |r: &Rank| mask >> r & 1 == 1;
+                    let ranks: Vec<Rank> = (0..p).filter(picked).collect();
+                    let mut live = before.clone();
+                    match kind {
+                        0 => {
+                            policy = [Solo, Majority, FirstOf(m), Chain(m), Full][m % 5];
+                            t.amend(0, from, |r| r.policy = policy);
+                        }
+                        1 if before.iter().all(picked) => continue, // the last live rank stays
+                        1 => {
+                            live.retain(|r| !picked(r));
+                            t.amend(0, from, |r| r.evict(&ranks));
+                        }
+                        _ => {
+                            live = (0..p).filter(|r| picked(r) || before.contains(r)).collect();
+                            t.amend(0, from, |r| r.admit(&ranks, p));
+                        }
+                    }
+                    changes += usize::from(live != before);
+                    replay.push((from, policy, live));
+                }
+                prop_assert_eq!(t.with_rules(u64::MAX, |r| r.events), changes);
+                let copy = timeline(p, Full);
+                copy.import(t.segments());
+                for round in 0..replay.last().unwrap().0 + 2 {
+                    let (_, policy, live) = replay.iter().rev().find(|e| e.0 <= round).unwrap();
+                    let plan = t.plan(round);
+                    prop_assert_eq!(plan.policy, *policy);
+                    prop_assert_eq!(&plan.live, &(live.len() != p).then(|| live.clone()));
+                    prop_assert_eq!(copy.plan(round), plan);
+                }
+                let tail = t.segments().last().unwrap().0;
+                let below = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.amend(0, tail.wrapping_sub(1), |r| r.policy = Chain(77));
+                }));
+                prop_assert_eq!(below.is_err(), tail > 0, "appending below the tail panics");
+            }
+        }
     }
 
     #[test]

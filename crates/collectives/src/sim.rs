@@ -28,9 +28,7 @@
 //! `from_round = max` over ranks of the next round), which is the
 //! simulator's version of the trainer's decide→fence consensus protocol.
 
-use crate::partial::{
-    MembershipLog, PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog,
-};
+use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog};
 use pcoll_comm::{
     DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TypedBuf, WorldConfig,
 };
@@ -275,7 +273,8 @@ impl SimHarness {
                 Arc::new(queue.clone()),
                 pcoll_comm::CollId(1),
                 rank,
-                MembershipLog::new(p),
+                p,
+                (0..p).collect(),
                 seed,
                 DType::F32,
                 spec.len,
@@ -494,6 +493,15 @@ impl SimHarness {
         }
         for &r in &newly {
             self.evicted[r] = true;
+        }
+        for survivor in (0..self.ranks.len()).filter(|&r| !self.evicted[r]) {
+            let stats = self.sim.comm_stats(survivor);
+            for peer in newly.iter().map(|&r| r as u32) {
+                let from_round = fence;
+                stats
+                    .recorder()
+                    .record(LEVEL_SPANS, || EventKind::Eviction { peer, from_round });
+            }
         }
         self.evictions.push((fence, newly));
     }
@@ -795,7 +803,9 @@ mod tests {
                 rank: 6,
                 at: TimePoint::ZERO + Duration::from_millis(500),
             });
-        let rep = SimHarness::run(spec);
+        spec.world = spec.world.with_trace(LEVEL_SPANS, 1 << 14);
+        let mut h = SimHarness::new(spec);
+        let rep = h.execute();
         assert_eq!(rep.live, vec![0, 1, 2, 4, 5, 7]);
         let evicted: Vec<Rank> = rep
             .evictions
@@ -817,6 +827,17 @@ mod tests {
         // survivor deposited all 30 rounds; the traces confirm it.
         for &r in &rep.live {
             assert_eq!(rep.traces[r].last().unwrap().round, 29, "rank {r}");
+        }
+        // Every survivor's track shows the fence that changed its
+        // schedules, not just the local PeerDown verdict.
+        let trace = h.trace_events();
+        for (fence, dead) in &rep.evictions {
+            let (peer, from_round) = (dead[0] as u32, *fence);
+            let want = EventKind::Eviction { peer, from_round };
+            for r in rep.live.iter().map(|&r| r as u32) {
+                let seen = trace.iter().any(|e| e.rank == r && e.kind == want);
+                assert!(seen, "rank {r}: no {want:?} on its track");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::builders::{barrier_schedule, bcast_schedule, reduce_schedule};
 use parking_lot::{Condvar, Mutex};
 use pcoll_comm::{CollId, Payload, Rank, ReduceOp, TypedBuf};
-use pcoll_sched::{CollectiveTemplate, Engine, RoundStats, Schedule, SnapshotTiming};
+use pcoll_sched::{CollectiveTemplate, Engine, RoundStats, Schedule};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,10 +89,6 @@ impl<F: Fn(u64) -> Schedule + Send> CollectiveTemplate for SyncTemplate<F> {
     fn snapshot(&self, round: u64) -> Option<Payload> {
         self.contributes
             .then(|| Payload::new(self.shared.take_deposit(round)))
-    }
-
-    fn snapshot_timing(&self, _round: u64) -> SnapshotTiming {
-        SnapshotTiming::Activation
     }
 
     fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {

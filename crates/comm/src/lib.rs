@@ -95,6 +95,6 @@ pub use transport::{
     is_tcp_rejoiner, is_tcp_worker, launch_tcp_tolerant, RendezvousClient, TcpOpts, Transport,
 };
 pub use world::{
-    CommHandle, Communicator, Envelope, FaultAction, FaultHook, Inbox, World, WorldConfig,
-    DEFAULT_QUEUE_CAPACITY, DEFAULT_QUEUE_DEADLINE,
+    CommHandle, Communicator, Envelope, Inbox, World, WorldConfig, DEFAULT_QUEUE_CAPACITY,
+    DEFAULT_QUEUE_DEADLINE,
 };

@@ -515,7 +515,6 @@ impl SimWorld {
             stats: Arc::clone(&self.stats[rank]),
             queue_deadline: self.cfg.queue_deadline,
             membership: Arc::clone(&self.memberships[rank]),
-            fault: self.cfg.fault_hook.clone(),
         }
     }
 

@@ -1849,7 +1849,6 @@ where
             stats: Arc::clone(&stats),
             queue_deadline: cfg.queue_deadline,
             membership: Arc::clone(&membership),
-            fault: cfg.fault_hook.clone(),
         },
         inbox: Inbox { rx: inbox_rx },
         // One rank per process: the host barrier (thread-scaffolding, not

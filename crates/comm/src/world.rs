@@ -71,42 +71,6 @@ pub enum Envelope {
     },
 }
 
-/// What a [`FaultHook`] decides for one message about to be routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Route the message normally.
-    Deliver,
-    /// Silently discard it (models a lossy or severed link).
-    Drop,
-}
-
-/// A chaos-injection hook consulted on every data send of the in-process
-/// routes: given `(src, dst)` it returns whether the message survives.
-/// This is the thread-backed analogue of the simulator's native
-/// `FaultPlan` — TCP worker processes don't see it (the config does not
-/// cross the `exec` boundary; chaos there means real `kill -9`).
-#[derive(Clone)]
-pub struct FaultHook(pub Arc<dyn Fn(Rank, Rank) -> FaultAction + Send + Sync>);
-
-impl FaultHook {
-    /// Wrap a `(src, dst) -> FaultAction` closure.
-    pub fn new(f: impl Fn(Rank, Rank) -> FaultAction + Send + Sync + 'static) -> FaultHook {
-        FaultHook(Arc::new(f))
-    }
-
-    /// Consult the hook for a message from `src` to `dst`.
-    #[inline]
-    pub fn decide(&self, src: Rank, dst: Rank) -> FaultAction {
-        (self.0)(src, dst)
-    }
-}
-
-impl std::fmt::Debug for FaultHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FaultHook(..)")
-    }
-}
-
 /// Configuration for [`World::launch`].
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -126,9 +90,6 @@ pub struct WorldConfig {
     /// the `PCOLL_TRACE`/`PCOLL_TRACE_CAP` environment (off when unset);
     /// override programmatically with [`WorldConfig::with_trace`].
     pub trace: TraceConfig,
-    /// Optional chaos hook consulted on every in-process data send
-    /// (see [`FaultHook`]). `None` — the default — costs one branch.
-    pub fault_hook: Option<FaultHook>,
     /// Idle deadline for the failure detector: a peer silent for longer
     /// than this is eligible for [`Membership::sweep_suspects`], so a
     /// *hung* (not dead) rank eventually reaches `Suspect`. `None` — the
@@ -148,7 +109,6 @@ impl WorldConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             queue_deadline: DEFAULT_QUEUE_DEADLINE,
             trace: TraceConfig::from_env(),
-            fault_hook: None,
             suspect_timeout: None,
         }
     }
@@ -191,12 +151,6 @@ impl WorldConfig {
         self
     }
 
-    /// Install a chaos hook on every in-process data send.
-    pub fn with_fault_hook(mut self, hook: FaultHook) -> Self {
-        self.fault_hook = Some(hook);
-        self
-    }
-
     /// Set the failure detector's idle deadline (see
     /// [`WorldConfig::suspect_timeout`]).
     pub fn with_suspect_timeout(mut self, timeout: Duration) -> Self {
@@ -232,7 +186,6 @@ pub struct CommHandle {
     pub(crate) stats: Arc<CommStats>,
     pub(crate) queue_deadline: Duration,
     pub(crate) membership: Arc<Membership>,
-    pub(crate) fault: Option<FaultHook>,
 }
 
 impl CommHandle {
@@ -282,11 +235,6 @@ impl CommHandle {
     /// costs `k` reference-count bumps and zero element copies.
     pub fn send_payload(&self, dst: Rank, tag: WireTag, payload: Option<Payload>) {
         assert!(dst < self.size, "dst {dst} out of range (P={})", self.size);
-        if let Some(hook) = &self.fault {
-            if hook.decide(self.rank, dst) == FaultAction::Drop {
-                return;
-            }
-        }
         let bytes = payload.as_ref().map_or(0, |p| p.byte_len());
         if payload.is_some() {
             self.stats
@@ -549,7 +497,6 @@ impl World {
                         trace_clock.clone(),
                         cfg.suspicion_grace(),
                     )),
-                    fault: cfg.fault_hook.clone(),
                 },
                 inbox: Inbox { rx },
                 host_barrier: Arc::clone(&host_barrier),

@@ -212,7 +212,8 @@ pub struct TrainerConfig {
     /// Delay injection protocol.
     pub injector: Injector,
     /// Multiplier mapping the paper's injected milliseconds onto
-    /// wall-clock (see DESIGN.md; ratios are scale-invariant).
+    /// wall-clock (`--time-scale` in README "Running experiments";
+    /// ratios are scale-invariant).
     pub time_scale: f64,
     /// Simulated balanced per-step compute (paper milliseconds, scaled by
     /// `time_scale`), standing in for the GPU forward/backward time that

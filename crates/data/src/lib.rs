@@ -3,7 +3,8 @@
 //! The reproduction has no CIFAR-10 / ImageNet / UCF101 / WMT16 on disk,
 //! so every dataset here is a *seeded generator* whose statistically
 //! relevant properties match what the paper's experiments actually
-//! exercise (see the substitution table in DESIGN.md):
+//! exercise — the dataset substitutions are the list below, the
+//! model-side table is in the [`dnn::zoo`] module docs:
 //!
 //! - [`hyperplane`]: the paper's own synthetic task (§6.2.1), implemented
 //!   verbatim: `y = a·x + noise` in 8,192 dimensions.

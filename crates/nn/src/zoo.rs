@@ -3,7 +3,7 @@
 //! | paper model        | here                                   | substitution rationale |
 //! |--------------------|----------------------------------------|------------------------|
 //! | one-layer MLP      | [`hyperplane_mlp`] — **identical** (8193 params) | the paper's own synthetic task |
-//! | ResNet-32          | [`resnet_proxy`] depth 15, residual-MLP blocks | same skip-connected depth; convs→dense (see DESIGN.md) |
+//! | ResNet-32          | [`resnet_proxy`] depth 15, residual-MLP blocks | same skip-connected depth; convs→dense ([`resnet_proxy`] docs) |
 //! | ResNet-50          | [`resnet_proxy`] depth 16, wider       | ditto |
 //! | Inception+LSTM     | [`video_lstm`] on synthetic features   | the paper also trains the LSTM on precomputed features (§6.3) |
 

@@ -8,10 +8,12 @@
 //!    activation** (the app arrived) or **external activation** (the first
 //!    message for that round arrived from a faster rank — §4.1's forced
 //!    join);
-//! 2. snapshots the rank's contribution into slot 0 at instance creation
+//! 2. snapshots the rank's contribution into slot 0 when the schedule it
+//!    just built says to ([`Schedule::snapshot_at`]): at instance creation
 //!    (fresh gradient if the app already deposited one, otherwise the
 //!    stale/null content of the send buffer — Fig. 7 semantics, enforced by
-//!    the template's `snapshot`);
+//!    the template's `snapshot`), or at internal activation for schedules
+//!    whose sends wait on the rank's own arrival;
 //! 3. executes operations as their dependencies are satisfied, exactly once
 //!    each (consumable ops);
 //! 4. on completion, hands the result to the template (`complete`), which
@@ -44,7 +46,7 @@
 //! telemetry is deterministic whenever time itself is.
 
 use crate::dag::DagState;
-use crate::op::{OpId, OpKind, Schedule, CONTRIB_SLOT};
+use crate::op::{OpId, OpKind, Schedule, SnapshotTiming, CONTRIB_SLOT};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pcoll_comm::payload::pooled_buffer;
 use pcoll_comm::{
@@ -88,21 +90,6 @@ pub struct RoundStats {
     pub elapsed: std::time::Duration,
 }
 
-/// When the engine captures a rank's contribution into slot 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotTiming {
-    /// At instance creation — internal *or* external. This is the partial
-    /// collective semantic: a rank dragged in by a faster peer contributes
-    /// whatever its send buffer holds at that moment (fresh, stale, or
-    /// null — Fig. 7).
-    Creation,
-    /// At the first internal activation. This is the synchronous semantic:
-    /// the contribution is exactly what the application deposited before
-    /// entering the collective; schedules using this must gate their data
-    /// sends on an [`OpKind::InternalGate`].
-    Activation,
-}
-
 /// A persistent collective: the engine re-instantiates it for every round
 /// (§4.1.1 "Persistent schedules").
 ///
@@ -122,15 +109,6 @@ pub trait CollectiveTemplate: Send {
     /// engine never copies the contribution on the way in; its
     /// copy-on-write combines handle any remaining sharing.
     fn snapshot(&self, round: u64) -> Option<Payload>;
-
-    /// When [`CollectiveTemplate::snapshot`] is called (default: creation).
-    /// May vary per round — e.g. a quorum-chain collective snapshots at
-    /// activation on the round's candidate ranks (their arrival gates the
-    /// round, so their deposit must be the fresh one) and at creation
-    /// everywhere else.
-    fn snapshot_timing(&self, _round: u64) -> SnapshotTiming {
-        SnapshotTiming::Creation
-    }
 
     /// Deliver the completed result for round `stats.round`, with the
     /// engine-side facts of that round. The one call the engine makes per
@@ -963,15 +941,10 @@ fn new_instance(
     let sched = template.build(round);
     let (dag, ready) = DagState::new(&sched);
     let mut bufs = vec![None; sched.nslots];
-    let snapshotted = match template.snapshot_timing(round) {
-        SnapshotTiming::Creation => {
-            if sched.nslots > CONTRIB_SLOT {
-                bufs[CONTRIB_SLOT] = template.snapshot(round);
-            }
-            true
-        }
-        SnapshotTiming::Activation => false,
-    };
+    let snapshotted = sched.snapshot_at == SnapshotTiming::Creation;
+    if snapshotted && sched.nslots > CONTRIB_SLOT {
+        bufs[CONTRIB_SLOT] = template.snapshot(round);
+    }
     let recv_route = sched.recv_index().collect();
     to_fire.extend(ready);
     Instance {

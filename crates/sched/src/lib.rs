@@ -37,7 +37,8 @@ pub mod op;
 
 pub use dag::DagState;
 pub use engine::{
-    CmdQueue, CollectiveTemplate, Engine, EngineCore, EngineStats, RoundStats, SnapshotTiming,
-    TemplateHost,
+    CmdQueue, CollectiveTemplate, Engine, EngineCore, EngineStats, RoundStats, TemplateHost,
 };
-pub use op::{DepMode, Op, OpId, OpKind, Schedule, ScheduleBuilder, Slot, CONTRIB_SLOT};
+pub use op::{
+    DepMode, Op, OpId, OpKind, Schedule, ScheduleBuilder, Slot, SnapshotTiming, CONTRIB_SLOT,
+};

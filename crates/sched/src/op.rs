@@ -98,6 +98,24 @@ impl OpKind {
     }
 }
 
+/// When the engine captures a rank's contribution into slot 0 — a
+/// property of the [`Schedule`], set by the builder arm that emits the
+/// gating which makes it sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SnapshotTiming {
+    /// At instance creation — internal *or* external. This is the partial
+    /// collective semantic: a rank dragged in by a faster peer contributes
+    /// whatever its send buffer holds at that moment (fresh, stale, or
+    /// null — Fig. 7).
+    #[default]
+    Creation,
+    /// At the first internal activation. This is the synchronous semantic:
+    /// the contribution is exactly what the application deposited before
+    /// entering the collective; a schedule using this gates its data
+    /// sends on an [`OpKind::InternalGate`].
+    Activation,
+}
+
 /// One vertex of the schedule DAG.
 #[derive(Debug, Clone)]
 pub struct Op {
@@ -120,6 +138,8 @@ pub struct Schedule {
     /// Slot whose contents are delivered as the result on completion
     /// (`None` for data-free collectives such as barriers).
     pub result_slot: Option<Slot>,
+    /// When the engine snapshots this rank's contribution for the round.
+    pub snapshot_at: SnapshotTiming,
 }
 
 impl Schedule {
@@ -229,6 +249,7 @@ pub struct ScheduleBuilder {
     nslots: usize,
     completion: Option<OpId>,
     result_slot: Option<Slot>,
+    snapshot_at: SnapshotTiming,
 }
 
 impl ScheduleBuilder {
@@ -274,6 +295,12 @@ impl ScheduleBuilder {
         self
     }
 
+    /// Snapshot the contribution at `timing` (default: creation).
+    pub fn snapshot_at(&mut self, timing: SnapshotTiming) -> &mut Self {
+        self.snapshot_at = timing;
+        self
+    }
+
     /// Finalize: compute reverse edges and validate.
     pub fn build(self) -> Schedule {
         let mut dependents = vec![Vec::new(); self.ops.len()];
@@ -287,6 +314,7 @@ impl ScheduleBuilder {
             nslots: self.nslots,
             completion: self.completion.expect("schedule needs a completion op"),
             result_slot: self.result_slot,
+            snapshot_at: self.snapshot_at,
             ops: self.ops,
         };
         if let Err(e) = sched.validate() {

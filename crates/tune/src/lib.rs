@@ -16,15 +16,15 @@
 //!  snapshots (every K steps)        cumulative snapshots
 //!                                      │
 //!                                      ▼
-//!                                   Controller (static / hill-  →  PolicyTimeline
-//!                                   climb / UCB bandit)            .set_from(round, policy)
+//!                                   Controller (static / hill-  →  PartialAllreduce
+//!                                   climb / UCB bandit)            ::set_policy_from(round, policy)
 //! ```
 //!
 //! The trainer (`eager_sgd::run_rank`) drives the loop every K rounds:
 //! sum each rank's stats vector with a blocking allreduce, let the
 //! deterministic controller decide from the identical global view, append
-//! the new policy segment to the collective's [`pcoll::PolicyTimeline`],
-//! and fence with a barrier so no rank can enter a re-policied round
+//! the new policy to the collective's round-rules timeline
+//! ([`pcoll::PartialAllreduce::set_policy_from`]), and fence with a barrier so no rank can enter a re-policied round
 //! before every rank has agreed — the same shared-knowledge trick the
 //! majority collective uses for initiator consensus (§4.2).
 //!

@@ -250,10 +250,7 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
             // missed the eviction. Install the survivors' segment
             // history, signal readiness, and enter the admission fence.
             let blob = rz.get("admit-state");
-            type Segments = (Vec<(u64, QuorumPolicy)>, Vec<(u64, Vec<usize>)>);
-            let (policy, membership): Segments =
-                serde_json::from_str(&blob).expect("admit-state parses");
-            ar.import_state(policy, membership);
+            ar.import_state(serde_json::from_str(&blob).expect("admit-state parses"));
             rz.put("joiner-ready", "true");
             let fence = ctx.admit(&mut ar, &[RJ_VICTIM]);
             assert!(fence >= RJ_PRE, "admission fence {fence} precedes eviction");
@@ -295,8 +292,7 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
         // Ship the history the relaunched victim needs, wait for it to
         // confirm the import, then run the fence in reverse.
         if ctx.rank() == 0 {
-            let state =
-                serde_json::to_string(&(ar.policy_segments(), ar.membership_segments())).unwrap();
+            let state = serde_json::to_string(&ar.rule_segments()).unwrap();
             rz.put("admit-state", &state);
         }
         let _ = rz.get("joiner-ready");

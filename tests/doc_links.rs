@@ -1,7 +1,9 @@
 //! Docs gate: every intra-repo markdown link in the top-level docs must
 //! resolve — the file must exist, and a `#fragment` must match a heading
 //! in the target file (GitHub slugification). External links are skipped;
-//! checking them would make the test network-flaky.
+//! checking them would make the test network-flaky. Rust sources are held
+//! to the weaker rule their prose can meet: a markdown file they mention
+//! by name must be in the repo.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -127,6 +129,58 @@ fn intra_repo_links_resolve() {
     assert!(
         failures.is_empty(),
         "broken intra-repo doc links:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Doc comments, comments and printed strings alike: a token ending in
+/// the markdown extension (path characters included, resolved from the
+/// root) must be a file that exists.
+#[test]
+fn markdown_files_named_in_rust_sources_exist() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    assert!(sources.len() > 50, "the scan found {}", sources.len());
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut failures = Vec::new();
+    for path in sources {
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        for (lineno, line) in text.lines().enumerate() {
+            for (end, _) in line.match_indices(".md") {
+                if line[end + 3..].starts_with(|c: char| c.is_ascii_alphanumeric()) {
+                    continue; // `.mdx`, `.md5`, ...
+                }
+                let start = line[..end].rfind(|c| !is_path(c)).map_or(0, |i| i + 1);
+                let name = &line[start..end + 3];
+                // A bare `.md` is prose about the extension (this file).
+                if name != ".md" && !root.join(name).is_file() {
+                    let file = path.strip_prefix(&root).unwrap_or(&path).display();
+                    failures.push(format!(
+                        "{file}:{}: `{name}` is not in the repo",
+                        lineno + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "Rust sources name markdown files that do not exist:\n{}",
         failures.join("\n")
     );
 }
