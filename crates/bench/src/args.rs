@@ -13,14 +13,34 @@ pub enum TransportChoice {
     Tcp,
 }
 
+impl TransportChoice {
+    /// The `--transport` spelling, also the prefix of sweep-point labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            TransportChoice::InProcess => "inproc",
+            TransportChoice::Tcp => "tcp",
+        }
+    }
+
+    /// Materialize the [`Transport`] for the launch site named `label`
+    /// (labels disambiguate multiple launches in one binary; see
+    /// `pcoll_comm::transport`).
+    pub fn labeled(self, label: &str) -> Transport {
+        match self {
+            TransportChoice::InProcess => Transport::InProcess,
+            TransportChoice::Tcp => Transport::Tcp(TcpOpts::labeled(label)),
+        }
+    }
+}
+
 /// Common harness options.
 ///
 /// `--seed` threads through every source of randomness a harness owns
 /// (world seed, model init, injector protocols, consensus draws), so two
 /// same-seed runs execute the identical protocol. Timing-derived metrics
-/// (rounds/sec, freshness) still carry scheduler noise — CI's perf gate
-/// pins the seed to remove the protocol variance and damps the residual
-/// timing noise by gating on cross-variant means.
+/// (rounds/sec, freshness) still carry scheduler noise — CI pins the seed
+/// to remove the protocol variance, and every timing check is a ratio
+/// between variants of the same run.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Shrink the run for smoke testing.
@@ -57,74 +77,63 @@ impl HarnessArgs {
     /// Parse from an explicit argument list (testable core of
     /// [`HarnessArgs::parse`]).
     pub fn parse_from(argv: &[String]) -> Self {
-        let mut out = HarnessArgs::default();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--quick" => out.quick = true,
-                "--time-scale" => {
-                    i += 1;
-                    out.time_scale = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--time-scale needs a float"));
-                }
-                "--seed" => {
-                    i += 1;
-                    out.seed = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs an integer"));
-                }
-                "--part" => {
-                    i += 1;
-                    out.part = Some(
-                        argv.get(i)
-                            .cloned()
-                            .unwrap_or_else(|| usage("--part needs a value")),
-                    );
-                }
-                "--transport" => {
-                    i += 1;
-                    out.transport = match argv.get(i).map(String::as_str) {
-                        Some("inproc") | Some("in-process") | Some("thread") => {
-                            TransportChoice::InProcess
-                        }
-                        Some("tcp") => TransportChoice::Tcp,
-                        _ => usage("--transport needs inproc|tcp"),
-                    };
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: [--quick] [--time-scale X] [--seed N] [--part a|b|c] \
-                         [--transport inproc|tcp]"
-                    );
-                    std::process::exit(0);
-                }
-                other => usage(&format!("unknown flag {other}")),
-            }
-            i += 1;
+        let (out, positionals) = Self::parse_with_positionals(argv);
+        if let Some(other) = positionals.first() {
+            usage(&format!("unknown flag {other}"));
         }
         out
     }
 
-    /// Materialize the chosen [`Transport`] for the launch site named
-    /// `label` (labels disambiguate multiple launches in one binary; see
-    /// `pcoll_comm::transport`).
-    pub fn transport(&self, label: &str) -> Transport {
-        match self.transport {
-            TransportChoice::InProcess => Transport::InProcess,
-            TransportChoice::Tcp => Transport::Tcp(TcpOpts::labeled(label)),
+    /// [`HarnessArgs::parse_from`] for a binary that also takes
+    /// positional arguments (`repro`'s figure names): every argument that
+    /// is neither a flag nor a flag's value comes back in order.
+    pub fn parse_with_positionals(argv: &[String]) -> (Self, Vec<String>) {
+        let mut out = HarnessArgs::default();
+        let mut positionals = Vec::new();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            match arg.as_str() {
+                "--quick" => out.quick = true,
+                "--time-scale" => out.time_scale = value(&mut rest, "--time-scale needs a float"),
+                "--seed" => out.seed = value(&mut rest, "--seed needs an integer"),
+                "--part" => out.part = Some(value(&mut rest, "--part needs a value")),
+                "--transport" => {
+                    let name: String = value(&mut rest, "--transport needs inproc|tcp");
+                    out.transport = match name.as_str() {
+                        "inproc" | "in-process" | "thread" => TransportChoice::InProcess,
+                        "tcp" => TransportChoice::Tcp,
+                        _ => usage("--transport needs inproc|tcp"),
+                    };
+                }
+                "--help" | "-h" => {
+                    eprintln!("{OPTIONS}");
+                    std::process::exit(0);
+                }
+                other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
+                other => positionals.push(other.to_string()),
+            }
         }
+        (out, positionals)
+    }
+
+    /// The chosen [`Transport`] for the launch site named `label`.
+    pub fn transport(&self, label: &str) -> Transport {
+        self.transport.labeled(label)
     }
 }
 
+const OPTIONS: &str =
+    "options: [--quick] [--time-scale X] [--seed N] [--part a|b|c] [--transport inproc|tcp]";
+
 fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "options: [--quick] [--time-scale X] [--seed N] [--part a|b|c] [--transport inproc|tcp]"
-    );
+    eprintln!("error: {msg}\n{OPTIONS}");
     std::process::exit(2);
+}
+
+/// The next argument parsed as a flag's value, or the usage error `needs`.
+fn value<T: std::str::FromStr>(rest: &mut std::slice::Iter<'_, String>, needs: &str) -> T {
+    let parsed = rest.next().and_then(|s| s.parse().ok());
+    parsed.unwrap_or_else(|| usage(needs))
 }
 
 #[cfg(test)]

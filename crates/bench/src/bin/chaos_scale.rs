@@ -29,7 +29,7 @@ use pcoll_comm::{
     is_tcp_worker, launch_tcp_tolerant, DType, Fault, FaultPlan, ReduceOp, TcpOpts, TimePoint,
     TypedBuf, WorldConfig,
 };
-use repro_bench::report::{comment, row, shape_check, write_json};
+use repro_bench::report::{comment, row, write_json, Checks};
 use repro_bench::HarnessArgs;
 use serde::Serialize;
 use std::time::Duration;
@@ -38,24 +38,30 @@ use std::time::Duration;
 /// `sim_scale`'s NAP part).
 const SKEW_UNIT: Duration = Duration::from_micros(50);
 
+/// The mean NAP over a window of rounds against the closed form for the
+/// population live in it.
+#[derive(Debug, Serialize)]
+struct NapWindow {
+    population: usize,
+    rounds: usize,
+    measured_nap: f64,
+    predicted_nap: f64,
+    rel_err: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct SimChaosRow {
     p: usize,
-    survivors: usize,
     rounds: u64,
     kills: Vec<usize>,
     fences: Vec<u64>,
     admit_fences: Vec<u64>,
-    measured_nap_shrunk: f64,
-    predicted_nap_shrunk: f64,
-    rel_err_shrunk: f64,
-    measured_nap_grown: f64,
-    predicted_nap_grown: f64,
-    rel_err_grown: f64,
+    shrunk: NapWindow,
+    grown: NapWindow,
     events: u64,
 }
 
-fn run_sim_part(args: &HarnessArgs) -> (bool, Option<SimChaosRow>) {
+fn run_sim_part(args: &HarnessArgs, c: &mut Checks) -> SimChaosRow {
     let p = 64;
     let rounds: u64 = if args.quick { 220 } else { 440 };
     // Four staggered victims, spread across the rank space; each dies a
@@ -85,49 +91,27 @@ fn run_sim_part(args: &HarnessArgs) -> (bool, Option<SimChaosRow>) {
     spec.opts.faults = plan;
     let rep = SimHarness::run(spec);
 
+    let everyone: Vec<usize> = (0..p).collect();
     let survivors: Vec<usize> = (0..p).filter(|r| !victims.contains(r)).collect();
-    let mut ok = shape_check(
+    c.check(
         "all-victims-evicted",
         rep.evictions.iter().flat_map(|(_, d)| d).count() == victims.len(),
         &format!("evictions {:?}", rep.evictions),
     );
-    ok &= shape_check(
+    c.check(
         "all-victims-readmitted",
-        rep.live == (0..p).collect::<Vec<_>>()
-            && rep.rejoins.iter().flat_map(|(_, j)| j).count() == victims.len(),
+        rep.live == everyone && rep.rejoins.iter().flat_map(|(_, j)| j).count() == victims.len(),
         &format!("rejoins {:?}, live {} ranks", rep.rejoins, rep.live.len()),
     );
     let fences: Vec<u64> = rep.evictions.iter().map(|(f, _)| *f).collect();
     let admit_fences: Vec<u64> = rep.rejoins.iter().map(|(f, _)| *f).collect();
-    ok &= shape_check(
+    c.check(
         "fences-nondecreasing",
         fences.windows(2).all(|w| w[0] <= w[1])
             && admit_fences.windows(2).all(|w| w[0] <= w[1])
             && fences.last() <= admit_fences.first(),
         &format!("evict {fences:?}, admit {admit_fences:?}"),
     );
-
-    // Shrunken window: between the last eviction fence and the first
-    // admission fence the closed form for the *surviving* population
-    // must hold (the model sees the survivors' exact injector offsets).
-    let offsets_ms: Vec<f64> = survivors.iter().map(|&r| r as f64 * 0.05).collect();
-    let predicted_shrunk = NapModel::new(offsets_ms, 0.0, 0.0)
-        .predict(QuorumPolicy::Majority)
-        .e_nap;
-    let shrunk_from = (*fences.last().unwrap_or(&0) + 1) as usize;
-    let shrunk_to = *admit_fences.first().unwrap_or(&rounds) as usize;
-    let measured_shrunk = mean_nap(&rep.nap_per_round, shrunk_from, shrunk_to);
-    let rel_err_shrunk = (measured_shrunk - predicted_shrunk).abs() / predicted_shrunk;
-
-    // Grown-back tail: after the last admission fence the *full-world*
-    // closed form must hold again — Fig. 7's NAP recovers.
-    let offsets_full_ms: Vec<f64> = (0..p).map(|r| r as f64 * 0.05).collect();
-    let predicted_grown = NapModel::new(offsets_full_ms, 0.0, 0.0)
-        .predict(QuorumPolicy::Majority)
-        .e_nap;
-    let grown_from = (*admit_fences.last().unwrap_or(&0) + 1) as usize;
-    let measured_grown = mean_nap(&rep.nap_per_round, grown_from, rounds as usize);
-    let rel_err_grown = (measured_grown - predicted_grown).abs() / predicted_grown;
 
     row(&[
         "window",
@@ -137,53 +121,64 @@ fn run_sim_part(args: &HarnessArgs) -> (bool, Option<SimChaosRow>) {
         "predicted_nap",
         "rel_err",
     ]);
-    row(&[
-        "shrunken".into(),
-        survivors.len().to_string(),
-        (shrunk_to.saturating_sub(shrunk_from)).to_string(),
-        format!("{measured_shrunk:.2}"),
-        format!("{predicted_shrunk:.2}"),
-        format!("{:.1}%", 100.0 * rel_err_shrunk),
-    ]);
-    row(&[
-        "grown".into(),
-        p.to_string(),
-        (rounds as usize - grown_from).to_string(),
-        format!("{measured_grown:.2}"),
-        format!("{predicted_grown:.2}"),
-        format!("{:.1}%", 100.0 * rel_err_grown),
-    ]);
-    ok &= shape_check(
+    // One table row: rounds `[from, to)`; the model sees `population`'s
+    // exact injector offsets.
+    let window = |name: &str, population: &[usize], from: usize, to: usize| {
+        let offsets_ms = population.iter().map(|&r| r as f64 * 0.05).collect();
+        let model = NapModel::new(offsets_ms, 0.0, 0.0);
+        let predicted_nap = model.predict(QuorumPolicy::Majority).e_nap;
+        let measured_nap = mean_nap(&rep.nap_per_round, from, to);
+        let w = NapWindow {
+            population: population.len(),
+            rounds: to.saturating_sub(from),
+            measured_nap,
+            predicted_nap,
+            rel_err: (measured_nap - predicted_nap).abs() / predicted_nap,
+        };
+        row(&[
+            name.to_string(),
+            w.population.to_string(),
+            w.rounds.to_string(),
+            format!("{measured_nap:.2}"),
+            format!("{predicted_nap:.2}"),
+            format!("{:.1}%", 100.0 * w.rel_err),
+        ]);
+        w
+    };
+    // Shrunken window: between the last eviction fence and the first
+    // admission fence the closed form for the *surviving* population
+    // must hold.
+    let shrunk_from = (*fences.last().unwrap_or(&0) + 1) as usize;
+    let shrunk_to = *admit_fences.first().unwrap_or(&rounds) as usize;
+    let shrunk = window("shrunken", &survivors, shrunk_from, shrunk_to);
+    // Grown-back tail: after the last admission fence the *full-world*
+    // closed form must hold again — Fig. 7's NAP recovers.
+    let grown_from = (*admit_fences.last().unwrap_or(&0) + 1) as usize;
+    let grown = window("grown", &everyone, grown_from, rounds as usize);
+    let evidence = |w: &NapWindow, who: &str| {
+        let (measured, predicted) = (w.measured_nap, w.predicted_nap);
+        format!("measured {measured:.2} vs closed form {predicted:.2} for {who}")
+    };
+    c.check(
         "post-eviction-nap-within-10pct",
-        rel_err_shrunk <= 0.10,
-        &format!(
-            "measured {measured_shrunk:.2} vs closed form {predicted_shrunk:.2} for {} survivors",
-            survivors.len()
-        ),
+        shrunk.rel_err <= 0.10,
+        &evidence(&shrunk, &format!("{} survivors", survivors.len())),
     );
-    ok &= shape_check(
+    c.check(
         "post-rejoin-nap-within-10pct-of-full-world",
-        rel_err_grown <= 0.10,
-        &format!("measured {measured_grown:.2} vs closed form {predicted_grown:.2} for {p} ranks"),
+        grown.rel_err <= 0.10,
+        &evidence(&grown, &format!("{p} ranks")),
     );
-    (
-        ok,
-        Some(SimChaosRow {
-            p,
-            survivors: survivors.len(),
-            rounds,
-            kills: victims.to_vec(),
-            fences,
-            admit_fences,
-            measured_nap_shrunk: measured_shrunk,
-            predicted_nap_shrunk: predicted_shrunk,
-            rel_err_shrunk,
-            measured_nap_grown: measured_grown,
-            predicted_nap_grown: predicted_grown,
-            rel_err_grown,
-            events: rep.events,
-        }),
-    )
+    SimChaosRow {
+        p,
+        rounds,
+        kills: victims.to_vec(),
+        fences,
+        admit_fences,
+        shrunk,
+        grown,
+        events: rep.events,
+    }
 }
 
 #[derive(Debug, Serialize)]
@@ -196,7 +191,7 @@ struct TcpChaosRow {
     all_ok: bool,
 }
 
-fn run_tcp_part(args: &HarnessArgs) -> (bool, Option<TcpChaosRow>) {
+fn run_tcp_part(args: &HarnessArgs, c: &mut Checks) -> Option<TcpChaosRow> {
     const P: usize = 8;
     const VICTIM: usize = P - 1;
     let pre: u64 = if args.quick { 6 } else { 24 };
@@ -254,33 +249,31 @@ fn run_tcp_part(args: &HarnessArgs) -> (bool, Option<TcpChaosRow>) {
     });
     let Some((results, evicted)) = launched else {
         // A worker for some other label — impossible in this binary.
-        return (true, None);
+        return None;
     };
     let survivors_ok = results
         .iter()
         .enumerate()
         .all(|(r, slot)| r == VICTIM || slot == &Some(true));
-    let mut ok = shape_check(
+    c.check(
         "tcp-survivors-verified-every-round",
         survivors_ok,
         &format!("{} survivors", P - 1),
     );
-    ok &= shape_check(
+    let evicted_ok = evicted == vec![VICTIM] && results[VICTIM].is_none();
+    c.check(
         "tcp-victim-evicted-parent-survives",
-        evicted == vec![VICTIM] && results[VICTIM].is_none(),
+        evicted_ok,
         &format!("evicted {evicted:?}"),
     );
-    (
-        ok,
-        Some(TcpChaosRow {
-            p: P,
-            victim: VICTIM,
-            pre_rounds: pre,
-            post_rounds: post,
-            evicted,
-            all_ok: ok,
-        }),
-    )
+    Some(TcpChaosRow {
+        p: P,
+        victim: VICTIM,
+        pre_rounds: pre,
+        post_rounds: post,
+        evicted,
+        all_ok: survivors_ok && evicted_ok,
+    })
 }
 
 #[derive(Debug, Serialize)]
@@ -299,30 +292,19 @@ fn main() {
         ));
     }
 
-    let mut ok = true;
-    let mut sim_row = None;
+    let mut c = Checks::new(args.quick);
+    let mut artifact = ChaosArtifact {
+        sim: None,
+        tcp: None,
+    };
     // A re-exec'ed TCP worker must not replay the sim part: it exists
     // only to become one rank of the tcp part's world.
     if !is_tcp_worker() && (part == "all" || part.contains("sim")) {
-        let (sim_ok, r) = run_sim_part(&args);
-        ok &= sim_ok;
-        sim_row = r;
+        artifact.sim = Some(run_sim_part(&args, &mut c));
     }
-    let mut tcp_row = None;
     if part == "all" || part.contains("tcp") {
-        let (tcp_ok, r) = run_tcp_part(&args);
-        ok &= tcp_ok;
-        tcp_row = r;
+        artifact.tcp = run_tcp_part(&args, &mut c);
     }
-
-    let _ = write_json(
-        "chaos_scale",
-        &ChaosArtifact {
-            sim: sim_row,
-            tcp: tcp_row,
-        },
-    );
-    if !ok {
-        std::process::exit(1);
-    }
+    write_json("chaos_scale", &artifact);
+    std::process::exit(c.exit_code());
 }

@@ -23,18 +23,19 @@
 //! ```
 //!
 //! `PCOLL_SEG_BYTES=<bytes>` overrides the segmented path's segment size
-//! for crossover tuning. Writes `BENCH_coll_micro.json`; the committed
-//! quick-mode baseline in `BENCH_baseline/` is diffed by the CI perf
-//! gate.
+//! for crossover tuning. This is the sweep tool behind the selector's
+//! thresholds, not a regression gate: `stepbench` compares the engine
+//! against the direct ring on every PR
+//! (`pcoll_sched.engine_goodput_mbps`, `pct_of_direct_ring`).
 
 use pcoll::algos::DirectCollectives;
 use pcoll::{AlgoSelector, AllreduceAlgo, PartialOpts, QuorumPolicy, RankCtx};
 use pcoll_comm::{
-    is_tcp_worker, CollId, DType, Matcher, Payload, ReduceOp, TcpOpts, TypedBuf, World, WorldConfig,
+    is_tcp_worker, CollId, CommStats, Communicator, DType, Matcher, Payload, ReduceOp, TypedBuf,
+    World, WorldConfig,
 };
-use repro_bench::report::{comment, row, shape_check, write_json};
-use repro_bench::HarnessArgs;
-use serde::Serialize;
+use repro_bench::report::{comment, row, Checks};
+use repro_bench::{HarnessArgs, TransportChoice};
 use std::time::Instant;
 
 /// Tensor sizes in bytes (f32 elements = bytes / 4).
@@ -42,21 +43,20 @@ const SIZES: [usize; 5] = [4 << 10, 64 << 10, 256 << 10, 1 << 20, 8 << 20];
 const QUICK_SIZES: [usize; 2] = [16 << 10, 8 << 20];
 const WORLDS: [usize; 2] = [4, 8];
 const QUICK_WORLDS: [usize; 1] = [8];
-const ALGOS: [&str; 3] = ["engine-rd", "engine-seg", "direct-ring"];
+/// The data paths; `None` is the direct ring.
+const ALGOS: [(&str, Option<AllreduceAlgo>); 3] = [
+    ("engine-rd", Some(AllreduceAlgo::RecursiveDoubling)),
+    ("engine-seg", Some(AllreduceAlgo::SegmentedRing)),
+    ("direct-ring", None),
+];
 
-#[derive(Debug, Clone, Serialize)]
+/// One measured in-process point, for the closing checks.
 struct Point {
-    label: String,
-    transport: String,
-    algo: String,
+    algo: &'static str,
     p: usize,
     bytes: usize,
-    rounds: u64,
     /// Goodput: tensor bytes fully reduced per second.
     bytes_per_s: f64,
-    /// Achieved wire bandwidth, from `bytes_sent` telemetry summed over
-    /// all ranks (GiB/s).
-    wire_gib_per_s: f64,
 }
 
 fn rounds_for(bytes: usize, quick: bool, tcp: bool) -> u64 {
@@ -71,113 +71,75 @@ fn rounds_for(bytes: usize, quick: bool, tcp: bool) -> u64 {
     r
 }
 
-/// Per-rank measurement: `[elapsed_seconds, wire_bytes_sent]` (bytes as
-/// f64 — exact far beyond any sweep size here).
-type RankStats = Vec<f64>;
-
-fn run_engine(
-    cfg: WorldConfig,
-    label: &str,
-    tcp: bool,
-    algo: AllreduceAlgo,
-    elems: usize,
+/// Two warm-up rounds, then `rounds` timed ones between `barrier`s:
+/// `(elapsed seconds, wire bytes this rank sent meanwhile)`.
+fn timed(
+    stats: &CommStats,
     rounds: u64,
-) -> Option<Vec<RankStats>> {
-    const WARMUP: u64 = 2;
-    let run = move |c: pcoll_comm::Communicator| -> RankStats {
-        let ctx = RankCtx::new(c);
-        let stats = ctx.comm_stats();
-        let mut selector = AlgoSelector::pinned(algo);
-        if let Some(seg) = std::env::var("PCOLL_SEG_BYTES")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            selector.segment_bytes = seg;
-        }
-        let mut ar = ctx.partial_allreduce(
-            DType::F32,
-            elems,
-            ReduceOp::Sum,
-            QuorumPolicy::Full,
-            PartialOpts {
-                algo: selector,
-                ..PartialOpts::default()
-            },
-        );
-        // Owned-deposit entry point with a retained contribution: the
-        // clone is a refcount bump and the deposit's shared-payload
-        // fallback copies into the resident send buffer — the same
-        // per-round work as the by-ref path, without re-allocating the
-        // tensor every round (the trainer's fresh-gradient case is the
-        // one that moves).
-        let contrib = Payload::new(TypedBuf::from(vec![1.0f32; elems]));
-        for _ in 0..WARMUP {
-            let _ = ar.allreduce_owned(contrib.clone());
-        }
-        ctx.barrier();
-        let before = stats.snapshot().bytes_sent;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            let _ = ar.allreduce_owned(contrib.clone());
-        }
-        ctx.barrier();
-        let elapsed = t0.elapsed().as_secs_f64();
-        let sent = stats.snapshot().bytes_sent - before;
-        ctx.finalize();
-        vec![elapsed, sent as f64]
-    };
-    if tcp {
-        World::launch_tcp(cfg, TcpOpts::labeled(label), run)
-    } else {
-        Some(World::launch(cfg, run))
+    mut round: impl FnMut(),
+    barrier: impl Fn(),
+) -> (f64, u64) {
+    round();
+    round();
+    barrier();
+    let before = stats.snapshot().bytes_sent;
+    let t0 = Instant::now();
+    for _ in 0..rounds {
+        round();
     }
+    barrier();
+    let elapsed = t0.elapsed().as_secs_f64();
+    (elapsed, stats.snapshot().bytes_sent - before)
 }
 
-fn run_direct_ring(
-    cfg: WorldConfig,
-    label: &str,
-    tcp: bool,
-    elems: usize,
-    rounds: u64,
-) -> Option<Vec<RankStats>> {
-    const WARMUP: u64 = 2;
-    let run = move |c: pcoll_comm::Communicator| -> RankStats {
-        let stats = c.comm_stats();
+/// One rank of one point: `rounds` allreduces of `elems` f32 through the
+/// engine pinned to `algo`, or through the blocking direct ring.
+fn run_rank(c: Communicator, algo: Option<AllreduceAlgo>, elems: usize, rounds: u64) -> (f64, u64) {
+    let stats = c.comm_stats();
+    let Some(algo) = algo else {
         let (h, inbox) = c.split();
         let mut m = Matcher::new(inbox);
         let mut dc = DirectCollectives::new(&h, &mut m, CollId(7000));
         let mut data = vec![1.0f32; elems];
-        for _ in 0..WARMUP {
-            dc.ring_allreduce_f32(&mut data, ReduceOp::Sum);
-        }
-        let before = stats.snapshot().bytes_sent;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            dc.ring_allreduce_f32(&mut data, ReduceOp::Sum);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let sent = stats.snapshot().bytes_sent - before;
-        vec![elapsed, sent as f64]
+        let round = || dc.ring_allreduce_f32(&mut data, ReduceOp::Sum);
+        return timed(&stats, rounds, round, || ());
     };
-    if tcp {
-        World::launch_tcp(cfg, TcpOpts::labeled(label), run)
-    } else {
-        Some(World::launch(cfg, run))
+    let ctx = RankCtx::new(c);
+    let mut selector = AlgoSelector::pinned(algo);
+    let seg_bytes = std::env::var("PCOLL_SEG_BYTES").ok();
+    if let Some(seg) = seg_bytes.and_then(|s| s.parse().ok()) {
+        selector.segment_bytes = seg;
     }
+    let opts = PartialOpts {
+        algo: selector,
+        ..PartialOpts::default()
+    };
+    let mut ar = ctx.partial_allreduce(DType::F32, elems, ReduceOp::Sum, QuorumPolicy::Full, opts);
+    // Owned-deposit entry point with a retained contribution: the clone
+    // is a refcount bump and the deposit's shared-payload fallback copies
+    // into the resident send buffer — the same per-round work as the
+    // by-ref path, without re-allocating the tensor every round (the
+    // trainer's fresh-gradient case is the one that moves).
+    let contrib = Payload::new(TypedBuf::from(vec![1.0f32; elems]));
+    let round = || drop(ar.allreduce_owned(contrib.clone()));
+    let measured = timed(&stats, rounds, round, || ctx.barrier());
+    ctx.finalize();
+    measured
 }
 
 fn main() {
     let args = HarnessArgs::parse();
-    let (sizes, worlds): (Vec<usize>, Vec<usize>) = if args.quick {
-        (QUICK_SIZES.to_vec(), QUICK_WORLDS.to_vec())
+    let (sizes, worlds): (&[usize], &[usize]) = if args.quick {
+        (&QUICK_SIZES, &QUICK_WORLDS)
     } else {
-        (SIZES.to_vec(), WORLDS.to_vec())
+        (&SIZES, &WORLDS)
     };
 
     if !is_tcp_worker() {
         comment(&format!(
             "coll_micro: allreduce sweep {sizes:?} bytes, P {worlds:?}, \
-             algos {ALGOS:?}, seed {}",
+             algos {:?}, seed {}",
+            ALGOS.map(|(name, _)| name),
             args.seed
         ));
         row(&[
@@ -190,20 +152,20 @@ fn main() {
         ]);
     }
 
-    let mut points: Vec<Point> = Vec::new();
+    let mut measured = 0;
+    let mut inproc: Vec<Point> = Vec::new();
     // Worker processes replay the identical loop and serve only their
     // matching TCP launch label (the self-`exec` pattern of comm_micro).
-    for transport in ["inproc", "tcp"] {
-        if transport == "inproc" && is_tcp_worker() {
+    for transport in [TransportChoice::InProcess, TransportChoice::Tcp] {
+        let tcp = transport == TransportChoice::Tcp;
+        if !tcp && is_tcp_worker() {
             continue;
         }
-        let tcp = transport == "tcp";
-        for &p in &worlds {
-            for &bytes in &sizes {
-                for algo in ALGOS {
-                    let elems = bytes / 4;
+        for &p in worlds {
+            for &bytes in sizes {
+                for (algo, pinned) in ALGOS {
                     let rounds = rounds_for(bytes, args.quick, tcp);
-                    let label = format!("{transport}_{algo}_p{p}_{bytes}");
+                    let label = format!("{}_{algo}_p{p}_{bytes}", transport.name());
                     // Short in-process windows are timing-luck-prone on
                     // an oversubscribed host (thread-convoy formation,
                     // allocator arena layout), so each in-process point
@@ -217,67 +179,51 @@ fn main() {
                         (false, true) => 5,
                         (false, false) => 3,
                     };
-                    let mut runs: Vec<(f64, f64)> = Vec::new(); // (elapsed, wire bytes)
+                    // The fastest measurement: (rank 0's elapsed, wire bytes of all ranks).
+                    let mut best: Option<(f64, u64)> = None;
                     for _ in 0..measures {
                         let cfg = WorldConfig::instant(p).with_seed(args.seed);
-                        let out = match algo {
-                            "engine-rd" => run_engine(
-                                cfg,
-                                &label,
-                                tcp,
-                                AllreduceAlgo::RecursiveDoubling,
-                                elems,
-                                rounds,
-                            ),
-                            "engine-seg" => run_engine(
-                                cfg,
-                                &label,
-                                tcp,
-                                AllreduceAlgo::SegmentedRing,
-                                elems,
-                                rounds,
-                            ),
-                            _ => run_direct_ring(cfg, &label, tcp, elems, rounds),
-                        };
-                        let Some(per_rank) = out else { continue };
-                        let wire_bytes: f64 = per_rank.iter().map(|r| r[1]).sum();
-                        runs.push((per_rank[0][0].max(1e-9), wire_bytes));
+                        let run = move |c| run_rank(c, pinned, bytes / 4, rounds);
+                        let launched = World::launch_with(cfg, transport.labeled(&label), run);
+                        let Some(per_rank) = launched else { continue };
+                        let run = (per_rank[0].0.max(1e-9), per_rank.iter().map(|r| r.1).sum());
+                        if best.is_none_or(|b| run.0 < b.0) {
+                            best = Some(run);
+                        }
                     }
-                    if runs.is_empty() {
+                    let Some((elapsed, wire_bytes)) = best else {
                         continue;
-                    }
-                    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    let (elapsed, wire_bytes) = runs[0];
-                    let point = Point {
-                        label: label.clone(),
-                        transport: transport.into(),
-                        algo: algo.into(),
-                        p,
-                        bytes,
-                        rounds,
-                        bytes_per_s: bytes as f64 * rounds as f64 / elapsed,
-                        wire_gib_per_s: wire_bytes / elapsed / (1u64 << 30) as f64,
                     };
+                    let bytes_per_s = bytes as f64 * rounds as f64 / elapsed;
                     row(&[
-                        point.label.clone(),
-                        point.bytes.to_string(),
-                        point.p.to_string(),
-                        point.rounds.to_string(),
-                        format!("{:.0}", point.bytes_per_s),
-                        format!("{:.3}", point.wire_gib_per_s),
+                        label,
+                        bytes.to_string(),
+                        p.to_string(),
+                        rounds.to_string(),
+                        format!("{bytes_per_s:.0}"),
+                        format!("{:.3}", wire_bytes as f64 / elapsed / (1u64 << 30) as f64),
                     ]);
-                    points.push(point);
+                    measured += 1;
+                    if !tcp {
+                        inproc.push(Point {
+                            algo,
+                            p,
+                            bytes,
+                            bytes_per_s,
+                        });
+                    }
                 }
             }
         }
     }
 
     // Workers never reach here (they exit inside launch_tcp).
+    let mut c = Checks::new(args.quick);
     let expected = sizes.len() * worlds.len() * ALGOS.len() * 2;
-    let mut pass = shape_check(
+    c.check(
         "all sweep points measured on both transports",
-        points.len() == expected,
-        &format!("{} of {expected} points", points.len()),
+        measured == expected,
+        &format!("{measured} of {expected} points"),
     );
 
     // Headline: the segmented path vs engine recursive doubling at the
@@ -287,24 +233,21 @@ fn main() {
     // 2(P−1)/P·n for). The 3x goodput target holds in network- or
     // parallelism-bound regimes; on a single-core host both algorithms
     // are CPU-work-bound and the measured goodput gap compresses toward
-    // their memory-pass ratio (~2–3x), so this check reports rather than
-    // gates — the regression gate is the `compare` diff vs the committed
-    // baseline.
-    let find = |algo: &str, bytes: usize| -> Option<f64> {
-        points
-            .iter()
-            .find(|pt| {
-                pt.transport == "inproc" && pt.p == 8 && pt.algo == algo && pt.bytes == bytes
-            })
-            .map(|pt| pt.bytes_per_s)
+    // their memory-pass ratio (~2–3x), so the 3x check reports rather
+    // than gates.
+    let find = |algo: &str, bytes: usize| {
+        let at = |pt: &&Point| pt.p == 8 && pt.algo == algo && pt.bytes == bytes;
+        inproc.iter().find(at).map(|pt| pt.bytes_per_s)
     };
     let big = *sizes.last().expect("nonempty sweep");
     let small = sizes[0];
     if let (Some(rd), Some(seg)) = (find("engine-rd", big), find("engine-seg", big)) {
-        shape_check(
+        let detail = format!("{:.0} vs {:.0} bytes/s ({:.2}x)", seg, rd, seg / rd);
+        // Informational: printed, not tallied.
+        Checks::new(args.quick).check(
             "segmented >= 3x recursive doubling at the large end (inproc, P=8)",
             seg >= 3.0 * rd,
-            &format!("{:.0} vs {:.0} bytes/s ({:.2}x)", seg, rd, seg / rd),
+            &detail,
         );
         // The large end must decisively favor the segmented path — this
         // one is a hard gate (it is what the selector's crossover rests
@@ -313,10 +256,10 @@ fn main() {
         // whole tensors, so it pockets the whole win), compressing the
         // measured ratio to ~1.5x; 1.3x keeps the gate decisive with
         // headroom for shared-runner noise.
-        pass &= shape_check(
+        c.check(
             "segmented >= 1.3x recursive doubling at the large end (inproc, P=8)",
             seg >= 1.3 * rd,
-            &format!("{:.0} vs {:.0} bytes/s ({:.2}x)", seg, rd, seg / rd),
+            &detail,
         );
     }
 
@@ -330,16 +273,12 @@ fn main() {
                 AllreduceAlgo::RecursiveDoubling
             };
             let picked = selector.choose(bytes, 8);
-            pass &= shape_check(
+            c.check(
                 &format!("selector picks the measured winner at the {end} end"),
                 picked == winner,
                 &format!("picked {picked}, measured winner {winner} at {bytes} B"),
             );
         }
     }
-
-    let _ = write_json("coll_micro", &points);
-    if !pass {
-        std::process::exit(1);
-    }
+    std::process::exit(c.exit_code());
 }

@@ -1,55 +1,41 @@
-//! `comm_micro`: transport data-path microbenchmark.
+//! `comm_micro`: what the flight recorder costs on the transport data
+//! path, judged in the run itself.
 //!
-//! Sweeps message payload size from 64 B to 8 MiB on both backends and
-//! reports msg/s and GiB/s per (transport, size) point. Rank 0 floods
-//! `iters` messages at rank 1 and waits for a single ack once rank 1 has
-//! drained them all, so the measured window covers the full producer →
-//! queue → delivery → consumer pipeline, including any backpressure the
-//! transport exerts.
+//! Sweeps message payload size from 64 B to 8 MiB on both backends. Rank
+//! 0 floods `iters` messages at rank 1 and waits for a single ack once
+//! rank 1 has drained them all, so the measured window covers the full
+//! producer → queue → delivery → consumer pipeline, including any
+//! backpressure the transport exerts. Every (point, repetition) is
+//! launched twice — recorder off and recorder at span level —
+//! *interleaved*, and the SHAPE-CHECK is that the median per-point
+//! msgs/s overhead stays within 5 % (the "cheap enough to leave on"
+//! promise). Absolute rates are `stepbench`'s to watch
+//! (`pcoll_comm.msgs_per_s`, `bulk_gbps`, `trace.overhead_pct`).
 //!
 //! The per-message payload handoff deliberately models the engine's
 //! `SendData` hot path: one *prepared* buffer exists per sweep point and
-//! each send hands the transport a clone of it — exactly what a
-//! persistent collective does when it fans a round's contribution out to
-//! its peers. The cost of that clone (a full memcpy before this PR, an
-//! `Arc` bump after) is the thing this benchmark exists to watch.
+//! each send hands the transport a clone of it (an `Arc` bump in process,
+//! real bytes over TCP) — exactly what a persistent collective does when
+//! it fans a round's contribution out to its peers.
 //!
 //! ```sh
 //! cargo run --release -p repro_bench --bin comm_micro -- --quick --seed 42
 //! ```
-//!
-//! Writes `BENCH_comm_micro.json`; the committed quick-mode baseline
-//! lives in `BENCH_baseline/` and is diffed by the CI perf gate.
-//!
-//! With `PCOLL_TRACE` set, the sweep instead runs every point twice per
-//! repetition — flight recorder off and on, interleaved — and writes
-//! `BENCH_comm_micro_off.json` / `BENCH_comm_micro_traced.json` for the
-//! CI recorder-overhead gate (see `main` for why interleaving matters).
 
 use pcoll_comm::{
-    is_tcp_worker, CollId, Envelope, Payload, TcpOpts, TraceConfig, TypedBuf, WireTag, World,
+    is_tcp_worker, CollId, Envelope, Payload, TraceConfig, Transport, TypedBuf, WireTag, World,
     WorldConfig,
 };
-use repro_bench::report::{comment, row, shape_check, write_json};
-use repro_bench::HarnessArgs;
-use serde::Serialize;
+use pcoll_obs::LEVEL_SPANS;
+use repro_bench::report::{comment, row, Checks};
+use repro_bench::{HarnessArgs, TransportChoice};
 use std::time::Instant;
 
 /// Payload sizes in bytes (f32 elements = bytes / 4).
 const SIZES: [usize; 6] = [64, 1 << 10, 16 << 10, 256 << 10, 1 << 20, 8 << 20];
 const QUICK_SIZES: [usize; 4] = [64, 16 << 10, 1 << 20, 8 << 20];
-
-/// Per-(transport, size) result record — only higher-is-better metrics,
-/// so the perf gate can diff every numeric field it is pointed at.
-#[derive(Debug, Clone, Serialize)]
-struct Point {
-    label: String,
-    transport: String,
-    bytes: usize,
-    iters: u64,
-    msgs_per_s: f64,
-    gib_per_s: f64,
-}
+/// Median per-point msgs/s lost to span-level recording, at most.
+const MAX_OVERHEAD: f64 = 0.05;
 
 fn iters_for(bytes: usize, tcp: bool, quick: bool) -> u64 {
     let n = if tcp {
@@ -61,9 +47,7 @@ fn iters_for(bytes: usize, tcp: bool, quick: bool) -> u64 {
         // Inproc hands over `Arc` clones — per-message cost is
         // byte-independent — so a fixed message count keeps the
         // measured window well above scheduler-jitter scale at every
-        // payload size. (Traffic-volume sizing gave the 8 MiB point 16
-        // messages: a ~10 µs window that measured launch noise, not
-        // the pipeline.)
+        // payload size.
         8192
     };
     if quick {
@@ -76,13 +60,13 @@ fn iters_for(bytes: usize, tcp: bool, quick: bool) -> u64 {
 /// Repetitions per sweep point; the reported number is the *best* run
 /// (minimum elapsed). Scheduler preemption and loopback jitter only ever
 /// slow a run down, so best-of-R converges on the true pipeline cost —
-/// which is what the recorder-overhead pair gate (5%) needs, where a
-/// single-shot flood's ±20% noise would drown the signal being measured.
-/// Inproc reps cost ~1 ms each, so take many: the dominant inproc noise
-/// is per-launch thread placement (which cores the two ranks land on),
-/// constant for a launch's lifetime, so only more placement draws — not
-/// longer floods — tightens the best. TCP reps each re-`exec` two
-/// worker processes and push real bytes over loopback, so stay frugal.
+/// which is what a 5% overhead bound needs, where a single-shot flood's
+/// ±20% noise would drown the signal being measured. Inproc reps cost
+/// ~1 ms each, so take many: the dominant inproc noise is per-launch
+/// thread placement (which cores the two ranks land on), constant for a
+/// launch's lifetime, so only more placement draws — not longer floods —
+/// tightens the best. TCP reps each re-`exec` two worker processes and
+/// push real bytes over loopback, so stay frugal.
 fn reps_for(tcp: bool) -> u64 {
     if tcp {
         5
@@ -93,7 +77,7 @@ fn reps_for(tcp: bool) -> u64 {
 
 /// One flood run: rank 0 pushes `iters` messages of `bytes` at rank 1,
 /// rank 1 acks after draining. Returns rank 0's elapsed seconds.
-fn flood(cfg: WorldConfig, label: &str, bytes: usize, iters: u64, tcp: bool) -> Option<f64> {
+fn flood(cfg: WorldConfig, transport: Transport, bytes: usize, iters: u64) -> Option<f64> {
     let run = move |c: pcoll_comm::Communicator| -> f64 {
         let elems = (bytes / 4).max(1);
         if c.rank() == 0 {
@@ -123,141 +107,110 @@ fn flood(cfg: WorldConfig, label: &str, bytes: usize, iters: u64, tcp: bool) -> 
             0.0
         }
     };
-    let out = if tcp {
-        World::launch_tcp(cfg, TcpOpts::labeled(label), run)?
-    } else {
-        World::launch(cfg, run)
-    };
-    Some(out[0])
+    Some(World::launch_with(cfg, transport, run)?[0])
 }
 
 fn main() {
     let args = HarnessArgs::parse();
-    let sizes: Vec<usize> = if args.quick {
-        QUICK_SIZES.to_vec()
-    } else {
-        SIZES.to_vec()
-    };
-
-    // Paired mode: setting `PCOLL_TRACE` switches the sweep into an
-    // A/B measurement of the flight recorder's hot-path overhead. Every
-    // (point, rep) is launched twice — recorder off, then recorder at
-    // the requested level — *interleaved*, so a runner noise burst hits
-    // both variants instead of whichever full run it happens to overlap,
-    // and best-of-reps picks a quiet window for each side. The variants
-    // are written as separate `_off`/`_traced` artifacts for the CI
-    // overhead gate. Without the env var there is one variant (off) and
-    // the single classic `BENCH_comm_micro.json`.
-    let env_trace = TraceConfig::from_env();
-    let variants: Vec<(&str, TraceConfig)> = if env_trace.is_enabled() {
-        vec![("off", TraceConfig::off()), ("traced", env_trace)]
-    } else {
-        vec![("off", TraceConfig::off())]
-    };
-    let paired = variants.len() > 1;
+    let sizes: &[usize] = if args.quick { &QUICK_SIZES } else { &SIZES };
+    // Interleaving matters: a runner noise burst hits both variants
+    // instead of whichever full run it happens to overlap, and
+    // best-of-reps picks a quiet window for each side.
+    let variants = [
+        ("off", TraceConfig::off()),
+        ("traced", TraceConfig::enabled(LEVEL_SPANS)),
+    ];
 
     if !is_tcp_worker() {
         comment(&format!(
-            "comm_micro: 2 ranks, payload sweep {:?} bytes, seed {}{}",
-            sizes,
-            args.seed,
-            if paired {
-                ", paired recorder-off/on reps (PCOLL_TRACE set)"
-            } else {
-                ""
-            }
+            "comm_micro: 2 ranks, payload sweep {sizes:?} bytes, seed {}, paired recorder-off/on reps",
+            args.seed
         ));
-        row(&["label", "bytes", "iters", "msgs_per_s", "gib_per_s"]);
+        row(&[
+            "label",
+            "bytes",
+            "iters",
+            "msgs_per_s_off",
+            "msgs_per_s_traced",
+            "overhead_pct",
+        ]);
     }
 
-    let mut points: Vec<Vec<Point>> = vec![Vec::new(); variants.len()];
-    // The TCP half self-`exec`s one worker process per rank per sweep
-    // point; a worker only serves its matching label and exits inside
+    let mut overheads = Vec::new();
+    // The TCP half self-`exec`s one worker process per rank per launch; a
+    // worker only serves its matching label and exits inside
     // `launch_tcp`, so this loop structure is identical in the parent
     // and in every worker.
-    for transport in ["inproc", "tcp"] {
+    for transport in [TransportChoice::InProcess, TransportChoice::Tcp] {
         // A re-`exec`ed worker exists only to serve its TCP launch label;
         // replaying the in-process sweep there would burn real work whose
         // results are discarded when the worker exits inside launch_tcp.
-        if transport == "inproc" && is_tcp_worker() {
+        let tcp = transport == TransportChoice::Tcp;
+        if !tcp && is_tcp_worker() {
             continue;
         }
-        let tcp = transport == "tcp";
-        for &bytes in &sizes {
+        for &bytes in sizes {
             let iters = iters_for(bytes, tcp, args.quick);
-            let label = format!("{transport}_{bytes}");
-            // Best of reps_for() launches per variant. Each TCP rep is
-            // its own labelled launch (a worker process serves exactly
-            // one label), so the rep × variant loop must enumerate
-            // identically in parent and workers — workers inherit
-            // `PCOLL_TRACE` and therefore build the same variant list.
-            let mut best: Vec<Option<f64>> = vec![None; variants.len()];
+            let label = format!("{}_{bytes}", transport.name());
+            let mut best = [f64::INFINITY; 2];
             for rep in 0..reps_for(tcp) {
                 // Alternate which variant launches first: the first
                 // launch of a pair sees systematically different boost
                 // clocks / allocator warmth than the second, and a fixed
                 // order would book that bias to one variant.
-                let mut order: Vec<usize> = (0..variants.len()).collect();
-                if rep % 2 == 1 {
-                    order.reverse();
-                }
+                let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
                 for vi in order {
-                    let (vname, tc) = &variants[vi];
+                    let (vname, tc) = variants[vi];
                     let cfg = WorldConfig::instant(2)
                         .with_seed(args.seed)
                         .with_trace(tc.level, tc.capacity);
-                    let rep_label = format!("{label}_r{rep}_{vname}");
-                    if let Some(e) = flood(cfg, &rep_label, bytes, iters, tcp) {
-                        best[vi] = Some(best[vi].map_or(e, |b: f64| b.min(e)));
+                    let launch = transport.labeled(&format!("{label}_r{rep}_{vname}"));
+                    if let Some(elapsed) = flood(cfg, launch, bytes, iters) {
+                        best[vi] = best[vi].min(elapsed);
                     }
                 }
             }
-            for (vi, (vname, _)) in variants.iter().enumerate() {
-                let Some(elapsed) = best[vi] else {
-                    continue;
-                };
-                let elapsed = elapsed.max(1e-9);
-                let point = Point {
-                    label: label.clone(),
-                    transport: transport.to_string(),
-                    bytes,
-                    iters,
-                    msgs_per_s: iters as f64 / elapsed,
-                    gib_per_s: (iters as f64 * bytes as f64) / elapsed / (1u64 << 30) as f64,
-                };
-                row(&[
-                    if paired {
-                        format!("{label}[{vname}]")
-                    } else {
-                        label.clone()
-                    },
-                    point.bytes.to_string(),
-                    point.iters.to_string(),
-                    format!("{:.0}", point.msgs_per_s),
-                    format!("{:.3}", point.gib_per_s),
-                ]);
-                points[vi].push(point);
+            if best.iter().any(|b| b.is_infinite()) {
+                continue;
             }
+            let [off, traced] = best.map(|elapsed| iters as f64 / elapsed.max(1e-9));
+            let overhead = (off - traced) / off;
+            row(&[
+                label,
+                bytes.to_string(),
+                iters.to_string(),
+                format!("{off:.0}"),
+                format!("{traced:.0}"),
+                format!("{:.1}", 100.0 * overhead),
+            ]);
+            overheads.push(overhead);
         }
     }
 
     // Workers never reach here (they exit inside launch_tcp).
-    let expected = sizes.len() * 2;
-    let mut pass = true;
-    for (vi, (vname, _)) in variants.iter().enumerate() {
-        pass &= shape_check(
-            &format!("all sweep points measured on both backends ({vname})"),
-            points[vi].len() == expected,
-            &format!("{} of {expected} points", points[vi].len()),
-        );
-    }
-    if paired {
-        let _ = write_json("comm_micro_off", &points[0]);
-        let _ = write_json("comm_micro_traced", &points[1]);
-    } else {
-        let _ = write_json("comm_micro", &points[0]);
-    }
-    if !pass {
-        std::process::exit(1);
-    }
+    let mut c = Checks::new(args.quick);
+    let (expected, measured) = (sizes.len() * 2, overheads.len());
+    c.check(
+        "all sweep points measured on both backends",
+        measured == expected,
+        &format!("{measured} of {expected} points"),
+    );
+    // Median of the per-point overheads, not the mean: individual points
+    // are noisy in both directions, while a real recorder regression
+    // moves every point (same hot path).
+    overheads.sort_by(f64::total_cmp);
+    // An unmeasured point reads as 100 % overhead, so an empty sweep fails.
+    let at = |i: usize| overheads.get(i).copied().unwrap_or(1.0);
+    let last = measured.saturating_sub(1);
+    let (median, worst) = ((at(last / 2) + at(measured / 2)) / 2.0, at(last));
+    c.check(
+        "recorder-overhead-median-within-5pct",
+        median <= MAX_OVERHEAD,
+        &format!(
+            "median {:.1}% over {measured} points, worst {:.1}%",
+            100.0 * median,
+            100.0 * worst
+        ),
+    );
+    std::process::exit(c.exit_code());
 }

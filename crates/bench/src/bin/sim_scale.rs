@@ -15,7 +15,7 @@
 //!   `--quick` enforces the deterministic solo/full endpoints).
 //! - **det** — bit-exact determinism: a WAN-topology, jittery-network,
 //!   self-paced run executed twice from the same seed must produce
-//!   byte-identical traces ([`SimReport::digest`]).
+//!   byte-identical traces ([`pcoll::SimReport::digest`]).
 //! - **tune** — closed-loop control: under region-level skew on the
 //!   four-region WAN, a hill-climb [`pcoll_tune::Controller`] wired
 //!   through the harness's tuner hook migrates the quorum policy away
@@ -26,15 +26,17 @@
 //! asserts the volume so the "planet-scale" claim stays honest.
 
 use eager_sgd::NapModel;
-use pcoll::{Hiccup, Pacing, QuorumPolicy, SimHarness, SimReport, SimSpec, WindowStats};
-use pcoll_comm::{NetworkModel, Planet, SimOpts, WorldConfig};
-use pcoll_tune::{spectrum, Controller, ControllerKind};
-use repro_bench::report::{comment, row, shape_check, write_json};
+use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec, WindowStats};
+use pcoll_comm::WorldConfig;
+use pcoll_tune::spectrum;
+use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::wan::{
+    hill_climb_from_full, reward, tune_spec, wan_spec, TUNE_SKEW_MS, TUNE_STRAGGLERS,
+};
 use repro_bench::HarnessArgs;
 use serde::Serialize;
 use std::time::Duration;
 
-const BETA: f64 = 0.5;
 /// Per-rank skew unit of the open-loop NAP experiment.
 const SKEW_UNIT: Duration = Duration::from_micros(50);
 
@@ -52,21 +54,13 @@ struct NapRow {
 
 /// The spectrum subset the NAP validation sweeps: the paper's five
 /// policy shapes, with representative `m` for the parametric ones.
-fn nap_arms(p: usize) -> Vec<QuorumPolicy> {
-    vec![
-        QuorumPolicy::Solo,
-        QuorumPolicy::FirstOf(4),
-        QuorumPolicy::Majority,
-        QuorumPolicy::Chain(4),
-        QuorumPolicy::Full,
-    ]
-    .into_iter()
-    .filter(|q| match *q {
-        QuorumPolicy::FirstOf(m) | QuorumPolicy::Chain(m) => m < p,
-        _ => true,
-    })
-    .collect()
-}
+const NAP_ARMS: [QuorumPolicy; 5] = [
+    QuorumPolicy::Solo,
+    QuorumPolicy::FirstOf(4),
+    QuorumPolicy::Majority,
+    QuorumPolicy::Chain(4),
+    QuorumPolicy::Full,
+];
 
 /// Rounds needed for the measured mean to sit inside the 5% band: the
 /// deterministic endpoints need almost none; the random-initiator arms
@@ -87,7 +81,12 @@ fn nap_rounds(policy: QuorumPolicy, quick: bool) -> u64 {
     }
 }
 
-fn run_nap_part(args: &HarnessArgs, p: usize, events_total: &mut u64) -> (bool, Vec<NapRow>) {
+fn run_nap_part(
+    args: &HarnessArgs,
+    p: usize,
+    c: &mut Checks,
+    events_total: &mut u64,
+) -> Vec<NapRow> {
     comment(&format!(
         "part nap: P={p}, linear skew {}us/rank, open-loop pacing, instant network",
         SKEW_UNIT.as_micros()
@@ -106,9 +105,8 @@ fn run_nap_part(args: &HarnessArgs, p: usize, events_total: &mut u64) -> (bool, 
         "events",
         "virtual_s",
     ]);
-    let mut ok = true;
     let mut rows = Vec::new();
-    for policy in nap_arms(p) {
+    for policy in NAP_ARMS {
         let rounds = nap_rounds(policy, args.quick);
         let mut spec = SimSpec::linear_skew(p, rounds, SKEW_UNIT, policy);
         spec.world = WorldConfig::instant(p).with_seed(args.seed);
@@ -129,7 +127,7 @@ fn run_nap_part(args: &HarnessArgs, p: usize, events_total: &mut u64) -> (bool, 
         // means to settle; enforce only the deterministic endpoints.
         let deterministic = matches!(policy, QuorumPolicy::Solo | QuorumPolicy::Full);
         if !args.quick || deterministic {
-            ok &= shape_check(
+            c.check(
                 &format!("nap-within-5pct-{policy}"),
                 rel_err <= 0.05,
                 &format!(
@@ -150,51 +148,10 @@ fn run_nap_part(args: &HarnessArgs, p: usize, events_total: &mut u64) -> (bool, 
             virtual_s: report.virtual_time.as_secs_f64(),
         });
     }
-    (ok, rows)
+    rows
 }
 
-/// A WAN-topology, jittery-network, self-paced spec: the maximally
-/// stateful configuration (region matrix + alpha-beta jitter + closed
-/// loop), i.e. the hardest one to keep bit-reproducible. `skew_ms` is
-/// the static region-level compute skew (each region a step slower than
-/// the one before); `hiccup` adds the rotating dynamic imbalance of
-/// Figs. 10–11 on top.
-fn wan_spec(
-    p: usize,
-    rounds: u64,
-    seed: u64,
-    policy: QuorumPolicy,
-    skew_ms: u64,
-    hiccup: Hiccup,
-) -> SimSpec {
-    let planet = Planet::wan();
-    let compute: Vec<Duration> = (0..p)
-        .map(|r| {
-            let region = planet.rank_region(r, p).0 as u32;
-            Duration::from_millis(5)
-                + Duration::from_millis(skew_ms) * region
-                + Duration::from_micros(37) * (r as u32)
-        })
-        .collect();
-    SimSpec {
-        world: WorldConfig {
-            network: NetworkModel::cloud(),
-            ..WorldConfig::instant(p)
-        }
-        .with_seed(seed),
-        opts: SimOpts {
-            planet,
-            ..SimOpts::default()
-        },
-        policy,
-        rounds,
-        len: 8,
-        pacing: Pacing::SelfPaced { compute, hiccup },
-        partial: Default::default(),
-    }
-}
-
-fn run_det_part(args: &HarnessArgs, events_total: &mut u64) -> bool {
+fn run_det_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     let p = 64;
     let rounds = if args.quick { 16 } else { 48 };
     comment(&format!(
@@ -204,23 +161,9 @@ fn run_det_part(args: &HarnessArgs, events_total: &mut u64) -> bool {
         k: 8,
         extra: Duration::from_millis(120),
     };
-    let a = SimHarness::run(wan_spec(
-        p,
-        rounds,
-        args.seed,
-        QuorumPolicy::Majority,
-        40,
-        hic,
-    ));
-    let b = SimHarness::run(wan_spec(
-        p,
-        rounds,
-        args.seed,
-        QuorumPolicy::Majority,
-        40,
-        hic,
-    ));
-    *events_total += a.events + b.events;
+    let run = |seed| SimHarness::run(wan_spec(p, rounds, seed, QuorumPolicy::Majority, 40, hic));
+    let (a, b, other_seed) = (run(args.seed), run(args.seed), run(args.seed ^ 1));
+    *events_total += a.events + b.events + other_seed.events;
     comment(&format!(
         "run A: digest {:016x}, {} events, {} deliveries, {:.2} virtual s, mean NAP {:.2}",
         a.digest(),
@@ -229,26 +172,20 @@ fn run_det_part(args: &HarnessArgs, events_total: &mut u64) -> bool {
         a.virtual_time.as_secs_f64(),
         a.mean_nap
     ));
-    let mut ok = shape_check(
+    c.check(
         "repeat-runs-bit-identical",
         a.digest() == b.digest() && a.events == b.events && a.virtual_time == b.virtual_time,
         &format!("digests {:016x} vs {:016x}", a.digest(), b.digest()),
     );
-    let c = SimHarness::run(wan_spec(
-        p,
-        rounds,
-        args.seed ^ 1,
-        QuorumPolicy::Majority,
-        40,
-        hic,
-    ));
-    *events_total += c.events;
-    ok &= shape_check(
+    c.check(
         "different-seed-different-trace",
-        a.digest() != c.digest(),
-        &format!("digests {:016x} vs {:016x}", a.digest(), c.digest()),
+        a.digest() != other_seed.digest(),
+        &format!(
+            "digests {:016x} vs {:016x}",
+            a.digest(),
+            other_seed.digest()
+        ),
     );
-    ok
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -261,30 +198,21 @@ struct TuneWindow {
     reward: f64,
 }
 
-fn run_tune_part(args: &HarnessArgs, events_total: &mut u64) -> (bool, Vec<TuneWindow>) {
+fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) -> Vec<TuneWindow> {
     let p = 64;
     let (rounds, period) = if args.quick { (120, 8) } else { (240, 8) };
-    // Mild static region skew plus a heavy *rotating* straggler set (the
-    // paper's dynamic-imbalance regime): a different 8 ranks stall 300 ms
-    // each round, so synchronous quorums pay every stall on the critical
-    // path while asynchronous ones overlap them.
-    let skew_ms = 20;
-    let hic = Hiccup {
-        k: 8,
-        extra: Duration::from_millis(300),
-    };
     comment(&format!(
-        "part tune: P={p}, 4-region WAN, {skew_ms}ms/region static skew + rotating \
+        "part tune: P={p}, 4-region WAN, {TUNE_SKEW_MS}ms/region static skew + rotating \
          {}x{}ms stragglers, hill-climb from Full, decide every {period} rounds",
-        hic.k,
-        hic.extra.as_millis()
+        TUNE_STRAGGLERS.k,
+        TUNE_STRAGGLERS.extra.as_millis()
     ));
     let arms = spectrum(p);
     let full_idx = arms.len() - 1;
-    let mut controller = Controller::new(ControllerKind::HillClimb, arms.clone(), full_idx);
+    let mut controller = hill_climb_from_full(p);
     let mut windows: Vec<TuneWindow> = Vec::new();
     let mut hook = |w: &WindowStats| {
-        let reward = w.fresh_fraction.powf(BETA) * w.rounds_per_s;
+        let reward = reward(w);
         windows.push(TuneWindow {
             from_round: w.from_round,
             to_round: w.to_round,
@@ -296,11 +224,7 @@ fn run_tune_part(args: &HarnessArgs, events_total: &mut u64) -> (bool, Vec<TuneW
         let next = controller.step(reward);
         (next != w.policy).then_some(next)
     };
-    let report: SimReport = SimHarness::run_tuned(
-        wan_spec(p, rounds, args.seed, QuorumPolicy::Full, skew_ms, hic),
-        period,
-        &mut hook,
-    );
+    let report = SimHarness::run_tuned(tune_spec(p, rounds, args.seed), period, &mut hook);
     *events_total += report.events;
 
     for w in &windows {
@@ -323,7 +247,7 @@ fn run_tune_part(args: &HarnessArgs, events_total: &mut u64) -> (bool, Vec<TuneW
         report.mean_nap
     ));
 
-    let mut ok = shape_check(
+    c.check(
         "controller-leaves-full",
         !report.switches.is_empty() && final_idx < full_idx,
         &format!(
@@ -333,12 +257,12 @@ fn run_tune_part(args: &HarnessArgs, events_total: &mut u64) -> (bool, Vec<TuneW
     );
     let first = windows.first().map_or(0.0, |w| w.reward);
     let last = windows.last().map_or(0.0, |w| w.reward);
-    ok &= shape_check(
+    c.check(
         "reward-improves-under-control",
         last > first,
         &format!("first window {first:.2} -> last window {last:.2}"),
     );
-    (ok, windows)
+    windows
 }
 
 #[derive(Debug, Serialize)]
@@ -359,34 +283,30 @@ fn main() {
         args.quick, args.seed
     ));
 
-    let mut ok = true;
+    let mut c = Checks::new(args.quick);
     let mut events_total = 0u64;
     let mut nap_rows = Vec::new();
     let mut tune_windows = Vec::new();
     if part == "all" || part.contains("nap") {
-        let (nap_ok, rows) = run_nap_part(&args, p, &mut events_total);
-        ok &= nap_ok;
-        nap_rows = rows;
+        nap_rows = run_nap_part(&args, p, &mut c, &mut events_total);
     }
     if part == "all" || part.contains("det") {
-        ok &= run_det_part(&args, &mut events_total);
+        run_det_part(&args, &mut c, &mut events_total);
     }
     if part == "all" || part.contains("tune") {
-        let (tune_ok, windows) = run_tune_part(&args, &mut events_total);
-        ok &= tune_ok;
-        tune_windows = windows;
+        tune_windows = run_tune_part(&args, &mut c, &mut events_total);
     }
 
     comment(&format!("total simulated events: {events_total}"));
     if !args.quick && part == "all" {
-        ok &= shape_check(
+        c.check(
             "millions-of-events",
             events_total >= 2_000_000,
             &format!("{events_total} events"),
         );
     }
 
-    let _ = write_json(
+    write_json(
         "sim_scale",
         &SimScaleArtifact {
             p_nap: p,
@@ -395,7 +315,5 @@ fn main() {
             events_total,
         },
     );
-    if !ok {
-        std::process::exit(1);
-    }
+    std::process::exit(c.exit_code());
 }

@@ -13,21 +13,9 @@
 
 use pcoll::{PartialOpts, QuorumPolicy, RankCtx};
 use pcoll_comm::{DType, NetworkModel, ReduceOp, TypedBuf, World, WorldConfig};
-use repro_bench::report::{comment, row, shape_check, write_json};
-use repro_bench::{HarnessArgs, TransportChoice};
-use serde::Serialize;
+use repro_bench::report::{comment, row, Checks};
+use repro_bench::HarnessArgs;
 use std::time::Instant;
-
-#[derive(Debug, Serialize)]
-struct SmokeReport {
-    transport: String,
-    p: usize,
-    rounds: u64,
-    payload_elems: usize,
-    big_elems: usize,
-    rounds_per_s_mean: f64,
-    all_ok: bool,
-}
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -48,10 +36,7 @@ fn main() {
         seed: args.seed,
         ..WorldConfig::instant(P)
     };
-    let transport_name = match args.transport {
-        TransportChoice::InProcess => "inproc",
-        TransportChoice::Tcp => "tcp",
-    };
+    let transport_name = args.transport.name();
 
     comment(&format!(
         "tcp_smoke: {P} ranks over {transport_name}, {rounds} rounds, \
@@ -115,27 +100,11 @@ fn main() {
     for (rank, (ok, rps)) in results.iter().enumerate() {
         row(&[rank.to_string(), ok.to_string(), format!("{rps:.1}")]);
     }
-    let all_ok = results.iter().all(|(ok, _)| *ok);
-    let mean_rps = results.iter().map(|(_, r)| r).sum::<f64>() / results.len() as f64;
-    let pass = shape_check(
+    let mut c = Checks::new(args.quick);
+    c.check(
         "all ranks verified every collective result",
-        all_ok,
+        results.iter().all(|(ok, _)| *ok),
         &format!("{transport_name}, {} ranks", results.len()),
     );
-
-    let _ = write_json(
-        "tcp_smoke",
-        &SmokeReport {
-            transport: transport_name.to_string(),
-            p: P,
-            rounds,
-            payload_elems: payload,
-            big_elems: big,
-            rounds_per_s_mean: mean_rps,
-            all_ok,
-        },
-    );
-    if !pass {
-        std::process::exit(1);
-    }
+    std::process::exit(c.exit_code());
 }

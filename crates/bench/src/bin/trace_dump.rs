@@ -12,64 +12,24 @@
 //!    observability layer exists for: forced joins dragging stragglers,
 //!    wire-serialization queue stalls, and at least one tuner policy
 //!    switch,
-//! 5. folds the same stream plus the comm/engine counters into a
-//!    [`pcoll_obs::MetricsRegistry`] and prints the text exposition.
+//! 5. prints every rank's `CommStats`/`EngineStats` counter snapshot of
+//!    the same run.
 //!
 //! Because the recorder timestamps on the simulator's virtual clock, the
 //! emitted trace file is a pure function of `(spec, seed)` — two runs
 //! with the same seed write byte-identical JSON (checked here with an
 //! FNV digest against a second run in full mode).
 
-use pcoll::{Hiccup, Pacing, QuorumPolicy, SimHarness, SimSpec, WindowStats};
-use pcoll_comm::{NetworkModel, Planet, SimOpts, WorldConfig};
-use pcoll_obs::{fnv1a, validate_perfetto, EventKind, MetricsRegistry, TraceEvent, LEVEL_VERBOSE};
-use pcoll_tune::{spectrum, Controller, ControllerKind};
-use repro_bench::report::{comment, row, shape_check, write_json};
+use pcoll::{SimHarness, WindowStats};
+use pcoll_obs::{fnv1a, validate_perfetto, EventKind, TraceEvent, LEVEL_VERBOSE};
+use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::wan::{hill_climb_from_full, reward, tune_spec};
 use repro_bench::HarnessArgs;
 use serde::Serialize;
-use std::time::Duration;
 
-const BETA: f64 = 0.5;
 /// Per-rank ring capacity: large enough that a full run never overwrites
 /// (the dump should be the whole story, not the tail of it).
 const RING_CAP: usize = 1 << 16;
-
-/// The tune-part spec of `sim_scale`, with the recorder switched on.
-fn traced_spec(p: usize, rounds: u64, seed: u64) -> SimSpec {
-    let planet = Planet::wan();
-    let skew_ms = 20;
-    let compute: Vec<Duration> = (0..p)
-        .map(|r| {
-            let region = planet.rank_region(r, p).0 as u32;
-            Duration::from_millis(5)
-                + Duration::from_millis(skew_ms) * region
-                + Duration::from_micros(37) * (r as u32)
-        })
-        .collect();
-    SimSpec {
-        world: WorldConfig {
-            network: NetworkModel::cloud(),
-            ..WorldConfig::instant(p)
-        }
-        .with_seed(seed)
-        .with_trace(LEVEL_VERBOSE, RING_CAP),
-        opts: SimOpts {
-            planet,
-            ..SimOpts::default()
-        },
-        policy: QuorumPolicy::Full,
-        rounds,
-        len: 8,
-        pacing: Pacing::SelfPaced {
-            compute,
-            hiccup: Hiccup {
-                k: 8,
-                extra: Duration::from_millis(300),
-            },
-        },
-        partial: Default::default(),
-    }
-}
 
 /// One traced run: returns (trace events, perfetto JSON, switch count).
 fn traced_run(
@@ -77,25 +37,26 @@ fn traced_run(
     rounds: u64,
     period: u64,
     seed: u64,
-    render_metrics: bool,
+    print_counters: bool,
 ) -> (Vec<TraceEvent>, String, usize) {
-    let arms = spectrum(p);
-    let full_idx = arms.len() - 1;
-    let mut controller = Controller::new(ControllerKind::HillClimb, arms, full_idx);
+    let mut controller = hill_climb_from_full(p);
     let mut hook = |w: &WindowStats| {
-        let next = controller.step(w.fresh_fraction.powf(BETA) * w.rounds_per_s);
+        let next = controller.step(reward(w));
         (next != w.policy).then_some(next)
     };
-    let mut h = SimHarness::new(traced_spec(p, rounds, seed));
+    // `sim_scale`'s tune part, with the recorder switched on.
+    let mut spec = tune_spec(p, rounds, seed);
+    spec.world = spec.world.with_trace(LEVEL_VERBOSE, RING_CAP);
+    let mut h = SimHarness::new(spec);
     let report = h.execute_tuned(period, &mut hook);
     let events = h.trace_events();
 
-    if render_metrics {
-        let reg = MetricsRegistry::default();
-        reg.absorb_trace(&events);
-        h.export_metrics(&reg);
-        for line in reg.render().lines() {
-            comment(&format!("metric {line}"));
+    if print_counters {
+        // Engine counters in `EngineStats::snapshot` order: internal and
+        // external activations, completions, dropped gc / late / dup /
+        // unmatched, pre-registered.
+        for (rank, (comm, engine)) in h.counter_snapshots().iter().enumerate() {
+            comment(&format!("rank {rank} {comm:?} engine {engine:?}"));
         }
     }
     let json = pcoll_obs::perfetto_trace(&events);
@@ -140,14 +101,12 @@ fn main() {
         row(&[name.to_string(), n.to_string()]);
     }
 
-    let summary = match validate_perfetto(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            shape_check("perfetto-schema-valid", false, &e);
-            std::process::exit(1);
-        }
-    };
-    let mut ok = shape_check(
+    let mut c = Checks::new(args.quick);
+    let summary = validate_perfetto(&json).unwrap_or_else(|e| {
+        c.check("perfetto-schema-valid", false, &e);
+        std::process::exit(c.exit_code());
+    });
+    c.check(
         "perfetto-schema-valid",
         summary.ranks >= p,
         &format!(
@@ -165,17 +124,17 @@ fn main() {
         .iter()
         .filter(|e| matches!(e.kind, EventKind::QueueStall { .. }))
         .count() as u64;
-    ok &= shape_check(
+    c.check(
         "straggler-forced-joins-visible",
         forced_joins > 0,
         &format!("{forced_joins} external activations"),
     );
-    ok &= shape_check(
+    c.check(
         "queue-stalls-visible",
         queue_stalls > 0,
         &format!("{queue_stalls} wire-serialization stalls"),
     );
-    ok &= shape_check(
+    c.check(
         "tuner-switches-visible",
         switches >= 1,
         &format!("{switches} policy switches"),
@@ -185,7 +144,7 @@ fn main() {
     if !args.quick {
         // Same seed, second harness: the trace file must be byte-identical.
         let (_, json2, _) = traced_run(p, rounds, period, args.seed, false);
-        ok &= shape_check(
+        c.check(
             "same-seed-trace-byte-identical",
             json == json2,
             &format!("digests {digest:016x} vs {:016x}", fnv1a(json2.as_bytes())),
@@ -193,7 +152,7 @@ fn main() {
     }
     comment(&format!("trace digest {digest:016x}"));
 
-    let _ = write_json(
+    write_json(
         "trace_dump",
         &TraceDumpArtifact {
             p,
@@ -208,7 +167,5 @@ fn main() {
             trace_path: path.to_string(),
         },
     );
-    if !ok {
-        std::process::exit(1);
-    }
+    std::process::exit(c.exit_code());
 }

@@ -20,16 +20,15 @@
 //! the best static arm's utility and beats the worst static arm.
 
 use datagen::HyperplaneTask;
-use dnn::zoo::hyperplane_mlp;
-use dnn::{Model, Optimizer, Sgd};
-use eager_sgd::{SgdVariant, TrainLog, TrainerConfig, TunerSetup};
+use dnn::optim::LrSchedule;
+use eager_sgd::{SgdVariant, TunerSetup};
 use imbalance::Injector;
-use pcoll_comm::NetworkModel;
 use pcoll_tune::{
     adaptive_setup, predict_spectrum, spectrum, static_setup, AdaptiveTunerCfg, ControllerKind,
 };
-use repro_bench::report::{comment, row, shape_check, write_json};
-use repro_bench::{run_distributed, ExperimentSpec, HarnessArgs};
+use repro_bench::harness::VariantSummary;
+use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::{train_variant, HarnessArgs, Task, TrainSetup};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -48,15 +47,6 @@ struct VariantResult {
     decisions: Vec<eager_sgd::TuneDecision>,
 }
 
-struct Scenario {
-    p: usize,
-    epochs: usize,
-    steps_per_epoch: usize,
-    period: u64,
-    time_scale: f64,
-    seed: u64,
-}
-
 /// The scenario's one injector, constructed in a single place so the
 /// trainer's runs and the theory view below cannot drift apart.
 fn scenario_injector() -> Injector {
@@ -66,97 +56,67 @@ fn scenario_injector() -> Injector {
     }
 }
 
-fn run_variant(sc: &Scenario, label: &str, adaptive: bool, tuner: TunerSetup) -> VariantResult {
-    let task = Arc::new(HyperplaneTask::new(48, 2048, 0.05, 96, 7));
-    let mut trainer = TrainerConfig::new(
-        SgdVariant::EagerSolo, // placeholder; the tuner's initial_policy governs
-        sc.epochs,
-        sc.steps_per_epoch,
-        0.02,
-    );
-    trainer.injector = scenario_injector();
-    trainer.time_scale = sc.time_scale;
-    trainer.base_compute_ms = 10.0;
-    trainer.model_sync_every = Some(sc.epochs); // one final weight sync
-    trainer.eval_every = 1000; // throughput-focused: skip eval
-    trainer.seed = sc.seed;
-    trainer.tuner = Some(tuner);
-    let spec = ExperimentSpec {
-        p: sc.p,
-        network: NetworkModel::Instant,
-        world_seed: sc.seed,
-        model_seed: sc.seed ^ 0xA5,
-        trainer,
-    };
-    let wl = Arc::new(eager_sgd::HyperplaneWorkload {
-        task,
-        local_batch: 16,
-    });
-    let logs: Vec<TrainLog> = run_distributed(
-        &spec,
-        |rng| {
-            (
-                Box::new(hyperplane_mlp(48, rng)) as Box<dyn Model>,
-                Box::new(Sgd::new(0.02)) as Box<dyn Optimizer>,
-            )
-        },
-        wl,
-    );
-    let p = logs.len() as f64;
-    let rounds_per_s = logs
-        .iter()
-        .map(|l| l.steps as f64 / l.total_train_s.max(1e-9))
-        .sum::<f64>()
-        / p;
-    let total_steps: u64 = logs.iter().map(|l| l.steps).sum();
-    let fresh_fraction =
-        logs.iter().map(|l| l.fresh_rounds).sum::<u64>() as f64 / total_steps.max(1) as f64;
+fn run_variant(
+    setup: &TrainSetup,
+    args: &HarnessArgs,
+    label: &str,
+    adaptive: bool,
+    tuner: TunerSetup,
+) -> VariantResult {
+    // The variant is a placeholder: the tuner's initial policy governs.
+    let with_tuner = |t: &mut eager_sgd::TrainerConfig| t.tuner = Some(tuner.clone());
+    let logs = train_variant(setup, args, SgdVariant::EagerSolo, &with_tuner);
+    let s = VariantSummary::from_logs(label, &logs);
     let decisions = logs[0].decisions.clone();
-    let policy_switches = decisions
-        .windows(2)
-        .filter(|w| w[0].policy != w[1].policy)
-        .count();
+    let switched = |w: &[eager_sgd::TuneDecision]| w[0].policy != w[1].policy;
     VariantResult {
-        label: label.to_string(),
+        label: s.label,
         adaptive,
-        rounds_per_s,
-        fresh_fraction,
-        utility: fresh_fraction.powf(BETA) * rounds_per_s,
-        train_time_s: logs.iter().map(|l| l.total_train_s).sum::<f64>() / p,
-        final_loss: logs[0].final_loss().unwrap_or(f32::NAN),
-        policy_switches,
+        rounds_per_s: s.throughput,
+        fresh_fraction: s.fresh_fraction,
+        utility: s.fresh_fraction.powf(BETA) * s.throughput,
+        train_time_s: s.train_time_s,
+        final_loss: s.final_loss,
+        policy_switches: decisions.windows(2).filter(|w| switched(w)).count(),
         decisions,
     }
 }
 
 fn main() {
     let args = HarnessArgs::parse();
-    let sc = Scenario {
-        p: if args.quick { 4 } else { 8 },
-        epochs: if args.quick { 1 } else { 3 },
-        steps_per_epoch: if args.quick { 32 } else { 128 },
-        period: if args.quick { 8 } else { 16 },
-        time_scale: args.time_scale,
-        seed: args.seed,
+    let p = if args.quick { 4 } else { 8 };
+    let epochs = if args.quick { 1 } else { 3 };
+    let steps = if args.quick { 32 } else { 128 };
+    let period = if args.quick { 8 } else { 16 };
+    let setup = TrainSetup {
+        task: Task::Hyperplane(Arc::new(HyperplaneTask::new(48, 2048, 0.05, 96, 7))),
+        p,
+        local_batch: 16,
+        epochs,
+        steps,
+        lr: LrSchedule::constant(0.02),
+        injector: scenario_injector(),
+        base_compute_ms: 10.0,
+        grad_clip: None,
+        model_sync_every: Some(epochs), // one final weight sync
+        eval_every: 1000,               // throughput-focused: skip eval
     };
 
     comment(&format!(
-        "tune_adaptive: closed-loop quorum control, {} ranks, shifting skew 10–120 ms \
-         (time-scale {}), {} steps, decide every {} rounds, beta {BETA}",
-        sc.p,
-        sc.time_scale,
-        sc.epochs * sc.steps_per_epoch,
-        sc.period
+        "tune_adaptive: closed-loop quorum control, {p} ranks, shifting skew 10–120 ms \
+         (time-scale {}), {} steps, decide every {period} rounds, beta {BETA}",
+        args.time_scale,
+        epochs * steps
     ));
 
     // Theory view: the injector's exact per-step offsets (the multiset is
     // rotation-invariant, so step 0 is representative).
     let inj = scenario_injector();
-    let offsets: Vec<f64> = (0..sc.p)
-        .map(|r| inj.delay_ms(r, sc.p, 0) * sc.time_scale)
+    let offsets: Vec<f64> = (0..p)
+        .map(|r| inj.delay_ms(r, p, 0) * args.time_scale)
         .collect();
     comment("theory model predictions (exact offsets):");
-    for (policy, pred) in predict_spectrum(&offsets, 0.5, 10.0 * sc.time_scale, BETA) {
+    for (policy, pred) in predict_spectrum(&offsets, 0.5, 10.0 * args.time_scale, BETA) {
         comment(&format!(
             "  {policy:<12} E[NAP] {:>5.2}  round {:>7.2} ms  utility {:>8.2}",
             pred.prediction.e_nap, pred.prediction.round_ms, pred.utility
@@ -165,31 +125,27 @@ fn main() {
 
     // Static sweep over the whole spectrum, then the two adaptive
     // controllers.
-    let mut results = Vec::new();
-    for policy in spectrum(sc.p) {
-        results.push(run_variant(
-            &sc,
-            &format!("static {policy}"),
-            false,
-            static_setup(policy, sc.period),
-        ));
-    }
-    for (name, kind) in [
+    let statics = spectrum(p).into_iter().map(|policy| {
+        let label = format!("static {policy}");
+        (label, false, static_setup(policy, period))
+    });
+    let controllers = [
         ("hill-climb", ControllerKind::HillClimb),
         ("ucb", ControllerKind::Ucb { explore: 0.6 }),
-    ] {
-        results.push(run_variant(
-            &sc,
-            &format!("adaptive {name}"),
-            true,
-            adaptive_setup(AdaptiveTunerCfg {
-                period: sc.period,
-                beta: BETA,
-                kind,
-                ..AdaptiveTunerCfg::default()
-            }),
-        ));
-    }
+    ];
+    let adaptives = controllers.into_iter().map(|(name, kind)| {
+        let cfg = AdaptiveTunerCfg {
+            period,
+            beta: BETA,
+            kind,
+            ..AdaptiveTunerCfg::default()
+        };
+        (format!("adaptive {name}"), true, adaptive_setup(cfg))
+    });
+    let results: Vec<VariantResult> = statics
+        .chain(adaptives)
+        .map(|(label, adaptive, tuner)| run_variant(&setup, &args, &label, adaptive, tuner))
+        .collect();
 
     row(&[
         "variant",
@@ -223,23 +179,16 @@ fn main() {
         }
     }
 
-    let statics: Vec<&VariantResult> = results.iter().filter(|r| !r.adaptive).collect();
-    let best_static = statics
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.utility.partial_cmp(&b.utility).unwrap())
-        .expect("static arms present");
-    let worst_static = statics
-        .iter()
-        .cloned()
-        .min_by(|a, b| a.utility.partial_cmp(&b.utility).unwrap())
-        .expect("static arms present");
+    let statics = results.iter().filter(|r| !r.adaptive);
+    let by_utility = |a: &&VariantResult, b: &&VariantResult| a.utility.total_cmp(&b.utility);
+    let best_static = statics.clone().max_by(by_utility).expect("static arms");
+    let worst_static = statics.min_by(by_utility).expect("static arms");
     comment(&format!(
         "best static: {} (utility {:.2}); worst static: {} (utility {:.2})",
         best_static.label, best_static.utility, worst_static.label, worst_static.utility
     ));
 
-    let mut all_ok = true;
+    let mut c = Checks::new(args.quick);
     for r in results.iter().filter(|r| r.adaptive) {
         let vs_best = r.utility / best_static.utility;
         let vs_worst = r.utility / worst_static.utility.max(1e-9);
@@ -249,25 +198,24 @@ fn main() {
             100.0 * vs_best,
             vs_worst
         ));
-        if args.quick {
-            // Quick mode has too few decision windows for the bandit to
-            // settle; report without enforcing.
+        if c.skip_in_quick(
+            &r.label,
+            "too few decision windows for the bandit to settle",
+        ) {
             continue;
         }
-        all_ok &= shape_check(
+        c.check(
             &format!("{} ge 90pct of best static", r.label),
             vs_best >= 0.9,
             &format!("{:.1}%", 100.0 * vs_best),
         );
-        all_ok &= shape_check(
+        c.check(
             &format!("{} beats worst static", r.label),
             r.utility > worst_static.utility,
             &format!("{vs_worst:.2}x"),
         );
     }
 
-    let _ = write_json("tune_adaptive", &results);
-    if !all_ok {
-        std::process::exit(1);
-    }
+    write_json("tune_adaptive", &results);
+    std::process::exit(c.exit_code());
 }

@@ -1,8 +1,11 @@
 //! # repro-bench — figure/table harnesses
 //!
-//! One binary per table/figure of the paper (README "Running
-//! experiments" is the index). This library holds the shared machinery: the distributed
-//! experiment runner, result summaries, and TSV output helpers.
+//! One `repro <figure>` binary reproduces every table/figure of the paper
+//! from the static table in [`figures`] (README "Running experiments" is
+//! the index); the other binaries are the scale, smoke and sweep tools.
+//! This library holds the shared machinery: the distributed experiment
+//! runner, result summaries, shape checks, TSV output helpers and the
+//! WAN scenario the simulation harnesses share.
 //!
 //! Every harness prints:
 //! 1. `#`-prefixed provenance comments (what the paper reported),
@@ -16,8 +19,10 @@
 //! variant waits on identically scaled skew).
 
 pub mod args;
+pub mod figures;
 pub mod harness;
 pub mod report;
+pub mod wan;
 
 pub use args::{HarnessArgs, TransportChoice};
-pub use harness::{run_distributed, run_distributed_on, ExperimentSpec, VariantSummary};
+pub use harness::{train_variant, Task, TrainSetup};

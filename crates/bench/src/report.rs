@@ -14,27 +14,94 @@ pub fn row<S: AsRef<str>>(cols: &[S]) {
     println!("{}", joined.join("\t"));
 }
 
-/// Print a `SHAPE-CHECK` verdict line; returns `ok` so callers can tally.
-pub fn shape_check(name: &str, ok: bool, detail: &str) -> bool {
-    println!(
-        "SHAPE-CHECK {} {} ({detail})",
-        if ok { "PASS" } else { "FAIL" },
-        name
-    );
-    ok
+/// The shape checks of one harness run: the shared vocabulary over
+/// [`VariantSummary`] pairs, and the tally that becomes the exit code. A
+/// `(label, value)` pair names a measured quantity in the detail.
+pub struct Checks {
+    quick: bool,
+    ok: bool,
+}
+
+impl Checks {
+    pub fn new(quick: bool) -> Self {
+        Checks { quick, ok: true }
+    }
+
+    /// The process exit code: 0 when every check so far passed, else 1.
+    pub fn exit_code(&self) -> i32 {
+        i32::from(!self.ok)
+    }
+
+    /// A bespoke claim: print `ok`'s verdict line with its evidence.
+    pub fn check(&mut self, name: &str, ok: bool, detail: &str) {
+        let verdict = if ok { "PASS" } else { "FAIL" };
+        println!("SHAPE-CHECK {verdict} {name} ({detail})");
+        self.ok &= ok;
+    }
+
+    /// `a` finishes training more than `min`× sooner than `b`.
+    pub fn faster_than(
+        &mut self,
+        name: &str,
+        a: &VariantSummary,
+        b: &VariantSummary,
+        min: f64,
+        paper: &str,
+    ) {
+        let s = a.speedup_over(b);
+        self.check(name, s > min, &format!("{s:.2}x (paper {paper})"));
+    }
+
+    /// `a / b` lies in `range`.
+    pub fn ratio_within(
+        &mut self,
+        name: &str,
+        a: (&str, f32),
+        b: (&str, f32),
+        range: std::ops::Range<f32>,
+    ) {
+        let detail = format!("{} {:.3} vs {} {:.3}", a.0, a.1, b.0, b.1);
+        self.check(name, range.contains(&(a.1 / b.1)), &detail);
+    }
+
+    /// `a` exceeds `b` by at most `max` (NaN fails).
+    pub fn gap_at_most(
+        &mut self,
+        name: &str,
+        a: (&str, f32),
+        b: (&str, f32),
+        max: f32,
+        paper: &str,
+    ) {
+        let detail = format!("{} {:.3} vs {} {:.3} (paper {paper})", a.0, a.1, b.0, b.1);
+        self.check(name, a.1 - b.1 <= max, &detail);
+    }
+
+    /// In `--quick`, print why `name` cannot be judged and return true:
+    /// the caller skips the check instead of failing or loosening it.
+    pub fn skip_in_quick(&self, name: &str, reason: &str) -> bool {
+        if self.quick {
+            println!("SHAPE-CHECK SKIP {name} ({reason})");
+        }
+        self.quick
+    }
 }
 
 /// Write `value` as pretty JSON to `BENCH_<name>.json` in the current
-/// directory — the one artifact format shared by bench binaries,
-/// telemetry dumps, and controller decision logs (everything involved
-/// derives `serde::Serialize`). Returns the path written.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<String> {
+/// directory — the one artifact format shared by the harness binaries
+/// (everything involved derives `serde::Serialize`).
+pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
     let path = format!("BENCH_{name}.json");
-    let body = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(&path, body)?;
-    comment(&format!("wrote {path}"));
-    Ok(path)
+    let body = serde_json::to_string_pretty(value).expect("artifact serializes");
+    match std::fs::write(&path, body) {
+        Ok(()) => comment(&format!("wrote {path}")),
+        Err(e) => eprintln!("warning: {path} not written: {e}"),
+    }
+}
+
+/// A missing evaluation prints as `-`.
+fn cell(value: Option<f32>, precision: usize) -> String {
+    value.map_or("-".into(), |v| format!("{v:.precision$}"))
 }
 
 /// Print the standard summary block for a set of variant runs.
@@ -54,10 +121,8 @@ pub fn summary_table(summaries: &[VariantSummary]) {
             format!("{:.3}", s.throughput),
             format!("{:.2}", s.train_time_s),
             format!("{:.4}", s.final_loss),
-            s.final_test
-                .map_or("-".into(), |t| format!("{:.3}", t.top1)),
-            s.final_test
-                .map_or("-".into(), |t| format!("{:.3}", t.top5)),
+            cell(s.final_test.map(|t| t.top1), 3),
+            cell(s.final_test.map(|t| t.top5), 3),
             format!("{:.3}", s.fresh_fraction),
         ]);
     }
@@ -67,29 +132,18 @@ pub fn summary_table(summaries: &[VariantSummary]) {
 /// variant label (the format the figures plot directly).
 pub fn epoch_series(label: &str, logs: &[eager_sgd::TrainLog]) {
     for e in &logs[0].epochs {
-        let mut cols = vec![
+        row(&[
             label.to_string(),
             e.epoch.to_string(),
             format!("{:.3}", e.train_time_s),
             format!("{:.5}", e.mean_loss),
             format!("{:.3}", e.throughput),
-        ];
-        match e.test {
-            Some(t) => {
-                cols.push(format!("{:.4}", t.loss));
-                cols.push(format!("{:.4}", t.top1));
-                cols.push(format!("{:.4}", t.top5));
-            }
-            None => cols.extend(["-".into(), "-".into(), "-".into()]),
-        }
-        match e.train {
-            Some(t) => {
-                cols.push(format!("{:.4}", t.top1));
-                cols.push(format!("{:.4}", t.top5));
-            }
-            None => cols.extend(["-".into(), "-".into()]),
-        }
-        row(&cols);
+            cell(e.test.map(|t| t.loss), 4),
+            cell(e.test.map(|t| t.top1), 4),
+            cell(e.test.map(|t| t.top5), 4),
+            cell(e.train.map(|t| t.top1), 4),
+            cell(e.train.map(|t| t.top5), 4),
+        ]);
     }
 }
 

@@ -369,14 +369,18 @@ impl SimHarness {
         perfetto_trace(&self.trace_events())
     }
 
-    /// Aggregate every rank's transport and engine counters into `reg`
-    /// under `sim_comm_*` / `sim_engine_*` (counters sum across ranks;
-    /// the queue-depth gauge takes the worldwide peak).
-    pub fn export_metrics(&self, reg: &pcoll_obs::MetricsRegistry) {
-        for (rank, r) in self.ranks.iter().enumerate() {
-            self.sim.comm_stats(rank).export_metrics(reg, "sim_comm");
-            r.core.stats().export_metrics(reg, "sim_engine");
-        }
+    /// Every rank's transport and engine counters as point-in-time
+    /// snapshots, in rank order (the engine's in
+    /// [`pcoll_sched::EngineStats::snapshot`] order).
+    pub fn counter_snapshots(&self) -> Vec<(pcoll_comm::CommStatsSnapshot, [u64; 8])> {
+        (self.ranks.iter().enumerate())
+            .map(|(rank, r)| {
+                (
+                    self.sim.comm_stats(rank).snapshot(),
+                    r.core.stats().snapshot(),
+                )
+            })
+            .collect()
     }
 
     fn drive(&mut self, mut hook: Option<TunerHook<'_>>) -> SimReport {

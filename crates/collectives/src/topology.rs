@@ -1,6 +1,6 @@
-//! Communication-topology math shared by the schedule builders: binomial
-//! trees, recursive-doubling partners, and the per-round initiator /
-//! candidate selection that majority and quorum collectives rely on.
+//! Communication-topology math shared by the schedule builders:
+//! recursive-doubling partners and the per-round initiator / candidate
+//! selection that majority and quorum collectives rely on.
 
 use pcoll_comm::{CollId, Rank};
 use rand::seq::SliceRandom;
@@ -37,39 +37,10 @@ pub fn rd_partner(rank: Rank, level: u32) -> Rank {
     rank ^ (1usize << level)
 }
 
-/// In the binomial broadcast rooted at `initiator` over `p` (power-of-two)
-/// ranks, the level at which `rank` *receives* the message: the highest set
-/// bit of the relative id. The initiator itself receives nowhere (`None`).
-pub fn bcast_recv_level(initiator: Rank, rank: Rank) -> Option<u32> {
-    let d = rank ^ initiator;
-    if d == 0 {
-        None
-    } else {
-        Some(highest_bit(d))
-    }
-}
-
-/// Children of `rank` in the binomial tree rooted at `root` over `p`
-/// power-of-two ranks: the ranks it forwards the broadcast to. A rank that
-/// joins the tree at level `h = highest_bit(rank XOR root)` forwards at
-/// every level above `h`; the root forwards at every level. Largest
-/// subtree first (latency-optimal ordering).
-pub fn binomial_children(root: Rank, rank: Rank, p: usize) -> Vec<Rank> {
-    let levels = log2_exact(p);
-    let d = rank ^ root;
-    let from = if d == 0 { 0 } else { highest_bit(d) + 1 };
-    (from..levels).rev().map(|j| rank ^ (1usize << j)).collect()
-}
-
-/// Parent of `rank` in the binomial tree rooted at `root` (None for root).
-pub fn binomial_parent(root: Rank, rank: Rank) -> Option<Rank> {
-    bcast_recv_level(root, rank).map(|h| rank ^ (1usize << h))
-}
-
 /// Deterministic per-round RNG shared by all ranks: seeded from the world
 /// seed, the collective id, and the round number. "Consensus is achieved
 /// by using the same seed for all the processes" (§4.2).
-pub fn round_rng(seed: u64, coll: CollId, round: u64) -> ChaCha8Rng {
+fn round_rng(seed: u64, coll: CollId, round: u64) -> ChaCha8Rng {
     // SplitMix-style mixing of the three components into one 64-bit seed.
     let mut z = seed
         .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(coll.0 as u64 + 1))
@@ -106,51 +77,6 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn non_power_of_two_rejected() {
         require_power_of_two(12);
-    }
-
-    #[test]
-    fn recv_level_matches_highest_relative_bit() {
-        assert_eq!(bcast_recv_level(0, 0), None);
-        assert_eq!(bcast_recv_level(0, 1), Some(0));
-        assert_eq!(bcast_recv_level(0, 6), Some(2));
-        assert_eq!(bcast_recv_level(5, 5), None);
-        assert_eq!(bcast_recv_level(5, 4), Some(0)); // 4^5 = 1
-        assert_eq!(bcast_recv_level(5, 1), Some(2)); // 1^5 = 4
-    }
-
-    #[test]
-    fn binomial_tree_covers_all_ranks_exactly_once() {
-        // For every root in an 8-rank world, the union of children lists
-        // plus the root covers each rank exactly once (it is a tree).
-        let p = 8;
-        for root in 0..p {
-            let mut seen = vec![0usize; p];
-            seen[root] += 1;
-            for r in 0..p {
-                for c in binomial_children(root, r, p) {
-                    // c is a child of r iff r is c's parent.
-                    if binomial_parent(root, c) == Some(r) {
-                        seen[c] += 1;
-                    }
-                }
-            }
-            assert_eq!(seen, vec![1; p], "root {root}");
-        }
-    }
-
-    #[test]
-    fn parent_child_are_consistent() {
-        let p = 16;
-        for root in 0..p {
-            for r in 0..p {
-                if let Some(parent) = binomial_parent(root, r) {
-                    assert!(
-                        binomial_children(root, parent, p).contains(&r),
-                        "rank {r} must appear among its parent {parent}'s children (root {root})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -106,30 +106,6 @@ impl CommStats {
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
         }
     }
-
-    /// Export every counter into a [`pcoll_obs::MetricsRegistry`] under
-    /// `<prefix>_…` names (the unified-telemetry path: one `render()`
-    /// shows transport pressure next to round latencies).
-    pub fn export_metrics(&self, reg: &pcoll_obs::MetricsRegistry, prefix: &str) {
-        let s = self.snapshot();
-        reg.counter_add(&format!("{prefix}_sends_total"), s.sends);
-        reg.counter_add(&format!("{prefix}_bytes_sent_total"), s.bytes_sent);
-        reg.counter_add(&format!("{prefix}_recvs_total"), s.recvs);
-        reg.counter_add(&format!("{prefix}_bytes_received_total"), s.bytes_received);
-        reg.counter_add(&format!("{prefix}_send_stalls_total"), s.send_stalls);
-        reg.counter_add(
-            &format!("{prefix}_stall_ns_total"),
-            self.stall_ns.load(Ordering::Relaxed),
-        );
-        reg.counter_add(&format!("{prefix}_dropped_closed_total"), s.dropped_closed);
-        reg.counter_add(
-            &format!("{prefix}_dropped_peer_down_total"),
-            s.dropped_peer_down,
-        );
-        reg.counter_add(&format!("{prefix}_drain_skips_total"), s.drain_skips);
-        reg.counter_add(&format!("{prefix}_heartbeats_total"), s.heartbeats);
-        reg.gauge_max(&format!("{prefix}_peak_queue_depth"), s.peak_queue_depth);
-    }
 }
 
 /// A point-in-time copy of [`CommStats`], serializable for telemetry and
@@ -253,21 +229,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.recvs, 2);
         assert_eq!(snap.bytes_received, 192);
-    }
-
-    #[test]
-    fn export_metrics_lands_in_one_registry() {
-        let s = CommStats::default();
-        s.sends.store(3, Ordering::Relaxed);
-        s.record_recv(50);
-        s.record_depth(6);
-        let reg = pcoll_obs::MetricsRegistry::default();
-        s.export_metrics(&reg, "comm");
-        let text = reg.render();
-        assert!(text.contains("comm_sends_total 3\n"));
-        assert!(text.contains("comm_recvs_total 1\n"));
-        assert!(text.contains("comm_bytes_received_total 50\n"));
-        assert!(text.contains("comm_peak_queue_depth 6\n"));
     }
 
     #[test]

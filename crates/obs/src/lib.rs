@@ -1,6 +1,6 @@
 //! `pcoll_obs` — observability substrate for the partial-collectives
-//! stack: the [`Clock`] abstraction, a per-rank flight recorder, a
-//! Perfetto trace exporter, and a unified metrics registry.
+//! stack: the [`Clock`] abstraction, a per-rank flight recorder and a
+//! Perfetto trace exporter.
 //!
 //! This crate sits *below* `pcoll_comm` so every layer (transport,
 //! scheduler, collectives, tuner, trainer) can record into the same
@@ -17,8 +17,6 @@
 //! - [`perfetto`] — Chrome/Perfetto trace-event JSON export
 //!   ([`perfetto_trace`]) plus a schema validator
 //!   ([`validate_perfetto`]) so generated traces are checked in CI.
-//! - [`metrics`] — [`MetricsRegistry`]: counters, gauges, and
-//!   log₂-bucket latency histograms with p50/p95/p99, rendered as text.
 //!
 //! Because timestamps come from [`Clock`], the *same* instrumentation
 //! produces wall-time traces on real transports and bit-deterministic
@@ -28,13 +26,11 @@
 #![deny(missing_docs)]
 
 pub mod event;
-pub mod metrics;
 pub mod perfetto;
 pub mod recorder;
 pub mod time;
 
 pub use event::{EventKind, TraceEvent};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::{fnv1a, perfetto_trace, validate_perfetto, TraceSummary};
 pub use recorder::{
     FlightRecorder, Recorder, TraceConfig, ENV_TRACE, ENV_TRACE_CAP, LEVEL_OFF, LEVEL_SPANS,

@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Recording disabled: [`Recorder::record`] is a no-op at any level.
 pub const LEVEL_OFF: u8 = 0;
 /// Coarse timeline: spans and instants (rounds, ops, stalls, steps,
-/// tuner decisions). Cheap enough to leave on during benchmarks — the CI
-/// perf gate holds this level within 5% of recording off.
+/// tuner decisions). Cheap enough to leave on during benchmarks —
+/// `comm_micro` holds this level within 5% of recording off in CI.
 pub const LEVEL_SPANS: u8 = 1;
 /// Everything, including per-message send/recv/combine events. Meant for
 /// post-mortems and simulator runs (where the clock is virtual and the

@@ -53,7 +53,7 @@ use pcoll_comm::{
     Clock, CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint,
     TypedBuf, WireTag,
 };
-use pcoll_obs::{EventKind as Ev, MetricsRegistry, LEVEL_SPANS, LEVEL_VERBOSE};
+use pcoll_obs::{EventKind as Ev, LEVEL_SPANS, LEVEL_VERBOSE};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -157,24 +157,6 @@ impl EngineStats {
             self.dropped_unmatched.load(Ordering::Relaxed),
             self.pre_registered.load(Ordering::Relaxed),
         ]
-    }
-
-    /// Export every counter into `reg` under `{prefix}_{counter}_total`,
-    /// the engine's contribution to the unified metrics exposition.
-    pub fn export_metrics(&self, reg: &MetricsRegistry, prefix: &str) {
-        let [internal, external, completions, gc, late, dup, unmatched, pre] = self.snapshot();
-        for (name, v) in [
-            ("internal_activations", internal),
-            ("external_activations", external),
-            ("completions", completions),
-            ("dropped_gc", gc),
-            ("dropped_late", late),
-            ("dropped_dup", dup),
-            ("dropped_unmatched", unmatched),
-            ("pre_registered", pre),
-        ] {
-            reg.counter_add(&format!("{prefix}_{name}_total"), v);
-        }
     }
 }
 

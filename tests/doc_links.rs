@@ -3,7 +3,8 @@
 //! in the target file (GitHub slugification). External links are skipped;
 //! checking them would make the test network-flaky. Rust sources are held
 //! to the weaker rule their prose can meet: a markdown file they mention
-//! by name must be in the repo.
+//! by name must be in the repo. Commands are held to the same bar: a
+//! harness binary or a `repro` figure a document names must exist.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -181,6 +182,76 @@ fn markdown_files_named_in_rust_sources_exist() {
     assert!(
         failures.is_empty(),
         "Rust sources name markdown files that do not exist:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// `--bin <name>` must be a file under `crates/bench/src/bin/`, and the
+/// words after `repro` (the cargo command line, or a code span that
+/// starts with it) must be rows of the figure table — every one of which
+/// README's "Running experiments" index and the verify skill's figure
+/// paragraph name in turn. `benchmark/README.md` is out of scope: it is
+/// the benchmark's own record and names retired binaries historically.
+#[test]
+fn bench_binaries_and_figures_named_in_docs_exist() {
+    let root = repo_root();
+    let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs")).expect("table");
+    let figures: HashSet<&str> = table
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("name: \"")?.strip_suffix("\","))
+        .collect();
+    assert!(figures.len() >= 14, "the scan found {figures:?}");
+    let takes_value = ["--seed", "--time-scale", "--part", "--transport"];
+    let mut failures = Vec::new();
+    // (document, whether it carries a complete figure index)
+    for (doc, index) in [
+        ("README.md", true),
+        (".claude/skills/verify/SKILL.md", true),
+        ("ARCHITECTURE.md", false),
+        (".github/workflows/ci.yml", false),
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for missing in figures.iter().filter(|f| index && !text.contains(**f)) {
+            failures.push(format!("{doc}: the figure index omits `{missing}`"));
+        }
+        for (lineno, line) in text.lines().enumerate() {
+            let mut fail = |what: String| failures.push(format!("{doc}:{}: {what}", lineno + 1));
+            let words: Vec<&str> = line
+                .split(|c: char| c.is_whitespace() || c == '`')
+                .collect();
+            for pair in words.windows(2).filter(|w| w[0] == "--bin") {
+                if !root
+                    .join(format!("crates/bench/src/bin/{}.rs", pair[1]))
+                    .is_file()
+                {
+                    fail(format!("no binary `{}` in crates/bench/src/bin", pair[1]));
+                }
+            }
+            // The arguments of each `repro` invocation on this line.
+            let mut invocations: Vec<&str> = line.split("--bin repro --").skip(1).collect();
+            invocations.extend(
+                (line.split('`').skip(1).step_by(2)).filter_map(|span| span.strip_prefix("repro ")),
+            );
+            for argv in invocations {
+                let argv = argv.split(['#', '`']).next().unwrap_or(argv);
+                let mut words = argv.split_whitespace();
+                while let Some(word) = words.next() {
+                    if takes_value.contains(&word) {
+                        words.next();
+                    } else if word.starts_with(|c: char| c.is_ascii_lowercase()) {
+                        if word != "all" && !figures.contains(word) {
+                            fail(format!("`repro {word}` is not a row of the figure table"));
+                        }
+                    } else if !word.starts_with("--") {
+                        break; // `<figure>...`, `|`, prose punctuation
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "documents name harnesses that do not exist:\n{}",
         failures.join("\n")
     );
 }
