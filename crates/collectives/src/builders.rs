@@ -28,6 +28,17 @@
 //! `r XOR 2^k`) and one send per step with OR-dependencies on the
 //! lower-step receives covers **all** P possible initiators with `O(log P)`
 //! consumable operations — precisely the paper's Fig. 6 schedule.
+//!
+//! ## The averaging step (Alg. 2 line 6)
+//!
+//! An allreduce built with `scale = Some(f)` multiplies its result by `f`
+//! inside the schedule, with one `OpKind::Scale` where the finished sum
+//! sits in the fewest elements: the segmented ring scales each rank's own
+//! fully reduced chunk between reduce-scatter and allgather (N/P elements
+//! per rank, and what the allgather broadcasts is already scaled, so ranks
+//! stay bit-identical), recursive doubling scales slot 0 after its last
+//! combine, a one-rank world its deposit. `f == 1.0` (the `1/P` of one
+//! rank) emits no step. The bits are `TypedBuf::scale`'s either way.
 
 use crate::topology::{log2_exact, rd_partner, require_power_of_two};
 use pcoll_comm::{Rank, ReduceOp};
@@ -202,12 +213,23 @@ fn activation_phase(b: &mut ScheduleBuilder, rank: Rank, p: usize, mode: &Activa
     }
 }
 
+/// The averaging step (module docs): scale `slot` once `after` has left
+/// the finished reduction in it, and return the op later steps wait on —
+/// `after` itself when the factor is absent or exactly 1.
+fn scale_step(b: &mut ScheduleBuilder, scale: Option<f64>, slot: Slot, after: OpId) -> OpId {
+    match scale {
+        Some(factor) if factor != 1.0 => b.op(OpKind::Scale { slot, factor }, vec![after]),
+        _ => after,
+    }
+}
+
 /// The allreduce of a one-rank world, under any mode: the rank's own
-/// arrival completes the round with its deposit as the result.
-fn single_rank_schedule(mut b: ScheduleBuilder) -> Schedule {
+/// arrival completes the round with its (scaled) deposit as the result.
+fn single_rank_schedule(mut b: ScheduleBuilder, scale: Option<f64>) -> Schedule {
     b.snapshot_at(SnapshotTiming::Activation);
     let gate = b.op(OpKind::InternalGate, vec![]);
-    b.completion(gate).result_slot(CONTRIB_SLOT);
+    let done = scale_step(&mut b, scale, CONTRIB_SLOT, gate);
+    b.completion(done).result_slot(CONTRIB_SLOT);
     b.build()
 }
 
@@ -215,8 +237,16 @@ fn single_rank_schedule(mut b: ScheduleBuilder) -> Schedule {
 ///
 /// The data phase is a recursive-doubling allreduce over slot 0
 /// ([`CONTRIB_SLOT`]); level-`k` exchanges land in scratch slot `1 + k`.
-/// The completion op is the final combine; the result is slot 0.
-pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationMode) -> Schedule {
+/// The result is slot 0 after the final combine, multiplied by `scale`
+/// there (every rank holds the same sum bit for bit, so every rank
+/// scales it to the same bits); that last op is the completion.
+pub fn allreduce_schedule(
+    rank: Rank,
+    p: usize,
+    op: ReduceOp,
+    scale: Option<f64>,
+    mode: &ActivationMode,
+) -> Schedule {
     require_power_of_two(p);
     let levels = log2_exact(p);
     let mut b = ScheduleBuilder::new();
@@ -224,7 +254,7 @@ pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationM
 
     if p == 1 {
         // Degenerate world: the gate is the whole collective.
-        return single_rank_schedule(b);
+        return single_rank_schedule(b, scale);
     }
 
     let n1 = activation_phase(&mut b, rank, p, mode);
@@ -263,8 +293,9 @@ pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationM
         );
         prev_combine = Some(combine);
     }
-    b.completion(prev_combine.expect("p > 1 has at least one level"))
-        .result_slot(CONTRIB_SLOT);
+    let summed = prev_combine.expect("p > 1 has at least one level");
+    let done = scale_step(&mut b, scale, CONTRIB_SLOT, summed);
+    b.completion(done).result_slot(CONTRIB_SLOT);
     b.build()
 }
 
@@ -285,8 +316,10 @@ pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationM
 /// ring-chunks across the P ranks and runs P−1 reduce-scatter steps
 /// (each hop's payload is `segment/P` elements, received chunks fold
 /// into per-chunk accumulators — over TCP straight from the frame's wire
-/// bytes) followed by P−1 allgather steps (received chunks are forwarded
-/// zero-copy and assembled into the result in place). Segments are
+/// bytes), the `scale` of the one chunk this rank then owns fully reduced
+/// (N/P elements per rank instead of N), and P−1 allgather steps
+/// (received chunks are forwarded zero-copy and assembled into the result
+/// in place). Segments are
 /// dependency-independent, so segment `k+1`'s sends overlap segment
 /// `k`'s reduces; `pipeline_depth` bounds how many segments may be in
 /// flight, which keeps the instantaneous queue footprint under the
@@ -296,12 +329,14 @@ pub fn allreduce_schedule(rank: Rank, p: usize, op: ReduceOp, mode: &ActivationM
 /// stale, or null — Fig. 7) is chunk-decomposed and every chunk passes
 /// through every rank exactly once, so a straggler-excluded round sums
 /// exactly the P snapshots, like the recursive-doubling phase it
-/// replaces. Each chunk's total is computed once and broadcast, so
-/// results are bitwise identical across ranks.
+/// replaces. Each chunk's total is computed — and scaled — once and
+/// broadcast, so results are bitwise identical across ranks.
+#[allow(clippy::too_many_arguments)]
 pub fn segmented_allreduce_schedule(
     rank: Rank,
     p: usize,
     op: ReduceOp,
+    scale: Option<f64>,
     mode: &ActivationMode,
     n_elems: usize,
     segment_elems: usize,
@@ -311,7 +346,7 @@ pub fn segmented_allreduce_schedule(
 
     if p == 1 {
         b.slots(1);
-        return single_rank_schedule(b);
+        return single_rank_schedule(b, scale);
     }
 
     let segment_elems = segment_elems.max(1);
@@ -418,7 +453,11 @@ pub fn segmented_allreduce_schedule(
                 vec![recv, send, slice_views[recv_chunk]],
             ));
         }
-        let reduced = prev_combine.expect("p > 1 has reduce-scatter steps");
+        // The averaging step runs here, on the one chunk this rank owns
+        // fully reduced: what the allgather circulates is already scaled.
+        let own_chunk = (rank + 1) % p;
+        let summed = prev_combine.expect("p > 1 has reduce-scatter steps");
+        let reduced = scale_step(&mut b, scale, chunk_slot(own_chunk), summed);
 
         // Allgather ring: circulate the fully-reduced chunks, forwarding
         // each received payload zero-copy (a refcount bump in process, a
@@ -426,7 +465,6 @@ pub fn segmented_allreduce_schedule(
         // the result slot in place. Its buffer comes from the scratch
         // pool *uninitialized* — sound because the CopyAt writes across
         // all segments tile every element of the tensor.
-        let own_chunk = (rank + 1) % p;
         let mut seg_finals = vec![b.op(
             OpKind::CopyAt {
                 src: chunk_slot(own_chunk),
@@ -707,7 +745,13 @@ pub(crate) mod tests {
         for p in [2usize, 4, 8, 16, 32] {
             let cands: Vec<Rank> = (0..p).collect();
             let scheds = all_schedules(p, &|r| {
-                allreduce_schedule(r, p, ReduceOp::Sum, &ActivationMode::Race(cands.clone()))
+                allreduce_schedule(
+                    r,
+                    p,
+                    ReduceOp::Sum,
+                    None,
+                    &ActivationMode::Race(cands.clone()),
+                )
             });
             check_send_recv_pairing(&scheds);
             for s in &scheds {
@@ -721,7 +765,13 @@ pub(crate) mod tests {
         for p in [2usize, 8, 16] {
             for init in [0, p / 2, p - 1] {
                 let scheds = all_schedules(p, &|r| {
-                    allreduce_schedule(r, p, ReduceOp::Sum, &ActivationMode::Chain(vec![init]))
+                    allreduce_schedule(
+                        r,
+                        p,
+                        ReduceOp::Sum,
+                        None,
+                        &ActivationMode::Chain(vec![init]),
+                    )
                 });
                 check_send_recv_pairing(&scheds);
             }
@@ -733,7 +783,13 @@ pub(crate) mod tests {
         let p = 8;
         let chain = vec![3usize, 0, 6];
         let scheds = all_schedules(p, &|r| {
-            allreduce_schedule(r, p, ReduceOp::Sum, &ActivationMode::Chain(chain.clone()))
+            allreduce_schedule(
+                r,
+                p,
+                ReduceOp::Sum,
+                None,
+                &ActivationMode::Chain(chain.clone()),
+            )
         });
         check_send_recv_pairing(&scheds);
     }
@@ -741,7 +797,7 @@ pub(crate) mod tests {
     #[test]
     fn full_allreduce_has_no_activation_ops() {
         let p = 8;
-        let s = allreduce_schedule(2, p, ReduceOp::Sum, &ActivationMode::Full);
+        let s = allreduce_schedule(2, p, ReduceOp::Sum, None, &ActivationMode::Full);
         for op in &s.ops {
             match op.kind {
                 OpKind::SendCtl { sem, .. }
@@ -764,7 +820,7 @@ pub(crate) mod tests {
         // sends; pure receivers in Chain mode have L-1 (no step-0 send).
         let p = 16;
         let all: Vec<Rank> = (0..p).collect();
-        let solo = allreduce_schedule(5, p, ReduceOp::Sum, &ActivationMode::Race(all));
+        let solo = allreduce_schedule(5, p, ReduceOp::Sum, None, &ActivationMode::Race(all));
         let n_act_sends = solo
             .ops
             .iter()
@@ -772,7 +828,7 @@ pub(crate) mod tests {
             .count();
         assert_eq!(n_act_sends, 4, "log2(16) activation sends");
 
-        let maj = allreduce_schedule(5, p, ReduceOp::Sum, &ActivationMode::Chain(vec![0]));
+        let maj = allreduce_schedule(5, p, ReduceOp::Sum, None, &ActivationMode::Chain(vec![0]));
         let n_act_sends = maj
             .ops
             .iter()
@@ -787,14 +843,14 @@ pub(crate) mod tests {
         // activation phase.
         // Activation: L recvs + L sends + N1; data: 3L; plus the gate.
         let all64: Vec<Rank> = (0..64).collect();
-        let s64 = allreduce_schedule(0, 64, ReduceOp::Sum, &ActivationMode::Race(all64));
+        let s64 = allreduce_schedule(0, 64, ReduceOp::Sum, None, &ActivationMode::Race(all64));
         assert!(
             s64.ops.len() <= 5 * 6 + 4,
             "64-rank schedule should stay O(log P), got {}",
             s64.ops.len()
         );
         let all8: Vec<Rank> = (0..8).collect();
-        let s8 = allreduce_schedule(0, 8, ReduceOp::Sum, &ActivationMode::Race(all8));
+        let s8 = allreduce_schedule(0, 8, ReduceOp::Sum, None, &ActivationMode::Race(all8));
         assert!(s8.ops.len() < s64.ops.len());
     }
 
@@ -811,7 +867,7 @@ pub(crate) mod tests {
                     ActivationMode::Full,
                 ] {
                     let scheds = all_schedules(p, &|r| {
-                        segmented_allreduce_schedule(r, p, ReduceOp::Sum, &mode, n, 32, 2)
+                        segmented_allreduce_schedule(r, p, ReduceOp::Sum, None, &mode, n, 32, 2)
                     });
                     check_send_recv_pairing(&scheds);
                     for s in &scheds {
@@ -834,7 +890,7 @@ pub(crate) mod tests {
                 ActivationMode::Full,
             ] {
                 let scheds = all_schedules(p, &|r| {
-                    segmented_allreduce_schedule(r, p, ReduceOp::Sum, &mode, 40, 16, 2)
+                    segmented_allreduce_schedule(r, p, ReduceOp::Sum, None, &mode, 40, 16, 2)
                 });
                 check_send_recv_pairing(&scheds);
                 for s in &scheds {
@@ -877,8 +933,9 @@ pub(crate) mod tests {
         // multi-MiB tensors.
         let all: Vec<Rank> = (0..8).collect();
         let mode = ActivationMode::Race(all);
-        let small = segmented_allreduce_schedule(0, 8, ReduceOp::Sum, &mode, 1 << 10, 256, 4);
-        let large = segmented_allreduce_schedule(0, 8, ReduceOp::Sum, &mode, 1 << 20, 1 << 18, 4);
+        let small = segmented_allreduce_schedule(0, 8, ReduceOp::Sum, None, &mode, 1 << 10, 256, 4);
+        let large =
+            segmented_allreduce_schedule(0, 8, ReduceOp::Sum, None, &mode, 1 << 20, 1 << 18, 4);
         assert_eq!(
             small.ops.len(),
             large.ops.len(),
@@ -891,7 +948,7 @@ pub(crate) mod tests {
         // With depth d, segment k's slice copies depend on segment k−d's
         // completion Nop — count the gating Nops.
         let mode = ActivationMode::Full;
-        let sched = segmented_allreduce_schedule(0, 4, ReduceOp::Sum, &mode, 64, 8, 2);
+        let sched = segmented_allreduce_schedule(0, 4, ReduceOp::Sum, None, &mode, 64, 8, 2);
         // 8 segments, depth 2 → segments 2..8 are gated.
         let gated = sched
             .ops
@@ -899,6 +956,50 @@ pub(crate) mod tests {
             .filter(|o| matches!(o.kind, OpKind::Nop) && o.deps.len() == 2)
             .count();
         assert!(gated >= 6, "expected pipeline gates, found {gated}");
+    }
+
+    #[test]
+    fn the_average_is_one_scale_step_on_the_finished_reduction() {
+        let mode = ActivationMode::Full;
+        let scales = |s: &Schedule| -> Vec<(OpId, Slot)> {
+            let slot = |(i, o): (OpId, &pcoll_sched::Op)| match o.kind {
+                OpKind::Scale { slot, .. } => Some((i, slot)),
+                _ => None,
+            };
+            s.ops.iter().enumerate().filter_map(slot).collect()
+        };
+        // No factor, or a factor of exactly 1 (1/P at P = 1): no step.
+        for scale in [None, Some(1.0)] {
+            for p in [1usize, 4] {
+                let rd = allreduce_schedule(0, p, ReduceOp::Sum, scale, &mode);
+                let seg =
+                    segmented_allreduce_schedule(0, p, ReduceOp::Sum, scale, &mode, 64, 16, 2);
+                assert_eq!((scales(&rd), scales(&seg)), (vec![], vec![]), "p={p}");
+            }
+        }
+        // Recursive doubling and a one-rank world: slot 0, and the step is
+        // the completion.
+        for p in [1usize, 8] {
+            let s = allreduce_schedule(3 % p, p, ReduceOp::Sum, Some(0.5), &mode);
+            assert_eq!(scales(&s), [(s.completion, CONTRIB_SLOT)], "p={p}");
+        }
+        // The ring: once per segment, on the chunk this rank owns, after
+        // the last reduce-scatter fold and before anything reads the chunk
+        // (the first allgather send and the chunk's own assembly copy).
+        let (rank, p) = (1usize, 4usize);
+        let s = segmented_allreduce_schedule(rank, p, ReduceOp::Sum, Some(0.25), &mode, 64, 16, 2);
+        let found = scales(&s);
+        assert_eq!(found.len(), 4, "one per segment");
+        for (seg, &(id, slot)) in found.iter().enumerate() {
+            assert_eq!(slot, 1 + seg * (3 * p - 2) + (rank + 1) % p);
+            let dep = &s.ops[s.ops[id].deps[0]].kind;
+            assert!(matches!(dep, OpKind::Combine { dst, .. } if *dst == slot));
+            let readers: Vec<&OpKind> = s.dependents[id].iter().map(|&d| &s.ops[d].kind).collect();
+            assert!(matches!(
+                readers[..],
+                [OpKind::CopyAt { src: a, .. }, OpKind::SendData { src: b, .. }] if *a == slot && *b == slot
+            ));
+        }
     }
 
     #[test]
@@ -966,7 +1067,7 @@ pub(crate) mod tests {
                     seed, pcoll_comm::CollId(1), 0, p, m);
                 let scheds: Vec<Schedule> = (0..p)
                     .map(|r| allreduce_schedule(
-                        r, p, ReduceOp::Sum, &ActivationMode::Chain(cands.clone())))
+                        r, p, ReduceOp::Sum, None, &ActivationMode::Chain(cands.clone())))
                     .collect();
                 check_send_recv_pairing(&scheds);
             }

@@ -452,8 +452,9 @@ pub enum StaleMode {
 /// Options for [`PartialAllreduce`].
 #[derive(Clone)]
 pub struct PartialOpts {
-    /// Multiply the reduced result by this factor on completion
-    /// (Algorithm 2 line 6 passes `1/P`).
+    /// Multiply the reduced result by this factor (Algorithm 2 line 6
+    /// passes `1/P`) — as a step of the round's schedule: the ring scales
+    /// each rank's own reduced chunk before broadcasting it.
     pub scale: Option<f64>,
     /// Stale-gradient handling (ablation hook; default = paper behavior).
     pub stale_mode: StaleMode,
@@ -514,8 +515,9 @@ struct SendBuf {
     /// The pending contribution. Held as a [`Payload`] so an owned
     /// deposit ([`PartialAllreduce::deposit_owned`]) moves straight in
     /// and the engine's snapshot takes it back out without ever copying;
-    /// the by-ref deposit path writes through copy-on-write (in place in
-    /// the steady state, where this handle is the sole owner).
+    /// the in-place deposit ([`PartialAllreduce::deposit_fill`]) writes
+    /// through copy-on-write (in place in the steady state, where this
+    /// handle is the sole owner).
     data: Payload,
     /// Whether `data` holds any deposit since the last snapshot. When
     /// false the buffer is *logically* G_null and its bytes may be stale
@@ -597,12 +599,13 @@ impl CollectiveTemplate for PartialTemplate {
             .insert(round, (plan.policy, false, true));
         let mut sched = match plan.algo {
             AllreduceAlgo::RecursiveDoubling => {
-                allreduce_schedule(vrank, plan.p_live, self.op, &plan.mode)
+                allreduce_schedule(vrank, plan.p_live, self.op, shared.opts.scale, &plan.mode)
             }
             AllreduceAlgo::SegmentedRing => segmented_allreduce_schedule(
                 vrank,
                 plan.p_live,
                 self.op,
+                shared.opts.scale,
                 &plan.mode,
                 shared.len,
                 shared.opts.algo.segment_elems(shared.dtype),
@@ -642,10 +645,7 @@ impl CollectiveTemplate for PartialTemplate {
     /// then — under the lock that publishes the result — the counters.
     fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
         let round = stats.round;
-        let mut data = result.expect("allreduce completion carries data");
-        if let Some(s) = self.shared.opts.scale {
-            data.scale(s);
-        }
+        let data = result.expect("allreduce completion carries data");
         let (policy, fresh, null) = self
             .in_flight
             .borrow_mut()
@@ -698,6 +698,18 @@ impl CollectiveTemplate for PartialTemplate {
 /// Application handle for one partial allreduce collective on one rank.
 ///
 /// Not `Sync`: one owner (the training thread) advances rounds.
+///
+/// Three deposit forms, one protocol (claim the round, write into the
+/// send buffer — over a logically null one, onto a stale one — activate):
+/// [`PartialAllreduce::deposit_fill`] hands out the send buffer itself,
+/// [`PartialAllreduce::deposit`] copies a borrowed buffer into it,
+/// [`PartialAllreduce::deposit_owned`] moves a uniquely owned payload in.
+/// Results are read in place from the [`AllreduceOutcome`]. Filled in
+/// place, a rank's tensor-sized buffers form one closed cycle — send →
+/// slot 0 → engine pool → assembly/result → receive → spare → send — and
+/// the caller holds none. An outcome may be held for any length of time;
+/// one still held when the *next* round completes costs that cycle the
+/// superseded receive buffer (one allocation to replace it), nothing else.
 ///
 /// Under [`QuorumPolicy::Full`] this is the blocking allreduce the paper
 /// baselines against (`MPI_Allreduce`: quorum = P, no rank returns before
@@ -924,28 +936,42 @@ impl PartialAllreduce {
     /// discrete-event simulator, whose single thread must never block —
     /// use this split; `allreduce` is exactly `deposit` + a blocking wait.
     pub fn deposit(&mut self, contrib: &TypedBuf) -> u64 {
-        self.deposit_with(contrib.dtype(), contrib.len(), |send, overwrite| {
-            let dst = send.data.to_mut();
-            if overwrite {
-                dst.copy_from_at(0, contrib, 0, contrib.len())
-            } else {
-                dst.combine(contrib, ReduceOp::Sum)
-            }
+        self.deposit_fill(|dst| {
+            assert_eq!(contrib.len(), dst.len(), "contribution length");
+            let copied = dst.copy_from_at(0, contrib, 0, contrib.len());
+            copied.expect("contribution dtype")
         })
     }
 
-    /// The deposit protocol around `fill(send buffer, overwrite)`: claim
-    /// the next round, write the contribution in — wholesale when the
-    /// buffer is logically null (or under [`StaleMode::Replace`]),
+    /// Deposit by writing the contribution where the round reads it
+    /// (Fig. 7's one send buffer): `fill` must overwrite every element of
+    /// the buffer it is handed, whose contents are unspecified. On pace
+    /// that is the resident send buffer; onto a stale deposit
+    /// ([`StaleMode::Accumulate`]) it is the spare, folded in afterwards.
+    /// `fill` runs under the send lock: no calls back into this handle.
+    pub fn deposit_fill(&mut self, fill: impl FnOnce(&mut TypedBuf)) -> u64 {
+        self.deposit_with(|send, overwrite| {
+            if overwrite {
+                fill(send.data.to_mut());
+                return Ok(());
+            }
+            let spare = send.spare.take();
+            let mut fresh = spare.unwrap_or_else(|| send.data.to_mut().zeros_like());
+            fill(&mut fresh);
+            let folded = send.data.to_mut().combine(&fresh, ReduceOp::Sum);
+            send.spare = Some(fresh);
+            folded
+        })
+    }
+
+    /// The one deposit protocol, around `fill(send buffer, overwrite)`:
+    /// claim the next round, write the contribution in — wholesale when
+    /// the buffer is logically null (or under [`StaleMode::Replace`]),
     /// accumulating otherwise — and activate the round.
     fn deposit_with(
         &mut self,
-        dtype: DType,
-        len: usize,
         fill: impl FnOnce(&mut SendBuf, bool) -> Result<(), pcoll_comm::BufError>,
     ) -> u64 {
-        assert_eq!(dtype, self.shared.dtype, "contribution dtype");
-        assert_eq!(len, self.shared.len, "contribution length");
         let round = self.next_round;
         self.next_round += 1;
         {
@@ -957,7 +983,7 @@ impl PartialAllreduce {
                 StaleMode::Accumulate => !send.filled,
                 StaleMode::Replace => true,
             };
-            fill(&mut send, overwrite).expect("deposit shape checked above");
+            fill(&mut send, overwrite).expect("contribution shape matches the collective's");
             send.filled = true;
             send.last_deposit_round = Some(round);
         }
@@ -984,7 +1010,9 @@ impl PartialAllreduce {
     /// and starve the engine's scratch pool). The accumulate path folds
     /// with [`Payload::reduce_assign`].
     pub fn deposit_owned(&mut self, contrib: Payload) -> u64 {
-        self.deposit_with(contrib.dtype(), contrib.len(), |send, overwrite| {
+        assert_eq!(contrib.dtype(), self.shared.dtype, "contribution dtype");
+        assert_eq!(contrib.len(), self.shared.len, "contribution length");
+        self.deposit_with(|send, overwrite| {
             if !overwrite {
                 return send.data.reduce_assign(&contrib, ReduceOp::Sum);
             }

@@ -291,3 +291,126 @@ fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
         }
     }
 }
+
+/// Rank `rank`'s contribution in `dtype`: small non-zero integers, so
+/// sums and products over ≤ 8 ranks are exact in every dtype and order.
+fn small_ints(dtype: DType, rank: usize, n: usize) -> TypedBuf {
+    let val = |i: usize| [-2i32, -1, 1, 2, 3][(rank * 3 + i) % 5];
+    match dtype {
+        DType::F32 => (0..n).map(|i| val(i) as f32).collect::<Vec<_>>().into(),
+        DType::F64 => (0..n).map(|i| f64::from(val(i))).collect::<Vec<_>>().into(),
+        DType::I32 => (0..n).map(val).collect::<Vec<_>>().into(),
+        DType::I64 => (0..n).map(|i| i64::from(val(i))).collect::<Vec<_>>().into(),
+    }
+}
+
+fn le_bits(buf: &TypedBuf) -> Vec<u8> {
+    let mut out = Vec::new();
+    buf.extend_le_bytes(&mut out);
+    out
+}
+
+/// The average is a step of the schedule (the ring scales each rank's own
+/// reduced chunk before broadcasting it, recursive doubling its final
+/// sum): for every dtype × op × world size × algorithm the result equals
+/// the unscaled collective's followed by `TypedBuf::scale`, bit for bit
+/// and on every rank — `1/P` (exactly 1 at P = 1, where no step is
+/// emitted) and a factor that is not 1 anywhere.
+#[test]
+fn scale_in_schedule_equals_scale_of_the_result_bit_for_bit() {
+    const N: usize = 13;
+    const DTYPES: [DType; 4] = [DType::F32, DType::F64, DType::I32, DType::I64];
+    const OPS: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max];
+    for p in [1usize, 2, 3, 4, 5, 8] {
+        let factors = [1.0 / p as f64, 0.3];
+        let out = World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
+            let ctx = RankCtx::new(c);
+            let mut got = Vec::new();
+            for dtype in DTYPES {
+                let contrib = small_ints(dtype, ctx.rank(), N);
+                for op in OPS {
+                    for algo in [
+                        AlgoSelector::pinned(AllreduceAlgo::RecursiveDoubling),
+                        // Four-element segments: ragged chunks and tails.
+                        AlgoSelector::segmented(4 * dtype.size_of()),
+                    ] {
+                        let run = |scale: Option<f64>| {
+                            let opts = PartialOpts {
+                                scale,
+                                algo,
+                                ..PartialOpts::default()
+                            };
+                            let mut ar =
+                                ctx.partial_allreduce(dtype, N, op, QuorumPolicy::Full, opts);
+                            ar.allreduce(&contrib).data.to_buf()
+                        };
+                        let plain = run(None);
+                        for factor in factors {
+                            let mut want = plain.clone();
+                            want.scale(factor);
+                            let case = format!("p={p} {dtype:?} {op:?} {:?} x{factor}", algo.pin);
+                            assert_eq!(le_bits(&run(Some(factor))), le_bits(&want), "{case}");
+                        }
+                        got.push(le_bits(&run(Some(factors[1]))));
+                    }
+                }
+            }
+            ctx.finalize();
+            got
+        });
+        for (rank, got) in out.iter().enumerate() {
+            assert_eq!(got, &out[0], "p={p}: rank {rank} differs from rank 0");
+        }
+    }
+}
+
+/// A peer dies mid-round: every receive from it fires null, so partial
+/// sums that would have passed through it never arrive, a rank's own chunk
+/// can reach the scale step carrying nothing but its own contribution, and
+/// tiles the corpse owned stay as the assembly buffer was born (zeros, in
+/// a first round). The round still completes on every survivor, and every
+/// element is a whole count of survivors' contributions, each scaled
+/// exactly once — never a quarter (unscaled mass scaled twice) or a
+/// multiple of four (never scaled).
+#[test]
+fn a_peer_down_mid_round_completes_with_each_survivor_scaled_once() {
+    const DEAD: usize = 3;
+    let (p, n) = (4usize, 8usize);
+    for algo in [
+        AlgoSelector::pinned(AllreduceAlgo::RecursiveDoubling),
+        AlgoSelector::pinned(AllreduceAlgo::SegmentedRing),
+    ] {
+        let out = World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
+            let to_self = c.handle();
+            let ctx = RankCtx::new(c);
+            let opts = PartialOpts {
+                scale: Some(0.25),
+                algo,
+                ..PartialOpts::default()
+            };
+            let mut ar =
+                ctx.partial_allreduce(DType::F32, n, ReduceOp::Sum, QuorumPolicy::Full, opts);
+            let result = (ctx.rank() != DEAD).then(|| {
+                let round = ar.deposit(&TypedBuf::from(vec![4.0f32; n]));
+                to_self.send_peer_down(ctx.rank(), DEAD);
+                ar.wait_for(round)
+                    .data
+                    .as_f32()
+                    .expect("f32 result")
+                    .to_vec()
+            });
+            ctx.finalize();
+            result
+        });
+        let survivors: Vec<&Vec<f32>> = out.iter().flatten().collect();
+        assert_eq!(survivors.len(), p - 1);
+        for v in &survivors {
+            let whole_counts = v.iter().all(|x| [0.0, 1.0, 2.0, 3.0].contains(x));
+            assert!(whole_counts, "{:?}: {v:?}", algo.pin);
+        }
+        // Somewhere the whole surviving mass arrived: three contributions
+        // of 4.0, averaged over the original world of four.
+        let full = survivors.iter().any(|v| v.contains(&3.0));
+        assert!(full, "{:?}: no element saw all three survivors", algo.pin);
+    }
+}

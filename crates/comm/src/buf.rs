@@ -165,29 +165,7 @@ impl TypedBuf {
     /// Multiply every element by `factor` (used for the `1/P` averaging in
     /// Algorithm 2 line 6). Integer buffers round toward zero.
     pub fn scale(&mut self, factor: f64) {
-        match self {
-            TypedBuf::F32(v) => {
-                let f = factor as f32;
-                for x in v.iter_mut() {
-                    *x *= f;
-                }
-            }
-            TypedBuf::F64(v) => {
-                for x in v.iter_mut() {
-                    *x *= factor;
-                }
-            }
-            TypedBuf::I32(v) => {
-                for x in v.iter_mut() {
-                    *x = (*x as f64 * factor) as i32;
-                }
-            }
-            TypedBuf::I64(v) => {
-                for x in v.iter_mut() {
-                    *x = (*x as f64 * factor) as i64;
-                }
-            }
-        }
+        with_elem!(self.dtype(), T => kernel::scale(T::of_mut(self).expect("own dtype"), factor))
     }
 
     /// Set every element to zero, keeping the allocation (send-buffer reset

@@ -6,8 +6,9 @@
 //! combine_le_bytes, copy_from_at}`, `Payload::{reduce_assign,
 //! copy_into_at, fold_into, store_into}`, `Matcher::{recv_combine,
 //! recv_copy}` — resolves its operands to a typed destination slice and a
-//! borrowed [`Src`], and calls [`fold`] or [`store`]. There is no other
-//! reduction loop and no other per-element decode.
+//! borrowed [`Src`], and calls [`fold`] or [`store`]; [`TypedBuf::scale`],
+//! the average's `1/P`, is [`scale`]. There is no other reduction loop and
+//! no other per-element decode.
 //!
 //! The loops are plain `zip`s over slices and `chunks_exact`, monomorphised
 //! per element type, source form and operator, which is what lets the
@@ -38,6 +39,9 @@ pub trait Elem:
     fn from_le(bytes: &[u8]) -> Self;
     /// Encode this element as little-endian bytes.
     fn to_le(self) -> Self::Bytes;
+    /// This element times `factor`: floats multiply in their own
+    /// precision, integers go through `f64` and round toward zero.
+    fn scaled(self, factor: f64) -> Self;
     /// The elements of `buf`, if this is its dtype.
     fn of(buf: &TypedBuf) -> Option<&[Self]>;
     /// The elements of `buf` mutably, if this is its dtype.
@@ -45,7 +49,7 @@ pub trait Elem:
 }
 
 macro_rules! impl_elem {
-    ($($t:ty, $variant:ident, $zero:expr;)*) => {$(
+    ($($t:ty, $variant:ident, $zero:expr, $scaled:expr;)*) => {$(
         impl sealed::Sealed for $t {}
         impl Elem for $t {
             const DTYPE: DType = DType::$variant;
@@ -59,6 +63,11 @@ macro_rules! impl_elem {
             #[inline]
             fn to_le(self) -> Self::Bytes {
                 self.to_le_bytes()
+            }
+            #[inline]
+            fn scaled(self, factor: f64) -> Self {
+                let scaled: fn($t, f64) -> $t = $scaled;
+                scaled(self, factor)
             }
             fn of(buf: &TypedBuf) -> Option<&[Self]> {
                 match buf {
@@ -77,10 +86,10 @@ macro_rules! impl_elem {
 }
 
 impl_elem! {
-    f32, F32, 0.0;
-    f64, F64, 0.0;
-    i32, I32, 0;
-    i64, I64, 0;
+    f32, F32, 0.0, |x, f| x * f as f32;
+    f64, F64, 0.0, |x, f| x * f;
+    i32, I32, 0, |x, f| (x as f64 * f) as i32;
+    i64, I64, 0, |x, f| (x as f64 * f) as i64;
 }
 
 /// Evaluate `$body` with `$T` naming the element type of `$dtype` — the
@@ -279,4 +288,9 @@ pub fn store<T: Elem>(out: &mut [T], src: Src<'_, T>) -> Result<(), BufError> {
         Src::Wire(b) => out.iter_mut().zip(decoded(b)).for_each(|(o, s)| *o = s),
     }
     Ok(())
+}
+
+/// `out[i] = out[i] · factor` ([`Elem::scaled`]): the `1/P` of an average.
+pub fn scale<T: Elem>(out: &mut [T], factor: f64) {
+    out.iter_mut().for_each(|x| *x = x.scaled(factor));
 }

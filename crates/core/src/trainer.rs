@@ -31,9 +31,10 @@ use minitensor::TensorRng;
 use pcoll::{
     AlgoSelector, PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundCounters, StaleMode,
 };
-use pcoll_comm::{CommStatsSnapshot, DType, Payload, ReduceOp, TypedBuf};
+use pcoll_comm::{CommStatsSnapshot, DType, ReduceOp, TypedBuf};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -266,28 +267,30 @@ impl TrainerConfig {
     }
 }
 
-/// Average `grads` across ranks through `reducers`, one collective per
-/// `sizes` segment of the flat buffer (a single fused one, or one per
-/// tensor): deposit every segment, then wait on each — §3's tagged
-/// in-flight allreduces + waitall. Each deposit moves a freshly built
-/// buffer into the send slot (no element copy inside the collective); the
-/// result is copied out once, into the returned flat gradient.
-fn allreduce_grads(reducers: &mut [PartialAllreduce], sizes: &[usize], grads: &[f32]) -> Vec<f32> {
+/// The elements of a gradient or weight buffer (all are `F32`).
+fn f32s(buf: &mut TypedBuf) -> &mut [f32] {
+    buf.as_f32_mut().expect("f32 collective")
+}
+
+/// Average `flat` in place through one collective per `sizes` segment:
+/// deposit every segment, then wait on each — §3's tagged in-flight
+/// allreduces + waitall.
+fn average_per_tensor(reducers: &mut [PartialAllreduce], sizes: &[usize], flat: &mut [f32]) {
     let mut off = 0;
-    let rounds: Vec<u64> = reducers
+    let in_flight: Vec<(Range<usize>, u64)> = reducers
         .iter_mut()
         .zip(sizes)
-        .map(|(r, &len)| {
-            let seg = TypedBuf::from(grads[off..off + len].to_vec());
+        .map(|(ar, &len)| {
+            let span = off..off + len;
             off += len;
-            r.deposit_owned(Payload::new(seg))
+            let round = ar.deposit_fill(|send| f32s(send).copy_from_slice(&flat[span.clone()]));
+            (span, round)
         })
         .collect();
-    let mut avg = Vec::with_capacity(grads.len());
-    for (r, round) in reducers.iter().zip(rounds) {
-        avg.extend_from_slice(r.wait_for(round).data.as_f32().expect("f32 gradients"));
+    for (ar, (span, round)) in reducers.iter().zip(in_flight) {
+        let out = ar.wait_for(round);
+        flat[span].copy_from_slice(out.data.as_f32().expect("f32 gradients"));
     }
-    avg
 }
 
 /// Run the full training loop on this rank. SPMD: every rank calls this
@@ -365,9 +368,11 @@ pub fn run_rank(
         .map(|t| ctx.sync_allreduce(DType::F32, t.stats_len(), ReduceOp::Sum, None));
 
     let mut rng = TensorRng::new(cfg.seed ^ (rank as u64).wrapping_mul(0x1F3D_5B79));
-    let mut grads = vec![0.0f32; n];
     let mut delta = vec![0.0f32; n];
-    let mut flat_params = vec![0.0f32; n];
+    // The fused path writes into the send buffer and reads the result in
+    // place; per-tensor reducers share `flat`, gradients out, averages back.
+    let mut flat = vec![0.0f32; if reducers.len() > 1 { n } else { 0 }];
+    let mut clipped = Vec::new();
 
     let mut log = TrainLog::new(rank);
     let mut train_time = 0.0f64;
@@ -404,16 +409,31 @@ pub fn run_rank(
                 let _ = bc.bcast((rank == 0).then_some(&ready));
             }
 
-            model.write_grads(&mut grads);
-            let mut avg = allreduce_grads(&mut reducers, &sizes, &grads);
+            let fused = match &mut reducers[..] {
+                [ar] => {
+                    let round = ar.deposit_fill(|send| model.write_grads(f32s(send)));
+                    Some(ar.wait_for(round))
+                }
+                per_tensor => {
+                    model.write_grads(&mut flat);
+                    average_per_tensor(per_tensor, &sizes, &mut flat);
+                    None
+                }
+            };
+            let mut avg: &[f32] = match &fused {
+                Some(out) => out.data.as_f32().expect("f32 gradients"),
+                None => &flat,
+            };
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = avg.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > max_norm {
                     let s = max_norm / norm;
-                    avg.iter_mut().for_each(|g| *g *= s);
+                    clipped.resize(n, 0.0);
+                    clipped.iter_mut().zip(avg).for_each(|(c, g)| *c = g * s);
+                    avg = &clipped;
                 }
             }
-            opt.delta(&avg, &mut delta);
+            opt.delta(avg, &mut delta);
             model.apply_delta(&delta);
 
             // --- Closed-loop quorum control (eager + tuner only). ---
@@ -487,9 +507,8 @@ pub fn run_rank(
             if let Some(every) = cfg.model_sync_every {
                 if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
                     let t0 = Instant::now();
-                    model.write_params(&mut flat_params);
-                    let params = Payload::new(TypedBuf::from(flat_params.clone()));
-                    let avg = weight_sync.allreduce_owned(params);
+                    let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
+                    let avg = weight_sync.wait_for(round);
                     model.read_params(avg.data.as_f32().expect("f32 params"));
                     train_time += t0.elapsed().as_secs_f64();
                 }

@@ -27,10 +27,12 @@
 //! once instead of resurrecting the instance — a resurrection would steal
 //! the *next* round's deposit as this round's contribution. The dropped
 //! instance's uniquely-owned buffers are harvested into one engine-wide
-//! scratch pool that feeds the copy-on-write combines of later rounds —
-//! of *any* collective of the same `(dtype, len)`, so a collective
-//! registered after another went idle starts on a primed pool — and the
-//! steady state pins one round of tensors and allocates none.
+//! scratch pool that feeds the copy-on-write combines and result assembly
+//! of later rounds — of *any* collective of the same `(dtype, len)`, so a
+//! collective registered after another went idle starts on a primed pool.
+//! Retention is bounded per shape, so other shapes cannot crowd out the
+//! tensor-sized contribution a round frees and the next draws to assemble
+//! in: the steady state pins one round of tensors and allocates none.
 //! Messages addressed below the GC floor are dropped (they can only be
 //! duplicate activations or stragglers of rounds whose result has long
 //! been superseded).
@@ -65,11 +67,12 @@ use std::sync::{Arc, Mutex};
 /// recognized and dropped instead of force-joining a ghost instance.
 const GC_LAG: u64 = 8;
 
-/// Upper bound on buffers parked in the engine's scratch pool. Sized
-/// for the deepest in-flight working set we build (a segmented ring at
-/// full pipeline depth cycles ~`3p` chunk buffers); beyond this, excess
-/// harvests are simply freed.
-const SCRATCH_CAP: usize = 128;
+/// Upper bound on pooled buffers of any one `(dtype, len)` shape; excess
+/// harvests are freed. Per shape: a bound on the whole pool fills with
+/// whatever shapes arrived first and from then on turns away every buffer
+/// a later collective frees — its contribution included, which is the
+/// assembly buffer its next round draws (a ring round: `p − 1` chunks too).
+const SHAPE_CAP: usize = 8;
 
 /// Upper bound on still-shared payloads parked for one more round before
 /// harvesting (see `harvest_instance`).
@@ -382,14 +385,15 @@ pub struct EngineCore {
     /// Recycle pool fed by completed instances' uniquely-owned buffers
     /// (of every collective on this engine); drained by fused
     /// copy-on-write combines and `CopyAt` assembly of later rounds.
-    /// Exact dtype+len matching. One pool per engine rather than per
-    /// collective: collectives are never deregistered, so a per-collective
-    /// pool would pin an idle collective's buffers until shutdown while
-    /// its successor allocates the same shapes afresh.
+    /// Exact dtype+len matching, `SHAPE_CAP` retained of each. One pool
+    /// per engine rather than per collective: collectives are never
+    /// deregistered, so a per-collective pool would pin an idle
+    /// collective's buffers until shutdown while its successor allocates
+    /// the same shapes afresh.
     scratch: Vec<TypedBuf>,
     /// Harvest candidates that were still shared at completion (their
-    /// sender's handle had not drained yet). Retried at the next
-    /// completion; a buffer that stays shared is eventually dropped.
+    /// sender's handle had not drained yet). Retried once, at the next
+    /// completion; a buffer still shared then is dropped.
     limbo: Vec<Payload>,
 }
 
@@ -775,6 +779,11 @@ impl EngineCore {
                         .expect("CopyAt shape mismatch");
                     inst.bufs[src] = Some(s);
                 }
+                OpKind::Scale { slot, factor } => {
+                    if let Some(d) = inst.bufs[slot].as_mut() {
+                        d.to_mut().scale(factor);
+                    }
+                }
                 OpKind::Nop | OpKind::InternalGate => {}
             }
             if let Some(t0) = op_t0 {
@@ -829,30 +838,33 @@ impl EngineCore {
     }
 }
 
-/// Recycle a completed instance's buffers into the scratch pool.
+/// Recycle a completed instance's buffers into the pool, `SHAPE_CAP` a shape.
 ///
 /// A buffer is harvestable once it is uniquely owned (no in-flight send
-/// or peer still shares it). Buffers still shared at completion — e.g.
-/// the final-level receive, whose sender replaces its own handle only at
-/// *its* final combine — are parked in `limbo` and retried at the next
-/// completion, by which time the sharer has drained. This is what closes
-/// the loop: per round the pool loses one buffer per copy-on-write
-/// combine and regains the same count here, so steady state allocates
-/// zero tensor-sized buffers.
+/// or peer still shares it). Buffers still shared at completion — the
+/// contribution while a peer still views its chunks, a chunk the
+/// allgather forwarded — are parked in `limbo` and retried once, at the
+/// next completion; one shared even then is let go (its last holder
+/// harvests it), so two ranks' limbos never pin each other's buffers.
+/// This closes the loop: a round draws one buffer per copy-on-write
+/// combine plus the assembly buffer and returns as many here, so steady
+/// state allocates zero tensor-sized buffers.
 fn harvest_instance(inst: Instance, scratch: &mut Vec<TypedBuf>, limbo: &mut Vec<Payload>) {
-    let deferred = std::mem::take(limbo);
-    let candidates = deferred.into_iter().chain(
-        inst.bufs
-            .into_iter()
-            .flatten()
-            .chain(inst.pending_payloads.into_values().flatten()),
-    );
-    for p in candidates {
-        if scratch.len() >= SCRATCH_CAP {
-            break;
+    let mut retain = |buf: TypedBuf| {
+        let same_shape = |b: &&TypedBuf| b.dtype() == buf.dtype() && b.len() == buf.len();
+        if scratch.iter().filter(same_shape).count() < SHAPE_CAP {
+            scratch.push(buf);
         }
+    };
+    for p in std::mem::take(limbo) {
+        if let Ok(buf) = p.try_into_buf() {
+            retain(buf);
+        }
+    }
+    let bufs = inst.bufs.into_iter().flatten();
+    for p in bufs.chain(inst.pending_payloads.into_values().flatten()) {
         match p.try_into_buf() {
-            Ok(buf) => scratch.push(buf),
+            Ok(buf) => retain(buf),
             Err(p) => {
                 if !p.is_wire() && !p.is_view() && limbo.len() < LIMBO_CAP {
                     limbo.push(p);
@@ -1277,6 +1289,201 @@ mod tests {
         // And it is bit-identical on a re-run: same events, same times.
         let again = run();
         assert_eq!(again, (results, log, end));
+    }
+
+    /// A one-segment ring allreduce-average over `n` elements, hand-built
+    /// from the ops the segmented schedule uses: chunk views of the
+    /// contribution, fused reduce-scatter, the scale of the chunk this
+    /// rank ends up owning, allgather assembly into a pooled buffer.
+    /// Slots: 0 contribution, `1 + c` chunk `c`, then `p − 1` scratch
+    /// slots per phase, the result last.
+    struct RingAverage {
+        me: Rank,
+        p: usize,
+        n: usize,
+        sink: Arc<Sink>,
+    }
+
+    impl CollectiveTemplate for RingAverage {
+        fn build(&self, _round: u64) -> Schedule {
+            let (me, p, n) = (self.me, self.p, self.n);
+            let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
+            let start = |c: usize| c * (n / p);
+            let len = |c: usize| if c + 1 == p { n - start(c) } else { n / p };
+            let (rs_scratch, ag_scratch, result) = (1 + p, 2 * p, 3 * p - 1);
+            let mut b = ScheduleBuilder::new();
+            b.slots(result + 1).snapshot_at(SnapshotTiming::Activation);
+            let gate = b.op(OpKind::InternalGate, vec![]);
+            let views: Vec<OpId> = (0..p)
+                .map(|c| {
+                    let view = OpKind::SliceView {
+                        src: CONTRIB_SLOT,
+                        dst: 1 + c,
+                        start: start(c),
+                        len: len(c),
+                    };
+                    b.op(view, vec![gate])
+                })
+                .collect();
+            let mut folded = None;
+            for s in 0..p - 1 {
+                let (out, inc) = ((me + p - s) % p, (me + p - s - 1) % p);
+                let sem = s as u32;
+                let send = OpKind::SendData {
+                    peer: next,
+                    sem,
+                    src: 1 + out,
+                };
+                let send = b.op(send, vec![folded.unwrap_or(views[out])]);
+                let into = Some(rs_scratch + s);
+                let recv = b.op(
+                    OpKind::Recv {
+                        peer: prev,
+                        sem,
+                        into,
+                    },
+                    vec![],
+                );
+                let fold = OpKind::Combine {
+                    op: ReduceOp::Sum,
+                    src: rs_scratch + s,
+                    dst: 1 + inc,
+                };
+                folded = Some(b.op(fold, vec![recv, send, views[inc]]));
+            }
+            let own = (me + 1) % p;
+            let scale = OpKind::Scale {
+                slot: 1 + own,
+                factor: 1.0 / p as f64,
+            };
+            let reduced = b.op(scale, vec![folded.expect("p > 1")]);
+            let place = |src, c| OpKind::CopyAt {
+                src,
+                dst: result,
+                dst_start: start(c),
+                dst_len: n,
+            };
+            let mut placed = vec![b.op(place(1 + own, own), vec![reduced])];
+            let mut forward = (1 + own, reduced);
+            for s in 0..p - 1 {
+                let sem = (p - 1 + s) as u32;
+                let send = OpKind::SendData {
+                    peer: next,
+                    sem,
+                    src: forward.0,
+                };
+                let send = b.op(send, vec![forward.1]);
+                let into = Some(ag_scratch + s);
+                let recv = b.op(
+                    OpKind::Recv {
+                        peer: prev,
+                        sem,
+                        into,
+                    },
+                    vec![],
+                );
+                placed.push(b.op(place(ag_scratch + s, (me + p - s) % p), vec![recv, send]));
+                forward = (ag_scratch + s, recv);
+            }
+            let done = b.op(OpKind::Nop, placed);
+            b.completion(done).result_slot(result);
+            b.build()
+        }
+
+        fn snapshot(&self, round: u64) -> Option<Payload> {
+            let x = (self.me as u64 + round) as f32;
+            Some(Payload::new(TypedBuf::from(vec![x; self.n])))
+        }
+
+        fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+            self.sink.push(stats.round, result);
+        }
+    }
+
+    /// Retention is per shape. After 500 ring rounds every pool still
+    /// holds a tensor-sized buffer — the contribution one round frees is
+    /// the assembly buffer a later one draws — and no shape has outgrown
+    /// its bound.
+    #[test]
+    fn pool_retains_every_shape_within_its_bound_over_500_ring_rounds() {
+        use pcoll_comm::{SimEvent, SimOpts, SimWorld, WorldConfig};
+        const ROUNDS: u64 = 500;
+        // 66 elements over 4 ranks: chunks of 16, 16, 16 and 18.
+        let (p, n) = (4usize, 66usize);
+        let mut sim = SimWorld::new(WorldConfig::instant(p), SimOpts::default());
+        let sinks: Vec<_> = (0..p).map(|_| Arc::new(Sink::default())).collect();
+        let mut cores: Vec<EngineCore> = (0..p)
+            .map(|me| {
+                let mut core = EngineCore::new(sim.comm(me), sim.clock());
+                let sink = Arc::clone(&sinks[me]);
+                core.register(CollId(1), Box::new(RingAverage { me, p, n, sink }));
+                core
+            })
+            .collect();
+        let inboxes: Vec<_> = (0..p).map(|r| sim.take_inbox(r)).collect();
+        for round in 0..ROUNDS {
+            for core in cores.iter_mut() {
+                core.activate(CollId(1), round);
+            }
+            while let Some(ev) = sim.step() {
+                if let SimEvent::Deliver { dst } = ev {
+                    while let Some(env) = inboxes[dst].try_recv() {
+                        cores[dst].on_envelope(env);
+                    }
+                }
+            }
+        }
+        // Contributions `rank + round`: the average is `round + 1.5`.
+        for (rank, sink) in sinks.iter().enumerate() {
+            let results = sink.results.lock();
+            assert_eq!(results.len() as u64, ROUNDS, "rank {rank}");
+            for (round, result) in results.iter() {
+                let want = TypedBuf::from(vec![*round as f32 + 1.5; n]);
+                assert_eq!(result.as_ref(), Some(&want), "rank {rank} round {round}");
+            }
+        }
+        for (rank, core) in cores.iter().enumerate() {
+            let mut census: HashMap<usize, usize> = HashMap::new();
+            for buf in &core.scratch {
+                *census.entry(buf.len()).or_default() += 1;
+            }
+            assert!(census.contains_key(&n), "rank {rank}: {census:?}");
+            assert!(
+                census.values().all(|&held| held <= SHAPE_CAP),
+                "rank {rank}: {census:?}"
+            );
+            assert!(core.limbo.len() <= LIMBO_CAP, "rank {rank}");
+        }
+    }
+
+    /// A slot that never received anything (no contribution, a dead
+    /// peer's chunk) passes the averaging step untouched.
+    #[test]
+    fn scaling_an_empty_slot_is_a_no_op() {
+        struct Nothing(Arc<Sink>);
+        impl CollectiveTemplate for Nothing {
+            fn build(&self, _round: u64) -> Schedule {
+                let mut b = ScheduleBuilder::new();
+                b.slots(1);
+                let gate = b.op(OpKind::InternalGate, vec![]);
+                let factor = 0.5;
+                let scaled = b.op(OpKind::Scale { slot: 0, factor }, vec![gate]);
+                b.completion(scaled).result_slot(0);
+                b.build()
+            }
+            fn snapshot(&self, _round: u64) -> Option<Payload> {
+                None
+            }
+            fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+                self.0.push(stats.round, result);
+            }
+        }
+        let sim = pcoll_comm::SimWorld::new(WorldConfig::instant(1), Default::default());
+        let sink = Arc::new(Sink::default());
+        let mut core = EngineCore::new(sim.comm(0), sim.clock());
+        core.register(CollId(1), Box::new(Nothing(Arc::clone(&sink))));
+        core.activate(CollId(1), 0);
+        assert_eq!(*sink.results.lock(), [(0, None)]);
     }
 
     #[test]

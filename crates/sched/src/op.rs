@@ -74,6 +74,13 @@ pub enum OpKind {
         dst_start: usize,
         dst_len: usize,
     },
+    /// `bufs[slot] = bufs[slot] · factor` (`TypedBuf::scale`) — the `1/P`
+    /// of an averaging allreduce (Alg. 2 line 6), placed by the builder
+    /// where the fewest elements carry the finished sum: a ring rank
+    /// scales its own fully reduced chunk *before* the allgather
+    /// broadcasts it. Copy-on-write like `Combine`; an empty slot (nothing
+    /// survived to average) stays empty.
+    Scale { slot: Slot, factor: f64 },
     /// Dependency junction; completes immediately when satisfied.
     Nop,
     /// Fires only once the application has internally activated this
@@ -92,6 +99,7 @@ impl OpKind {
             OpKind::Copy { .. } => "Copy",
             OpKind::SliceView { .. } => "SliceView",
             OpKind::CopyAt { .. } => "CopyAt",
+            OpKind::Scale { .. } => "Scale",
             OpKind::Nop => "Nop",
             OpKind::InternalGate => "InternalGate",
         }
@@ -166,6 +174,9 @@ impl Schedule {
                 }
                 OpKind::Recv { into: Some(s), .. } if !slot_ok(*s) => {
                     return Err(format!("op {i} receives into bad slot {s}"));
+                }
+                OpKind::Scale { slot, .. } if !slot_ok(*slot) => {
+                    return Err(format!("op {i} scales bad slot {slot}"));
                 }
                 OpKind::Combine { src, dst, .. } | OpKind::Copy { src, dst } => {
                     if !slot_ok(*src) || !slot_ok(*dst) {

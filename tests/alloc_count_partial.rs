@@ -7,10 +7,21 @@
 //! path writes through the resident send buffer — so after launch
 //! constants, no allocation in the round is as large as the tensor.
 //!
-//! The trainer-shaped variant (a fresh gradient buffer moved in every
-//! round) is also gated: exactly the caller's own allocation per round,
-//! nothing from the engine, because `deposit_owned` *moves* the unique
-//! buffer in and recycles the displaced one.
+//! The fresh-contribution variant (a new buffer moved in every round, the
+//! benchmark's `allreduce_owned` loops) is also gated: exactly the caller's
+//! own allocation per round, nothing from the engine, because
+//! `deposit_owned` *moves* the unique buffer in and recycles the displaced
+//! one. The trainer's own shape — `deposit_fill` writing the gradient into
+//! the resident send buffer, the result read in place — allocates nothing,
+//! and so does a whole `run_rank` step, eager or synchronous.
+//!
+//! The cycle also has to survive a pool that other shapes filled first:
+//! one engine serves every collective of its rank, and a retention bound
+//! on the pool as a whole (128 buffers, whatever their shapes) stopped
+//! harvesting once four dozen small collectives had left their buffers
+//! behind — the large collective that came next then allocated its
+//! assembly buffer anew every round. Retention is per shape, so what
+//! arrived first cannot crowd out what is running now.
 //!
 //! Method: a counting global allocator tallies allocations at or above
 //! half the tensor size; two runs differing only in round count isolate
@@ -25,9 +36,14 @@
 //! default options.
 
 use eager_sgd_repro::comm::{DType, Payload, ReduceOp, TypedBuf, World, WorldConfig};
+use eager_sgd_repro::core::{run_rank, ImageWorkload, SgdVariant, TrainerConfig};
+use eager_sgd_repro::data::GaussianMixtureTask;
+use eager_sgd_repro::nn::{zoo::resnet_proxy, Sgd};
 use eager_sgd_repro::pcoll::{PartialOpts, QuorumPolicy, RankCtx};
+use eager_sgd_repro::tensor::TensorRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// 1 MiB of f32 per tensor — large enough that at P=8 the default
 /// selector takes the segmented-ring path, so the gate covers both the
@@ -71,14 +87,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// How a round's contribution reaches the collective.
+#[derive(Clone, Copy)]
+enum Deposit {
+    /// A retained payload, refcount-bump clone per round.
+    Retained,
+    /// Allocate + move a new buffer every round.
+    Fresh,
+    /// Write into the send buffer in place and read the result in place.
+    InPlace,
+}
+
 /// Tensor-sized allocations across the whole world for `rounds` rounds
-/// of a P-rank Full-quorum partial allreduce. `fresh_contrib` selects
-/// the trainer shape (allocate + move a new buffer every round) over the
-/// steady-state shape (retained payload, refcount-bump clone per round).
-fn run_and_count(p: usize, rounds: u64, fresh_contrib: bool) -> u64 {
+/// of a P-rank Full-quorum partial allreduce — after `crowd` small
+/// collectives, each of its own length, ran a few rounds on the same
+/// engines and went idle.
+fn run_and_count(p: usize, rounds: u64, deposit: Deposit, crowd: usize) -> u64 {
     let before = LARGE_ALLOCS.load(Ordering::Relaxed);
     World::launch(WorldConfig::instant(p).with_seed(5), move |c| {
         let ctx = RankCtx::new(c);
+        for len in 1..=crowd {
+            let mut small = ctx.sync_allreduce(DType::F32, len, ReduceOp::Sum, None);
+            for _ in 0..4 {
+                let _ = small.allreduce(&TypedBuf::from(vec![1.0f32; len]));
+            }
+        }
         let mut ar = ctx.partial_allreduce(
             DType::F32,
             ELEMS,
@@ -88,14 +121,43 @@ fn run_and_count(p: usize, rounds: u64, fresh_contrib: bool) -> u64 {
         );
         let retained = Payload::new(TypedBuf::from(vec![1.0f32; ELEMS]));
         for _ in 0..rounds {
-            let contrib = if fresh_contrib {
-                Payload::new(TypedBuf::from(vec![1.0f32; ELEMS]))
-            } else {
-                retained.clone()
+            let out = match deposit {
+                Deposit::Retained => ar.allreduce_owned(retained.clone()),
+                Deposit::Fresh => {
+                    ar.allreduce_owned(Payload::new(TypedBuf::from(vec![1.0f32; ELEMS])))
+                }
+                Deposit::InPlace => {
+                    let round = ar.deposit_fill(|send| send.as_f32_mut().unwrap().fill(1.0));
+                    ar.wait_for(round)
+                }
             };
-            let out = ar.allreduce_owned(contrib);
             assert_eq!(out.data.as_f32().unwrap()[0], p as f32);
         }
+        ctx.finalize();
+    });
+    LARGE_ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Tensor-sized allocations across the whole world for one `run_rank`
+/// call of `steps` fused steps on 4 ranks: a 331,530-parameter model
+/// (1.33 MB gradient, segmented ring), no evaluation, one closing weight
+/// synchronisation for the eager variant.
+fn run_rank_and_count(variant: SgdVariant, steps: usize) -> u64 {
+    let task = Arc::new(GaussianMixtureTask::new(256, 10, 4096, 0.9, 16, 7));
+    let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+    World::launch(WorldConfig::instant(4).with_seed(5), move |c| {
+        let ctx = RankCtx::new(c);
+        let mut model = resnet_proxy(256, 256, 2, 10, &mut TensorRng::new(11));
+        let mut opt = Sgd::new(0.01);
+        let workload = ImageWorkload {
+            task: Arc::clone(&task),
+            local_batch: 4,
+            train_eval_batches: 0,
+        };
+        let mut cfg = TrainerConfig::new(variant, 1, steps, 0.01);
+        cfg.eval_every = usize::MAX;
+        let log = run_rank(&ctx, &mut model, &mut opt, &workload, &cfg);
+        assert_eq!(log.steps, steps as u64);
         ctx.finalize();
     });
     LARGE_ALLOCS.load(Ordering::Relaxed) - before
@@ -155,17 +217,18 @@ fn live_bytes_after(rounds: u64) -> i64 {
 fn steady_state_partial_allreduce_rounds_are_allocation_free() {
     const R_SHORT: u64 = 6;
     const R_LONG: u64 = 22;
-    let slope = |p: usize, fresh: bool| -> f64 {
-        let short = run_and_count(p, R_SHORT, fresh);
-        let long = run_and_count(p, R_LONG, fresh);
+    let slope_after = |p: usize, deposit: Deposit, crowd: usize| -> f64 {
+        let short = run_and_count(p, R_SHORT, deposit, crowd);
+        let long = run_and_count(p, R_LONG, deposit, crowd);
         long.saturating_sub(short) as f64 / ((R_LONG - R_SHORT) as f64 * p as f64)
     };
+    let slope = |p: usize, deposit: Deposit| slope_after(p, deposit, 0);
 
     // Retained contribution: the headline. Zero tensor-sized allocations
     // per rank per round once the scratch pool is primed — on both the
     // recursive-doubling (P=2) and segmented-ring (P=8) schedules.
-    let rd = slope(2, false);
-    let seg = slope(8, false);
+    let rd = slope(2, Deposit::Retained);
+    let seg = slope(8, Deposit::Retained);
     assert!(
         rd < 0.05,
         "P=2 steady state allocates {rd:.3} tensors/rank/round, expected 0"
@@ -200,17 +263,50 @@ fn steady_state_partial_allreduce_rounds_are_allocation_free() {
         );
     }
 
-    // Trainer shape: the caller's fresh gradient is the round's only
-    // tensor-sized allocation; `deposit_owned` moves it in and recycles
-    // the displaced buffer, adding nothing of its own. Bound at 1 plus
-    // slack for an occasional copy-on-write, well below the caller+copy
-    // cost class (2) the move is meant to eliminate.
-    let fresh = slope(8, true);
+    // A pool other shapes filled first: 48 small collectives leave far
+    // more than 128 buffers behind per engine between them, and the ring
+    // that runs next still gets its contribution back as its assembly
+    // buffer every round.
+    let crowded = slope_after(8, Deposit::Retained, 48);
+    assert!(
+        crowded < 0.05,
+        "P=8 behind a crowded pool allocates {crowded:.3} tensors/rank/round, expected 0"
+    );
+
+    // Fresh-contribution shape: the caller's new buffer is the round's
+    // only tensor-sized allocation; `deposit_owned` moves it in and
+    // recycles the displaced buffer, adding nothing of its own. Bound at 1
+    // plus slack for an occasional copy-on-write, well below the
+    // caller+copy cost class (2) the move is meant to eliminate.
+    let fresh = slope(8, Deposit::Fresh);
     assert!(
         (0.95..1.5).contains(&fresh),
         "fresh-contribution rounds allocate {fresh:.3} tensors/rank/round, \
          expected ~1 (the caller's own gradient buffer)"
     );
+
+    // In-place shape: the contribution is written into the resident send
+    // buffer and the result read where it landed, so the caller brings no
+    // tensor of its own and the round allocates none.
+    let in_place = slope(8, Deposit::InPlace);
+    assert!(
+        in_place < 0.05,
+        "in-place rounds allocate {in_place:.3} tensors/rank/round, expected 0"
+    );
+
+    // The trainer is that shape end to end: a steady-state `run_rank`
+    // step makes no tensor-sized allocation, eager or synchronous. (With
+    // a per-step `to_vec` in and a per-step `Vec` out it made two.)
+    for variant in [SgdVariant::EagerMajority, SgdVariant::SynchDeep500] {
+        let (short, long) = (40, 120);
+        let grown =
+            run_rank_and_count(variant, long).saturating_sub(run_rank_and_count(variant, short));
+        let per_step = grown as f64 / ((long - short) as f64 * 4.0);
+        assert!(
+            per_step < 0.05,
+            "{variant:?}: a run_rank step allocates {per_step:.3} tensors/rank, expected 0"
+        );
+    }
 
     // Per-round state is bounded: nothing a completed round touched stays
     // allocated. (A per-round map that is never pruned measured 48 B per
