@@ -29,9 +29,8 @@ use pcoll_comm::{
     is_tcp_worker, launch_tcp_tolerant, DType, Fault, FaultPlan, ReduceOp, TcpOpts, TimePoint,
     TypedBuf, WorldConfig,
 };
-use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::report::{comment, row, Checks};
 use repro_bench::HarnessArgs;
-use serde::Serialize;
 use std::time::Duration;
 
 /// Per-rank skew unit of the open-loop sim experiment (mirrors
@@ -40,28 +39,13 @@ const SKEW_UNIT: Duration = Duration::from_micros(50);
 
 /// The mean NAP over a window of rounds against the closed form for the
 /// population live in it.
-#[derive(Debug, Serialize)]
 struct NapWindow {
-    population: usize,
-    rounds: usize,
     measured_nap: f64,
     predicted_nap: f64,
     rel_err: f64,
 }
 
-#[derive(Debug, Serialize)]
-struct SimChaosRow {
-    p: usize,
-    rounds: u64,
-    kills: Vec<usize>,
-    fences: Vec<u64>,
-    admit_fences: Vec<u64>,
-    shrunk: NapWindow,
-    grown: NapWindow,
-    events: u64,
-}
-
-fn run_sim_part(args: &HarnessArgs, c: &mut Checks) -> SimChaosRow {
+fn run_sim_part(args: &HarnessArgs, c: &mut Checks) {
     let p = 64;
     let rounds: u64 = if args.quick { 220 } else { 440 };
     // Four staggered victims, spread across the rank space; each dies a
@@ -128,22 +112,20 @@ fn run_sim_part(args: &HarnessArgs, c: &mut Checks) -> SimChaosRow {
         let model = NapModel::new(offsets_ms, 0.0, 0.0);
         let predicted_nap = model.predict(QuorumPolicy::Majority).e_nap;
         let measured_nap = mean_nap(&rep.nap_per_round, from, to);
-        let w = NapWindow {
-            population: population.len(),
-            rounds: to.saturating_sub(from),
-            measured_nap,
-            predicted_nap,
-            rel_err: (measured_nap - predicted_nap).abs() / predicted_nap,
-        };
+        let rel_err = (measured_nap - predicted_nap).abs() / predicted_nap;
         row(&[
             name.to_string(),
-            w.population.to_string(),
-            w.rounds.to_string(),
+            population.len().to_string(),
+            to.saturating_sub(from).to_string(),
             format!("{measured_nap:.2}"),
             format!("{predicted_nap:.2}"),
-            format!("{:.1}%", 100.0 * w.rel_err),
+            format!("{:.1}%", 100.0 * rel_err),
         ]);
-        w
+        NapWindow {
+            measured_nap,
+            predicted_nap,
+            rel_err,
+        }
     };
     // Shrunken window: between the last eviction fence and the first
     // admission fence the closed form for the *surviving* population
@@ -169,29 +151,9 @@ fn run_sim_part(args: &HarnessArgs, c: &mut Checks) -> SimChaosRow {
         grown.rel_err <= 0.10,
         &evidence(&grown, &format!("{p} ranks")),
     );
-    SimChaosRow {
-        p,
-        rounds,
-        kills: victims.to_vec(),
-        fences,
-        admit_fences,
-        shrunk,
-        grown,
-        events: rep.events,
-    }
 }
 
-#[derive(Debug, Serialize)]
-struct TcpChaosRow {
-    p: usize,
-    victim: usize,
-    pre_rounds: u64,
-    post_rounds: u64,
-    evicted: Vec<usize>,
-    all_ok: bool,
-}
-
-fn run_tcp_part(args: &HarnessArgs, c: &mut Checks) -> Option<TcpChaosRow> {
+fn run_tcp_part(args: &HarnessArgs, c: &mut Checks) {
     const P: usize = 8;
     const VICTIM: usize = P - 1;
     let pre: u64 = if args.quick { 6 } else { 24 };
@@ -249,7 +211,7 @@ fn run_tcp_part(args: &HarnessArgs, c: &mut Checks) -> Option<TcpChaosRow> {
     });
     let Some((results, evicted)) = launched else {
         // A worker for some other label — impossible in this binary.
-        return None;
+        return;
     };
     let survivors_ok = results
         .iter()
@@ -266,20 +228,6 @@ fn run_tcp_part(args: &HarnessArgs, c: &mut Checks) -> Option<TcpChaosRow> {
         evicted_ok,
         &format!("evicted {evicted:?}"),
     );
-    Some(TcpChaosRow {
-        p: P,
-        victim: VICTIM,
-        pre_rounds: pre,
-        post_rounds: post,
-        evicted,
-        all_ok: survivors_ok && evicted_ok,
-    })
-}
-
-#[derive(Debug, Serialize)]
-struct ChaosArtifact {
-    sim: Option<SimChaosRow>,
-    tcp: Option<TcpChaosRow>,
 }
 
 fn main() {
@@ -293,18 +241,13 @@ fn main() {
     }
 
     let mut c = Checks::new(args.quick);
-    let mut artifact = ChaosArtifact {
-        sim: None,
-        tcp: None,
-    };
     // A re-exec'ed TCP worker must not replay the sim part: it exists
     // only to become one rank of the tcp part's world.
     if !is_tcp_worker() && (part == "all" || part.contains("sim")) {
-        artifact.sim = Some(run_sim_part(&args, &mut c));
+        run_sim_part(&args, &mut c);
     }
     if part == "all" || part.contains("tcp") {
-        artifact.tcp = run_tcp_part(&args, &mut c);
+        run_tcp_part(&args, &mut c);
     }
-    write_json("chaos_scale", &artifact);
     std::process::exit(c.exit_code());
 }

@@ -29,28 +29,15 @@ use eager_sgd::NapModel;
 use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec, WindowStats};
 use pcoll_comm::WorldConfig;
 use pcoll_tune::spectrum;
-use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::report::{comment, row, Checks};
 use repro_bench::wan::{
     hill_climb_from_full, reward, tune_spec, wan_spec, TUNE_SKEW_MS, TUNE_STRAGGLERS,
 };
 use repro_bench::HarnessArgs;
-use serde::Serialize;
 use std::time::Duration;
 
 /// Per-rank skew unit of the open-loop NAP experiment.
 const SKEW_UNIT: Duration = Duration::from_micros(50);
-
-#[derive(Debug, Clone, Serialize)]
-struct NapRow {
-    policy: String,
-    rounds: u64,
-    measured_nap: f64,
-    predicted_nap: f64,
-    rel_err: f64,
-    events: u64,
-    delivered: u64,
-    virtual_s: f64,
-}
 
 /// The spectrum subset the NAP validation sweeps: the paper's five
 /// policy shapes, with representative `m` for the parametric ones.
@@ -81,12 +68,7 @@ fn nap_rounds(policy: QuorumPolicy, quick: bool) -> u64 {
     }
 }
 
-fn run_nap_part(
-    args: &HarnessArgs,
-    p: usize,
-    c: &mut Checks,
-    events_total: &mut u64,
-) -> Vec<NapRow> {
+fn run_nap_part(args: &HarnessArgs, p: usize, c: &mut Checks, events_total: &mut u64) {
     comment(&format!(
         "part nap: P={p}, linear skew {}us/rank, open-loop pacing, instant network",
         SKEW_UNIT.as_micros()
@@ -105,7 +87,6 @@ fn run_nap_part(
         "events",
         "virtual_s",
     ]);
-    let mut rows = Vec::new();
     for policy in NAP_ARMS {
         let rounds = nap_rounds(policy, args.quick);
         let mut spec = SimSpec::linear_skew(p, rounds, SKEW_UNIT, policy);
@@ -137,18 +118,7 @@ fn run_nap_part(
                 ),
             );
         }
-        rows.push(NapRow {
-            policy: policy.to_string(),
-            rounds,
-            measured_nap: report.mean_nap,
-            predicted_nap: predicted,
-            rel_err,
-            events: report.events,
-            delivered: report.delivered,
-            virtual_s: report.virtual_time.as_secs_f64(),
-        });
     }
-    rows
 }
 
 fn run_det_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
@@ -188,17 +158,7 @@ fn run_det_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     );
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct TuneWindow {
-    from_round: u64,
-    to_round: u64,
-    policy: String,
-    fresh_fraction: f64,
-    rounds_per_s: f64,
-    reward: f64,
-}
-
-fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) -> Vec<TuneWindow> {
+fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     let p = 64;
     let (rounds, period) = if args.quick { (120, 8) } else { (240, 8) };
     comment(&format!(
@@ -210,29 +170,20 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) -> 
     let arms = spectrum(p);
     let full_idx = arms.len() - 1;
     let mut controller = hill_climb_from_full(p);
-    let mut windows: Vec<TuneWindow> = Vec::new();
+    let mut rewards: Vec<f64> = Vec::new();
     let mut hook = |w: &WindowStats| {
-        let reward = reward(w);
-        windows.push(TuneWindow {
-            from_round: w.from_round,
-            to_round: w.to_round,
-            policy: w.policy.to_string(),
-            fresh_fraction: w.fresh_fraction,
-            rounds_per_s: w.rounds_per_s,
-            reward,
-        });
+        let (reward, policy) = (reward(w), w.policy.to_string());
+        comment(&format!(
+            "window [{:>3}, {:>3}) {policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {reward:>7.2}",
+            w.from_round, w.to_round, w.fresh_fraction, w.rounds_per_s
+        ));
+        rewards.push(reward);
         let next = controller.step(reward);
         (next != w.policy).then_some(next)
     };
     let report = SimHarness::run_tuned(tune_spec(p, rounds, args.seed), period, &mut hook);
     *events_total += report.events;
 
-    for w in &windows {
-        comment(&format!(
-            "window [{:>3}, {:>3}) {:<12} fresh {:.3}  rounds/s {:>7.2}  reward {:>7.2}",
-            w.from_round, w.to_round, w.policy, w.fresh_fraction, w.rounds_per_s, w.reward
-        ));
-    }
     for (from, to) in &report.switches {
         comment(&format!("switch at round {from}: -> {to}"));
     }
@@ -255,22 +206,13 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) -> 
             report.switches.len()
         ),
     );
-    let first = windows.first().map_or(0.0, |w| w.reward);
-    let last = windows.last().map_or(0.0, |w| w.reward);
+    let first = rewards.first().copied().unwrap_or(0.0);
+    let last = rewards.last().copied().unwrap_or(0.0);
     c.check(
         "reward-improves-under-control",
         last > first,
         &format!("first window {first:.2} -> last window {last:.2}"),
     );
-    windows
-}
-
-#[derive(Debug, Serialize)]
-struct SimScaleArtifact {
-    p_nap: usize,
-    nap: Vec<NapRow>,
-    tune_windows: Vec<TuneWindow>,
-    events_total: u64,
 }
 
 fn main() {
@@ -285,16 +227,14 @@ fn main() {
 
     let mut c = Checks::new(args.quick);
     let mut events_total = 0u64;
-    let mut nap_rows = Vec::new();
-    let mut tune_windows = Vec::new();
     if part == "all" || part.contains("nap") {
-        nap_rows = run_nap_part(&args, p, &mut c, &mut events_total);
+        run_nap_part(&args, p, &mut c, &mut events_total);
     }
     if part == "all" || part.contains("det") {
         run_det_part(&args, &mut c, &mut events_total);
     }
     if part == "all" || part.contains("tune") {
-        tune_windows = run_tune_part(&args, &mut c, &mut events_total);
+        run_tune_part(&args, &mut c, &mut events_total);
     }
 
     comment(&format!("total simulated events: {events_total}"));
@@ -306,14 +246,5 @@ fn main() {
         );
     }
 
-    write_json(
-        "sim_scale",
-        &SimScaleArtifact {
-            p_nap: p,
-            nap: nap_rows,
-            tune_windows,
-            events_total,
-        },
-    );
     std::process::exit(c.exit_code());
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use pcoll::{PartialOpts, QuorumPolicy, RankCtx};
-use pcoll_comm::{DType, NetworkModel, ReduceOp, TypedBuf, World, WorldConfig};
+use pcoll_comm::{DType, ReduceOp, TypedBuf, World, WorldConfig};
 use repro_bench::report::{comment, row, Checks};
 use repro_bench::HarnessArgs;
 use std::time::Instant;
@@ -24,18 +24,7 @@ fn main() {
     let payload: usize = if args.quick { 1 << 10 } else { 1 << 14 };
     // One gradient-sized buffer (f32): 1 MiB quick, 4 MiB full.
     let big: usize = if args.quick { 1 << 18 } else { 1 << 20 };
-    // Full mode also exercises the latency shaper composed on the socket
-    // path; quick mode stays Instant for CI stability.
-    let network = if args.quick {
-        NetworkModel::Instant
-    } else {
-        NetworkModel::hpc()
-    };
-    let cfg = WorldConfig {
-        network,
-        seed: args.seed,
-        ..WorldConfig::instant(P)
-    };
+    let cfg = WorldConfig::instant(P).with_seed(args.seed);
     let transport_name = args.transport.name();
 
     comment(&format!(

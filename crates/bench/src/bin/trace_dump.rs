@@ -22,10 +22,9 @@
 
 use pcoll::{SimHarness, WindowStats};
 use pcoll_obs::{fnv1a, validate_perfetto, EventKind, TraceEvent, LEVEL_VERBOSE};
-use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::report::{comment, row, Checks};
 use repro_bench::wan::{hill_climb_from_full, reward, tune_spec};
 use repro_bench::HarnessArgs;
-use serde::Serialize;
 
 /// Per-rank ring capacity: large enough that a full run never overwrites
 /// (the dump should be the whole story, not the tail of it).
@@ -61,20 +60,6 @@ fn traced_run(
     }
     let json = pcoll_obs::perfetto_trace(&events);
     (events, json, report.switches.len())
-}
-
-#[derive(Debug, Serialize)]
-struct TraceDumpArtifact {
-    p: usize,
-    rounds: u64,
-    events: usize,
-    spans: usize,
-    instants: usize,
-    forced_joins: u64,
-    queue_stalls: u64,
-    policy_switches: usize,
-    trace_digest: String,
-    trace_path: String,
 }
 
 fn main() {
@@ -151,21 +136,5 @@ fn main() {
         );
     }
     comment(&format!("trace digest {digest:016x}"));
-
-    write_json(
-        "trace_dump",
-        &TraceDumpArtifact {
-            p,
-            rounds,
-            events: events.len(),
-            spans: summary.spans,
-            instants: summary.instants,
-            forced_joins,
-            queue_stalls,
-            policy_switches: switches,
-            trace_digest: format!("{digest:016x}"),
-            trace_path: path.to_string(),
-        },
-    );
     std::process::exit(c.exit_code());
 }

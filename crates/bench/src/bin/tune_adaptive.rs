@@ -13,8 +13,7 @@
 //!   (β = 0.5; see `eager_sgd::NapModel::utility`),
 //!
 //! plus the theory model's predicted utilities from the injector's exact
-//! offsets, every controller decision as a JSON line, and a
-//! `BENCH_tune_adaptive.json` artifact.
+//! offsets, and every controller decision as a JSON line.
 //!
 //! SHAPE-CHECKs (full mode): each adaptive controller reaches ≥ 90% of
 //! the best static arm's utility and beats the worst static arm.
@@ -27,14 +26,12 @@ use pcoll_tune::{
     adaptive_setup, predict_spectrum, spectrum, static_setup, AdaptiveTunerCfg, ControllerKind,
 };
 use repro_bench::harness::VariantSummary;
-use repro_bench::report::{comment, row, write_json, Checks};
+use repro_bench::report::{comment, row, Checks};
 use repro_bench::{train_variant, HarnessArgs, Task, TrainSetup};
-use serde::Serialize;
 use std::sync::Arc;
 
 const BETA: f64 = 0.5;
 
-#[derive(Debug, Clone, Serialize)]
 struct VariantResult {
     label: String,
     adaptive: bool,
@@ -216,6 +213,5 @@ fn main() {
         );
     }
 
-    write_json("tune_adaptive", &results);
     std::process::exit(c.exit_code());
 }

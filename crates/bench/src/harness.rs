@@ -16,14 +16,13 @@ use eager_sgd::{
 use imbalance::Injector;
 use minitensor::TensorRng;
 use pcoll::RankCtx;
-use pcoll_comm::{NetworkModel, World, WorldConfig};
+use pcoll_comm::{World, WorldConfig};
 use std::sync::Arc;
 
 /// Everything needed to launch one training configuration.
 #[derive(Clone)]
 pub struct ExperimentSpec {
     pub p: usize,
-    pub network: NetworkModel,
     pub world_seed: u64,
     /// Seed for model initialization — identical on every rank so local
     /// views start equal (the data-parallel contract).
@@ -43,12 +42,7 @@ where
 {
     let spec2 = spec.clone();
     World::launch(
-        WorldConfig {
-            nranks: spec.p,
-            network: spec.network,
-            seed: spec.world_seed,
-            ..WorldConfig::instant(spec.p)
-        },
+        WorldConfig::instant(spec.p).with_seed(spec.world_seed),
         move |c| {
             let ctx = RankCtx::new(c);
             let mut init_rng = TensorRng::new(spec2.model_seed);
@@ -140,7 +134,6 @@ pub fn train_variant(
     let lr = trainer.lr.base_lr;
     let spec = ExperimentSpec {
         p: setup.p,
-        network: NetworkModel::Instant,
         world_seed: args.seed,
         model_seed: args.seed ^ 0x30D,
         trainer,
@@ -227,7 +220,6 @@ mod tests {
         let task = Arc::new(HyperplaneTask::new(16, 256, 0.05, 32, 3));
         let spec = ExperimentSpec {
             p: 2,
-            network: NetworkModel::Instant,
             world_seed: 1,
             model_seed: 2,
             trainer: TrainerConfig::new(SgdVariant::SynchDeep500, 2, 4, 0.02),

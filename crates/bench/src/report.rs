@@ -1,5 +1,4 @@
-//! Output helpers: TSV rows, provenance headers, shape checks, and the
-//! shared `BENCH_*.json` artifact format.
+//! Output helpers: TSV rows, provenance headers and shape checks.
 
 use crate::harness::VariantSummary;
 
@@ -84,18 +83,6 @@ impl Checks {
             println!("SHAPE-CHECK SKIP {name} ({reason})");
         }
         self.quick
-    }
-}
-
-/// Write `value` as pretty JSON to `BENCH_<name>.json` in the current
-/// directory — the one artifact format shared by the harness binaries
-/// (everything involved derives `serde::Serialize`).
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let path = format!("BENCH_{name}.json");
-    let body = serde_json::to_string_pretty(value).expect("artifact serializes");
-    match std::fs::write(&path, body) {
-        Ok(()) => comment(&format!("wrote {path}")),
-        Err(e) => eprintln!("warning: {path} not written: {e}"),
     }
 }
 

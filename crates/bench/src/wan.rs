@@ -31,12 +31,9 @@ pub fn wan_spec(
         })
         .collect();
     SimSpec {
-        world: WorldConfig {
-            network: NetworkModel::cloud(),
-            ..WorldConfig::instant(p)
-        }
-        .with_seed(seed),
+        world: WorldConfig::instant(p).with_seed(seed),
         opts: SimOpts {
+            network: NetworkModel::cloud(),
             planet,
             ..SimOpts::default()
         },

@@ -16,7 +16,11 @@
 //!   `k·step + offset[r]`, regardless of results. This isolates the
 //!   activation protocol and is what the NAP measurements (Fig. 9) and
 //!   the `eager_sgd::NapModel` closed forms assume (compute
-//!   time dominates; the collective never back-pressures the app).
+//!   time dominates; the collective never back-pressures the app). It is
+//!   the paper's Fig. 8 microbenchmark loop: `offset[r]` is the
+//!   `usleep`, a `step` longer than the largest offset plus the
+//!   collective is the aligning barrier, and
+//!   [`SimReport::call_latency`] is `latency[pid]`.
 //! - [`Pacing::SelfPaced`] — closed-loop eager SGD: a rank deposits,
 //!   waits (in virtual time) for its round's latest-wins outcome, then
 //!   computes for `compute[r]` before the next deposit — the actual
@@ -30,7 +34,8 @@
 
 use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog};
 use pcoll_comm::{
-    DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TypedBuf, WorldConfig,
+    DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf,
+    WorldConfig,
 };
 use pcoll_obs::{perfetto_trace, EventKind, TraceEvent, LEVEL_SPANS};
 use pcoll_sched::{CmdQueue, EngineCore};
@@ -88,10 +93,12 @@ impl Hiccup {
 /// Full description of one simulated experiment.
 #[derive(Debug, Clone)]
 pub struct SimSpec {
-    /// World shape: P, the byte-latency [`pcoll_comm::NetworkModel`], the
-    /// seed every deterministic choice derives from.
+    /// World shape: P and the seed every deterministic choice derives
+    /// from.
     pub world: WorldConfig,
-    /// Region topology composed into every delivery.
+    /// What every delivery costs — the byte-latency
+    /// [`pcoll_comm::NetworkModel`] and the region topology — and the
+    /// chaos script.
     pub opts: SimOpts,
     /// Initial quorum policy (a [`TunerHook`] may switch it mid-run).
     pub policy: QuorumPolicy,
@@ -177,6 +184,14 @@ pub struct SimReport {
     pub live: Vec<Rank>,
     /// Head element of each rank's latest result buffer.
     pub finals: Vec<f32>,
+    /// `[rank][round]`: how long the rank's allreduce call for that
+    /// round took in virtual time — from its deposit to the instant the
+    /// round's latest-wins outcome was visible to it (Fig. 8's
+    /// `Wtime() − begin`). `None` where the rank saw no outcome for the
+    /// round before its next deposit: it was dead, it skipped the round
+    /// when it rejoined, or an open-loop `step` was shorter than the
+    /// collective. Not part of [`SimReport::digest`].
+    pub call_latency: Vec<Vec<Option<Duration>>>,
 }
 
 impl SimReport {
@@ -213,10 +228,15 @@ struct SimRank {
     log: Arc<RoundLog>,
     /// Rounds deposited so far (== `ar.rounds()`).
     deposited: u64,
-    /// Self-paced: round whose outcome this rank is blocked on.
+    /// The round this rank has deposited and not yet seen an outcome for
+    /// (a self-paced rank is blocked on it).
     waiting: Option<u64>,
+    /// When `waiting`'s deposit happened.
+    deposited_at: TimePoint,
     /// Head of the latest outcome seen.
     last_result: f32,
+    /// See [`SimReport::call_latency`].
+    call_latency: Vec<Option<Duration>>,
 }
 
 /// The driver: owns the [`SimWorld`] plus P simulated ranks and replays
@@ -294,7 +314,9 @@ impl SimHarness {
                 log,
                 deposited: 0,
                 waiting: None,
+                deposited_at: TimePoint::ZERO,
                 last_result: 0.0,
+                call_latency: vec![None; spec.rounds as usize],
             });
         }
         let policy = spec.policy;
@@ -385,21 +407,8 @@ impl SimHarness {
 
     fn drive(&mut self, mut hook: Option<TunerHook<'_>>) -> SimReport {
         self.contrib = TypedBuf::from(vec![1.0f32; self.spec.len]);
-        // Seed each rank's first deposit timer (token = round number).
         for rank in 0..self.ranks.len() {
-            let at = match &self.spec.pacing {
-                Pacing::Global { offsets, .. } => offsets[rank],
-                Pacing::SelfPaced { compute, hiccup } => {
-                    let extra = if hiccup.hits(rank, 0, self.ranks.len()) {
-                        hiccup.extra
-                    } else {
-                        Duration::ZERO
-                    };
-                    compute[rank] + extra
-                }
-            };
-            self.sim
-                .schedule_timer(pcoll_comm::TimePoint::ZERO + at, rank, 0);
+            self.schedule_deposit(rank, 0);
         }
 
         while let Some(ev) = self.sim.step() {
@@ -409,8 +418,8 @@ impl SimHarness {
                     self.maybe_decide(&mut hook);
                 }
                 SimEvent::Deliver { dst } => {
-                    // Drain everything the event delivered, then let a
-                    // possibly-unblocked self-paced rank move on.
+                    // Drain everything the event delivered, then see
+                    // whether that completed the round `dst` awaits.
                     while let Some(env) = self.ranks[dst].inbox.try_recv() {
                         self.ranks[dst].core.on_envelope(env);
                     }
@@ -458,7 +467,7 @@ impl SimHarness {
         SimReport {
             events: self.sim.events_processed(),
             delivered: self.sim.messages_delivered(),
-            virtual_time: self.sim.now().duration_since(pcoll_comm::TimePoint::ZERO),
+            virtual_time: self.sim.now().duration_since(TimePoint::ZERO),
             traces,
             nap_per_round: nap,
             mean_nap: mean,
@@ -467,6 +476,9 @@ impl SimHarness {
             rejoins: std::mem::take(&mut self.rejoins),
             live: self.sim.live_ranks(),
             finals: self.ranks.iter().map(|r| r.last_result).collect(),
+            call_latency: (self.ranks.iter_mut())
+                .map(|r| std::mem::take(&mut r.call_latency))
+                .collect(),
         }
     }
 
@@ -525,7 +537,7 @@ impl SimHarness {
             // resume its deposit schedule where it stopped.
             let round = self.ranks[joiner].deposited;
             self.ranks[joiner].waiting = None;
-            self.reseed_deposit_timer(joiner, round);
+            self.schedule_deposit(joiner, round);
             return;
         }
         let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
@@ -537,19 +549,21 @@ impl SimHarness {
             r.ar.admit_from(fence, &joiners);
         }
         self.evicted[joiner] = false;
-        self.reseed_deposit_timer(joiner, fence);
+        self.schedule_deposit(joiner, fence);
         self.rejoins.push((fence, joiners));
     }
 
-    /// Schedule `rank`'s next deposit timer for `round` after a rejoin
-    /// (the sim clamps instants already in the past to "now").
-    fn reseed_deposit_timer(&mut self, rank: usize, round: u64) {
+    /// Schedule `rank`'s deposit of `round` (the timer's token), if the
+    /// run has that round: at the round's slot under open-loop pacing
+    /// (the sim clamps a slot already in the past to "now"), one compute
+    /// phase from now under closed-loop pacing.
+    fn schedule_deposit(&mut self, rank: usize, round: u64) {
         if round >= self.spec.rounds {
             return;
         }
         let at = match &self.spec.pacing {
             Pacing::Global { step, offsets } => {
-                pcoll_comm::TimePoint::ZERO + *step * (round as u32) + offsets[rank]
+                TimePoint::ZERO + *step * (round as u32) + offsets[rank]
             }
             Pacing::SelfPaced { compute, hiccup } => {
                 let extra = if hiccup.hits(rank, round, self.ranks.len()) {
@@ -571,30 +585,21 @@ impl SimHarness {
         debug_assert_eq!(got, round);
         r.deposited = round + 1;
         r.core.drain_cmds(&r.queue);
-        match &self.spec.pacing {
-            Pacing::Global { step, offsets } => {
-                let next = round + 1;
-                if next < self.spec.rounds {
-                    let at = pcoll_comm::TimePoint::ZERO + *step * (next as u32) + offsets[rank];
-                    self.sim.schedule_timer(at, rank, next);
-                }
-            }
-            Pacing::SelfPaced { .. } => {
-                self.ranks[rank].waiting = Some(round);
-                // The outcome may already be there (latest-wins: a newer
-                // round completed while this rank computed).
-                self.poll_outcome(rank);
-            }
+        r.waiting = Some(round);
+        r.deposited_at = self.sim.now();
+        // Open loop: the next deposit is due at its slot whatever happens
+        // to this one. (Closed loop: `poll_outcome` schedules it.)
+        if matches!(self.spec.pacing, Pacing::Global { .. }) {
+            self.schedule_deposit(rank, round + 1);
         }
+        // The outcome may already be there (latest-wins: a newer round
+        // completed while this rank computed).
+        self.poll_outcome(rank);
     }
 
-    /// Self-paced progression: if `rank`'s awaited outcome is available,
-    /// record it and schedule the next compute-completion timer.
+    /// If the outcome `rank` awaits is available, record it and the call's
+    /// latency; a self-paced rank then starts its next compute phase.
     fn poll_outcome(&mut self, rank: usize) {
-        let p = self.ranks.len();
-        let Pacing::SelfPaced { compute, hiccup } = &self.spec.pacing else {
-            return;
-        };
         let r = &mut self.ranks[rank];
         let Some(round) = r.waiting else {
             return;
@@ -604,15 +609,10 @@ impl SimHarness {
         };
         r.waiting = None;
         r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
-        if r.deposited < self.spec.rounds {
+        r.call_latency[round as usize] = Some(self.sim.now().duration_since(r.deposited_at));
+        if matches!(self.spec.pacing, Pacing::SelfPaced { .. }) {
             let next = r.deposited;
-            let extra = if hiccup.hits(rank, next, p) {
-                hiccup.extra
-            } else {
-                Duration::ZERO
-            };
-            let at = self.sim.now() + compute[rank] + extra;
-            self.sim.schedule_timer(at, rank, next);
+            self.schedule_deposit(rank, next);
         }
     }
 
@@ -637,7 +637,7 @@ impl SimHarness {
             (f + c.fresh, d + c.completions)
         });
         let (fresh_then, done_then) = self.window_start_counts;
-        let now = self.sim.now().duration_since(pcoll_comm::TimePoint::ZERO);
+        let now = self.sim.now().duration_since(TimePoint::ZERO);
         let d_rounds = window_end - self.window_start_round;
         let d_time = (now - self.window_start_time).as_secs_f64().max(1e-12);
         let stats = WindowStats {
@@ -697,6 +697,12 @@ mod tests {
         assert!((rep.mean_nap - p as f64).abs() < 1e-9);
         assert!(rep.delivered > 0);
         assert!(rep.virtual_time > Duration::ZERO);
+        // On an instant network a Full call returns the moment the last
+        // rank (offset 7 ms) deposits: rank r waited exactly 7 − r ms.
+        for (r, per_round) in rep.call_latency.iter().enumerate() {
+            let waited = Some(Duration::from_millis(7 - r as u64));
+            assert_eq!(per_round, &vec![waited; 10], "rank {r}");
+        }
     }
 
     #[test]
@@ -713,6 +719,40 @@ mod tests {
         );
         // ... and the traces confirm rank 0 is the fresh one.
         assert!(rep.traces[0].iter().all(|t| t.fresh));
+        // Nobody waits for anybody: the initiator's round completes at the
+        // instant it deposits, and every later rank finds it complete.
+        let zero = vec![Some(Duration::ZERO); 30];
+        assert!(rep.call_latency.iter().all(|per_round| per_round == &zero));
+    }
+
+    #[test]
+    fn global_pacing_solo_skew_raises_the_initiators_latency() {
+        // §6.2.2 (the `ablate_activation` figure's claim): when the others
+        // have not arrived, the initiator's call carries the activation
+        // broadcast on top of the data exchange.
+        let p = 8;
+        let initiator_latency = |skew_unit: Duration| {
+            let mut spec = SimSpec::linear_skew(p, 10, skew_unit, QuorumPolicy::Solo);
+            spec.opts.network = pcoll_comm::NetworkModel::hpc();
+            spec.pacing = Pacing::Global {
+                step: Duration::from_millis(20),
+                offsets: (0..p).map(|r| skew_unit * r as u32).collect(),
+            };
+            let rep = SimHarness::run(spec);
+            let calls = rep.call_latency[0].iter();
+            calls
+                .map(|l| l.expect("every call returns"))
+                .sum::<Duration>()
+        };
+        let (aligned, skewed) = (
+            initiator_latency(Duration::ZERO),
+            initiator_latency(Duration::from_millis(1)),
+        );
+        assert!(aligned > Duration::ZERO, "hpc latency is modelled");
+        assert!(
+            skewed > aligned,
+            "initiator: {skewed:?} under skew vs {aligned:?} aligned"
+        );
     }
 
     #[test]
@@ -794,7 +834,7 @@ mod tests {
 
     #[test]
     fn scripted_kills_evict_and_survivors_finish() {
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let p = 8;
         let mut spec =
             SimSpec::linear_skew(p, 30, Duration::from_millis(1), QuorumPolicy::Majority);
@@ -847,7 +887,7 @@ mod tests {
 
     #[test]
     fn chaos_runs_are_bit_identical() {
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let mut spec =
             SimSpec::linear_skew(8, 25, Duration::from_millis(1), QuorumPolicy::Majority);
         spec.opts.faults = FaultPlan::none().with(Fault::Kill {
@@ -865,7 +905,7 @@ mod tests {
 
     #[test]
     fn self_paced_chaos_survivors_keep_pacing() {
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let p = 4;
         let mut spec =
             SimSpec::linear_skew(p, 12, Duration::from_millis(1), QuorumPolicy::Majority);
@@ -890,7 +930,7 @@ mod tests {
 
     #[test]
     fn scripted_rejoin_grows_the_world_back_and_nap_recovers() {
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let p = 8;
         let mut spec = SimSpec::linear_skew(p, 40, Duration::from_millis(1), QuorumPolicy::Full);
         spec.opts.faults = FaultPlan::none()
@@ -941,7 +981,7 @@ mod tests {
         // rank 1 forwards it and fork those rounds, which then never
         // complete on the other ranks. Every round past the last admission
         // fence must complete on every rank.
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let (p, rounds) = (8, 100);
         let unit = Duration::from_millis(1);
         let mut spec = SimSpec::linear_skew(p, rounds, unit, QuorumPolicy::Majority);
@@ -978,7 +1018,7 @@ mod tests {
 
     #[test]
     fn kill_evict_rejoin_replays_bit_identically() {
-        use pcoll_comm::{FaultPlan, TimePoint};
+        use pcoll_comm::FaultPlan;
         let mut spec =
             SimSpec::linear_skew(8, 30, Duration::from_millis(1), QuorumPolicy::Majority);
         spec.opts.faults = FaultPlan::none()

@@ -256,21 +256,21 @@ mod tests {
         let p = 6;
         let out = World::launch(WorldConfig::instant(p), move |c| {
             let ctx = RankCtx::new(c);
-            // Align thread start times first, then stagger arrivals; after
-            // the barrier everyone must observe that the slowest arrived.
-            ctx.host_barrier();
-            let arrived = std::time::Instant::now();
+            // Stagger the arrivals; nobody may leave the barrier before
+            // the last rank has reached it.
             std::thread::sleep(Duration::from_millis(20 * ctx.rank() as u64));
+            let arrived = std::time::Instant::now();
             ctx.barrier();
-            let waited = arrived.elapsed();
+            let left = std::time::Instant::now();
             ctx.finalize();
-            waited
+            (arrived, left)
         });
-        let slowest = Duration::from_millis(20 * 5);
-        for (r, dt) in out.iter().enumerate() {
+        let last_arrival = out.iter().map(|(arrived, _)| *arrived).max().unwrap();
+        for (r, (_, left)) in out.iter().enumerate() {
             assert!(
-                *dt >= slowest - Duration::from_millis(2),
-                "rank {r} left the barrier after {dt:?} < {slowest:?}"
+                *left >= last_arrival,
+                "rank {r} left the barrier {:?} before the last rank arrived",
+                last_arrival - *left
             );
         }
     }

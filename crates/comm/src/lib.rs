@@ -26,11 +26,12 @@
 //!   [`NetworkModel`] — P = 1,024+ rank experiments on one box,
 //!   bit-identical at a fixed seed (see the [`sim`] module).
 //!
-//! A configurable [`NetworkModel`] injects per-message latency (`alpha +
-//! bytes * beta + jitter`) through a delivery thread on every backend,
-//! preserving per-(src, dst) FIFO ordering (the MPI non-overtaking rule).
-//! Code above the transport reads time through the [`Clock`] handle
-//! (the [`time`] module, re-exported from `pcoll_obs`): wall time on the
+//! All three preserve per-(src, dst) FIFO ordering (the MPI
+//! non-overtaking rule). Modelled per-message latency (`alpha + bytes *
+//! beta + jitter`, a [`NetworkModel`]) exists on the simulator's virtual
+//! clock only ([`SimOpts::network`]); the other two deliver as fast as
+//! the host does. Code above the transport reads time through the
+//! [`Clock`] handle (the [`time`] module, re-exported from `pcoll_obs`): wall time on the
 //! first two backends, virtual time under the simulator. The same crate
 //! supplies the flight [`Recorder`] every rank carries on its
 //! [`CommStats`] ([`WorldConfig::with_trace`] or `PCOLL_TRACE=1|2` turn

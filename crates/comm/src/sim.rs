@@ -16,8 +16,8 @@
 //! ```
 //!
 //! clamped to be no earlier than the previous message on the same
-//! `(src, dst)` pair — the same MPI non-overtaking rule the wall-clock
-//! delivery thread in [`crate::net`] enforces. Delivery pushes the
+//! `(src, dst)` pair — the MPI non-overtaking rule the other two
+//! transports get from their channels and sockets. Delivery pushes the
 //! envelope into the destination's ordinary bounded mailbox channel, so
 //! consumers drain a real [`Inbox`] exactly as they would on the other
 //! two transports.
@@ -142,7 +142,10 @@ impl Planet {
 /// Options for the simulated transport.
 #[derive(Debug, Clone)]
 pub struct SimOpts {
-    /// Region topology composed with the world's [`NetworkModel`].
+    /// Byte-latency curve and jitter charged to every message (default
+    /// [`NetworkModel::Instant`]). Only a simulated world has one.
+    pub network: NetworkModel,
+    /// Region topology composed with `network`.
     pub planet: Planet,
     /// Chaos script applied natively in event delivery (empty = none).
     pub faults: FaultPlan,
@@ -151,6 +154,7 @@ pub struct SimOpts {
 impl Default for SimOpts {
     fn default() -> Self {
         SimOpts {
+            network: NetworkModel::Instant,
             planet: Planet::single(),
             faults: FaultPlan::default(),
         }
@@ -379,6 +383,7 @@ impl SimRoute {
 /// the next `step`).
 pub struct SimWorld {
     cfg: WorldConfig,
+    network: NetworkModel,
     planet: Planet,
     regions: Vec<Region>,
     clock: Clock,
@@ -432,6 +437,7 @@ impl SimWorld {
             .collect();
         let mut w = SimWorld {
             rng_state: (cfg.seed ^ 0x5EED) | 1,
+            network: opts.network,
             planet: opts.planet,
             regions,
             clock,
@@ -507,7 +513,6 @@ impl SimWorld {
             rank,
             size: self.cfg.nranks,
             seed: self.cfg.seed,
-            net: None,
             route: Route::Sim(SimRoute {
                 src: rank,
                 stage: self.stage.clone(),
@@ -644,8 +649,7 @@ impl SimWorld {
         self.seq += 1;
     }
 
-    /// xorshift64* — the same deterministic jitter PRNG the wall-clock
-    /// delivery thread uses.
+    /// xorshift64*: the deterministic jitter stream.
     fn next_jitter(&mut self, max: Duration) -> Duration {
         self.rng_state ^= self.rng_state >> 12;
         self.rng_state ^= self.rng_state << 25;
@@ -656,13 +660,6 @@ impl SimWorld {
             Duration::ZERO
         } else {
             Duration::from_nanos(r % nanos)
-        }
-    }
-
-    fn jitter_max(model: &NetworkModel) -> Duration {
-        match model {
-            NetworkModel::Instant => Duration::ZERO,
-            NetworkModel::AlphaBeta { jitter, .. } => *jitter,
         }
     }
 
@@ -694,8 +691,8 @@ impl SimWorld {
                 Envelope::Shutdown | Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => 0,
             };
             let mut latency = self.planet.one_way(self.regions[src], self.regions[dst])
-                + self.cfg.network.base_latency(bytes)
-                + self.next_jitter(Self::jitter_max(&self.cfg.network));
+                + self.network.base_latency(bytes)
+                + self.next_jitter(self.network.jitter());
             // Scripted link faults, judged at send time.
             let mut stall_until = TimePoint::ZERO;
             let mut dropped = false;
@@ -941,14 +938,11 @@ mod tests {
     use crate::tag::{CollId, WireTag};
     use crate::TypedBuf;
 
-    fn world(p: usize, model: NetworkModel, planet: Planet) -> SimWorld {
-        let cfg = WorldConfig {
-            network: model,
-            ..WorldConfig::instant(p)
-        };
+    fn world(p: usize, network: NetworkModel, planet: Planet) -> SimWorld {
         SimWorld::new(
-            cfg,
+            WorldConfig::instant(p),
             SimOpts {
+                network,
                 planet,
                 ..SimOpts::default()
             },

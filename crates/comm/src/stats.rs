@@ -1,11 +1,11 @@
 //! Queue-pressure counters for the bounded send routes.
 //!
-//! Every bounded queue push (rank mailboxes, the network shaper's inbox,
-//! the TCP per-peer writer queues) is accounted here: how many sends went
+//! Every bounded queue push (rank mailboxes, the TCP per-peer writer
+//! queues) is accounted here: how many sends went
 //! through, how many found the queue full and had to block, how long they
 //! blocked, and the deepest backlog observed. One [`CommStats`] lives per
-//! rank (shared by its `CommHandle` clones and, under TCP, its shaper
-//! thread). The counters are cumulative and lossless; a window is the
+//! rank (shared by its `CommHandle` clones and, under TCP, its socket
+//! threads). The counters are cumulative and lossless; a window is the
 //! delta of two snapshots ([`CommStatsSnapshot::since`]), which is how
 //! the adaptive-quorum layer reads congestion at each decision boundary
 //! and how the benches bracket a loop.

@@ -40,8 +40,8 @@ impl WireTag {
 /// (the activation broadcast of a solo/majority collective is one).
 ///
 /// The payload is a shared [`Payload`]: cloning the message for a
-/// multi-destination send (or holding it in the delivery shaper while
-/// the sender's slot still owns it) bumps a reference count instead of
+/// multi-destination send (or holding it in a writer queue while the
+/// sender's slot still owns it) bumps a reference count instead of
 /// copying element data.
 #[derive(Debug)]
 pub struct Message {
@@ -54,7 +54,8 @@ pub struct Message {
 }
 
 impl Message {
-    /// Bytes on the wire this message is charged for by the network model.
+    /// Bytes on the wire the simulator's network model charges this
+    /// message for.
     /// Control messages cost a small fixed header.
     pub fn wire_bytes(&self) -> usize {
         const HEADER: usize = 32;

@@ -12,15 +12,11 @@
 //!   writer's syscall.
 //! - **Ordering.** Each unordered rank pair shares exactly one duplex
 //!   connection, so TCP's byte-stream ordering *is* the MPI
-//!   non-overtaking rule the in-process delivery thread models. When a
-//!   [`crate::NetworkModel`] is configured, the sender-side delivery
-//!   thread shapes messages *before* they reach the socket writers, and
-//!   its per-pair clamp keeps the release order FIFO — so modeled delays
-//!   compose with real socket transit and fig-reproduction runs stay
-//!   comparable across backends.
+//!   non-overtaking rule (the in-process mailboxes get it from their
+//!   channels, the simulator from its per-pair clamp).
 //! - **Shutdown handshake.** The in-memory world could simply drop
-//!   mailboxes; over sockets, a finishing rank first drains its delivery
-//!   heap and writer queues, then sends a `GOODBYE` frame on every
+//!   mailboxes; over sockets, a finishing rank first drains its writer
+//!   queues, then sends a `GOODBYE` frame on every
 //!   connection and half-closes it. Peer readers stop at `GOODBYE`, which
 //!   replaces the in-memory [`Envelope::Shutdown`] drop semantics with an
 //!   orderly drain: everything sent before a rank finished is delivered.
@@ -64,13 +60,12 @@
 //! (see `examples/quickstart.rs`).
 
 use crate::membership::Membership;
-use crate::net::spawn_network;
 use crate::pool::FRAME_POOL;
 use crate::sim::SimRoute;
 use crate::stats::CommStats;
 use crate::tag::{CollId, Message, Rank, WireTag};
 use crate::world::{CommHandle, Communicator, Envelope, Inbox, WorldConfig};
-use crate::{DType, NetworkModel};
+use crate::DType;
 use crossbeam::channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
 };
@@ -280,8 +275,8 @@ pub(crate) fn bounded_send<T>(
     }
 }
 
-/// Delivery fan-out shared by [`CommHandle`] and the network-model thread:
-/// in-process mailbox table or the TCP peer writers. Cheap to clone.
+/// Where a [`CommHandle`]'s sends go: the in-process mailbox table, the
+/// TCP peer writers or the simulator's stage. Cheap to clone.
 #[derive(Clone)]
 pub(crate) enum Route {
     Mailboxes(Arc<Vec<Sender<Envelope>>>),
@@ -1812,27 +1807,6 @@ where
     };
     let route = Route::Tcp(Arc::clone(&peers));
 
-    // The network model composes on top of the sockets: shape on the
-    // sender side, then write. Per-rank jitter streams are decorrelated
-    // by mixing the rank into the seed. The shaper shares this rank's
-    // stats: a TCP rank's queue-pressure telemetry covers both its app
-    // sends and its shaper deliveries.
-    let (net, net_join) = match cfg.network {
-        NetworkModel::Instant => (None, None),
-        model => {
-            let seed = cfg.seed ^ 0x5EED ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (h, j) = spawn_network(
-                model,
-                route.clone(),
-                seed,
-                cfg.queue_capacity,
-                cfg.queue_deadline,
-                Arc::clone(&stats),
-            );
-            (Some(h), Some(j))
-        }
-    };
-
     // The rendezvous connection doubles as the blackboard link; the app
     // gets a cloneable client and the final report goes over the same
     // (lock-serialized) stream.
@@ -1844,7 +1818,6 @@ where
             rank,
             size: cfg.nranks,
             seed: cfg.seed,
-            net: net.clone(),
             route,
             stats: Arc::clone(&stats),
             queue_deadline: cfg.queue_deadline,
@@ -1860,15 +1833,9 @@ where
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(comm)));
 
-    // Teardown: drain the delivery heap into the writers, flush + goodbye
-    // every connection, then report. Reader joins come last — they return
-    // when the peers goodbye in their own teardown.
-    if let Some(net) = net {
-        net.shutdown();
-    }
-    if let Some(j) = net_join {
-        let _ = j.join();
-    }
+    // Teardown: flush + goodbye every connection, then report. Reader
+    // joins come last — they return when the peers goodbye in their own
+    // teardown.
     for peer in 0..cfg.nranks {
         // `Finish` must queue behind all prior deliveries — but never
         // behind a corpse: draining toward a dead peer is skipped

@@ -2,10 +2,11 @@
 //!
 //! [`World::launch`] stands in for `mpirun`: it spawns `P` rank threads,
 //! hands each a [`Communicator`], runs the given closure SPMD-style, and
-//! joins all ranks, returning their results. A shared [`NetworkModel`]
-//! governs message latency; a shared seed gives all ranks a common source
-//! of pseudo-randomness (the paper's majority collective relies on all
-//! ranks drawing the same per-round initiator, §4.2).
+//! joins all ranks, returning their results. A shared seed gives all
+//! ranks a common source of pseudo-randomness (the paper's majority
+//! collective relies on all ranks drawing the same per-round initiator,
+//! §4.2). Messages cross as fast as the host moves them; modelled latency
+//! exists only under the simulator ([`crate::SimOpts::network`]).
 //!
 //! [`World::launch_with`] selects a [`Transport`]: the same closure can
 //! run ranks as threads (above) or as one OS process per rank over
@@ -21,12 +22,11 @@
 //! counted per rank in [`CommStats`].
 
 use crate::membership::Membership;
-use crate::net::{spawn_network, NetHandle};
 use crate::payload::Payload;
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank, WireTag};
 use crate::transport::{launch_tcp, Route, TcpOpts, Transport};
-use crate::{NetworkModel, TypedBuf};
+use crate::TypedBuf;
 use crossbeam::channel::{bounded, Receiver};
 use pcoll_obs::{Clock, EventKind, Recorder, TraceConfig, LEVEL_VERBOSE};
 use std::sync::{Arc, Barrier};
@@ -76,12 +76,10 @@ pub enum Envelope {
 pub struct WorldConfig {
     /// Number of ranks (P).
     pub nranks: usize,
-    /// Latency model every message passes through.
-    pub network: NetworkModel,
     /// Seed shared by all ranks (consensus randomness, §4.2).
     pub seed: u64,
-    /// Message-count bound on every send queue: rank mailboxes, the
-    /// network shaper's inbox, and the TCP per-peer writer queues.
+    /// Message-count bound on every send queue: rank mailboxes and the
+    /// TCP per-peer writer queues.
     pub queue_capacity: usize,
     /// How long a full-queue send blocks before panicking (the deadlock
     /// tripwire; see module docs).
@@ -100,24 +98,15 @@ pub struct WorldConfig {
 }
 
 impl WorldConfig {
-    /// `P` ranks over an instant network, seed 0 — the unit-test default.
+    /// `P` ranks, seed 0, default queue bounds — the one constructor.
     pub fn instant(nranks: usize) -> Self {
         WorldConfig {
             nranks,
-            network: NetworkModel::Instant,
             seed: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             queue_deadline: DEFAULT_QUEUE_DEADLINE,
             trace: TraceConfig::from_env(),
             suspect_timeout: None,
-        }
-    }
-
-    /// `P` ranks over the HPC-flavoured alpha-beta network.
-    pub fn hpc(nranks: usize) -> Self {
-        WorldConfig {
-            network: NetworkModel::hpc(),
-            ..Self::instant(nranks)
         }
     }
 
@@ -170,8 +159,8 @@ impl WorldConfig {
 /// Cloneable sending half of a rank's communicator.
 ///
 /// Sends are non-blocking while the destination queue has space: the
-/// payload is handed to the network (or straight to the destination
-/// mailbox under [`NetworkModel::Instant`]) and the call returns. When
+/// payload is handed to the transport's route (a mailbox, a socket
+/// writer's queue, or the simulator's stage) and the call returns. When
 /// the queue is full the send blocks for space — bounded-memory
 /// backpressure — and panics after [`WorldConfig::queue_deadline`].
 /// Buffer ownership moves with the message — there is no `MPI_Request`
@@ -181,7 +170,6 @@ pub struct CommHandle {
     pub(crate) rank: Rank,
     pub(crate) size: usize,
     pub(crate) seed: u64,
-    pub(crate) net: Option<NetHandle>,
     pub(crate) route: Route,
     pub(crate) stats: Arc<CommStats>,
     pub(crate) queue_deadline: Duration,
@@ -255,27 +243,21 @@ impl CommHandle {
             tag,
             payload,
         };
-        match &self.net {
-            Some(net) => net.send(dst, msg, &self.stats, self.queue_deadline),
-            None => self
-                .route
-                .deliver(dst, Envelope::Data(msg), &self.stats, self.queue_deadline),
-        }
+        self.route
+            .deliver(dst, Envelope::Data(msg), &self.stats, self.queue_deadline);
     }
 
     /// Ask whoever drains `dst`'s mailbox to shut down (used by the engine
-    /// teardown; app code normally never calls this). Bypasses the
-    /// network model — teardown control is not modeled traffic.
+    /// teardown; app code normally never calls this).
     pub fn send_shutdown(&self, dst: Rank) {
         self.route
             .deliver(dst, Envelope::Shutdown, &self.stats, self.queue_deadline);
     }
 
-    /// Tell whoever drains `dst`'s mailbox that `peer` is dead. Like
-    /// [`CommHandle::send_shutdown`], this bypasses the network model —
-    /// failure notification is local control, not modeled traffic. Chaos
-    /// harnesses use it to inject deaths on the in-process backend; the
-    /// TCP reader threads use the equivalent path on socket death.
+    /// Tell whoever drains `dst`'s mailbox that `peer` is dead — local
+    /// control, like [`CommHandle::send_shutdown`]. Chaos harnesses use
+    /// it to inject deaths on the in-process backend; the TCP reader
+    /// threads use the equivalent path on socket death.
     pub fn send_peer_down(&self, dst: Rank, peer: Rank) {
         self.route.deliver(
             dst,
@@ -287,8 +269,8 @@ impl CommHandle {
 
     /// Tell whoever drains `dst`'s mailbox that `peer` was readmitted by
     /// the admission fence — the reverse of
-    /// [`CommHandle::send_peer_down`], with the same local-control,
-    /// unmodeled-traffic semantics.
+    /// [`CommHandle::send_peer_down`], with the same local-control
+    /// semantics.
     pub fn send_peer_up(&self, dst: Rank, peer: Rank) {
         self.route.deliver(
             dst,
@@ -457,26 +439,6 @@ impl World {
         // ranks would otherwise connect unrelated epochs).
         let trace_clock = Clock::wall();
 
-        // The shaper is bypassed when there is nothing to model.
-        let modeled = !matches!(cfg.network, NetworkModel::Instant);
-        let (net, net_join) = if modeled {
-            // The shared shaper thread accounts its own queue pressure
-            // (it delivers on behalf of every rank). Its recorder track
-            // uses pseudo-rank P — the "network" lane in a trace.
-            let shaper_rec = cfg.trace.recorder(cfg.nranks as u32, trace_clock.clone());
-            let (h, j) = spawn_network(
-                cfg.network,
-                route.clone(),
-                cfg.seed ^ 0x5EED,
-                cfg.queue_capacity,
-                cfg.queue_deadline,
-                Arc::new(CommStats::with_recorder(shaper_rec)),
-            );
-            (Some(h), Some(j))
-        } else {
-            (None, None)
-        };
-
         let host_barrier = Arc::new(Barrier::new(cfg.nranks));
         let f = Arc::new(f);
         let mut joins = Vec::with_capacity(cfg.nranks);
@@ -487,7 +449,6 @@ impl World {
                     rank,
                     size: cfg.nranks,
                     seed: cfg.seed,
-                    net: net.clone(),
                     route: route.clone(),
                     stats: Arc::new(CommStats::with_recorder(recorder)),
                     queue_deadline: cfg.queue_deadline,
@@ -518,12 +479,6 @@ impl World {
                 Ok(v) => results.push(v),
                 Err(e) => panic = Some(e),
             }
-        }
-        if let Some(net) = net {
-            net.shutdown();
-        }
-        if let Some(j) = net_join {
-            let _ = j.join();
         }
         if let Some(e) = panic {
             std::panic::resume_unwind(e);
@@ -607,20 +562,6 @@ mod tests {
             }
         });
         assert_eq!(out, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn ring_pass_over_modeled_network() {
-        let out = World::launch(WorldConfig::hpc(8), |c| {
-            let next = (c.rank() + 1) % c.size();
-            c.send(next, tag(0), Some(TypedBuf::from(vec![c.rank() as i64])));
-            match c.inbox().recv() {
-                Some(Envelope::Data(m)) => m.payload.unwrap().as_i64().unwrap()[0],
-                _ => panic!("expected data"),
-            }
-        });
-        let want: Vec<i64> = (0..8).map(|r| ((r + 7) % 8) as i64).collect();
-        assert_eq!(out, want);
     }
 
     #[test]

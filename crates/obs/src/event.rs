@@ -136,12 +136,12 @@ pub enum EventKind {
         /// How long the sender was blocked.
         dur_ns: u64,
     },
-    /// The network shaper released a message to its destination after
-    /// holding it for the modeled latency.
+    /// The simulator landed a message in its destination's mailbox
+    /// after the modeled latency (no wall-clock transport emits this).
     NetRelease {
         /// Destination rank.
         dst: u32,
-        /// Modeled delay the message spent in the shaper.
+        /// Modeled delay the message spent on the virtual wire.
         delay_ns: u64,
     },
     /// The adaptive tuner evaluated its reward and (re)chose a policy.

@@ -959,7 +959,7 @@ mod tests {
     use crate::op::ScheduleBuilder;
     use parking_lot::{Condvar, Mutex};
     use pcoll_comm::{ReduceOp, World, WorldConfig};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Shared completion sink for test templates.
     #[derive(Default)]
@@ -1543,6 +1543,7 @@ mod tests {
         let out = World::launch(WorldConfig::instant(2), |c| {
             let sink = Arc::new(Sink::default());
             let rank = c.rank();
+            let host_barrier = c.host_barrier_arc();
             let (h, inbox) = c.split();
             let eng = Engine::spawn(h.clone(), inbox);
             eng.register(
@@ -1561,10 +1562,10 @@ mod tests {
             // straggler below must never do is *add* an external
             // activation, so assert on the delta.
             let externals_before = eng.stats().external_activations.load(Ordering::Relaxed);
-            // Let the peer finish round 0 (and drop its instance) before
-            // the straggler lands; same-channel FIFO then guarantees the
-            // duplicate arrives after the original did.
-            std::thread::sleep(Duration::from_millis(100));
+            // Round 0 is complete (its instance dropped) on both ranks
+            // before the straggler is sent; same-channel FIFO then
+            // guarantees the duplicate arrives after the original did.
+            host_barrier.wait();
             if rank == 0 {
                 // A poison-valued duplicate of round 0's data message: if
                 // it ever reached a live instance, round 1's sum below
@@ -1575,9 +1576,17 @@ mod tests {
                     Some(TypedBuf::from(vec![99.0f32])),
                 );
             }
-            std::thread::sleep(Duration::from_millis(100));
+            // Both ranks look only once rank 1's engine has seen it.
+            let seen_by = Instant::now() + Duration::from_secs(10);
+            while rank == 1 && eng.stats().dropped_late.load(Ordering::Relaxed) == 0 {
+                assert!(Instant::now() < seen_by, "the straggler never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            host_barrier.wait();
             let [_, externals, completions, _, late, ..] = eng.stats().snapshot();
             let results_after_straggler = sink.results.lock().len();
+            // ... and before the peer's round 1 can reach this engine.
+            host_barrier.wait();
 
             // The next round must still run clean on both ranks.
             eng.activate(CollId(1), 1);

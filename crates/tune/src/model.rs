@@ -7,10 +7,9 @@
 use crate::controller::spectrum;
 use eager_sgd::{NapModel, NapPrediction};
 use pcoll::QuorumPolicy;
-use serde::{Deserialize, Serialize};
 
-/// One arm's prediction, serializable for `BENCH_*.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One arm's prediction.
+#[derive(Debug, Clone)]
 pub struct ArmPrediction {
     /// Policy label (`solo`, `first-of-4`, …).
     pub policy: String,
@@ -65,7 +64,5 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(best, max_by_utility);
-        let s = serde_json::to_string(&preds[0].1).unwrap();
-        assert!(s.contains("utility"), "{s}");
     }
 }

@@ -8,8 +8,8 @@
 //! straggler per step (the Fig. 10 protocol): now waiting for the full
 //! quorum costs the straggler's whole delay every round while skipping it
 //! costs almost nothing, and the controller migrates toward the
-//! asynchronous end (solo/first-of). Every decision is printed as the
-//! JSON record the bench suite shares (`BENCH_*.json` format).
+//! asynchronous end (solo/first-of). Every decision is printed as a
+//! JSON record (the one `tune_adaptive` prints).
 //!
 //! ```sh
 //! cargo run --release --example adaptive_training

@@ -1,6 +1,6 @@
-//! Cross-crate integration: partial + synchronous collectives over
-//! modeled networks, concurrent collectives, determinism, and the
-//! gradient-conservation property of the Fig. 7 protocol.
+//! Cross-crate integration: partial + synchronous collectives,
+//! concurrent collectives, determinism, and the gradient-conservation
+//! property of the Fig. 7 protocol.
 
 use eager_sgd_repro::prelude::*;
 use std::time::Duration;
@@ -53,31 +53,6 @@ fn partial_allreduce_conserves_deposits() {
             (total - expected).abs() < 1e-9,
             "rank {r}: accounted {total}, deposited {expected}"
         );
-    }
-}
-
-#[test]
-fn partial_allreduce_over_modeled_network() {
-    const P: usize = 8;
-    let out = World::launch(WorldConfig::hpc(P).with_seed(5), |c| {
-        let ctx = RankCtx::new(c);
-        let mut ar = ctx.partial_allreduce(
-            DType::F32,
-            64,
-            ReduceOp::Sum,
-            QuorumPolicy::Chain(P), // deterministic full participation
-            PartialOpts::default(),
-        );
-        let mut results = Vec::new();
-        for round in 0..4 {
-            let v = TypedBuf::from(vec![(round + 1) as f32; 64]);
-            results.push(ar.allreduce(&v).data.as_f32().unwrap()[0]);
-        }
-        ctx.finalize();
-        results
-    });
-    for ranks in out {
-        assert_eq!(ranks, vec![8.0, 16.0, 24.0, 32.0]);
     }
 }
 

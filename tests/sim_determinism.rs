@@ -27,11 +27,9 @@ use std::time::Duration;
 /// pacing with per-rank skew and rotating stragglers.
 fn wan_spec(p: usize, rounds: u64, seed: u64, policy: QuorumPolicy) -> SimSpec {
     SimSpec {
-        world: WorldConfig {
-            network: NetworkModel::cloud(),
-            ..WorldConfig::instant(p).with_seed(seed)
-        },
+        world: WorldConfig::instant(p).with_seed(seed),
         opts: SimOpts {
+            network: NetworkModel::cloud(),
             planet: Planet::wan(),
             ..SimOpts::default()
         },
@@ -55,9 +53,10 @@ fn run(seed: u64) -> SimReport {
     SimHarness::run(wan_spec(64, 12, seed, QuorumPolicy::Majority))
 }
 
-/// Same seed ⇒ byte-identical run at P=64: digest, event count, and final
-/// virtual time all match. A different seed must change the digest (the
-/// seed actually reaches the jitter and initiator choices).
+/// Same seed ⇒ byte-identical run at P=64: digest, event count, final
+/// virtual time and every (rank, round) call latency all match. A
+/// different seed must change the digest and the latencies (the seed
+/// actually reaches the jitter and initiator choices).
 #[test]
 fn same_seed_is_bit_identical_at_p64() {
     let a = run(42);
@@ -70,9 +69,13 @@ fn same_seed_is_bit_identical_at_p64() {
     assert_eq!(a.events, b.events, "event counts diverged");
     assert_eq!(a.virtual_time, b.virtual_time, "virtual clocks diverged");
     assert_eq!(a.nap_per_round, b.nap_per_round, "NAP streams diverged");
+    assert_eq!(a.call_latency, b.call_latency, "call latencies diverged");
+    let calls = a.call_latency.iter().flatten();
+    assert_eq!(calls.flatten().count(), 64 * 12, "every call returned");
 
     let c = run(43);
     assert_ne!(a.digest(), c.digest(), "seed must influence the execution");
+    assert_ne!(a.call_latency, c.call_latency, "seed must reach the jitter");
 }
 
 /// Under `QuorumPolicy::Full` every deposit is provably fresh, so the

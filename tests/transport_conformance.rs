@@ -10,8 +10,8 @@
 //! parent reaches the assertions.
 
 use eager_sgd_repro::comm::{
-    is_tcp_worker, CollId, Communicator, DType, Envelope, NetworkModel, ReduceOp, TcpOpts,
-    TypedBuf, WireTag, World, WorldConfig,
+    is_tcp_worker, CollId, Communicator, DType, Envelope, ReduceOp, TcpOpts, TypedBuf, WireTag,
+    World, WorldConfig,
 };
 use eager_sgd_repro::prelude::{AlgoSelector, AllreduceAlgo, PartialOpts, QuorumPolicy, RankCtx};
 use std::time::Duration;
@@ -44,21 +44,15 @@ fn tag(sem: u32) -> WireTag {
     WireTag::new(CollId(40), 0, sem)
 }
 
-/// Same-pair messages must never overtake, even under jitter big enough
-/// to reorder them without the non-overtaking clamp (and, on TCP, even
-/// though the shaped messages then cross a real socket).
+/// Same-pair messages must never overtake: a 64-message burst to the
+/// next rank arrives in send order through a mailbox and across a real
+/// socket. (The simulator's jitter-proof clamp has its own test,
+/// `comm::sim::tests::same_pair_messages_do_not_overtake_under_jitter`.)
 #[test]
-fn fifo_per_pair_under_jitter() {
+fn fifo_per_pair() {
     const N: u32 = 64;
-    let cfg = WorldConfig {
-        network: NetworkModel::AlphaBeta {
-            alpha: Duration::from_micros(50),
-            beta_ns_per_byte: 0.0,
-            jitter: Duration::from_millis(2),
-        },
-        ..WorldConfig::instant(4).with_seed(11)
-    };
-    for (backend, per_rank) in both_backends("fifo_per_pair_under_jitter", cfg, |c| {
+    let cfg = WorldConfig::instant(4).with_seed(11);
+    for (backend, per_rank) in both_backends("fifo_per_pair", cfg, |c| {
         let next = (c.rank() + 1) % c.size();
         for i in 0..N {
             c.send(next, tag(i), Some(TypedBuf::from(vec![i as i32])));
@@ -135,20 +129,13 @@ fn payload_round_trips_zero_len_and_multi_mib() {
 }
 
 /// A rank that finishes immediately after a burst of sends must not lose
-/// them: teardown drains the delivery heap and socket writers before the
-/// goodbye handshake. The network model holds every message at teardown
-/// time (alpha ≫ the sender's lifetime), forcing the drain path.
+/// them: teardown drains the socket writers' queues before the goodbye
+/// handshake, so a sender that exits its process right after a
+/// 256-message burst still delivers all of it.
 #[test]
 fn shutdown_drains_in_flight_messages() {
     const N: u32 = 256;
-    let cfg = WorldConfig {
-        network: NetworkModel::AlphaBeta {
-            alpha: Duration::from_millis(20),
-            beta_ns_per_byte: 0.0,
-            jitter: Duration::ZERO,
-        },
-        ..WorldConfig::instant(2).with_seed(4)
-    };
+    let cfg = WorldConfig::instant(2).with_seed(4);
     for (backend, per_rank) in both_backends("shutdown_drains_in_flight_messages", cfg, |c| {
         if c.rank() == 0 {
             for i in 0..N {
