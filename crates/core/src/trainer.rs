@@ -373,6 +373,9 @@ pub fn run_rank(
     // place; per-tensor reducers share `flat`, gradients out, averages back.
     let mut flat = vec![0.0f32; if reducers.len() > 1 { n } else { 0 }];
     let mut clipped = Vec::new();
+    // Rank 0's evaluation sets, fetched at the first evaluation and kept:
+    // every `Workload` hands out a deep copy (MiBs for a held-out set).
+    let mut eval_sets = None;
 
     let mut log = TrainLog::new(rank);
     let mut train_time = 0.0f64;
@@ -521,8 +524,10 @@ pub fn run_rank(
         let (test, train) = if eval_now {
             ctx.barrier();
             let result = if rank == 0 {
-                let test = eval_all(model, &workload.test_batches());
-                let train = eval_all(model, &workload.train_batches());
+                let (test_set, train_set) = eval_sets
+                    .get_or_insert_with(|| (workload.test_batches(), workload.train_batches()));
+                let test = eval_all(model, test_set);
+                let train = eval_all(model, train_set);
                 (test.map(Into::into), train.map(Into::into))
             } else {
                 (None, None)

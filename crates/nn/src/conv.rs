@@ -140,10 +140,36 @@ impl Conv2d {
         }
         dimg
     }
+
+    /// Accumulate dW and db from dL/d(output); with `dx`, also write
+    /// dL/d(input) into it (skipped when nobody reads it).
+    fn backprop(&mut self, grad: &Mat, mut dx: Option<&mut Mat>) {
+        let out = self.out_shape();
+        let batch = grad.rows();
+        assert_eq!(grad.cols(), out.numel());
+        assert_eq!(self.cache_cols.len(), batch, "backward without forward");
+        for i in 0..batch {
+            // Back to (H_out*W_out) × C_out spatial-major layout.
+            let grow = grad.row(i);
+            let mut dprod = Mat::zeros(out.height * out.width, out.channels);
+            for c in 0..out.channels {
+                for s in 0..out.height * out.width {
+                    dprod.set(s, c, grow[c * out.height * out.width + s]);
+                }
+            }
+            self.w.grad.add_matmul_tn(&self.cache_cols[i], &dprod);
+            self.b.grad.add_assign(&dprod.sum_rows());
+            if let Some(dx) = dx.as_deref_mut() {
+                let dcols = dprod.matmul_nt(&self.w.value);
+                dx.row_mut(i).copy_from_slice(&self.col2im(&dcols));
+            }
+        }
+        self.cache_cols.clear();
+    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         assert_eq!(
             x.cols(),
             self.in_shape.numel(),
@@ -175,29 +201,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Mat) -> Mat {
-        let out = self.out_shape();
-        let batch = grad.rows();
-        assert_eq!(grad.cols(), out.numel());
-        assert_eq!(self.cache_cols.len(), batch, "backward without forward");
-        let mut dx = Mat::zeros(batch, self.in_shape.numel());
-        for i in 0..batch {
-            // Back to (H_out*W_out) × C_out spatial-major layout.
-            let grow = grad.row(i);
-            let mut dprod = Mat::zeros(out.height * out.width, out.channels);
-            for c in 0..out.channels {
-                for s in 0..out.height * out.width {
-                    dprod.set(s, c, grow[c * out.height * out.width + s]);
-                }
-            }
-            let cols = &self.cache_cols[i];
-            self.w.grad.add_assign(&cols.matmul_tn(&dprod));
-            self.b.grad.add_assign(&dprod.sum_rows());
-            let dcols = dprod.matmul_nt(&self.w.value);
-            let dimg = self.col2im(&dcols);
-            dx.row_mut(i).copy_from_slice(&dimg);
-        }
-        self.cache_cols.clear();
+        let mut dx = Mat::zeros(grad.rows(), self.in_shape.numel());
+        self.backprop(&grad, Some(&mut dx));
         dx
+    }
+
+    fn backward_params(&mut self, grad: Mat) {
+        self.backprop(&grad, None);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -240,7 +250,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         assert_eq!(x.cols(), self.in_shape.numel());
         let ImgShape {
             channels,
@@ -326,7 +336,7 @@ mod tests {
         let mut conv = Conv2d::new(shape(1, 4, 4), 1, 1, 0, &mut rng);
         conv.w.value = Mat::from_vec(1, 1, vec![1.0]);
         let x = Mat::from_fn(2, 16, |i, j| (i * 16 + j) as f32);
-        let y = conv.forward(x.clone(), false);
+        let y = conv.forward(&x, false);
         assert_eq!(y, x);
     }
 
@@ -348,7 +358,7 @@ mod tests {
         let mut conv = Conv2d::new(shape(1, 3, 3), 1, 3, 1, &mut rng);
         conv.w.value = Mat::full(9, 1, 1.0);
         let x = Mat::from_vec(1, 9, vec![1.0; 9]);
-        let y = conv.forward(x, false);
+        let y = conv.forward(&x, false);
         // Corner sees 4 ones, edge 6, center 9.
         assert_eq!(y.as_slice(), &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]);
     }
@@ -364,7 +374,7 @@ mod tests {
             9.0, 10.0,  11.0, 12.0,
             13.0, 14.0, 15.0, 16.0,
         ]);
-        let y = pool.forward(x, true);
+        let y = pool.forward(&x, true);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         let g = pool.backward(Mat::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let mut want = [0.0; 16];
@@ -380,10 +390,10 @@ mod tests {
         let mut rng = TensorRng::new(5);
         let mut net = Sequential::new().push(Conv2d::new(shape(2, 4, 4), 3, 3, 1, &mut rng));
         let x = Mat::randn(2, 32, 1.0, &mut rng);
-        let loss = |net: &mut Sequential, x: &Mat| net.forward(x.clone(), false).sum();
+        let loss = |net: &mut Sequential, x: &Mat| net.forward(x, false).sum();
 
         net.visit_params(&mut |p| p.zero_grad());
-        let y = net.forward(x.clone(), true);
+        let y = net.forward(&x, true);
         let ones = Mat::full(y.rows(), y.cols(), 1.0);
         net.backward(ones);
         let mut analytic = Vec::new();
@@ -426,7 +436,7 @@ mod tests {
         let x = Mat::randn(1, 9, 1.0, &mut rng);
 
         conv.visit_params(&mut |p| p.zero_grad());
-        let y = conv.forward(x.clone(), true);
+        let y = conv.forward(&x, true);
         let ones = Mat::full(y.rows(), y.cols(), 1.0);
         let dx = conv.backward(ones);
 
@@ -436,8 +446,8 @@ mod tests {
             up.set(0, j, x.get(0, j) + eps);
             let mut dn = x.clone();
             dn.set(0, j, x.get(0, j) - eps);
-            let lu = conv.forward(up, false).sum();
-            let ld = conv.forward(dn, false).sum();
+            let lu = conv.forward(&up, false).sum();
+            let ld = conv.forward(&dn, false).sum();
             let numeric = (lu - ld) / (2.0 * eps);
             assert!(
                 (dx.get(0, j) - numeric).abs() < 2e-2 * (1.0 + numeric.abs()),
@@ -477,7 +487,7 @@ mod tests {
         for _ in 0..80 {
             let (x, labels) = make_batch(&mut rng);
             net.visit_params(&mut |p| p.zero_grad());
-            let logits = net.forward(x, true);
+            let logits = net.forward(&x, true);
             let (_, dlogits) = softmax_xent(&logits, &labels);
             net.backward(dlogits);
             net.visit_params(&mut |p| {
@@ -486,7 +496,7 @@ mod tests {
             });
         }
         let (x, labels) = make_batch(&mut rng);
-        let logits = net.forward(x, false);
+        let logits = net.forward(&x, false);
         let acc = crate::loss::topk_accuracy(&logits, &labels, 1);
         assert!(acc >= 0.8, "CNN should learn blob position, got {acc}");
     }

@@ -2,8 +2,9 @@
 //!
 //! Each layer caches what its backward pass needs during `forward(…,
 //! train=true)`; gradients *accumulate* into `Param::grad` (callers zero
-//! them per step). `visit_params` / `visit_params_ref` walk parameters in
-//! a deterministic order, which is what makes flat
+//! them per step), written there directly by `Mat::add_matmul_tn`, never
+//! through a temporary. `visit_params` / `visit_params_ref` walk
+//! parameters in a deterministic order, which is what makes flat
 //! gradient/parameter buffers consistent across ranks.
 
 use crate::param::Param;
@@ -12,11 +13,18 @@ use minitensor::{Mat, TensorRng};
 /// A differentiable layer.
 pub trait Layer: Send {
     /// Forward pass. With `train == true`, cache activations for backward.
-    fn forward(&mut self, x: Mat, train: bool) -> Mat;
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat;
 
     /// Backward pass: receives dL/d(output), accumulates parameter
     /// gradients, returns dL/d(input).
     fn backward(&mut self, grad: Mat) -> Mat;
+
+    /// [`Layer::backward`] for a layer whose input is the batch itself, so
+    /// nobody reads dL/d(input): a layer with parameters overrides this to
+    /// skip that product. [`Sequential`] calls it on its first layer.
+    fn backward_params(&mut self, grad: Mat) {
+        self.backward(grad);
+    }
 
     /// Visit parameters mutably (deterministic order).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
@@ -29,44 +37,54 @@ pub trait Layer: Send {
 pub struct Dense {
     pub w: Param,
     pub b: Param,
-    cache_x: Option<Mat>,
+    /// The last training input, refilled in place every step; `cached`
+    /// says whether a backward pass may still consume it.
+    cache_x: Mat,
+    cached: bool,
 }
 
 impl Dense {
     /// He-initialized dense layer.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut TensorRng) -> Self {
-        Dense {
-            w: Param::new(Mat::he_init(in_dim, out_dim, in_dim, rng)),
-            b: Param::new(Mat::zeros(1, out_dim)),
-            cache_x: None,
-        }
+        Self::with_weights(Mat::he_init(in_dim, out_dim, in_dim, rng))
     }
 
     /// Xavier-initialized dense layer (for tanh/sigmoid stacks).
     pub fn new_xavier(in_dim: usize, out_dim: usize, rng: &mut TensorRng) -> Self {
+        Self::with_weights(Mat::xavier_init(in_dim, out_dim, rng))
+    }
+
+    fn with_weights(w: Mat) -> Self {
         Dense {
-            w: Param::new(Mat::xavier_init(in_dim, out_dim, rng)),
-            b: Param::new(Mat::zeros(1, out_dim)),
-            cache_x: None,
+            b: Param::new(Mat::zeros(1, w.cols())),
+            w: Param::new(w),
+            cache_x: Mat::zeros(0, 0),
+            cached: false,
         }
     }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(&self.b.value);
         if train {
-            self.cache_x = Some(x);
+            self.cache_x.copy_from(x);
+            self.cached = true;
         }
         y
     }
 
     fn backward(&mut self, grad: Mat) -> Mat {
-        let x = self.cache_x.take().expect("backward without forward");
-        self.w.grad.add_assign(&x.matmul_tn(&grad));
+        let dx = grad.matmul_nt(&self.w.value);
+        self.backward_params(grad);
+        dx
+    }
+
+    fn backward_params(&mut self, grad: Mat) {
+        assert!(std::mem::take(&mut self.cached), "backward without forward");
+        self.w.grad.add_matmul_tn(&self.cache_x, &grad);
         self.b.grad.add_assign(&grad.sum_rows());
-        grad.matmul_nt(&self.w.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -93,7 +111,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         let y = x.map(|v| v.max(0.0));
         if train {
             self.mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
@@ -123,7 +141,7 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         let y = x.map(|v| v.tanh());
         if train {
             self.cache_y = Some(y.clone());
@@ -155,7 +173,7 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
         let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
         if train {
             self.cache_y = Some(y.clone());
@@ -205,8 +223,12 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
-        self.layers.iter_mut().fold(x, |x, l| l.forward(x, train))
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return x.clone();
+        };
+        let y = first.forward(x, train);
+        rest.iter_mut().fold(y, |y, l| l.forward(&y, train))
     }
 
     fn backward(&mut self, grad: Mat) -> Mat {
@@ -214,6 +236,13 @@ impl Layer for Sequential {
             .iter_mut()
             .rev()
             .fold(grad, |g, l| l.backward(g))
+    }
+
+    fn backward_params(&mut self, grad: Mat) {
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let g = rest.iter_mut().rev().fold(grad, |g, l| l.backward(g));
+            first.backward_params(g);
+        }
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -243,9 +272,9 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: Mat, train: bool) -> Mat {
-        let mut y = self.inner.forward(x.clone(), train);
-        y.add_assign(&x);
+    fn forward(&mut self, x: &Mat, train: bool) -> Mat {
+        let mut y = self.inner.forward(x, train);
+        y.add_assign(x);
         y
     }
 
@@ -278,7 +307,7 @@ mod tests {
     fn dense_shapes_and_param_count() {
         let mut rng = TensorRng::new(0);
         let mut d = Dense::new(4, 3, &mut rng);
-        let y = d.forward(Mat::zeros(5, 4), false);
+        let y = d.forward(&Mat::zeros(5, 4), false);
         assert_eq!(y.shape(), (5, 3));
         assert_eq!(count_params(&d), 4 * 3 + 3);
     }
@@ -287,7 +316,7 @@ mod tests {
     fn relu_masks_negative_gradient() {
         let mut r = Relu::new();
         let x = Mat::from_vec(1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = r.forward(x, true);
+        let y = r.forward(&x, true);
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
         let g = r.backward(Mat::from_vec(1, 4, vec![1.0; 4]));
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
@@ -302,7 +331,7 @@ mod tests {
         inner.w.value.clear();
         let mut res = Residual::new(Sequential::new().push(inner));
         let x = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = res.forward(x.clone(), true);
+        let y = res.forward(&x, true);
         assert_eq!(y, x);
         let g = res.backward(Mat::full(2, 3, 1.0));
         assert_eq!(g, Mat::full(2, 3, 1.0));
@@ -319,11 +348,11 @@ mod tests {
         let x = Mat::randn(2, 3, 1.0, &mut rng);
 
         // Loss = sum of outputs (so dL/dy = 1).
-        let loss = |net: &mut Sequential, x: &Mat| net.forward(x.clone(), false).sum();
+        let loss = |net: &mut Sequential, x: &Mat| net.forward(x, false).sum();
 
         // Analytic gradients.
         net.visit_params(&mut |p| p.zero_grad());
-        let y = net.forward(x.clone(), true);
+        let y = net.forward(&x, true);
         let ones = Mat::full(y.rows(), y.cols(), 1.0);
         net.backward(ones);
         let mut analytic = Vec::new();

@@ -156,7 +156,7 @@ impl LstmClassifier {
         let h_dim = self.hidden;
 
         // Head gradients.
-        self.w_head.grad.add_assign(&h_mean.matmul_tn(dlogits));
+        self.w_head.grad.add_matmul_tn(&h_mean, dlogits);
         self.b_head.grad.add_assign(&dlogits.sum_rows());
         let mut dh_pool = dlogits.matmul_nt(&self.w_head.value);
         dh_pool.scale(1.0 / t_len as f32); // mean-pool fan-out
@@ -196,8 +196,8 @@ impl LstmClassifier {
                 }
             }
 
-            self.wx.grad.add_assign(&step.x.matmul_tn(&dz));
-            self.wh.grad.add_assign(&step.h_prev.matmul_tn(&dz));
+            self.wx.grad.add_matmul_tn(&step.x, &dz);
+            self.wh.grad.add_matmul_tn(&step.h_prev, &dz);
             self.b.grad.add_assign(&dz.sum_rows());
             dh_next = dz.matmul_nt(&self.wh.value);
             let _ = step.c; // cell state itself not needed further

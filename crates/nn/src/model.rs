@@ -142,13 +142,13 @@ impl Model for FeedForward {
             panic!("FeedForward expects dense batches");
         };
         self.net.visit_params(&mut |p| p.zero_grad());
-        let out = self.net.forward(b.x.clone(), true);
+        let out = self.net.forward(&b.x, true);
         let (loss, dout) = match (&self.loss, &b.target) {
             (LossKind::Mse, Target::Values(t)) => mse(&out, t),
             (LossKind::SoftmaxXent, Target::Classes(y)) => softmax_xent(&out, y),
             _ => panic!("loss kind does not match target kind"),
         };
-        self.net.backward(dout);
+        self.net.backward_params(dout);
         loss
     }
 
@@ -198,7 +198,7 @@ impl Model for FeedForward {
         let Batch::Dense(b) = batch else {
             panic!("FeedForward expects dense batches");
         };
-        let out = self.net.forward(b.x.clone(), false);
+        let out = self.net.forward(&b.x, false);
         match (&self.loss, &b.target) {
             (LossKind::Mse, Target::Values(t)) => {
                 let (loss, _) = mse(&out, t);
@@ -361,6 +361,96 @@ mod tests {
         assert!((0.0..=1.0).contains(&e.top1));
         assert!(e.top1 <= e.top5);
         assert_eq!(e.n, 6);
+    }
+
+    /// Held-out losses of [`zoo_cases`] at commit 22b2177, whose `forward`
+    /// took its batch by value and whose products summed in index order.
+    const PARENT_LOSS: [f32; 4] = [1.0108341, 1.7021765, 3.1407192, 1.0996494];
+
+    /// The zoo's three feed-forward shapes and the LSTM, each with a
+    /// seeded batch, in `PARENT_LOSS` order.
+    fn zoo_cases() -> (Vec<(FeedForward, Batch)>, (LstmClassifier, Batch)) {
+        use crate::conv::ImgShape;
+        use crate::zoo::{hyperplane_mlp, resnet_cnn, resnet_proxy, video_lstm};
+        let mut rng = TensorRng::new(21);
+        let dense = |x: Mat, target: Target| Batch::Dense(DenseBatch { x, target });
+        let classes = |n: usize, k: usize| Target::Classes((0..n).map(|i| i % k).collect());
+        let img = ImgShape {
+            channels: 1,
+            height: 8,
+            width: 8,
+        };
+        let mlp = hyperplane_mlp(64, &mut rng);
+        let mlp_x = Mat::randn(6, 64, 1.0, &mut rng);
+        let mlp_y = Target::Values(Mat::randn(6, 1, 1.0, &mut rng));
+        let proxy = resnet_proxy(16, 16, 2, 4, &mut rng);
+        let proxy_x = Mat::randn(6, 16, 1.0, &mut rng);
+        let cnn = resnet_cnn(img, 4, 1, 3, &mut rng);
+        let cnn_x = Mat::randn(4, 64, 1.0, &mut rng);
+        let lstm = video_lstm(5, 8, 3, &mut rng);
+        let seq = Batch::Seq(SeqBatch {
+            xs: (0..4).map(|_| Mat::randn(3, 5, 1.0, &mut rng)).collect(),
+            labels: vec![0, 1, 2],
+        });
+        let feed_forward = vec![
+            (mlp, dense(mlp_x, mlp_y)),
+            (proxy, dense(proxy_x, classes(6, 4))),
+            (cnn, dense(cnn_x, classes(4, 3))),
+        ];
+        (feed_forward, (lstm, seq))
+    }
+
+    fn grad_bits(m: &dyn Model) -> Vec<u32> {
+        let mut g = vec![0.0; m.num_params()];
+        m.write_grads(&mut g);
+        assert!(g.iter().any(|&v| v != 0.0), "a zero gradient pins nothing");
+        g.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `grad_step` tells the first layer that nobody reads its input
+    /// gradient; what it accumulates into the parameters must be, bit for
+    /// bit, what the full backward pass accumulates.
+    #[test]
+    fn grad_step_matches_the_full_backward_bitwise() {
+        let (feed_forward, (mut lstm, seq)) = zoo_cases();
+        for (mut m, batch) in feed_forward {
+            m.grad_step(&batch);
+            let skipped = grad_bits(&m);
+            let Batch::Dense(b) = &batch else {
+                unreachable!()
+            };
+            m.net.visit_params(&mut |p| p.zero_grad());
+            let out = m.net.forward(&b.x, true);
+            let dout = match &b.target {
+                Target::Values(t) => mse(&out, t).1,
+                Target::Classes(y) => softmax_xent(&out, y).1,
+            };
+            let _dx = m.net.backward(dout);
+            assert_eq!(skipped, grad_bits(&m));
+        }
+        lstm.grad_step(&seq);
+        let stepped = grad_bits(&lstm);
+        let Batch::Seq(b) = &seq else { unreachable!() };
+        lstm.visit_params(&mut |p| p.zero_grad());
+        let logits = lstm.forward_seq(&b.xs, true);
+        lstm.backward_seq(&softmax_xent(&logits, &b.labels).1);
+        assert_eq!(stepped, grad_bits(&lstm));
+    }
+
+    #[test]
+    fn evaluate_on_a_borrowed_batch_returns_the_by_value_loss() {
+        let (feed_forward, (mut lstm, seq)) = zoo_cases();
+        let mut losses: Vec<f32> = feed_forward
+            .into_iter()
+            .map(|(mut m, batch)| m.evaluate(&batch).loss)
+            .collect();
+        losses.push(lstm.evaluate(&seq).loss);
+        for (loss, parent) in losses.iter().zip(PARENT_LOSS) {
+            assert!(
+                (loss - parent).abs() <= 1e-6 * parent,
+                "{loss} vs {parent} at the parent"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,24 @@ pub struct Mat {
     data: Vec<f32>,
 }
 
+/// Inner product over eight independent partial sums (lane `l` takes
+/// elements `l, l + 8, …`; the lanes are added in order, then the tail of
+/// fewer than eight), so the additions vectorise instead of forming one
+/// dependency chain. No term is skipped: a NaN or Inf in either operand
+/// reaches the result.
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let (a8, b8) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = a8.remainder().iter().zip(b8.remainder());
+    let mut lanes = [0.0f32; LANES];
+    for (x, y) in a8.zip(b8) {
+        for ((lane, x), y) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += x * y;
+        }
+    }
+    lanes.iter().sum::<f32>() + tail.map(|(x, y)| x * y).sum::<f32>()
+}
+
 impl Mat {
     /// All-zeros matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -125,11 +143,20 @@ impl Mat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// `C = A · B`.
+    /// `C = A · B`. A column-vector `B` (an `n → 1` layer) runs as one
+    /// lane-summed `dot` per row of `A`; any other shape streams rows of
+    /// `B` against the accumulator row of `C` (i-k-j) and skips a row of `B`
+    /// whose `a_ik` is exactly zero — post-ReLU activations are half zeros —
+    /// so on that path `0 × Inf` contributes 0, not NaN.
     pub fn matmul(&self, b: &Mat) -> Mat {
         assert_eq!(self.cols, b.rows, "matmul inner dims");
         let mut c = Mat::zeros(self.rows, b.cols);
-        // i-k-j: stream rows of B against the accumulator row of C.
+        if b.cols == 1 {
+            for (i, cv) in c.data.iter_mut().enumerate() {
+                *cv = dot(self.row(i), &b.data);
+            }
+            return c;
+        }
         for i in 0..self.rows {
             let crow = &mut c.data[i * b.cols..(i + 1) * b.cols];
             for k in 0..self.cols {
@@ -146,39 +173,45 @@ impl Mat {
         c
     }
 
-    /// `C = Aᵀ · B` without materializing the transpose (dW in backprop).
-    pub fn matmul_tn(&self, b: &Mat) -> Mat {
-        assert_eq!(self.rows, b.rows, "matmul_tn outer dims");
-        let mut c = Mat::zeros(self.cols, b.cols);
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let brow = &b.data[k * b.cols..(k + 1) * b.cols];
-            for (i, &a_ki) in arow.iter().enumerate() {
+    /// `self += Aᵀ · B` without materializing the transpose or the product
+    /// (dW in backprop, accumulated straight into the gradient). Each entry
+    /// sums over the shared row index in ascending order, so onto a zeroed
+    /// `self` this is the product itself. A column-vector `B` is one axpy
+    /// per shared row; any other shape finishes one row of `self` at a time
+    /// and, like [`Mat::matmul`], skips terms whose `a_ki` is exactly zero.
+    pub fn add_matmul_tn(&mut self, a: &Mat, b: &Mat) {
+        assert_eq!(a.rows, b.rows, "add_matmul_tn outer dims");
+        assert_eq!(self.shape(), (a.cols, b.cols), "add_matmul_tn output");
+        if b.cols == 1 {
+            for (k, &b_k) in b.data.iter().enumerate() {
+                for (cv, av) in self.data.iter_mut().zip(a.row(k)) {
+                    *cv += av * b_k;
+                }
+            }
+            return;
+        }
+        for i in 0..a.cols {
+            let crow = &mut self.data[i * b.cols..(i + 1) * b.cols];
+            for k in 0..a.rows {
+                let a_ki = a.data[k * a.cols + i];
                 if a_ki == 0.0 {
                     continue;
                 }
-                let crow = &mut c.data[i * b.cols..(i + 1) * b.cols];
-                for (cv, bv) in crow.iter_mut().zip(brow) {
+                for (cv, bv) in crow.iter_mut().zip(b.row(k)) {
                     *cv += a_ki * bv;
                 }
             }
         }
-        c
     }
 
-    /// `C = A · Bᵀ` without materializing the transpose (dX in backprop).
+    /// `C = A · Bᵀ` without materializing the transpose (dX in backprop):
+    /// one lane-summed `dot` per entry.
     pub fn matmul_nt(&self, b: &Mat) -> Mat {
         assert_eq!(self.cols, b.cols, "matmul_nt inner dims");
         let mut c = Mat::zeros(self.rows, b.rows);
         for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
             for j in 0..b.rows {
-                let brow = &b.data[j * b.cols..(j + 1) * b.cols];
-                let mut acc = 0.0f32;
-                for (av, bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                c.data[i * b.rows + j] = acc;
+                c.data[i * b.rows + j] = dot(self.row(i), b.row(j));
             }
         }
         c
@@ -337,6 +370,13 @@ impl Mat {
             .collect()
     }
 
+    /// Become a copy of `src`, reusing this matrix's allocation when it is
+    /// large enough (an activation cache refilled every step).
+    pub fn copy_from(&mut self, src: &Mat) {
+        (self.rows, self.cols) = src.shape();
+        self.data.clone_from(&src.data);
+    }
+
     /// Fill with zeros, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -360,54 +400,128 @@ impl Mat {
 mod tests {
     use super::*;
 
-    fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
-        let mut c = Mat::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut s = 0.0;
-                for k in 0..a.cols() {
-                    s += a.get(i, k) * b.get(k, j);
-                }
-                c.set(i, j, s);
+    /// The oracle: `c0[i][j] + Σ_k term(i, j, k)` by a naive triple loop,
+    /// `k` ascending, no term skipped — the order every kernel had before
+    /// [`dot`] — next to `Σ_k |term|`, the scale a reordered sum's rounding
+    /// error is relative to.
+    fn naive(c0: &Mat, inner: usize, term: impl Fn(usize, usize, usize) -> f32) -> (Mat, Mat) {
+        let mut scale = Mat::zeros(c0.rows(), c0.cols());
+        let sum = Mat::from_fn(c0.rows(), c0.cols(), |i, j| {
+            let (mut s, mut m) = (c0.get(i, j), 0.0);
+            for k in 0..inner {
+                s += term(i, j, k);
+                m += term(i, j, k).abs();
+            }
+            scale.set(i, j, m);
+            s
+        });
+        (sum, scale)
+    }
+
+    /// `exact`: bit-for-bit the oracle. Otherwise within 1e-5 of it,
+    /// relative to the summed magnitudes.
+    fn assert_matches(got: &Mat, (want, scale): &(Mat, Mat), exact: bool, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for ((g, w), m) in got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .zip(scale.as_slice())
+        {
+            let ok = if exact {
+                g.to_bits() == w.to_bits()
+            } else {
+                (g - w).abs() <= 1e-5 * m
+            };
+            assert!(ok, "{what}: got {g}, oracle {w} (exact: {exact})");
+        }
+    }
+
+    #[test]
+    fn product_kernels_match_the_naive_oracle_on_every_shape() {
+        const DIMS: [usize; 7] = [1, 2, 7, 8, 9, 17, 64];
+        let mut rng = TensorRng::new(11);
+        for (rows, inner, cols) in DIMS.iter().flat_map(|&r| {
+            DIMS.iter()
+                .flat_map(move |&n| DIMS.iter().map(move |&c| (r, n, c)))
+        }) {
+            let what = format!("{rows}x{inner}x{cols}");
+            // Lanes reorder a sum only once a dot product has eight terms.
+            let short = inner < 8;
+
+            let a = Mat::randn(rows, inner, 1.0, &mut rng);
+            let b = Mat::randn(inner, cols, 1.0, &mut rng);
+            let zero = Mat::zeros(rows, cols);
+            let want = naive(&zero, inner, |i, j, k| a.get(i, k) * b.get(k, j));
+            assert_matches(
+                &a.matmul(&b),
+                &want,
+                cols != 1 || short,
+                &format!("matmul {what}"),
+            );
+
+            let bt = b.t();
+            assert_matches(
+                &a.matmul_nt(&bt),
+                &want,
+                short,
+                &format!("matmul_nt {what}"),
+            );
+
+            // dW: `inner` is the shared (batch) index; always the oracle's
+            // order, onto zeros and onto an existing gradient alike.
+            let x = Mat::randn(inner, rows, 1.0, &mut rng);
+            let g = Mat::randn(inner, cols, 1.0, &mut rng);
+            for c0 in [zero, Mat::randn(rows, cols, 1.0, &mut rng)] {
+                let want = naive(&c0, inner, |i, j, k| x.get(k, i) * g.get(k, j));
+                let mut c = c0.clone();
+                c.add_matmul_tn(&x, &g);
+                assert_matches(&c, &want, true, &format!("add_matmul_tn {what}"));
+                // … and `C + AᵀB` up to where the product is rounded.
+                let mut sum = x.t().matmul(&g);
+                sum.add_assign(&c0);
+                assert_matches(&sum, &(c, want.1), false, &format!("C + AtB {what}"));
             }
         }
-        c
     }
 
+    /// What a non-finite operand does, pinned per path: the benchmark's
+    /// `finite` check relies on diverged weights surfacing.
     #[test]
-    fn matmul_matches_naive() {
-        let mut rng = TensorRng::new(1);
-        let a = Mat::randn(7, 5, 1.0, &mut rng);
-        let b = Mat::randn(5, 9, 1.0, &mut rng);
-        let fast = a.matmul(&b);
-        let slow = naive_matmul(&a, &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
+    fn non_finite_operands_surface_except_behind_an_exact_zero_on_the_2d_paths() {
+        let zero_one = Mat::from_vec(1, 2, vec![0.0, 1.0]);
+        let inf_one = Mat::from_vec(2, 1, vec![f32::INFINITY, 1.0]);
+        // Vector-shaped paths skip nothing: 0 × Inf = NaN, either way round.
+        assert!(zero_one.matmul(&inf_one).get(0, 0).is_nan());
+        assert!(inf_one.t().matmul(&zero_one.t()).get(0, 0).is_nan());
+        assert!(zero_one.matmul_nt(&inf_one.t()).get(0, 0).is_nan());
+        assert!(inf_one.t().matmul_nt(&zero_one).get(0, 0).is_nan());
+        for (a, b) in [(&zero_one.t(), &inf_one), (&inf_one, &zero_one.t())] {
+            let mut c = Mat::zeros(1, 1);
+            c.add_matmul_tn(a, b);
+            assert!(c.get(0, 0).is_nan());
         }
-    }
 
-    #[test]
-    fn matmul_tn_is_transpose_matmul() {
-        let mut rng = TensorRng::new(2);
-        let a = Mat::randn(6, 4, 1.0, &mut rng);
-        let b = Mat::randn(6, 3, 1.0, &mut rng);
-        let direct = a.matmul_tn(&b);
-        let via_t = a.t().matmul(&b);
-        for (x, y) in direct.as_slice().iter().zip(via_t.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn matmul_nt_is_matmul_transpose() {
-        let mut rng = TensorRng::new(3);
-        let a = Mat::randn(6, 4, 1.0, &mut rng);
-        let b = Mat::randn(5, 4, 1.0, &mut rng);
-        let direct = a.matmul_nt(&b);
-        let via_t = a.matmul(&b.t());
-        for (x, y) in direct.as_slice().iter().zip(via_t.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
+        // 2-D paths: an exactly-zero left entry skips its row of the right
+        // operand, so 0 × Inf contributes nothing …
+        let wide_inf = Mat::from_vec(2, 2, vec![f32::INFINITY, f32::NAN, 1.0, 1.0]);
+        assert_eq!(zero_one.matmul(&wide_inf).as_slice(), &[1.0, 1.0]);
+        let mut c = Mat::zeros(1, 2);
+        c.add_matmul_tn(&zero_one.t(), &wide_inf);
+        assert_eq!(c.as_slice(), &[1.0, 1.0]);
+        // … while a non-finite left entry, or one behind a non-zero left
+        // entry, reaches every output it touches.
+        let nan_one = Mat::from_vec(1, 2, vec![f32::NAN, 1.0]);
+        let ones = Mat::full(2, 2, 1.0);
+        assert!(nan_one.matmul(&ones).as_slice().iter().all(|v| v.is_nan()));
+        assert!(Mat::full(1, 2, 1.0)
+            .matmul(&wide_inf)
+            .as_slice()
+            .iter()
+            .all(|v| !v.is_finite()));
+        let mut c = Mat::zeros(1, 2);
+        c.add_matmul_tn(&nan_one.t(), &ones);
+        assert!(c.as_slice().iter().all(|v| v.is_nan()));
     }
 
     #[test]
