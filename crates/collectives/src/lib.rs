@@ -24,9 +24,9 @@
 //! - [`SyncBarrier`]: dissemination barrier; [`SyncBcast`] and
 //!   [`SyncReduce`]: binomial-tree broadcast and reduce (used by the
 //!   Horovod-style negotiation baseline).
-//! - [`algos`]: blocking ring and Rabenseifner allreduce over the plain
-//!   matcher, for the allreduce-algorithm ablation and as the reference
-//!   the engine's results are tested against.
+//! - [`algos`]: the blocking ring allreduce over the plain matcher — the
+//!   engine's ceiling in the benchmarks and the reference its results are
+//!   tested against.
 //!
 //! [`RankCtx`] packages the per-rank engine plus collective constructors;
 //! collectives must be created in the same order on every rank (SPMD), as

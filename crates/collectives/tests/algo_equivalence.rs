@@ -213,22 +213,16 @@ fn float_sums_agree_within_tolerance() {
 /// s }`: a NaN accumulator stays NaN and a NaN source is skipped, so on
 /// NaN-bearing input the result depends on which operand accumulates, and
 /// algorithms agree only where they fold in the same operand roles. At
-/// P = 2 those roles are fully determined, which ties all four paths to
+/// P = 2 those roles are fully determined, which ties all three paths to
 /// recursive doubling (rank r's result is "r accumulates its partner"):
-///
-/// - both rings finish chunk 0 (the lower half) on rank 1 and chunk 1 on
-///   rank 0;
-/// - the direct Rabenseifner keeps the lower half on rank 0 and the upper
-///   half on rank 1. Its last level folds through
-///   `Matcher::recv_combine`, i.e. `Payload::fold_into` on a bare
-///   slice, which once had kernels of its own that used `f32::min`/`max`
-///   and so dropped a NaN accumulator where the engine keeps it.
+/// both rings finish chunk 0 (the lower half) on rank 1 and chunk 1 on
+/// rank 0.
 #[test]
 fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
     let (p, n, mid) = (2usize, 8usize, 4usize);
     // Per half: a NaN only on the rank that accumulates it under
-    // Rabenseifner (index 1 on rank 0, 6 on rank 1), a NaN only on the
-    // other rank (2, 5), and a NaN on both (3).
+    // recursive doubling (index 1 on rank 0, 6 on rank 1), a NaN only on
+    // the other rank (2, 5), and a NaN on both (3).
     let val = |rank: usize, i: usize| -> f32 {
         if matches!((rank, i), (0, 1) | (1, 6) | (1, 2) | (0, 5) | (_, 3)) {
             f32::NAN
@@ -264,9 +258,7 @@ fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
             let mut dc = DirectCollectives::new(&h, &mut m, CollId(8801));
             let mut ring: Vec<f32> = (0..n).map(|i| val(me, i)).collect();
             dc.ring_allreduce_f32(&mut ring, op);
-            let mut rab: Vec<f32> = (0..n).map(|i| val(me, i)).collect();
-            dc.rabenseifner_allreduce_f32(&mut rab, op);
-            (ring, rab)
+            ring
         });
         let (rd0, rd1) = (&engine[0].0, &engine[1].0);
         // The accumulator's NaN survives and the source's is skipped, or
@@ -274,20 +266,10 @@ fn nan_min_max_follow_the_engine_combine_bit_for_bit() {
         assert!(rd0[1].is_nan() && rd1[6].is_nan(), "{op:?}");
         assert!(!rd0[2].is_nan() && !rd1[5].is_nan(), "{op:?}");
         for r in 0..p {
-            let (seg, (ring, rab)) = (&engine[r].1, &direct[r]);
+            let (seg, ring) = (&engine[r].1, &direct[r]);
             assert_eq!(bits(seg), bits(ring), "{op:?} rank {r}: seg vs direct ring");
             assert_eq!(bits(&ring[..mid]), bits(&rd1[..mid]), "{op:?} rank {r}");
             assert_eq!(bits(&ring[mid..]), bits(&rd0[mid..]), "{op:?} rank {r}");
-            assert_eq!(
-                bits(&rab[..mid]),
-                bits(&rd0[..mid]),
-                "{op:?} rank {r}: rabenseifner lower half vs recursive doubling on rank 0"
-            );
-            assert_eq!(
-                bits(&rab[mid..]),
-                bits(&rd1[mid..]),
-                "{op:?} rank {r}: rabenseifner upper half vs recursive doubling on rank 1"
-            );
         }
     }
 }

@@ -3,12 +3,11 @@
 //! The paper's schedule ops are "simple computations defined between two
 //! arrays of data items" (§4.1.1): `dst = dst ⊕ src`. Every reduction and
 //! every copy or decode in this crate — `TypedBuf::{combine,
-//! combine_le_bytes, copy_from_at}`, `Payload::{reduce_assign,
-//! copy_into_at, fold_into, store_into}`, `Matcher::{recv_combine,
-//! recv_copy}` — resolves its operands to a typed destination slice and a
-//! borrowed [`Src`], and calls [`fold`] or [`store`]; [`TypedBuf::scale`],
-//! the average's `1/P`, is [`scale`]. There is no other reduction loop and
-//! no other per-element decode.
+//! combine_le_bytes, copy_from_at}` and `Payload::{reduce_assign,
+//! copy_into_at, fold_into, store_into}` — resolves its operands to a
+//! typed destination slice and a borrowed [`Src`], and calls [`fold`] or
+//! [`store`]; [`TypedBuf::scale`], the average's `1/P`, is [`scale`].
+//! There is no other reduction loop and no other per-element decode.
 //!
 //! The loops are plain `zip`s over slices and `chunks_exact`, monomorphised
 //! per element type, source form and operator, which is what lets the

@@ -5,8 +5,6 @@
 //! Horovod-style negotiation baseline), and examples that want MPI-flavoured
 //! `recv(src, tag)` semantics without standing up the engine.
 
-use crate::buf::ReduceOp;
-use crate::kernel::Elem;
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank, WireTag};
 use crate::world::{Envelope, Inbox};
@@ -134,46 +132,6 @@ impl Matcher {
                 Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => {}
             }
         }
-    }
-
-    /// Blocking receive of `(src, tag)` that folds the payload straight
-    /// into `dst` under `op` ([`Payload::fold_into`](crate::Payload::fold_into))
-    /// — the reduce-from-wire receive. On the TCP backend the payload
-    /// still holds the frame's raw little-endian bytes, which the kernel
-    /// decodes while folding; in-process it reduces over the sender's
-    /// shared allocation. Returns `None` on world teardown.
-    pub fn recv_combine<T: Elem>(
-        &mut self,
-        src: Rank,
-        tag: WireTag,
-        dst: &mut [T],
-        op: ReduceOp,
-    ) -> Option<()> {
-        let msg = self.recv(src, tag)?;
-        let payload = msg.payload.expect("recv_combine expects a data message");
-        payload
-            .fold_into(dst, op)
-            .expect("recv_combine shape mismatch");
-        if let Some(stats) = &self.stats {
-            stats.recorder().record(pcoll_obs::LEVEL_VERBOSE, || {
-                pcoll_obs::EventKind::MsgCombine {
-                    coll: u64::from(tag.coll.0),
-                    round: tag.round,
-                    src: src as u32,
-                    bytes: payload.byte_len() as u64,
-                }
-            });
-        }
-        Some(())
-    }
-
-    /// Blocking receive of `(src, tag)` that copies the payload into
-    /// `dst` (the allgather counterpart of [`Matcher::recv_combine`]).
-    pub fn recv_copy<T: Elem>(&mut self, src: Rank, tag: WireTag, dst: &mut [T]) -> Option<()> {
-        let msg = self.recv(src, tag)?;
-        let payload = msg.payload.expect("recv_copy expects a data message");
-        payload.store_into(dst).expect("recv_copy shape mismatch");
-        Some(())
     }
 
     /// Receive from any source with the given tag (MPI_ANY_SOURCE flavour).

@@ -352,8 +352,7 @@ impl Payload {
     }
 
     /// Fold this payload into a bare slice of its element type (`f32`,
-    /// `f64`, `i32` or `i64`) — the direct ring algorithms' accumulator.
-    /// Errors on dtype/length mismatch.
+    /// `f64`, `i32` or `i64`). Errors on dtype/length mismatch.
     pub fn fold_into<T: Elem>(&self, dst: &mut [T], op: ReduceOp) -> Result<(), BufError> {
         kernel::fold(dst, None, self.src()?, op)
     }

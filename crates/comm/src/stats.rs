@@ -41,7 +41,8 @@ pub struct CommStats {
     pub stall_ns: AtomicU64,
     /// Deepest queue backlog observed immediately after a push.
     pub peak_queue_depth: AtomicU64,
-    /// Sends dropped because the destination had already finished.
+    /// Sends dropped because the destination had already finished, or
+    /// (TCP) because no connection to it was ever installed.
     pub dropped_closed: AtomicU64,
     /// Sends dropped because the destination was declared down by the
     /// failure detector (distinct from `dropped_closed`: the peer did not
@@ -127,7 +128,8 @@ pub struct CommStatsSnapshot {
     /// The depth gauge as read at snapshot time: the deepest backlog seen
     /// so far (see [`CommStatsSnapshot::since`] for why deltas zero this).
     pub peak_queue_depth: u64,
-    /// Messages dropped because the destination had already finished.
+    /// Messages dropped because the destination had already finished
+    /// or had no connection.
     pub dropped_closed: u64,
     /// Messages dropped because the destination was declared down.
     pub dropped_peer_down: u64,

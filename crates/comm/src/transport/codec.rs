@@ -147,12 +147,18 @@ impl<'a> Cursor<'a> {
         Ok(self.bytes(1)?[0])
     }
 
+    fn le<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        self.bytes(N)?
+            .try_into()
+            .map_err(|_| "truncated frame".into())
+    }
+
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.le()?))
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.le()?))
     }
 }
 
@@ -177,9 +183,12 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<(
     Ok(())
 }
 
-/// Read one length-prefixed frame body into `body` (cleared and resized
+/// Read one length-prefixed frame body into `body` (cleared and refilled
 /// in place, so a reused scratch buffer makes steady-state reads
-/// allocation-free once it has grown to the largest frame seen).
+/// allocation-free once it has grown to the largest frame seen). The
+/// buffer grows one [`WRITE_CHUNK`] at a time as the body arrives, never
+/// to the length the header merely claims: a peer that announces 1 GiB
+/// and hangs up costs one chunk, not a gigabyte of zeroes.
 /// `Ok(false)` on clean EOF at a frame boundary, `Ok(true)` when `body`
 /// holds a frame.
 pub(crate) fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> std::io::Result<bool> {
@@ -206,8 +215,11 @@ pub(crate) fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> std::io
         ));
     }
     body.clear();
-    body.resize(len, 0);
-    r.read_exact(body)?;
+    while body.len() < len {
+        let start = body.len();
+        body.resize(len.min(start + WRITE_CHUNK), 0);
+        r.read_exact(&mut body[start..])?;
+    }
     Ok(true)
 }
 
@@ -223,6 +235,7 @@ mod tests {
     use super::*;
 
     use crate::{Payload, TypedBuf};
+    use proptest::prelude::*;
 
     fn data_msg(src: Rank, payload: Option<TypedBuf>) -> Message {
         Message {
@@ -317,5 +330,86 @@ mod tests {
             assert_eq!(read_frame(&mut r).unwrap().unwrap(), *b);
         }
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn frame_memory_follows_the_bytes_that_arrive() {
+        // A header claiming the largest legal frame, then EOF: an error,
+        // and the buffer never grew past one chunk's worth.
+        let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7; 100]);
+        let mut body = Vec::new();
+        let err = read_frame_into(&mut &wire[..], &mut body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(body.capacity() <= 2 * WRITE_CHUNK, "{}", body.capacity());
+
+        // A reused buffer keeps its allocation across frames.
+        let big = vec![1u8; 3 * WRITE_CHUNK + 5];
+        let mut wire = Vec::new();
+        for b in [&big[..], &[2u8; 10][..], &big[..]] {
+            write_frame(&mut wire, b).unwrap();
+        }
+        let mut r = &wire[..];
+        assert!(read_frame_into(&mut r, &mut body).unwrap());
+        assert_eq!(body, big);
+        let ptr = body.as_ptr();
+        assert!(read_frame_into(&mut r, &mut body).unwrap());
+        assert_eq!(body, [2u8; 10]);
+        assert!(read_frame_into(&mut r, &mut body).unwrap());
+        assert_eq!((body.as_ptr(), body.len()), (ptr, big.len()));
+    }
+
+    /// A random data message: any header, no payload or up to 40
+    /// elements of any dtype built from raw bits (NaNs and denormals
+    /// included).
+    fn message() -> impl Strategy<Value = Message> {
+        let payload = (0usize..5, collection::vec(any::<u8>(), 0..320)).prop_map(|(code, raw)| {
+            let dtype = [DType::F32, DType::F64, DType::I32, DType::I64].get(code)?;
+            let whole = raw.len() / dtype.size_of() * dtype.size_of();
+            TypedBuf::from_le_bytes(*dtype, &raw[..whole])
+        });
+        let header = (0usize..1 << 16, any::<u32>(), any::<u64>(), any::<u32>());
+        (header, payload).prop_map(|((src, coll, round, sem), payload)| Message {
+            src,
+            tag: WireTag::new(CollId(coll), round, sem),
+            payload: payload.map(Payload::new),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn encode_decode_round_trips_random_messages(msg in message()) {
+            let body = encode_data(&msg);
+            let back = match decode_frame(&body) {
+                Ok(WireFrame::Data(m)) => m,
+                other => panic!("expected a data frame, got {other:?}"),
+            };
+            prop_assert_eq!((back.src, back.tag), (msg.src, msg.tag));
+            // Byte-level: NaN payloads must ship faithfully too.
+            prop_assert_eq!(encode_data(&back), body);
+        }
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..64)) {
+            let _ = decode_frame(&bytes);
+        }
+
+        #[test]
+        fn decode_never_panics_on_mutated_frames(
+            msg in message(),
+            flips in collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            keep in any::<usize>(),
+        ) {
+            let mut body = encode_data(&msg);
+            for (at, mask) in flips {
+                let i = at % body.len();
+                body[i] ^= mask;
+            }
+            let _ = decode_frame(&body);
+            body.truncate(keep % (body.len() + 1));
+            let _ = decode_frame(&body);
+        }
     }
 }

@@ -1,25 +1,21 @@
 //! `launch_tcp`: the parent (spawn, rendezvous, results) and the worker
 //! (mesh build, closure, report).
 
-use super::codec::{read_frame, FRAME_HEARTBEAT};
-use super::mesh::{mesh_accept_loop, spawn_peer_threads, PeerCmd, TcpPeers};
-use super::rendezvous::{
-    obj, read_json, rendezvous_service, serve_worker_conn, write_json, RendezvousClient,
-    RendezvousState,
-};
-use super::{accept_with_deadline, connect_with_retries, remaining, Route};
+use super::mesh::{accept_loop, PeerCmd, TcpPeers};
+use super::rendezvous::{obj, register, rendezvous_service, Hello, RendezvousState};
+use super::{stop_accepting, Route};
 use crate::membership::Membership;
 use crate::stats::CommStats;
 use crate::tag::Rank;
 use crate::world::{CommHandle, Communicator, Inbox, WorldConfig};
-use crossbeam::channel::{bounded, unbounded, SendTimeoutError};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, SendTimeoutError};
 use serde::json::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Options for a TCP (process-per-rank) launch.
@@ -34,9 +30,6 @@ pub struct TcpOpts {
     /// harnesses instead pass `[test_name, "--exact"]` so a worker runs
     /// exactly one test.
     pub child_args: Option<Vec<String>>,
-    /// Inherit the parent's stdout in workers (default: silenced, so a
-    /// bench's report lines are printed once, by the parent).
-    pub inherit_stdout: bool,
     /// Watchdog for rendezvous and per-rank results: a worker that takes
     /// longer than this to connect or to report its result fails the
     /// launch (and all workers are killed). Overridable via the
@@ -70,7 +63,6 @@ impl TcpOpts {
         TcpOpts {
             label: label.into(),
             child_args: None,
-            inherit_stdout: false,
             timeout,
             listen: std::env::var(ENV_LISTEN).ok(),
             respawn: false,
@@ -119,7 +111,7 @@ pub fn is_tcp_worker() -> bool {
 /// running world: its previous incarnation was evicted, so instead of
 /// taking an initial mesh slot it dials every live peer and the SPMD
 /// closure must take the rejoin path — import the policy/membership
-/// history from the blackboard ([`RendezvousClient`]) and enter the
+/// history from the blackboard ([`crate::RendezvousClient`]) and enter the
 /// admission fence rather than computing from round 0.
 pub fn is_tcp_rejoiner() -> bool {
     std::env::var_os(ENV_REJOIN).is_some()
@@ -144,16 +136,13 @@ where
     T: serde::Serialize + serde::Deserialize + Send + 'static,
     F: FnOnce(Communicator) -> T,
 {
-    assert!(cfg.nranks > 0, "world must have at least one rank");
-    if is_tcp_worker() {
-        let label = std::env::var(ENV_LABEL).unwrap_or_default();
-        if label != opts.label {
-            return None;
-        }
-        run_worker(cfg, &opts, f)
-    } else {
-        Some(run_parent::<T>(&cfg, &opts))
-    }
+    let (results, _evicted) = launch(cfg, opts, f, false)?;
+    Some(
+        results
+            .into_iter()
+            .map(|r| r.expect("all ranks reported"))
+            .collect(),
+    )
 }
 
 /// Fault-tolerant variant of [`launch_tcp`]: the parent survives worker
@@ -173,16 +162,27 @@ where
     T: serde::Serialize + serde::Deserialize + Send + 'static,
     F: FnOnce(Communicator) -> T,
 {
+    launch(cfg, opts, f, true)
+}
+
+fn launch<T, F>(
+    cfg: WorldConfig,
+    opts: TcpOpts,
+    f: F,
+    tolerant: bool,
+) -> Option<(Vec<Option<T>>, Vec<Rank>)>
+where
+    T: serde::Serialize + serde::Deserialize + Send + 'static,
+    F: FnOnce(Communicator) -> T,
+{
     assert!(cfg.nranks > 0, "world must have at least one rank");
-    if is_tcp_worker() {
-        let label = std::env::var(ENV_LABEL).unwrap_or_default();
-        if label != opts.label {
-            return None;
-        }
-        run_worker(cfg, &opts, f)
-    } else {
-        Some(run_parent_impl::<T>(&cfg, &opts, true))
+    if !is_tcp_worker() {
+        return Some(run_parent::<T>(&cfg, &opts, tolerant));
     }
+    if std::env::var(ENV_LABEL).unwrap_or_default() != opts.label {
+        return None;
+    }
+    run_worker(cfg, &opts, f)
 }
 
 /// Kills (and reaps) still-running workers when the parent unwinds.
@@ -190,28 +190,13 @@ struct ChildGuard {
     children: Vec<(Rank, Child)>,
 }
 
-impl ChildGuard {
-    fn kill_all(&mut self) {
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
         for (_, c) in &mut self.children {
             let _ = c.kill();
             let _ = c.wait();
         }
-        self.children.clear();
     }
-}
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        self.kill_all();
-    }
-}
-
-fn run_parent<T: serde::Deserialize>(cfg: &WorldConfig, opts: &TcpOpts) -> Vec<T> {
-    let (results, _evicted) = run_parent_impl::<T>(cfg, opts, false);
-    results
-        .into_iter()
-        .map(|r| r.expect("all ranks reported"))
-        .collect()
 }
 
 /// Parent side of the rendezvous. With `tolerant == false` any worker
@@ -220,8 +205,11 @@ fn run_parent<T: serde::Deserialize>(cfg: &WorldConfig, opts: &TcpOpts) -> Vec<T
 /// report is forgiven *iff* at least one survivor's report lists it as
 /// down, its non-zero exit status is tolerated, and it comes back as a
 /// `None` slot plus an entry in the returned eviction list. Worker
-/// *panics* (an explicit failure report) stay fatal in both modes.
-fn run_parent_impl<T: serde::Deserialize>(
+/// *panics* (an explicit failure report) stay fatal in both modes, and
+/// so does a final report the launcher cannot read (no `value`, or one
+/// that does not deserialize): judging reports is the launcher's job,
+/// not the rendezvous service's.
+fn run_parent<T: serde::Deserialize>(
     cfg: &WorldConfig,
     opts: &TcpOpts,
     tolerant: bool,
@@ -258,89 +246,62 @@ fn run_parent_impl<T: serde::Deserialize>(
         }
     }
 
-    // Phase 1: collect hellos (worker rank + its advertised mesh
-    // address). Any spawned worker's exit during rendezvous — even a
-    // clean one — means it will never connect (bad argv, a `--exact`
-    // filter matching no test, a panic before the launch call): fail
-    // fast with the real cause instead of blocking out the whole
-    // watchdog window. (In external mode there are no children to poll.)
-    let deadline = Instant::now() + opts.timeout;
-    let mut conns: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
-    let mut addrs: Vec<String> = vec![String::new(); nranks];
-    for _ in 0..nranks {
-        let mut check_children = || {
-            for (rank, child) in &mut guard.children {
-                if let Ok(Some(status)) = child.try_wait() {
-                    return Err(std::io::Error::other(format!(
-                        "tcp worker for rank {rank} exited during rendezvous ({status}) — \
-                         it never reached the launch call (check the worker argv/label)"
-                    )));
-                }
-            }
-            Ok(())
-        };
-        let s = accept_with_deadline(
-            &listener,
-            deadline,
-            "worker rendezvous",
-            &mut check_children,
-        )
-        .expect("rendezvous accept");
-        s.set_read_timeout(Some(remaining(deadline)))
-            .expect("set rendezvous timeout");
-        let hello = read_json(&s).expect("worker hello");
-        let rank = hello
-            .field("rank")
-            .and_then(Value::as_int)
-            .expect("hello.rank") as usize;
-        let worker_addr = match hello.field("addr") {
-            Ok(Value::Str(a)) => a.clone(),
-            _ => panic!("hello missing mesh addr"),
-        };
-        assert!(rank < nranks && conns[rank].is_none(), "duplicate hello");
-        addrs[rank] = worker_addr;
-        conns[rank] = Some(s);
-    }
-
-    // Phase 2: broadcast the address map (and the world parameters the
-    // workers must agree on — catches parent/worker config drift).
-    let state = Arc::new(RendezvousState::new(addrs));
-    let pm = state.port_map(nranks, cfg.seed);
-    for s in conns.iter().flatten() {
-        write_json(s, &pm).expect("send address map");
-    }
-
-    // Phase 3: serve every worker connection concurrently (results can
-    // arrive in any order; a panic report must not hide behind a slower
-    // rank's read; blackboard put/get frames ride the same streams),
-    // and keep the rendezvous listener alive so an evicted-and-
-    // relaunched rank can dial back in for rejoin.
-    let (res_tx, res_rx) = unbounded();
-    let mut readers = Vec::new();
-    for (rank, conn) in conns.into_iter().enumerate() {
-        let s = conn.expect("all conns collected");
-        let tx = res_tx.clone();
-        let state2 = Arc::clone(&state);
-        let timeout = opts.timeout;
-        readers.push(
-            std::thread::Builder::new()
-                .name(format!("pcoll-tcp-result-{rank}"))
-                .spawn(move || serve_worker_conn(rank, s, state2, tx, timeout))
-                .expect("spawn result reader"),
-        );
-    }
+    // The rendezvous service owns the listener from here to teardown:
+    // start-up hellos come back over `hellos`, every worker's final
+    // report (or death) over `reports`.
+    let (reports_tx, reports) = unbounded();
+    let state = Arc::new(RendezvousState::new(
+        nranks,
+        cfg.seed,
+        reports_tx,
+        opts.timeout,
+    ));
+    let (hellos_tx, hellos) = unbounded();
     let stop = Arc::new(AtomicBool::new(false));
     let service = {
-        let state2 = Arc::clone(&state);
-        let tx = res_tx.clone();
-        let stop2 = Arc::clone(&stop);
-        let (seed, timeout) = (cfg.seed, opts.timeout);
+        let (state, stop) = (Arc::clone(&state), Arc::clone(&stop));
         std::thread::Builder::new()
             .name("pcoll-tcp-rendezvous".into())
-            .spawn(move || rendezvous_service(listener, state2, tx, stop2, nranks, seed, timeout))
+            .spawn(move || rendezvous_service(listener, state, hellos_tx, stop))
             .expect("spawn rendezvous service")
     };
-    drop(res_tx);
+
+    // Start-up: wait for every rank's hello. Any spawned worker's exit
+    // during rendezvous — even a clean one — means it will never connect
+    // (bad argv, a `--exact` filter matching no test, a panic before the
+    // launch call): fail fast with the real cause instead of blocking out
+    // the whole watchdog window. (In external mode there are no children
+    // to poll.)
+    let deadline = Instant::now() + opts.timeout;
+    let mut conns = Vec::with_capacity(nranks);
+    while conns.len() < nranks {
+        match hellos.recv_timeout(Duration::from_millis(10)) {
+            Ok(hello) => conns.push(hello),
+            Err(RecvTimeoutError::Timeout) => {
+                for (rank, child) in &mut guard.children {
+                    if let Ok(Some(status)) = child.try_wait() {
+                        panic!(
+                            "tcp worker for rank {rank} exited during rendezvous ({status}) — \
+                             it never reached the launch call (check the worker argv/label)"
+                        );
+                    }
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "timed out waiting for worker rendezvous ({} of {nranks} ranks registered)",
+                    conns.len()
+                );
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("rendezvous service stopped"),
+        }
+    }
+
+    // Every rank is in: send the port map, then serve every worker
+    // connection concurrently (results can arrive in any order; a panic
+    // report must not hide behind a slower rank's read; blackboard
+    // put/get frames ride the same streams). The service keeps accepting
+    // so an evicted-and-relaunched rank can dial back in for rejoin.
+    let readers: Vec<_> = conns.into_iter().map(|(r, s)| state.serve(r, s)).collect();
 
     let mut results: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
     let mut missing: Vec<Rank> = Vec::new();
@@ -352,7 +313,7 @@ fn run_parent_impl<T: serde::Deserialize>(
     let mut respawned = vec![false; nranks];
     let mut done = 0usize;
     while done < nranks {
-        let (rank, report) = res_rx
+        let (rank, report) = reports
             .recv_timeout(opts.timeout + Duration::from_secs(5))
             .expect("result readers stalled");
         let report = match report {
@@ -384,23 +345,12 @@ fn run_parent_impl<T: serde::Deserialize>(
                 panic!("tcp rank {rank}: no result from worker: {e}");
             }
         };
-        if let Ok(Value::Arr(down)) = report.field("evicted") {
-            for v in down {
-                if let Ok(r) = v.as_int() {
-                    evicted.insert(r as Rank);
-                }
-            }
+        if let Ok(down) = report.field("evicted").and_then(Value::as_arr) {
+            evicted.extend(down.iter().filter_map(|v| Rank::from_value(v).ok()));
         }
-        let ok = matches!(report.field("ok"), Ok(Value::Bool(true)));
-        if !ok {
-            let msg = report
-                .field("panic")
-                .ok()
-                .and_then(|v| match v {
-                    Value::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| "worker failed without a message".into());
+        if !matches!(report.field("ok"), Ok(Value::Bool(true))) {
+            let msg = report.field("panic").and_then(String::from_value);
+            let msg = msg.unwrap_or_else(|_| "worker failed without a message".into());
             panic!("tcp rank {rank} panicked: {msg}");
         }
         let value = report.field("value").expect("result value");
@@ -415,8 +365,10 @@ fn run_parent_impl<T: serde::Deserialize>(
     for j in readers {
         let _ = j.join();
     }
-    stop.store(true, Ordering::Release);
-    let _ = service.join();
+    stop_accepting(&stop, addr);
+    for j in service.join().expect("rendezvous service") {
+        let _ = j.join();
+    }
     // A silent death only counts as an eviction if a survivor noticed it;
     // a rank nobody declared down means the run itself is broken.
     for &rank in &missing {
@@ -426,7 +378,7 @@ fn run_parent_impl<T: serde::Deserialize>(
         );
     }
 
-    // Phase 4: reap workers. Evicted workers — and the first incarnation
+    // Reap workers. Evicted workers — and the first incarnation
     // of a rank that was relaunched for rejoin — are allowed to die with
     // any status (kill -9 shows up as a signal, not an exit code).
     for (rank, child) in &mut guard.children {
@@ -473,11 +425,19 @@ fn spawn_worker_process(
     } else {
         cmd.env_remove(ENV_REJOIN);
     }
-    if !opts.inherit_stdout {
-        cmd.stdout(Stdio::null());
-    }
+    // Workers stay silent, so a bench's report lines print once, by the
+    // parent.
+    cmd.stdout(Stdio::null());
     cmd.spawn()
         .unwrap_or_else(|e| panic!("spawn tcp rank worker {rank}: {e}"))
+}
+
+/// A worker's numeric environment variable (set by the launcher).
+fn env_number(name: &str) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("tcp worker needs a numeric {name} in its environment"))
 }
 
 fn run_worker<T, F>(cfg: WorldConfig, opts: &TcpOpts, f: F) -> !
@@ -485,16 +445,10 @@ where
     T: serde::Serialize,
     F: FnOnce(Communicator) -> T,
 {
-    let rank: Rank = std::env::var(ENV_RANK)
-        .expect("worker rank env")
-        .parse()
-        .expect("numeric rank");
-    let env_nranks: usize = std::env::var(ENV_NRANKS)
-        .expect("worker nranks env")
-        .parse()
-        .expect("numeric nranks");
+    let rank: Rank = env_number(ENV_RANK);
     assert_eq!(
-        env_nranks, cfg.nranks,
+        env_number(ENV_NRANKS),
+        cfg.nranks,
         "worker reconstructed a different world size than the parent \
          (launch arguments must be deterministic)"
     );
@@ -510,7 +464,8 @@ where
     let mesh_bind = std::env::var(ENV_BIND).unwrap_or_else(|_| "127.0.0.1:0".into());
     let mesh_listener = TcpListener::bind(&mesh_bind)
         .unwrap_or_else(|e| panic!("bind mesh listener on {mesh_bind}: {e}"));
-    let mesh_port = mesh_listener.local_addr().expect("mesh addr").port();
+    let mesh_addr = mesh_listener.local_addr().expect("mesh addr");
+    let mesh_port = mesh_addr.port();
     let advertise = match std::env::var(ENV_ADVERTISE) {
         // A full host:port with a real port is taken verbatim; a bare
         // host (or host:0) gets the actually-bound port appended.
@@ -532,115 +487,9 @@ where
         }
     };
 
-    // Rendezvous dial retries: an externally launched worker may
-    // legitimately start before the parent's listener is up.
-    let parent = connect_with_retries(
-        &parent_addr,
-        deadline,
-        cfg.seed ^ 0xBEEF ^ rank as u64,
-        "connect rendezvous",
-    )
-    .expect("connect rendezvous");
-    parent.set_nodelay(true).expect("nodelay");
-    write_json(
-        &parent,
-        &obj(vec![
-            ("rank", Value::Int(rank as i128)),
-            ("addr", Value::Str(advertise)),
-            ("rejoin", Value::Bool(rejoiner)),
-        ]),
-    )
-    .expect("send hello");
-    parent
-        .set_read_timeout(Some(remaining(deadline)))
-        .expect("set rendezvous timeout");
-    let pm = read_json(&parent).expect("address map");
-    let pm_seed = pm.field("seed").and_then(Value::as_int).expect("pm.seed") as u64;
-    assert_eq!(pm_seed, cfg.seed, "worker/parent seed drift");
-    let addrs: Vec<String> = pm
-        .field("addrs")
-        .and_then(Value::as_arr)
-        .expect("pm.addrs")
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => s.clone(),
-            other => panic!("non-string mesh addr {other:?}"),
-        })
-        .collect();
-    assert_eq!(addrs.len(), cfg.nranks, "worker/parent world-size drift");
-    let down: BTreeSet<Rank> = match pm.field("down") {
-        Ok(Value::Arr(d)) => d
-            .iter()
-            .filter_map(|v| v.as_int().ok())
-            .map(|r| r as Rank)
-            .collect(),
-        _ => BTreeSet::new(),
-    };
-
-    // Pairwise mesh. Initial launch: connect down, accept up; a 4-byte
-    // rank id identifies each accepted stream. Rejoin: dial *every*
-    // live peer — their mid-run accept threads splice us back in —
-    // and accept nobody.
-    let mut streams: Vec<Option<TcpStream>> = (0..cfg.nranks).map(|_| None).collect();
-    if rejoiner {
-        for (peer, peer_addr) in addrs.iter().enumerate() {
-            if peer == rank || down.contains(&peer) {
-                continue;
-            }
-            let retry_seed = cfg.seed ^ ((rank as u64) << 32) ^ peer as u64;
-            let s = connect_with_retries(peer_addr, deadline, retry_seed, "redial mesh peer")
-                .expect("redial mesh peer");
-            s.set_nodelay(true).expect("nodelay");
-            (&s).write_all(&(rank as u32).to_le_bytes())
-                .expect("send mesh id");
-            streams[peer] = Some(s);
-        }
-        // `connect` returns once the peer's *kernel* has queued the
-        // connection; its accept thread splices it in some milliseconds
-        // later. Until then the peer still routes to the dead
-        // incarnation's writer, and a message sent there is lost without
-        // a trace (the write into the dead socket's buffer succeeds). So
-        // wait for every peer's splice acknowledgement before this rank
-        // can announce itself ready: readiness then implies every
-        // survivor's first message reaches the new connection.
-        for s in streams.iter().flatten() {
-            s.set_read_timeout(Some(remaining(deadline)))
-                .expect("set splice-ack timeout");
-            let ack = read_frame(&mut &*s).expect("mesh splice ack");
-            assert_eq!(
-                ack.as_deref(),
-                Some(&[FRAME_HEARTBEAT][..]),
-                "mesh peer closed before acknowledging the splice"
-            );
-            s.set_read_timeout(None).expect("clear splice-ack timeout");
-        }
-    } else {
-        for (peer, peer_addr) in addrs.iter().enumerate().take(rank) {
-            let retry_seed = cfg.seed ^ ((rank as u64) << 32) ^ peer as u64;
-            let s = connect_with_retries(peer_addr, deadline, retry_seed, "connect mesh peer")
-                .expect("connect mesh peer");
-            s.set_nodelay(true).expect("nodelay");
-            (&s).write_all(&(rank as u32).to_le_bytes())
-                .expect("send mesh id");
-            streams[peer] = Some(s);
-        }
-        for _ in rank + 1..cfg.nranks {
-            let s = accept_with_deadline(&mesh_listener, deadline, "mesh peer", &mut || Ok(()))
-                .expect("mesh accept");
-            let mut id = [0u8; 4];
-            (&s).read_exact(&mut id).expect("read mesh id");
-            let peer = u32::from_le_bytes(id) as usize;
-            assert!(
-                peer > rank && peer < cfg.nranks && streams[peer].is_none(),
-                "bad mesh id {peer}"
-            );
-            streams[peer] = Some(s);
-        }
-    }
-
-    // Socket threads + routing. All queues are bounded: the writer
-    // queues exert backpressure on senders, the inbox backpressures the
-    // socket readers (and transitively the remote writers).
+    // All queues are bounded: the writer queues exert backpressure on
+    // senders, the inbox backpressures the socket readers (and
+    // transitively the remote writers).
     //
     // The worker's flight recorder comes from the environment the parent
     // process passed down (`WorldConfig::trace` does not cross the exec
@@ -655,80 +504,67 @@ where
         pcoll_obs::Clock::wall(),
         cfg.suspicion_grace(),
     ));
+    let (inbox_tx, inbox_rx) = bounded(cfg.queue_capacity);
+    let peers = TcpPeers::new(
+        inbox_tx,
+        Arc::clone(&membership),
+        Arc::clone(&stats),
+        cfg.queue_capacity,
+        cfg.queue_deadline,
+    );
+    // The one accept path is up before anyone can know this rank's
+    // address, and stays up for the whole run so a relaunched rank can
+    // dial back in.
+    let accept_stop = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let (peers, stop) = (Arc::clone(&peers), Arc::clone(&accept_stop));
+        std::thread::Builder::new()
+            .name(format!("pcoll-tcpa-{rank}"))
+            .spawn(move || accept_loop(mesh_listener, peers, stop))
+            .expect("spawn mesh accept thread")
+    };
+
+    // The rendezvous connection doubles as the blackboard link; the app
+    // gets a cloneable client and the final report goes over the same
+    // (lock-serialized) stream. A worker that cannot register cannot
+    // join: it says why and exits, and the launcher sees the exit.
+    let hello = Hello {
+        rank,
+        addr: advertise,
+        rejoin: rejoiner,
+    };
+    let (rendezvous, world) = match register(&parent_addr, &hello, cfg.nranks, cfg.seed, deadline) {
+        Ok(joined) => joined,
+        Err(e) => {
+            eprintln!("pcoll-comm: tcp rank {rank} could not register: {e}");
+            std::process::exit(1);
+        }
+    };
     // A rejoiner starts life already knowing who is gone.
-    for &d in &down {
+    for &d in &world.down {
         if d != rank {
             membership.report_down(d);
         }
     }
-    let (inbox_tx, inbox_rx) = bounded(cfg.queue_capacity);
-    let peers = Arc::new(TcpPeers {
-        rank,
-        txs: (0..cfg.nranks).map(|_| Mutex::new(None)).collect(),
-        local: inbox_tx.clone(),
-        membership: Arc::clone(&membership),
-    });
-    let mut writers = Vec::new();
-    let mut readers = Vec::new();
-    for (peer, slot) in streams.into_iter().enumerate() {
-        let Some(stream) = slot else { continue };
-        let (tx, rx) = bounded(cfg.queue_capacity);
-        let (w, r) = spawn_peer_threads(
-            stream,
-            rx,
-            rank,
-            peer,
-            &membership,
-            &inbox_tx,
-            &stats,
-            cfg.queue_deadline,
-        );
-        peers.swap_peer(peer, tx);
-        writers.push(w);
-        readers.push(r);
+    // A newborn dials the ranks below it (those above dial it); a
+    // rejoiner dials every live peer, whose accept loops splice it in.
+    // Either way the closure starts only once every live peer routes to
+    // this rank's connection.
+    let dial_below = if rejoiner { cfg.nranks } else { rank };
+    for (peer, addr) in world.addrs.iter().enumerate().take(dial_below) {
+        if peer != rank && !membership.is_down(peer) {
+            let retry_seed = cfg.seed ^ ((rank as u64) << 32) ^ peer as u64;
+            peers.dial(peer, addr, deadline, retry_seed);
+        }
     }
-    // The mesh listener stays alive for the whole run so a relaunched
-    // rank can dial back in (see `mesh_accept_loop`).
-    let accept_stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let peers2 = Arc::clone(&peers);
-        let membership2 = Arc::clone(&membership);
-        let inbox2 = inbox_tx.clone();
-        let stats2 = Arc::clone(&stats);
-        let stop2 = Arc::clone(&accept_stop);
-        let (capacity, q_deadline, nranks) = (cfg.queue_capacity, cfg.queue_deadline, cfg.nranks);
-        std::thread::Builder::new()
-            .name(format!("pcoll-tcpa-{rank}"))
-            .spawn(move || {
-                mesh_accept_loop(
-                    mesh_listener,
-                    rank,
-                    nranks,
-                    peers2,
-                    membership2,
-                    inbox2,
-                    stats2,
-                    capacity,
-                    q_deadline,
-                    stop2,
-                )
-            })
-            .expect("spawn mesh accept thread")
-    };
-    let route = Route::Tcp(Arc::clone(&peers));
+    peers.await_mesh(deadline);
 
-    // The rendezvous connection doubles as the blackboard link; the app
-    // gets a cloneable client and the final report goes over the same
-    // (lock-serialized) stream.
-    let rendezvous = RendezvousClient {
-        link: Arc::new(Mutex::new(parent)),
-    };
     let comm = Communicator {
         handle: CommHandle {
             rank,
             size: cfg.nranks,
             seed: cfg.seed,
-            route,
+            route: Route::Tcp(Arc::clone(&peers)),
             stats: Arc::clone(&stats),
             queue_deadline: cfg.queue_deadline,
             membership: Arc::clone(&membership),
@@ -773,57 +609,35 @@ where
             stats.drain_skips.fetch_add(1, Ordering::Relaxed);
         }
     }
-    accept_stop.store(true, Ordering::Release);
+    stop_accepting(&accept_stop, mesh_addr);
+    let _ = acceptor.join();
+    let (writers, readers): (Vec<_>, Vec<_>) = peers.take_links().into_iter().unzip();
     for w in writers {
         let _ = w.join();
     }
 
     // Every report carries the ranks this worker locally declared dead,
     // so a tolerant parent can tell "worker evicted" from "run failed".
-    let down_list = Value::Arr(
-        membership
-            .down()
-            .into_iter()
-            .map(|r| Value::Int(r as i128))
-            .collect(),
-    );
-    let (report, code) = match &result {
-        Ok(v) => (
-            obj(vec![
-                ("ok", Value::Bool(true)),
-                ("value", v.to_value()),
-                ("evicted", down_list),
-            ]),
-            0,
-        ),
+    let (outcome, code) = match &result {
+        Ok(v) => (("value", v.to_value()), 0),
         Err(e) => {
             let msg = e
                 .downcast_ref::<String>()
                 .cloned()
                 .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_owned()))
                 .unwrap_or_else(|| "non-string panic payload".into());
-            (
-                obj(vec![
-                    ("ok", Value::Bool(false)),
-                    ("panic", Value::Str(msg)),
-                    ("evicted", down_list),
-                ]),
-                101,
-            )
+            (("panic", Value::Str(msg)), 101)
         }
     };
-    {
-        let stream = rendezvous.link.lock().expect("rendezvous link");
-        let _ = write_json(&stream, &report);
-    }
-
+    rendezvous.report(&obj(vec![
+        ("ok", Value::Bool(code == 0)),
+        outcome,
+        ("evicted", membership.down().to_value()),
+    ]));
+    // Readers return when the peers goodbye in their own teardown.
     for r in readers {
         let _ = r.join();
     }
-    // The accept thread joins any spliced-in connection threads before
-    // returning (their peers goodbye in their own teardown, like the
-    // original mesh readers above).
-    let _ = accept_thread.join();
     drop(rendezvous);
     std::process::exit(code);
 }
@@ -832,8 +646,11 @@ where
 mod tests {
     use super::*;
     use crate::tag::{CollId, WireTag};
+    use crate::transport::codec::{read_frame, write_frame};
     use crate::world::Envelope;
     use crate::TypedBuf;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpStream};
 
     /// Full self-exec round trip: 3 rank processes pass a token around a
     /// ring over loopback. The worker re-runs exactly this test via
@@ -888,5 +705,54 @@ mod tests {
             msg.contains("boom from rank 1"),
             "panic message lost: {msg}"
         );
+    }
+
+    /// A misbehaving process on the rendezvous port of a running P = 2
+    /// world: garbage, an over-nested hello, a start-up hello after
+    /// start-up and a rejoin for a rank that is not down are each closed
+    /// unanswered, and the launch completes.
+    #[test]
+    fn tcp_rendezvous_drops_misbehaving_hellos() {
+        let opts = TcpOpts::labeled("comm-rendezvous").with_child_args(vec![
+            "transport::launch::tests::tcp_rendezvous_drops_misbehaving_hellos".into(),
+            "--exact".into(),
+        ]);
+        let out = launch_tcp(WorldConfig::instant(2), opts, |c| {
+            if c.rank() == 1 {
+                return 0;
+            }
+            let parent = std::env::var(ENV_PARENT).expect("parent addr env");
+            let framed = |json: String| {
+                let mut w = Vec::new();
+                write_frame(&mut w, json.as_bytes()).expect("frame");
+                w
+            };
+            let hello = |rejoin: bool| {
+                framed(format!(
+                    r#"{{"rank":1,"addr":"127.0.0.1:9","rejoin":{rejoin}}}"#
+                ))
+            };
+            let nested = framed(format!(
+                r#"{{"rank":1,"addr":"127.0.0.1:9","rejoin":true,"pad":{}{}}}"#,
+                "[".repeat(500),
+                "]".repeat(500)
+            ));
+            let strays = [
+                b"GET / HTTP/1.1\r\n\r\n".to_vec(),
+                nested,
+                hello(false),
+                hello(true),
+            ];
+            strays
+                .iter()
+                .filter(|bytes| {
+                    let s = TcpStream::connect(&parent).expect("connect rendezvous");
+                    (&s).write_all(bytes).expect("send stray");
+                    s.shutdown(Shutdown::Write).expect("half-close");
+                    !matches!(read_frame(&mut &s), Ok(Some(_)))
+                })
+                .count()
+        });
+        assert_eq!(out.expect("parent results"), vec![4, 0]);
     }
 }

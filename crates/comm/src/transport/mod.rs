@@ -24,13 +24,12 @@
 //!   listener, then re-`exec`s the current binary once per rank (the
 //!   `mpirun` stand-in). Workers report their own advertised mesh
 //!   address to the parent, receive the full address map, and build the
-//!   pairwise mesh (each rank dials the listeners of all lower ranks
-//!   and accepts from all higher ones). Each rank's closure result
-//!   returns to the parent as JSON over its rendezvous connection, so
-//!   `launch_tcp` has the same `Vec<T>` shape as `World::launch` — and
-//!   because results travel over that connection (never through shared
-//!   memory or the exit status), collection works identically when the
-//!   workers run on other hosts.
+//!   pairwise mesh: each rank dials the ranks below it, and the ranks
+//!   above dial it. Each rank's closure result returns to the parent as
+//!   JSON over its rendezvous connection, so `launch_tcp` has the same
+//!   `Vec<T>` shape as `World::launch` — and because results travel over
+//!   that connection (never through shared memory or the exit status),
+//!   collection works identically when the workers run on other hosts.
 //! - **External launch / multi-host.** [`TcpOpts::listen`] (or
 //!   `PCOLL_TCP_LISTEN`) switches the parent to externally launched
 //!   workers: it binds the given address — possibly on a routable
@@ -44,14 +43,20 @@
 //! - **Rejoin.** The rendezvous listener and every rank's mesh listener
 //!   stay alive for the whole run. A relaunched worker (env
 //!   `PCOLL_TCP_REJOIN=1`, or automatic under [`TcpOpts::respawn`])
-//!   re-registers with the parent, dials every live peer — whose accept
-//!   threads splice a fresh connection into the dead rank's slot and
-//!   acknowledge it, so the worker's closure starts only once every
-//!   survivor routes to the new connection — and fetches the state it
-//!   missed through the parent's blackboard
-//!   ([`RendezvousClient`]); the app layer then runs the admission
-//!   fence (`RankCtx::admit` in the `pcoll` crate) to bring it back
-//!   into the collectives.
+//!   re-registers with the parent, dials every live peer — which splice
+//!   the fresh connection into the dead rank's slot and acknowledge it,
+//!   so the worker's closure starts only once every survivor routes to
+//!   the new connection — and fetches the state it missed through the
+//!   parent's blackboard ([`RendezvousClient`]); the app layer then runs
+//!   the admission fence (`RankCtx::admit` in the `pcoll` crate) to bring
+//!   it back into the collectives.
+//!
+//! The world is built one way: each listener has exactly one accept path
+//! (the parent's rendezvous service, each worker's mesh accept loop),
+//! dialing is one function, and every byte a peer controls ends in a
+//! dropped connection or `Membership::report_down`, never a panic — see
+//! ARCHITECTURE.md's transport section. Modules: `codec` (bytes ↔
+//! frames, no sockets, no threads), `rendezvous`, `mesh`, `launch`.
 //!
 //! A binary may contain several `launch_tcp` call sites; each is named by
 //! [`TcpOpts::label`], and a worker process only serves the call site
@@ -73,8 +78,8 @@ use crate::tag::Rank;
 use crate::world::Envelope;
 use crossbeam::channel::{SendTimeoutError, Sender, TrySendError};
 use mesh::TcpPeers;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,16 +113,16 @@ impl Transport {
 // Routing: where a sent envelope goes
 // ---------------------------------------------------------------------------
 
-/// Push into a bounded queue with full-queue accounting: the fast path is
-/// one `try_send`; a full queue ticks the stall counters and blocks with
-/// a deadline, and blowing the deadline panics — a queue that stays full
-/// that long is a backpressure cycle (see the README's "data path"
-/// section), which must fail loudly rather than hang the world.
 /// Shortest blocked-send worth a [`pcoll_obs::EventKind::QueueStall`]
 /// trace event (wall transports only). Genuine congestion blocks for
 /// far longer; sub-threshold blocking is ordinary bounded-queue handoff.
 const STALL_RECORD_MIN_NS: u64 = 10_000;
 
+/// Push into a bounded queue with full-queue accounting: the fast path is
+/// one `try_send`; a full queue ticks the stall counters and blocks with
+/// a deadline, and blowing the deadline panics — a queue that stays full
+/// that long is a backpressure cycle (see the README's "data path"
+/// section), which must fail loudly rather than hang the world.
 pub(crate) fn bounded_send<T>(
     tx: &Sender<T>,
     value: T,
@@ -201,7 +206,9 @@ impl Route {
     }
 }
 
-pub(super) fn remaining(deadline: Instant) -> Duration {
+/// Time left until `deadline`, at least 1 ms (a zero socket timeout
+/// means "block forever").
+fn remaining(deadline: Instant) -> Duration {
     deadline
         .saturating_duration_since(Instant::now())
         .max(Duration::from_millis(1))
@@ -212,7 +219,7 @@ pub(super) fn remaining(deadline: Instant) -> Duration {
 /// refused connection during mesh construction deserves a few attempts
 /// before it fails the rank. Jitter decorrelates the retry storms of
 /// many workers dialing the same listener.
-pub(super) fn connect_with_retries(
+fn connect_with_retries(
     addr: &str,
     deadline: Instant,
     seed: u64,
@@ -246,37 +253,24 @@ pub(super) fn connect_with_retries(
     }
 }
 
-/// Accept with a deadline (std has no native accept timeout). `poll` is
-/// invoked on every idle iteration; returning an error aborts the wait —
-/// the parent uses it to fail fast when a worker process dies instead of
-/// blocking out the whole watchdog window.
-pub(super) fn accept_with_deadline(
-    listener: &TcpListener,
-    deadline: Instant,
-    what: &str,
-    poll: &mut dyn FnMut() -> std::io::Result<()>,
-) -> std::io::Result<TcpStream> {
-    listener.set_nonblocking(true)?;
-    loop {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false)?;
-                s.set_nodelay(true)?;
-                return Ok(s);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                poll()?;
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        format!("timed out accepting {what}"),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => return Err(e),
-        }
+/// How long an accept path waits for a new connection's first bytes (a
+/// mesh id or a hello). A healthy dialer writes them at once; a silent
+/// one is dropped instead of stalling the listener.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Stop a thread parked in a blocking `accept` on `addr`: raise its
+/// `stop` flag, then dial the listener once so the pending `accept`
+/// returns and the loop sees the flag. A wildcard bind is dialed on
+/// loopback.
+fn stop_accepting(stop: &AtomicBool, mut addr: SocketAddr) {
+    stop.store(true, Ordering::Release);
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
     }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 #[cfg(test)]

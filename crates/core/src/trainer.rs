@@ -28,9 +28,7 @@ use dnn::optim::LrSchedule;
 use dnn::{EvalMetrics, Model, Optimizer};
 use imbalance::Injector;
 use minitensor::TensorRng;
-use pcoll::{
-    AlgoSelector, PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundCounters, StaleMode,
-};
+use pcoll::{PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundCounters, StaleMode};
 use pcoll_comm::{CommStatsSnapshot, DType, ReduceOp, TypedBuf};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -224,13 +222,6 @@ pub struct TrainerConfig {
     /// Stale-gradient handling in the partial collective (ablation; the
     /// paper's protocol is `Accumulate`).
     pub stale_mode: StaleMode,
-    /// Allreduce data-phase algorithm for the gradient collective (eager
-    /// and synchronous variants alike — the baseline differs in quorum
-    /// only): adaptive (recursive doubling for small fused gradients,
-    /// segmented ring for multi-MiB ones) by default, or pinned via
-    /// [`AlgoSelector::pinned`] for ablations. Quorum semantics are
-    /// unchanged either way.
-    pub allreduce_algo: AlgoSelector,
     /// Clip the averaged gradient to this global ℓ2 norm before the
     /// update (None = off). Stale accumulation can transiently double
     /// gradient magnitudes (G_stale + G_fresh, Fig. 7); clipping keeps
@@ -258,7 +249,6 @@ impl TrainerConfig {
             time_scale: 1.0,
             base_compute_ms: 0.0,
             stale_mode: StaleMode::Accumulate,
-            allreduce_algo: AlgoSelector::default(),
             grad_clip: None,
             eval_every: 1,
             seed: 42,
@@ -351,7 +341,6 @@ pub fn run_rank(
                 PartialOpts {
                     scale,
                     stale_mode: cfg.stale_mode,
-                    algo: cfg.allreduce_algo,
                     ..PartialOpts::default()
                 },
             )

@@ -65,18 +65,6 @@ pub enum EventKind {
         /// Payload bytes.
         bytes: u64,
     },
-    /// A received payload was reduced into a local buffer in place
-    /// (the zero-copy reduce-from-wire path).
-    MsgCombine {
-        /// Collective id the message belongs to.
-        coll: u64,
-        /// Round number within the collective.
-        round: u64,
-        /// Source rank of the combined payload.
-        src: u32,
-        /// Payload bytes.
-        bytes: u64,
-    },
     /// The engine executed one op of a collective's program (span). For
     /// the segmented-ring algorithm each op is one per-segment step, so
     /// these spans are the per-segment timeline.
@@ -196,7 +184,6 @@ impl EventKind {
         match self {
             EventKind::MsgSend { .. } => "msg_send",
             EventKind::MsgRecv { .. } => "msg_recv",
-            EventKind::MsgCombine { .. } => "msg_combine",
             EventKind::OpExec { .. } => "op_exec",
             EventKind::RoundOpen { .. } => "round_open",
             EventKind::RoundDeposit { .. } => "round_deposit",
@@ -247,12 +234,6 @@ mod tests {
                 sem: 2,
                 src: 0,
                 bytes: 4096,
-            },
-            EventKind::MsgCombine {
-                coll: 1,
-                round: 7,
-                src: 5,
-                bytes: 1024,
             },
             EventKind::OpExec {
                 coll: 1,

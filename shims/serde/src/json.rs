@@ -146,10 +146,14 @@ impl Value {
 
     // -- parser ------------------------------------------------------------
 
+    /// Parse one JSON document. Input nested deeper than [`MAX_DEPTH`]
+    /// arrays/objects is an error, so the recursion is bounded whatever
+    /// the bytes say.
     pub fn parse(text: &str) -> Result<Value, Error> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -179,9 +183,16 @@ fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Every document
+/// this workspace writes nests a handful of levels; the cap keeps a
+/// hostile `[[[[…` from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -226,8 +237,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(Error::new(format!(
                 "unexpected `{}` at byte {}",
@@ -327,10 +352,13 @@ impl<'a> Parser<'a> {
                         b'u' => {
                             let hi = self.hex4()?;
                             let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
+                                // Surrogate pair: the low half must follow.
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error::new("unpaired surrogate in \\u escape"));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -433,5 +461,27 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("nul").is_err());
         assert!(Value::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn surrogates_must_pair() {
+        assert_eq!(
+            Value::parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("\u{1F600}".into())
+        );
+        for bad in [r#""\ud800\u0041""#, r#""\ud800\ud800""#, r#""\ud800x""#] {
+            assert!(Value::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&format!("{}1", r#"{"a":"#.repeat(MAX_DEPTH + 1))).is_err());
+        // Far past any stack: an error, not an overflow, on the default
+        // test-thread stack.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
     }
 }

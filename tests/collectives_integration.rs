@@ -57,8 +57,8 @@ fn partial_allreduce_conserves_deposits() {
 }
 
 #[test]
-fn sync_allreduce_matches_direct_ring_and_rabenseifner() {
-    // Three independent allreduce implementations agree.
+fn sync_allreduce_matches_direct_ring() {
+    // Two independent allreduce implementations agree.
     const P: usize = 8;
     const N: usize = 131;
     let engine_result = World::launch(WorldConfig::instant(P), |c| {
@@ -79,24 +79,11 @@ fn sync_allreduce_matches_direct_ring_and_rabenseifner() {
         dc.ring_allreduce_f32(&mut data, ReduceOp::Sum);
         data
     });
-    let rab_result = World::launch(WorldConfig::instant(P), |c| {
-        let me = c.rank();
-        let (h, inbox) = c.split();
-        let mut m = comm::Matcher::new(inbox);
-        let mut dc = pcoll::algos::DirectCollectives::new(&h, &mut m, comm::CollId(5001));
-        let mut data: Vec<f32> = (0..N).map(|i| ((me * N + i) as f32).sin()).collect();
-        dc.rabenseifner_allreduce_f32(&mut data, ReduceOp::Sum);
-        data
-    });
     for r in 0..P {
         for i in 0..N {
             assert!(
                 (engine_result[r][i] - ring_result[r][i]).abs() < 1e-4,
                 "engine vs ring at rank {r} idx {i}"
-            );
-            assert!(
-                (engine_result[r][i] - rab_result[r][i]).abs() < 1e-4,
-                "engine vs rabenseifner at rank {r} idx {i}"
             );
         }
     }
