@@ -17,22 +17,20 @@
 //!   self-paced run executed twice from the same seed must produce
 //!   byte-identical traces ([`pcoll::SimReport::digest`]).
 //! - **tune** — closed-loop control: under region-level skew on the
-//!   four-region WAN, a hill-climb [`pcoll_tune::Controller`] wired
-//!   through the harness's tuner hook migrates the quorum policy away
-//!   from `Full` toward the asynchronous end, improving the
-//!   `fresh^β × rounds/s` reward.
+//!   four-region WAN, the trainer's hill-climb
+//!   [`pcoll_tune::AdaptiveTuner`], one per rank on the virtual clock,
+//!   migrates the quorum policy away from `Full` toward the asynchronous
+//!   end, improving the `fresh^β × rounds/s` reward.
 //!
 //! Full mode processes millions of simulated events; a final check
 //! asserts the volume so the "planet-scale" claim stays honest.
 
 use eager_sgd::NapModel;
-use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec, WindowStats};
+use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec};
 use pcoll_comm::WorldConfig;
 use pcoll_tune::spectrum;
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::{
-    hill_climb_from_full, reward, tune_spec, wan_spec, TUNE_SKEW_MS, TUNE_STRAGGLERS,
-};
+use repro_bench::wan::{tune_spec, wan_spec, TUNE_PERIOD, TUNE_SKEW_MS, TUNE_STRAGGLERS};
 use repro_bench::HarnessArgs;
 use std::time::Duration;
 
@@ -160,34 +158,35 @@ fn run_det_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
 
 fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     let p = 64;
-    let (rounds, period) = if args.quick { (120, 8) } else { (240, 8) };
+    let rounds = if args.quick { 120 } else { 240 };
     comment(&format!(
         "part tune: P={p}, 4-region WAN, {TUNE_SKEW_MS}ms/region static skew + rotating \
-         {}x{}ms stragglers, hill-climb from Full, decide every {period} rounds",
+         {}x{}ms stragglers, hill-climb from Full, decide every {TUNE_PERIOD} rounds",
         TUNE_STRAGGLERS.k,
         TUNE_STRAGGLERS.extra.as_millis()
     ));
     let arms = spectrum(p);
     let full_idx = arms.len() - 1;
-    let mut controller = hill_climb_from_full(p);
-    let mut rewards: Vec<f64> = Vec::new();
-    let mut hook = |w: &WindowStats| {
-        let (reward, policy) = (reward(w), w.policy.to_string());
-        comment(&format!(
-            "window [{:>3}, {:>3}) {policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {reward:>7.2}",
-            w.from_round, w.to_round, w.fresh_fraction, w.rounds_per_s
-        ));
-        rewards.push(reward);
-        let next = controller.step(reward);
-        (next != w.policy).then_some(next)
-    };
-    let report = SimHarness::run_tuned(tune_spec(p, rounds, args.seed), period, &mut hook);
+    let report = SimHarness::run(tune_spec(p, rounds, args.seed));
     *events_total += report.events;
 
+    // Decision i closes the window [i·period, (i+1)·period), which ran
+    // under the previous decision's policy.
+    let mut final_policy = QuorumPolicy::Full;
+    for (i, (_, d)) in report.decisions.iter().enumerate() {
+        let (from, policy) = (i as u64 * TUNE_PERIOD, final_policy.to_string());
+        comment(&format!(
+            "window [{from:>3}, {:>3}) {policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {:>7.2}",
+            from + TUNE_PERIOD,
+            d.fresh_fraction,
+            d.rounds_per_s,
+            d.reward
+        ));
+        final_policy = d.policy;
+    }
     for (from, to) in &report.switches {
         comment(&format!("switch at round {from}: -> {to}"));
     }
-    let final_policy = controller.current_policy();
     let final_idx = arms
         .iter()
         .position(|a| *a == final_policy)
@@ -206,6 +205,7 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
             report.switches.len()
         ),
     );
+    let rewards: Vec<f64> = report.decisions.iter().map(|(_, d)| d.reward).collect();
     let first = rewards.first().copied().unwrap_or(0.0);
     let last = rewards.last().copied().unwrap_or(0.0);
     c.check(

@@ -20,10 +20,10 @@
 //! with the same seed write byte-identical JSON (checked here with an
 //! FNV digest against a second run in full mode).
 
-use pcoll::{SimHarness, WindowStats};
+use pcoll::SimHarness;
 use pcoll_obs::{fnv1a, validate_perfetto, EventKind, TraceEvent, LEVEL_VERBOSE};
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::{hill_climb_from_full, reward, tune_spec};
+use repro_bench::wan::tune_spec;
 use repro_bench::HarnessArgs;
 
 /// Per-rank ring capacity: large enough that a full run never overwrites
@@ -34,20 +34,14 @@ const RING_CAP: usize = 1 << 16;
 fn traced_run(
     p: usize,
     rounds: u64,
-    period: u64,
     seed: u64,
     print_counters: bool,
 ) -> (Vec<TraceEvent>, String, usize) {
-    let mut controller = hill_climb_from_full(p);
-    let mut hook = |w: &WindowStats| {
-        let next = controller.step(reward(w));
-        (next != w.policy).then_some(next)
-    };
     // `sim_scale`'s tune part, with the recorder switched on.
     let mut spec = tune_spec(p, rounds, seed);
     spec.world = spec.world.with_trace(LEVEL_VERBOSE, RING_CAP);
     let mut h = SimHarness::new(spec);
-    let report = h.execute_tuned(period, &mut hook);
+    let report = h.execute();
     let events = h.trace_events();
 
     if print_counters {
@@ -65,14 +59,14 @@ fn traced_run(
 fn main() {
     let args = HarnessArgs::parse();
     let p = 64;
-    let (rounds, period) = if args.quick { (48, 8) } else { (120, 8) };
+    let rounds = if args.quick { 48 } else { 120 };
     comment(&format!(
         "trace_dump: P={p}, 4-region WAN + rotating stragglers, recorder at verbose \
          (ring {RING_CAP}/rank), hill-climb from Full (quick={}, seed={})",
         args.quick, args.seed
     ));
 
-    let (events, json, switches) = traced_run(p, rounds, period, args.seed, true);
+    let (events, json, switches) = traced_run(p, rounds, args.seed, true);
     let path = "BENCH_trace_dump.perfetto.json";
     std::fs::write(path, &json).expect("write trace file");
     comment(&format!("wrote {path} ({} bytes)", json.len()));
@@ -128,7 +122,7 @@ fn main() {
     let digest = fnv1a(json.as_bytes());
     if !args.quick {
         // Same seed, second harness: the trace file must be byte-identical.
-        let (_, json2, _) = traced_run(p, rounds, period, args.seed, false);
+        let (_, json2, _) = traced_run(p, rounds, args.seed, false);
         c.check(
             "same-seed-trace-byte-identical",
             json == json2,

@@ -55,6 +55,7 @@ fn skewed_allreduce(
             offsets: pauses,
         },
         partial: PartialOpts::default(),
+        tuner: None,
     })
 }
 

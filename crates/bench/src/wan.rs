@@ -2,9 +2,9 @@
 //! runs it for determinism and closed-loop control, `trace_dump` runs the
 //! same closed loop with the flight recorder on.
 
-use pcoll::{Hiccup, Pacing, QuorumPolicy, SimSpec, WindowStats};
+use pcoll::{Hiccup, Pacing, QuorumPolicy, SimSpec};
 use pcoll_comm::{NetworkModel, Planet, SimOpts, WorldConfig};
-use pcoll_tune::{spectrum, Controller, ControllerKind};
+use pcoll_tune::{adaptive_setup, AdaptiveTunerCfg, ControllerKind};
 use std::time::Duration;
 
 /// A WAN-topology, jittery-network, self-paced spec: the maximally
@@ -42,6 +42,7 @@ pub fn wan_spec(
         len: 8,
         pacing: Pacing::SelfPaced { compute, hiccup },
         partial: Default::default(),
+        tuner: None,
     }
 }
 
@@ -56,23 +57,22 @@ pub const TUNE_STRAGGLERS: Hiccup = Hiccup {
     extra: Duration::from_millis(300),
 };
 
+/// The closed loop's decision period, in rounds.
+pub const TUNE_PERIOD: u64 = 8;
+
 /// The closed-loop scenario: [`wan_spec`] under `Full` with
-/// [`TUNE_SKEW_MS`] and [`TUNE_STRAGGLERS`].
+/// [`TUNE_SKEW_MS`] and [`TUNE_STRAGGLERS`], tuned by the trainer's
+/// `AdaptiveTuner` — a hill climb over the quorum spectrum from `Full`,
+/// maximising `fresh^0.5 × rounds/s` every [`TUNE_PERIOD`] rounds.
 pub fn tune_spec(p: usize, rounds: u64, seed: u64) -> SimSpec {
     let (policy, skew) = (QuorumPolicy::Full, TUNE_SKEW_MS);
-    wan_spec(p, rounds, seed, policy, skew, TUNE_STRAGGLERS)
-}
-
-/// The closed loop's controller: a hill climb over the quorum spectrum
-/// that starts on its last arm, `Full`.
-pub fn hill_climb_from_full(p: usize) -> Controller {
-    let arms = spectrum(p);
-    let full = arms.len() - 1;
-    Controller::new(ControllerKind::HillClimb, arms, full)
-}
-
-/// The reward the closed-loop controllers maximise over a tuner window:
-/// `fresh^β × rounds/s` with β = 0.5.
-pub fn reward(w: &WindowStats) -> f64 {
-    w.fresh_fraction.powf(0.5) * w.rounds_per_s
+    let mut spec = wan_spec(p, rounds, seed, policy, skew, TUNE_STRAGGLERS);
+    spec.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
+        period: TUNE_PERIOD,
+        beta: 0.5,
+        kind: ControllerKind::HillClimb,
+        initial: Some(policy),
+        ..AdaptiveTunerCfg::default()
+    }));
+    spec
 }

@@ -17,7 +17,9 @@
 
 use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy};
 use crate::sync::{SyncBarrier, SyncBcast, SyncReduce};
-use pcoll_comm::{CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf};
+use pcoll_comm::{
+    Clock, CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf,
+};
 use pcoll_obs::{EventKind, LEVEL_SPANS};
 use pcoll_sched::Engine;
 use std::cell::Cell;
@@ -41,6 +43,7 @@ pub struct RankCtx {
     host_barrier: Arc<Barrier>,
     comm_stats: Arc<CommStats>,
     membership: Arc<Membership>,
+    clock: Clock,
 }
 
 impl RankCtx {
@@ -54,6 +57,7 @@ impl RankCtx {
         let comm_stats = comm.comm_stats();
         let membership = Arc::clone(comm.membership());
         let (handle, inbox) = comm.split();
+        let clock = handle.clock().clone();
         let engine = Engine::spawn(handle, inbox);
         let world: Vec<Rank> = (0..size).collect();
         let barrier = SyncBarrier::register_over(&engine, CollId(0), &world, rank);
@@ -67,6 +71,7 @@ impl RankCtx {
             host_barrier,
             comm_stats,
             membership,
+            clock,
         }
     }
 
@@ -107,6 +112,12 @@ impl RankCtx {
     /// enabled tracing — see `pcoll_comm::WorldConfig::with_trace`).
     pub fn recorder(&self) -> &pcoll_comm::Recorder {
         self.comm_stats.recorder()
+    }
+
+    /// This rank's clock, the one its engine and recorder read (see
+    /// `pcoll_comm::CommHandle::clock`).
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     fn alloc(&self) -> CollId {

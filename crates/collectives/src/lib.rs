@@ -30,7 +30,8 @@
 //!
 //! [`RankCtx`] packages the per-rank engine plus collective constructors;
 //! collectives must be created in the same order on every rank (SPMD), as
-//! with MPI communicator construction.
+//! with MPI communicator construction. [`QuorumTuner`] is the closed-loop
+//! policy protocol the trainer and [`SimHarness`] both run.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,6 +44,7 @@ pub mod select;
 pub mod sim;
 pub mod sync;
 pub mod topology;
+pub mod tuner;
 
 pub use ctx::RankCtx;
 pub use partial::{
@@ -50,5 +52,6 @@ pub use partial::{
     RoundLog, RoundObserver, RoundRules, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
-pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec, WindowStats};
+pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec};
 pub use sync::{SyncBarrier, SyncBcast, SyncReduce};
+pub use tuner::{QuorumDecision, QuorumTuner, TunerSetup};

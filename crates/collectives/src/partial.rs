@@ -230,7 +230,7 @@ impl RuleTimeline {
         bytes: usize,
     ) -> Self {
         let segments = vec![(0, initial)];
-        check_segments(p, &segments);
+        check_segments(p, &segments).unwrap_or_else(|e| panic!("{e}"));
         RuleTimeline {
             segments: Mutex::new(segments),
             coll,
@@ -322,30 +322,43 @@ impl RuleTimeline {
     }
 
     /// Replace a pristine timeline with the survivors' `segments` (two
-    /// histories cannot be merged).
-    fn import(&self, segments: Vec<(u64, RoundRules)>) {
+    /// histories cannot be merged), or leave it untouched and say why
+    /// `segments` is malformed.
+    fn import(&self, segments: Vec<(u64, RoundRules)>) -> Result<(), String> {
         let mut segs = self.segments.lock();
         assert!(
             segs.len() == 1,
             "import requires a pristine timeline (has {} changes)",
             segs.len() - 1
         );
-        check_segments(self.p, &segments);
+        check_segments(self.p, &segments)?;
         *segs = segments;
+        Ok(())
     }
 }
 
 /// Segments start at round 0 with strictly increasing boundaries, and
-/// every live set is a non-empty sorted subset of the world `p`.
-fn check_segments(p: usize, segments: &[(u64, RoundRules)]) {
+/// every live set is a non-empty sorted subset of the world `p`; the
+/// error names the first rule `segments` breaks.
+fn check_segments(p: usize, segments: &[(u64, RoundRules)]) -> Result<(), String> {
+    if segments.first().is_none_or(|(from, _)| *from != 0) {
+        return Err(format!("round rules must start at round 0: {segments:?}"));
+    }
+    if let Some(w) = segments.windows(2).find(|w| w[0].0 >= w[1].0) {
+        let (a, b) = (w[0].0, w[1].0);
+        return Err(format!(
+            "round-rule boundaries must strictly increase: {a} then {b}"
+        ));
+    }
     let sorted_in_world =
         |live: &[Rank]| live.windows(2).all(|w| w[0] < w[1]) && live.last().is_some_and(|&r| r < p);
-    assert!(
-        segments.first().is_some_and(|(from, _)| *from == 0)
-            && segments.windows(2).all(|w| w[0].0 < w[1].0)
-            && segments.iter().all(|(_, r)| sorted_in_world(&r.live)),
-        "malformed round rules for a world of {p}: {segments:?}"
-    );
+    match segments.iter().find(|(_, r)| !sorted_in_world(&r.live)) {
+        Some((from, r)) => Err(format!(
+            "live set {:?} from round {from} is not a non-empty sorted subset of a world of {p}",
+            r.live
+        )),
+        None => Ok(()),
+    }
 }
 
 /// One completed round as seen by this rank — the unit of telemetry the
@@ -883,14 +896,16 @@ impl PartialAllreduce {
     /// missed every rule change since it died, so it registers its
     /// collectives in SPMD order like a newborn rank, installs the
     /// survivors' history wholesale, then fast-forwards to the admission
-    /// fence ([`PartialAllreduce::fast_forward_to`]). Panics if this
-    /// handle already made local progress or the segments are malformed.
-    pub fn import_state(&self, segments: Vec<(u64, RoundRules)>) {
+    /// fence ([`PartialAllreduce::fast_forward_to`]). The segments come
+    /// from peers, so malformed ones are an `Err` that fails the admission
+    /// and leaves the timeline untouched; importing into a handle that
+    /// already made local progress is a caller bug and panics.
+    pub fn import_state(&self, segments: Vec<(u64, RoundRules)>) -> Result<(), String> {
         assert_eq!(
             self.next_round, 0,
             "import_state on a handle that already ran rounds"
         );
-        self.shared.rules.import(segments);
+        self.shared.rules.import(segments)
     }
 
     /// Advance this handle's round counter to `round` without running
@@ -1446,6 +1461,62 @@ mod tests {
     }
 
     #[test]
+    fn import_state_rejects_malformed_segments_and_keeps_the_timeline() {
+        use QuorumPolicy::{Full, Solo};
+        let ar = PartialAllreduce::register(
+            Arc::new(pcoll_sched::CmdQueue::new()),
+            CollId(1),
+            0,
+            4,
+            (0..4).collect(),
+            11,
+            DType::F32,
+            4,
+            ReduceOp::Sum,
+            Solo,
+            PartialOpts::default(),
+        );
+        let pristine = ar.rule_segments();
+        let over = |live: Vec<Rank>| RoundRules {
+            live,
+            ..whole(4, Full)
+        };
+        let malformed = [
+            (vec![], "start at round 0"),
+            (vec![(3, whole(4, Full))], "start at round 0"),
+            (
+                vec![
+                    (0, whole(4, Solo)),
+                    (5, over(vec![0, 1])),
+                    (5, over(vec![0])),
+                ],
+                "increase",
+            ),
+            (
+                vec![(0, whole(4, Solo)), (4, over(vec![]))],
+                "sorted subset",
+            ),
+            (
+                vec![(0, whole(4, Solo)), (4, over(vec![2, 1]))],
+                "sorted subset",
+            ),
+            (
+                vec![(0, whole(4, Solo)), (4, over(vec![0, 4]))],
+                "sorted subset",
+            ),
+        ];
+        for (segments, why) in malformed {
+            let err = ar.import_state(segments.clone()).expect_err("malformed");
+            assert!(err.contains(why), "{segments:?}: {err}");
+            assert_eq!(ar.rule_segments(), pristine, "{segments:?} touched it");
+        }
+        let good = vec![(0, whole(4, Solo)), (6, over(vec![0, 1, 3]))];
+        ar.import_state(good.clone())
+            .expect("well-formed segments import");
+        assert_eq!(ar.rule_segments(), good);
+    }
+
+    #[test]
     fn schedules_timing_and_candidates_all_follow_the_plan() {
         // Every policy × world size × rank × round, the second half of
         // the rounds over a live set with a hole: the built schedules
@@ -1565,7 +1636,7 @@ mod tests {
                 }
                 prop_assert_eq!(t.with_rules(u64::MAX, |r| r.events), changes);
                 let copy = timeline(p, Full);
-                copy.import(t.segments());
+                prop_assert_eq!(copy.import(t.segments()), Ok(()));
                 for round in 0..replay.last().unwrap().0 + 2 {
                     let (_, policy, live) = replay.iter().rev().find(|e| e.0 <= round).unwrap();
                     let plan = t.plan(round);

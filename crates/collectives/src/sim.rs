@@ -26,13 +26,16 @@
 //!   computes for `compute[r]` before the next deposit — the actual
 //!   trainer loop, where slow ranks get dragged along by forced joins.
 //!
-//! A [`TunerHook`] can be wired to observe per-window freshness and
-//! switch the quorum policy mid-run; the harness applies the switch on
-//! every rank's timeline at the same safe boundary (one virtual event,
-//! `from_round = max` over ranks of the next round), which is the
-//! simulator's version of the trainer's decide→fence consensus protocol.
+//! With [`SimSpec::tuner`] set, every rank runs the trainer's
+//! [`QuorumTuner`] protocol on the virtual clock. Every `period()` rounds
+//! on the slowest live rank, the live ranks' stats are summed, every live
+//! rank decides, the decisions must agree, and the policy is applied on
+//! every timeline at one safe round (one virtual event, `from_round =
+//! max` over ranks of the next round) — the simulator's version of the
+//! trainer's decide→fence consensus protocol.
 
 use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog};
+use crate::tuner::{QuorumDecision, QuorumTuner, TunerSetup};
 use pcoll_comm::{
     DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf,
     WorldConfig,
@@ -100,7 +103,7 @@ pub struct SimSpec {
     /// [`pcoll_comm::NetworkModel`] and the region topology — and the
     /// chaos script.
     pub opts: SimOpts,
-    /// Initial quorum policy (a [`TunerHook`] may switch it mid-run).
+    /// Initial quorum policy (the tuner's `initial_policy` overrides it).
     pub policy: QuorumPolicy,
     /// Rounds each rank deposits.
     pub rounds: u64,
@@ -112,6 +115,9 @@ pub struct SimSpec {
     /// slot is the harness's: it wires a [`RoundLog`] per rank to build
     /// [`SimReport::traces`], so `partial.observer` must be `None`.
     pub partial: PartialOpts,
+    /// Closed-loop quorum tuner, one per rank on the virtual clock (see
+    /// the module docs). `None`: the harness does no tuner work.
+    pub tuner: Option<TunerSetup>,
 }
 
 impl SimSpec {
@@ -129,31 +135,10 @@ impl SimSpec {
                 offsets: (0..p).map(|r| skew_unit * r as u32).collect(),
             },
             partial: PartialOpts::default(),
+            tuner: None,
         }
     }
 }
-
-/// Telemetry for one tuner window, handed to the [`TunerHook`].
-#[derive(Debug, Clone, Copy)]
-pub struct WindowStats {
-    /// Rounds `[from_round, to_round)` this window covers.
-    pub from_round: u64,
-    /// Exclusive end of the window.
-    pub to_round: u64,
-    /// Fraction of the (rank, round) completions in the window whose
-    /// snapshot carried a fresh deposit — the NAP numerator, normalized
-    /// to `[0, 1]`.
-    pub fresh_fraction: f64,
-    /// Completed rounds per *virtual* second over the window.
-    pub rounds_per_s: f64,
-    /// The policy that governed the window.
-    pub policy: QuorumPolicy,
-}
-
-/// Closed-loop policy controller: called at each window boundary;
-/// returning `Some(policy)` switches every rank's timeline from the next
-/// safe round. Wire `pcoll_tune`'s controllers through this.
-pub type TunerHook<'a> = &'a mut dyn FnMut(&WindowStats) -> Option<QuorumPolicy>;
 
 /// What a finished simulation reports.
 #[derive(Debug, Clone)]
@@ -171,8 +156,11 @@ pub struct SimReport {
     pub nap_per_round: Vec<u32>,
     /// Mean of `nap_per_round`.
     pub mean_nap: f64,
-    /// Policy switches applied by the tuner hook, as `(from_round, to)`.
+    /// Policy changes the tuner applied, as `(from_round, to)`.
     pub switches: Vec<(u64, QuorumPolicy)>,
+    /// Every tuner boundary's agreed decision, as `(from_round,
+    /// decision)` — empty without [`SimSpec::tuner`].
+    pub decisions: Vec<(u64, QuorumDecision)>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
     /// that fence)` — empty unless the spec scripts [`Fault::Kill`]s.
     pub evictions: Vec<(u64, Vec<Rank>)>,
@@ -245,15 +233,15 @@ pub struct SimHarness {
     spec: SimSpec,
     sim: SimWorld,
     ranks: Vec<SimRank>,
+    /// One tuner per rank, or none (see [`SimSpec::tuner`]).
+    tuners: Vec<Box<dyn QuorumTuner>>,
     contrib: TypedBuf,
     switches: Vec<(u64, QuorumPolicy)>,
+    decisions: Vec<(u64, QuorumDecision)>,
+    /// The policy in force (changed only by the tuner).
     policy: QuorumPolicy,
-    /// Tuner window length in rounds (None: never call the hook).
-    period: Option<u64>,
-    window_start_round: u64,
-    window_start_time: Duration,
-    /// World-summed `(fresh, completions)` counters at the window start.
-    window_start_counts: (u64, u64),
+    /// The last tuner boundary, in rounds.
+    boundary: u64,
     /// Whether the fault plan can change membership (gates the per-event
     /// death scan so fault-free runs pay nothing).
     chaos: bool,
@@ -285,9 +273,16 @@ impl SimHarness {
         let seed = spec.world.seed;
         let mut sim = SimWorld::new(spec.world.clone(), spec.opts.clone());
         let mut ranks = Vec::with_capacity(p);
+        let tuners: Vec<Box<dyn QuorumTuner>> = (spec.tuner.iter())
+            .flat_map(|t| (0..p).map(|rank| t.build(rank, p, sim.comm(rank).clock().clone())))
+            .collect();
+        // One setup builds every rank's tuner: all start alike.
+        let policy = (tuners.first())
+            .and_then(|t| t.initial_policy())
+            .unwrap_or(spec.policy);
         for rank in 0..p {
             let queue = CmdQueue::new();
-            let mut core = EngineCore::new(sim.comm(rank), sim.clock());
+            let mut core = EngineCore::new(sim.comm(rank));
             let log = Arc::new(RoundLog::default());
             let ar = PartialAllreduce::register(
                 Arc::new(queue.clone()),
@@ -299,7 +294,7 @@ impl SimHarness {
                 DType::F32,
                 spec.len,
                 ReduceOp::Sum,
-                spec.policy,
+                policy,
                 PartialOpts {
                     observer: Some(log.clone()),
                     ..spec.partial.clone()
@@ -319,7 +314,6 @@ impl SimHarness {
                 call_latency: vec![None; spec.rounds as usize],
             });
         }
-        let policy = spec.policy;
         let chaos = spec
             .opts
             .faults
@@ -330,13 +324,12 @@ impl SimHarness {
             spec,
             sim,
             ranks,
+            tuners,
             contrib: TypedBuf::from(vec![1.0f32; 1]),
             switches: Vec::new(),
+            decisions: Vec::new(),
             policy,
-            period: None,
-            window_start_round: 0,
-            window_start_time: Duration::ZERO,
-            window_start_counts: (0, 0),
+            boundary: 0,
             chaos,
             evicted: vec![false; p],
             evictions: Vec::new(),
@@ -344,33 +337,10 @@ impl SimHarness {
         }
     }
 
-    /// Run to completion without a tuner.
+    /// Run to completion.
     pub fn run(spec: SimSpec) -> SimReport {
         let mut h = SimHarness::new(spec);
         h.execute()
-    }
-
-    /// Run with a closed-loop policy controller: `hook` fires every
-    /// `period` rounds (measured on the slowest rank) with that window's
-    /// [`WindowStats`]; a `Some` return switches every rank's timeline.
-    pub fn run_tuned(spec: SimSpec, period: u64, hook: TunerHook<'_>) -> SimReport {
-        let mut h = SimHarness::new(spec);
-        h.execute_tuned(period, hook)
-    }
-
-    /// Like [`SimHarness::run`], but on an owned harness — the harness
-    /// survives the run, so the flight-recorder stream is still
-    /// drainable afterwards ([`SimHarness::trace_events`]).
-    pub fn execute(&mut self) -> SimReport {
-        self.drive(None)
-    }
-
-    /// Like [`SimHarness::run_tuned`], on an owned harness (see
-    /// [`SimHarness::execute`]).
-    pub fn execute_tuned(&mut self, period: u64, hook: TunerHook<'_>) -> SimReport {
-        assert!(period > 0, "tuner period must be positive");
-        self.period = Some(period);
-        self.drive(Some(hook))
     }
 
     /// Drain every rank's flight recorder into one merged, `(ts, rank)`
@@ -405,7 +375,10 @@ impl SimHarness {
             .collect()
     }
 
-    fn drive(&mut self, mut hook: Option<TunerHook<'_>>) -> SimReport {
+    /// Like [`SimHarness::run`], but on an owned harness — the harness
+    /// survives the run, so the flight-recorder stream is still
+    /// drainable afterwards ([`SimHarness::trace_events`]).
+    pub fn execute(&mut self) -> SimReport {
         self.contrib = TypedBuf::from(vec![1.0f32; self.spec.len]);
         for rank in 0..self.ranks.len() {
             self.schedule_deposit(rank, 0);
@@ -415,7 +388,7 @@ impl SimHarness {
             match ev {
                 SimEvent::Timer { rank, token } => {
                     self.deposit(rank, token);
-                    self.maybe_decide(&mut hook);
+                    self.maybe_decide();
                 }
                 SimEvent::Deliver { dst } => {
                     // Drain everything the event delivered, then see
@@ -472,6 +445,7 @@ impl SimHarness {
             nap_per_round: nap,
             mean_nap: mean,
             switches: std::mem::take(&mut self.switches),
+            decisions: std::mem::take(&mut self.decisions),
             evictions: std::mem::take(&mut self.evictions),
             rejoins: std::mem::take(&mut self.rejoins),
             live: self.sim.live_ranks(),
@@ -561,24 +535,36 @@ impl SimHarness {
         if round >= self.spec.rounds {
             return;
         }
-        let at = match &self.spec.pacing {
-            Pacing::Global { step, offsets } => {
-                TimePoint::ZERO + *step * (round as u32) + offsets[rank]
-            }
-            Pacing::SelfPaced { compute, hiccup } => {
-                let extra = if hiccup.hits(rank, round, self.ranks.len()) {
-                    hiccup.extra
-                } else {
-                    Duration::ZERO
-                };
-                self.sim.now() + compute[rank] + extra
-            }
+        let start = match &self.spec.pacing {
+            Pacing::Global { step, .. } => TimePoint::ZERO + *step * (round as u32),
+            Pacing::SelfPaced { .. } => self.sim.now(),
         };
-        self.sim.schedule_timer(at, rank, round);
+        self.sim
+            .schedule_timer(start + self.offset(rank, round), rank, round);
     }
 
-    /// Deposit `round` on `rank` and schedule what follows.
+    /// `rank`'s arrival offset in `round`: its open-loop offset, or its
+    /// compute plus the hiccup's extra when the hiccup hits it.
+    fn offset(&self, rank: usize, round: u64) -> Duration {
+        match &self.spec.pacing {
+            Pacing::Global { offsets, .. } => offsets[rank],
+            Pacing::SelfPaced { compute, hiccup } if hiccup.hits(rank, round, self.ranks.len()) => {
+                compute[rank] + hiccup.extra
+            }
+            Pacing::SelfPaced { compute, .. } => compute[rank],
+        }
+    }
+
+    /// Deposit `round` on `rank` and schedule what follows. A tuned rank
+    /// first records every rank's arrival offset for the round (ms), the
+    /// global view the trainer's injector gives its tuner.
     fn deposit(&mut self, rank: usize, round: u64) {
+        if !self.tuners.is_empty() {
+            let offsets: Vec<f64> = (0..self.ranks.len())
+                .map(|r| self.offset(r, round).as_secs_f64() * 1e3)
+                .collect();
+            self.tuners[rank].record_step(round, &offsets);
+        }
         let r = &mut self.ranks[rank];
         debug_assert_eq!(round, r.deposited, "timers fire in round order");
         let got = r.ar.deposit(&self.contrib);
@@ -616,70 +602,59 @@ impl SimHarness {
         }
     }
 
-    /// Fire the tuner hook when the slowest rank crosses a window
-    /// boundary, and apply any switch at the common safe round.
-    fn maybe_decide(&mut self, hook: &mut Option<TunerHook<'_>>) {
-        let Some(period) = self.period else {
+    /// At a tuner boundary — every `period()` rounds, once the slowest
+    /// live rank has deposited them — run the trainer's measure → agree →
+    /// decide → apply step: sum the live ranks' stats, let each decide,
+    /// require one answer, and apply it on every timeline.
+    fn maybe_decide(&mut self) {
+        let Some(period) = self.tuners.first().map(|t| t.period().max(1)) else {
             return;
         };
-        let Some(hook) = hook.as_mut() else {
+        let boundary = self.boundary + period;
+        if boundary >= self.spec.rounds {
+            return;
+        }
+        let live = self.sim.live_ranks();
+        if live.iter().any(|&r| self.ranks[r].deposited < boundary) {
+            return;
+        }
+        self.boundary = boundary;
+        let mut summed = Vec::new();
+        for &r in &live {
+            let comm = self.sim.comm_stats(r).snapshot();
+            let local = self.tuners[r].local_stats(self.ranks[r].ar.counters(), comm);
+            summed.resize(local.len(), 0.0f32);
+            summed.iter_mut().zip(local).for_each(|(s, l)| *s += l);
+        }
+        // A round no rank has deposited (and hence no message exists
+        // for): the simulator's one-event stand-in for the fence.
+        let from = self.ranks.iter().map(|r| r.ar.rounds()).max().unwrap_or(0);
+        let decided: Vec<Option<QuorumDecision>> = (live.iter())
+            .map(|&r| self.tuners[r].decide(from, &summed))
+            .collect();
+        if let Some(i) = decided.iter().position(|d| d != &decided[0]) {
+            panic!(
+                "tuners disagree at the round-{boundary} boundary: rank {} decided {:?}, \
+                 rank {} decided {:?}",
+                live[0], decided[0], live[i], decided[i]
+            );
+        }
+        let Some(d) = decided.into_iter().next().flatten() else {
             return;
         };
-        let window_end = self.window_start_round + period;
-        if window_end >= self.spec.rounds {
-            return;
+        // Every timeline, the dead ones included, so a scripted rejoin
+        // finds its rules in lockstep (as in `apply_evictions`).
+        for r in &self.ranks {
+            r.ar.set_policy_from(from, d.policy);
         }
-        if self.ranks.iter().any(|r| r.deposited < window_end) {
-            return;
+        for &r in &live {
+            d.record(self.sim.comm_stats(r).recorder(), boundary - 1, from);
         }
-        let (fresh_now, done_now) = self.ranks.iter().fold((0, 0), |(f, d), r| {
-            let c = r.ar.counters();
-            (f + c.fresh, d + c.completions)
-        });
-        let (fresh_then, done_then) = self.window_start_counts;
-        let now = self.sim.now().duration_since(TimePoint::ZERO);
-        let d_rounds = window_end - self.window_start_round;
-        let d_time = (now - self.window_start_time).as_secs_f64().max(1e-12);
-        let stats = WindowStats {
-            from_round: self.window_start_round,
-            to_round: window_end,
-            fresh_fraction: (fresh_now - fresh_then) as f64 / (done_now - done_then).max(1) as f64,
-            rounds_per_s: d_rounds as f64 / d_time,
-            policy: self.policy,
-        };
-        self.window_start_round = window_end;
-        self.window_start_time = now;
-        self.window_start_counts = (fresh_now, done_now);
-        if let Some(next) = hook(&stats) {
-            // The decision lands on rank 0's recorder track: the sim's
-            // tuner is a global observer, not a per-rank agent.
-            self.sim
-                .comm_stats(0)
-                .recorder()
-                .record(LEVEL_SPANS, || EventKind::TunerDecision {
-                    step: window_end,
-                    policy: format!("{next:?}"),
-                });
-            if next != self.policy {
-                // All timelines switch in this single event, at a round no
-                // rank has deposited (and hence no message exists for):
-                // the simulator's one-event stand-in for the trainer's
-                // decide → fence consensus.
-                let from = self.ranks.iter().map(|r| r.ar.rounds()).max().unwrap_or(0);
-                for r in &self.ranks {
-                    r.ar.set_policy_from(from, next);
-                }
-                self.sim
-                    .comm_stats(0)
-                    .recorder()
-                    .record(LEVEL_SPANS, || EventKind::PolicySwitch {
-                        from_round: from,
-                        policy: format!("{next:?}"),
-                    });
-                self.switches.push((from, next));
-                self.policy = next;
-            }
+        if d.policy != self.policy {
+            self.switches.push((from, d.policy));
+            self.policy = d.policy;
         }
+        self.decisions.push((from, d));
     }
 }
 
@@ -1040,16 +1015,56 @@ mod tests {
         assert!(!a.evictions.is_empty() && !a.rejoins.is_empty());
     }
 
+    /// A trainer-style tuner that starts at Solo and decides `to` at
+    /// every boundary.
+    struct Fixed {
+        to: QuorumPolicy,
+    }
+
+    impl QuorumTuner for Fixed {
+        fn period(&self) -> u64 {
+            10
+        }
+        fn initial_policy(&self) -> Option<QuorumPolicy> {
+            Some(QuorumPolicy::Solo)
+        }
+        fn stats_len(&self) -> usize {
+            1
+        }
+        fn local_stats(
+            &mut self,
+            _: crate::RoundCounters,
+            _: pcoll_comm::CommStatsSnapshot,
+        ) -> Vec<f32> {
+            vec![1.0]
+        }
+        fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+            assert_eq!(summed, [8.0], "every live rank contributes once");
+            Some(QuorumDecision {
+                policy: self.to,
+                reward: 1.0,
+                fresh_fraction: 1.0,
+                rounds_per_s: 1.0,
+                spread_ms: 0.0,
+                queue_stall_ms: 0.0,
+            })
+        }
+    }
+
+    fn tuned_spec(setup: TunerSetup) -> SimSpec {
+        let mut spec = SimSpec::linear_skew(8, 40, Duration::from_millis(1), QuorumPolicy::Full);
+        spec.tuner = Some(setup);
+        spec
+    }
+
     #[test]
-    fn tuner_hook_switches_policy_mid_run() {
-        let p = 8;
-        let spec = SimSpec::linear_skew(p, 40, Duration::from_millis(1), QuorumPolicy::Solo);
-        let mut calls = 0u32;
-        let rep = SimHarness::run_tuned(spec, 10, &mut |w: &WindowStats| {
-            calls += 1;
-            (w.policy == QuorumPolicy::Solo).then_some(QuorumPolicy::Full)
-        });
-        assert!(calls >= 2, "hook must fire at window boundaries");
+    fn tuner_switches_policy_mid_run() {
+        let to = QuorumPolicy::Full;
+        let rep = SimHarness::run(tuned_spec(TunerSetup::new(move |_, _, _| {
+            Box::new(Fixed { to })
+        })));
+        // Boundaries at rounds 10, 20, 30; the first one switches.
+        assert_eq!(rep.decisions.len(), 3, "one decision per boundary");
         assert_eq!(rep.switches.len(), 1, "one switch: solo → full");
         let from = rep.switches[0].0 as usize;
         // Before the switch solo runs nearly alone; after it, everyone is
@@ -1058,7 +1073,16 @@ mod tests {
         assert!(mean_nap(&rep.nap_per_round, 0, from) < 2.0);
         assert_eq!(
             &rep.nap_per_round[from + 1..],
-            vec![p as u32; rep.nap_per_round.len() - from - 1].as_slice()
+            vec![8; rep.nap_per_round.len() - from - 1].as_slice()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "tuners disagree at the round-10 boundary: rank 0")]
+    fn rank_dependent_decisions_trip_the_agreement_check() {
+        SimHarness::run(tuned_spec(TunerSetup::new(|rank, _, _| {
+            let to = [QuorumPolicy::Majority, QuorumPolicy::Full][rank.min(1)];
+            Box::new(Fixed { to })
+        })));
     }
 }

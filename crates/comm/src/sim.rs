@@ -484,12 +484,6 @@ impl SimWorld {
         self.cfg.nranks
     }
 
-    /// The world's virtual clock (share it with the engine so latency
-    /// telemetry reads simulated time).
-    pub fn clock(&self) -> Clock {
-        self.clock.clone()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> TimePoint {
         self.clock.now()
@@ -520,6 +514,7 @@ impl SimWorld {
             stats: Arc::clone(&self.stats[rank]),
             queue_deadline: self.cfg.queue_deadline,
             membership: Arc::clone(&self.memberships[rank]),
+            clock: self.clock.clone(),
         }
     }
 

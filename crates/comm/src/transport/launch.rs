@@ -493,15 +493,16 @@ where
     //
     // The worker's flight recorder comes from the environment the parent
     // process passed down (`WorldConfig::trace` does not cross the exec
-    // boundary). Each process has its own wall-clock epoch, so TCP trace
-    // timestamps are comparable within a rank but not across ranks.
-    let recorder =
-        pcoll_obs::TraceConfig::from_env().recorder(rank as u32, pcoll_obs::Clock::wall());
+    // boundary). Each process has its own wall-clock epoch, shared by
+    // everything on the rank, so TCP trace timestamps are comparable
+    // within a rank but not across ranks.
+    let clock = pcoll_obs::Clock::wall();
+    let recorder = pcoll_obs::TraceConfig::from_env().recorder(rank as u32, clock.clone());
     let stats = Arc::new(CommStats::with_recorder(recorder));
     let membership = Arc::new(Membership::with_grace(
         rank,
         cfg.nranks,
-        pcoll_obs::Clock::wall(),
+        clock.clone(),
         cfg.suspicion_grace(),
     ));
     let (inbox_tx, inbox_rx) = bounded(cfg.queue_capacity);
@@ -568,6 +569,7 @@ where
             stats: Arc::clone(&stats),
             queue_deadline: cfg.queue_deadline,
             membership: Arc::clone(&membership),
+            clock,
         },
         inbox: Inbox { rx: inbox_rx },
         // One rank per process: the host barrier (thread-scaffolding, not

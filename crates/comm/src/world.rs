@@ -174,6 +174,7 @@ pub struct CommHandle {
     pub(crate) stats: Arc<CommStats>,
     pub(crate) queue_deadline: Duration,
     pub(crate) membership: Arc<Membership>,
+    pub(crate) clock: Clock,
 }
 
 impl CommHandle {
@@ -209,6 +210,14 @@ impl CommHandle {
     /// This rank's per-peer liveness view (see [`Membership`]).
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
+    }
+
+    /// The rank's one clock: wall time shared by the launch's ranks on the
+    /// in-process backend, one wall clock per TCP worker, virtual time
+    /// under the simulator. The recorder, the membership detector, the
+    /// engine, the tuner and the trainer's timers all read it.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// Send `payload` to `dst` under `tag`. `None` payload = control
@@ -434,16 +443,16 @@ impl World {
             (0..cfg.nranks).map(|_| bounded(cfg.queue_capacity)).unzip();
         let route = Route::mailboxes(mb_txs);
 
-        // One wall clock shared by every rank's recorder, so trace
-        // timestamps are comparable across tracks (flow arrows between
-        // ranks would otherwise connect unrelated epochs).
-        let trace_clock = Clock::wall();
+        // One wall clock shared by every rank, so trace timestamps are
+        // comparable across tracks (flow arrows between ranks would
+        // otherwise connect unrelated epochs).
+        let clock = Clock::wall();
 
         let host_barrier = Arc::new(Barrier::new(cfg.nranks));
         let f = Arc::new(f);
         let mut joins = Vec::with_capacity(cfg.nranks);
         for (rank, rx) in mb_rxs.into_iter().enumerate() {
-            let recorder = cfg.trace.recorder(rank as u32, trace_clock.clone());
+            let recorder = cfg.trace.recorder(rank as u32, clock.clone());
             let comm = Communicator {
                 handle: CommHandle {
                     rank,
@@ -455,9 +464,10 @@ impl World {
                     membership: Arc::new(Membership::with_grace(
                         rank,
                         cfg.nranks,
-                        trace_clock.clone(),
+                        clock.clone(),
                         cfg.suspicion_grace(),
                     )),
+                    clock: clock.clone(),
                 },
                 inbox: Inbox { rx },
                 host_barrier: Arc::clone(&host_barrier),

@@ -34,7 +34,5 @@ pub mod workloads;
 
 pub use metrics::{EpochRecord, TrainLog, TuneDecision};
 pub use theory::{ConvergenceParams, NapModel, NapPrediction};
-pub use trainer::{
-    run_rank, GradFusion, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup,
-};
+pub use trainer::{run_rank, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup};
 pub use workloads::{HyperplaneWorkload, ImageWorkload, SpatialWorkload, VideoWorkload, Workload};

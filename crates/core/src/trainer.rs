@@ -28,13 +28,10 @@ use dnn::optim::LrSchedule;
 use dnn::{EvalMetrics, Model, Optimizer};
 use imbalance::Injector;
 use minitensor::TensorRng;
-use pcoll::{PartialAllreduce, PartialOpts, QuorumPolicy, RankCtx, RoundCounters, StaleMode};
-use pcoll_comm::{CommStatsSnapshot, DType, ReduceOp, TypedBuf};
+use pcoll::{PartialOpts, QuorumPolicy, RankCtx, StaleMode};
+pub use pcoll::{QuorumDecision, QuorumTuner, TunerSetup};
+use pcoll_comm::{DType, ReduceOp, TypedBuf};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::Range;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Which SGD the rank runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,114 +84,6 @@ impl SgdVariant {
     }
 }
 
-/// What a [`QuorumTuner::decide`] call returns: the policy to apply from
-/// the next round on, plus the window measurements the trainer records
-/// into [`TuneDecision`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuorumDecision {
-    pub policy: QuorumPolicy,
-    pub reward: f64,
-    pub fresh_fraction: f64,
-    pub rounds_per_s: f64,
-    pub spread_ms: f64,
-    /// Mean per-rank time spent stalled on full transport queues during
-    /// the window (ms) — the congestion signal from `CommStats`.
-    pub queue_stall_ms: f64,
-}
-
-/// A closed-loop quorum controller, as seen by the trainer. One instance
-/// lives per rank; the trainer drives the measure → agree → decide → apply
-/// loop every [`QuorumTuner::period`] steps:
-///
-/// 1. each step, [`QuorumTuner::record_step`] feeds the injector's
-///    per-rank arrival offsets;
-/// 2. at a decision boundary, the trainer hands
-///    [`QuorumTuner::local_stats`] the gradient collective's cumulative
-///    [`RoundCounters`] and the rank's transport counters; the tuner
-///    windows them by diffing against the previous boundary's, and every
-///    rank's stats vector is summed with a blocking allreduce, so all
-///    ranks see the identical global view;
-/// 3. [`QuorumTuner::decide`] must be a *deterministic* function of that
-///    summed vector (plus internal state updated only from such vectors) —
-///    this is what keeps the SPMD ranks choosing the same policy with no
-///    extra coordination, the same shared-seed trick the majority
-///    collective uses for initiator consensus (§4.2);
-/// 4. the trainer applies the policy from the next round and runs a
-///    dissemination barrier, which guarantees every rank has appended the
-///    new policy segment before any rank can enter a round governed by it.
-///
-/// Implementations live in `pcoll_tune` (static, hill-climb, UCB bandit).
-pub trait QuorumTuner: Send {
-    /// Decide every this-many steps.
-    fn period(&self) -> u64;
-
-    /// Overrides the variant's construction-time policy (so one trainer
-    /// variant can start anywhere on the spectrum, including `Full`).
-    fn initial_policy(&self) -> Option<QuorumPolicy> {
-        None
-    }
-
-    /// Per-step arrival offsets of *all* ranks (ms), from the injector's
-    /// shared-seed global view.
-    fn record_step(&mut self, _step: u64, _offsets_ms: &[f64]) {}
-
-    /// Length of the stats vector (must match on every rank).
-    fn stats_len(&self) -> usize;
-
-    /// This rank's contribution to the decision, summed elementwise
-    /// across ranks by the consensus allreduce. `rounds` and `comm` are
-    /// cumulative totals since the trainer started; the window is what
-    /// moved since the previous call.
-    fn local_stats(&mut self, rounds: RoundCounters, comm: CommStatsSnapshot) -> Vec<f32>;
-
-    /// Deterministic decision from the rank-summed stats. `None` means
-    /// "keep the current policy and record nothing".
-    fn decide(&mut self, from_round: u64, summed: &[f32]) -> Option<QuorumDecision>;
-}
-
-/// Cloneable per-rank [`QuorumTuner`] factory carried by
-/// [`TrainerConfig`]: called once per rank (rank, world size) at trainer
-/// start, so every rank owns its tuner (telemetry is rank-local; only the
-/// decision inputs are globally reduced).
-#[derive(Clone)]
-pub struct TunerSetup(Arc<dyn Fn(usize, usize) -> Box<dyn QuorumTuner> + Send + Sync>);
-
-impl TunerSetup {
-    pub fn new<F>(f: F) -> Self
-    where
-        F: Fn(usize, usize) -> Box<dyn QuorumTuner> + Send + Sync + 'static,
-    {
-        TunerSetup(Arc::new(f))
-    }
-
-    /// Build the tuner for `rank` of `p`.
-    pub fn build(&self, rank: usize, p: usize) -> Box<dyn QuorumTuner> {
-        (self.0)(rank, p)
-    }
-}
-
-impl fmt::Debug for TunerSetup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TunerSetup(..)")
-    }
-}
-
-/// How gradients map onto collectives (§3: Horovod fuses several tensors
-/// into one allreduce; Deep500-style non-blocking mode keeps one tagged
-/// allreduce per tensor in flight and issues a waitall before the
-/// update).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GradFusion {
-    /// One allreduce over the whole flattened gradient (Horovod-style
-    /// tensor fusion; the only mode for eager variants, whose send-buffer
-    /// semantics are defined on the fused buffer).
-    #[default]
-    Fused,
-    /// One allreduce per parameter tensor, all deposited and then all
-    /// waited on (synchronous variants only).
-    PerTensor,
-}
-
 /// Trainer configuration (shared verbatim by all ranks).
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
@@ -202,8 +91,6 @@ pub struct TrainerConfig {
     pub epochs: usize,
     pub steps_per_epoch: usize,
     pub lr: LrSchedule,
-    /// Gradient-to-collective mapping (see [`GradFusion`]).
-    pub fusion: GradFusion,
     /// Synchronize models every k epochs (eager variants; §5 uses ~10).
     /// `None` disables (the §6.2.2 ablation: "without model
     /// synchronization ... accuracy decreases").
@@ -232,7 +119,8 @@ pub struct TrainerConfig {
     pub eval_every: usize,
     pub seed: u64,
     /// Closed-loop quorum controller (eager variants only; ignored for
-    /// the synchronous baselines). See [`QuorumTuner`].
+    /// the synchronous baselines), built on the rank's clock. See
+    /// [`QuorumTuner`].
     pub tuner: Option<TunerSetup>,
 }
 
@@ -243,7 +131,6 @@ impl TrainerConfig {
             epochs,
             steps_per_epoch,
             lr: LrSchedule::constant(lr),
-            fusion: GradFusion::Fused,
             model_sync_every: Some(10),
             injector: Injector::None,
             time_scale: 1.0,
@@ -260,27 +147,6 @@ impl TrainerConfig {
 /// The elements of a gradient or weight buffer (all are `F32`).
 fn f32s(buf: &mut TypedBuf) -> &mut [f32] {
     buf.as_f32_mut().expect("f32 collective")
-}
-
-/// Average `flat` in place through one collective per `sizes` segment:
-/// deposit every segment, then wait on each — §3's tagged in-flight
-/// allreduces + waitall.
-fn average_per_tensor(reducers: &mut [PartialAllreduce], sizes: &[usize], flat: &mut [f32]) {
-    let mut off = 0;
-    let in_flight: Vec<(Range<usize>, u64)> = reducers
-        .iter_mut()
-        .zip(sizes)
-        .map(|(ar, &len)| {
-            let span = off..off + len;
-            off += len;
-            let round = ar.deposit_fill(|send| f32s(send).copy_from_slice(&flat[span.clone()]));
-            (span, round)
-        })
-        .collect();
-    for (ar, (span, round)) in reducers.iter().zip(in_flight) {
-        let out = ar.wait_for(round);
-        flat[span].copy_from_slice(out.data.as_f32().expect("f32 gradients"));
-    }
 }
 
 /// Run the full training loop on this rank. SPMD: every rank calls this
@@ -305,7 +171,7 @@ pub fn run_rank(
     // Per-rank closed-loop tuner (eager variants only): built before the
     // collectives so its initial policy can be wired in.
     let mut tuner = if cfg.variant.is_eager() {
-        cfg.tuner.as_ref().map(|t| t.build(rank, p))
+        (cfg.tuner.as_ref()).map(|t| t.build(rank, p, ctx.clock().clone()))
     } else {
         None
     };
@@ -313,39 +179,26 @@ pub fn run_rank(
     // what moved since, not the world's setup traffic.
     let comm_at_start = ctx.comm_stats().snapshot();
 
-    // SPMD collective construction order: gradient reducer(s),
-    // negotiation pair (Horovod only), weight synchronizer, tuner
-    // consensus allreduce (adaptive runs only).
-    let sizes = match cfg.fusion {
-        GradFusion::Fused => vec![n],
-        GradFusion::PerTensor => {
-            assert!(
-                !cfg.variant.is_eager(),
-                "eager variants define their send-buffer semantics on the fused buffer"
-            );
-            model.param_sizes()
-        }
-    };
+    // SPMD collective construction order: gradient reducer, negotiation
+    // pair (Horovod only), weight synchronizer, tuner consensus allreduce
+    // (adaptive runs only). The gradient crosses one collective over the
+    // whole flattened buffer (Horovod-style tensor fusion), which is what
+    // the eager send-buffer semantics are defined on.
     let policy = tuner
         .as_ref()
         .and_then(|t| t.initial_policy())
         .unwrap_or(cfg.variant.quorum_policy());
-    let mut reducers: Vec<PartialAllreduce> = sizes
-        .iter()
-        .map(|&len| {
-            ctx.partial_allreduce(
-                DType::F32,
-                len,
-                ReduceOp::Sum,
-                policy,
-                PartialOpts {
-                    scale,
-                    stale_mode: cfg.stale_mode,
-                    ..PartialOpts::default()
-                },
-            )
-        })
-        .collect();
+    let mut ar = ctx.partial_allreduce(
+        DType::F32,
+        n,
+        ReduceOp::Sum,
+        policy,
+        PartialOpts {
+            scale,
+            stale_mode: cfg.stale_mode,
+            ..PartialOpts::default()
+        },
+    );
     let mut negotiation = (cfg.variant == SgdVariant::SynchHorovod)
         .then(|| (ctx.reduce(0, ReduceOp::Max), ctx.bcast(0)));
     let mut weight_sync = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale);
@@ -358,9 +211,6 @@ pub fn run_rank(
 
     let mut rng = TensorRng::new(cfg.seed ^ (rank as u64).wrapping_mul(0x1F3D_5B79));
     let mut delta = vec![0.0f32; n];
-    // The fused path writes into the send buffer and reads the result in
-    // place; per-tensor reducers share `flat`, gradients out, averages back.
-    let mut flat = vec![0.0f32; if reducers.len() > 1 { n } else { 0 }];
     let mut clipped = Vec::new();
     // Rank 0's evaluation sets, fetched at the first evaluation and kept:
     // every `Workload` hands out a deep copy (MiBs for a held-out set).
@@ -369,17 +219,19 @@ pub fn run_rank(
     let mut log = TrainLog::new(rank);
     let mut train_time = 0.0f64;
     let mut step: u64 = 0;
+    // Every timer reads the rank's clock (see `RankCtx::clock`).
+    let clock = ctx.clock();
+    let secs_since = |t0| clock.now().duration_since(t0).as_secs_f64();
 
     for epoch in 0..cfg.epochs {
         opt.set_lr(cfg.lr.at(epoch));
         let mut loss_sum = 0.0f32;
-        let epoch_t0 = Instant::now();
+        let epoch_t0 = clock.now();
 
         for _ in 0..cfg.steps_per_epoch {
-            let step_t0 = ctx
-                .recorder()
+            let step_t0 = (ctx.recorder())
                 .enabled(pcoll_obs::LEVEL_SPANS)
-                .then(Instant::now);
+                .then(|| clock.now());
             let batch = workload.sample(rank, step, &mut rng);
             let loss = model.grad_step(&batch);
             loss_sum += loss;
@@ -401,21 +253,10 @@ pub fn run_rank(
                 let _ = bc.bcast((rank == 0).then_some(&ready));
             }
 
-            let fused = match &mut reducers[..] {
-                [ar] => {
-                    let round = ar.deposit_fill(|send| model.write_grads(f32s(send)));
-                    Some(ar.wait_for(round))
-                }
-                per_tensor => {
-                    model.write_grads(&mut flat);
-                    average_per_tensor(per_tensor, &sizes, &mut flat);
-                    None
-                }
-            };
-            let mut avg: &[f32] = match &fused {
-                Some(out) => out.data.as_f32().expect("f32 gradients"),
-                None => &flat,
-            };
+            // Write straight into the send buffer, read the result in place.
+            let round = ar.deposit_fill(|send| model.write_grads(f32s(send)));
+            let out = ar.wait_for(round);
+            let mut avg: &[f32] = out.data.as_f32().expect("f32 gradients");
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = avg.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > max_norm {
@@ -430,7 +271,6 @@ pub fn run_rank(
 
             // --- Closed-loop quorum control (eager + tuner only). ---
             if let (Some(t), Some(cons)) = (tuner.as_mut(), consensus.as_mut()) {
-                let ar = &reducers[0];
                 // Arrival offsets of *all* ranks this step: every rank can
                 // evaluate the injector's global pattern from the shared
                 // seed without communication. Scaled to wall-clock ms so
@@ -448,20 +288,7 @@ pub fn run_rank(
                     let from_round = ar.rounds();
                     if let Some(d) = t.decide(from_round, summed) {
                         ar.set_policy_from(from_round, d.policy);
-                        // Every rank decides the same thing from the summed
-                        // stats, so every track shows the same timeline.
-                        ctx.recorder().record(pcoll_obs::LEVEL_SPANS, || {
-                            pcoll_obs::EventKind::TunerDecision {
-                                step,
-                                policy: format!("{:?}", d.policy),
-                            }
-                        });
-                        ctx.recorder().record(pcoll_obs::LEVEL_SPANS, || {
-                            pcoll_obs::EventKind::PolicySwitch {
-                                from_round,
-                                policy: format!("{:?}", d.policy),
-                            }
-                        });
+                        d.record(ctx.recorder(), step, from_round);
                         log.decisions.push(TuneDecision {
                             step,
                             from_round,
@@ -480,7 +307,7 @@ pub fn run_rank(
                 }
             }
             if let Some(t0) = step_t0 {
-                let dur_ns = t0.elapsed().as_nanos() as u64;
+                let dur_ns = clock.now().duration_since(t0).as_nanos() as u64;
                 ctx.recorder()
                     .record(pcoll_obs::LEVEL_SPANS, || pcoll_obs::EventKind::StepSpan {
                         step,
@@ -489,7 +316,7 @@ pub fn run_rank(
             }
             step += 1;
         }
-        let epoch_secs = epoch_t0.elapsed().as_secs_f64();
+        let epoch_secs = secs_since(epoch_t0);
         train_time += epoch_secs;
 
         // Periodic model synchronization (eager variants, §5). This is
@@ -498,11 +325,11 @@ pub fn run_rank(
         if cfg.variant.is_eager() {
             if let Some(every) = cfg.model_sync_every {
                 if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                    let t0 = Instant::now();
+                    let t0 = clock.now();
                     let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
                     let avg = weight_sync.wait_for(round);
                     model.read_params(avg.data.as_f32().expect("f32 params"));
-                    train_time += t0.elapsed().as_secs_f64();
+                    train_time += secs_since(t0);
                 }
             }
         }
@@ -537,7 +364,7 @@ pub fn run_rank(
         });
     }
 
-    let rounds = reducers[0].counters();
+    let rounds = ar.counters();
     log.fresh_rounds = rounds.fresh;
     log.missed_rounds = rounds.missed;
     log.steps = step;
@@ -564,7 +391,8 @@ mod tests {
     use datagen::HyperplaneTask;
     use dnn::zoo::hyperplane_mlp;
     use dnn::Sgd;
-    use pcoll_comm::{World, WorldConfig};
+    use pcoll::RoundCounters;
+    use pcoll_comm::{CommStatsSnapshot, World, WorldConfig};
     use std::sync::Arc;
 
     fn run_variant(variant: SgdVariant, p: usize, epochs: usize) -> Vec<TrainLog> {
@@ -626,55 +454,6 @@ mod tests {
         let first = logs[0].epochs[0].mean_loss;
         let last = final_loss(&logs);
         assert!(last < first * 0.25, "loss {first} → {last}");
-    }
-
-    #[test]
-    fn per_tensor_fusion_matches_fused_bitwise() {
-        // Same summation tree per element ⇒ the two fusion modes must
-        // produce identical trained weights.
-        let run = |fusion: GradFusion| {
-            let task = Arc::new(HyperplaneTask::new(24, 512, 0.05, 32, 7));
-            World::launch(WorldConfig::instant(4), move |c| {
-                let ctx = RankCtx::new(c);
-                let mut rng = TensorRng::new(7);
-                let mut model = hyperplane_mlp(24, &mut rng);
-                let mut opt = Sgd::new(0.03);
-                let wl = HyperplaneWorkload {
-                    task: Arc::clone(&task),
-                    local_batch: 8,
-                };
-                let mut cfg = TrainerConfig::new(SgdVariant::SynchDeep500, 2, 6, 0.03);
-                cfg.fusion = fusion;
-                cfg.eval_every = 100;
-                let _ = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-                let mut flat = vec![0.0f32; Model::num_params(&model)];
-                model.write_params(&mut flat);
-                ctx.finalize();
-                flat
-            })
-        };
-        let fused = run(GradFusion::Fused);
-        let per_tensor = run(GradFusion::PerTensor);
-        assert_eq!(fused, per_tensor);
-    }
-
-    #[test]
-    #[should_panic(expected = "fused buffer")]
-    fn eager_rejects_per_tensor_fusion() {
-        let task = Arc::new(HyperplaneTask::new(8, 64, 0.05, 16, 7));
-        World::launch(WorldConfig::instant(2), move |c| {
-            let ctx = RankCtx::new(c);
-            let mut rng = TensorRng::new(7);
-            let mut model = hyperplane_mlp(8, &mut rng);
-            let mut opt = Sgd::new(0.03);
-            let wl = HyperplaneWorkload {
-                task: Arc::clone(&task),
-                local_batch: 4,
-            };
-            let mut cfg = TrainerConfig::new(SgdVariant::EagerSolo, 1, 1, 0.03);
-            cfg.fusion = GradFusion::PerTensor;
-            let _ = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-        });
     }
 
     #[test]
@@ -776,7 +555,7 @@ mod tests {
                 seed: 9,
             };
             cfg.eval_every = 100;
-            cfg.tuner = Some(TunerSetup::new(|_, _| Box::new(Cycle { idx: 0 })));
+            cfg.tuner = Some(TunerSetup::new(|_, _, _| Box::new(Cycle { idx: 0 })));
             let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
             ctx.finalize();
             log

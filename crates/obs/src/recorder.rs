@@ -228,11 +228,6 @@ impl Recorder {
         }
     }
 
-    /// The clock events are timestamped on (`None` when disabled).
-    pub fn clock(&self) -> Option<&Clock> {
-        self.inner.as_ref().map(|r| &r.clock)
-    }
-
     /// Events recorded over the recorder's lifetime (including ones the
     /// ring has since overwritten).
     pub fn recorded(&self) -> u64 {

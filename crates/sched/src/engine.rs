@@ -43,17 +43,18 @@
 //! in-process and TCP deployments); the discrete-event simulator instead
 //! drives one core per rank from its event loop, feeding it the very same
 //! `register`/`activate`/`on_message` calls — same engine code on every
-//! transport. All timing reads go through a [`Clock`] (wall on the
-//! threaded engine, virtual under the simulator), so per-round latency
-//! telemetry is deterministic whenever time itself is.
+//! transport. All timing reads go through the clock the rank's
+//! [`CommHandle`] carries (wall on the threaded engine, virtual under the
+//! simulator), so per-round latency telemetry is deterministic whenever
+//! time itself is.
 
 use crate::dag::DagState;
 use crate::op::{OpId, OpKind, Schedule, SnapshotTiming, CONTRIB_SLOT};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pcoll_comm::payload::pooled_buffer;
 use pcoll_comm::{
-    Clock, CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint,
-    TypedBuf, WireTag,
+    CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint, TypedBuf,
+    WireTag,
 };
 use pcoll_obs::{EventKind as Ev, LEVEL_SPANS, LEVEL_VERBOSE};
 use std::collections::{HashMap, HashSet};
@@ -270,7 +271,7 @@ impl Engine {
         let join = std::thread::Builder::new()
             .name(format!("pcoll-engine-{rank}"))
             .spawn(move || {
-                let mut p = EngineCore::with_stats(comm, Clock::wall(), st);
+                let mut p = EngineCore::with_stats(comm, st);
                 p.run(cmd_rx, inbox);
             })
             .expect("spawn engine thread");
@@ -359,15 +360,14 @@ struct CollState {
 }
 
 /// The transport-agnostic progress state machine: one per rank, strictly
-/// single-threaded. [`Engine::spawn`] runs one on a dedicated thread over
-/// a wall clock; the discrete-event simulator owns one per simulated rank
-/// and calls [`EngineCore::drain_cmds`] / [`EngineCore::on_envelope`]
-/// from its event loop over a virtual clock. Either way the progress
+/// single-threaded, timed on its communicator's clock. [`Engine::spawn`]
+/// runs one on a dedicated thread; the discrete-event simulator owns one
+/// per simulated rank and calls [`EngineCore::drain_cmds`] /
+/// [`EngineCore::on_envelope`] from its event loop. Either way the progress
 /// semantics — forced joins, snapshot timing, consumable ops, GC — are
 /// this exact code.
 pub struct EngineCore {
     comm: CommHandle,
-    clock: Clock,
     colls: HashMap<CollId, CollState>,
     pre_register: HashMap<CollId, Vec<Message>>,
     stats: Arc<EngineStats>,
@@ -398,18 +398,17 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    /// A fresh core progressing over `clock` and sending through `comm`.
-    pub fn new(comm: CommHandle, clock: Clock) -> EngineCore {
-        EngineCore::with_stats(comm, clock, Arc::new(EngineStats::default()))
+    /// A fresh core sending through `comm` and timing on its clock.
+    pub fn new(comm: CommHandle) -> EngineCore {
+        EngineCore::with_stats(comm, Arc::new(EngineStats::default()))
     }
 
     /// Like [`EngineCore::new`] but sharing an existing stats block (used
     /// by [`Engine::spawn`] so its handle observes the core's counters).
-    pub fn with_stats(comm: CommHandle, clock: Clock, stats: Arc<EngineStats>) -> EngineCore {
+    pub fn with_stats(comm: CommHandle, stats: Arc<EngineStats>) -> EngineCore {
         let comm_stats = comm.comm_stats();
         EngineCore {
             comm,
-            clock,
             colls: HashMap::new(),
             pre_register: HashMap::new(),
             stats,
@@ -579,7 +578,7 @@ impl EngineCore {
             // the receive buffer; its deposit stays for the next round.
             return;
         }
-        let now = self.clock.now();
+        let now = self.comm.clock().now();
         let recorder = self.comm_stats.recorder();
         let cid = u64::from(coll.0);
         recorder.record(LEVEL_SPANS, || Ev::RoundDeposit { coll: cid, round });
@@ -630,7 +629,7 @@ impl EngineCore {
             EngineStats::bump(&self.stats.dropped_late);
             return;
         }
-        let now = self.clock.now();
+        let now = self.comm.clock().now();
         let recorder = self.comm_stats.recorder();
         let mut to_fire = Vec::new();
         let inst = cs.instances.entry(round).or_insert_with(|| {
@@ -684,7 +683,7 @@ impl EngineCore {
                 .comm_stats
                 .recorder()
                 .enabled(LEVEL_SPANS)
-                .then(|| self.clock.now());
+                .then(|| self.comm.clock().now());
             match kind {
                 OpKind::SendData { peer, sem, src } => {
                     // Zero-copy fan-out: cloning the slot's payload is a
@@ -787,7 +786,7 @@ impl EngineCore {
                 OpKind::Nop | OpKind::InternalGate => {}
             }
             if let Some(t0) = op_t0 {
-                let dur_ns = self.clock.now().duration_since(t0).as_nanos() as u64;
+                let dur_ns = self.comm.clock().now().duration_since(t0).as_nanos() as u64;
                 self.comm_stats
                     .recorder()
                     .record(LEVEL_SPANS, || Ev::OpExec {
@@ -819,7 +818,7 @@ impl EngineCore {
             let stats = RoundStats {
                 round,
                 external: inst.external,
-                elapsed: self.clock.now().duration_since(inst.created),
+                elapsed: self.comm.clock().now().duration_since(inst.created),
             };
             self.comm_stats
                 .recorder()
@@ -1242,7 +1241,7 @@ mod tests {
             let sinks: Vec<_> = (0..2).map(|_| Arc::new(Sink::default())).collect();
             let mut cores: Vec<EngineCore> = (0..2)
                 .map(|rank| {
-                    let mut core = EngineCore::new(sim.comm(rank), sim.clock());
+                    let mut core = EngineCore::new(sim.comm(rank));
                     core.register(
                         CollId(1),
                         Box::new(Timed {
@@ -1414,7 +1413,7 @@ mod tests {
         let sinks: Vec<_> = (0..p).map(|_| Arc::new(Sink::default())).collect();
         let mut cores: Vec<EngineCore> = (0..p)
             .map(|me| {
-                let mut core = EngineCore::new(sim.comm(me), sim.clock());
+                let mut core = EngineCore::new(sim.comm(me));
                 let sink = Arc::clone(&sinks[me]);
                 core.register(CollId(1), Box::new(RingAverage { me, p, n, sink }));
                 core
@@ -1480,7 +1479,7 @@ mod tests {
         }
         let sim = pcoll_comm::SimWorld::new(WorldConfig::instant(1), Default::default());
         let sink = Arc::new(Sink::default());
-        let mut core = EngineCore::new(sim.comm(0), sim.clock());
+        let mut core = EngineCore::new(sim.comm(0));
         core.register(CollId(1), Box::new(Nothing(Arc::clone(&sink))));
         core.activate(CollId(1), 0);
         assert_eq!(*sink.results.lock(), [(0, None)]);
@@ -1635,7 +1634,7 @@ mod tests {
         let sinks: Vec<_> = (0..2).map(|_| Arc::new(Sink::default())).collect();
         let mut cores: Vec<EngineCore> = (0..2)
             .map(|rank| {
-                let mut core = EngineCore::new(sim.comm(rank), sim.clock());
+                let mut core = EngineCore::new(sim.comm(rank));
                 core.register(
                     CollId(1),
                     Box::new(PairSum {

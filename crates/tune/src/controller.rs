@@ -2,7 +2,7 @@
 //! climbing, and a UCB1-style bandit. All controllers are deterministic
 //! functions of the reward sequence they are fed, which is what lets every
 //! rank run its own copy and still agree (the rewards come from a
-//! rank-summed stats vector — see `eager_sgd::trainer::QuorumTuner`).
+//! rank-summed stats vector — see `pcoll::QuorumTuner`).
 
 use pcoll::QuorumPolicy;
 

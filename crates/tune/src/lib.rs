@@ -20,13 +20,17 @@
 //!                                   climb / UCB bandit)            ::set_policy_from(round, policy)
 //! ```
 //!
-//! The trainer (`eager_sgd::run_rank`) drives the loop every K rounds:
-//! sum each rank's stats vector with a blocking allreduce, let the
-//! deterministic controller decide from the identical global view, append
-//! the new policy to the collective's round-rules timeline
-//! ([`pcoll::PartialAllreduce::set_policy_from`]), and fence with a barrier so no rank can enter a re-policied round
+//! The loop is [`pcoll::QuorumTuner`]'s protocol, and two runners run it
+//! every K rounds with one tuner per rank on the rank's clock. The trainer
+//! (`eager_sgd::run_rank`, wall time) sums each rank's stats vector with a
+//! blocking allreduce, lets the deterministic controller decide from the
+//! identical global view, appends the new policy to the collective's
+//! round-rules timeline ([`pcoll::PartialAllreduce::set_policy_from`]),
+//! and fences with a barrier so no rank can enter a re-policied round
 //! before every rank has agreed — the same shared-knowledge trick the
-//! majority collective uses for initiator consensus (§4.2).
+//! majority collective uses for initiator consensus (§4.2). The simulator
+//! ([`pcoll::SimHarness`] with a `SimSpec::tuner`, virtual time) runs the
+//! same steps in one event and checks that every rank decided alike.
 //!
 //! The reward being maximized is `fresh_fraction^β × rounds_per_sec`:
 //! statistically-weighted update throughput, measurable online and

@@ -1,13 +1,13 @@
 //! [`AdaptiveTuner`]: the concrete closed-loop controller handed to the
-//! trainer. It owns one skew estimator and one deterministic
-//! [`Controller`], windows the trainer's cumulative counter snapshots,
-//! and implements [`eager_sgd::QuorumTuner`]'s measure → stats → decide
-//! protocol.
+//! trainer and the simulator. It owns one skew estimator and one
+//! deterministic [`Controller`], windows its runner's cumulative counter
+//! snapshots on the rank's clock, and implements [`pcoll::QuorumTuner`]'s
+//! measure → stats → decide protocol.
 
 use crate::controller::{spectrum, Controller, ControllerKind};
 use crate::estimator::{SkewEstimator, SkewSummary};
-use eager_sgd::{NapModel, QuorumDecision, QuorumTuner, TunerSetup};
-use pcoll::{QuorumPolicy, RoundCounters};
+use eager_sgd::NapModel;
+use pcoll::{QuorumDecision, QuorumPolicy, QuorumTuner, RoundCounters, TunerSetup};
 use pcoll_comm::{Clock, CommStatsSnapshot, TimePoint};
 
 /// Stats-vector layout (summed elementwise across ranks; `decide` reads
@@ -20,7 +20,8 @@ const STATS_LEN: usize = 7;
 pub struct AdaptiveTunerCfg {
     /// Decide every this-many training steps.
     ///
-    /// Reward windows are measured in wall time between decisions, so a
+    /// Reward windows are measured on the rank's clock between decisions
+    /// (wall time in training, virtual time in the simulator), so a
     /// window spanning an epoch boundary also absorbs that boundary's
     /// evaluation / weight-sync cost and under-credits whichever arm was
     /// active. Pick a period that divides `steps_per_epoch`, or evaluate
@@ -59,8 +60,7 @@ pub struct AdaptiveTuner {
     p: usize,
     estimator: SkewEstimator,
     controller: Controller,
-    /// Time source for reward windows: wall by default, virtual under the
-    /// simulation backend (keeps window rates deterministic in tests).
+    /// The rank's clock: reward windows are measured on it.
     clock: Clock,
     window_started: TimePoint,
     /// The cumulative counters handed in at the last decision boundary:
@@ -75,7 +75,8 @@ pub struct AdaptiveTuner {
 }
 
 impl AdaptiveTuner {
-    pub fn new(p: usize, cfg: AdaptiveTunerCfg) -> Self {
+    /// A tuner for a world of `p`, timing its windows on `clock`.
+    pub fn new(p: usize, cfg: AdaptiveTunerCfg, clock: Clock) -> Self {
         let (arms, initial_arm) = match (cfg.kind, cfg.initial) {
             // A static controller may pin any policy, on or off the
             // spectrum.
@@ -94,7 +95,6 @@ impl AdaptiveTuner {
                 (arms, idx)
             }
         };
-        let clock = Clock::wall();
         let window_started = clock.now();
         AdaptiveTuner {
             period: cfg.period,
@@ -108,16 +108,6 @@ impl AdaptiveTuner {
             window_comm: CommStatsSnapshot::default(),
             seeded: !matches!(cfg.kind, ControllerKind::Ucb { .. }),
         }
-    }
-
-    /// Rebase reward windows on `clock` (e.g. a virtual clock from the
-    /// simulation backend). Resets the current window's start to the
-    /// clock's now.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.window_started = clock.now();
-        self.clock = clock;
-        self
     }
 
     /// The current skew picture (for diagnostics and benches).
@@ -220,7 +210,7 @@ impl QuorumTuner for AdaptiveTuner {
 
 /// [`TunerSetup`] running the full adaptive loop with `cfg` on every rank.
 pub fn adaptive_setup(cfg: AdaptiveTunerCfg) -> TunerSetup {
-    TunerSetup::new(move |_rank, p| Box::new(AdaptiveTuner::new(p, cfg.clone())))
+    TunerSetup::new(move |_rank, p, clock| Box::new(AdaptiveTuner::new(p, cfg.clone(), clock)))
 }
 
 /// [`TunerSetup`] that pins `policy` forever but still runs the measurement
@@ -239,6 +229,10 @@ pub fn static_setup(policy: QuorumPolicy, period: u64) -> TunerSetup {
 mod tests {
     use super::*;
 
+    fn tuner(p: usize, cfg: AdaptiveTunerCfg) -> AdaptiveTuner {
+        AdaptiveTuner::new(p, cfg, Clock::virtual_clock())
+    }
+
     fn rounds(completions: u64, fresh: u64) -> RoundCounters {
         RoundCounters {
             completions,
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn local_stats_windows_the_cumulative_counters() {
-        let mut t = AdaptiveTuner::new(8, AdaptiveTunerCfg::default());
+        let mut t = tuner(8, AdaptiveTunerCfg::default());
         t.record_step(0, &[0.0, 4.0, 8.0, 12.0]);
         let v = t.local_stats(rounds(2, 1), stalled(1.5));
         assert_eq!(v.len(), STATS_LEN);
@@ -279,7 +273,7 @@ mod tests {
     #[test]
     fn virtual_clock_makes_window_rates_exact() {
         let clock = Clock::virtual_clock();
-        let mut t = AdaptiveTuner::new(4, AdaptiveTunerCfg::default()).with_clock(clock.clone());
+        let mut t = AdaptiveTuner::new(4, AdaptiveTunerCfg::default(), clock.clone());
         clock.advance(std::time::Duration::from_millis(2500));
         let v = t.local_stats(rounds(10, 10), stalled(0.0));
         assert_eq!(v[1], 10.0, "rounds");
@@ -298,7 +292,7 @@ mod tests {
     #[test]
     fn decide_is_deterministic_across_replicas() {
         let mk = || {
-            AdaptiveTuner::new(
+            tuner(
                 8,
                 AdaptiveTunerCfg {
                     kind: ControllerKind::Ucb { explore: 0.7 },
@@ -321,7 +315,7 @@ mod tests {
 
     #[test]
     fn reward_is_freshness_weighted_round_rate() {
-        let mut t = AdaptiveTuner::new(
+        let mut t = tuner(
             4,
             AdaptiveTunerCfg {
                 beta: 0.5,
@@ -339,7 +333,7 @@ mod tests {
     #[test]
     fn static_setup_pins_any_policy() {
         let setup = static_setup(QuorumPolicy::Full, 8);
-        let mut t = setup.build(0, 8);
+        let mut t = setup.build(0, 8, Clock::virtual_clock());
         assert_eq!(t.initial_policy(), Some(QuorumPolicy::Full));
         for i in 0..5 {
             let d = t.decide(i, &[8.0, 8.0, 8.0, 0.0, 1.0, 0.0, 0.0]).unwrap();

@@ -12,7 +12,7 @@
 //! paper's majority default, the controller must converge toward the
 //! theory-optimal quorum size `m` within a bounded number of rounds.
 
-use eager_sgd_repro::comm::CommStatsSnapshot;
+use eager_sgd_repro::comm::{Clock, CommStatsSnapshot};
 use eager_sgd_repro::core::QuorumDecision;
 use eager_sgd_repro::obs::EventKind;
 use eager_sgd_repro::prelude::*;
@@ -67,7 +67,7 @@ fn drive(kind: ControllerKind, decisions: usize, inj: &Injector) -> Vec<QuorumPo
         kind,
         ..AdaptiveTunerCfg::default()
     });
-    let mut tuner = setup.build(0, P);
+    let mut tuner = setup.build(0, P, Clock::virtual_clock());
     let mut policy = tuner.initial_policy().expect("adaptive tuner sets a start");
     let mut chosen = Vec::new();
     let mut step = 0u64;
@@ -260,9 +260,9 @@ fn pinned_full_run() -> Vec<(TrainLog, Vec<Vec<f32>>, Vec<u64>)> {
         let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 2, 8, 0.02);
         cfg.eval_every = 1000;
         let spied = Arc::clone(&seen);
-        cfg.tuner = Some(TunerSetup::new(move |rank, p| {
+        cfg.tuner = Some(TunerSetup::new(move |rank, p, clock| {
             Box::new(Spy {
-                inner: static_setup(QuorumPolicy::Full, 4).build(rank, p),
+                inner: static_setup(QuorumPolicy::Full, 4).build(rank, p, clock),
                 seen: Arc::clone(&spied),
             })
         }));

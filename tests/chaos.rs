@@ -250,7 +250,8 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
             // missed the eviction. Install the survivors' segment
             // history, signal readiness, and enter the admission fence.
             let blob = rz.get("admit-state");
-            ar.import_state(serde_json::from_str(&blob).expect("admit-state parses"));
+            (ar.import_state(serde_json::from_str(&blob).expect("admit-state parses")))
+                .expect("survivors ship well-formed segments");
             rz.put("joiner-ready", "true");
             let fence = ctx.admit(&mut ar, &[RJ_VICTIM]);
             assert!(fence >= RJ_PRE, "admission fence {fence} precedes eviction");

@@ -57,35 +57,3 @@ fn cnn_trains_with_eager_majority() {
     let (acc, _) = train_cnn(SgdVariant::EagerMajority);
     assert!(acc > 0.6, "CNN under eager-SGD should learn blobs: {acc}");
 }
-
-#[test]
-fn cnn_per_tensor_fusion_works() {
-    // The per-tensor reducer must handle the CNN's heterogeneous tensor
-    // sizes (conv kernels, biases, dense head).
-    const P: usize = 2;
-    let task = Arc::new(datagen::SpatialBlobTask::new(8, 2, 0.4, 64, 6));
-    let logs = World::launch(WorldConfig::instant(P), move |c| {
-        let ctx = RankCtx::new(c);
-        let mut rng = TensorRng::new(11);
-        let shape = ImgShape {
-            channels: 1,
-            height: 8,
-            width: 8,
-        };
-        let mut model = resnet_cnn(shape, 4, 1, 2, &mut rng);
-        let mut opt = Sgd::new(0.05);
-        let wl = SpatialWorkload {
-            task: Arc::clone(&task),
-            local_batch: 8,
-        };
-        let mut cfg = TrainerConfig::new(SgdVariant::SynchDeep500, 2, 6, 0.05);
-        cfg.fusion = eager_sgd_repro::core::GradFusion::PerTensor;
-        cfg.eval_every = 2;
-        let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-        ctx.finalize();
-        log
-    });
-    let first = logs[0].epochs[0].mean_loss;
-    let last = logs[0].epochs.last().unwrap().mean_loss;
-    assert!(last < first, "loss should drop: {first} → {last}");
-}

@@ -9,6 +9,8 @@
 //!    jittery byte-latency curve, self-paced closed-loop pacing, and
 //!    rotating `Hiccup` stragglers — because that is where hidden
 //!    wall-clock or hash-order nondeterminism would leak in first.
+//!    The simulator's closed loop is the trainer's `QuorumTuner` on the
+//!    virtual clock, so its decisions replay exactly too.
 //! 2. **Conformance**: the virtual-time stack (P `EngineCore`s driven by
 //!    one event heap) computes the same collective results as the
 //!    in-process backend (P real threads), because it runs the *same*
@@ -18,8 +20,9 @@
 //! in-process and TCP backends to each other the same way.
 
 use eager_sgd_repro::prelude::{
-    DType, Hiccup, NetworkModel, Pacing, PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp,
-    SimHarness, SimOpts, SimReport, SimSpec, TypedBuf, World, WorldConfig,
+    adaptive_setup, AdaptiveTunerCfg, ControllerKind, DType, Hiccup, NetworkModel, Pacing,
+    PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, SimHarness, SimOpts, SimReport, SimSpec,
+    TypedBuf, World, WorldConfig,
 };
 use std::time::Duration;
 
@@ -46,6 +49,7 @@ fn wan_spec(p: usize, rounds: u64, seed: u64, policy: QuorumPolicy) -> SimSpec {
             },
         },
         partial: PartialOpts::default(),
+        tuner: None,
     }
 }
 
@@ -76,6 +80,64 @@ fn same_seed_is_bit_identical_at_p64() {
     let c = run(43);
     assert_ne!(a.digest(), c.digest(), "seed must influence the execution");
     assert_ne!(a.call_latency, c.call_latency, "seed must reach the jitter");
+}
+
+/// `sim_scale`'s closed loop (`repro_bench::wan::tune_spec`): the stateful
+/// WAN spec with 20 ms of static skew per region and rotating 300 ms
+/// stragglers, every rank running the hill-climb `AdaptiveTuner` from
+/// `Full`, deciding every 8 rounds on the virtual clock.
+fn tuned_run(seed: u64) -> SimReport {
+    const P: usize = 64;
+    let mut spec = wan_spec(P, 40, seed, QuorumPolicy::Full);
+    let planet = Planet::wan();
+    spec.pacing = Pacing::SelfPaced {
+        compute: (0..P)
+            .map(|r| {
+                let region = planet.rank_region(r, P).0 as u32;
+                Duration::from_millis(5 + 20 * u64::from(region))
+                    + Duration::from_micros(37) * r as u32
+            })
+            .collect(),
+        hiccup: Hiccup {
+            k: 8,
+            extra: Duration::from_millis(300),
+        },
+    };
+    spec.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
+        period: 8,
+        beta: 0.5,
+        kind: ControllerKind::HillClimb,
+        initial: Some(QuorumPolicy::Full),
+        ..AdaptiveTunerCfg::default()
+    }));
+    SimHarness::run(spec)
+}
+
+/// Same seed ⇒ the simulated tuners make the same decisions, down to the
+/// reward's bits, and the run digests alike; another seed decides
+/// differently (the agreement across ranks within a run is the harness's
+/// own invariant — it panics on a split decision).
+#[test]
+fn sim_tuner_decisions_replay_bit_identically() {
+    let bits = |r: &SimReport| -> Vec<(u64, QuorumPolicy, u64)> {
+        (r.decisions.iter())
+            .map(|(from, d)| (*from, d.policy, d.reward.to_bits()))
+            .collect()
+    };
+    let (a, b) = (tuned_run(42), tuned_run(42));
+    assert_eq!(a.decisions.len(), 4, "boundaries at rounds 8, 16, 24, 32");
+    assert_eq!(bits(&a), bits(&b), "same seed must decide identically");
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "same seed must replay bit-identically"
+    );
+    assert!(!a.switches.is_empty(), "the hill climb leaves Full");
+    assert_ne!(
+        bits(&a),
+        bits(&tuned_run(43)),
+        "seed must reach the decisions"
+    );
 }
 
 /// Under `QuorumPolicy::Full` every deposit is provably fresh, so the
