@@ -173,7 +173,7 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     // Decision i closes the window [i·period, (i+1)·period), which ran
     // under the previous decision's policy.
     let mut final_policy = QuorumPolicy::Full;
-    for (i, (_, d)) in report.decisions.iter().enumerate() {
+    for (i, (_, _, d)) in report.decisions.iter().enumerate() {
         let (from, policy) = (i as u64 * TUNE_PERIOD, final_policy.to_string());
         comment(&format!(
             "window [{from:>3}, {:>3}) {policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {:>7.2}",
@@ -205,7 +205,7 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
             report.switches.len()
         ),
     );
-    let rewards: Vec<f64> = report.decisions.iter().map(|(_, d)| d.reward).collect();
+    let rewards: Vec<f64> = report.decisions.iter().map(|(_, _, d)| d.reward).collect();
     let first = rewards.first().copied().unwrap_or(0.0);
     let last = rewards.last().copied().unwrap_or(0.0);
     c.check(

@@ -2,7 +2,7 @@
 //! runs it for determinism and closed-loop control, `trace_dump` runs the
 //! same closed loop with the flight recorder on.
 
-use pcoll::{Hiccup, Pacing, QuorumPolicy, SimSpec};
+use pcoll::{Hiccup, Pacing, QuorumPolicy, SimSpec, StepSetup};
 use pcoll_comm::{NetworkModel, Planet, SimOpts, WorldConfig};
 use pcoll_tune::{adaptive_setup, AdaptiveTunerCfg, ControllerKind};
 use std::time::Duration;
@@ -40,7 +40,7 @@ pub fn wan_spec(
         policy,
         rounds,
         len: 8,
-        pacing: Pacing::SelfPaced { compute, hiccup },
+        pacing: Pacing::SelfPaced(StepSetup::fixed(compute, hiccup)),
         partial: Default::default(),
         tuner: None,
     }

@@ -52,6 +52,6 @@ pub use partial::{
     RoundLog, RoundObserver, RoundRules, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
-pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec};
+pub use sim::{Hiccup, Outcome, Pacing, RankStep, SimHarness, SimReport, SimSpec, StepSetup};
 pub use sync::{SyncBarrier, SyncBcast, SyncReduce};
-pub use tuner::{QuorumDecision, QuorumTuner, TunerSetup};
+pub use tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};

@@ -14,11 +14,10 @@
 //! schedules without communicating.
 
 use pcoll_comm::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which data-phase algorithm a partial allreduce round runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
     /// Whole-tensor recursive doubling (the paper's implementation
     /// shape): latency-optimal, the small-message regime.
@@ -55,7 +54,7 @@ impl fmt::Display for AllreduceAlgo {
 /// let pinned = AlgoSelector::pinned(AllreduceAlgo::SegmentedRing);
 /// assert_eq!(pinned.choose(1, 2), AllreduceAlgo::SegmentedRing);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgoSelector {
     /// Explicit override: `Some(algo)` pins every round to `algo`
     /// regardless of size (the bench/ablation knob). `None` = adaptive.
@@ -187,13 +186,5 @@ mod tests {
             ..AlgoSelector::default()
         };
         assert_eq!(tiny.segment_elems(DType::F64), 1, "never zero");
-    }
-
-    #[test]
-    fn selector_serializes() {
-        let s = AlgoSelector::segmented(64 << 10);
-        let j = serde_json::to_string(&s).unwrap();
-        let back: AlgoSelector = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, s);
     }
 }

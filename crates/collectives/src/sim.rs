@@ -21,10 +21,12 @@
 //!   `usleep`, a `step` longer than the largest offset plus the
 //!   collective is the aligning barrier, and
 //!   [`SimReport::call_latency`] is `latency[pid]`.
-//! - [`Pacing::SelfPaced`] — closed-loop eager SGD: a rank deposits,
-//!   waits (in virtual time) for its round's latest-wins outcome, then
-//!   computes for `compute[r]` before the next deposit — the actual
+//! - [`Pacing::SelfPaced`] — closed-loop eager SGD: a rank's [`RankStep`]
+//!   deposits, waits (in virtual time) for its round's latest-wins
+//!   outcome, then computes for its delay before the next deposit — the
 //!   trainer loop, where slow ranks get dragged along by forced joins.
+//!   [`StepSetup::fixed`] is the model-free step; `eager_sgd::run_sim`
+//!   runs the trainer's.
 //!
 //! With [`SimSpec::tuner`] set, every rank runs the trainer's
 //! [`QuorumTuner`] protocol on the virtual clock. Every `period()` rounds
@@ -32,10 +34,14 @@
 //! rank decides, the decisions must agree, and the policy is applied on
 //! every timeline at one safe round (one virtual event, `from_round =
 //! max` over ranks of the next round) — the simulator's version of the
-//! trainer's decide→fence consensus protocol.
+//! trainer's decide→fence consensus protocol. The trainer's weight sync
+//! is one virtual event too: see [`RankStep::outcome`].
 
-use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy, RoundEvent, RoundLog};
-use crate::tuner::{QuorumDecision, QuorumTuner, TunerSetup};
+use crate::partial::{
+    AllreduceOutcome, PartialAllreduce, PartialOpts, QuorumPolicy, RoundCounters, RoundEvent,
+    RoundLog,
+};
+use crate::tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};
 use pcoll_comm::{
     DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf,
     WorldConfig,
@@ -57,15 +63,76 @@ pub enum Pacing {
         /// Per-rank arrival offset within each period (the workload skew).
         offsets: Vec<Duration>,
     },
-    /// Closed-loop: rank `r` deposits, waits for its round's outcome,
-    /// then computes for `compute[r]` (plus any [`Hiccup`] hitting it
-    /// that round) before depositing again.
-    SelfPaced {
-        /// Per-rank compute time between outcome and next deposit.
-        compute: Vec<Duration>,
-        /// Rotating dynamic imbalance on top of the static skew.
-        hiccup: Hiccup,
-    },
+    /// Closed-loop: each rank runs the [`RankStep`] this factory builds for
+    /// it — deposit, wait for the round's outcome, compute for the step's
+    /// delay, deposit again.
+    SelfPaced(StepSetup),
+}
+
+/// One simulated rank's training step, driven by the harness on the
+/// virtual clock (the threaded trainer blocks where this returns).
+pub trait RankStep: Send {
+    /// How long `rank` computes before depositing `round` (its open-loop
+    /// offset under [`Pacing::Global`]). A pure function, so a rank can
+    /// evaluate every rank's: its tuner's `record_step` offsets, in ms.
+    fn delay(&self, rank: Rank, round: u64) -> Duration;
+
+    /// Write this rank's contribution to `round` into the send buffer, at
+    /// the deposit instant ([`PartialAllreduce::deposit_fill`]).
+    fn fill(&mut self, round: u64, send: &mut TypedBuf);
+
+    /// What the rank's wait ended on. `Some(buffer)` parks it at a fence
+    /// (an empty buffer: a bare barrier). Once every live rank has parked,
+    /// the harness averages their buffers in rank order and releases each
+    /// with [`Outcome::Fence`] at that instant — the stand-in for the
+    /// trainer's blocking weight sync. `None`: compute, then deposit.
+    fn outcome(&mut self, outcome: Outcome<'_>) -> Option<TypedBuf>;
+}
+
+/// What a closed-loop rank's wait ended on (see [`RankStep::outcome`]).
+pub enum Outcome<'a> {
+    /// The latest-wins outcome of the round the rank deposited.
+    Round(&'a AllreduceOutcome),
+    /// The fence the rank parked at opened, with the parked buffers' average.
+    Fence(&'a TypedBuf),
+}
+
+/// The per-rank [`RankStep`] factory, [`Pacing::SelfPaced`]'s payload.
+pub type StepSetup = Setup<dyn RankStep>;
+
+impl StepSetup {
+    /// The model-free step: rank `r` computes for `compute[r]`, plus the
+    /// hiccup's extra on the rounds it hits, and deposits all-ones. It
+    /// also paces [`Pacing::Global`], with the offsets as `compute`.
+    pub fn fixed(compute: Vec<Duration>, hiccup: Hiccup) -> Self {
+        let fixed = Arc::new(Fixed { compute, hiccup });
+        StepSetup::new(move |_, p, _| {
+            assert_eq!(fixed.compute.len(), p, "one compute time per rank");
+            assert!(fixed.hiccup.k <= p, "hiccup cannot stall more than P ranks");
+            Box::new(Arc::clone(&fixed))
+        })
+    }
+}
+
+/// [`StepSetup::fixed`]'s step, shared by every rank.
+struct Fixed {
+    compute: Vec<Duration>,
+    hiccup: Hiccup,
+}
+
+impl RankStep for Arc<Fixed> {
+    fn delay(&self, rank: Rank, round: u64) -> Duration {
+        let hit = self.hiccup.hits(rank, round, self.compute.len());
+        self.compute[rank] + self.hiccup.extra * u32::from(hit)
+    }
+
+    fn fill(&mut self, _: u64, send: &mut TypedBuf) {
+        send.as_f32_mut().expect("f32 contribution").fill(1.0);
+    }
+
+    fn outcome(&mut self, _: Outcome<'_>) -> Option<TypedBuf> {
+        None
+    }
 }
 
 /// Rotating per-round compute hiccup — the dynamic-imbalance workload of
@@ -158,9 +225,10 @@ pub struct SimReport {
     pub mean_nap: f64,
     /// Policy changes the tuner applied, as `(from_round, to)`.
     pub switches: Vec<(u64, QuorumPolicy)>,
-    /// Every tuner boundary's agreed decision, as `(from_round,
-    /// decision)` — empty without [`SimSpec::tuner`].
-    pub decisions: Vec<(u64, QuorumDecision)>,
+    /// Every tuner boundary's agreed decision, as `(step, from_round,
+    /// decision)`: the last round of the window it closes, the first round
+    /// it governs. Empty without [`SimSpec::tuner`].
+    pub decisions: Vec<(u64, u64, QuorumDecision)>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
     /// that fence)` — empty unless the spec scripts [`Fault::Kill`]s.
     pub evictions: Vec<(u64, Vec<Rank>)>,
@@ -180,6 +248,8 @@ pub struct SimReport {
     /// when it rejoined, or an open-loop `step` was shorter than the
     /// collective. Not part of [`SimReport::digest`].
     pub call_latency: Vec<Vec<Option<Duration>>>,
+    /// Each rank's cumulative [`PartialAllreduce::counters`] at the end.
+    pub counters: Vec<RoundCounters>,
 }
 
 impl SimReport {
@@ -221,6 +291,8 @@ struct SimRank {
     waiting: Option<u64>,
     /// When `waiting`'s deposit happened.
     deposited_at: TimePoint,
+    /// The buffer a closed-loop rank parked at a fence with.
+    parked: Option<TypedBuf>,
     /// Head of the latest outcome seen.
     last_result: f32,
     /// See [`SimReport::call_latency`].
@@ -235,9 +307,10 @@ pub struct SimHarness {
     ranks: Vec<SimRank>,
     /// One tuner per rank, or none (see [`SimSpec::tuner`]).
     tuners: Vec<Box<dyn QuorumTuner>>,
-    contrib: TypedBuf,
+    /// One step per rank.
+    steps: Vec<Box<dyn RankStep>>,
     switches: Vec<(u64, QuorumPolicy)>,
-    decisions: Vec<(u64, QuorumDecision)>,
+    decisions: Vec<(u64, u64, QuorumDecision)>,
     /// The policy in force (changed only by the tuner).
     policy: QuorumPolicy,
     /// The last tuner boundary, in rounds.
@@ -257,15 +330,6 @@ impl SimHarness {
     /// Build the world and register one partial allreduce per rank.
     pub fn new(spec: SimSpec) -> SimHarness {
         let p = spec.world.nranks;
-        match &spec.pacing {
-            Pacing::Global { offsets, .. } => {
-                assert_eq!(offsets.len(), p, "one offset per rank");
-            }
-            Pacing::SelfPaced { compute, hiccup } => {
-                assert_eq!(compute.len(), p, "one compute time per rank");
-                assert!(hiccup.k <= p, "hiccup cannot stall more than P ranks");
-            }
-        }
         assert!(
             spec.partial.observer.is_none(),
             "the harness wires its own observer"
@@ -273,13 +337,22 @@ impl SimHarness {
         let seed = spec.world.seed;
         let mut sim = SimWorld::new(spec.world.clone(), spec.opts.clone());
         let mut ranks = Vec::with_capacity(p);
+        let clock = |rank| sim.comm(rank).clock().clone();
         let tuners: Vec<Box<dyn QuorumTuner>> = (spec.tuner.iter())
-            .flat_map(|t| (0..p).map(|rank| t.build(rank, p, sim.comm(rank).clock().clone())))
+            .flat_map(|t| (0..p).map(|rank| t.build(rank, p, clock(rank))))
             .collect();
         // One setup builds every rank's tuner: all start alike.
         let policy = (tuners.first())
             .and_then(|t| t.initial_policy())
             .unwrap_or(spec.policy);
+        // Open-loop offsets are the model-free step's delays.
+        let setup = match &spec.pacing {
+            Pacing::Global { offsets, .. } => StepSetup::fixed(offsets.clone(), Hiccup::default()),
+            Pacing::SelfPaced(setup) => setup.clone(),
+        };
+        let steps: Vec<Box<dyn RankStep>> = (0..p)
+            .map(|rank| setup.build(rank, p, clock(rank)))
+            .collect();
         for rank in 0..p {
             let queue = CmdQueue::new();
             let mut core = EngineCore::new(sim.comm(rank));
@@ -310,6 +383,7 @@ impl SimHarness {
                 deposited: 0,
                 waiting: None,
                 deposited_at: TimePoint::ZERO,
+                parked: None,
                 last_result: 0.0,
                 call_latency: vec![None; spec.rounds as usize],
             });
@@ -325,7 +399,7 @@ impl SimHarness {
             sim,
             ranks,
             tuners,
-            contrib: TypedBuf::from(vec![1.0f32; 1]),
+            steps,
             switches: Vec::new(),
             decisions: Vec::new(),
             policy,
@@ -379,7 +453,6 @@ impl SimHarness {
     /// survives the run, so the flight-recorder stream is still
     /// drainable afterwards ([`SimHarness::trace_events`]).
     pub fn execute(&mut self) -> SimReport {
-        self.contrib = TypedBuf::from(vec![1.0f32; self.spec.len]);
         for rank in 0..self.ranks.len() {
             self.schedule_deposit(rank, 0);
         }
@@ -419,10 +492,11 @@ impl SimHarness {
                 r.deposited, self.spec.rounds,
             );
             assert!(
-                r.waiting.is_none(),
-                "rank {rank} still waits on round {:?} with the event \
-                 schedule empty — the virtual world deadlocked",
+                r.waiting.is_none() && r.parked.is_none(),
+                "rank {rank} still waits on round {:?} (parked: {}) with the \
+                 event schedule empty — the virtual world deadlocked",
                 r.waiting,
+                r.parked.is_some(),
             );
         }
 
@@ -453,6 +527,7 @@ impl SimHarness {
             call_latency: (self.ranks.iter_mut())
                 .map(|r| std::mem::take(&mut r.call_latency))
                 .collect(),
+            counters: self.ranks.iter().map(|r| r.ar.counters()).collect(),
         }
     }
 
@@ -494,6 +569,8 @@ impl SimHarness {
             }
         }
         self.evictions.push((fence, newly));
+        // A fence the dead were holding up opens without them.
+        self.maybe_release();
     }
 
     /// Reverse an eviction for `joiner` at an admission fence no rank has
@@ -506,11 +583,12 @@ impl SimHarness {
     /// ran over the shrunken world) and its deposit timer is re-seeded so
     /// its first post-rejoin contribution is exactly round `fence`.
     fn apply_rejoin(&mut self, joiner: usize) {
+        self.ranks[joiner].waiting = None;
+        self.ranks[joiner].parked = None;
         if !self.evicted[joiner] {
             // Back before anyone evicted it: nothing to reverse — just
             // resume its deposit schedule where it stopped.
             let round = self.ranks[joiner].deposited;
-            self.ranks[joiner].waiting = None;
             self.schedule_deposit(joiner, round);
             return;
         }
@@ -518,7 +596,6 @@ impl SimHarness {
         let joiners = vec![joiner];
         self.ranks[joiner].ar.fast_forward_to(fence);
         self.ranks[joiner].deposited = fence.min(self.spec.rounds);
-        self.ranks[joiner].waiting = None;
         for r in &self.ranks {
             r.ar.admit_from(fence, &joiners);
         }
@@ -529,30 +606,18 @@ impl SimHarness {
 
     /// Schedule `rank`'s deposit of `round` (the timer's token), if the
     /// run has that round: at the round's slot under open-loop pacing
-    /// (the sim clamps a slot already in the past to "now"), one compute
-    /// phase from now under closed-loop pacing.
+    /// (the sim clamps a slot already in the past to "now"), one step
+    /// delay from now under closed-loop pacing.
     fn schedule_deposit(&mut self, rank: usize, round: u64) {
         if round >= self.spec.rounds {
             return;
         }
         let start = match &self.spec.pacing {
             Pacing::Global { step, .. } => TimePoint::ZERO + *step * (round as u32),
-            Pacing::SelfPaced { .. } => self.sim.now(),
+            Pacing::SelfPaced(_) => self.sim.now(),
         };
-        self.sim
-            .schedule_timer(start + self.offset(rank, round), rank, round);
-    }
-
-    /// `rank`'s arrival offset in `round`: its open-loop offset, or its
-    /// compute plus the hiccup's extra when the hiccup hits it.
-    fn offset(&self, rank: usize, round: u64) -> Duration {
-        match &self.spec.pacing {
-            Pacing::Global { offsets, .. } => offsets[rank],
-            Pacing::SelfPaced { compute, hiccup } if hiccup.hits(rank, round, self.ranks.len()) => {
-                compute[rank] + hiccup.extra
-            }
-            Pacing::SelfPaced { compute, .. } => compute[rank],
-        }
+        let at = start + self.steps[rank].delay(rank, round);
+        self.sim.schedule_timer(at, rank, round);
     }
 
     /// Deposit `round` on `rank` and schedule what follows. A tuned rank
@@ -561,13 +626,14 @@ impl SimHarness {
     fn deposit(&mut self, rank: usize, round: u64) {
         if !self.tuners.is_empty() {
             let offsets: Vec<f64> = (0..self.ranks.len())
-                .map(|r| self.offset(r, round).as_secs_f64() * 1e3)
+                .map(|r| self.steps[rank].delay(r, round).as_secs_f64() * 1e3)
                 .collect();
             self.tuners[rank].record_step(round, &offsets);
         }
         let r = &mut self.ranks[rank];
         debug_assert_eq!(round, r.deposited, "timers fire in round order");
-        let got = r.ar.deposit(&self.contrib);
+        let step = &mut self.steps[rank];
+        let got = r.ar.deposit_fill(|send| step.fill(round, send));
         debug_assert_eq!(got, round);
         r.deposited = round + 1;
         r.core.drain_cmds(&r.queue);
@@ -584,7 +650,7 @@ impl SimHarness {
     }
 
     /// If the outcome `rank` awaits is available, record it and the call's
-    /// latency; a self-paced rank then starts its next compute phase.
+    /// latency; a self-paced rank then hands it to its step.
     fn poll_outcome(&mut self, rank: usize) {
         let r = &mut self.ranks[rank];
         let Some(round) = r.waiting else {
@@ -596,9 +662,41 @@ impl SimHarness {
         r.waiting = None;
         r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
         r.call_latency[round as usize] = Some(self.sim.now().duration_since(r.deposited_at));
-        if matches!(self.spec.pacing, Pacing::SelfPaced { .. }) {
-            let next = r.deposited;
-            self.schedule_deposit(rank, next);
+        if matches!(self.spec.pacing, Pacing::SelfPaced(_)) {
+            let park = self.steps[rank].outcome(Outcome::Round(&out));
+            self.resume(rank, park);
+        }
+    }
+
+    /// A self-paced rank's next move after an outcome: park with the
+    /// buffer its step returned, or compute toward its next deposit.
+    fn resume(&mut self, rank: usize, park: Option<TypedBuf>) {
+        if park.is_some() {
+            self.ranks[rank].parked = park;
+            return self.maybe_release();
+        }
+        let next = self.ranks[rank].deposited;
+        self.schedule_deposit(rank, next);
+    }
+
+    /// Once every live rank is parked, open the fence: average the parked
+    /// buffers in rank order, release every rank with it at this instant.
+    fn maybe_release(&mut self) {
+        let live = self.sim.live_ranks();
+        if live.iter().any(|&r| self.ranks[r].parked.is_none()) {
+            return;
+        }
+        let mut parked = (live.iter()).filter_map(|&r| self.ranks[r].parked.take());
+        let Some(mut avg) = parked.next() else {
+            return;
+        };
+        for buf in parked {
+            avg.combine(&buf, ReduceOp::Sum).expect("same shapes");
+        }
+        avg.scale(1.0 / live.len() as f64);
+        for &r in &live {
+            let park = self.steps[r].outcome(Outcome::Fence(&avg));
+            self.resume(r, park);
         }
     }
 
@@ -654,7 +752,7 @@ impl SimHarness {
             self.switches.push((from, d.policy));
             self.policy = d.policy;
         }
-        self.decisions.push((from, d));
+        self.decisions.push((boundary - 1, from, d));
     }
 }
 
@@ -735,12 +833,8 @@ mod tests {
         let p = 4;
         let mut spec =
             SimSpec::linear_skew(p, 12, Duration::from_millis(1), QuorumPolicy::Majority);
-        spec.pacing = Pacing::SelfPaced {
-            compute: (0..p)
-                .map(|r| Duration::from_millis(3 + r as u64))
-                .collect(),
-            hiccup: Hiccup::default(),
-        };
+        let compute = (0..p).map(|r| Duration::from_millis(3 + r as u64));
+        spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute.collect(), Hiccup::default()));
         let rep = SimHarness::run(spec);
         assert_eq!(rep.traces.len(), p);
         assert!(rep.mean_nap >= 1.0);
@@ -777,13 +871,12 @@ mod tests {
         let p = 4;
         let run = |policy| {
             let mut spec = SimSpec::linear_skew(p, 16, Duration::from_millis(1), policy);
-            spec.pacing = Pacing::SelfPaced {
-                compute: vec![Duration::from_millis(2); p],
-                hiccup: Hiccup {
-                    k: 1,
-                    extra: Duration::from_millis(40),
-                },
+            let hiccup = Hiccup {
+                k: 1,
+                extra: Duration::from_millis(40),
             };
+            let compute = vec![Duration::from_millis(2); p];
+            spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute, hiccup));
             SimHarness::run(spec)
         };
         let solo = run(QuorumPolicy::Solo);
@@ -884,10 +977,8 @@ mod tests {
         let p = 4;
         let mut spec =
             SimSpec::linear_skew(p, 12, Duration::from_millis(1), QuorumPolicy::Majority);
-        spec.pacing = Pacing::SelfPaced {
-            compute: vec![Duration::from_millis(3); p],
-            hiccup: Hiccup::default(),
-        };
+        let compute = vec![Duration::from_millis(3); p];
+        spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute, Hiccup::default()));
         spec.opts.faults = FaultPlan::none().with(Fault::Kill {
             rank: 2,
             at: TimePoint::ZERO + Duration::from_millis(20),

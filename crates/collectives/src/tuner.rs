@@ -94,31 +94,40 @@ pub trait QuorumTuner: Send {
     fn decide(&mut self, from_round: u64, summed: &[f32]) -> Option<QuorumDecision>;
 }
 
-/// Cloneable per-rank [`QuorumTuner`] factory: called once per rank with
-/// (rank, world size, the rank's clock) when its runner starts, so every
-/// rank owns its tuner (telemetry is rank-local; only the decision inputs
-/// are globally reduced) and times its windows on the clock the rest of
-/// the rank reads.
-#[derive(Clone)]
-pub struct TunerSetup(Arc<dyn Fn(usize, usize, Clock) -> Box<dyn QuorumTuner> + Send + Sync>);
+/// Cloneable per-rank factory of a rank's plug-in — its [`QuorumTuner`]
+/// ([`TunerSetup`]) or the simulator's [`crate::RankStep`]
+/// ([`crate::StepSetup`]): called once per rank with (rank, world size, the
+/// rank's clock) when its runner starts, so every rank owns its instance
+/// and times it on the clock the rest of the rank reads.
+pub struct Setup<T: ?Sized>(Arc<dyn Fn(usize, usize, Clock) -> Box<T> + Send + Sync>);
 
-impl TunerSetup {
+/// The per-rank [`QuorumTuner`] factory (telemetry is rank-local; only the
+/// decision inputs are globally reduced).
+pub type TunerSetup = Setup<dyn QuorumTuner>;
+
+impl<T: ?Sized> Setup<T> {
     /// Wrap a factory.
     pub fn new<F>(f: F) -> Self
     where
-        F: Fn(usize, usize, Clock) -> Box<dyn QuorumTuner> + Send + Sync + 'static,
+        F: Fn(usize, usize, Clock) -> Box<T> + Send + Sync + 'static,
     {
-        TunerSetup(Arc::new(f))
+        Setup(Arc::new(f))
     }
 
-    /// Build the tuner for `rank` of `p`, timing on `clock`.
-    pub fn build(&self, rank: usize, p: usize, clock: Clock) -> Box<dyn QuorumTuner> {
+    /// Build the instance for `rank` of `p`, timing on `clock`.
+    pub fn build(&self, rank: usize, p: usize, clock: Clock) -> Box<T> {
         (self.0)(rank, p, clock)
     }
 }
 
-impl fmt::Debug for TunerSetup {
+impl<T: ?Sized> Clone for Setup<T> {
+    fn clone(&self) -> Self {
+        Setup(Arc::clone(&self.0))
+    }
+}
+
+impl<T: ?Sized> fmt::Debug for Setup<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TunerSetup(..)")
+        f.write_str("Setup(..)")
     }
 }

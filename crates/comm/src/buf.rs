@@ -7,11 +7,10 @@
 //! crate's one kernel module (`kernel.rs`).
 
 use crate::kernel::{self, with_elem, Elem, Src};
-use serde::{Deserialize, Serialize};
 
 /// Element type of a [`TypedBuf`], mirroring the MPI basic types the paper's
 /// schedule operations are defined over (a practical subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit IEEE float (the gradient hot path).
     F32,
@@ -36,7 +35,7 @@ impl DType {
 
 /// Reduction operator for [`TypedBuf::combine`]; the same set MPI predefines
 /// for arithmetic reductions (the subset used by the paper's collectives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     /// Elementwise addition.
     Sum,
@@ -88,7 +87,7 @@ impl std::error::Error for BufError {}
 /// payloads, receive slots, and reduction operands. Moving a `TypedBuf` is
 /// cheap (a `Vec` move), which is what makes "receive straight into the
 /// instance arena" zero-copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TypedBuf {
     /// `f32` elements.
     F32(Vec<f32>),

@@ -438,18 +438,6 @@ impl From<TypedBuf> for Payload {
     }
 }
 
-impl serde::Serialize for Payload {
-    fn to_value(&self) -> serde::json::Value {
-        self.to_buf().to_value()
-    }
-}
-
-impl serde::Deserialize for Payload {
-    fn from_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        TypedBuf::from_value(v).map(Payload::new)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,6 @@
 //! and how the benches bracket a loop.
 
 use pcoll_obs::Recorder;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic queue-pressure counters (lock-free; hot-path updates are
@@ -111,7 +110,7 @@ impl CommStats {
 
 /// A point-in-time copy of [`CommStats`], serializable for telemetry and
 /// bench artifacts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStatsSnapshot {
     /// Messages handed to a send route.
     pub sends: u64,
@@ -231,13 +230,5 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.recvs, 2);
         assert_eq!(snap.bytes_received, 192);
-    }
-
-    #[test]
-    fn snapshots_serialize_to_json() {
-        let snap = CommStats::default().snapshot();
-        let s = serde_json::to_string(&snap).unwrap();
-        let back: CommStatsSnapshot = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, snap);
     }
 }

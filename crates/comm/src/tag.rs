@@ -1,7 +1,6 @@
 //! Message addressing: ranks, collective ids, wire tags.
 
 use crate::payload::Payload;
-use serde::{Deserialize, Serialize};
 
 /// A process index in `0..P`, identical in spirit to an MPI rank.
 pub type Rank = usize;
@@ -10,7 +9,7 @@ pub type Rank = usize;
 /// collective call-site — e.g. "the gradient allreduce" or "the model-sync
 /// allreduce" — gets one `CollId`; successive executions are distinguished
 /// by the round number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CollId(pub u32);
 
 /// The full matching key carried by every message.
@@ -19,7 +18,7 @@ pub struct CollId(pub u32);
 /// "activation hop at tree level k" vs "data exchange at level k"). A
 /// receive operation matches a message when `(src, coll, round, sem)` all
 /// agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireTag {
     /// The persistent collective this message belongs to.
     pub coll: CollId,

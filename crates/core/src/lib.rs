@@ -17,7 +17,9 @@
 //! Components:
 //! - [`trainer`]: the distributed trainer, generic over model/optimizer/
 //!   workload, with all five SGD variants (Deep500-style and
-//!   Horovod-style synchronous baselines; eager solo / majority / quorum).
+//!   Horovod-style synchronous baselines; eager solo / majority / quorum):
+//!   one training step, driven on rank threads ([`run_rank`]) or on the
+//!   simulator's virtual clock ([`run_sim`]).
 //! - [`workloads`]: adapters binding the `datagen` tasks to the trainer.
 //! - [`metrics`]: per-epoch records (loss, accuracy, throughput,
 //!   cumulative training time) that the figure harnesses serialize.
@@ -34,5 +36,7 @@ pub mod workloads;
 
 pub use metrics::{EpochRecord, TrainLog, TuneDecision};
 pub use theory::{ConvergenceParams, NapModel, NapPrediction};
-pub use trainer::{run_rank, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup};
+pub use trainer::{
+    run_rank, run_sim, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup,
+};
 pub use workloads::{HyperplaneWorkload, ImageWorkload, SpatialWorkload, VideoWorkload, Workload};

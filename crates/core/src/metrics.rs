@@ -1,7 +1,7 @@
 //! Training metrics: what the figure harnesses plot.
 
 use dnn::EvalMetrics;
-use pcoll::QuorumPolicy;
+use pcoll::{QuorumDecision, QuorumPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Evaluation numbers in serializable form.
@@ -32,7 +32,7 @@ pub struct EpochRecord {
     pub train_time_s: f64,
     /// Mean step loss over this epoch (local to this rank).
     pub mean_loss: f32,
-    /// Steps per second over this epoch.
+    /// Steps per second over this epoch (0 when the epoch took no time).
     pub throughput: f64,
     /// Test-set evaluation (rank 0 only, when scheduled).
     pub test: Option<EvalRecord>,
@@ -68,6 +68,31 @@ pub struct TuneDecision {
     pub queue_stall_ms: f64,
 }
 
+impl TuneDecision {
+    /// The record of `d`, taken at `step` and applied from `from_round`.
+    pub fn new(step: u64, from_round: u64, d: &QuorumDecision) -> Self {
+        TuneDecision {
+            step,
+            from_round,
+            policy: d.policy,
+            reward: d.reward,
+            fresh_fraction: d.fresh_fraction,
+            rounds_per_s: d.rounds_per_s,
+            spread_ms: d.spread_ms,
+            queue_stall_ms: d.queue_stall_ms,
+        }
+    }
+}
+
+/// `steps / secs`, or 0 when no time passed: on virtual time an epoch
+/// with nothing to wait for takes none.
+pub(crate) fn rate(steps: u64, secs: f64) -> f64 {
+    if secs == 0.0 {
+        return 0.0;
+    }
+    steps as f64 / secs
+}
+
 /// Full per-rank training log.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainLog {
@@ -81,7 +106,8 @@ pub struct TrainLog {
     pub missed_rounds: u64,
     /// Total steps executed.
     pub steps: u64,
-    /// Total wall time of the training loop (s).
+    /// Total training time on the rank's clock (s): wall time on a rank
+    /// thread or process, virtual time under the simulator.
     pub total_train_s: f64,
 }
 
@@ -100,10 +126,7 @@ impl TrainLog {
 
     /// Mean throughput over all epochs (steps/s).
     pub fn mean_throughput(&self) -> f64 {
-        if self.total_train_s == 0.0 {
-            return 0.0;
-        }
-        self.steps as f64 / self.total_train_s
+        rate(self.steps, self.total_train_s)
     }
 
     /// Last recorded test evaluation.

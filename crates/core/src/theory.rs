@@ -18,10 +18,9 @@
 //! `theory_sweep` harness verify empirically via the ADS simulator.)
 
 use pcoll::QuorumPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Problem and system constants of Theorem 5.2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConvergenceParams {
     /// Smoothness constant L (Assumption 1).
     pub l_smooth: f64,
@@ -84,7 +83,7 @@ impl ConvergenceParams {
 /// (E\[NAP\] = P/2 for majority, ≈ P/(m+1) for first-of-m, ≈ P·m/(m+1)
 /// for chain-m); with measured offsets from the online skew estimator it
 /// becomes the plant model of the closed-loop quorum tuner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NapModel {
     /// Number of processes P.
     pub p: usize,
@@ -101,7 +100,7 @@ pub struct NapModel {
 }
 
 /// One policy's predicted round behavior (a "NAP summary").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NapPrediction {
     /// Expected number of active (fresh-contributing) processes.
     pub e_nap: f64,
@@ -353,13 +352,6 @@ mod tests {
             .map(|a| skewed.utility(*a, 0.5))
             .fold(f64::INFINITY, f64::min);
         assert!(best_u > 1.5 * worst_u, "{best_u} vs {worst_u}");
-    }
-
-    #[test]
-    fn nap_prediction_serializes() {
-        let m = uniform_model(8, 10.0);
-        let s = serde_json::to_string(&m.predict(QuorumPolicy::Majority)).unwrap();
-        assert!(s.contains("e_nap"), "{s}");
     }
 
     /// The bound is *sufficient*: the ADS simulator converges to ‖∇f‖² ≤ ε

@@ -1,7 +1,10 @@
 //! The distributed trainer: Algorithm 2 plus the synchronous baselines.
 //!
-//! One [`run_rank`] call executes the full training loop on one rank
-//! (inside a `World::launch` closure). The variant decides how gradients
+//! One rank's training step is written once, cut at its blocking point
+//! (the gradient round's outcome), and driven two ways: [`run_rank`]
+//! runs the whole loop on a rank thread or process (inside a
+//! `World::launch` closure), and [`run_sim`] runs every rank on
+//! `pcoll::SimHarness`'s virtual clock. The variant decides how gradients
 //! are accumulated:
 //!
 //! - **Deep500-style synch-SGD** (§3): one blocking allreduce per step,
@@ -22,19 +25,23 @@
 //! epoch-boundary evaluation (rank 0, inside barriers) is excluded from
 //! the reported clock.
 
-use crate::metrics::{EpochRecord, TrainLog, TuneDecision};
+use crate::metrics::{rate, EpochRecord, EvalRecord, TrainLog, TuneDecision};
 use crate::workloads::Workload;
 use dnn::optim::LrSchedule;
-use dnn::{EvalMetrics, Model, Optimizer};
+use dnn::{Batch, EvalMetrics, Model, Optimizer};
 use imbalance::Injector;
 use minitensor::TensorRng;
-use pcoll::{PartialOpts, QuorumPolicy, RankCtx, StaleMode};
+use pcoll::{
+    Outcome, Pacing, PartialOpts, QuorumPolicy, RankCtx, RankStep, RoundCounters, SimHarness,
+    SimSpec, StaleMode, StepSetup,
+};
 pub use pcoll::{QuorumDecision, QuorumTuner, TunerSetup};
-use pcoll_comm::{DType, ReduceOp, TypedBuf};
-use serde::{Deserialize, Serialize};
+use pcoll_comm::{Clock, DType, ReduceOp, SimOpts, TimePoint, TypedBuf, WorldConfig};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Which SGD the rank runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SgdVariant {
     /// Blocking allreduce per step (Deep500-style ordered execution).
     SynchDeep500,
@@ -149,9 +156,147 @@ fn f32s(buf: &mut TypedBuf) -> &mut [f32] {
     buf.as_f32_mut().expect("f32 collective")
 }
 
-/// Run the full training loop on this rank. SPMD: every rank calls this
-/// with identical `cfg`; the model must be identically initialized on all
-/// ranks (same seed) — as the paper's data-parallel setup requires.
+/// The gradient collective's options: Algorithm 2's `1/P` average as a
+/// step of the round, and the configured stale-gradient handling.
+fn gradient_opts(cfg: &TrainerConfig, p: usize) -> PartialOpts {
+    PartialOpts {
+        scale: Some(1.0 / p as f64),
+        stale_mode: cfg.stale_mode,
+        ..PartialOpts::default()
+    }
+}
+
+/// One rank's training step, cut at its blocking point (the round's
+/// outcome) so that [`run_rank`] and [`run_sim`] drive the same code: the
+/// delay, the deposit half ([`Step::grad`], then `write_grads` into the
+/// send buffer), the outcome half ([`Step::apply`]) and the epoch
+/// bookkeeping. It carries the rank's state from one step to the next.
+struct Step {
+    rank: usize,
+    p: usize,
+    cfg: TrainerConfig,
+    /// `cfg.injector` seeded from `cfg.seed`: the one seeding path, so a
+    /// whole run reproduces from the experiment seed alone.
+    injector: Injector,
+    rng: TensorRng,
+    delta: Vec<f32>,
+    clipped: Vec<f32>,
+    loss_sum: f32,
+    step: u64,
+    /// When the epoch began and when its last step ended (rank's clock).
+    epoch_t0: TimePoint,
+    epoch_end: TimePoint,
+    /// Rank 0's evaluation sets, fetched at the first evaluation and kept:
+    /// every `Workload` hands out a deep copy (MiBs for a held-out set).
+    eval_sets: Option<(Vec<Batch>, Vec<Batch>)>,
+    log: TrainLog,
+}
+
+impl Step {
+    fn new(rank: usize, p: usize, n: usize, cfg: &TrainerConfig) -> Step {
+        Step {
+            rank,
+            p,
+            cfg: cfg.clone(),
+            injector: cfg.injector.clone().with_seed(cfg.seed),
+            rng: TensorRng::new(cfg.seed ^ (rank as u64).wrapping_mul(0x1F3D_5B79)),
+            delta: vec![0.0; n],
+            clipped: Vec::new(),
+            loss_sum: 0.0,
+            step: 0,
+            epoch_t0: TimePoint::ZERO,
+            epoch_end: TimePoint::ZERO,
+            eval_sets: None,
+            log: TrainLog::new(rank),
+        }
+    }
+
+    /// `rank`'s compute before depositing `step`: the simulated balanced
+    /// compute plus the injected delay (§6.2), scaled by `time_scale`. A
+    /// pure function of the config, so any driver can evaluate any rank's.
+    fn delay(&self, rank: usize, step: u64) -> Duration {
+        let ms = self.cfg.base_compute_ms + self.injector.delay_ms(rank, self.p, step);
+        Duration::from_secs_f64(ms * self.cfg.time_scale / 1e3)
+    }
+
+    /// Begin the next epoch at `now`: its learning rate, a fresh loss sum.
+    fn begin_epoch(&mut self, opt: &mut dyn Optimizer, now: TimePoint) {
+        opt.set_lr(self.cfg.lr.at(self.log.epochs.len()));
+        self.loss_sum = 0.0;
+        self.epoch_t0 = now;
+    }
+
+    /// The deposit half's compute: sample and backpropagate a minibatch.
+    fn grad(&mut self, model: &mut dyn Model, workload: &dyn Workload) {
+        let batch = workload.sample(self.rank, self.step, &mut self.rng);
+        self.loss_sum += model.grad_step(&batch);
+    }
+
+    /// The outcome half: clip the averaged gradient and apply the
+    /// optimizer's update. Returns whether the step ended an epoch.
+    fn apply(&mut self, model: &mut dyn Model, opt: &mut dyn Optimizer, avg: &[f32]) -> bool {
+        let mut avg = avg;
+        if let Some(max_norm) = self.cfg.grad_clip {
+            let norm = avg.iter().map(|g| g * g).sum::<f32>().sqrt();
+            if norm > max_norm {
+                self.clipped.clear();
+                (self.clipped).extend(avg.iter().map(|g| g * (max_norm / norm)));
+                avg = &self.clipped;
+            }
+        }
+        opt.delta(avg, &mut self.delta);
+        model.apply_delta(&self.delta);
+        self.step += 1;
+        self.step.is_multiple_of(self.cfg.steps_per_epoch as u64)
+    }
+
+    /// What the ended epoch blocks on, as `(weight sync, evaluation)`:
+    /// eager variants average the weights every `model_sync_every` epochs
+    /// (§5), rank 0 evaluates every `eval_every`; both at the end.
+    fn fences(&self) -> (bool, bool) {
+        let (epoch, last) = (self.log.epochs.len() + 1, self.cfg.epochs);
+        let sync = (self.cfg.variant.is_eager())
+            && (self.cfg.model_sync_every).is_some_and(|k| epoch % k == 0 || epoch == last);
+        let eval = epoch % self.cfg.eval_every.max(1) == 0 || epoch == last;
+        (sync, eval)
+    }
+
+    /// Record the ended epoch, `sync_secs` of weight sync included, after
+    /// rank 0's evaluation if `eval`.
+    fn close_epoch(&mut self, model: &mut dyn Model, w: &dyn Workload, sync_secs: f64, eval: bool) {
+        let [mut test, mut train] = [None, None];
+        if eval && self.rank == 0 {
+            let (t, tr) =
+                (self.eval_sets).get_or_insert_with(|| (w.test_batches(), w.train_batches()));
+            [test, train] = [&*t, &*tr].map(|set| evaluate(model, set));
+        }
+        let epoch_secs = self.epoch_end.duration_since(self.epoch_t0).as_secs_f64();
+        self.log.total_train_s += epoch_secs;
+        self.log.total_train_s += sync_secs;
+        let steps = self.cfg.steps_per_epoch;
+        self.log.epochs.push(EpochRecord {
+            epoch: self.log.epochs.len(),
+            train_time_s: self.log.total_train_s,
+            mean_loss: self.loss_sum / steps.max(1) as f32,
+            throughput: rate(steps as u64, epoch_secs),
+            test,
+            train,
+        });
+    }
+
+    /// The finished log, with the gradient collective's round counters.
+    fn finish(mut self, rounds: RoundCounters) -> TrainLog {
+        self.log.fresh_rounds = rounds.fresh;
+        self.log.missed_rounds = rounds.missed;
+        self.log.steps = self.step;
+        self.log
+    }
+}
+
+/// Run the full training loop on this rank, the step's threaded driver.
+/// SPMD: every rank calls this with identical `cfg`; the model must be
+/// identically initialized on all ranks (same seed) — as the paper's
+/// data-parallel setup requires.
 pub fn run_rank(
     ctx: &RankCtx,
     model: &mut dyn Model,
@@ -162,11 +307,7 @@ pub fn run_rank(
     let rank = ctx.rank();
     let p = ctx.size();
     let n = model.num_params();
-    let scale = Some(1.0 / p as f64);
-    // Single seeding path: the config's injector is a shape; all of its
-    // randomness derives here from the experiment seed, so a whole run
-    // reproduces from `cfg.seed` alone.
-    let injector = cfg.injector.clone().with_seed(cfg.seed);
+    let mut st = Step::new(rank, p, n, cfg);
 
     // Per-rank closed-loop tuner (eager variants only): built before the
     // collectives so its initial policy can be wired in.
@@ -188,17 +329,9 @@ pub fn run_rank(
         .as_ref()
         .and_then(|t| t.initial_policy())
         .unwrap_or(cfg.variant.quorum_policy());
-    let mut ar = ctx.partial_allreduce(
-        DType::F32,
-        n,
-        ReduceOp::Sum,
-        policy,
-        PartialOpts {
-            scale,
-            stale_mode: cfg.stale_mode,
-            ..PartialOpts::default()
-        },
-    );
+    let opts = gradient_opts(cfg, p);
+    let scale = opts.scale;
+    let mut ar = ctx.partial_allreduce(DType::F32, n, ReduceOp::Sum, policy, opts);
     let mut negotiation = (cfg.variant == SgdVariant::SynchHorovod)
         .then(|| (ctx.reduce(0, ReduceOp::Max), ctx.bcast(0)));
     let mut weight_sync = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale);
@@ -209,41 +342,21 @@ pub fn run_rank(
         .as_ref()
         .map(|t| ctx.sync_allreduce(DType::F32, t.stats_len(), ReduceOp::Sum, None));
 
-    let mut rng = TensorRng::new(cfg.seed ^ (rank as u64).wrapping_mul(0x1F3D_5B79));
-    let mut delta = vec![0.0f32; n];
-    let mut clipped = Vec::new();
-    // Rank 0's evaluation sets, fetched at the first evaluation and kept:
-    // every `Workload` hands out a deep copy (MiBs for a held-out set).
-    let mut eval_sets = None;
-
-    let mut log = TrainLog::new(rank);
-    let mut train_time = 0.0f64;
-    let mut step: u64 = 0;
     // Every timer reads the rank's clock (see `RankCtx::clock`).
     let clock = ctx.clock();
-    let secs_since = |t0| clock.now().duration_since(t0).as_secs_f64();
 
-    for epoch in 0..cfg.epochs {
-        opt.set_lr(cfg.lr.at(epoch));
-        let mut loss_sum = 0.0f32;
-        let epoch_t0 = clock.now();
-
+    for _ in 0..cfg.epochs {
+        st.begin_epoch(opt, clock.now());
         for _ in 0..cfg.steps_per_epoch {
+            let step = st.step;
             let step_t0 = (ctx.recorder())
                 .enabled(pcoll_obs::LEVEL_SPANS)
                 .then(|| clock.now());
-            let batch = workload.sample(rank, step, &mut rng);
-            let loss = model.grad_step(&batch);
-            loss_sum += loss;
-
-            // Simulated balanced compute (GPU-scale step time), then the
-            // injected system noise / slow-rank delays (§6.2).
-            if cfg.base_compute_ms > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    cfg.base_compute_ms * cfg.time_scale / 1e3,
-                ));
+            st.grad(model, workload);
+            let delay = st.delay(rank, step);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
             }
-            injector.inject(rank, p, step, cfg.time_scale);
 
             // Horovod-style negotiation: the coordinator learns which
             // tensors are ready and broadcasts the agreed order.
@@ -256,18 +369,7 @@ pub fn run_rank(
             // Write straight into the send buffer, read the result in place.
             let round = ar.deposit_fill(|send| model.write_grads(f32s(send)));
             let out = ar.wait_for(round);
-            let mut avg: &[f32] = out.data.as_f32().expect("f32 gradients");
-            if let Some(max_norm) = cfg.grad_clip {
-                let norm = avg.iter().map(|g| g * g).sum::<f32>().sqrt();
-                if norm > max_norm {
-                    let s = max_norm / norm;
-                    clipped.resize(n, 0.0);
-                    clipped.iter_mut().zip(avg).for_each(|(c, g)| *c = g * s);
-                    avg = &clipped;
-                }
-            }
-            opt.delta(avg, &mut delta);
-            model.apply_delta(&delta);
+            st.apply(model, opt, out.data.as_f32().expect("f32 gradients"));
 
             // --- Closed-loop quorum control (eager + tuner only). ---
             if let (Some(t), Some(cons)) = (tuner.as_mut(), consensus.as_mut()) {
@@ -276,7 +378,7 @@ pub fn run_rank(
                 // seed without communication. Scaled to wall-clock ms so
                 // estimator offsets share units with the measured round
                 // latencies.
-                let mut offsets = injector.delays_all(p, step);
+                let mut offsets = st.injector.delays_all(p, step);
                 offsets.iter_mut().for_each(|o| *o *= cfg.time_scale);
                 t.record_step(step, &offsets);
                 if (step + 1).is_multiple_of(t.period().max(1)) {
@@ -289,16 +391,8 @@ pub fn run_rank(
                     if let Some(d) = t.decide(from_round, summed) {
                         ar.set_policy_from(from_round, d.policy);
                         d.record(ctx.recorder(), step, from_round);
-                        log.decisions.push(TuneDecision {
-                            step,
-                            from_round,
-                            policy: d.policy,
-                            reward: d.reward,
-                            fresh_fraction: d.fresh_fraction,
-                            rounds_per_s: d.rounds_per_s,
-                            spread_ms: d.spread_ms,
-                            queue_stall_ms: d.queue_stall_ms,
-                        });
+                        let record = TuneDecision::new(step, from_round, &d);
+                        st.log.decisions.push(record);
                     }
                     // The barrier guarantees every rank has appended the
                     // new policy segment before any rank can reach (and
@@ -314,74 +408,180 @@ pub fn run_rank(
                         dur_ns,
                     });
             }
-            step += 1;
         }
-        let epoch_secs = secs_since(epoch_t0);
-        train_time += epoch_secs;
+        st.epoch_end = clock.now();
+        let (sync, eval) = st.fences();
 
         // Periodic model synchronization (eager variants, §5). This is
         // *inside* the training clock: the paper counts it as (negligible)
         // training overhead.
-        if cfg.variant.is_eager() {
-            if let Some(every) = cfg.model_sync_every {
-                if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                    let t0 = clock.now();
-                    let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
-                    let avg = weight_sync.wait_for(round);
-                    model.read_params(avg.data.as_f32().expect("f32 params"));
-                    train_time += secs_since(t0);
-                }
-            }
+        let mut sync_secs = 0.0;
+        if sync {
+            let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
+            let avg = weight_sync.wait_for(round);
+            model.read_params(avg.data.as_f32().expect("f32 params"));
+            sync_secs = clock.now().duration_since(st.epoch_end).as_secs_f64();
         }
 
         // Epoch-boundary evaluation on rank 0, fenced by barriers and
         // excluded from the training clock.
-        let eval_now = (epoch + 1) % cfg.eval_every.max(1) == 0 || epoch + 1 == cfg.epochs;
-        let (test, train) = if eval_now {
+        if eval {
             ctx.barrier();
-            let result = if rank == 0 {
-                let (test_set, train_set) = eval_sets
-                    .get_or_insert_with(|| (workload.test_batches(), workload.train_batches()));
-                let test = eval_all(model, test_set);
-                let train = eval_all(model, train_set);
-                (test.map(Into::into), train.map(Into::into))
-            } else {
-                (None, None)
-            };
+        }
+        st.close_epoch(model, workload, sync_secs, eval);
+        if eval {
             ctx.barrier();
-            result
-        } else {
-            (None, None)
-        };
-
-        log.epochs.push(EpochRecord {
-            epoch,
-            train_time_s: train_time,
-            mean_loss: loss_sum / cfg.steps_per_epoch.max(1) as f32,
-            throughput: cfg.steps_per_epoch as f64 / epoch_secs,
-            test,
-            train,
-        });
+        }
     }
-
-    let rounds = ar.counters();
-    log.fresh_rounds = rounds.fresh;
-    log.missed_rounds = rounds.missed;
-    log.steps = step;
-    log.total_train_s = train_time;
-    log
+    st.finish(ar.counters())
 }
 
-fn eval_all(model: &mut dyn Model, batches: &[dnn::Batch]) -> Option<EvalMetrics> {
-    if batches.is_empty() {
-        return None;
+/// Train every rank of a simulated world: [`run_rank`]'s step, driven by
+/// `pcoll::SimHarness` on the virtual clock, so the run is a pure function
+/// of `(cfg, world, opts)`. `build(rank)` makes a rank's model (identically
+/// initialized on every rank, as on threads) and optimizer. Returns every
+/// rank's log and final weights, in rank order.
+///
+/// Rounds, length, policy, scale, stale mode and tuner come from `cfg` and
+/// the model, as in [`run_rank`]. What differs:
+/// - time is virtual: a step takes its delay plus the modelled network
+///   time; `grad_step`, the optimizer and evaluation take none;
+/// - the tuner's decide→fence consensus is the harness's one virtual event
+///   ([`pcoll::SimSpec::tuner`]), its offsets are the step delays (base
+///   compute included), the run's last step decides nothing (no round is
+///   left to govern), and `TrainLog::decisions` is
+///   [`pcoll::SimReport::decisions`];
+/// - the weight sync and the evaluation barriers are fences the harness
+///   opens in one event ([`pcoll::RankStep::outcome`]); the weights
+///   average in rank order;
+/// - Horovod's negotiation round-trip is not modelled: its result is
+///   unused, so `SynchHorovod` runs as `SynchDeep500`.
+pub fn run_sim(
+    cfg: &TrainerConfig,
+    mut build: impl FnMut(usize) -> (Box<dyn Model>, Box<dyn Optimizer>),
+    workload: impl Workload + 'static,
+    world: WorldConfig,
+    opts: SimOpts,
+) -> Vec<(TrainLog, Vec<f32>)> {
+    let p = world.nranks;
+    let workload: Arc<dyn Workload> = Arc::new(workload);
+    let trainees: Vec<Arc<Mutex<Trainee>>> = (0..p)
+        .map(|rank| {
+            let (model, mut opt) = build(rank);
+            let mut st = Step::new(rank, p, model.num_params(), cfg);
+            st.begin_epoch(&mut *opt, TimePoint::ZERO);
+            let workload = Arc::clone(&workload);
+            Arc::new(Mutex::new(Trainee {
+                st,
+                model,
+                opt,
+                workload,
+            }))
+        })
+        .collect();
+    let n = trainees.first().map_or(0, |t| lock(t).model.num_params());
+    let shared = trainees.clone();
+    let report = SimHarness::run(SimSpec {
+        world,
+        opts,
+        policy: cfg.variant.quorum_policy(),
+        rounds: (cfg.epochs * cfg.steps_per_epoch) as u64,
+        len: n,
+        pacing: Pacing::SelfPaced(StepSetup::new(move |rank, _, clock| {
+            let trainee = Arc::clone(&shared[rank]);
+            Box::new(SimStep { trainee, clock })
+        })),
+        partial: gradient_opts(cfg, p),
+        tuner: cfg.tuner.clone().filter(|_| cfg.variant.is_eager()),
+    });
+    let decisions: Vec<TuneDecision> = (report.decisions.iter())
+        .map(|(step, from_round, d)| TuneDecision::new(*step, *from_round, d))
+        .collect();
+    (trainees.into_iter().zip(&report.counters))
+        .map(|(t, rounds)| {
+            let t = Arc::into_inner(t).expect("the harness is gone");
+            let t = t.into_inner().expect("no step panicked");
+            let mut weights = vec![0.0; n];
+            t.model.write_params(&mut weights);
+            let mut log = t.st.finish(*rounds);
+            log.decisions = decisions.clone();
+            (log, weights)
+        })
+        .collect()
+}
+
+/// One simulated rank: its step and what the step runs on.
+struct Trainee {
+    st: Step,
+    model: Box<dyn Model>,
+    opt: Box<dyn Optimizer>,
+    workload: Arc<dyn Workload>,
+}
+
+fn lock(t: &Mutex<Trainee>) -> std::sync::MutexGuard<'_, Trainee> {
+    t.lock().expect("no step panicked")
+}
+
+/// The harness's handle on a [`Trainee`]; [`run_sim`] takes the trainee
+/// back once the harness is gone.
+struct SimStep {
+    trainee: Arc<Mutex<Trainee>>,
+    clock: Clock,
+}
+
+impl RankStep for SimStep {
+    fn delay(&self, rank: usize, round: u64) -> Duration {
+        lock(&self.trainee).st.delay(rank, round)
     }
+
+    fn fill(&mut self, _: u64, send: &mut TypedBuf) {
+        let t = &mut *lock(&self.trainee);
+        t.st.grad(&mut *t.model, &*t.workload);
+        t.model.write_grads(f32s(send));
+    }
+
+    fn outcome(&mut self, outcome: Outcome<'_>) -> Option<TypedBuf> {
+        let now = self.clock.now();
+        let t = &mut *lock(&self.trainee);
+        let (sync, eval) = match outcome {
+            Outcome::Round(out) => {
+                let avg = out.data.as_f32().expect("f32 gradients");
+                if !t.st.apply(&mut *t.model, &mut *t.opt, avg) {
+                    return None;
+                }
+                t.st.epoch_end = now;
+                let (sync, eval) = t.st.fences();
+                if sync || eval {
+                    // Park at the epoch's fence, with the weights if it
+                    // averages them.
+                    let mut weights = vec![0.0; t.model.num_params() * usize::from(sync)];
+                    if sync {
+                        t.model.write_params(&mut weights);
+                    }
+                    return Some(TypedBuf::from(weights));
+                }
+                (false, false)
+            }
+            Outcome::Fence(avg) => {
+                if !avg.is_empty() {
+                    t.model.read_params(avg.as_f32().expect("f32 weights"));
+                }
+                t.st.fences()
+            }
+        };
+        // The weight sync is training time: from the park to the release.
+        let synced = now.duration_since(t.st.epoch_end) * u32::from(sync);
+        t.st.close_epoch(&mut *t.model, &*t.workload, synced.as_secs_f64(), eval);
+        t.st.begin_epoch(&mut *t.opt, now);
+        None
+    }
+}
+
+/// `model`'s loss and accuracy over `batches` (none for no batches).
+fn evaluate(model: &mut dyn Model, batches: &[Batch]) -> Option<EvalRecord> {
     let mut acc = EvalMetrics::default();
-    for b in batches {
-        let m = model.evaluate(b);
-        acc.merge(&m);
-    }
-    Some(acc)
+    batches.iter().for_each(|b| acc.merge(&model.evaluate(b)));
+    (!batches.is_empty()).then(|| acc.into())
 }
 
 #[cfg(test)]
@@ -491,6 +691,63 @@ mod tests {
             eager_t < sync_t * 0.85,
             "eager {eager_t:.3}s should beat sync {sync_t:.3}s"
         );
+    }
+
+    /// [`run_sim`] on an instant network with `cfg`'s skew: every rank's
+    /// log, for the 32-wide MLP of `eager_is_faster_under_injected_skew`.
+    fn sim_logs(cfg: &TrainerConfig, p: usize) -> Vec<TrainLog> {
+        let task = Arc::new(HyperplaneTask::new(32, 1024, 0.05, 64, 7));
+        let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+            let model = hyperplane_mlp(32, &mut TensorRng::new(5));
+            (Box::new(model), Box::new(Sgd::new(0.02)))
+        };
+        let wl = HyperplaneWorkload {
+            task,
+            local_batch: 16,
+        };
+        let world = WorldConfig::instant(p);
+        let runs = run_sim(cfg, build, wl, world, pcoll_comm::SimOpts::default());
+        runs.into_iter().map(|(log, _)| log).collect()
+    }
+
+    #[test]
+    fn eager_is_faster_under_injected_skew_on_virtual_time() {
+        // The twin of `eager_is_faster_under_injected_skew`, exact: one
+        // random rank per step is 30 ms late, so every synchronous step
+        // takes exactly 30 ms on every rank.
+        let p = 4;
+        let mut cfg = TrainerConfig::new(SgdVariant::SynchDeep500, 2, 10, 0.02);
+        cfg.injector = Injector::RandomRanks {
+            k: 1,
+            amount_ms: 30.0,
+            seed: 3,
+        };
+        cfg.eval_every = 100;
+        let sync = sim_logs(&cfg, p);
+        let want = Duration::from_millis(30) * 20;
+        for log in &sync {
+            let ns = (log.total_train_s * 1e9).round() as u128;
+            assert_eq!(ns, want.as_nanos(), "rank {}", log.rank);
+        }
+        cfg.variant = SgdVariant::EagerSolo;
+        let eager = sim_logs(&cfg, p);
+        let eager_t = eager.iter().map(|l| l.total_train_s).sum::<f64>() / p as f64;
+        assert!(
+            eager_t < want.as_secs_f64() * 0.85,
+            "eager {eager_t:.3}s should beat sync {want:?}"
+        );
+    }
+
+    #[test]
+    fn zero_length_epochs_report_zero_throughput() {
+        // No compute, no injection, an instant network: on virtual time
+        // every epoch takes no time at all, and has no rate.
+        let cfg = TrainerConfig::new(SgdVariant::SynchDeep500, 2, 4, 0.02);
+        for log in sim_logs(&cfg, 2) {
+            assert_eq!(log.total_train_s, 0.0);
+            assert_eq!(log.mean_throughput(), 0.0);
+            assert!(log.epochs.iter().all(|e| e.throughput == 0.0), "{log:?}");
+        }
     }
 
     #[test]

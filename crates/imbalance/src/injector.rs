@@ -3,7 +3,6 @@
 use rand::seq::index::sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Mix (seed, step) into a per-step RNG every rank agrees on.
@@ -17,7 +16,7 @@ fn step_rng(seed: u64, step: u64) -> ChaCha8Rng {
 /// A delay-injection protocol. All variants are pure functions of
 /// `(rank, P, step)` (plus their seed), so every rank can evaluate the
 /// global injection pattern without communication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Injector {
     /// No injected delay.
     None,

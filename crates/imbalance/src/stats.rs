@@ -1,10 +1,8 @@
 //! Online statistics (Welford) and fixed-width histograms for the
 //! runtime-distribution figures.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online mean/variance plus extrema.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -90,7 +88,7 @@ impl OnlineStats {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     pub lo: f64,
     pub hi: f64,

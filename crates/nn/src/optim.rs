@@ -7,8 +7,6 @@
 //! stay consistent as long as the gradient results agree (eager-SGD
 //! deliberately relaxes that; see §5).
 
-use serde::{Deserialize, Serialize};
-
 /// The update rule `U(G, t) → Δw`.
 pub trait Optimizer: Send {
     /// Compute the parameter delta for this step's (averaged) gradient.
@@ -22,7 +20,7 @@ pub trait Optimizer: Send {
 }
 
 /// Plain SGD: `Δw = -lr · G`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     pub lr: f32,
 }
@@ -89,7 +87,7 @@ impl Optimizer for Momentum {
 
 /// Piecewise-constant learning-rate schedule (epoch → multiplier), the
 /// standard ResNet decay staircase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LrSchedule {
     pub base_lr: f32,
     /// Sorted (epoch, multiplier) boundaries; the last one whose epoch is

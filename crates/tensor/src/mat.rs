@@ -1,10 +1,9 @@
 //! Row-major 2-D matrix with the operations backprop needs.
 
 use crate::rng::TensorRng;
-use serde::{Deserialize, Serialize};
 
 /// Dense row-major `rows × cols` f32 matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,

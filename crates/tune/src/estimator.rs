@@ -3,8 +3,6 @@
 //! summary feeds `eager_sgd::theory::NapModel` — the E\[NAP\] model the
 //! controllers use to reason about the quorum spectrum.
 
-use serde::{Deserialize, Serialize};
-
 /// P² (piecewise-parabolic) single-quantile estimator
 /// (Jain & Chlamtac, CACM 1985): five markers tracking the running
 /// `q`-quantile in O(1) memory, no sample buffer.
@@ -125,7 +123,7 @@ impl P2Quantile {
 }
 
 /// A compact picture of the current arrival-offset distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewSummary {
     /// EWMA of the per-step mean offset (ms).
     pub mean_ms: f64,
@@ -365,12 +363,5 @@ mod tests {
         }
         let after = est.summary().step_spread_ms;
         assert!(before < 4.0 && after > 100.0, "{before} → {after}");
-    }
-
-    #[test]
-    fn summary_serializes() {
-        let est = SkewEstimator::new(0.1);
-        let s = serde_json::to_string(&est.summary()).unwrap();
-        assert!(s.contains("spread_ms"), "{s}");
     }
 }

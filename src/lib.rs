@@ -41,14 +41,14 @@ pub mod prelude {
     pub use datagen::{GaussianMixtureTask, HyperplaneTask, VideoDatasetSpec, VideoTask};
     pub use dnn::{Batch, LossKind, Model, Momentum, Optimizer, Sgd};
     pub use eager_sgd::{
-        run_rank, HyperplaneWorkload, ImageWorkload, NapModel, QuorumTuner, SgdVariant, TrainLog,
-        TrainerConfig, TunerSetup, VideoWorkload, Workload,
+        run_rank, run_sim, HyperplaneWorkload, ImageWorkload, NapModel, QuorumTuner, SgdVariant,
+        TrainLog, TrainerConfig, TunerSetup, VideoWorkload, Workload,
     };
     pub use imbalance::Injector;
     pub use minitensor::{Mat, TensorRng};
     pub use pcoll::{
         AlgoSelector, AllreduceAlgo, Hiccup, Pacing, PartialAllreduce, PartialOpts, QuorumPolicy,
-        RankCtx, RoundCounters, RoundLog, SimHarness, SimReport, SimSpec, StaleMode,
+        RankCtx, RoundCounters, RoundLog, SimHarness, SimReport, SimSpec, StaleMode, StepSetup,
     };
     pub use pcoll_comm::{
         DType, NetworkModel, Planet, ReduceOp, SimOpts, TypedBuf, World, WorldConfig,

@@ -4,56 +4,89 @@
 //! what produced the gradient.
 
 use eager_sgd_repro::core::workloads::SpatialWorkload;
+use eager_sgd_repro::data as datagen;
 use eager_sgd_repro::nn::optim::LrSchedule;
 use eager_sgd_repro::nn::zoo::resnet_cnn;
-use eager_sgd_repro::nn::ImgShape;
+use eager_sgd_repro::nn::{FeedForward, ImgShape};
 use eager_sgd_repro::prelude::*;
 use std::sync::Arc;
 
-fn train_cnn(variant: SgdVariant) -> (f32, f64) {
-    const P: usize = 4;
-    let task = Arc::new(datagen::SpatialBlobTask::new(8, 4, 0.4, 128, 5));
-    let logs = World::launch(WorldConfig::instant(P).with_seed(13), move |c| {
-        let ctx = RankCtx::new(c);
-        let mut rng = TensorRng::new(321);
-        let shape = ImgShape {
-            channels: 1,
-            height: 8,
-            width: 8,
-        };
-        let mut model = resnet_cnn(shape, 4, 1, 4, &mut rng);
-        let mut opt = Sgd::new(0.05);
-        let wl = SpatialWorkload {
-            task: Arc::clone(&task),
-            local_batch: 16,
-        };
-        let mut cfg = TrainerConfig::new(variant, 6, 10, 0.05);
-        // Two settling epochs at a fifth of the rate: the final iterate of
-        // constant-rate SGD swings with thread scheduling under eager
-        // updates (0.52–0.87 accuracy over 120 runs at 4 epochs); decayed,
-        // every run lands above 0.8 and the 0.6 floor is not marginal.
-        cfg.lr = LrSchedule::staircase(0.05, &[4], 0.2);
-        cfg.model_sync_every = Some(2);
-        cfg.eval_every = 2;
-        let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-        ctx.finalize();
-        log
-    });
-    let acc = logs[0].final_test().map(|t| t.top1).unwrap_or(0.0);
-    let time = logs.iter().map(|l| l.total_train_s).sum::<f64>() / P as f64;
-    (acc, time)
+const P: usize = 4;
+
+fn cnn_cfg(variant: SgdVariant) -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(variant, 6, 10, 0.05);
+    // Two settling epochs at a fifth of the rate: the final iterate of
+    // constant-rate SGD swings with thread scheduling under eager
+    // updates (0.52–0.87 accuracy over 120 runs at 4 epochs); decayed,
+    // every run lands above 0.8 and the 0.6 floor is not marginal.
+    cfg.lr = LrSchedule::staircase(0.05, &[4], 0.2);
+    cfg.model_sync_every = Some(2);
+    cfg.eval_every = 2;
+    cfg
 }
 
-use eager_sgd_repro::data as datagen;
+fn cnn() -> FeedForward {
+    let shape = ImgShape {
+        channels: 1,
+        height: 8,
+        width: 8,
+    };
+    resnet_cnn(shape, 4, 1, 4, &mut TensorRng::new(321))
+}
+
+fn blobs() -> SpatialWorkload {
+    SpatialWorkload {
+        task: Arc::new(datagen::SpatialBlobTask::new(8, 4, 0.4, 128, 5)),
+        local_batch: 16,
+    }
+}
+
+fn train_cnn(variant: SgdVariant) -> Vec<TrainLog> {
+    let (cfg, wl) = (cnn_cfg(variant), blobs());
+    World::launch(WorldConfig::instant(P).with_seed(13), move |c| {
+        let ctx = RankCtx::new(c);
+        let mut model = cnn();
+        let log = run_rank(&ctx, &mut model, &mut Sgd::new(0.05), &wl, &cfg);
+        ctx.finalize();
+        log
+    })
+}
+
+fn accuracy(logs: &[TrainLog]) -> f32 {
+    logs[0].final_test().map(|t| t.top1).unwrap_or(0.0)
+}
 
 #[test]
 fn cnn_trains_with_sync_sgd() {
-    let (acc, _) = train_cnn(SgdVariant::SynchDeep500);
+    let acc = accuracy(&train_cnn(SgdVariant::SynchDeep500));
     assert!(acc > 0.6, "CNN under sync SGD should learn blobs: {acc}");
 }
 
+/// A smoke test: the accuracy of an eager run on threads depends on how
+/// they are scheduled, so its floor is checked on virtual time below.
 #[test]
 fn cnn_trains_with_eager_majority() {
-    let (acc, _) = train_cnn(SgdVariant::EagerMajority);
+    let logs = train_cnn(SgdVariant::EagerMajority);
+    for log in &logs {
+        assert_eq!(log.steps, 60, "rank {}", log.rank);
+        assert!(log.epochs.iter().all(|e| e.mean_loss.is_finite()));
+    }
+    let test = logs[0].final_test().expect("rank 0 evaluated");
+    assert!(test.loss.is_finite(), "{test:?}");
+}
+
+#[test]
+fn cnn_trains_with_eager_majority_on_virtual_time() {
+    let run = || {
+        let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+            (Box::new(cnn()), Box::new(Sgd::new(0.05)))
+        };
+        let cfg = cnn_cfg(SgdVariant::EagerMajority);
+        let world = WorldConfig::instant(P).with_seed(13);
+        let runs = run_sim(&cfg, build, blobs(), world, SimOpts::default());
+        accuracy(&runs.into_iter().map(|(log, _)| log).collect::<Vec<_>>())
+    };
+    let acc = run();
     assert!(acc > 0.6, "CNN under eager-SGD should learn blobs: {acc}");
+    assert_eq!(acc.to_bits(), run().to_bits(), "virtual time replays");
 }

@@ -15,15 +15,23 @@
 //!    one event heap) computes the same collective results as the
 //!    in-process backend (P real threads), because it runs the *same*
 //!    engine and schedule code behind the same `CommHandle`/`Inbox` API.
+//! 3. **Training**: `run_sim` drives the trainer's own step on the
+//!    harness, so a whole training run — logs, tuner decisions, final
+//!    weights — replays bit for bit, and a synchronous run trains to the
+//!    same bits as `run_rank` on real threads.
 //!
 //! Companion to `tests/transport_conformance.rs`, which pins the
 //! in-process and TCP backends to each other the same way.
 
+use eager_sgd_repro::nn::zoo::hyperplane_mlp;
 use eager_sgd_repro::prelude::{
-    adaptive_setup, AdaptiveTunerCfg, ControllerKind, DType, Hiccup, NetworkModel, Pacing,
-    PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, SimHarness, SimOpts, SimReport, SimSpec,
-    TypedBuf, World, WorldConfig,
+    adaptive_setup, run_rank, run_sim, AdaptiveTunerCfg, ControllerKind, DType, Hiccup,
+    HyperplaneTask, HyperplaneWorkload, Injector, Model, NetworkModel, Optimizer, Pacing,
+    PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, Sgd, SgdVariant, SimHarness, SimOpts,
+    SimReport, SimSpec, StepSetup, TensorRng, TrainLog, TrainerConfig, TypedBuf, World,
+    WorldConfig,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A deliberately stateful spec: WAN regions, cloud jitter, self-paced
@@ -39,15 +47,15 @@ fn wan_spec(p: usize, rounds: u64, seed: u64, policy: QuorumPolicy) -> SimSpec {
         policy,
         rounds,
         len: 8,
-        pacing: Pacing::SelfPaced {
-            compute: (0..p)
+        pacing: Pacing::SelfPaced(StepSetup::fixed(
+            (0..p)
                 .map(|r| Duration::from_millis(5) + Duration::from_micros(37) * r as u32)
                 .collect(),
-            hiccup: Hiccup {
+            Hiccup {
                 k: p / 8,
                 extra: Duration::from_millis(60),
             },
-        },
+        )),
         partial: PartialOpts::default(),
         tuner: None,
     }
@@ -90,19 +98,15 @@ fn tuned_run(seed: u64) -> SimReport {
     const P: usize = 64;
     let mut spec = wan_spec(P, 40, seed, QuorumPolicy::Full);
     let planet = Planet::wan();
-    spec.pacing = Pacing::SelfPaced {
-        compute: (0..P)
-            .map(|r| {
-                let region = planet.rank_region(r, P).0 as u32;
-                Duration::from_millis(5 + 20 * u64::from(region))
-                    + Duration::from_micros(37) * r as u32
-            })
-            .collect(),
-        hiccup: Hiccup {
-            k: 8,
-            extra: Duration::from_millis(300),
-        },
+    let compute = (0..P).map(|r| {
+        let region = planet.rank_region(r, P).0 as u32;
+        Duration::from_millis(5 + 20 * u64::from(region)) + Duration::from_micros(37) * r as u32
+    });
+    let hiccup = Hiccup {
+        k: 8,
+        extra: Duration::from_millis(300),
     };
+    spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute.collect(), hiccup));
     spec.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
         period: 8,
         beta: 0.5,
@@ -121,7 +125,7 @@ fn tuned_run(seed: u64) -> SimReport {
 fn sim_tuner_decisions_replay_bit_identically() {
     let bits = |r: &SimReport| -> Vec<(u64, QuorumPolicy, u64)> {
         (r.decisions.iter())
-            .map(|(from, d)| (*from, d.policy, d.reward.to_bits()))
+            .map(|(_, from, d)| (*from, d.policy, d.reward.to_bits()))
             .collect()
     };
     let (a, b) = (tuned_run(42), tuned_run(42));
@@ -255,4 +259,161 @@ fn same_seed_traces_are_byte_identical() {
 
     let c = traced(43);
     assert_ne!(a, c, "seed must influence the recorded event stream");
+}
+
+/// P = 8 ranks training a 64-wide `hyperplane_mlp`.
+const TRAIN_P: usize = 8;
+const DIM: usize = 64;
+
+/// Two random ranks a step are 30 ms late on top of 10 ms of compute;
+/// weights sync and rank 0 evaluates every two epochs.
+fn trainer_cfg(variant: SgdVariant, seed: u64) -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(variant, 4, 8, 0.05);
+    cfg.seed = seed;
+    cfg.injector = Injector::RandomRanks {
+        k: 2,
+        amount_ms: 30.0,
+        seed: 0,
+    };
+    cfg.base_compute_ms = 10.0;
+    cfg.model_sync_every = Some(2);
+    cfg.eval_every = 2;
+    cfg
+}
+
+fn train_workload() -> HyperplaneWorkload {
+    HyperplaneWorkload {
+        task: Arc::new(HyperplaneTask::new(DIM, 2048, 0.1, 128, 3)),
+        local_batch: 16,
+    }
+}
+
+fn train_sim(cfg: &TrainerConfig, opts: SimOpts) -> Vec<(TrainLog, Vec<f32>)> {
+    let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+        let model = hyperplane_mlp(DIM, &mut TensorRng::new(7));
+        (Box::new(model), Box::new(Sgd::new(0.05)))
+    };
+    let world = WorldConfig::instant(TRAIN_P).with_seed(cfg.seed);
+    run_sim(cfg, build, train_workload(), world, opts)
+}
+
+fn bits(weights: &[f32]) -> Vec<u32> {
+    weights.iter().map(|w| w.to_bits()).collect()
+}
+
+/// Every field of a log, floats as their bit patterns, and its policies.
+fn log_bits(log: &TrainLog) -> (Vec<u64>, Vec<QuorumPolicy>) {
+    let mut v = vec![
+        log.rank as u64,
+        log.fresh_rounds,
+        log.missed_rounds,
+        log.steps,
+    ];
+    v.push(log.total_train_s.to_bits());
+    for e in &log.epochs {
+        v.extend([
+            e.epoch as u64,
+            e.train_time_s.to_bits(),
+            e.throughput.to_bits(),
+        ]);
+        v.push(e.mean_loss.to_bits().into());
+        for r in [e.test, e.train] {
+            let r = r.map_or([u32::MAX; 3], |r| {
+                [r.loss, r.top1, r.top5].map(f32::to_bits)
+            });
+            v.extend(r.map(u64::from));
+        }
+    }
+    for d in &log.decisions {
+        v.extend([
+            d.step,
+            d.from_round,
+            d.reward.to_bits(),
+            d.fresh_fraction.to_bits(),
+        ]);
+        v.extend([d.rounds_per_s, d.spread_ms, d.queue_stall_ms].map(f64::to_bits));
+    }
+    (v, log.decisions.iter().map(|d| d.policy).collect())
+}
+
+/// Eager-majority training under random skew, periodic weight sync and
+/// evaluation, on a jittery network: two same-seed runs give identical
+/// logs and final weights, bit for bit; the next seed does not.
+#[test]
+fn sim_trainer_replays_bit_identically() {
+    let cloud = || SimOpts {
+        network: NetworkModel::cloud(),
+        ..SimOpts::default()
+    };
+    let cfg = trainer_cfg(SgdVariant::EagerMajority, 42);
+    let (a, b) = (train_sim(&cfg, cloud()), train_sim(&cfg, cloud()));
+    for ((log_a, w_a), (log_b, w_b)) in a.iter().zip(&b) {
+        assert_eq!(log_bits(log_a), log_bits(log_b), "rank {}", log_a.rank);
+        assert_eq!(bits(w_a), bits(w_b), "rank {} weights", log_a.rank);
+    }
+    let first = &a[0].0;
+    assert_eq!(first.epochs.len(), 4);
+    assert!(first.epochs[1].test.is_some() && first.epochs[3].test.is_some());
+    assert!(first.missed_rounds > 0, "the skew makes some rounds stale");
+    // The run ends on a weight sync: every rank holds the average.
+    assert!(a.iter().all(|(_, w)| bits(w) == bits(&a[0].1)));
+
+    let c = train_sim(&trainer_cfg(SgdVariant::EagerMajority, 43), cloud());
+    assert_ne!(bits(&a[0].1), bits(&c[0].1), "seed must reach the run");
+}
+
+/// Synchronous SGD with no skew runs every round `Full`, where each rank's
+/// result is the same sum in the same schedule order on every transport:
+/// the simulator and real rank threads train to identical bits — every
+/// epoch's mean loss and the final weights, on every rank.
+#[test]
+fn sim_and_threads_train_sync_sgd_to_the_same_bits() {
+    let mut cfg = TrainerConfig::new(SgdVariant::SynchDeep500, 3, 8, 0.05);
+    cfg.eval_every = 3;
+    let sim = train_sim(&cfg, SimOpts::default());
+    let wl = train_workload();
+    let threads = World::launch(
+        WorldConfig::instant(TRAIN_P).with_seed(cfg.seed),
+        move |c| {
+            let ctx = RankCtx::new(c);
+            let mut model = hyperplane_mlp(DIM, &mut TensorRng::new(7));
+            let log = run_rank(&ctx, &mut model, &mut Sgd::new(0.05), &wl, &cfg);
+            let mut weights = vec![0.0; Model::num_params(&model)];
+            model.write_params(&mut weights);
+            ctx.finalize();
+            (log, weights)
+        },
+    );
+    let losses =
+        |l: &TrainLog| -> Vec<u32> { l.epochs.iter().map(|e| e.mean_loss.to_bits()).collect() };
+    for ((sim_log, sim_w), (log, w)) in sim.iter().zip(&threads) {
+        assert_eq!(losses(sim_log), losses(log), "rank {} losses", log.rank);
+        assert_eq!(bits(sim_w), bits(w), "rank {} weights", log.rank);
+    }
+}
+
+/// The hill-climb `AdaptiveTuner` on the simulated trainer: every rank
+/// records the same decisions (the harness panics on a split one), and a
+/// second run replays them — and everything else — bit for bit.
+#[test]
+fn sim_trainer_tuner_decisions_agree_and_replay() {
+    let mut cfg = trainer_cfg(SgdVariant::EagerSolo, 42);
+    cfg.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
+        period: 4,
+        beta: 0.5,
+        kind: ControllerKind::HillClimb,
+        initial: Some(QuorumPolicy::Full),
+        ..AdaptiveTunerCfg::default()
+    }));
+    let (a, b) = (
+        train_sim(&cfg, SimOpts::default()),
+        train_sim(&cfg, SimOpts::default()),
+    );
+    // 32 steps, a boundary every 4: the last (step 31) has no round to govern.
+    assert_eq!(a[0].0.decisions.len(), 7);
+    for ((log_a, w_a), (log_b, w_b)) in a.iter().zip(&b) {
+        assert_eq!(log_a.decisions, a[0].0.decisions, "rank {}", log_a.rank);
+        assert_eq!(log_bits(log_a), log_bits(log_b), "rank {}", log_a.rank);
+        assert_eq!(bits(w_a), bits(w_b), "rank {} weights", log_a.rank);
+    }
 }

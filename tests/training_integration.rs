@@ -4,6 +4,37 @@
 
 use eager_sgd_repro::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
+
+const P: usize = 4;
+const DIM: usize = 128;
+
+fn hyperplane_cfg(
+    variant: SgdVariant,
+    injector: Injector,
+    epochs: usize,
+    lr: f32,
+) -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(variant, epochs, 10, lr);
+    cfg.injector = injector;
+    cfg.time_scale = 0.2;
+    cfg.base_compute_ms = 25.0;
+    cfg.model_sync_every = Some(3);
+    cfg.grad_clip = Some(100.0);
+    cfg.eval_every = epochs;
+    cfg
+}
+
+fn hyperplane_workload() -> HyperplaneWorkload {
+    HyperplaneWorkload {
+        task: Arc::new(HyperplaneTask::new(DIM, 4096, 0.1, 128, 9)),
+        local_batch: 32,
+    }
+}
+
+fn hyperplane_model() -> eager_sgd_repro::nn::FeedForward {
+    eager_sgd_repro::nn::zoo::hyperplane_mlp(DIM, &mut TensorRng::new(555))
+}
 
 fn hyperplane_run(
     variant: SgdVariant,
@@ -11,25 +42,12 @@ fn hyperplane_run(
     epochs: usize,
     lr: f32,
 ) -> Vec<TrainLog> {
-    const P: usize = 4;
-    const DIM: usize = 128;
-    let task = Arc::new(HyperplaneTask::new(DIM, 4096, 0.1, 128, 9));
+    let cfg = hyperplane_cfg(variant, injector, epochs, lr);
+    let wl = hyperplane_workload();
     World::launch(WorldConfig::instant(P).with_seed(21), move |c| {
         let ctx = RankCtx::new(c);
-        let mut rng = TensorRng::new(555);
-        let mut model = eager_sgd_repro::nn::zoo::hyperplane_mlp(DIM, &mut rng);
+        let mut model = hyperplane_model();
         let mut opt = Sgd::new(lr);
-        let wl = HyperplaneWorkload {
-            task: Arc::clone(&task),
-            local_batch: 32,
-        };
-        let mut cfg = TrainerConfig::new(variant, epochs, 10, lr);
-        cfg.injector = injector.clone();
-        cfg.time_scale = 0.2;
-        cfg.base_compute_ms = 25.0;
-        cfg.model_sync_every = Some(3);
-        cfg.grad_clip = Some(100.0);
-        cfg.eval_every = epochs;
         let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
         ctx.finalize();
         log
@@ -77,6 +95,48 @@ fn eager_outpaces_sync_under_straggler() {
     assert!(
         t_eager < t_sync * 0.85,
         "eager {t_eager:.2}s should beat sync {t_sync:.2}s"
+    );
+}
+
+#[test]
+fn eager_outpaces_sync_under_straggler_on_virtual_time() {
+    // The exact twin: one random rank per step is (25 + 120) ms × 0.2
+    // late and the rest compute 25 ms × 0.2, so every synchronous step
+    // takes exactly the straggler's 29 ms on every rank.
+    let inj = Injector::RandomRanks {
+        k: 1,
+        amount_ms: 120.0,
+        seed: 4,
+    };
+    let sim = |variant| {
+        let cfg = hyperplane_cfg(variant, inj.clone(), 3, 0.05);
+        let world = WorldConfig::instant(P).with_seed(21);
+        let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+            (Box::new(hyperplane_model()), Box::new(Sgd::new(0.05)))
+        };
+        let runs = run_sim(
+            &cfg,
+            build,
+            hyperplane_workload(),
+            world,
+            SimOpts::default(),
+        );
+        runs.into_iter().map(|(log, _)| log).collect::<Vec<_>>()
+    };
+    let step = Duration::from_secs_f64((25.0 + 120.0) * 0.2 / 1e3);
+    let want = step * 30;
+    for log in sim(SgdVariant::SynchDeep500) {
+        let ns = (log.total_train_s * 1e9).round() as u128;
+        assert_eq!(ns, want.as_nanos(), "rank {}", log.rank);
+    }
+    let t_eager: f64 = sim(SgdVariant::EagerSolo)
+        .iter()
+        .map(|l| l.total_train_s)
+        .sum();
+    assert!(
+        t_eager < want.as_secs_f64() * P as f64 * 0.85,
+        "eager {t_eager:.3}s should beat sync {:.3}s",
+        want.as_secs_f64() * P as f64
     );
 }
 
