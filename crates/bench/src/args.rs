@@ -37,16 +37,15 @@ impl TransportChoice {
 ///
 /// `--seed` threads through every source of randomness a harness owns
 /// (world seed, model init, injector protocols, consensus draws), so two
-/// same-seed runs execute the identical protocol. Timing-derived metrics
-/// (rounds/sec, freshness) still carry scheduler noise — CI pins the seed
-/// to remove the protocol variance, and every timing check is a ratio
-/// between variants of the same run.
+/// same-seed runs execute the identical protocol. What runs on virtual
+/// time (every training figure, `fig9`, the simulator binaries) is then a
+/// pure function of the seed, timings included; what launches real ranks
+/// (`comm_micro`, `coll_micro`, the TCP runs) still carries scheduler
+/// noise, and its timing checks are ratios between variants of one run.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Shrink the run for smoke testing.
     pub quick: bool,
-    /// Wall-clock milliseconds per paper millisecond of injected delay.
-    pub time_scale: f64,
     /// Base seed.
     pub seed: u64,
     /// Free-form part selector (e.g. `--part a` for fig11).
@@ -59,7 +58,6 @@ impl Default for HarnessArgs {
     fn default() -> Self {
         HarnessArgs {
             quick: false,
-            time_scale: 0.1,
             seed: 42,
             part: None,
             transport: TransportChoice::InProcess,
@@ -94,7 +92,6 @@ impl HarnessArgs {
         while let Some(arg) = rest.next() {
             match arg.as_str() {
                 "--quick" => out.quick = true,
-                "--time-scale" => out.time_scale = value(&mut rest, "--time-scale needs a float"),
                 "--seed" => out.seed = value(&mut rest, "--seed needs an integer"),
                 "--part" => out.part = Some(value(&mut rest, "--part needs a value")),
                 "--transport" => {
@@ -122,8 +119,7 @@ impl HarnessArgs {
     }
 }
 
-const OPTIONS: &str =
-    "options: [--quick] [--time-scale X] [--seed N] [--part a|b|c] [--transport inproc|tcp]";
+const OPTIONS: &str = "options: [--quick] [--seed N] [--part a|b|c] [--transport inproc|tcp]";
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n{OPTIONS}");
@@ -148,7 +144,6 @@ mod tests {
     fn defaults_are_sane() {
         let a = HarnessArgs::default();
         assert!(!a.quick);
-        assert_eq!(a.time_scale, 0.1);
         assert_eq!(a.seed, 42);
         assert!(a.part.is_none());
         assert_eq!(a.transport, TransportChoice::InProcess);
@@ -158,8 +153,6 @@ mod tests {
     fn parses_all_flags() {
         let a = HarnessArgs::parse_from(&argv(&[
             "--quick",
-            "--time-scale",
-            "0.5",
             "--seed",
             "7",
             "--part",
@@ -168,7 +161,6 @@ mod tests {
             "tcp",
         ]));
         assert!(a.quick);
-        assert_eq!(a.time_scale, 0.5);
         assert_eq!(a.seed, 7);
         assert_eq!(a.part.as_deref(), Some("a"));
         assert_eq!(a.transport, TransportChoice::Tcp);
@@ -177,7 +169,7 @@ mod tests {
     #[test]
     fn empty_args_give_defaults() {
         let a = HarnessArgs::parse_from(&[]);
-        assert_eq!(a.time_scale, HarnessArgs::default().time_scale);
+        assert_eq!(a.seed, HarnessArgs::default().seed);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `repro [--quick] [--seed N] [--time-scale X] <figure>... | all`: the
+//! `repro [--quick] [--seed N] [--part a|b] <figure>... | all`: the
 //! paper's figures and tables, one name each (no name prints the index).
 //! The table and the figures live in `repro_bench::figures`.
 

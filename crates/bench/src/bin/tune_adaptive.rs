@@ -15,8 +15,10 @@
 //! plus the theory model's predicted utilities from the injector's exact
 //! offsets, and every controller decision as a JSON line.
 //!
-//! SHAPE-CHECKs (full mode): each adaptive controller reaches ≥ 90% of
-//! the best static arm's utility and beats the worst static arm.
+//! SHAPE-CHECKs: each adaptive controller reaches ≥ 90% of the best static
+//! arm's utility and beats the worst static arm. Every run is on virtual
+//! time (`train_variant`), so there is one size (`--quick` changes
+//! nothing) and the whole stdout is a pure function of `--seed`.
 
 use datagen::HyperplaneTask;
 use dnn::optim::LrSchedule;
@@ -81,10 +83,7 @@ fn run_variant(
 
 fn main() {
     let args = HarnessArgs::parse();
-    let p = if args.quick { 4 } else { 8 };
-    let epochs = if args.quick { 1 } else { 3 };
-    let steps = if args.quick { 32 } else { 128 };
-    let period = if args.quick { 8 } else { 16 };
+    let (p, epochs, steps, period) = (8, 3, 128, 16);
     let setup = TrainSetup {
         task: Task::Hyperplane(Arc::new(HyperplaneTask::new(48, 2048, 0.05, 96, 7))),
         p,
@@ -100,20 +99,17 @@ fn main() {
     };
 
     comment(&format!(
-        "tune_adaptive: closed-loop quorum control, {p} ranks, shifting skew 10–120 ms \
-         (time-scale {}), {} steps, decide every {period} rounds, beta {BETA}",
-        args.time_scale,
+        "tune_adaptive: closed-loop quorum control, {p} ranks, shifting skew 10–120 ms, \
+         {} steps, decide every {period} rounds, beta {BETA}",
         epochs * steps
     ));
 
     // Theory view: the injector's exact per-step offsets (the multiset is
     // rotation-invariant, so step 0 is representative).
     let inj = scenario_injector();
-    let offsets: Vec<f64> = (0..p)
-        .map(|r| inj.delay_ms(r, p, 0) * args.time_scale)
-        .collect();
+    let offsets: Vec<f64> = (0..p).map(|r| inj.delay_ms(r, p, 0)).collect();
     comment("theory model predictions (exact offsets):");
-    for (policy, pred) in predict_spectrum(&offsets, 0.5, 10.0 * args.time_scale, BETA) {
+    for (policy, pred) in predict_spectrum(&offsets, 0.5, setup.base_compute_ms, BETA) {
         comment(&format!(
             "  {policy:<12} E[NAP] {:>5.2}  round {:>7.2} ms  utility {:>8.2}",
             pred.prediction.e_nap, pred.prediction.round_ms, pred.utility
@@ -195,12 +191,6 @@ fn main() {
             100.0 * vs_best,
             vs_worst
         ));
-        if c.skip_in_quick(
-            &r.label,
-            "too few decision windows for the bandit to settle",
-        ) {
-            continue;
-        }
         c.check(
             &format!("{} ge 90pct of best static", r.label),
             vs_best >= 0.9,

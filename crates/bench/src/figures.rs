@@ -110,7 +110,7 @@ pub fn select(names: &[String]) -> Result<Vec<&'static Figure>, String> {
     if usage.is_empty() && !picked.is_empty() {
         return Ok(picked);
     }
-    usage += "usage: repro [--quick] [--seed N] [--time-scale X] <figure>... | all\n";
+    usage += "usage: repro [--quick] [--seed N] [--part a|b] <figure>... | all\n";
     for f in FIGURES {
         usage += &format!("  {:<18}{}\n", f.name, f.claim);
     }

@@ -9,8 +9,7 @@
 //! MPI_Barrier();                         // align before next iteration
 //! ```
 //!
-//! run on the simulator at the paper's full millisecond scale (the skew
-//! is the signal; `--time-scale` is ignored here). The loop is a
+//! run on the simulator at the paper's full millisecond scale. The loop is a
 //! process-arrival pattern — which rank arrives when, and how many
 //! protocol hops follow — so it is measured on virtual time, where the
 //! result is a pure function of `--seed` and no host thread's wake-up

@@ -1,7 +1,8 @@
-//! The distributed experiment runner shared by all training figures: a
-//! [`TrainSetup`] describes a figure's task, budget and imbalance as
-//! data, and [`train_variant`] is the one place that turns it into a
-//! `TrainerConfig`, an [`ExperimentSpec`] and a boxed model/optimizer.
+//! The experiment runner shared by all training figures: a [`TrainSetup`]
+//! describes a figure's task, budget and imbalance as data, and
+//! [`train_variant`] is the one place that turns it into a
+//! `TrainerConfig` and a model/optimizer per rank, and trains them on the
+//! simulator's virtual clock (`eager_sgd::run_sim`, `hpc` network).
 
 use crate::HarnessArgs;
 use datagen::{GaussianMixtureTask, HyperplaneTask, VideoTask};
@@ -10,55 +11,13 @@ use dnn::zoo::{hyperplane_mlp, resnet_proxy, video_lstm};
 use dnn::{Model, Optimizer, Sgd};
 use eager_sgd::metrics::EvalRecord;
 use eager_sgd::{
-    run_rank, HyperplaneWorkload, ImageWorkload, SgdVariant, TrainLog, TrainerConfig,
-    VideoWorkload, Workload,
+    run_sim, HyperplaneWorkload, ImageWorkload, SgdVariant, TrainLog, TrainerConfig, VideoWorkload,
+    Workload,
 };
 use imbalance::Injector;
 use minitensor::TensorRng;
-use pcoll::RankCtx;
-use pcoll_comm::{World, WorldConfig};
+use pcoll_comm::{NetworkModel, SimOpts, WorldConfig};
 use std::sync::Arc;
-
-/// Everything needed to launch one training configuration.
-#[derive(Clone)]
-pub struct ExperimentSpec {
-    pub p: usize,
-    pub world_seed: u64,
-    /// Seed for model initialization — identical on every rank so local
-    /// views start equal (the data-parallel contract).
-    pub model_seed: u64,
-    pub trainer: TrainerConfig,
-}
-
-/// Run one training configuration across `p` rank threads and return the
-/// per-rank logs.
-pub fn run_distributed<MF>(
-    spec: &ExperimentSpec,
-    model_factory: MF,
-    workload: Arc<dyn Workload>,
-) -> Vec<TrainLog>
-where
-    MF: Fn(&mut TensorRng) -> (Box<dyn Model>, Box<dyn Optimizer>) + Send + Sync + 'static,
-{
-    let spec2 = spec.clone();
-    World::launch(
-        WorldConfig::instant(spec.p).with_seed(spec.world_seed),
-        move |c| {
-            let ctx = RankCtx::new(c);
-            let mut init_rng = TensorRng::new(spec2.model_seed);
-            let (mut model, mut opt) = model_factory(&mut init_rng);
-            let log = run_rank(
-                &ctx,
-                model.as_mut(),
-                opt.as_mut(),
-                workload.as_ref(),
-                &spec2.trainer,
-            );
-            ctx.finalize();
-            log
-        },
-    )
-}
 
 /// The dataset a figure trains on (seeded by the figure from `--seed`)
 /// and what sizes the proxy model built for it.
@@ -84,7 +43,7 @@ pub struct TrainSetup {
     pub steps: usize,
     pub lr: LrSchedule,
     pub injector: Injector,
-    /// Simulated balanced compute per step (paper ms).
+    /// Simulated balanced compute per step (virtual ms).
     pub base_compute_ms: f64,
     pub grad_clip: Option<f32>,
     pub model_sync_every: Option<usize>,
@@ -112,7 +71,6 @@ pub fn trainer_config(
     let mut trainer = TrainerConfig::new(variant, setup.epochs, setup.steps, setup.lr.base_lr);
     trainer.lr = setup.lr.clone();
     trainer.injector = setup.injector.clone();
-    trainer.time_scale = args.time_scale;
     trainer.base_compute_ms = setup.base_compute_ms;
     trainer.grad_clip = setup.grad_clip;
     trainer.model_sync_every = setup.model_sync_every;
@@ -121,8 +79,11 @@ pub fn trainer_config(
     trainer
 }
 
-/// Train one variant of `setup` in-process; `tweak` is the per-run
-/// override (an injection amount, a stale mode, a tuner).
+/// Train one variant of `setup` on virtual time, a pure function of
+/// `--seed`; `tweak` is the per-run override (an injection amount, a
+/// stale mode, a tuner). The network is `hpc`, so a collective is not
+/// free; every rank's model starts from the same seed (the data-parallel
+/// contract).
 pub fn train_variant(
     setup: &TrainSetup,
     args: &HarnessArgs,
@@ -132,15 +93,8 @@ pub fn train_variant(
     let mut trainer = trainer_config(setup, args, variant);
     tweak(&mut trainer);
     let lr = trainer.lr.base_lr;
-    let spec = ExperimentSpec {
-        p: setup.p,
-        world_seed: args.seed,
-        model_seed: args.seed ^ 0x30D,
-        trainer,
-    };
     let local_batch = setup.local_batch;
-    let task = setup.task.clone();
-    let workload: Arc<dyn Workload> = match task.clone() {
+    let workload: Arc<dyn Workload> = match setup.task.clone() {
         Task::Hyperplane(task) => Arc::new(HyperplaneWorkload { task, local_batch }),
         Task::Images(task, _, train_eval_batches) => Arc::new(ImageWorkload {
             task,
@@ -152,8 +106,9 @@ pub fn train_variant(
             eval_videos: 96,
         }),
     };
-    let factory = move |rng: &mut TensorRng| {
-        let model: Box<dyn Model> = match &task {
+    let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+        let rng = &mut TensorRng::new(args.seed ^ 0x30D);
+        let model: Box<dyn Model> = match &setup.task {
             Task::Hyperplane(t) => Box::new(hyperplane_mlp(t.dim, rng)),
             Task::Images(t, blocks, _) => {
                 Box::new(resnet_proxy(t.dim, 64, *blocks, t.classes, rng))
@@ -162,9 +117,15 @@ pub fn train_variant(
                 Box::new(video_lstm(t.spec.feat_dim, *hidden, t.spec.classes, rng))
             }
         };
-        (model, Box::new(Sgd::new(lr)) as Box<dyn Optimizer>)
+        (model, Box::new(Sgd::new(lr)))
     };
-    run_distributed(&spec, factory, workload)
+    let world = WorldConfig::instant(setup.p).with_seed(args.seed);
+    let opts = SimOpts {
+        network: NetworkModel::hpc(),
+        ..SimOpts::default()
+    };
+    let runs = run_sim(&trainer, build, workload, world, opts);
+    runs.into_iter().map(|(log, _)| log).collect()
 }
 
 /// Aggregated view of one variant's run, for summary tables.
@@ -210,34 +171,24 @@ impl VariantSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::HyperplaneTask;
-    use dnn::zoo::hyperplane_mlp;
-    use dnn::Sgd;
-    use eager_sgd::{HyperplaneWorkload, SgdVariant};
 
     #[test]
     fn runner_round_trips_a_tiny_experiment() {
-        let task = Arc::new(HyperplaneTask::new(16, 256, 0.05, 32, 3));
-        let spec = ExperimentSpec {
+        let setup = TrainSetup {
+            task: Task::Hyperplane(Arc::new(HyperplaneTask::new(16, 256, 0.05, 32, 3))),
             p: 2,
-            world_seed: 1,
-            model_seed: 2,
-            trainer: TrainerConfig::new(SgdVariant::SynchDeep500, 2, 4, 0.02),
-        };
-        let wl = Arc::new(HyperplaneWorkload {
-            task,
             local_batch: 8,
-        });
-        let logs = run_distributed(
-            &spec,
-            |rng| {
-                (
-                    Box::new(hyperplane_mlp(16, rng)) as Box<dyn Model>,
-                    Box::new(Sgd::new(0.02)) as Box<dyn Optimizer>,
-                )
-            },
-            wl,
-        );
+            epochs: 2,
+            steps: 4,
+            lr: LrSchedule::constant(0.02),
+            injector: Injector::None,
+            base_compute_ms: 0.0,
+            grad_clip: None,
+            model_sync_every: None,
+            eval_every: 1,
+        };
+        let args = HarnessArgs::default();
+        let logs = train_variant(&setup, &args, SgdVariant::SynchDeep500, &|_| {});
         assert_eq!(logs.len(), 2);
         let s = VariantSummary::from_logs("test", &logs);
         assert!(s.throughput > 0.0);

@@ -3,7 +3,7 @@
 //! One `repro <figure>` binary reproduces every table/figure of the paper
 //! from the static table in [`figures`] (README "Running experiments" is
 //! the index); the other binaries are the scale, smoke and sweep tools.
-//! This library holds the shared machinery: the distributed experiment
+//! This library holds the shared machinery: the training experiment
 //! runner, result summaries, shape checks, TSV output helpers and the
 //! WAN scenario the simulation harnesses share.
 //!
@@ -13,10 +13,9 @@
 //! 3. `SHAPE-CHECK` lines verifying the qualitative claims the
 //!    reproduction targets (who wins, by roughly what factor).
 //!
-//! Scale knobs: `--quick` shrinks runs for smoke tests; `--time-scale X`
-//! maps the paper's injected milliseconds onto wall-clock milliseconds
-//! (default 0.1; speedup *ratios* are scale-invariant because every
-//! variant waits on identically scaled skew).
+//! `--quick` shrinks runs for smoke tests. The training figures run on
+//! the simulator's virtual clock, so their injected and modelled delays
+//! are the paper's milliseconds and cost no wall time.
 
 pub mod args;
 pub mod figures;

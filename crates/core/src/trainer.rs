@@ -104,14 +104,10 @@ pub struct TrainerConfig {
     pub model_sync_every: Option<usize>,
     /// Delay injection protocol.
     pub injector: Injector,
-    /// Multiplier mapping the paper's injected milliseconds onto
-    /// wall-clock (`--time-scale` in README "Running experiments";
-    /// ratios are scale-invariant).
-    pub time_scale: f64,
-    /// Simulated balanced per-step compute (paper milliseconds, scaled by
-    /// `time_scale`), standing in for the GPU forward/backward time that
-    /// our CPU proxy models underestimate. Sets the compute-to-injection
-    /// ratio that the speedup factors depend on.
+    /// Simulated balanced per-step compute (ms on the rank's clock),
+    /// standing in for the GPU forward/backward time that our CPU proxy
+    /// models underestimate. Sets the compute-to-injection ratio that the
+    /// speedup factors depend on.
     pub base_compute_ms: f64,
     /// Stale-gradient handling in the partial collective (ablation; the
     /// paper's protocol is `Accumulate`).
@@ -140,7 +136,6 @@ impl TrainerConfig {
             lr: LrSchedule::constant(lr),
             model_sync_every: Some(10),
             injector: Injector::None,
-            time_scale: 1.0,
             base_compute_ms: 0.0,
             stale_mode: StaleMode::Accumulate,
             grad_clip: None,
@@ -212,11 +207,11 @@ impl Step {
     }
 
     /// `rank`'s compute before depositing `step`: the simulated balanced
-    /// compute plus the injected delay (§6.2), scaled by `time_scale`. A
-    /// pure function of the config, so any driver can evaluate any rank's.
+    /// compute plus the injected delay (§6.2). A pure function of the
+    /// config, so any driver can evaluate any rank's.
     fn delay(&self, rank: usize, step: u64) -> Duration {
         let ms = self.cfg.base_compute_ms + self.injector.delay_ms(rank, self.p, step);
-        Duration::from_secs_f64(ms * self.cfg.time_scale / 1e3)
+        Duration::from_secs_f64(ms / 1e3)
     }
 
     /// Begin the next epoch at `now`: its learning rate, a fresh loss sum.
@@ -375,12 +370,8 @@ pub fn run_rank(
             if let (Some(t), Some(cons)) = (tuner.as_mut(), consensus.as_mut()) {
                 // Arrival offsets of *all* ranks this step: every rank can
                 // evaluate the injector's global pattern from the shared
-                // seed without communication. Scaled to wall-clock ms so
-                // estimator offsets share units with the measured round
-                // latencies.
-                let mut offsets = st.injector.delays_all(p, step);
-                offsets.iter_mut().for_each(|o| *o *= cfg.time_scale);
-                t.record_step(step, &offsets);
+                // seed without communication.
+                t.record_step(step, &st.injector.delays_all(p, step));
                 if (step + 1).is_multiple_of(t.period().max(1)) {
                     // measure → agree → decide → apply → fence.
                     let comm = ctx.comm_stats().snapshot().since(&comm_at_start);
@@ -444,8 +435,9 @@ pub fn run_rank(
 ///
 /// Rounds, length, policy, scale, stale mode and tuner come from `cfg` and
 /// the model, as in [`run_rank`]. What differs:
-/// - time is virtual: a step takes its delay plus the modelled network
-///   time; `grad_step`, the optimizer and evaluation take none;
+/// - time is virtual: a step takes its delay, plus its batch's
+///   [`Workload::cost_ms`], plus the modelled network time; `grad_step`,
+///   the optimizer and evaluation take none;
 /// - the tuner's decide→fence consensus is the harness's one virtual event
 ///   ([`pcoll::SimSpec::tuner`]), its offsets are the step delays (base
 ///   compute included), the run's last step decides nothing (no round is
@@ -459,12 +451,11 @@ pub fn run_rank(
 pub fn run_sim(
     cfg: &TrainerConfig,
     mut build: impl FnMut(usize) -> (Box<dyn Model>, Box<dyn Optimizer>),
-    workload: impl Workload + 'static,
+    workload: Arc<dyn Workload>,
     world: WorldConfig,
     opts: SimOpts,
 ) -> Vec<(TrainLog, Vec<f32>)> {
     let p = world.nranks;
-    let workload: Arc<dyn Workload> = Arc::new(workload);
     let trainees: Vec<Arc<Mutex<Trainee>>> = (0..p)
         .map(|rank| {
             let (model, mut opt) = build(rank);
@@ -531,7 +522,9 @@ struct SimStep {
 
 impl RankStep for SimStep {
     fn delay(&self, rank: usize, round: u64) -> Duration {
-        lock(&self.trainee).st.delay(rank, round)
+        // A rank thread pays its batch's compute for real; here it is charged.
+        let t = lock(&self.trainee);
+        t.st.delay(rank, round) + Duration::from_secs_f64(t.workload.cost_ms(rank, round) / 1e3)
     }
 
     fn fill(&mut self, _: u64, send: &mut TypedBuf) {
@@ -701,10 +694,10 @@ mod tests {
             let model = hyperplane_mlp(32, &mut TensorRng::new(5));
             (Box::new(model), Box::new(Sgd::new(0.02)))
         };
-        let wl = HyperplaneWorkload {
+        let wl = Arc::new(HyperplaneWorkload {
             task,
             local_batch: 16,
-        };
+        });
         let world = WorldConfig::instant(p);
         let runs = run_sim(cfg, build, wl, world, pcoll_comm::SimOpts::default());
         runs.into_iter().map(|(log, _)| log).collect()

@@ -91,6 +91,7 @@ pub struct VideoTask {
     noise_std: f32,
     val: Vec<Video>,
     feature_seed: u64,
+    bucket_seed: u64,
 }
 
 impl VideoTask {
@@ -147,6 +148,7 @@ impl VideoTask {
             noise_std,
             val,
             feature_seed: seed ^ 0xFEA7,
+            bucket_seed: seed ^ 0xB0C7,
         }
     }
 
@@ -181,9 +183,12 @@ impl VideoTask {
         self.materialize(&vids)
     }
 
-    /// Sample a random bucket index.
-    pub fn sample_bucket(&self, rng: &mut TensorRng) -> usize {
-        rng.index(self.buckets.len())
+    /// The bucket `rank` trains on at `step`: uniform over the buckets and
+    /// a pure function of `(seed, rank, step)`, so a step's batch and its
+    /// compute cost can be looked up independently and always agree.
+    pub fn bucket_at(&self, rank: usize, step: u64) -> usize {
+        let key = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step;
+        TensorRng::new(self.bucket_seed ^ key).index(self.buckets.len())
     }
 
     /// A class-stratified validation batch of up to `n` videos, bucketed

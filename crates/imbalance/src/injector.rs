@@ -152,11 +152,10 @@ impl Injector {
         }
     }
 
-    /// Sleep for this step's delay, scaled by `time_scale` (the harness
-    /// knob that maps the paper's milliseconds onto an affordable
-    /// wall-clock budget; ratios are scale-invariant).
-    pub fn inject(&self, rank: usize, p: usize, step: u64, time_scale: f64) {
-        let ms = self.delay_ms(rank, p, step) * time_scale;
+    /// Sleep for this step's delay, multiplied by `scale` (wall-clock ms
+    /// per injected ms).
+    pub fn inject(&self, rank: usize, p: usize, step: u64, scale: f64) {
+        let ms = self.delay_ms(rank, p, step) * scale;
         if ms > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(ms / 1e3));
         }

@@ -34,8 +34,7 @@ fn run_phase(name: &str, injector: Injector) {
         };
         let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 2, 40, 0.02);
         cfg.injector = injector.clone();
-        cfg.time_scale = 0.1;
-        cfg.base_compute_ms = 10.0;
+        cfg.base_compute_ms = 1.0;
         cfg.eval_every = 1000;
         cfg.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
             period: PERIOD,
@@ -83,10 +82,10 @@ fn main() {
     );
     run_phase("phase 1: balanced (no injected skew)", Injector::None);
     run_phase(
-        "phase 2: one random 160 ms straggler per step",
+        "phase 2: one random 16 ms straggler per step",
         Injector::RandomRanks {
             k: 1,
-            amount_ms: 160.0,
+            amount_ms: 16.0,
             seed: 13,
         },
     );

@@ -23,10 +23,14 @@ fn train(variant: SgdVariant, task: Arc<GaussianMixtureTask>) -> (f64, f32) {
             train_eval_batches: 0,
         };
         let mut cfg = TrainerConfig::new(variant, 8, 15, 0.08);
-        // Fig. 4's cloud-noise model, scaled down 10x.
-        cfg.injector = Injector::cloud_default(7);
-        cfg.time_scale = 0.1;
-        cfg.base_compute_ms = 100.0;
+        // Fig. 4's cloud-noise model, scaled down 10x: e^(μ − ln 10) = e^μ / 10.
+        cfg.injector = Injector::CloudNoise {
+            base_ms: 0.0,
+            mu_log: 3.16 - 10f64.ln(),
+            sigma_log: 1.30,
+            seed: 7,
+        };
+        cfg.base_compute_ms = 10.0;
         cfg.model_sync_every = Some(4);
         cfg.eval_every = 4;
         let log = run_rank(&ctx, &mut model, &mut opt, &workload, &cfg);

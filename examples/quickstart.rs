@@ -40,20 +40,19 @@ fn train(variant: SgdVariant, transport: Transport) -> Option<(f64, f32)> {
             local_batch: 64,
         };
 
-        // 10 epochs × 12 steps; one random rank is delayed 80 ms per
+        // 10 epochs × 12 steps; one random rank is delayed 20 ms per
         // step (light dynamic imbalance, as in §6.2).
         let mut cfg = TrainerConfig::new(variant, 10, 12, 0.04);
         cfg.injector = Injector::RandomRanks {
             k: 1,
-            amount_ms: 80.0,
+            amount_ms: 20.0,
             seed: 3,
         };
-        cfg.time_scale = 0.25; // 80 ms → 20 ms wall-clock
 
         // Balanced per-step compute keeps ranks loosely in lockstep, as
         // real GPU steps do; without it fast ranks sprint ahead and
         // staleness grows unboundedly (the regime §5 warns about).
-        cfg.base_compute_ms = 60.0;
+        cfg.base_compute_ms = 15.0;
         cfg.model_sync_every = Some(5);
         cfg.grad_clip = Some(50.0);
         cfg.eval_every = 5;

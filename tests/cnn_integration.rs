@@ -83,7 +83,7 @@ fn cnn_trains_with_eager_majority_on_virtual_time() {
         };
         let cfg = cnn_cfg(SgdVariant::EagerMajority);
         let world = WorldConfig::instant(P).with_seed(13);
-        let runs = run_sim(&cfg, build, blobs(), world, SimOpts::default());
+        let runs = run_sim(&cfg, build, Arc::new(blobs()), world, SimOpts::default());
         accuracy(&runs.into_iter().map(|(log, _)| log).collect::<Vec<_>>())
     };
     let acc = run();

@@ -201,7 +201,7 @@ fn bench_binaries_and_figures_named_in_docs_exist() {
         .filter_map(|l| l.trim().strip_prefix("name: \"")?.strip_suffix("\","))
         .collect();
     assert!(figures.len() >= 14, "the scan found {figures:?}");
-    let takes_value = ["--seed", "--time-scale", "--part", "--transport"];
+    let takes_value = ["--seed", "--part", "--transport"];
     let mut failures = Vec::new();
     // (document, whether it carries a complete figure index)
     for (doc, index) in [
@@ -238,11 +238,15 @@ fn bench_binaries_and_figures_named_in_docs_exist() {
                 while let Some(word) = words.next() {
                     if takes_value.contains(&word) {
                         words.next();
+                    } else if word.starts_with("--") {
+                        if word != "--quick" {
+                            fail(format!("`repro {word}` is not a flag of `repro`"));
+                        }
                     } else if word.starts_with(|c: char| c.is_ascii_lowercase()) {
                         if word != "all" && !figures.contains(word) {
                             fail(format!("`repro {word}` is not a row of the figure table"));
                         }
-                    } else if !word.starts_with("--") {
+                    } else {
                         break; // `<figure>...`, `|`, prose punctuation
                     }
                 }

@@ -294,7 +294,7 @@ fn train_sim(cfg: &TrainerConfig, opts: SimOpts) -> Vec<(TrainLog, Vec<f32>)> {
         (Box::new(model), Box::new(Sgd::new(0.05)))
     };
     let world = WorldConfig::instant(TRAIN_P).with_seed(cfg.seed);
-    run_sim(cfg, build, train_workload(), world, opts)
+    run_sim(cfg, build, Arc::new(train_workload()), world, opts)
 }
 
 fn bits(weights: &[f32]) -> Vec<u32> {

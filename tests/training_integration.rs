@@ -17,8 +17,7 @@ fn hyperplane_cfg(
 ) -> TrainerConfig {
     let mut cfg = TrainerConfig::new(variant, epochs, 10, lr);
     cfg.injector = injector;
-    cfg.time_scale = 0.2;
-    cfg.base_compute_ms = 25.0;
+    cfg.base_compute_ms = 5.0;
     cfg.model_sync_every = Some(3);
     cfg.grad_clip = Some(100.0);
     cfg.eval_every = epochs;
@@ -85,7 +84,7 @@ fn all_variants_converge_without_skew() {
 fn eager_outpaces_sync_under_straggler() {
     let inj = Injector::RandomRanks {
         k: 1,
-        amount_ms: 120.0,
+        amount_ms: 24.0,
         seed: 4,
     };
     let sync = hyperplane_run(SgdVariant::SynchDeep500, inj.clone(), 3, 0.05);
@@ -100,12 +99,12 @@ fn eager_outpaces_sync_under_straggler() {
 
 #[test]
 fn eager_outpaces_sync_under_straggler_on_virtual_time() {
-    // The exact twin: one random rank per step is (25 + 120) ms × 0.2
-    // late and the rest compute 25 ms × 0.2, so every synchronous step
-    // takes exactly the straggler's 29 ms on every rank.
+    // The exact twin: one random rank per step is 5 + 24 ms late and the
+    // rest compute 5 ms, so every synchronous step takes exactly the
+    // straggler's 29 ms on every rank.
     let inj = Injector::RandomRanks {
         k: 1,
-        amount_ms: 120.0,
+        amount_ms: 24.0,
         seed: 4,
     };
     let sim = |variant| {
@@ -114,16 +113,11 @@ fn eager_outpaces_sync_under_straggler_on_virtual_time() {
         let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
             (Box::new(hyperplane_model()), Box::new(Sgd::new(0.05)))
         };
-        let runs = run_sim(
-            &cfg,
-            build,
-            hyperplane_workload(),
-            world,
-            SimOpts::default(),
-        );
+        let wl = Arc::new(hyperplane_workload());
+        let runs = run_sim(&cfg, build, wl, world, SimOpts::default());
         runs.into_iter().map(|(log, _)| log).collect::<Vec<_>>()
     };
-    let step = Duration::from_secs_f64((25.0 + 120.0) * 0.2 / 1e3);
+    let step = Duration::from_secs_f64((5.0 + 24.0) / 1e3);
     let want = step * 30;
     for log in sim(SgdVariant::SynchDeep500) {
         let ns = (log.total_train_s * 1e9).round() as u128;
@@ -189,11 +183,10 @@ fn eager_models_diverge_then_model_sync_reconciles() {
             let mut cfg = TrainerConfig::new(SgdVariant::EagerSolo, 4, 8, 0.05);
             cfg.injector = Injector::RandomRanks {
                 k: 1,
-                amount_ms: 60.0,
+                amount_ms: 12.0,
                 seed: 8,
             };
-            cfg.time_scale = 0.2;
-            cfg.base_compute_ms = 15.0;
+            cfg.base_compute_ms = 3.0;
             cfg.model_sync_every = sync_every;
             cfg.eval_every = 100;
             let _ = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
@@ -226,37 +219,37 @@ fn eager_models_diverge_then_model_sync_reconciles() {
     }
 }
 
-#[test]
-fn lstm_video_task_trains_distributed() {
-    // The §6.3 case study end-to-end at tiny scale: inherent imbalance,
-    // majority allreduce, accuracy must beat chance.
-    const P: usize = 4;
+/// The §6.3 case study at tiny scale: inherent imbalance (variable-length
+/// buckets), majority allreduce, evaluation every three epochs.
+fn video_cfg() -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 6, 10, 0.15);
+    cfg.model_sync_every = Some(3);
+    cfg.eval_every = 3;
+    cfg
+}
+
+fn video_workload() -> VideoWorkload {
     let mut spec = VideoDatasetSpec::small(4, 8);
     spec.n_videos = 256;
-    let task = Arc::new(VideoTask::new(spec, 8, 3));
-    let logs = World::launch(WorldConfig::instant(P).with_seed(17), move |c| {
-        let ctx = RankCtx::new(c);
-        let mut rng = TensorRng::new(88);
-        let mut model = eager_sgd_repro::nn::zoo::video_lstm(8, 16, 4, &mut rng);
-        let mut opt = Sgd::new(0.15);
-        let wl = VideoWorkload {
-            task: Arc::clone(&task),
-            eval_videos: 32,
-        };
-        let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 6, 10, 0.15);
-        cfg.model_sync_every = Some(3);
-        cfg.eval_every = 3;
-        let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-        ctx.finalize();
-        log
-    });
+    VideoWorkload {
+        task: Arc::new(VideoTask::new(spec, 8, 3)),
+        eval_videos: 32,
+    }
+}
+
+fn video_model() -> eager_sgd_repro::nn::LstmClassifier {
+    eager_sgd_repro::nn::zoo::video_lstm(8, 16, 4, &mut TensorRng::new(88))
+}
+
+/// Accuracy must beat chance, and the variable-length buckets leave some
+/// rounds without a rank's fresh gradient even with no injection.
+fn assert_video_trained(logs: &[TrainLog]) {
     let final_test = logs[0].final_test().expect("evaluated");
     assert!(
         final_test.top1 > 0.5,
         "4-class LSTM should beat chance significantly, got {}",
         final_test.top1
     );
-    // Inherent imbalance: fresh fraction below 1 even with no injection.
     let fresh: f64 = logs
         .iter()
         .map(|l| l.fresh_rounds as f64 / l.steps as f64)
@@ -266,4 +259,38 @@ fn lstm_video_task_trains_distributed() {
         fresh < 0.999,
         "variable-length buckets should cause some missed rounds (got {fresh})"
     );
+}
+
+#[test]
+fn lstm_video_task_trains_distributed() {
+    let (cfg, wl) = (video_cfg(), video_workload());
+    let logs = World::launch(WorldConfig::instant(P).with_seed(17), move |c| {
+        let ctx = RankCtx::new(c);
+        let mut model = video_model();
+        let mut opt = Sgd::new(0.15);
+        let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
+        ctx.finalize();
+        log
+    });
+    assert_video_trained(&logs);
+}
+
+/// The twin on virtual time, where a batch's compute is the Fig. 2b cost
+/// of its bucket (`Workload::cost_ms`): the same claims, and a repeat
+/// replays every log field bit for bit (`{:?}` prints each float's
+/// shortest round-trip form).
+#[test]
+fn lstm_video_task_trains_distributed_on_virtual_time() {
+    let run = || {
+        let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+            (Box::new(video_model()), Box::new(Sgd::new(0.15)))
+        };
+        let world = WorldConfig::instant(P).with_seed(17);
+        let wl = Arc::new(video_workload());
+        let runs = run_sim(&video_cfg(), build, wl, world, SimOpts::default());
+        runs.into_iter().map(|(log, _)| log).collect::<Vec<_>>()
+    };
+    let logs = run();
+    assert_video_trained(&logs);
+    assert_eq!(format!("{logs:?}"), format!("{:?}", run()));
 }
