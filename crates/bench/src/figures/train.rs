@@ -179,7 +179,6 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
     ));
     comment("paper 11a: eager-solo 1.25x/1.23x over Deep500, 1.14x/1.22x over Horovod");
     comment("paper 11b/c: eager within ~0.6% accuracy; no model sync costs ~1% test acc");
-    comment("Horovod's negotiation round-trip is not simulated: its rows equal Deep500's");
 
     let part = args.part.as_deref().unwrap_or("ab");
     let accuracy = part.contains('b');
@@ -196,8 +195,6 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
             let synced = |variant, label| run(variant, label, ms, Some(10));
             let deep500 = format!("synch-SGD-{ms}(Deep500)");
             runs.push(synced(SgdVariant::SynchDeep500, deep500));
-            let horovod = format!("synch-SGD-{ms}(Horovod)");
-            runs.push(synced(SgdVariant::SynchHorovod, horovod));
             runs.push(synced(
                 SgdVariant::EagerSolo,
                 format!("eager-SGD-{ms}(solo)"),
@@ -211,8 +208,8 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
     }
     let s = train(args, &setup, runs, true);
 
-    for (trio, ms) in s.chunks_exact(3).zip([300, 460]) {
-        let (d500, hvd, eager) = (&trio[0], &trio[1], &trio[2]);
+    for (pair, ms) in s.chunks_exact(2).zip([300, 460]) {
+        let (d500, eager) = (&pair[0], &pair[1]);
         let name = |what: &str| format!("{what}-at-{ms}ms");
         c.faster_than(
             &name("eager-beats-deep500"),
@@ -220,13 +217,6 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
             d500,
             1.1,
             "1.25x/1.23x",
-        );
-        c.faster_than(
-            &name("eager-beats-horovod"),
-            eager,
-            hvd,
-            1.05,
-            "1.14x/1.22x",
         );
         if accuracy && !args.quick {
             // At our 25x-shortened budget eager lags sync by a few epochs
@@ -244,8 +234,8 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
         println!(
             "# model-sync ablation: synced {:.3} vs nosync {:.3} top-1 \
              (paper: 75.2% vs 74.1% at 90 epochs)",
-            top1(&s[2]),
-            top1(&s[6])
+            top1(&s[1]),
+            top1(&s[4])
         );
     }
 }
@@ -254,7 +244,7 @@ pub(super) fn fig11(args: &HarnessArgs, c: &mut Checks) {
 /// majority]`.
 fn sync_solo_majority(args: &HarnessArgs, setup: &TrainSetup) -> Vec<VariantSummary> {
     let runs = vec![
-        plain(SgdVariant::SynchHorovod, "synch-SGD(Horovod)"),
+        plain(SgdVariant::SynchDeep500, "synch-SGD(Deep500)"),
         plain(SgdVariant::EagerSolo, "eager-SGD(solo)"),
         plain(SgdVariant::EagerMajority, "eager-SGD(majority)"),
     ];

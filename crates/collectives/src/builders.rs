@@ -13,8 +13,6 @@
 //! | `0x200+k` | recursive-doubling data exchange, level `k` |
 //! | `0x300+k` | quorum chain token to candidate `k`       |
 //! | `0x400+k` | dissemination barrier, round `k`          |
-//! | `0x500`   | binomial broadcast payload                |
-//! | `0x600+k` | binomial reduce payload from child at level `k` |
 //!
 //! ## The activation phase (§4.1.1)
 //!
@@ -22,12 +20,13 @@
 //! doubling communication scheme ... equivalent to the union of P binomial
 //! trees rooted at the different nodes". Concretely, with `L = log2(P)`
 //! steps, in the tree rooted at initiator `i` a rank `r` *receives* the
-//! activation at step `h = highest_bit(r XOR i)` from `r XOR 2^h`, and
-//! *forwards* it at every step `j > h` to `r XOR 2^j`. Because `h` depends
-//! only on `r XOR i`, posting one receive per step (`R_act[k]` from
-//! `r XOR 2^k`) and one send per step with OR-dependencies on the
-//! lower-step receives covers **all** P possible initiators with `O(log P)`
-//! consumable operations — precisely the paper's Fig. 6 schedule.
+//! activation at step `h` (the highest set bit of `r XOR i`) from
+//! `r XOR 2^h`, and *forwards* it at every step `j > h` to `r XOR 2^j`.
+//! Because `h` depends only on `r XOR i`, posting one receive per step
+//! (`R_act[k]` from `r XOR 2^k`) and one send per step with
+//! OR-dependencies on the lower-step receives covers **all** P possible
+//! initiators with `O(log P)` consumable operations — precisely the
+//! paper's Fig. 6 schedule.
 //!
 //! ## The averaging step (Alg. 2 line 6)
 //!
@@ -82,10 +81,6 @@ pub const SEM_DATA: u32 = 0x200;
 pub const SEM_CHAIN: u32 = 0x300;
 /// Wire-tag namespace for the dissemination barrier's rounds.
 pub const SEM_BARRIER: u32 = 0x400;
-/// Wire-tag namespace for binomial-tree broadcast hops.
-pub const SEM_BCAST: u32 = 0x500;
-/// Wire-tag namespace for binomial-tree reduce hops.
-pub const SEM_REDUCE: u32 = 0x600;
 /// Base of the segmented-ring data namespace: segment `g`'s ring step
 /// `s` uses `SEM_SEG + g·2(P−1) + s` (reduce-scatter) and
 /// `+ (P−1) + s` (allgather).
@@ -559,141 +554,6 @@ pub fn barrier_schedule(rank: Rank, p: usize) -> Schedule {
     b.build()
 }
 
-/// Binomial-tree broadcast from `root` (any `p`). The root's send cascade
-/// is gated on its internal activation; non-root ranks forward upon
-/// receipt, so only the root's arrival matters — which is the broadcast
-/// contract. The result slot holds the payload on every rank.
-pub fn bcast_schedule(rank: Rank, p: usize, root: Rank) -> Schedule {
-    let mut b = ScheduleBuilder::new();
-    b.slots(1);
-    let rel = (rank + p - root) % p;
-    let recv_level = if rel == 0 {
-        None
-    } else {
-        Some(crate::topology::highest_bit(rel))
-    };
-    let trigger: OpId = match recv_level {
-        None => {
-            b.snapshot_at(SnapshotTiming::Activation);
-            b.op(OpKind::InternalGate, vec![])
-        }
-        Some(h) => {
-            let parent_rel = rel - (1usize << h);
-            let parent = (parent_rel + root) % p;
-            b.op(
-                OpKind::Recv {
-                    peer: parent,
-                    sem: SEM_BCAST,
-                    into: Some(CONTRIB_SLOT),
-                },
-                vec![],
-            )
-        }
-    };
-    // Forward to children: rel + 2^j for every level j above our receive
-    // level (all levels for the root), bounded by the world size.
-    let levels = usize::BITS - p.leading_zeros(); // enough steps to cover p
-    let from = recv_level.map_or(0, |h| h + 1);
-    let mut last_ops = vec![trigger];
-    for j in (from..levels).rev() {
-        let child_rel = rel + (1usize << j);
-        if child_rel < p {
-            let child = (child_rel + root) % p;
-            last_ops.push(b.op(
-                OpKind::SendData {
-                    peer: child,
-                    sem: SEM_BCAST,
-                    src: CONTRIB_SLOT,
-                },
-                vec![trigger],
-            ));
-        }
-    }
-    let done = b.op(OpKind::Nop, last_ops);
-    b.completion(done).result_slot(CONTRIB_SLOT);
-    b.build()
-}
-
-/// Binomial-tree reduce to `root` (any `p`): children send their partial
-/// sums up; each rank combines child payloads into its contribution before
-/// forwarding. Synchronous (every rank's sends are gated on its own
-/// activation). Only the root's result slot is meaningful.
-pub fn reduce_schedule(rank: Rank, p: usize, root: Rank, op: ReduceOp) -> Schedule {
-    let mut b = ScheduleBuilder::new();
-    let rel = (rank + p - root) % p;
-    b.snapshot_at(SnapshotTiming::Activation);
-    let gate = b.op(OpKind::InternalGate, vec![]);
-    if p == 1 {
-        b.slots(1);
-        b.completion(gate).result_slot(CONTRIB_SLOT);
-        return b.build();
-    }
-    // The reduce tree mirrors the bcast tree: our children are
-    // rel + 2^j < p for every level j above our own join level h
-    // (all levels for the root); we send our partial sum to rel - 2^h.
-    // A child at rel + 2^j has join level j, so it sends with sem
-    // SEM_REDUCE + j and we post the matching receive.
-    let recv_level = if rel == 0 {
-        None
-    } else {
-        Some(crate::topology::highest_bit(rel))
-    };
-    let levels = usize::BITS - p.leading_zeros();
-    let from = recv_level.map_or(0, |h| h + 1);
-    let mut slot_count = 1;
-    let mut prev = gate;
-    for j in from..levels {
-        let child_rel = rel + (1usize << j);
-        if child_rel >= p {
-            continue;
-        }
-        let child = (child_rel + root) % p;
-        let scratch = slot_count;
-        slot_count += 1;
-        let recv = b.op(
-            OpKind::Recv {
-                peer: child,
-                sem: SEM_REDUCE + j,
-                into: Some(scratch),
-            },
-            vec![],
-        );
-        let comb = b.op(
-            OpKind::Combine {
-                op,
-                src: scratch,
-                dst: CONTRIB_SLOT,
-            },
-            // Chain combines so two children never write slot 0 at once,
-            // and gate on activation so the contribution exists.
-            vec![recv, prev],
-        );
-        prev = comb;
-    }
-    b.slots(slot_count);
-    let ready = prev;
-    let completion = match recv_level {
-        None => ready, // root: all children folded in
-        Some(h) => {
-            let parent_rel = rel - (1usize << h);
-            let parent = (parent_rel + root) % p;
-            b.op(
-                OpKind::SendData {
-                    peer: parent,
-                    sem: SEM_REDUCE + h,
-                    src: CONTRIB_SLOT,
-                },
-                vec![ready],
-            )
-        }
-    };
-    b.completion(completion);
-    if rel == 0 {
-        b.result_slot(CONTRIB_SLOT);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1007,44 +867,6 @@ pub(crate) mod tests {
         for p in [1usize, 2, 3, 5, 8, 12, 16] {
             let scheds = all_schedules(p, &|r| barrier_schedule(r, p));
             check_send_recv_pairing(&scheds);
-        }
-    }
-
-    #[test]
-    fn bcast_pairing_any_p_any_root() {
-        for p in [1usize, 2, 3, 5, 8, 13] {
-            for root in 0..p {
-                let scheds = all_schedules(p, &|r| bcast_schedule(r, p, root));
-                check_send_recv_pairing(&scheds);
-                // Tree property: every non-root has exactly one payload recv.
-                for (r, s) in scheds.iter().enumerate() {
-                    let recvs = s
-                        .ops
-                        .iter()
-                        .filter(|o| matches!(o.kind, OpKind::Recv { .. }))
-                        .count();
-                    assert_eq!(recvs, usize::from(r != root), "p={p} root={root} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_pairing_any_p_any_root() {
-        for p in [1usize, 2, 3, 5, 8, 13] {
-            for root in 0..p {
-                let scheds = all_schedules(p, &|r| reduce_schedule(r, p, root, ReduceOp::Sum));
-                check_send_recv_pairing(&scheds);
-                // Every non-root sends exactly one payload up.
-                for (r, s) in scheds.iter().enumerate() {
-                    let sends = s
-                        .ops
-                        .iter()
-                        .filter(|o| matches!(o.kind, OpKind::SendData { .. }))
-                        .count();
-                    assert_eq!(sends, usize::from(r != root), "p={p} root={root} r={r}");
-                }
-            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! scaffolding (a no-op under process-per-rank).
 
 use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy};
-use crate::sync::{SyncBarrier, SyncBcast, SyncReduce};
+use crate::sync::SyncBarrier;
 use pcoll_comm::{
     Clock, CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf,
 };
@@ -192,16 +192,6 @@ impl RankCtx {
         self.partial_allreduce(dtype, len, op, QuorumPolicy::Full, opts)
     }
 
-    /// Create a blocking broadcast from `root`.
-    pub fn bcast(&self, root: Rank) -> SyncBcast {
-        SyncBcast::register(&self.engine, self.alloc(), self.rank, self.size, root)
-    }
-
-    /// Create a blocking reduce to `root`.
-    pub fn reduce(&self, root: Rank, op: ReduceOp) -> SyncReduce {
-        SyncReduce::register(&self.engine, self.alloc(), self.rank, self.size, root, op)
-    }
-
     /// Message-based barrier across all ranks (the built-in collective 0).
     pub fn barrier(&self) {
         self.barrier.wait();
@@ -372,36 +362,30 @@ mod tests {
 
     #[test]
     fn multiple_collectives_coexist() {
-        // Two allreduces and a bcast, interleaved across rounds: the ids
-        // allocated SPMD-style keep their traffic separate.
+        // Two allreduces and the built-in barrier (id 0), interleaved
+        // across rounds: the ids allocated SPMD-style keep their traffic
+        // separate.
         let p = 4;
         let out = World::launch(WorldConfig::instant(p), move |c| {
             let ctx = RankCtx::new(c);
             let mut a = ctx.sync_allreduce(DType::I64, 1, ReduceOp::Sum, None);
             let mut b = ctx.sync_allreduce(DType::I64, 1, ReduceOp::Max, None);
-            let mut bc = ctx.bcast(0);
             let me = ctx.rank() as i64;
             let mut got = Vec::new();
             for round in 0..4 {
                 let s = a.allreduce(&TypedBuf::from(vec![me + round]));
                 let m = b.allreduce(&TypedBuf::from(vec![me * round]));
-                let payload = TypedBuf::from(vec![round * 100]);
-                let x = bc.bcast((ctx.rank() == 0).then_some(&payload));
-                got.push((
-                    s.data.as_i64().unwrap()[0],
-                    m.data.as_i64().unwrap()[0],
-                    x.as_i64().unwrap()[0],
-                ));
+                ctx.barrier();
+                got.push((s.data.as_i64().unwrap()[0], m.data.as_i64().unwrap()[0]));
             }
             ctx.finalize();
             got
         });
         for ranks in out {
-            for (round, (s, m, x)) in ranks.iter().enumerate() {
+            for (round, (s, m)) in ranks.iter().enumerate() {
                 let round = round as i64;
                 assert_eq!(*s, 6 + 4 * round); // Σ(rank) + P*round
                 assert_eq!(*m, 3 * round); // max(rank*round)
-                assert_eq!(*x, round * 100);
             }
         }
     }

@@ -21,9 +21,8 @@
 //!   and world size: recursive doubling for small messages on
 //!   power-of-two worlds, the segmented reduce-scatter + allgather ring
 //!   otherwise.
-//! - [`SyncBarrier`]: dissemination barrier; [`SyncBcast`] and
-//!   [`SyncReduce`]: binomial-tree broadcast and reduce (used by the
-//!   Horovod-style negotiation baseline).
+//! - [`SyncBarrier`]: the blocking dissemination barrier, over the whole
+//!   world or a live set (the eviction and admission gates).
 //! - [`algos`]: the blocking ring allreduce over the plain matcher — the
 //!   engine's ceiling in the benchmarks and the reference its results are
 //!   tested against.
@@ -53,5 +52,5 @@ pub use partial::{
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Outcome, Pacing, RankStep, SimHarness, SimReport, SimSpec, StepSetup};
-pub use sync::{SyncBarrier, SyncBcast, SyncReduce};
+pub use sync::SyncBarrier;
 pub use tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};

@@ -13,22 +13,16 @@ pub fn log2_exact(p: usize) -> u32 {
     p.trailing_zeros()
 }
 
-/// Partial collectives use the recursive-doubling / union-of-binomial-trees
-/// structure of the paper's implementation and therefore require a
-/// power-of-two world size (every evaluation in the paper uses 8, 32 or 64
-/// ranks). Panics with a clear message otherwise.
+/// The recursive-doubling data phase pairs rank `r` with `r XOR 2^k` and
+/// therefore requires a power-of-two world size (every evaluation in the
+/// paper uses 8, 32 or 64 ranks); the segmented ring runs partial
+/// collectives on any other size. Panics with a clear message otherwise.
 pub fn require_power_of_two(p: usize) {
     assert!(
         p.is_power_of_two(),
-        "partial collectives require a power-of-two number of ranks, got {p} \
-         (the paper's recursive-doubling implementation has the same shape)"
+        "the recursive-doubling data phase requires a power-of-two number of \
+         ranks, got {p} (the paper's implementation has the same shape)"
     );
-}
-
-/// Highest set bit position of `x` (`x != 0`).
-#[inline]
-pub fn highest_bit(x: usize) -> u32 {
-    usize::BITS - 1 - x.leading_zeros()
 }
 
 /// The recursive-doubling partner of `rank` at `level`.

@@ -1,9 +1,9 @@
 //! Blocking point-to-point matching on top of an [`Inbox`].
 //!
 //! The schedule engine does its own matching; `Matcher` exists for direct
-//! point-to-point use — unit tests, simple coordination protocols (the
-//! Horovod-style negotiation baseline), and examples that want MPI-flavoured
-//! `recv(src, tag)` semantics without standing up the engine.
+//! point-to-point use — unit tests, simple coordination protocols, and
+//! examples that want MPI-flavoured `recv(src, tag)` semantics without
+//! standing up the engine.
 
 use crate::stats::CommStats;
 use crate::tag::{Message, Rank, WireTag};

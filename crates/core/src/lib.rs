@@ -16,8 +16,8 @@
 //!
 //! Components:
 //! - [`trainer`]: the distributed trainer, generic over model/optimizer/
-//!   workload, with all five SGD variants (Deep500-style and
-//!   Horovod-style synchronous baselines; eager solo / majority / quorum):
+//!   workload, with all four SGD variants (the Deep500-style synchronous
+//!   baseline; eager solo / majority / quorum):
 //!   one training step, driven on rank threads ([`run_rank`]) or on the
 //!   simulator's virtual clock ([`run_sim`]).
 //! - [`workloads`]: adapters binding the `datagen` tasks to the trainer.

@@ -1,4 +1,4 @@
-//! The distributed trainer: Algorithm 2 plus the synchronous baselines.
+//! The distributed trainer: Algorithm 2 plus the synchronous baseline.
 //!
 //! One rank's training step is written once, cut at its blocking point
 //! (the gradient round's outcome), and driven two ways: [`run_rank`]
@@ -11,9 +11,6 @@
 //!   communication ordered by construction (our engine's per-collective
 //!   rounds provide the ordering the Deep500 DSGD optimizer gets from
 //!   control dependencies in the DAG).
-//! - **Horovod-style synch-SGD** (§3): same blocking allreduce, preceded
-//!   by a coordinator round-trip (reduce-to-0 + broadcast of a tiny
-//!   readiness word) modeling Horovod's master-based negotiation.
 //! - **eager-SGD** (§5): partial allreduce (solo, majority, or any
 //!   quorum policy); stale gradients accumulate in the send buffer
 //!   (Fig. 7 protocol, implemented in `pcoll::PartialAllreduce`), and the
@@ -45,8 +42,6 @@ use std::time::Duration;
 pub enum SgdVariant {
     /// Blocking allreduce per step (Deep500-style ordered execution).
     SynchDeep500,
-    /// Negotiation round-trip + blocking allreduce (Horovod-style).
-    SynchHorovod,
     /// eager-SGD with solo allreduce (§4.1).
     EagerSolo,
     /// eager-SGD with majority allreduce (§4.2).
@@ -60,7 +55,6 @@ impl SgdVariant {
     pub fn label(&self) -> String {
         match self {
             SgdVariant::SynchDeep500 => "synch-SGD (Deep500)".into(),
-            SgdVariant::SynchHorovod => "synch-SGD (Horovod)".into(),
             SgdVariant::EagerSolo => "eager-SGD (solo)".into(),
             SgdVariant::EagerMajority => "eager-SGD (majority)".into(),
             SgdVariant::EagerQuorum { chain, race } => {
@@ -74,10 +68,10 @@ impl SgdVariant {
     }
 
     /// Where on the quorum spectrum the gradient allreduce sits: the
-    /// synchronous baselines are its `Full` endpoint (§4).
+    /// synchronous baseline is its `Full` endpoint (§4).
     fn quorum_policy(&self) -> QuorumPolicy {
         match self {
-            SgdVariant::SynchDeep500 | SgdVariant::SynchHorovod => QuorumPolicy::Full,
+            SgdVariant::SynchDeep500 => QuorumPolicy::Full,
             SgdVariant::EagerSolo => QuorumPolicy::Solo,
             SgdVariant::EagerMajority => QuorumPolicy::Majority,
             SgdVariant::EagerQuorum { chain, race: true } => QuorumPolicy::FirstOf(*chain),
@@ -122,7 +116,7 @@ pub struct TrainerConfig {
     pub eval_every: usize,
     pub seed: u64,
     /// Closed-loop quorum controller (eager variants only; ignored for
-    /// the synchronous baselines), built on the rank's clock. See
+    /// the synchronous baseline), built on the rank's clock. See
     /// [`QuorumTuner`].
     pub tuner: Option<TunerSetup>,
 }
@@ -315,11 +309,11 @@ pub fn run_rank(
     // what moved since, not the world's setup traffic.
     let comm_at_start = ctx.comm_stats().snapshot();
 
-    // SPMD collective construction order: gradient reducer, negotiation
-    // pair (Horovod only), weight synchronizer, tuner consensus allreduce
-    // (adaptive runs only). The gradient crosses one collective over the
-    // whole flattened buffer (Horovod-style tensor fusion), which is what
-    // the eager send-buffer semantics are defined on.
+    // SPMD collective construction order: gradient reducer, weight
+    // synchronizer, tuner consensus allreduce (adaptive runs only). The
+    // gradient crosses one collective over the whole flattened buffer
+    // (Horovod-style tensor fusion), which is what the eager send-buffer
+    // semantics are defined on.
     let policy = tuner
         .as_ref()
         .and_then(|t| t.initial_policy())
@@ -327,8 +321,6 @@ pub fn run_rank(
     let opts = gradient_opts(cfg, p);
     let scale = opts.scale;
     let mut ar = ctx.partial_allreduce(DType::F32, n, ReduceOp::Sum, policy, opts);
-    let mut negotiation = (cfg.variant == SgdVariant::SynchHorovod)
-        .then(|| (ctx.reduce(0, ReduceOp::Max), ctx.bcast(0)));
     let mut weight_sync = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale);
     // Small blocking allreduce that sums every rank's stats vector at a
     // decision boundary, so the controllers decide from an identical
@@ -351,14 +343,6 @@ pub fn run_rank(
             let delay = st.delay(rank, step);
             if !delay.is_zero() {
                 std::thread::sleep(delay);
-            }
-
-            // Horovod-style negotiation: the coordinator learns which
-            // tensors are ready and broadcasts the agreed order.
-            if let Some((red, bc)) = negotiation.as_mut() {
-                let ready = TypedBuf::from(vec![step as i64]);
-                let _ = red.reduce(&ready);
-                let _ = bc.bcast((rank == 0).then_some(&ready));
             }
 
             // Write straight into the send buffer, read the result in place.
@@ -445,9 +429,7 @@ pub fn run_rank(
 ///   [`pcoll::SimReport::decisions`];
 /// - the weight sync and the evaluation barriers are fences the harness
 ///   opens in one event ([`pcoll::RankStep::outcome`]); the weights
-///   average in rank order;
-/// - Horovod's negotiation round-trip is not modelled: its result is
-///   unused, so `SynchHorovod` runs as `SynchDeep500`.
+///   average in rank order.
 pub fn run_sim(
     cfg: &TrainerConfig,
     mut build: impl FnMut(usize) -> (Box<dyn Model>, Box<dyn Optimizer>),
@@ -623,14 +605,6 @@ mod tests {
         let last = final_loss(&logs);
         assert!(last < first * 0.2, "loss {first} → {last}");
         assert_eq!(logs[0].steps, 48);
-    }
-
-    #[test]
-    fn sync_horovod_converges() {
-        let logs = run_variant(SgdVariant::SynchHorovod, 4, 6);
-        let first = logs[0].epochs[0].mean_loss;
-        let last = final_loss(&logs);
-        assert!(last < first * 0.2, "loss {first} → {last}");
     }
 
     #[test]

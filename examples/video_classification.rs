@@ -1,6 +1,6 @@
 //! The paper's case study (§6.3), in miniature: LSTM video classification
 //! with *inherent* load imbalance from variable-length videos — no
-//! injected delays. Compares Horovod-style synch-SGD against eager-SGD
+//! injected delays. Compares Deep500-style synch-SGD against eager-SGD
 //! with majority allreduce (the variant the paper recommends here).
 //!
 //! ```sh
@@ -48,8 +48,8 @@ fn main() {
         lens.len()
     );
 
-    let (t_sync, a1_sync, a5_sync) = train(SgdVariant::SynchHorovod, Arc::clone(&task));
-    println!("synch-SGD (Horovod)   : {t_sync:.2} s, top-1 {a1_sync:.3}, top-5 {a5_sync:.3}");
+    let (t_sync, a1_sync, a5_sync) = train(SgdVariant::SynchDeep500, Arc::clone(&task));
+    println!("synch-SGD (Deep500)   : {t_sync:.2} s, top-1 {a1_sync:.3}, top-5 {a5_sync:.3}");
     let (t_maj, a1_maj, a5_maj) = train(SgdVariant::EagerMajority, Arc::clone(&task));
     println!("eager-SGD (majority)  : {t_maj:.2} s, top-1 {a1_maj:.3}, top-5 {a5_maj:.3}");
     println!(

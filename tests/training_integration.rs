@@ -57,7 +57,6 @@ fn hyperplane_run(
 fn all_variants_converge_without_skew() {
     for variant in [
         SgdVariant::SynchDeep500,
-        SgdVariant::SynchHorovod,
         SgdVariant::EagerSolo,
         SgdVariant::EagerMajority,
         SgdVariant::EagerQuorum {
