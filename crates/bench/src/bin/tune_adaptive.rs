@@ -22,11 +22,9 @@
 
 use datagen::HyperplaneTask;
 use dnn::optim::LrSchedule;
-use eager_sgd::{SgdVariant, TunerSetup};
+use eager_sgd::{NapModel, QuorumDecision, SgdVariant, TunerSetup};
 use imbalance::Injector;
-use pcoll_tune::{
-    adaptive_setup, predict_spectrum, spectrum, static_setup, AdaptiveTunerCfg, ControllerKind,
-};
+use pcoll_tune::{adaptive_setup, spectrum, static_setup, AdaptiveTunerCfg, ControllerKind};
 use repro_bench::harness::VariantSummary;
 use repro_bench::report::{comment, row, Checks};
 use repro_bench::{train_variant, HarnessArgs, Task, TrainSetup};
@@ -43,7 +41,7 @@ struct VariantResult {
     train_time_s: f64,
     final_loss: f32,
     policy_switches: usize,
-    decisions: Vec<eager_sgd::TuneDecision>,
+    decisions: Vec<QuorumDecision>,
 }
 
 /// The scenario's one injector, constructed in a single place so the
@@ -67,7 +65,7 @@ fn run_variant(
     let logs = train_variant(setup, args, SgdVariant::EagerSolo, &with_tuner);
     let s = VariantSummary::from_logs(label, &logs);
     let decisions = logs[0].decisions.clone();
-    let switched = |w: &[eager_sgd::TuneDecision]| w[0].policy != w[1].policy;
+    let switched = |w: &[QuorumDecision]| w[0].policy != w[1].policy;
     VariantResult {
         label: s.label,
         adaptive,
@@ -109,10 +107,14 @@ fn main() {
     let inj = scenario_injector();
     let offsets: Vec<f64> = (0..p).map(|r| inj.delay_ms(r, p, 0)).collect();
     comment("theory model predictions (exact offsets):");
-    for (policy, pred) in predict_spectrum(&offsets, 0.5, setup.base_compute_ms, BETA) {
+    let model = NapModel::new(offsets, 0.5, setup.base_compute_ms);
+    for policy in spectrum(p) {
+        let pred = model.predict(policy);
         comment(&format!(
             "  {policy:<12} E[NAP] {:>5.2}  round {:>7.2} ms  utility {:>8.2}",
-            pred.prediction.e_nap, pred.prediction.round_ms, pred.utility
+            pred.e_nap,
+            pred.round_ms,
+            model.utility(policy, BETA)
         ));
     }
 

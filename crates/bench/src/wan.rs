@@ -72,7 +72,6 @@ pub fn tune_spec(p: usize, rounds: u64, seed: u64) -> SimSpec {
         beta: 0.5,
         kind: ControllerKind::HillClimb,
         initial: Some(policy),
-        ..AdaptiveTunerCfg::default()
     }));
     spec
 }

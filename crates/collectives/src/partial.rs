@@ -113,12 +113,13 @@ impl QuorumPolicy {
 
 impl fmt::Display for QuorumPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `pad`, not `write!`, so width and alignment (`{policy:<12}`) apply.
         match self {
-            QuorumPolicy::Solo => write!(f, "solo"),
-            QuorumPolicy::Majority => write!(f, "majority"),
-            QuorumPolicy::FirstOf(m) => write!(f, "first-of-{m}"),
-            QuorumPolicy::Chain(m) => write!(f, "chain-{m}"),
-            QuorumPolicy::Full => write!(f, "full"),
+            QuorumPolicy::Solo => f.pad("solo"),
+            QuorumPolicy::Majority => f.pad("majority"),
+            QuorumPolicy::FirstOf(m) => f.pad(&format!("first-of-{m}")),
+            QuorumPolicy::Chain(m) => f.pad(&format!("chain-{m}")),
+            QuorumPolicy::Full => f.pad("full"),
         }
     }
 }
@@ -1788,6 +1789,15 @@ mod tests {
             let back: QuorumPolicy = serde_json::from_str(&s).unwrap();
             assert_eq!(back, policy, "{s}");
         }
+    }
+
+    #[test]
+    fn policy_display_honours_width_and_alignment() {
+        assert_eq!(
+            format!("{:<12}|", QuorumPolicy::FirstOf(4)),
+            "first-of-4  |"
+        );
+        assert_eq!(format!("{:>6}", QuorumPolicy::Solo), "  solo");
     }
 
     // --- The blocking contract of the synchronous baseline

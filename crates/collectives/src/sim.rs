@@ -225,10 +225,9 @@ pub struct SimReport {
     pub mean_nap: f64,
     /// Policy changes the tuner applied, as `(from_round, to)`.
     pub switches: Vec<(u64, QuorumPolicy)>,
-    /// Every tuner boundary's agreed decision, as `(step, from_round,
-    /// decision)`: the last round of the window it closes, the first round
-    /// it governs. Empty without [`SimSpec::tuner`].
-    pub decisions: Vec<(u64, u64, QuorumDecision)>,
+    /// Every tuner boundary's agreed decision; its `step` is the last
+    /// round of the window it closes. Empty without [`SimSpec::tuner`].
+    pub decisions: Vec<QuorumDecision>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
     /// that fence)` — empty unless the spec scripts [`Fault::Kill`]s.
     pub evictions: Vec<(u64, Vec<Rank>)>,
@@ -310,7 +309,7 @@ pub struct SimHarness {
     /// One step per rank.
     steps: Vec<Box<dyn RankStep>>,
     switches: Vec<(u64, QuorumPolicy)>,
-    decisions: Vec<(u64, u64, QuorumDecision)>,
+    decisions: Vec<QuorumDecision>,
     /// The policy in force (changed only by the tuner).
     policy: QuorumPolicy,
     /// The last tuner boundary, in rounds.
@@ -728,7 +727,7 @@ impl SimHarness {
         // for): the simulator's one-event stand-in for the fence.
         let from = self.ranks.iter().map(|r| r.ar.rounds()).max().unwrap_or(0);
         let decided: Vec<Option<QuorumDecision>> = (live.iter())
-            .map(|&r| self.tuners[r].decide(from, &summed))
+            .map(|&r| self.tuners[r].decide(boundary - 1, from, &summed))
             .collect();
         if let Some(i) = decided.iter().position(|d| d != &decided[0]) {
             panic!(
@@ -746,13 +745,13 @@ impl SimHarness {
             r.ar.set_policy_from(from, d.policy);
         }
         for &r in &live {
-            d.record(self.sim.comm_stats(r).recorder(), boundary - 1, from);
+            d.record(self.sim.comm_stats(r).recorder());
         }
         if d.policy != self.policy {
             self.switches.push((from, d.policy));
             self.policy = d.policy;
         }
-        self.decisions.push((boundary - 1, from, d));
+        self.decisions.push(d);
     }
 }
 
@@ -1129,9 +1128,11 @@ mod tests {
         ) -> Vec<f32> {
             vec![1.0]
         }
-        fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+        fn decide(&mut self, step: u64, from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
             assert_eq!(summed, [8.0], "every live rank contributes once");
             Some(QuorumDecision {
+                step,
+                from_round,
                 policy: self.to,
                 reward: 1.0,
                 fresh_fraction: 1.0,

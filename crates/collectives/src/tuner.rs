@@ -6,13 +6,20 @@
 use crate::partial::{QuorumPolicy, RoundCounters};
 use pcoll_comm::{Clock, CommStatsSnapshot, Recorder};
 use pcoll_obs::{EventKind, LEVEL_SPANS};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// What a [`QuorumTuner::decide`] call returns: the policy to apply from
-/// the next round on, plus the window measurements behind it.
-#[derive(Debug, Clone, PartialEq)]
+/// the next round on, plus the window measurements behind it. All ranks
+/// decide alike, so rank 0's list of these is the controller trajectory
+/// (`TrainLog::decisions`, [`crate::SimReport::decisions`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuorumDecision {
+    /// Training step at which the decision was taken.
+    pub step: u64,
+    /// First collective round the chosen policy governs.
+    pub from_round: u64,
     /// The policy every rank applies from the decision's round on.
     pub policy: QuorumPolicy,
     /// The window's reward, the quantity the controller maximises.
@@ -21,7 +28,7 @@ pub struct QuorumDecision {
     pub fresh_fraction: f64,
     /// Completed rounds per second (on the rank's clock) over the window.
     pub rounds_per_s: f64,
-    /// Mean per-rank spread of the arrival offsets (ms).
+    /// Mean per-rank EWMA of the per-step max−min arrival offset (ms).
     pub spread_ms: f64,
     /// Mean per-rank time spent stalled on full transport queues during
     /// the window (ms) — the congestion signal from `CommStats`.
@@ -33,14 +40,14 @@ impl QuorumDecision {
     /// at `step`, and the policy segment it appends from `from_round`.
     /// Every rank decides the same thing, so every track shows the same
     /// timeline.
-    pub fn record(&self, recorder: &Recorder, step: u64, from_round: u64) {
+    pub fn record(&self, recorder: &Recorder) {
         let policy = || format!("{:?}", self.policy);
         recorder.record(LEVEL_SPANS, || EventKind::TunerDecision {
-            step,
+            step: self.step,
             policy: policy(),
         });
         recorder.record(LEVEL_SPANS, || EventKind::PolicySwitch {
-            from_round,
+            from_round: self.from_round,
             policy: policy(),
         });
     }
@@ -89,9 +96,10 @@ pub trait QuorumTuner: Send {
     /// runner started; the window is what moved since the previous call.
     fn local_stats(&mut self, rounds: RoundCounters, comm: CommStatsSnapshot) -> Vec<f32>;
 
-    /// Deterministic decision from the rank-summed stats. `None` means
-    /// "keep the current policy and record nothing".
-    fn decide(&mut self, from_round: u64, summed: &[f32]) -> Option<QuorumDecision>;
+    /// Deterministic decision from the rank-summed stats, taken at `step`
+    /// and governing rounds from `from_round` on. `None` means "keep the
+    /// current policy and record nothing".
+    fn decide(&mut self, step: u64, from_round: u64, summed: &[f32]) -> Option<QuorumDecision>;
 }
 
 /// Cloneable per-rank factory of a rank's plug-in — its [`QuorumTuner`]

@@ -34,7 +34,7 @@ pub mod theory;
 pub mod trainer;
 pub mod workloads;
 
-pub use metrics::{EpochRecord, TrainLog, TuneDecision};
+pub use metrics::{EpochRecord, TrainLog};
 pub use theory::{ConvergenceParams, NapModel, NapPrediction};
 pub use trainer::{
     run_rank, run_sim, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup,

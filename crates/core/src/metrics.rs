@@ -1,7 +1,7 @@
 //! Training metrics: what the figure harnesses plot.
 
 use dnn::EvalMetrics;
-use pcoll::{QuorumDecision, QuorumPolicy};
+use pcoll::QuorumDecision;
 use serde::{Deserialize, Serialize};
 
 /// Evaluation numbers in serializable form.
@@ -40,50 +40,6 @@ pub struct EpochRecord {
     pub train: Option<EvalRecord>,
 }
 
-/// One closed-loop quorum-controller decision, recorded by the trainer at
-/// each decision boundary (every K rounds). All ranks record identical
-/// sequences — the decision is a deterministic function of rank-summed
-/// stats — so rank 0's list is the canonical controller trajectory that
-/// benches serialize to JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuneDecision {
-    /// Training step at which the decision was taken.
-    pub step: u64,
-    /// First collective round the chosen policy governs.
-    pub from_round: u64,
-    /// The chosen quorum policy.
-    pub policy: QuorumPolicy,
-    /// Measured reward of the *previous* window
-    /// (`fresh_fraction^β × rounds_per_s`).
-    pub reward: f64,
-    /// Globally-averaged fresh-contribution fraction of the window.
-    pub fresh_fraction: f64,
-    /// Globally-averaged round completion rate of the window (1/s).
-    pub rounds_per_s: f64,
-    /// Estimated arrival spread — EWMA of the per-step max−min offset,
-    /// averaged across ranks (ms).
-    pub spread_ms: f64,
-    /// Mean per-rank time stalled on full transport queues during the
-    /// window (ms) — congestion as seen by the bounded send routes.
-    pub queue_stall_ms: f64,
-}
-
-impl TuneDecision {
-    /// The record of `d`, taken at `step` and applied from `from_round`.
-    pub fn new(step: u64, from_round: u64, d: &QuorumDecision) -> Self {
-        TuneDecision {
-            step,
-            from_round,
-            policy: d.policy,
-            reward: d.reward,
-            fresh_fraction: d.fresh_fraction,
-            rounds_per_s: d.rounds_per_s,
-            spread_ms: d.spread_ms,
-            queue_stall_ms: d.queue_stall_ms,
-        }
-    }
-}
-
 /// `steps / secs`, or 0 when no time passed: on virtual time an epoch
 /// with nothing to wait for takes none.
 pub(crate) fn rate(steps: u64, secs: f64) -> f64 {
@@ -99,7 +55,8 @@ pub struct TrainLog {
     pub rank: usize,
     pub epochs: Vec<EpochRecord>,
     /// Quorum-controller decisions, when adaptive tuning was enabled.
-    pub decisions: Vec<TuneDecision>,
+    /// Every rank records the same sequence.
+    pub decisions: Vec<QuorumDecision>,
     /// Rounds where this rank's fresh gradient made it into its own round.
     pub fresh_rounds: u64,
     /// Rounds whose requested result had been superseded (staleness events).

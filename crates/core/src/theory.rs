@@ -81,16 +81,17 @@ impl ConvergenceParams {
 ///
 /// Under uniform offsets this reproduces the paper's closed forms
 /// (E\[NAP\] = P/2 for majority, ≈ P/(m+1) for first-of-m, ≈ P·m/(m+1)
-/// for chain-m); with measured offsets from the online skew estimator it
-/// becomes the plant model of the closed-loop quorum tuner.
+/// for chain-m); with offsets rebuilt from the measured skew (the tuner's
+/// EWMA mean and spread) it becomes the plant model of the closed-loop
+/// quorum tuner.
 #[derive(Debug, Clone)]
 pub struct NapModel {
     /// Number of processes P.
     pub p: usize,
     /// Per-rank arrival offsets in ms, sorted ascending (offset = how long
     /// after the earliest possible arrival this rank reaches the
-    /// collective; the injector's delays, or the estimator's per-rank
-    /// quantiles).
+    /// collective; the injector's delays, or offsets spread evenly over
+    /// the tuner's measured mean ± spread/2).
     pub offsets_ms: Vec<f64>,
     /// Fixed communication cost per round (ms).
     pub comm_ms: f64,

@@ -22,7 +22,7 @@
 //! epoch-boundary evaluation (rank 0, inside barriers) is excluded from
 //! the reported clock.
 
-use crate::metrics::{rate, EpochRecord, EvalRecord, TrainLog, TuneDecision};
+use crate::metrics::{rate, EpochRecord, EvalRecord, TrainLog};
 use crate::workloads::Workload;
 use dnn::optim::LrSchedule;
 use dnn::{Batch, EvalMetrics, Model, Optimizer};
@@ -363,11 +363,10 @@ pub fn run_rank(
                     let summed = cons.allreduce(&TypedBuf::from(local));
                     let summed = summed.data.as_f32().expect("f32 stats vector");
                     let from_round = ar.rounds();
-                    if let Some(d) = t.decide(from_round, summed) {
+                    if let Some(d) = t.decide(step, from_round, summed) {
                         ar.set_policy_from(from_round, d.policy);
-                        d.record(ctx.recorder(), step, from_round);
-                        let record = TuneDecision::new(step, from_round, &d);
-                        st.log.decisions.push(record);
+                        d.record(ctx.recorder());
+                        st.log.decisions.push(d);
                     }
                     // The barrier guarantees every rank has appended the
                     // new policy segment before any rank can reach (and
@@ -467,9 +466,6 @@ pub fn run_sim(
         partial: gradient_opts(cfg, p),
         tuner: cfg.tuner.clone().filter(|_| cfg.variant.is_eager()),
     });
-    let decisions: Vec<TuneDecision> = (report.decisions.iter())
-        .map(|(step, from_round, d)| TuneDecision::new(*step, *from_round, d))
-        .collect();
     (trainees.into_iter().zip(&report.counters))
         .map(|(t, rounds)| {
             let t = Arc::into_inner(t).expect("the harness is gone");
@@ -477,7 +473,7 @@ pub fn run_sim(
             let mut weights = vec![0.0; n];
             t.model.write_params(&mut weights);
             let mut log = t.st.finish(*rounds);
-            log.decisions = decisions.clone();
+            log.decisions = report.decisions.clone();
             (log, weights)
         })
         .collect()
@@ -746,12 +742,19 @@ mod tests {
             fn local_stats(&mut self, _: RoundCounters, _: CommStatsSnapshot) -> Vec<f32> {
                 vec![1.0, 3.0]
             }
-            fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+            fn decide(
+                &mut self,
+                step: u64,
+                from_round: u64,
+                summed: &[f32],
+            ) -> Option<QuorumDecision> {
                 // Every rank contributed exactly one stats vector.
                 assert_eq!(summed, [4.0, 12.0]);
                 let policy = ARMS[self.idx % ARMS.len()];
                 self.idx += 1;
                 Some(QuorumDecision {
+                    step,
+                    from_round,
                     policy,
                     reward: 1.0,
                     fresh_fraction: 1.0,

@@ -111,43 +111,6 @@ impl Controller {
         }
     }
 
-    /// Rebuild the arm set for a *resized* world — shrunken by a rank
-    /// eviction or grown back by a re-admission: arms become
-    /// [`spectrum`]`(p_live)`, and every arm present in both spectra
-    /// carries its learned EWMA value and play count over, so the bandit
-    /// does not restart from scratch across a membership change. Arms
-    /// that exist only in the new spectrum (e.g. a wider `FirstOf` after
-    /// the world grows) start unplayed, so UCB's sweep and the hill
-    /// climber's neighbor probe rediscover them. The current arm keeps
-    /// its policy if that policy survived; otherwise its index is
-    /// clamped, which lands on a near neighbor in synchrony (the
-    /// spectrum orders async→sync). Deterministic — every participant
-    /// calling this with the same `p_live` ends in the same state (the
-    /// SPMD contract), which is what lets the controller ride through
-    /// an evict→admit round trip without a reset.
-    pub fn renormalize(&mut self, p_live: usize) {
-        let new_arms = spectrum(p_live);
-        let mut values = vec![0.0; new_arms.len()];
-        let mut counts = vec![0u64; new_arms.len()];
-        let mut total = 0u64;
-        for (j, arm) in new_arms.iter().enumerate() {
-            if let Some(i) = self.arms.iter().position(|a| a == arm) {
-                values[j] = self.values[i];
-                counts[j] = self.counts[i];
-                total += self.counts[i];
-            }
-        }
-        let cur_policy = self.arms[self.current];
-        self.current = new_arms
-            .iter()
-            .position(|a| *a == cur_policy)
-            .unwrap_or_else(|| self.current.min(new_arms.len() - 1));
-        self.arms = new_arms;
-        self.values = values;
-        self.counts = counts;
-        self.total = total;
-    }
-
     /// Record `reward` for the currently selected arm, then select and
     /// return the next arm's policy.
     pub fn step(&mut self, reward: f64) -> QuorumPolicy {
@@ -337,100 +300,6 @@ mod tests {
         c.seed_values(&priors);
         let next = c.step(priors[3]);
         assert_eq!(next, arms[5], "values {:?}", c.values());
-    }
-
-    #[test]
-    fn renormalize_carries_learned_values_into_the_smaller_world() {
-        let mut c = Controller::new(ControllerKind::Ucb { explore: 0.5 }, spectrum(16), 0);
-        // Play a few arms so there is state to carry.
-        for r in [3.0, 7.0, 5.0, 9.0, 2.0, 8.0] {
-            c.step(r);
-        }
-        let old: Vec<(QuorumPolicy, f64)> = c
-            .arms()
-            .iter()
-            .copied()
-            .zip(c.values().iter().copied())
-            .collect();
-        let cur = c.current_policy();
-        c.renormalize(12); // 4 ranks evicted from a 16-rank world
-        assert_eq!(c.arms(), spectrum(12).as_slice());
-        // Arms shared by both spectra keep their EWMA values.
-        for (arm, v) in &old {
-            if let Some(j) = c.arms().iter().position(|a| a == arm) {
-                assert_eq!(c.values()[j], *v, "{arm:?}");
-            }
-        }
-        // Solo / Majority / Full always survive; the current arm maps to
-        // its own policy when that policy still exists.
-        if c.arms().contains(&cur) {
-            assert_eq!(c.current_policy(), cur);
-        }
-        // And the controller still steps deterministically afterwards.
-        let mut d = c.clone();
-        for t in 0..20 {
-            let r = ((t * 13) % 7) as f64;
-            assert_eq!(c.step(r), d.step(r), "diverged at {t}");
-        }
-    }
-
-    #[test]
-    fn renormalize_carries_learned_values_into_the_grown_world() {
-        // The admission-fence direction: shrink 16 → 12 (eviction),
-        // learn in the smaller world, then grow back 12 → 16 (rejoin).
-        let mut c = Controller::new(ControllerKind::Ucb { explore: 0.5 }, spectrum(16), 0);
-        for r in [3.0, 7.0, 5.0] {
-            c.step(r);
-        }
-        c.renormalize(12);
-        for r in [9.0, 2.0, 8.0, 6.0] {
-            c.step(r);
-        }
-        let old: Vec<(QuorumPolicy, f64)> = c
-            .arms()
-            .iter()
-            .copied()
-            .zip(c.values().iter().copied())
-            .collect();
-        let cur = c.current_policy();
-        c.renormalize(16); // the evicted ranks were re-admitted
-        assert_eq!(c.arms(), spectrum(16).as_slice());
-        // Every arm shared by both spectra keeps what the smaller world
-        // learned; Solo / Majority / Full are in every spectrum, so the
-        // carry-over is never empty.
-        let mut carried = 0usize;
-        for (arm, v) in &old {
-            if let Some(j) = c.arms().iter().position(|a| a == arm) {
-                assert_eq!(c.values()[j], *v, "{arm:?}");
-                carried += 1;
-            }
-        }
-        assert!(carried >= 3, "Solo/Majority/Full must carry over");
-        // Solo / Majority / Full are in every spectrum, so the current
-        // policy always survives a grow (spectrum(16) ⊇ spectrum(12)
-        // does not hold in general, but the played arms here do).
-        if c.arms().contains(&cur) {
-            assert_eq!(c.current_policy(), cur);
-        }
-        // Arms new to the wider world start unplayed: the next UCB
-        // sweep must probe one rather than exploiting a stale value.
-        let unplayed: Vec<&QuorumPolicy> = c
-            .arms()
-            .iter()
-            .zip(c.values().iter())
-            .filter(|(a, _)| !old.iter().any(|(o, _)| o == *a))
-            .map(|(a, _)| a)
-            .collect();
-        assert!(
-            !unplayed.is_empty(),
-            "16-world adds arms the 12-world lacks"
-        );
-        // And the controller still steps deterministically afterwards.
-        let mut d = c.clone();
-        for t in 0..20 {
-            let r = ((t * 11) % 5) as f64;
-            assert_eq!(c.step(r), d.step(r), "diverged at {t}");
-        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! ```text
 //!  comm / collectives / trainer          pcoll_tune                    pcoll
 //!  ──────────────────────────────   ───────────────────────   ──────────────────────
-//!  arrival offsets (injector    →   SkewEstimator (P² quantiles
-//!  view, every step)                + EWMA) ──► NapModel (E[NAP],
-//!                                   round latency, utility)
+//!  arrival offsets (injector    →   EWMA of each step's mean and
+//!  view, every step)                max−min offset ──► NapModel
+//!                                   (E[NAP], round latency, utility)
 //!                                      │
 //!  RoundCounters, CommStats     →   window = delta of two
 //!  snapshots (every K steps)        cumulative snapshots
@@ -36,22 +36,13 @@
 //! statistically-weighted update throughput, measurable online and
 //! predictable offline via [`eager_sgd::NapModel`] (which reproduces the
 //! paper's E\[NAP\] closed forms under uniform skew). The model is also
-//! in the loop: at the first decision window the globally-averaged skew
-//! summary is converted into per-arm utility priors that seed every
+//! in the loop: at the first decision window the rank-averaged mean and
+//! spread EWMAs are converted into per-arm utility priors that seed every
 //! untried arm (`Controller::seed_values`), so exploration starts from
 //! the theory's best guess and is then refined by measured rewards.
 
 pub mod controller;
-pub mod estimator;
-pub mod model;
 pub mod tuner;
 
-/// Serialize any telemetry/decision record to the shared JSON format
-/// (convenience for examples and downstream logging).
-pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).expect("telemetry records serialize")
-}
 pub use controller::{spectrum, Controller, ControllerKind};
-pub use estimator::{P2Quantile, SkewEstimator, SkewSummary};
-pub use model::{predict_spectrum, theory_optimal, ArmPrediction};
 pub use tuner::{adaptive_setup, static_setup, AdaptiveTuner, AdaptiveTunerCfg};

@@ -1,11 +1,11 @@
 //! [`AdaptiveTuner`]: the concrete closed-loop controller handed to the
-//! trainer and the simulator. It owns one skew estimator and one
-//! deterministic [`Controller`], windows its runner's cumulative counter
+//! trainer and the simulator. It owns one skew signal (EWMAs of each
+//! step's mean and max−min arrival offset) and one deterministic
+//! [`Controller`], windows its runner's cumulative counter
 //! snapshots on the rank's clock, and implements [`pcoll::QuorumTuner`]'s
 //! measure → stats → decide protocol.
 
 use crate::controller::{spectrum, Controller, ControllerKind};
-use crate::estimator::{SkewEstimator, SkewSummary};
 use eager_sgd::NapModel;
 use pcoll::{QuorumDecision, QuorumPolicy, QuorumTuner, RoundCounters, TunerSetup};
 use pcoll_comm::{Clock, CommStatsSnapshot, TimePoint};
@@ -14,6 +14,10 @@ use pcoll_comm::{Clock, CommStatsSnapshot, TimePoint};
 /// every entry): `[rank_count, rounds, fresh, step_spread_ms, elapsed_s,
 /// mean_offset_ms, queue_stall_ms]`.
 const STATS_LEN: usize = 7;
+
+/// EWMA weight of the newest step in the skew signal: tracks a shifting
+/// skew regime within a few dozen steps without thrashing on noise.
+const EWMA_ALPHA: f64 = 0.1;
 
 /// Construction knobs for [`AdaptiveTuner`].
 #[derive(Debug, Clone)]
@@ -36,8 +40,6 @@ pub struct AdaptiveTunerCfg {
     /// Starting policy (must be one of the spectrum arms for the adaptive
     /// kinds). `None` starts at majority — the paper's robust default.
     pub initial: Option<QuorumPolicy>,
-    /// EWMA weight of the skew estimator.
-    pub ewma_alpha: f64,
 }
 
 impl Default for AdaptiveTunerCfg {
@@ -47,18 +49,21 @@ impl Default for AdaptiveTunerCfg {
             beta: 0.5,
             kind: ControllerKind::Ucb { explore: 0.6 },
             initial: None,
-            ewma_alpha: 0.1,
         }
     }
 }
 
-/// Per-rank closed-loop quorum tuner (counter windows → estimator →
+/// Per-rank closed-loop quorum tuner (counter windows → skew signal →
 /// model → controller).
 pub struct AdaptiveTuner {
     period: u64,
     beta: f64,
     p: usize,
-    estimator: SkewEstimator,
+    /// EWMA of each step's mean arrival offset (ms); `None` before the
+    /// first step.
+    mean_ms: Option<f64>,
+    /// EWMA of each step's max−min arrival offset (ms).
+    spread_ms: Option<f64>,
     controller: Controller,
     /// The rank's clock: reward windows are measured on it.
     clock: Clock,
@@ -100,7 +105,8 @@ impl AdaptiveTuner {
             period: cfg.period,
             beta: cfg.beta,
             p,
-            estimator: SkewEstimator::new(cfg.ewma_alpha),
+            mean_ms: None,
+            spread_ms: None,
             controller: Controller::new(cfg.kind, arms, initial_arm),
             clock,
             window_started,
@@ -109,16 +115,11 @@ impl AdaptiveTuner {
             seeded: !matches!(cfg.kind, ControllerKind::Ucb { .. }),
         }
     }
+}
 
-    /// The current skew picture (for diagnostics and benches).
-    pub fn skew_summary(&self) -> SkewSummary {
-        self.estimator.summary()
-    }
-
-    /// The controller's candidate arms.
-    pub fn arms(&self) -> &[QuorumPolicy] {
-        self.controller.arms()
-    }
+/// One EWMA step; the first sample seeds the average.
+fn ewma(avg: Option<f64>, x: f64) -> Option<f64> {
+    Some(avg.map_or(x, |m| m + EWMA_ALPHA * (x - m)))
 }
 
 impl QuorumTuner for AdaptiveTuner {
@@ -131,7 +132,17 @@ impl QuorumTuner for AdaptiveTuner {
     }
 
     fn record_step(&mut self, _step: u64, offsets_ms: &[f64]) {
-        self.estimator.observe_offsets(offsets_ms);
+        if offsets_ms.is_empty() {
+            return;
+        }
+        let (mut lo, mut hi, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        for &o in offsets_ms {
+            lo = lo.min(o);
+            hi = hi.max(o);
+            sum += o;
+        }
+        self.mean_ms = ewma(self.mean_ms, sum / offsets_ms.len() as f64);
+        self.spread_ms = ewma(self.spread_ms, hi - lo);
     }
 
     fn stats_len(&self) -> usize {
@@ -146,19 +157,18 @@ impl QuorumTuner for AdaptiveTuner {
         let now = self.clock.now();
         let elapsed = now.duration_since(self.window_started).as_secs_f64();
         self.window_started = now;
-        let s = self.estimator.summary();
         vec![
             1.0,
             window.completions as f32,
             window.fresh as f32,
-            s.step_spread_ms as f32,
+            self.spread_ms.unwrap_or(0.0) as f32,
             elapsed as f32,
-            s.mean_ms as f32,
+            self.mean_ms.unwrap_or(0.0) as f32,
             stall_ms as f32,
         ]
     }
 
-    fn decide(&mut self, _from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
+    fn decide(&mut self, step: u64, from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
         assert_eq!(summed.len(), STATS_LEN, "stats vector shape");
         let ranks = f64::from(summed[0]).max(1.0);
         let rounds = f64::from(summed[1]);
@@ -167,8 +177,8 @@ impl QuorumTuner for AdaptiveTuner {
         let fresh_fraction = if rounds > 0.0 { fresh / rounds } else { 0.0 };
         let rounds_per_s = if elapsed > 0.0 { rounds / elapsed } else { 0.0 };
         let reward = fresh_fraction.powf(self.beta) * rounds_per_s;
-        // Close the estimator → model → controller loop: at the first
-        // informative window, turn the globally-averaged skew summary into
+        // Close the skew signal → model → controller loop: at the first
+        // informative window, turn the rank-averaged mean and spread into
         // a NapModel and seed every untried arm's value with its predicted
         // utility, calibrated so the current arm's prediction equals its
         // measured reward. Deterministic: inputs are the summed stats only.
@@ -198,6 +208,8 @@ impl QuorumTuner for AdaptiveTuner {
         }
         let policy = self.controller.step(reward);
         Some(QuorumDecision {
+            step,
+            from_round,
             policy,
             reward,
             fresh_fraction,
@@ -248,6 +260,40 @@ mod tests {
         }
     }
 
+    /// The skew signal as `local_stats` reports it: `(mean, spread)`.
+    fn skew(t: &mut AdaptiveTuner) -> (f32, f32) {
+        let v = t.local_stats(RoundCounters::default(), CommStatsSnapshot::default());
+        (v[5], v[3])
+    }
+
+    #[test]
+    fn skew_signal_tracks_rotating_uniform_offsets() {
+        let p = 8;
+        let mut t = tuner(p, AdaptiveTunerCfg::default());
+        // Rotating linear skew 0..70 ms — the ShiftingSkew pattern.
+        for step in 0..2000 {
+            let offsets: Vec<f64> = (0..p).map(|r| 10.0 * (((r + step) % p) as f64)).collect();
+            t.record_step(step as u64, &offsets);
+        }
+        let (mean, spread) = skew(&mut t);
+        assert!((mean - 35.0).abs() < 3.0, "mean {mean}");
+        assert!((spread - 70.0).abs() < 3.0, "step spread {spread}");
+    }
+
+    #[test]
+    fn skew_signal_adapts_to_a_regime_shift() {
+        let mut t = tuner(4, AdaptiveTunerCfg::default());
+        for step in 0..200 {
+            t.record_step(step, &[0.0, 1.0, 2.0, 3.0]);
+        }
+        let (_, before) = skew(&mut t);
+        for step in 200..400 {
+            t.record_step(step, &[0.0, 40.0, 80.0, 120.0]);
+        }
+        let (_, after) = skew(&mut t);
+        assert!(before < 4.0 && after > 100.0, "{before} → {after}");
+    }
+
     #[test]
     fn local_stats_windows_the_cumulative_counters() {
         let mut t = tuner(8, AdaptiveTunerCfg::default());
@@ -280,7 +326,7 @@ mod tests {
         assert_eq!(v[4], 2.5, "elapsed is exactly the advanced virtual time");
         // decide() on the summed vector sees an exact 4 rounds/s.
         let summed = [1.0, 10.0, 10.0, 0.0, v[4], 0.0, 0.0];
-        let d = t.decide(0, &summed).unwrap();
+        let d = t.decide(0, 0, &summed).unwrap();
         assert!((d.rounds_per_s - 4.0).abs() < 1e-9);
 
         // The next window starts where the last one ended.
@@ -306,10 +352,9 @@ mod tests {
             // Synthetic rank-summed stats: 8 ranks, varying freshness.
             let fresh = (t % 9) as f32;
             let summed = [8.0, 8.0, fresh, 40.0, 0.5, 20.0, 1.5];
-            let da = a.decide(t, &summed).unwrap();
-            let db = b.decide(t, &summed).unwrap();
-            assert_eq!(da.policy, db.policy, "diverged at {t}");
-            assert_eq!(da.reward, db.reward);
+            let da = a.decide(t, t, &summed).unwrap();
+            let db = b.decide(t, t, &summed).unwrap();
+            assert_eq!(da, db, "diverged at {t}");
         }
     }
 
@@ -324,7 +369,7 @@ mod tests {
         );
         // 4 ranks, 40 rounds total, 10 fresh, 2 s total elapsed.
         let summed = [4.0, 40.0, 10.0, 0.0, 2.0, 0.0, 8.0];
-        let d = t.decide(0, &summed).unwrap();
+        let d = t.decide(0, 0, &summed).unwrap();
         assert!((d.fresh_fraction - 0.25).abs() < 1e-6);
         assert!((d.rounds_per_s - 20.0).abs() < 1e-4);
         assert!((d.reward - 0.25f64.sqrt() * 20.0).abs() < 1e-4);
@@ -336,7 +381,9 @@ mod tests {
         let mut t = setup.build(0, 8, Clock::virtual_clock());
         assert_eq!(t.initial_policy(), Some(QuorumPolicy::Full));
         for i in 0..5 {
-            let d = t.decide(i, &[8.0, 8.0, 8.0, 0.0, 1.0, 0.0, 0.0]).unwrap();
+            let d = t
+                .decide(i, i, &[8.0, 8.0, 8.0, 0.0, 1.0, 0.0, 0.0])
+                .unwrap();
             assert_eq!(d.policy, QuorumPolicy::Full);
         }
     }

@@ -59,18 +59,14 @@ fn run_phase(name: &str, injector: Injector) {
     for d in &log.decisions {
         println!(
             "  step {:>3}: -> {:<12} (reward {:>7.2}, fresh {:.2}, {:>6.1} rounds/s)",
-            d.step,
-            d.policy.to_string(),
-            d.reward,
-            d.fresh_fraction,
-            d.rounds_per_s
+            d.step, d.policy, d.reward, d.fresh_fraction, d.rounds_per_s
         );
     }
     if let Some(last) = log.decisions.last() {
         println!(
             "  final policy: {} (as JSON: {})",
             last.policy,
-            eager_sgd_repro::tune::to_json(last)
+            serde_json::to_string(last).expect("decisions serialize")
         );
     }
 }

@@ -53,7 +53,5 @@ pub mod prelude {
     pub use pcoll_comm::{
         DType, NetworkModel, Planet, ReduceOp, SimOpts, TypedBuf, World, WorldConfig,
     };
-    pub use pcoll_tune::{
-        adaptive_setup, static_setup, AdaptiveTunerCfg, ControllerKind, SkewEstimator,
-    };
+    pub use pcoll_tune::{adaptive_setup, static_setup, AdaptiveTunerCfg, ControllerKind};
 }

@@ -112,7 +112,6 @@ fn tuned_run(seed: u64) -> SimReport {
         beta: 0.5,
         kind: ControllerKind::HillClimb,
         initial: Some(QuorumPolicy::Full),
-        ..AdaptiveTunerCfg::default()
     }));
     SimHarness::run(spec)
 }
@@ -125,7 +124,7 @@ fn tuned_run(seed: u64) -> SimReport {
 fn sim_tuner_decisions_replay_bit_identically() {
     let bits = |r: &SimReport| -> Vec<(u64, QuorumPolicy, u64)> {
         (r.decisions.iter())
-            .map(|(_, from, d)| (*from, d.policy, d.reward.to_bits()))
+            .map(|d| (d.from_round, d.policy, d.reward.to_bits()))
             .collect()
     };
     let (a, b) = (tuned_run(42), tuned_run(42));
@@ -403,7 +402,6 @@ fn sim_trainer_tuner_decisions_agree_and_replay() {
         beta: 0.5,
         kind: ControllerKind::HillClimb,
         initial: Some(QuorumPolicy::Full),
-        ..AdaptiveTunerCfg::default()
     }));
     let (a, b) = (
         train_sim(&cfg, SimOpts::default()),
