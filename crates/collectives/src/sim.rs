@@ -43,8 +43,7 @@ use crate::partial::{
 };
 use crate::tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};
 use pcoll_comm::{
-    DType, Fault, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf,
-    WorldConfig,
+    DType, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf, WorldConfig,
 };
 use pcoll_obs::{perfetto_trace, EventKind, TraceEvent, LEVEL_SPANS};
 use pcoll_sched::{CmdQueue, EngineCore};
@@ -229,11 +228,12 @@ pub struct SimReport {
     /// round of the window it closes. Empty without [`SimSpec::tuner`].
     pub decisions: Vec<QuorumDecision>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
-    /// that fence)` — empty unless the spec scripts [`Fault::Kill`]s.
+    /// that fence)` — empty unless the spec scripts
+    /// [`pcoll_comm::Fault::Kill`]s.
     pub evictions: Vec<(u64, Vec<Rank>)>,
     /// Admissions the harness applied, as `(fence_round, ranks
     /// re-admitted at that fence)` — empty unless the spec scripts
-    /// [`Fault::Rejoin`]s.
+    /// [`pcoll_comm::Fault::Rejoin`]s.
     pub rejoins: Vec<(u64, Vec<Rank>)>,
     /// Ranks still alive at the end of the run.
     pub live: Vec<Rank>,
@@ -314,8 +314,8 @@ pub struct SimHarness {
     policy: QuorumPolicy,
     /// The last tuner boundary, in rounds.
     boundary: u64,
-    /// Whether the fault plan can change membership (gates the per-event
-    /// death scan so fault-free runs pay nothing).
+    /// Whether the fault plan is non-empty: every fault changes membership
+    /// (gates the per-event death scan so fault-free runs pay nothing).
     chaos: bool,
     /// Ranks this harness has already evicted from every timeline.
     evicted: Vec<bool>,
@@ -387,12 +387,7 @@ impl SimHarness {
                 call_latency: vec![None; spec.rounds as usize],
             });
         }
-        let chaos = spec
-            .opts
-            .faults
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::Kill { .. } | Fault::Rejoin { .. }));
+        let chaos = !spec.opts.faults.is_empty();
         SimHarness {
             spec,
             sim,
@@ -758,6 +753,7 @@ impl SimHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcoll_comm::Fault;
 
     #[test]
     fn global_pacing_full_policy_counts_everyone() {

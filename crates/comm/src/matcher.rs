@@ -133,41 +133,6 @@ impl Matcher {
             }
         }
     }
-
-    /// Receive from any source with the given tag (MPI_ANY_SOURCE flavour).
-    pub fn recv_any(&mut self, tag: WireTag) -> Option<Message> {
-        for ((_, t), q) in self.unexpected.iter_mut() {
-            if *t == tag {
-                if let Some(m) = q.pop_front() {
-                    return Some(m);
-                }
-            }
-        }
-        loop {
-            match self.inbox.recv()? {
-                Envelope::Data(m) => {
-                    self.note_recv(&m);
-                    if m.tag == tag {
-                        return Some(m);
-                    }
-                    self.unexpected
-                        .entry((m.src, m.tag))
-                        .or_default()
-                        .push_back(m);
-                }
-                Envelope::Shutdown => {
-                    self.shutdown_seen = true;
-                    return None;
-                }
-                Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => {}
-            }
-        }
-    }
-
-    /// Number of buffered unexpected messages (introspection for tests).
-    pub fn unexpected_len(&self) -> usize {
-        self.unexpected.values().map(|q| q.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -196,26 +161,6 @@ mod tests {
             let a = m.recv(peer, tag(0)).unwrap();
             assert_eq!(a.payload.unwrap().as_i32().unwrap(), &[0]);
             assert_eq!(b.payload.unwrap().as_i32().unwrap(), &[1]);
-        });
-    }
-
-    #[test]
-    fn recv_any_source() {
-        World::launch(WorldConfig::instant(4), |c| {
-            let me = c.rank();
-            let (h, inbox) = c.split();
-            let mut m = Matcher::new(inbox);
-            if me == 0 {
-                let mut seen = Vec::new();
-                for _ in 0..3 {
-                    let msg = m.recv_any(tag(5)).unwrap();
-                    seen.push(msg.src);
-                }
-                seen.sort_unstable();
-                assert_eq!(seen, vec![1, 2, 3]);
-            } else {
-                h.send(0, tag(5), None);
-            }
         });
     }
 

@@ -237,12 +237,6 @@ impl Payload {
         }
     }
 
-    /// Materialize as an owned, full-range payload: one range-sized copy
-    /// that decouples the range from the backing allocation.
-    pub fn owned_range(&self, start: usize, len: usize) -> Payload {
-        Payload::new(self.view(start, len).to_buf())
-    }
-
     /// Recover the owned buffer without ever copying: `Ok` exactly when
     /// this handle is the last owner of a full-range typed payload,
     /// `Err(self)` (unchanged) otherwise. This is how the engine harvests
@@ -552,14 +546,5 @@ mod tests {
         let mut want = Vec::new();
         src.extend_le_bytes_range(2, 3, &mut want);
         assert_eq!(enc2, want);
-    }
-
-    #[test]
-    fn owned_range_detaches_from_the_source() {
-        let a = Payload::new(TypedBuf::from(vec![9.0f32; 8]));
-        let c = a.owned_range(4, 2);
-        assert!(!c.shares_allocation_with(&a));
-        assert_eq!(c.as_f32().unwrap(), &[9.0, 9.0]);
-        assert!(!c.is_view());
     }
 }

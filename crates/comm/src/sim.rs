@@ -122,11 +122,6 @@ impl Planet {
         self.names.len()
     }
 
-    /// A region's name.
-    pub fn region_name(&self, r: Region) -> &str {
-        &self.names[r.0]
-    }
-
     /// One-way latency from `a` to `b`.
     pub fn one_way(&self, a: Region, b: Region) -> Duration {
         Duration::from_nanos(self.latency_ns[a.0 * self.names.len() + b.0])
@@ -165,8 +160,7 @@ impl Default for SimOpts {
 // Fault injection
 // ---------------------------------------------------------------------------
 
-/// One scripted fault in a simulated run. All instants are virtual time;
-/// windows are half-open `[from, until)`.
+/// One scripted fault in a simulated run. All instants are virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// `rank` dies at `at`: everything it had in flight still lands, but
@@ -177,51 +171,6 @@ pub enum Fault {
         /// The rank that dies.
         rank: Rank,
         /// When it dies.
-        at: TimePoint,
-    },
-    /// `rank` freezes for `[from, from + dur)`: messages it sends or
-    /// should receive during the window are deferred to the window's end
-    /// (it comes back — a GC pause or `SIGSTOP`, not a death).
-    Stall {
-        /// The stalled rank.
-        rank: Rank,
-        /// Freeze start.
-        from: TimePoint,
-        /// Freeze length.
-        dur: Duration,
-    },
-    /// Messages sent `src → dst` during the window vanish.
-    Drop {
-        /// Sender side of the lossy link.
-        src: Rank,
-        /// Receiver side.
-        dst: Rank,
-        /// Window start.
-        from: TimePoint,
-        /// Window end (exclusive).
-        until: TimePoint,
-    },
-    /// Messages sent `src → dst` during the window take `extra` longer.
-    Delay {
-        /// Sender side of the slow link.
-        src: Rank,
-        /// Receiver side.
-        dst: Rank,
-        /// Added one-way latency.
-        extra: Duration,
-        /// Window start.
-        from: TimePoint,
-        /// Window end (exclusive).
-        until: TimePoint,
-    },
-    /// The `src → dst` direction is cut permanently at `at` (the reverse
-    /// direction still works — an asymmetric partition).
-    Sever {
-        /// Sender side of the cut direction.
-        src: Rank,
-        /// Receiver side.
-        dst: Rank,
-        /// When the cut happens.
         at: TimePoint,
     },
     /// A previously killed `rank` comes back at `at`: its dead flag
@@ -399,7 +348,6 @@ pub struct SimWorld {
     mb_rxs: Vec<Option<Receiver<Envelope>>>,
     stats: Vec<Arc<CommStats>>,
     memberships: Vec<Arc<Membership>>,
-    faults: Vec<Fault>,
     dead: Vec<bool>,
     events: u64,
     delivered: u64,
@@ -450,7 +398,6 @@ impl SimWorld {
             mb_rxs: mb_rxs.into_iter().map(Some).collect(),
             stats,
             memberships,
-            faults: opts.faults.faults,
             dead: vec![false; cfg.nranks],
             events: 0,
             delivered: 0,
@@ -459,16 +406,11 @@ impl SimWorld {
         };
         // Scripted kills and rejoins become schedule entries so they
         // interleave with deliveries in deterministic (due, seq) order.
-        let membership_events: Vec<(TimePoint, EventKind)> = w
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Kill { rank, at } => Some((*at, EventKind::Kill { rank: *rank })),
-                Fault::Rejoin { rank, at } => Some((*at, EventKind::Rejoin { rank: *rank })),
-                _ => None,
-            })
-            .collect();
-        for (at, kind) in membership_events {
+        for f in opts.faults.faults {
+            let (at, kind) = match f {
+                Fault::Kill { rank, at } => (at, EventKind::Kill { rank }),
+                Fault::Rejoin { rank, at } => (at, EventKind::Rejoin { rank }),
+            };
             w.heap.push(Reverse(SimEntry {
                 due: at,
                 seq: w.seq,
@@ -685,53 +627,10 @@ impl SimWorld {
                 Envelope::Data(m) => m.wire_bytes(),
                 Envelope::Shutdown | Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => 0,
             };
-            let mut latency = self.planet.one_way(self.regions[src], self.regions[dst])
+            let latency = self.planet.one_way(self.regions[src], self.regions[dst])
                 + self.network.base_latency(bytes)
                 + self.next_jitter(self.network.jitter());
-            // Scripted link faults, judged at send time.
-            let mut stall_until = TimePoint::ZERO;
-            let mut dropped = false;
-            for f in &self.faults {
-                match *f {
-                    Fault::Drop {
-                        src: fs,
-                        dst: fd,
-                        from,
-                        until,
-                    } if fs == src && fd == dst && now >= from && now < until => {
-                        dropped = true;
-                    }
-                    Fault::Delay {
-                        src: fs,
-                        dst: fd,
-                        extra,
-                        from,
-                        until,
-                    } if fs == src && fd == dst && now >= from && now < until => {
-                        latency += extra;
-                    }
-                    Fault::Sever {
-                        src: fs,
-                        dst: fd,
-                        at,
-                    } if fs == src && fd == dst && now >= at => {
-                        dropped = true;
-                    }
-                    Fault::Stall { rank, from, dur } if rank == src || rank == dst => {
-                        // A frozen endpoint defers traffic to the thaw.
-                        let end = from + dur;
-                        if now >= from && now < end {
-                            stall_until = stall_until.max(end);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if dropped {
-                self.dropped_by_fault += 1;
-                continue;
-            }
-            let natural = (now + latency).max(stall_until);
+            let natural = now + latency;
             let mut due = natural;
             if let Some(prev) = self.last_due.get(&(src, dst)) {
                 due = due.max(*prev);
@@ -905,11 +804,6 @@ impl SimWorld {
         }
     }
 
-    /// Whether the schedule is exhausted (nothing queued, nothing staged).
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty() && self.stage.queue.lock().expect("sim stage lock").is_empty()
-    }
-
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events
@@ -920,8 +814,7 @@ impl SimWorld {
         self.delivered
     }
 
-    /// Messages destroyed by faults so far (dropped/severed links, dead
-    /// endpoints).
+    /// Messages destroyed by faults so far (sent from or to a dead rank).
     pub fn messages_dropped_by_fault(&self) -> u64 {
         self.dropped_by_fault
     }

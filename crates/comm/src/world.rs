@@ -275,19 +275,6 @@ impl CommHandle {
             self.queue_deadline,
         );
     }
-
-    /// Tell whoever drains `dst`'s mailbox that `peer` was readmitted by
-    /// the admission fence — the reverse of
-    /// [`CommHandle::send_peer_down`], with the same local-control
-    /// semantics.
-    pub fn send_peer_up(&self, dst: Rank, peer: Rank) {
-        self.route.deliver(
-            dst,
-            Envelope::PeerUp { peer },
-            &self.stats,
-            self.queue_deadline,
-        );
-    }
 }
 
 /// Receiving half of a rank's communicator: the raw mailbox.

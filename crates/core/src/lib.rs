@@ -39,4 +39,4 @@ pub use theory::{ConvergenceParams, NapModel, NapPrediction};
 pub use trainer::{
     run_rank, run_sim, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup,
 };
-pub use workloads::{HyperplaneWorkload, ImageWorkload, SpatialWorkload, VideoWorkload, Workload};
+pub use workloads::{HyperplaneWorkload, ImageWorkload, VideoWorkload, Workload};

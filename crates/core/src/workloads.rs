@@ -2,7 +2,7 @@
 //! contract (Algorithm 2 line 3: "each process samples b elements from
 //! dataset", with per-rank random streams).
 
-use datagen::{GaussianMixtureTask, HyperplaneTask, SpatialBlobTask, VideoTask};
+use datagen::{GaussianMixtureTask, HyperplaneTask, VideoTask};
 use dnn::Batch;
 use imbalance::cost::lstm_batch_ms;
 use minitensor::TensorRng;
@@ -69,23 +69,6 @@ impl Workload for ImageWorkload {
         (0..self.train_eval_batches)
             .map(|_| self.task.sample_batch(self.local_batch, &mut rng))
             .collect()
-    }
-}
-
-/// Spatial image classification for the true-convolution models
-/// (balanced compute; CNN-friendly structure).
-pub struct SpatialWorkload {
-    pub task: Arc<SpatialBlobTask>,
-    pub local_batch: usize,
-}
-
-impl Workload for SpatialWorkload {
-    fn sample(&self, _rank: usize, _step: u64, rng: &mut TensorRng) -> Batch {
-        self.task.sample_batch(self.local_batch, rng)
-    }
-
-    fn test_batches(&self) -> Vec<Batch> {
-        vec![self.task.validation()]
     }
 }
 

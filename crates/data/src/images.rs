@@ -19,17 +19,6 @@ pub struct GaussianMixtureTask {
 }
 
 impl GaussianMixtureTask {
-    /// CIFAR-10-shaped proxy: 10 classes, 50,000-image epochs.
-    pub fn cifar10_proxy(dim: usize, seed: u64) -> Self {
-        Self::new(dim, 10, 50_000, 0.9, 1024, seed)
-    }
-
-    /// ImageNet-shaped proxy, scaled to 100 classes (enough for a
-    /// meaningful top-5 metric) and the full epoch size.
-    pub fn imagenet_proxy(dim: usize, seed: u64) -> Self {
-        Self::new(dim, 100, 1_281_167, 1.1, 2048, seed)
-    }
-
     pub fn new(
         dim: usize,
         classes: usize,
@@ -72,82 +61,6 @@ impl GaussianMixtureTask {
     /// Sample a training minibatch with the caller's RNG.
     pub fn sample_batch(&self, batch: usize, rng: &mut TensorRng) -> Batch {
         let (x, labels) = Self::gen(&self.means, self.noise_std, batch, rng);
-        Batch::Dense(DenseBatch {
-            x,
-            target: Target::Classes(labels),
-        })
-    }
-
-    /// The fixed validation set.
-    pub fn validation(&self) -> Batch {
-        Batch::Dense(DenseBatch {
-            x: self.val_x.clone(),
-            target: Target::Classes(self.val_labels.clone()),
-        })
-    }
-
-    /// Steps per epoch for a given *global* batch size.
-    pub fn steps_per_epoch(&self, global_batch: usize) -> usize {
-        (self.train_size / global_batch).max(1)
-    }
-}
-
-/// A *spatial* image classification task for the true-convolution models:
-/// class `c` is a Gaussian blob at a class-specific position on a
-/// `1 × side × side` grid. Dense-on-pixels models find this harder than
-/// CNNs (no translation prior); the CNN integration tests rely on it.
-pub struct SpatialBlobTask {
-    pub side: usize,
-    pub classes: usize,
-    /// Blob center per class.
-    centers: Vec<(f32, f32)>,
-    noise_std: f32,
-    val_x: Mat,
-    val_labels: Vec<usize>,
-}
-
-impl SpatialBlobTask {
-    pub fn new(side: usize, classes: usize, noise_std: f32, val_size: usize, seed: u64) -> Self {
-        let mut rng = TensorRng::new(seed);
-        let centers: Vec<(f32, f32)> = (0..classes)
-            .map(|_| {
-                (
-                    rng.uniform_in(1.5, side as f64 - 1.5) as f32,
-                    rng.uniform_in(1.5, side as f64 - 1.5) as f32,
-                )
-            })
-            .collect();
-        let (val_x, val_labels) = Self::gen(&centers, side, noise_std, val_size, &mut rng);
-        SpatialBlobTask {
-            side,
-            classes,
-            centers,
-            noise_std,
-            val_x,
-            val_labels,
-        }
-    }
-
-    fn gen(
-        centers: &[(f32, f32)],
-        side: usize,
-        noise_std: f32,
-        n: usize,
-        rng: &mut TensorRng,
-    ) -> (Mat, Vec<usize>) {
-        let labels: Vec<usize> = (0..n).map(|_| rng.index(centers.len())).collect();
-        let x = Mat::from_fn(n, side * side, |i, j| {
-            let (cy, cx) = centers[labels[i]];
-            let (y, x_) = ((j / side) as f32, (j % side) as f32);
-            let d2 = (y - cy) * (y - cy) + (x_ - cx) * (x_ - cx);
-            (-d2 / 3.0).exp() * 3.0 + rng.normal() as f32 * noise_std
-        });
-        (x, labels)
-    }
-
-    /// Sample a training minibatch.
-    pub fn sample_batch(&self, batch: usize, rng: &mut TensorRng) -> Batch {
-        let (x, labels) = Self::gen(&self.centers, self.side, self.noise_std, batch, rng);
         Batch::Dense(DenseBatch {
             x,
             target: Target::Classes(labels),
@@ -217,13 +130,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn proxies_have_paper_epoch_sizes() {
-        let c = GaussianMixtureTask::cifar10_proxy(64, 0);
-        assert_eq!(c.steps_per_epoch(512), 97); // 50000/512
-        let i = GaussianMixtureTask::imagenet_proxy(64, 0);
-        assert_eq!(i.steps_per_epoch(8192), 156); // 1281167/8192
     }
 }

@@ -25,5 +25,5 @@ pub mod text;
 pub mod video;
 
 pub use hyperplane::HyperplaneTask;
-pub use images::{GaussianMixtureTask, SpatialBlobTask};
+pub use images::GaussianMixtureTask;
 pub use video::{VideoDatasetSpec, VideoTask};

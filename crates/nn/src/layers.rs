@@ -49,11 +49,6 @@ impl Dense {
         Self::with_weights(Mat::he_init(in_dim, out_dim, in_dim, rng))
     }
 
-    /// Xavier-initialized dense layer (for tanh/sigmoid stacks).
-    pub fn new_xavier(in_dim: usize, out_dim: usize, rng: &mut TensorRng) -> Self {
-        Self::with_weights(Mat::xavier_init(in_dim, out_dim, rng))
-    }
-
     fn with_weights(w: Mat) -> Self {
         Dense {
             b: Param::new(Mat::zeros(1, w.cols())),
@@ -205,11 +200,6 @@ impl Sequential {
 
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
-        self
-    }
-
-    pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
         self
     }
 

@@ -1,10 +1,11 @@
 //! # dnn — neural-network substrate
 //!
 //! A compact deep-learning stack standing in for the paper's
-//! TensorFlow models: feed-forward layers with manual backprop, an LSTM
-//! with full-sequence BPTT (sequences arrive bucketed to uniform length,
-//! as in §2.1), softmax cross-entropy and MSE losses, and flat-vector
-//! SGD/momentum optimizers.
+//! TensorFlow models: dense feed-forward layers with manual backprop, an
+//! LSTM with full-sequence BPTT (sequences arrive bucketed to uniform
+//! length, as in §2.1), softmax cross-entropy and MSE losses, and
+//! flat-vector SGD/momentum optimizers. The paper's ResNets train as
+//! dense residual proxies ([`zoo`]), so there is no convolution layer.
 //!
 //! The distributed trainer (`eager-sgd`) talks to models through the
 //! [`Model`] trait, whose contract is exactly what data-parallel SGD
@@ -13,8 +14,6 @@
 //! model synchronization of §5). Gradient fusion into a single buffer is
 //! the same trick Horovod's tensor fusion plays — one allreduce per step.
 
-pub mod checkpoint;
-pub mod conv;
 pub mod layers;
 pub mod loss;
 pub mod lstm;
@@ -23,8 +22,6 @@ pub mod optim;
 pub mod param;
 pub mod zoo;
 
-pub use checkpoint::Checkpoint;
-pub use conv::{Conv2d, ImgShape, MaxPool2d};
 pub use layers::{Dense, Relu, Residual, Sequential, Sigmoid, Tanh};
 pub use loss::LossKind;
 pub use lstm::LstmClassifier;

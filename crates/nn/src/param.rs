@@ -29,94 +29,3 @@ impl Param {
         self.grad.clear();
     }
 }
-
-/// Copy a sequence of params' gradients into one flat buffer.
-/// Panics if `out` has the wrong total length.
-pub fn write_grads_flat<'a>(params: impl Iterator<Item = &'a Param>, out: &mut [f32]) {
-    let mut off = 0;
-    for p in params {
-        let g = p.grad.as_slice();
-        out[off..off + g.len()].copy_from_slice(g);
-        off += g.len();
-    }
-    assert_eq!(off, out.len(), "flat gradient length mismatch");
-}
-
-/// Copy params' values into one flat buffer.
-pub fn write_values_flat<'a>(params: impl Iterator<Item = &'a Param>, out: &mut [f32]) {
-    let mut off = 0;
-    for p in params {
-        let v = p.value.as_slice();
-        out[off..off + v.len()].copy_from_slice(v);
-        off += v.len();
-    }
-    assert_eq!(off, out.len(), "flat value length mismatch");
-}
-
-/// Overwrite params' values from one flat buffer.
-pub fn read_values_flat<'a>(params: impl Iterator<Item = &'a mut Param>, src: &[f32]) {
-    let mut off = 0;
-    for p in params {
-        let n = p.value.len();
-        p.value.as_mut_slice().copy_from_slice(&src[off..off + n]);
-        off += n;
-    }
-    assert_eq!(off, src.len(), "flat value length mismatch");
-}
-
-/// Apply `value += delta` from one flat buffer.
-pub fn apply_delta_flat<'a>(params: impl Iterator<Item = &'a mut Param>, delta: &[f32]) {
-    let mut off = 0;
-    for p in params {
-        let v = p.value.as_mut_slice();
-        for (w, d) in v.iter_mut().zip(&delta[off..off + p.grad.len()]) {
-            *w += d;
-        }
-        off += p.grad.len();
-    }
-    assert_eq!(off, delta.len(), "flat delta length mismatch");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flat_roundtrip() {
-        let mut ps = [
-            Param::new(Mat::from_vec(1, 2, vec![1.0, 2.0])),
-            Param::new(Mat::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0])),
-        ];
-        let mut flat = vec![0.0; 6];
-        write_values_flat(ps.iter(), &mut flat);
-        assert_eq!(flat, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let newv = vec![6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
-        read_values_flat(ps.iter_mut(), &newv);
-        let mut back = vec![0.0; 6];
-        write_values_flat(ps.iter(), &mut back);
-        assert_eq!(back, newv);
-    }
-
-    #[test]
-    fn apply_delta_adds() {
-        let mut ps = [Param::new(Mat::from_vec(1, 3, vec![1.0, 1.0, 1.0]))];
-        apply_delta_flat(ps.iter_mut(), &[0.5, -0.5, 2.0]);
-        assert_eq!(ps[0].value.as_slice(), &[1.5, 0.5, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn too_long_flat_buffer_panics() {
-        let ps = [Param::new(Mat::zeros(2, 2))];
-        let mut flat = vec![0.0; 6];
-        write_values_flat(ps.iter(), &mut flat);
-    }
-
-    #[test]
-    #[should_panic]
-    fn too_short_flat_buffer_panics() {
-        let ps = [Param::new(Mat::zeros(2, 2))];
-        let mut flat = vec![0.0; 3];
-        write_values_flat(ps.iter(), &mut flat);
-    }
-}

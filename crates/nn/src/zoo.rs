@@ -6,8 +6,10 @@
 //! | ResNet-32          | [`resnet_proxy`] depth 15, residual-MLP blocks | same skip-connected depth; convs→dense ([`resnet_proxy`] docs) |
 //! | ResNet-50          | [`resnet_proxy`] depth 16, wider       | ditto |
 //! | Inception+LSTM     | [`video_lstm`] on synthetic features   | the paper also trains the LSTM on precomputed features (§6.3) |
+//!
+//! Every figure that trains a ResNet row trains the dense proxy; nothing
+//! here builds a convolution.
 
-use crate::conv::{Conv2d, ImgShape, MaxPool2d};
 use crate::layers::{Dense, Relu, Residual, Sequential};
 use crate::loss::LossKind;
 use crate::lstm::LstmClassifier;
@@ -63,41 +65,6 @@ pub fn resnet32_proxy(in_dim: usize, classes: usize, rng: &mut TensorRng) -> Fee
 /// "ResNet-50 on ImageNet" proxy (16 blocks, wider).
 pub fn resnet50_proxy(in_dim: usize, classes: usize, rng: &mut TensorRng) -> FeedForward {
     resnet_proxy(in_dim, 96, 16, classes, rng)
-}
-
-/// A true-convolution residual classifier for spatial image tasks:
-/// stem conv → `blocks` residual conv blocks (3×3, padding 1, channel-
-/// preserving so the skip connection type-checks) → 2×2 max-pool →
-/// dense head. Closer in kind to ResNet-32 than the dense proxy;
-/// BatchNorm is omitted (documented substitution — bias+ReLU suffice at
-/// these depths/widths).
-pub fn resnet_cnn(
-    in_shape: ImgShape,
-    stem_channels: usize,
-    blocks: usize,
-    classes: usize,
-    rng: &mut TensorRng,
-) -> FeedForward {
-    let stem = Conv2d::new(in_shape, stem_channels, 3, 1, rng);
-    let body_shape = stem.out_shape();
-    let mut net = Sequential::new().push(stem).push(Relu::new());
-    for _ in 0..blocks {
-        // Zero-init the branch's second conv: identity at init (see
-        // `resnet_proxy`).
-        let mut branch_out = Conv2d::new(body_shape, stem_channels, 3, 1, rng);
-        branch_out.w.value.clear();
-        let inner = Sequential::new()
-            .push(Conv2d::new(body_shape, stem_channels, 3, 1, rng))
-            .push(Relu::new())
-            .push(branch_out);
-        net = net.push(Residual::new(inner)).push(Relu::new());
-    }
-    let pool = MaxPool2d::new(body_shape, 2);
-    let pooled = pool.out_shape();
-    net = net
-        .push(pool)
-        .push(Dense::new(pooled.numel(), classes, rng));
-    FeedForward::new(net, LossKind::SoftmaxXent)
 }
 
 /// The video classifier of §6.3: an LSTM over per-frame features

@@ -42,11 +42,6 @@ impl TimePoint {
         self.0
     }
 
-    /// Milliseconds since the epoch, as a float (report convenience).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Time elapsed since `earlier` (saturating at zero, like
     /// `Instant::saturating_duration_since`).
     pub fn duration_since(self, earlier: TimePoint) -> Duration {
@@ -100,11 +95,6 @@ impl Clock {
         }
     }
 
-    /// Whether this is a virtual (scheduler-driven) clock.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.inner, ClockInner::Virtual(_))
-    }
-
     /// Advance a virtual clock to `t` (monotonic: a target in the past is
     /// a no-op). Panics on a wall clock — only a scheduler owns time.
     pub fn advance_to(&self, t: TimePoint) {
@@ -152,7 +142,6 @@ mod tests {
         let b = c.now();
         assert!(b > a);
         assert!(b.duration_since(a) >= Duration::from_millis(2));
-        assert!(!c.is_virtual());
     }
 
     #[test]
@@ -163,7 +152,6 @@ mod tests {
         assert_eq!(c.now(), TimePoint::ZERO, "virtual time ignores wall time");
         c.advance(Duration::from_micros(250));
         assert_eq!(c.now().as_nanos(), 250_000);
-        assert!(c.is_virtual());
     }
 
     #[test]

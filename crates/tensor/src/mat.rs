@@ -291,13 +291,6 @@ impl Mat {
         }
     }
 
-    /// Elementwise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data.iter_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Elementwise `self[i] = f(self[i], other[i])`.
     pub fn zip_inplace(&mut self, other: &Mat, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(self.shape(), other.shape());
@@ -326,36 +319,6 @@ impl Mat {
         self.data.iter().sum()
     }
 
-    /// Mean of all entries.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Frobenius (ℓ2) norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Per-row argmax (predicted class per sample). NaN-tolerant via a
-    /// total ordering — a diverged model yields arbitrary but defined
-    /// predictions rather than a panic.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|i| {
-                let row = self.row(i);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-
     /// Per-row indices of the top-k entries, descending (NaN-tolerant).
     pub fn topk_rows(&self, k: usize) -> Vec<Vec<usize>> {
         (0..self.rows)
@@ -379,19 +342,6 @@ impl Mat {
     /// Fill with zeros, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Stack rows of `mats` vertically (all must share `cols`).
-    pub fn vstack(mats: &[&Mat]) -> Mat {
-        assert!(!mats.is_empty());
-        let cols = mats[0].cols;
-        let rows: usize = mats.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in mats {
-            assert_eq!(m.cols, cols);
-            data.extend_from_slice(&m.data);
-        }
-        Mat { rows, cols, data }
     }
 }
 
@@ -535,19 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_topk() {
+    fn topk_rows_are_descending() {
         let m = Mat::from_vec(2, 4, vec![0.1, 0.9, 0.5, 0.2, 9.0, -1.0, 3.0, 8.0]);
-        assert_eq!(m.argmax_rows(), vec![1, 0]);
         assert_eq!(m.topk_rows(2), vec![vec![1, 2], vec![0, 3]]);
-    }
-
-    #[test]
-    fn vstack_concatenates() {
-        let a = Mat::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = Mat::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        let s = Mat::vstack(&[&a, &b]);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(2), &[5.0, 6.0]);
     }
 
     #[test]

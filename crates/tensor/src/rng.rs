@@ -26,12 +26,6 @@ impl TensorRng {
         self.rng.gen::<f64>()
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
@@ -52,12 +46,6 @@ impl TensorRng {
         r * theta.cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Log-normal with the given parameters of the underlying normal.
     #[inline]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
@@ -70,11 +58,6 @@ impl TensorRng {
             let j = self.rng.gen_range(0..=i);
             xs.swap(i, j);
         }
-    }
-
-    /// Access the underlying rand RNG for anything else.
-    pub fn inner(&mut self) -> &mut ChaCha8Rng {
-        &mut self.rng
     }
 }
 

@@ -4,7 +4,8 @@
 //! checking them would make the test network-flaky. Rust sources are held
 //! to the weaker rule their prose can meet: a markdown file they mention
 //! by name must be in the repo. Commands are held to the same bar: a
-//! harness binary or a `repro` figure a document names must exist.
+//! harness binary, a `repro` figure or a test target a document names
+//! must exist.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -186,15 +187,49 @@ fn markdown_files_named_in_rust_sources_exist() {
     );
 }
 
+/// The names of the integration-test targets: `tests/<name>.rs` at the
+/// root and in every crate.
+fn test_targets(root: &Path) -> HashSet<String> {
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let dirs = crates
+        .flatten()
+        .map(|e| e.path().join("tests"))
+        .chain([root.join("tests")]);
+    dirs.flat_map(|d| std::fs::read_dir(d).into_iter().flatten().flatten())
+        .filter_map(|e| Some(e.file_name().to_str()?.strip_suffix(".rs")?.to_owned()))
+        .collect()
+}
+
+/// Every `…tests/<name>.rs` path on `line` (a `*` in `<name>` is a
+/// wildcard), as written.
+fn test_paths(line: &str) -> Vec<&str> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_-./*".contains(c);
+    line.match_indices("tests/")
+        .filter_map(|(at, _)| {
+            let start = line[..at].rfind(|c| !is_path(c)).map_or(0, |i| i + 1);
+            let end = line[at..]
+                .find(|c| !is_path(c))
+                .map_or(line.len(), |i| at + i);
+            let path = line[start..end].trim_end_matches('.');
+            path.ends_with(".rs").then_some(path)
+        })
+        .collect()
+}
+
 /// `--bin <name>` must be a file under `crates/bench/src/bin/`, and the
 /// words after `repro` (the cargo command line, or a code span that
 /// starts with it) must be rows of the figure table — every one of which
 /// README's "Running experiments" index and the verify skill's figure
-/// paragraph name in turn. `benchmark/README.md` is out of scope: it is
-/// the benchmark's own record and names retired binaries historically.
+/// paragraph name in turn. `--test <name>` and `tests/<name>.rs` must
+/// name a test target under the root `tests/` or a crate's `tests/` (a
+/// path with a crate prefix must exist as written). `benchmark/README.md`
+/// is out of scope: it is the benchmark's own record and names retired
+/// binaries historically.
 #[test]
 fn bench_binaries_and_figures_named_in_docs_exist() {
     let root = repo_root();
+    let targets = test_targets(&root);
+    assert!(targets.contains("doc_links"), "the scan found {targets:?}");
     let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs")).expect("table");
     let figures: HashSet<&str> = table
         .lines()
@@ -225,6 +260,27 @@ fn bench_binaries_and_figures_named_in_docs_exist() {
                     .is_file()
                 {
                     fail(format!("no binary `{}` in crates/bench/src/bin", pair[1]));
+                }
+            }
+            for pair in words.windows(2).filter(|w| w[0] == "--test") {
+                if !targets.contains(pair[1]) {
+                    fail(format!("`--test {}` names no test target", pair[1]));
+                }
+            }
+            for path in test_paths(line) {
+                let (dir, file) = path.rsplit_once("tests/").expect("matched on `tests/`");
+                let name = file.strip_suffix(".rs").expect("ends in `.rs`");
+                let found = if !dir.is_empty() {
+                    root.join(path).is_file()
+                } else if let Some((head, tail)) = name.split_once('*') {
+                    targets
+                        .iter()
+                        .any(|t| t.starts_with(head) && t.ends_with(tail))
+                } else {
+                    targets.contains(name)
+                };
+                if !found {
+                    fail(format!("`{path}` is not a test target"));
                 }
             }
             // The arguments of each `repro` invocation on this line.
