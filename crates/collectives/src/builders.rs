@@ -12,7 +12,6 @@
 //! | `0x100+k` | activation broadcast hop at tree step `k` |
 //! | `0x200+k` | recursive-doubling data exchange, level `k` |
 //! | `0x300+k` | quorum chain token to candidate `k`       |
-//! | `0x400+k` | dissemination barrier, round `k`          |
 //!
 //! ## The activation phase (§4.1.1)
 //!
@@ -79,8 +78,6 @@ pub const SEM_ACT: u32 = 0x100;
 pub const SEM_DATA: u32 = 0x200;
 /// Wire-tag namespace for the chain-m token hops.
 pub const SEM_CHAIN: u32 = 0x300;
-/// Wire-tag namespace for the dissemination barrier's rounds.
-pub const SEM_BARRIER: u32 = 0x400;
 /// Base of the segmented-ring data namespace: segment `g`'s ring step
 /// `s` uses `SEM_SEG + g·2(P−1) + s` (reduce-scatter) and
 /// `+ (P−1) + s` (allgather).
@@ -515,45 +512,6 @@ pub fn segmented_allreduce_schedule(
     b.build()
 }
 
-/// Dissemination barrier for any `p` (not just powers of two):
-/// `ceil(log2 p)` rounds; in round `k` send to `(r + 2^k) mod p` and wait
-/// for `(r - 2^k) mod p`. Purely synchronous (gated on internal
-/// activation); carries no data.
-pub fn barrier_schedule(rank: Rank, p: usize) -> Schedule {
-    let mut b = ScheduleBuilder::new();
-    b.slots(0).snapshot_at(SnapshotTiming::Activation);
-    let gate = b.op(OpKind::InternalGate, vec![]);
-    if p == 1 {
-        b.completion(gate);
-        return b.build();
-    }
-    let rounds = usize::BITS - (p - 1).leading_zeros();
-    let mut prev = gate;
-    for k in 0..rounds {
-        let dist = 1usize << k;
-        let to = (rank + dist) % p;
-        let from = (rank + p - dist % p) % p;
-        let send = b.op(
-            OpKind::SendCtl {
-                peer: to,
-                sem: SEM_BARRIER + k,
-            },
-            vec![prev],
-        );
-        let recv = b.op(
-            OpKind::Recv {
-                peer: from,
-                sem: SEM_BARRIER + k,
-                into: None,
-            },
-            vec![],
-        );
-        prev = b.op(OpKind::Nop, vec![send, recv]);
-    }
-    b.completion(prev);
-    b.build()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -863,10 +821,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn barrier_pairing_any_p() {
-        for p in [1usize, 2, 3, 5, 8, 12, 16] {
-            let scheds = all_schedules(p, &|r| barrier_schedule(r, p));
-            check_send_recv_pairing(&scheds);
+    fn zero_length_allreduce_pairing() {
+        // A barrier is a `Full` allreduce of zero elements: both data
+        // phases must still pair every send with one receive when every
+        // chunk is empty.
+        let mode = ActivationMode::Full;
+        for p in [1usize, 2, 4, 8] {
+            let rd = all_schedules(p, &|r| allreduce_schedule(r, p, ReduceOp::Sum, None, &mode));
+            check_send_recv_pairing(&rd);
+        }
+        for p in [1usize, 2, 3, 5, 8] {
+            let seg = all_schedules(p, &|r| {
+                segmented_allreduce_schedule(r, p, ReduceOp::Sum, None, &mode, 0, 16, 2)
+            });
+            check_send_recv_pairing(&seg);
         }
     }
 
@@ -891,14 +859,6 @@ pub(crate) mod tests {
                     .map(|r| allreduce_schedule(
                         r, p, ReduceOp::Sum, None, &ActivationMode::Chain(cands.clone())))
                     .collect();
-                check_send_recv_pairing(&scheds);
-            }
-
-            /// Barrier pairing for arbitrary world sizes.
-            #[test]
-            fn barrier_pairing_random(p in 1usize..33) {
-                let scheds: Vec<Schedule> =
-                    (0..p).map(|r| barrier_schedule(r, p)).collect();
                 check_send_recv_pairing(&scheds);
             }
         }

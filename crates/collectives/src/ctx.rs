@@ -11,19 +11,23 @@
 //! thread-world communicator behaves identically to one built in a TCP
 //! rank process — all cross-rank coordination (barriers, consensus
 //! randomness, policy fences) goes through messages or the shared seed,
-//! never through shared memory. The one exception is
-//! [`RankCtx::host_barrier`], which is explicitly thread-world test
-//! scaffolding (a no-op under process-per-rank).
+//! never through shared memory.
+//!
+//! The one blocking collective is the allreduce at [`QuorumPolicy::Full`]:
+//! [`RankCtx::sync_allreduce`] is the synchronous baseline, and a barrier
+//! (the built-in one, and the gate each eviction and admission fence
+//! closes on) is that allreduce over zero elements. It "cannot terminate
+//! before the slowest process joins it" (§4) and carries nothing else.
 
 use crate::partial::{PartialAllreduce, PartialOpts, QuorumPolicy};
-use crate::sync::SyncBarrier;
 use pcoll_comm::{
     Clock, CollId, CommStats, Communicator, DType, Membership, Rank, ReduceOp, TypedBuf,
 };
 use pcoll_obs::{EventKind, LEVEL_SPANS};
 use pcoll_sched::Engine;
-use std::cell::Cell;
-use std::sync::{Arc, Barrier};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Base of the collective-id range reserved for the eviction protocol's
 /// consensus collectives (fence allreduce + barrier, two ids per
@@ -32,6 +36,41 @@ use std::sync::{Arc, Barrier};
 /// mid-run keeps the SPMD id agreement without any up-front reservation.
 const EVICTION_COLL_BASE: u32 = 0x4000_0000;
 
+/// A barrier over the sorted `live` ranks of a world of `p`: a `Full`
+/// allreduce of zero elements, passed with [`cross`].
+fn barrier_over(
+    engine: &Engine,
+    coll: CollId,
+    rank: Rank,
+    p: usize,
+    seed: u64,
+    live: Vec<Rank>,
+) -> PartialAllreduce {
+    let opts = PartialOpts {
+        // How long a barrier waits for the slowest rank before panicking.
+        wait_timeout: Duration::from_secs(120),
+        ..PartialOpts::default()
+    };
+    PartialAllreduce::register(
+        Arc::new(engine.clone()),
+        coll,
+        rank,
+        p,
+        live,
+        seed,
+        DType::F32,
+        0,
+        ReduceOp::Sum,
+        QuorumPolicy::Full,
+        opts,
+    )
+}
+
+/// Block until every rank of `barrier` has entered this round of it.
+fn cross(barrier: &mut PartialAllreduce) {
+    barrier.allreduce(&TypedBuf::zeros(DType::F32, 0));
+}
+
 /// Per-rank context (one per rank thread, not shareable across threads).
 pub struct RankCtx {
     rank: Rank,
@@ -39,8 +78,7 @@ pub struct RankCtx {
     seed: u64,
     engine: Engine,
     next_coll: Cell<u32>,
-    barrier: SyncBarrier,
-    host_barrier: Arc<Barrier>,
+    barrier: RefCell<PartialAllreduce>,
     comm_stats: Arc<CommStats>,
     membership: Arc<Membership>,
     clock: Clock,
@@ -53,22 +91,19 @@ impl RankCtx {
         let rank = comm.rank();
         let size = comm.size();
         let seed = comm.seed();
-        let host_barrier = comm.host_barrier_arc();
         let comm_stats = comm.comm_stats();
         let membership = Arc::clone(comm.membership());
         let (handle, inbox) = comm.split();
         let clock = handle.clock().clone();
         let engine = Engine::spawn(handle, inbox);
-        let world: Vec<Rank> = (0..size).collect();
-        let barrier = SyncBarrier::register_over(&engine, CollId(0), &world, rank);
+        let barrier = barrier_over(&engine, CollId(0), rank, size, seed, (0..size).collect());
         RankCtx {
             rank,
             size,
             seed,
             engine,
             next_coll: Cell::new(1),
-            barrier,
-            host_barrier,
+            barrier: RefCell::new(barrier),
             comm_stats,
             membership,
             clock,
@@ -95,11 +130,6 @@ impl RankCtx {
     /// The world-shared seed (consensus randomness).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The underlying engine (for advanced/diagnostic use).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 
     /// This rank's transport queue-pressure counters (stalls, depths) —
@@ -194,7 +224,7 @@ impl RankCtx {
 
     /// Message-based barrier across all ranks (the built-in collective 0).
     pub fn barrier(&self) {
-        self.barrier.wait();
+        cross(&mut self.barrier.borrow_mut());
     }
 
     /// The consensus half of [`RankCtx::evict`] and [`RankCtx::admit`]:
@@ -205,7 +235,7 @@ impl RankCtx {
     /// membership event — the epoch counts evictions *and* admissions as
     /// they are applied, so neither mixed sequences nor several events
     /// that agree on one fence ever reuse a pair.
-    fn agree_fence(&self, ar: &PartialAllreduce, live: &[Rank]) -> (u64, SyncBarrier) {
+    fn agree_fence(&self, ar: &PartialAllreduce, live: &[Rank]) -> (u64, PartialAllreduce) {
         let base = EVICTION_COLL_BASE + 2 * ar.eviction_epoch() as u32;
         let mut fence = self.register_allreduce(
             CollId(base),
@@ -216,7 +246,14 @@ impl RankCtx {
             QuorumPolicy::Full,
             PartialOpts::default(),
         );
-        let gate = SyncBarrier::register_over(&self.engine, CollId(base + 1), live, self.rank);
+        let gate = barrier_over(
+            &self.engine,
+            CollId(base + 1),
+            self.rank,
+            self.size,
+            self.seed,
+            live.to_vec(),
+        );
         let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
         let fence_round = agreed.data.as_i64().expect("i64 fence")[0] as u64;
         (fence_round, gate)
@@ -255,7 +292,7 @@ impl RankCtx {
             "rank {} cannot evict itself",
             self.rank
         );
-        let (fence_round, gate) = self.agree_fence(ar, &live);
+        let (fence_round, mut gate) = self.agree_fence(ar, &live);
         ar.evict_from(fence_round, dead);
         for &d in dead {
             // Promote the local suspicion to a consensus fact in the
@@ -266,7 +303,7 @@ impl RankCtx {
                 from_round: fence_round,
             });
         }
-        gate.wait();
+        cross(&mut gate);
         fence_round
     }
 
@@ -328,29 +365,20 @@ impl RankCtx {
             // nulling the joiner's contributions.
             self.engine.peer_up(j);
         }
-        let (fence_round, gate) = self.agree_fence(ar, &live);
+        let (fence_round, mut gate) = self.agree_fence(ar, &live);
         if joiners.contains(&self.rank) {
             ar.fast_forward_to(fence_round);
         }
         ar.admit_from(fence_round, joiners);
-        gate.wait();
+        cross(&mut gate);
         fence_round
-    }
-
-    /// Host-side (non-modeled) barrier for bench/test alignment.
-    ///
-    /// Thread-world scaffolding only: under the TCP transport each
-    /// process holds a single rank, so this returns immediately. Use
-    /// [`RankCtx::barrier`] when alignment must hold on every transport.
-    pub fn host_barrier(&self) {
-        self.host_barrier.wait();
     }
 
     /// `MPI_Finalize` equivalent: barrier so no peer still needs us, then
     /// stop the engine. Call exactly once per rank at the end of the SPMD
     /// program.
     pub fn finalize(self) {
-        self.barrier.wait();
+        self.barrier();
         self.engine.shutdown();
     }
 }
@@ -387,6 +415,72 @@ mod tests {
                 assert_eq!(*s, 6 + 4 * round); // Σ(rank) + P*round
                 assert_eq!(*m, 3 * round); // max(rank*round)
             }
+        }
+    }
+
+    #[test]
+    fn barrier_aligns_ranks() {
+        let p = 6;
+        let out = World::launch(WorldConfig::instant(p), move |c| {
+            let ctx = RankCtx::new(c);
+            // Stagger the arrivals; nobody may leave the barrier before
+            // the last rank has reached it.
+            std::thread::sleep(Duration::from_millis(20 * ctx.rank() as u64));
+            let arrived = std::time::Instant::now();
+            ctx.barrier();
+            let left = std::time::Instant::now();
+            ctx.finalize();
+            (arrived, left)
+        });
+        let last_arrival = out.iter().map(|(arrived, _)| *arrived).max().unwrap();
+        for (r, (_, left)) in out.iter().enumerate() {
+            assert!(
+                *left >= last_arrival,
+                "rank {r} left the barrier {:?} before the last rank arrived",
+                last_arrival - *left
+            );
+        }
+    }
+
+    #[test]
+    fn barrier_over_a_non_contiguous_live_set_aligns_its_members() {
+        // The gate shape of the eviction and admission fences: ranks
+        // {1, 3, 4} of six register a barrier over their live set, whose
+        // schedule is built in a virtual world of three and remapped to
+        // global ids. Ranks 0, 2 and 5 never enter it.
+        let live = [1, 3, 4];
+        let out = World::launch(WorldConfig::instant(6), move |c| {
+            let ctx = RankCtx::new(c);
+            let pos = live.iter().position(|&r| r == ctx.rank());
+            let times = pos.map(|i| {
+                let coll = CollId(0x100);
+                let mut gate =
+                    barrier_over(&ctx.engine, coll, ctx.rank, 6, ctx.seed, live.to_vec());
+                std::thread::sleep(Duration::from_millis(20 * i as u64));
+                let arrived = std::time::Instant::now();
+                cross(&mut gate);
+                (arrived, std::time::Instant::now())
+            });
+            ctx.finalize();
+            times
+        });
+        let members: Vec<_> = out
+            .iter()
+            .enumerate()
+            .filter_map(|(r, t)| t.map(|t| (r, t)))
+            .collect();
+        assert_eq!(members.iter().map(|(r, _)| *r).collect::<Vec<_>>(), live);
+        let last_arrival = members
+            .iter()
+            .map(|(_, (arrived, _))| *arrived)
+            .max()
+            .unwrap();
+        for (r, (_, left)) in &members {
+            assert!(
+                *left >= last_arrival,
+                "rank {r} left the barrier {:?} before the last member arrived",
+                last_arrival - *left
+            );
         }
     }
 

@@ -21,16 +21,15 @@
 //!   and world size: recursive doubling for small messages on
 //!   power-of-two worlds, the segmented reduce-scatter + allgather ring
 //!   otherwise.
-//! - [`SyncBarrier`]: the blocking dissemination barrier, over the whole
-//!   world or a live set (the eviction and admission gates).
 //! - [`algos`]: the blocking ring allreduce over the plain matcher — the
 //!   engine's ceiling in the benchmarks and the reference its results are
 //!   tested against.
 //!
 //! [`RankCtx`] packages the per-rank engine plus collective constructors;
 //! collectives must be created in the same order on every rank (SPMD), as
-//! with MPI communicator construction. [`QuorumTuner`] is the closed-loop
-//! policy protocol the trainer and [`SimHarness`] both run.
+//! with MPI communicator construction; [`RankCtx::barrier`] is the `Full`
+//! allreduce of zero elements. [`QuorumTuner`] is the closed-loop policy
+//! protocol the trainer and [`SimHarness`] both run.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +40,6 @@ pub mod ctx;
 pub mod partial;
 pub mod select;
 pub mod sim;
-pub mod sync;
 pub mod topology;
 pub mod tuner;
 
@@ -52,5 +50,4 @@ pub use partial::{
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Outcome, Pacing, RankStep, SimHarness, SimReport, SimSpec, StepSetup};
-pub use sync::SyncBarrier;
 pub use tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};

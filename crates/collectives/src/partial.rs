@@ -632,7 +632,7 @@ impl CollectiveTemplate for PartialTemplate {
         sched
     }
 
-    fn snapshot(&self, round: u64) -> Option<Payload> {
+    fn snapshot(&self, round: u64) -> Payload {
         let mut send = self.shared.send.lock();
         if !send.filled {
             // Lazy G_null: the swapped-in buffer is dirty; its bytes are
@@ -652,7 +652,7 @@ impl CollectiveTemplate for PartialTemplate {
         if let Some(flags) = self.in_flight.borrow_mut().get_mut(&round) {
             (flags.1, flags.2) = (fresh, data.is_null());
         }
-        Some(data)
+        data
     }
 
     /// The one place a round's facts are emitted: the observer's event,
@@ -1829,10 +1829,12 @@ mod tests {
         // The straggler delays everyone: no rank's call returns before
         // it arrives.
         let delay = Duration::from_millis(150);
+        // Align the clocks' start out of band, not with a collective.
+        let start = Arc::new(std::sync::Barrier::new(4));
         let out = World::launch(WorldConfig::instant(4), move |c| {
             let ctx = RankCtx::new(c);
             let mut ar = ctx.sync_allreduce(DType::F32, 1, ReduceOp::Sum, None);
-            ctx.host_barrier();
+            start.wait();
             let t0 = std::time::Instant::now();
             if ctx.rank() == 2 {
                 std::thread::sleep(delay);

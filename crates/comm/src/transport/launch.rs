@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for a TCP (process-per-rank) launch.
@@ -572,10 +572,6 @@ where
             clock,
         },
         inbox: Inbox { rx: inbox_rx },
-        // One rank per process: the host barrier (thread-scaffolding, not
-        // a modeled collective) degenerates to a no-op. Cross-rank
-        // alignment over TCP must use the message-based `RankCtx::barrier`.
-        host_barrier: Arc::new(Barrier::new(1)),
         rendezvous: Some(rendezvous.clone()),
     };
 

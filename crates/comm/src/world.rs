@@ -29,7 +29,7 @@ use crate::transport::{launch_tcp, Route, TcpOpts, Transport};
 use crate::TypedBuf;
 use crossbeam::channel::{bounded, Receiver};
 use pcoll_obs::{Clock, EventKind, Recorder, TraceConfig, LEVEL_VERBOSE};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default bound on every send queue, in messages. Deep enough that the
@@ -305,13 +305,11 @@ impl Inbox {
     }
 }
 
-/// A rank's full communicator: cloneable send half, exclusive receive half,
-/// and a host-side barrier for harness coordination (the message-based
-/// dissemination barrier lives in the `pcoll` crate).
+/// A rank's full communicator: cloneable send half and exclusive receive
+/// half. Cross-rank alignment is a collective: `pcoll::RankCtx::barrier`.
 pub struct Communicator {
     pub(crate) handle: CommHandle,
     pub(crate) inbox: Inbox,
-    pub(crate) host_barrier: Arc<Barrier>,
     pub(crate) rendezvous: Option<crate::transport::RendezvousClient>,
 }
 
@@ -371,23 +369,6 @@ impl Communicator {
         (self.handle, self.inbox)
     }
 
-    /// Host-side barrier across all rank threads. This is *not* a modeled
-    /// collective — it is test/bench scaffolding (e.g. "synchronize before
-    /// the next iteration", Fig. 8 line 12, when we want exact alignment
-    /// without touching the system under test).
-    ///
-    /// Shared-memory only: under the TCP transport each process holds one
-    /// rank, so this degenerates to a no-op. Cross-rank alignment over TCP
-    /// must use the message-based barrier (`pcoll::RankCtx::barrier`).
-    pub fn host_barrier(&self) {
-        self.host_barrier.wait();
-    }
-
-    /// Clone the host-barrier handle (so it survives [`Communicator::split`]).
-    pub fn host_barrier_arc(&self) -> Arc<Barrier> {
-        Arc::clone(&self.host_barrier)
-    }
-
     /// Borrow the inbox without splitting.
     pub fn inbox(&self) -> &Inbox {
         &self.inbox
@@ -435,7 +416,6 @@ impl World {
         // otherwise connect unrelated epochs).
         let clock = Clock::wall();
 
-        let host_barrier = Arc::new(Barrier::new(cfg.nranks));
         let f = Arc::new(f);
         let mut joins = Vec::with_capacity(cfg.nranks);
         for (rank, rx) in mb_rxs.into_iter().enumerate() {
@@ -457,7 +437,6 @@ impl World {
                     clock: clock.clone(),
                 },
                 inbox: Inbox { rx },
-                host_barrier: Arc::clone(&host_barrier),
                 rendezvous: None,
             };
             let f = Arc::clone(&f);
@@ -535,7 +514,6 @@ impl World {
 mod tests {
     use super::*;
     use crate::tag::CollId;
-    use std::sync::atomic::Ordering;
 
     fn tag(sem: u32) -> WireTag {
         WireTag::new(CollId(7), 0, sem)
@@ -559,19 +537,6 @@ mod tests {
             }
         });
         assert_eq!(out, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn host_barrier_synchronizes() {
-        use std::sync::atomic::AtomicUsize;
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&counter);
-        World::launch(WorldConfig::instant(8), move |c| {
-            c2.fetch_add(1, Ordering::SeqCst);
-            c.host_barrier();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(c2.load(Ordering::SeqCst), 8);
-        });
     }
 
     #[test]

@@ -106,13 +106,13 @@ pub trait CollectiveTemplate: Send {
 
     /// Capture this rank's contribution for `round`. For partial
     /// collectives this takes whatever the send buffer holds *right now* —
-    /// fresh, stale, or null. `None` for data-free collectives (barriers).
+    /// fresh, stale, or null (a barrier's is zero elements long).
     ///
     /// Returns a [`Payload`] so an owned deposit flows through as a move
     /// (or a refcount bump when the application keeps a handle) — the
     /// engine never copies the contribution on the way in; its
     /// copy-on-write combines handle any remaining sharing.
-    fn snapshot(&self, round: u64) -> Option<Payload>;
+    fn snapshot(&self, round: u64) -> Payload;
 
     /// Deliver the completed result for round `stats.round`, with the
     /// engine-side facts of that round. The one call the engine makes per
@@ -596,9 +596,7 @@ impl EngineCore {
         // Activation-timed snapshot: fill the contribution now, before any
         // gate-dependent send can fire.
         if !inst.snapshotted {
-            if inst.sched.nslots > CONTRIB_SLOT {
-                inst.bufs[CONTRIB_SLOT] = cs.template.snapshot(round);
-            }
+            inst.bufs[CONTRIB_SLOT] = Some(cs.template.snapshot(round));
             inst.snapshotted = true;
         }
         to_fire.extend(inst.dag.on_activate(&inst.sched));
@@ -935,8 +933,8 @@ fn new_instance(
     let (dag, ready) = DagState::new(&sched);
     let mut bufs = vec![None; sched.nslots];
     let snapshotted = sched.snapshot_at == SnapshotTiming::Creation;
-    if snapshotted && sched.nslots > CONTRIB_SLOT {
-        bufs[CONTRIB_SLOT] = template.snapshot(round);
+    if snapshotted {
+        bufs[CONTRIB_SLOT] = Some(template.snapshot(round));
     }
     let recv_route = sched.recv_index().collect();
     to_fire.extend(ready);
@@ -1033,10 +1031,8 @@ mod tests {
             b.build()
         }
 
-        fn snapshot(&self, round: u64) -> Option<Payload> {
-            Some(Payload::new(TypedBuf::from(vec![
-                self.contrib + round as f32,
-            ])))
+        fn snapshot(&self, round: u64) -> Payload {
+            Payload::new(TypedBuf::from(vec![self.contrib + round as f32]))
         }
 
         fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
@@ -1062,7 +1058,7 @@ mod tests {
             eng.activate(CollId(1), 0);
             let got = sink.wait_for(1);
             // Let the peer finish before tearing down our engine.
-            // (finalize contract; the host barrier stands in for it here)
+            // (finalize contract; `eng_barrier_and_shutdown` stands in)
             let v = got[0].1.as_ref().unwrap().as_f32().unwrap()[0];
             eng_barrier_and_shutdown(&eng);
             v
@@ -1229,7 +1225,7 @@ mod tests {
                 fn build(&self, round: u64) -> Schedule {
                     self.inner.build(round)
                 }
-                fn snapshot(&self, round: u64) -> Option<Payload> {
+                fn snapshot(&self, round: u64) -> Payload {
                     self.inner.snapshot(round)
                 }
                 fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
@@ -1389,9 +1385,9 @@ mod tests {
             b.build()
         }
 
-        fn snapshot(&self, round: u64) -> Option<Payload> {
+        fn snapshot(&self, round: u64) -> Payload {
             let x = (self.me as u64 + round) as f32;
-            Some(Payload::new(TypedBuf::from(vec![x; self.n])))
+            Payload::new(TypedBuf::from(vec![x; self.n]))
         }
 
         fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
@@ -1455,23 +1451,23 @@ mod tests {
         }
     }
 
-    /// A slot that never received anything (no contribution, a dead
-    /// peer's chunk) passes the averaging step untouched.
+    /// A slot that never received anything (a dead peer's chunk) passes
+    /// the averaging step untouched.
     #[test]
     fn scaling_an_empty_slot_is_a_no_op() {
         struct Nothing(Arc<Sink>);
         impl CollectiveTemplate for Nothing {
             fn build(&self, _round: u64) -> Schedule {
                 let mut b = ScheduleBuilder::new();
-                b.slots(1);
+                b.slots(2);
                 let gate = b.op(OpKind::InternalGate, vec![]);
                 let factor = 0.5;
-                let scaled = b.op(OpKind::Scale { slot: 0, factor }, vec![gate]);
-                b.completion(scaled).result_slot(0);
+                let scaled = b.op(OpKind::Scale { slot: 1, factor }, vec![gate]);
+                b.completion(scaled).result_slot(1);
                 b.build()
             }
-            fn snapshot(&self, _round: u64) -> Option<Payload> {
-                None
+            fn snapshot(&self, _round: u64) -> Payload {
+                Payload::new(TypedBuf::from(vec![1.0f32]))
             }
             fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
                 self.0.push(stats.round, result);
@@ -1539,10 +1535,11 @@ mod tests {
     /// snapshot) and must not contaminate the next round's result.
     #[test]
     fn late_message_after_completion_drop_is_counted_once_inproc() {
-        let out = World::launch(WorldConfig::instant(2), |c| {
+        // Out-of-band alignment that does not touch the engine under test.
+        let aligned = Arc::new(std::sync::Barrier::new(2));
+        let out = World::launch(WorldConfig::instant(2), move |c| {
             let sink = Arc::new(Sink::default());
             let rank = c.rank();
-            let host_barrier = c.host_barrier_arc();
             let (h, inbox) = c.split();
             let eng = Engine::spawn(h.clone(), inbox);
             eng.register(
@@ -1564,7 +1561,7 @@ mod tests {
             // Round 0 is complete (its instance dropped) on both ranks
             // before the straggler is sent; same-channel FIFO then
             // guarantees the duplicate arrives after the original did.
-            host_barrier.wait();
+            aligned.wait();
             if rank == 0 {
                 // A poison-valued duplicate of round 0's data message: if
                 // it ever reached a live instance, round 1's sum below
@@ -1581,11 +1578,11 @@ mod tests {
                 assert!(Instant::now() < seen_by, "the straggler never arrived");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            host_barrier.wait();
+            aligned.wait();
             let [_, externals, completions, _, late, ..] = eng.stats().snapshot();
             let results_after_straggler = sink.results.lock().len();
             // ... and before the peer's round 1 can reach this engine.
-            host_barrier.wait();
+            aligned.wait();
 
             // The next round must still run clean on both ranks.
             eng.activate(CollId(1), 1);

@@ -144,7 +144,7 @@ pub struct Schedule {
     /// The op whose firing marks the collective complete on this rank.
     pub completion: OpId,
     /// Slot whose contents are delivered as the result on completion
-    /// (`None` for data-free collectives such as barriers).
+    /// (`None` only in schedules that deliver nothing, such as DAG tests).
     pub result_slot: Option<Slot>,
     /// When the engine snapshots this rank's contribution for the round.
     pub snapshot_at: SnapshotTiming,

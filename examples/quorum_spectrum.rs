@@ -25,7 +25,6 @@ fn measure(policy: QuorumPolicy, label: &str) {
         let mut rng = TensorRng::new(10 + ctx.rank() as u64);
         let mut lat_ms = 0.0;
         for _ in 0..ROUNDS {
-            ctx.host_barrier();
             // Random skew: 0–24 ms per rank per round.
             std::thread::sleep(Duration::from_millis(rng.index(25) as u64));
             let t0 = Instant::now();

@@ -187,10 +187,12 @@ fn run_and_count_in_sequence(p: usize, rounds: &'static [u64]) -> u64 {
 
 /// Process-wide live bytes after `rounds` small Full rounds on 4 ranks
 /// with the default options, read by rank 0 while every rank idles
-/// between two host barriers just before teardown. The tensor is tiny
+/// between two test-local barriers just before teardown (out of band: a
+/// collective would allocate while rank 0 reads). The tensor is tiny
 /// (8 elements) so the engine's scratch pool fills within the short run
 /// and does not masquerade as growth.
 fn live_bytes_after(rounds: u64) -> i64 {
+    let idle = Arc::new(std::sync::Barrier::new(4));
     let live = World::launch(WorldConfig::instant(4).with_seed(5), move |c| {
         let ctx = RankCtx::new(c);
         let mut ar = ctx.partial_allreduce(
@@ -204,9 +206,9 @@ fn live_bytes_after(rounds: u64) -> i64 {
         for _ in 0..rounds {
             let _ = ar.allreduce(&contrib);
         }
-        ctx.host_barrier();
+        idle.wait();
         let live = LIVE_BYTES.load(Ordering::Relaxed);
-        ctx.host_barrier();
+        idle.wait();
         ctx.finalize();
         live
     });

@@ -4,8 +4,9 @@
 //! checking them would make the test network-flaky. Rust sources are held
 //! to the weaker rule their prose can meet: a markdown file they mention
 //! by name must be in the repo. Commands are held to the same bar: a
-//! harness binary, a `repro` figure or a test target a document names
-//! must exist.
+//! harness binary, a `repro` figure, a test target or a test a document
+//! names must exist — a `cargo test` filter that matches nothing passes on
+//! zero tests, so a renamed test would otherwise empty its CI step.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -312,6 +313,150 @@ fn bench_binaries_and_figures_named_in_docs_exist() {
     assert!(
         failures.is_empty(),
         "documents name harnesses that do not exist:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The names a `fn` is declared with in `text`.
+fn fn_names(text: &str) -> HashSet<&str> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.split("fn ")
+        .skip(1)
+        .map(|rest| &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())])
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// Whether the test `name` exists in `sources` (`(path, text)` pairs). A
+/// bare name must be a `fn` some source declares. A path
+/// `<module>::tests::<fn>` must be a `fn` of a file the module path names
+/// by suffix: `transport::mesh` is `…/transport/mesh.rs` or
+/// `…/transport/mesh/mod.rs`.
+fn test_exists(name: &str, sources: &[(String, String)]) -> bool {
+    let segments: Vec<&str> = name.split("::").collect();
+    let (module, func) = segments.split_at(segments.len() - 1);
+    let module: Vec<&str> = module
+        .iter()
+        .take_while(|s| **s != "tests")
+        .copied()
+        .collect();
+    let dir = module.join("/");
+    let files = [format!("/{dir}.rs"), format!("/{dir}/mod.rs")];
+    sources.iter().any(|(path, text)| {
+        (module.is_empty() || files.iter().any(|f| path.ends_with(f.as_str())))
+            && fn_names(text).contains(func[0])
+    })
+}
+
+/// The commands of the workflow's `run:` steps: a folded (`>`) step is
+/// one command, a literal (`|`) step one per line.
+fn ci_commands(yml: &str) -> Vec<String> {
+    let lines: Vec<&str> = yml.lines().collect();
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(value) = line.trim_start().strip_prefix("- run:") else {
+            continue;
+        };
+        let body = lines[i + 1..]
+            .iter()
+            .take_while(|l| l.trim().is_empty() || indent(l) > indent(line))
+            .map(|l| l.trim());
+        match value.trim() {
+            ">" => out.push(body.collect::<Vec<_>>().join(" ")),
+            "|" => out.extend(body.map(str::to_owned)),
+            command => out.push(command.to_owned()),
+        }
+    }
+    out
+}
+
+/// The test-name filters of a `cargo test` invocation in `command`: its
+/// positional words and the words after `--`, flags and their values
+/// skipped.
+fn test_filters(command: &str) -> Vec<&str> {
+    const TAKES_VALUE: &[&str] = &[
+        "-p",
+        "--package",
+        "--test",
+        "--bin",
+        "--example",
+        "--manifest-path",
+        "--features",
+        "--skip",
+        "--test-threads",
+    ];
+    let mut out = Vec::new();
+    for segment in command.split(['&', '|', ';']) {
+        let segment = segment.split('>').next().unwrap_or(segment);
+        let Some(args) = segment.trim().strip_prefix("cargo test") else {
+            continue;
+        };
+        let mut words = args.split_whitespace();
+        while let Some(word) = words.next() {
+            if TAKES_VALUE.contains(&word) {
+                words.next();
+            } else if !word.starts_with('-') {
+                out.push(word);
+            }
+        }
+    }
+    out
+}
+
+/// Every test filter in a `cargo test` step of the CI workflow, and every
+/// `<module>::tests::<name>` path in README, ARCHITECTURE.md or the verify
+/// skill, must name a test `fn` that exists. A path split across two lines
+/// reads as a name that does not exist: keep each on one line.
+#[test]
+fn tests_named_in_ci_and_docs_exist() {
+    let root = repo_root();
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    let sources: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).expect("readable source");
+            (p.to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    let mut failures = Vec::new();
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let commands = ci_commands(&ci);
+    let filters: Vec<&str> = commands.iter().flat_map(|c| test_filters(c)).collect();
+    assert!(filters.len() >= 5, "the scan found {filters:?}");
+    for filter in filters {
+        if !test_exists(filter, &sources) {
+            failures.push(format!(
+                "ci.yml: `cargo test` filter `{filter}` names no test"
+            ));
+        }
+    }
+    let is_path = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    for doc in [
+        "README.md",
+        "ARCHITECTURE.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for (lineno, line) in text.lines().enumerate() {
+            for (at, _) in line.match_indices("::tests::") {
+                let start = line[..at].rfind(|c| !is_path(c)).map_or(0, |i| i + 1);
+                let end = line[at..]
+                    .find(|c| !is_path(c))
+                    .map_or(line.len(), |i| at + i);
+                let name = &line[start..end];
+                if !test_exists(name, &sources) {
+                    failures.push(format!("{doc}:{}: `{name}` names no test", lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "CI and documents name tests that do not exist:\n{}",
         failures.join("\n")
     );
 }

@@ -274,6 +274,39 @@ fn collectives_results_identical_on_both_backends() {
     }
 }
 
+/// The barrier is a `Full` allreduce of zero elements; at P = 3 it takes
+/// the segmented ring, so over TCP it sends zero-length chunk frames.
+/// Arrivals are staggered and no rank may leave before the last one has
+/// arrived. Times are wall-clock microseconds, comparable across the TCP
+/// backend's processes on one host.
+#[test]
+fn barrier_waits_for_the_last_arrival_on_both_backends() {
+    let now_us = || {
+        let since = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        since.expect("clock after the epoch").as_micros() as u64
+    };
+    let cfg = WorldConfig::instant(3).with_seed(23);
+    let name = "barrier_waits_for_the_last_arrival_on_both_backends";
+    for (backend, per_rank) in both_backends(name, cfg, move |c| {
+        let ctx = RankCtx::new(c);
+        std::thread::sleep(Duration::from_millis(30 * ctx.rank() as u64));
+        let arrived = now_us();
+        ctx.barrier();
+        let left = now_us();
+        ctx.finalize();
+        (arrived, left)
+    }) {
+        let last_arrival = per_rank.iter().map(|(arrived, _)| *arrived).max().unwrap();
+        for (rank, (_, left)) in per_rank.iter().enumerate() {
+            assert!(
+                *left >= last_arrival,
+                "{backend}: rank {rank} left the barrier {} us before the last rank arrived",
+                last_arrival - left
+            );
+        }
+    }
+}
+
 /// The segmented reduce-scatter + allgather allreduce produces identical
 /// deterministic results on both backends. The tensor length and forced
 /// segment size give ragged chunks (tails and degenerate empties), so
