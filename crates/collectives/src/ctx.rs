@@ -110,9 +110,9 @@ impl RankCtx {
         }
     }
 
-    /// This rank's liveness view of its peers (traffic- and
-    /// heartbeat-driven suspicion). Feed [`Membership::sweep_suspects`]
-    /// results into [`RankCtx::evict`] to remove dead ranks for good.
+    /// This rank's verdicts on its peers, down on hard evidence only.
+    /// Pass its [`Membership::down`] ranks to [`RankCtx::evict`] to
+    /// remove them for good.
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
     }
@@ -295,8 +295,8 @@ impl RankCtx {
         let (fence_round, mut gate) = self.agree_fence(ar, &live);
         ar.evict_from(fence_round, dead);
         for &d in dead {
-            // Promote the local suspicion to a consensus fact in the
-            // liveness view: the rank is gone for good, not just quiet.
+            // Promote the local verdict to a consensus fact in the
+            // liveness view: the rank is gone for good.
             self.membership.evict(d);
             self.recorder().record(LEVEL_SPANS, || EventKind::Eviction {
                 peer: d as u32,

@@ -1827,25 +1827,27 @@ mod tests {
     #[test]
     fn full_waits_for_slowest() {
         // The straggler delays everyone: no rank's call returns before
-        // it arrives.
-        let delay = Duration::from_millis(150);
-        // Align the clocks' start out of band, not with a collective.
-        let start = Arc::new(std::sync::Barrier::new(4));
+        // it arrives. Causal, so no tolerance: rank 2 stamps its arrival
+        // right before its deposit, and every return must follow it.
         let out = World::launch(WorldConfig::instant(4), move |c| {
             let ctx = RankCtx::new(c);
             let mut ar = ctx.sync_allreduce(DType::F32, 1, ReduceOp::Sum, None);
-            start.wait();
-            let t0 = std::time::Instant::now();
             if ctx.rank() == 2 {
-                std::thread::sleep(delay);
+                std::thread::sleep(Duration::from_millis(150));
             }
+            let arrived = std::time::Instant::now();
             let _ = ar.allreduce(&f32s(&[1.0]));
-            let dt = t0.elapsed();
+            let returned = std::time::Instant::now();
             ctx.finalize();
-            dt
+            (arrived, returned)
         });
-        for (r, dt) in out.iter().enumerate() {
-            assert!(*dt >= delay, "rank {r} returned after {dt:?} < {delay:?}");
+        let straggler = out[2].0;
+        for (r, (_, returned)) in out.iter().enumerate() {
+            assert!(
+                *returned >= straggler,
+                "rank {r} returned {:?} before the straggler arrived",
+                straggler - *returned
+            );
         }
     }
 

@@ -83,7 +83,7 @@ pub use pcoll_obs::time;
 
 pub use buf::{BufError, DType, ReduceOp, TypedBuf};
 pub use matcher::Matcher;
-pub use membership::{Membership, PeerStatus};
+pub use membership::Membership;
 pub use net::NetworkModel;
 pub use payload::Payload;
 pub use pcoll_obs::time::{Clock, TimePoint};

@@ -1,110 +1,52 @@
-//! Per-peer liveness tracking: the failure-detection half of elastic
+//! Per-peer liveness verdicts: the failure-detection half of elastic
 //! membership.
 //!
 //! One [`Membership`] lives on each rank, shared by its transport threads
 //! (TCP readers/writers, the engine's envelope intake) through an `Arc`.
-//! It answers two questions the rest of the stack keeps asking:
+//! It records verdicts, never guesses: only hard evidence — a connection
+//! reset, a read EOF without a goodbye, a failed dial, a scripted kill —
+//! calls [`Membership::report_down`]. A peer that is merely slow is load,
+//! not a fault, and stays `Alive`; a hung-but-connected peer is therefore
+//! not detected.
 //!
-//! - **"have I heard from peer q recently?"** — every delivered message
-//!   (and every heartbeat frame on an otherwise idle TCP link) calls
-//!   [`Membership::observe`], which is a couple of relaxed atomic stores:
-//!   the hot path stays allocation- and lock-free.
-//! - **"is peer q gone?"** — hard evidence (connection reset, read EOF)
-//!   calls [`Membership::report_down`]; soft evidence accrues through
-//!   [`Membership::suspicion`], a phi-accrual-flavoured score comparing
-//!   the silence so far against the observed inter-arrival EWMA. Time is
-//!   read through the transport [`Clock`], so the same detector runs
-//!   under wall time (inproc/TCP) and virtual time (the simulator).
-//!
-//! Status is monotonic per peer: `Alive → Suspect → Down → Evicted` —
-//! with one sanctioned reverse edge. `Down` is a *local* verdict;
-//! `Evicted` records the SPMD-fenced agreement (see `pcoll`'s eviction
-//! protocol) that every survivor treats the rank as absent. When the
-//! survivors later run the *admission* fence in reverse,
-//! [`Membership::readmit`] moves the peer straight back to `Alive`:
-//! no local evidence may resurrect a down peer, but a consensus
-//! decision can. The `epoch` counter bumps on every down/evict/readmit
-//! transition so pollers can cheaply detect "membership changed since I
-//! last looked".
+//! Status is monotonic per peer: `Alive → Down → Evicted` — with one
+//! sanctioned reverse edge. `Down` is a *local* verdict; `Evicted`
+//! records the SPMD-fenced agreement (see `pcoll`'s eviction protocol)
+//! that every survivor treats the rank as absent. When the survivors
+//! later run the *admission* fence in reverse, [`Membership::readmit`]
+//! moves the peer straight back to `Alive`: no local evidence may
+//! resurrect a down peer, but a consensus decision can.
 
 use crate::tag::Rank;
-use crate::time::Clock;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::Duration;
-
-/// Liveness status of one peer, as seen from the local rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerStatus {
-    /// Traffic (or no evidence against) — the healthy default.
-    Alive,
-    /// Silent for suspiciously long; not yet declared dead.
-    Suspect,
-    /// Locally declared dead (socket error/EOF or suspicion timeout).
-    Down,
-    /// Survivors agreed to treat this rank as permanently absent.
-    Evicted,
-}
+use std::sync::atomic::{AtomicU8, Ordering};
 
 const ST_ALIVE: u8 = 0;
-const ST_SUSPECT: u8 = 1;
-const ST_DOWN: u8 = 2;
-const ST_EVICTED: u8 = 3;
+const ST_DOWN: u8 = 1;
+const ST_EVICTED: u8 = 2;
 
-struct PeerState {
-    /// Clock nanoseconds of the most recent traffic from this peer.
-    last_heard_ns: AtomicU64,
-    /// EWMA of inter-arrival gaps, in nanoseconds (0 = no sample yet).
-    mean_interval_ns: AtomicU64,
-    status: AtomicU8,
-}
-
-/// Per-peer liveness view (see module docs). Cheap to share: all state is
-/// atomics; no locks anywhere.
+/// Per-peer verdict table (see module docs). Cheap to share: one atomic
+/// per peer; no locks anywhere.
 pub struct Membership {
     rank: Rank,
-    peers: Vec<PeerState>,
-    clock: Clock,
-    /// Minimum silence before [`Membership::suspicion`] reports > 0.
-    grace: Duration,
-    /// Bumped on every down/evict transition.
-    epoch: AtomicU64,
+    status: Vec<AtomicU8>,
 }
-
-/// Default grace period before silence starts accruing suspicion.
-pub const DEFAULT_SUSPICION_GRACE: Duration = Duration::from_millis(500);
 
 impl std::fmt::Debug for Membership {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Membership")
             .field("rank", &self.rank)
-            .field("size", &self.peers.len())
+            .field("size", &self.status.len())
             .field("live", &self.live())
-            .field("epoch", &self.epoch())
             .finish()
     }
 }
 
 impl Membership {
-    /// A membership view for `rank` of `size`, timing silence on `clock`.
-    pub fn new(rank: Rank, size: usize, clock: Clock) -> Membership {
-        Membership::with_grace(rank, size, clock, DEFAULT_SUSPICION_GRACE)
-    }
-
-    /// [`Membership::new`] with an explicit suspicion grace period.
-    pub fn with_grace(rank: Rank, size: usize, clock: Clock, grace: Duration) -> Membership {
-        let now = clock.now().as_nanos();
+    /// A membership view for `rank` of `size`, every peer `Alive`.
+    pub fn new(rank: Rank, size: usize) -> Membership {
         Membership {
             rank,
-            peers: (0..size)
-                .map(|_| PeerState {
-                    last_heard_ns: AtomicU64::new(now),
-                    mean_interval_ns: AtomicU64::new(0),
-                    status: AtomicU8::new(ST_ALIVE),
-                })
-                .collect(),
-            clock,
-            grace,
-            epoch: AtomicU64::new(0),
+            status: (0..size).map(|_| AtomicU8::new(ST_ALIVE)).collect(),
         }
     }
 
@@ -115,291 +57,146 @@ impl Membership {
 
     /// World size (P), counting every rank dead or alive.
     pub fn size(&self) -> usize {
-        self.peers.len()
+        self.status.len()
     }
 
-    /// Record traffic from `peer`: refresh its last-heard stamp, fold the
-    /// inter-arrival gap into the EWMA, and clear a `Suspect` verdict
-    /// (never a `Down`/`Evicted` one — those are sticky). Hot path:
-    /// relaxed atomics only.
-    #[inline]
-    pub fn observe(&self, peer: Rank) {
-        let Some(p) = self.peers.get(peer) else {
-            return;
-        };
-        let now = self.clock.now().as_nanos();
-        let prev = p.last_heard_ns.swap(now, Ordering::Relaxed);
-        let gap = now.saturating_sub(prev);
-        // EWMA with alpha = 1/4 (shifts, no floats on the hot path).
-        let old = p.mean_interval_ns.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            gap
-        } else {
-            old - (old >> 2) + (gap >> 2)
-        };
-        p.mean_interval_ns.store(next, Ordering::Relaxed);
-        let _ =
-            p.status
-                .compare_exchange(ST_SUSPECT, ST_ALIVE, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    /// Phi-accrual-flavoured suspicion score for `peer`: 0 while traffic
-    /// is fresher than the grace period, then the current silence divided
-    /// by the expected inter-arrival gap (EWMA, floored at the grace
-    /// period). A score ≥ `threshold` (typically 4–8) means the silence
-    /// is that many expected gaps long. Down/evicted peers score
-    /// `f64::INFINITY`.
-    pub fn suspicion(&self, peer: Rank) -> f64 {
-        let Some(p) = self.peers.get(peer) else {
-            return 0.0;
-        };
-        if peer == self.rank {
-            return 0.0;
-        }
-        if p.status.load(Ordering::Relaxed) >= ST_DOWN {
-            return f64::INFINITY;
-        }
-        let now = self.clock.now().as_nanos();
-        let silent = now.saturating_sub(p.last_heard_ns.load(Ordering::Relaxed));
-        let grace = self.grace.as_nanos() as u64;
-        if silent <= grace {
-            return 0.0;
-        }
-        let mean = p.mean_interval_ns.load(Ordering::Relaxed).max(grace).max(1);
-        silent as f64 / mean as f64
-    }
-
-    /// Mark `peer` as [`PeerStatus::Suspect`] when its suspicion exceeds
-    /// `threshold`; returns the peers newly moved to suspect. Call this
-    /// from a housekeeping point (the engine's idle loop, a sim timer) —
-    /// it is not on the message hot path.
-    pub fn sweep_suspects(&self, threshold: f64) -> Vec<Rank> {
-        let mut newly = Vec::new();
-        for peer in 0..self.peers.len() {
-            if peer == self.rank {
-                continue;
-            }
-            if self.suspicion(peer) >= threshold
-                && self.peers[peer]
-                    .status
-                    .compare_exchange(ST_ALIVE, ST_SUSPECT, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                newly.push(peer);
-            }
-        }
-        newly
-    }
-
-    /// Hard evidence that `peer` is gone (socket reset, read EOF,
-    /// suspicion timeout expired). Returns `true` exactly once — the
-    /// first caller to move the peer to `Down` — so exactly one
-    /// `PeerDown` envelope gets routed per peer. Bumps the epoch.
+    /// Hard evidence that `peer` is gone (socket reset, read EOF, failed
+    /// dial, scripted kill). Returns `true` exactly once — the first
+    /// caller to move the peer to `Down` — so exactly one `PeerDown`
+    /// envelope gets routed per peer.
     pub fn report_down(&self, peer: Rank) -> bool {
-        let Some(p) = self.peers.get(peer) else {
-            return false;
-        };
-        if peer == self.rank {
-            return false;
-        }
-        loop {
-            let cur = p.status.load(Ordering::Relaxed);
-            if cur >= ST_DOWN {
-                return false;
-            }
-            if p.status
-                .compare_exchange(cur, ST_DOWN, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.epoch.fetch_add(1, Ordering::AcqRel);
-                return true;
-            }
-        }
+        peer != self.rank
+            && self.status.get(peer).is_some_and(|s| {
+                s.compare_exchange(ST_ALIVE, ST_DOWN, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            })
     }
 
     /// Record the SPMD-fenced eviction agreement for `peer` (implies
-    /// down). Bumps the epoch when the status actually changed.
+    /// down).
     pub fn evict(&self, peer: Rank) {
-        let Some(p) = self.peers.get(peer) else {
-            return;
-        };
-        if p.status.swap(ST_EVICTED, Ordering::AcqRel) != ST_EVICTED {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
+        if let Some(s) = self.status.get(peer) {
+            s.store(ST_EVICTED, Ordering::Release);
         }
     }
 
     /// Record the SPMD-fenced *re-admission* agreement for `peer`: the
     /// one sanctioned reverse transition in the otherwise monotonic
-    /// status ladder. Local evidence (`observe`) can never resurrect a
-    /// down or evicted peer — only the consensus admission fence may,
+    /// status ladder, back to `Alive`. Local evidence can never resurrect
+    /// a down or evicted peer — only the consensus admission fence may,
     /// because it proves every live rank switches its schedules in the
-    /// same round. Resets the peer to `Alive` with fresh timing state
-    /// (stale silence from before the death must not instantly re-trip
-    /// the detector) and bumps the epoch when the status changed.
+    /// same round.
     pub fn readmit(&self, peer: Rank) {
-        let Some(p) = self.peers.get(peer) else {
-            return;
-        };
-        p.last_heard_ns
-            .store(self.clock.now().as_nanos(), Ordering::Relaxed);
-        p.mean_interval_ns.store(0, Ordering::Relaxed);
-        if p.status.swap(ST_ALIVE, Ordering::AcqRel) != ST_ALIVE {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// `peer`'s current status.
-    pub fn status(&self, peer: Rank) -> PeerStatus {
-        match self.peers[peer].status.load(Ordering::Relaxed) {
-            ST_ALIVE => PeerStatus::Alive,
-            ST_SUSPECT => PeerStatus::Suspect,
-            ST_DOWN => PeerStatus::Down,
-            _ => PeerStatus::Evicted,
+        if let Some(s) = self.status.get(peer) {
+            s.store(ST_ALIVE, Ordering::Release);
         }
     }
 
     /// Whether `peer` is locally down or evicted.
     #[inline]
     pub fn is_down(&self, peer: Rank) -> bool {
-        self.peers
+        self.status
             .get(peer)
-            .is_some_and(|p| p.status.load(Ordering::Relaxed) >= ST_DOWN)
+            .is_some_and(|s| s.load(Ordering::Relaxed) >= ST_DOWN)
     }
 
     /// Whether `peer` was evicted by consensus.
     pub fn is_evicted(&self, peer: Rank) -> bool {
-        self.peers
+        self.status
             .get(peer)
-            .is_some_and(|p| p.status.load(Ordering::Relaxed) == ST_EVICTED)
+            .is_some_and(|s| s.load(Ordering::Relaxed) == ST_EVICTED)
     }
 
     /// The live ranks (not down, not evicted), sorted; always contains
     /// the local rank.
     pub fn live(&self) -> Vec<Rank> {
-        (0..self.peers.len())
-            .filter(|&r| !self.is_down(r))
-            .collect()
+        (0..self.size()).filter(|&r| !self.is_down(r)).collect()
     }
 
     /// The ranks locally declared down or evicted, sorted.
     pub fn down(&self) -> Vec<Rank> {
-        (0..self.peers.len()).filter(|&r| self.is_down(r)).collect()
-    }
-
-    /// The ranks evicted by consensus, sorted.
-    pub fn evicted(&self) -> Vec<Rank> {
-        (0..self.peers.len())
-            .filter(|&r| self.is_evicted(r))
-            .collect()
-    }
-
-    /// Membership-change counter: bumps on every down/evict transition.
-    /// Pollers compare against a remembered value to skip work when
-    /// nothing changed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        (0..self.size()).filter(|&r| self.is_down(r)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::TimePoint;
-
-    fn virtual_membership(p: usize) -> (Membership, Clock) {
-        let clock = Clock::virtual_clock();
-        let m = Membership::with_grace(0, p, clock.clone(), Duration::from_millis(100));
-        (m, clock)
-    }
+    use std::sync::{Arc, Barrier};
 
     #[test]
-    fn fresh_peers_are_alive_with_zero_suspicion() {
-        let (m, _clock) = virtual_membership(4);
-        for r in 0..4 {
-            assert_eq!(m.status(r), PeerStatus::Alive);
-            assert_eq!(m.suspicion(r), 0.0);
-        }
+    fn fresh_peers_are_alive() {
+        let m = Membership::new(0, 4);
         assert_eq!(m.live(), vec![0, 1, 2, 3]);
-        assert_eq!(m.epoch(), 0);
+        assert!(m.down().is_empty());
+        assert!((0..4).all(|r| !m.is_down(r) && !m.is_evicted(r)));
     }
 
     #[test]
-    fn suspicion_grows_with_silence_on_the_virtual_clock() {
-        let (m, clock) = virtual_membership(2);
-        // Establish a ~10ms cadence from peer 1.
-        for step in 1..=5u64 {
-            clock.advance_to(TimePoint::from_nanos(step * 10_000_000));
-            m.observe(1);
-        }
-        assert_eq!(m.suspicion(1), 0.0);
-        // Silence for 1s: far beyond the 100ms grace and the 10ms EWMA.
-        clock.advance(Duration::from_secs(1));
-        assert!(m.suspicion(1) > 4.0, "got {}", m.suspicion(1));
-        assert_eq!(m.sweep_suspects(4.0), vec![1]);
-        assert_eq!(m.status(1), PeerStatus::Suspect);
-        // Traffic clears the suspect verdict.
-        m.observe(1);
-        assert_eq!(m.status(1), PeerStatus::Alive);
-    }
-
-    #[test]
-    fn report_down_fires_exactly_once_and_bumps_epoch() {
-        let (m, _clock) = virtual_membership(3);
+    fn report_down_fires_exactly_once() {
+        let m = Membership::new(0, 3);
         assert!(m.report_down(2));
         assert!(!m.report_down(2), "second report must be a no-op");
-        assert_eq!(m.status(2), PeerStatus::Down);
+        assert!(m.is_down(2) && !m.is_evicted(2));
         assert_eq!(m.live(), vec![0, 1]);
         assert_eq!(m.down(), vec![2]);
-        assert_eq!(m.epoch(), 1);
-        assert_eq!(m.suspicion(2), f64::INFINITY);
-        // Traffic cannot resurrect a down peer.
-        m.observe(2);
-        assert_eq!(m.status(2), PeerStatus::Down);
+    }
+
+    #[test]
+    fn report_down_is_true_exactly_once_across_racing_threads() {
+        // A dead TCP link has two reporters (its reader and its writer);
+        // however many race, exactly one `PeerDown` may be routed.
+        const THREADS: usize = 8;
+        for _ in 0..50 {
+            let m = Arc::new(Membership::new(0, 2));
+            let start = Arc::new(Barrier::new(THREADS));
+            let wins: usize = (0..THREADS)
+                .map(|_| {
+                    let (m, start) = (Arc::clone(&m), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        m.report_down(1)
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| usize::from(h.join().unwrap()))
+                .sum();
+            assert_eq!(wins, 1);
+            assert!(m.is_down(1));
+        }
     }
 
     #[test]
     fn eviction_is_sticky_and_implies_down() {
-        let (m, _clock) = virtual_membership(4);
+        let m = Membership::new(0, 4);
         m.report_down(3);
         m.evict(3);
-        assert_eq!(m.status(3), PeerStatus::Evicted);
         assert!(m.is_down(3) && m.is_evicted(3));
-        assert_eq!(m.evicted(), vec![3]);
-        assert_eq!(m.epoch(), 2);
+        assert!(!m.report_down(3), "an evicted peer is not reported again");
         m.evict(3);
-        assert_eq!(m.epoch(), 2, "re-evicting does not bump the epoch");
+        assert!(m.is_evicted(3));
+        assert_eq!(m.down(), vec![3]);
     }
 
     #[test]
-    fn readmit_reverses_eviction_and_resets_the_detector() {
-        let (m, clock) = virtual_membership(4);
+    fn readmit_reverses_eviction() {
+        let m = Membership::new(0, 4);
         m.report_down(3);
         m.evict(3);
-        assert_eq!(m.status(3), PeerStatus::Evicted);
-        let epoch_before = m.epoch();
-        // Long-dead: without a timing reset, re-admission would inherit
-        // the stale silence and instantly re-trip the detector.
-        clock.advance(Duration::from_secs(60));
         m.readmit(3);
-        assert_eq!(m.status(3), PeerStatus::Alive);
-        assert_eq!(m.suspicion(3), 0.0, "readmit must reset timing state");
+        assert!(!m.is_down(3) && !m.is_evicted(3));
         assert_eq!(m.live(), vec![0, 1, 2, 3]);
-        assert_eq!(m.epoch(), epoch_before + 1);
-        m.readmit(3);
-        assert_eq!(
-            m.epoch(),
-            epoch_before + 1,
-            "re-readmitting does not bump the epoch"
-        );
+        // A readmitted peer can die again, reported exactly once.
+        assert!(m.report_down(3));
+        assert!(!m.report_down(3));
     }
 
     #[test]
-    fn self_is_never_suspected_or_downed() {
-        let (m, clock) = virtual_membership(2);
-        clock.advance(Duration::from_secs(60));
-        assert_eq!(m.suspicion(0), 0.0);
+    fn self_is_never_downed() {
+        let m = Membership::new(0, 2);
         assert!(!m.report_down(0));
-        assert_eq!(m.sweep_suspects(0.5), vec![1]);
-        assert_eq!(m.status(0), PeerStatus::Alive);
+        assert!(!m.report_down(7), "an out-of-range peer is ignored");
+        assert_eq!(m.live(), vec![0, 1]);
     }
 }

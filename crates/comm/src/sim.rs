@@ -374,14 +374,7 @@ impl SimWorld {
             })
             .collect();
         let memberships = (0..cfg.nranks)
-            .map(|rank| {
-                Arc::new(Membership::with_grace(
-                    rank,
-                    cfg.nranks,
-                    clock.clone(),
-                    cfg.suspicion_grace(),
-                ))
-            })
+            .map(|rank| Arc::new(Membership::new(rank, cfg.nranks)))
             .collect();
         let mut w = SimWorld {
             rng_state: (cfg.seed ^ 0x5EED) | 1,
@@ -706,7 +699,6 @@ impl SimWorld {
                     if self.dead[rank] {
                         continue;
                     }
-                    self.maybe_sweep(rank);
                     return Some(SimEvent::Timer { rank, token });
                 }
             }
@@ -750,10 +742,9 @@ impl SimWorld {
                     }
                 });
         }
-        // Keep the receiver's membership view current: data traffic is a
-        // liveness signal, a PeerDown notification is a local verdict.
+        // Keep the receiver's membership view current: a PeerDown
+        // notification is a local verdict.
         match &env {
-            Envelope::Data(m) => self.memberships[dst].observe(m.src),
             Envelope::PeerDown { peer } => {
                 if self.memberships[dst].report_down(*peer) {
                     self.stats[dst]
@@ -773,9 +764,8 @@ impl SimWorld {
                         peer: *peer as u32,
                     });
             }
-            Envelope::Shutdown => {}
+            Envelope::Data(_) | Envelope::Shutdown => {}
         }
-        self.maybe_sweep(dst);
         if self.mb_txs[dst].try_send(env).is_err() {
             // A full mailbox here means the driver is not draining
             // after deliveries — a bug in the harness, not a
@@ -788,20 +778,6 @@ impl SimWorld {
             );
         }
         SimEvent::Deliver { dst }
-    }
-
-    /// When [`WorldConfig::suspect_timeout`] is set, sweep `rank`'s
-    /// membership view so a hung (not dead) peer that has been silent
-    /// longer than the timeout reaches [`crate::PeerStatus::Suspect`]
-    /// without the driver polling. Gated on the knob so the default
-    /// configuration pays nothing per event.
-    fn maybe_sweep(&self, rank: Rank) {
-        if self.cfg.suspect_timeout.is_some() {
-            // With grace = suspect_timeout, suspicion crosses 1.0 once
-            // the silence exceeds max(EWMA gap, timeout) — i.e. "silent
-            // longer than the configured timeout".
-            self.memberships[rank].sweep_suspects(1.0);
-        }
     }
 
     /// Events processed so far.
@@ -953,24 +929,6 @@ mod tests {
             log
         };
         assert_eq!(run(), run(), "same seed, same schedule, same log");
-    }
-
-    #[test]
-    fn hung_peer_reaches_suspect_only_with_suspect_timeout() {
-        use crate::membership::PeerStatus;
-        // One virtual second of total silence, observed at a timer fire.
-        let cfg = WorldConfig::instant(3).with_suspect_timeout(Duration::from_millis(50));
-        let mut w = SimWorld::new(cfg, SimOpts::default());
-        w.schedule_timer(TimePoint::from_nanos(1_000_000_000), 0, 1);
-        assert_eq!(w.step(), Some(SimEvent::Timer { rank: 0, token: 1 }));
-        assert_eq!(w.membership(0).status(1), PeerStatus::Suspect);
-        assert_eq!(w.membership(0).status(2), PeerStatus::Suspect);
-        // Without the knob the same silence (well past the default grace)
-        // never trips anything: no automatic sweep runs.
-        let mut w2 = SimWorld::new(WorldConfig::instant(3), SimOpts::default());
-        w2.schedule_timer(TimePoint::from_nanos(1_000_000_000), 0, 1);
-        assert_eq!(w2.step(), Some(SimEvent::Timer { rank: 0, token: 1 }));
-        assert_eq!(w2.membership(0).status(1), PeerStatus::Alive);
     }
 
     #[test]

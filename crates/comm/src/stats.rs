@@ -43,8 +43,8 @@ pub struct CommStats {
     /// Sends dropped because the destination had already finished, or
     /// (TCP) because no connection to it was ever installed.
     pub dropped_closed: AtomicU64,
-    /// Sends dropped because the destination was declared down by the
-    /// failure detector (distinct from `dropped_closed`: the peer did not
+    /// Sends dropped because the destination was declared down on hard
+    /// evidence (distinct from `dropped_closed`: the peer did not
     /// finish, it died — these drops feed the eviction story, not the
     /// orderly-teardown one).
     pub dropped_peer_down: AtomicU64,
@@ -52,9 +52,6 @@ pub struct CommStats {
     /// (teardown must not block on a corpse; each skip is one peer whose
     /// in-flight traffic we gave up waiting for).
     pub drain_skips: AtomicU64,
-    /// Heartbeat frames sent on otherwise-idle links (TCP only; the
-    /// membership layer's keep-alive traffic, never delivered upward).
-    pub heartbeats: AtomicU64,
     /// The rank's flight recorder (disabled by default: recording into
     /// it is a no-op costing one `Option` check).
     recorder: Recorder,
@@ -103,7 +100,6 @@ impl CommStats {
             dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
             dropped_peer_down: self.dropped_peer_down.load(Ordering::Relaxed),
             drain_skips: self.drain_skips.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
         }
     }
 }
@@ -134,8 +130,6 @@ pub struct CommStatsSnapshot {
     pub dropped_peer_down: u64,
     /// Goodbye drains skipped against already-dead peers.
     pub drain_skips: u64,
-    /// Heartbeat frames sent on idle links.
-    pub heartbeats: u64,
 }
 
 impl CommStatsSnapshot {
@@ -156,7 +150,6 @@ impl CommStatsSnapshot {
                 .dropped_peer_down
                 .saturating_sub(earlier.dropped_peer_down),
             drain_skips: self.drain_skips.saturating_sub(earlier.drain_skips),
-            heartbeats: self.heartbeats.saturating_sub(earlier.heartbeats),
         }
     }
 }
@@ -193,7 +186,6 @@ mod tests {
             dropped_closed: 0,
             dropped_peer_down: 0,
             drain_skips: 0,
-            heartbeats: 2,
         };
         let b = CommStatsSnapshot {
             sends: 9,
@@ -206,7 +198,6 @@ mod tests {
             dropped_closed: 1,
             dropped_peer_down: 2,
             drain_skips: 1,
-            heartbeats: 7,
         };
         let d = b.since(&a);
         assert_eq!(d.sends, 4);
@@ -219,7 +210,6 @@ mod tests {
         assert_eq!(d.dropped_closed, 1);
         assert_eq!(d.dropped_peer_down, 2);
         assert_eq!(d.drain_skips, 1);
-        assert_eq!(d.heartbeats, 5);
     }
 
     #[test]

@@ -8,9 +8,10 @@ use std::io::{Read, Write};
 pub(super) const FRAME_DATA: u8 = 0;
 pub(super) const FRAME_SHUTDOWN: u8 = 1;
 pub(super) const FRAME_GOODBYE: u8 = 2;
-/// Keep-alive on an otherwise idle connection: consumed by the peer's
-/// reader as a liveness observation, never delivered upward.
-pub(super) const FRAME_HEARTBEAT: u8 = 3;
+/// The accepting end's acknowledgement that it routes to a spliced-in
+/// connection; read by the dialer during the handshake, never delivered
+/// upward.
+pub(super) const FRAME_ACK: u8 = 3;
 
 /// Upper bound on one frame body; a frame claiming more is corrupt.
 pub(super) const MAX_FRAME: usize = 1 << 30;
@@ -23,7 +24,7 @@ pub(crate) enum WireFrame {
     Data(Message),
     Shutdown,
     Goodbye,
-    Heartbeat,
+    Ack,
 }
 
 fn dtype_code(d: DType) -> u8 {
@@ -85,7 +86,7 @@ pub(crate) fn decode_frame(body: &[u8]) -> Result<WireFrame, String> {
     match cur.u8()? {
         FRAME_SHUTDOWN => Ok(WireFrame::Shutdown),
         FRAME_GOODBYE => Ok(WireFrame::Goodbye),
-        FRAME_HEARTBEAT => Ok(WireFrame::Heartbeat),
+        FRAME_ACK => Ok(WireFrame::Ack),
         FRAME_DATA => {
             let src = cur.u32()? as Rank;
             let coll = CollId(cur.u32()?);

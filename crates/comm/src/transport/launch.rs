@@ -499,12 +499,7 @@ where
     let clock = pcoll_obs::Clock::wall();
     let recorder = pcoll_obs::TraceConfig::from_env().recorder(rank as u32, clock.clone());
     let stats = Arc::new(CommStats::with_recorder(recorder));
-    let membership = Arc::new(Membership::with_grace(
-        rank,
-        cfg.nranks,
-        clock.clone(),
-        cfg.suspicion_grace(),
-    ));
+    let membership = Arc::new(Membership::new(rank, cfg.nranks));
     let (inbox_tx, inbox_rx) = bounded(cfg.queue_capacity);
     let peers = TcpPeers::new(
         inbox_tx,

@@ -4,8 +4,8 @@
 //! end, [`accept_loop`] on the other).
 
 use super::codec::{
-    decode_frame, encode_data_into, read_frame, read_frame_into, write_frame, WireFrame,
-    FRAME_GOODBYE, FRAME_HEARTBEAT, FRAME_SHUTDOWN, WRITE_CHUNK,
+    decode_frame, encode_data_into, read_frame, read_frame_into, write_frame, WireFrame, FRAME_ACK,
+    FRAME_GOODBYE, FRAME_SHUTDOWN, WRITE_CHUNK,
 };
 use super::{bounded_send, connect_with_retries, remaining, HANDSHAKE_TIMEOUT};
 use crate::membership::Membership;
@@ -13,7 +13,7 @@ use crate::pool::FRAME_POOL;
 use crate::stats::CommStats;
 use crate::tag::Rank;
 use crate::world::Envelope;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +30,7 @@ pub(super) type PeerThreads = (JoinHandle<()>, JoinHandle<()>);
 /// back in — can splice a fresh writer in place of the dead one; the
 /// steady-state cost is one uncontended lock plus a sender refcount bump
 /// per remote send, and no allocation. Also what installing a connection
-/// needs — the rank's failure detector, counters and queue bounds — and
+/// needs — the rank's membership view, counters and queue bounds — and
 /// the threads of every connection installed so far.
 pub(crate) struct TcpPeers {
     rank: Rank,
@@ -93,7 +93,14 @@ impl TcpPeers {
     }
 
     /// The threads of every connection installed so far, for teardown.
+    /// Closes every route first: a writer ends only when its queue
+    /// closes (or its socket fails), so joining one whose queue is still
+    /// open — a dead peer's, which teardown sends no `Finish` — would
+    /// hang.
     pub(super) fn take_links(&self) -> Vec<PeerThreads> {
+        for peer in 0..self.txs.len() {
+            self.swap_peer(peer, None);
+        }
         std::mem::take(&mut *self.links.lock().expect("mesh links"))
     }
 
@@ -108,7 +115,7 @@ impl TcpPeers {
         let (tx, rx) = bounded(self.queue_capacity);
         let previous = self.swap_peer(peer, Some(tx));
         if ack {
-            if let Err(e) = write_frame(&mut &stream, &[FRAME_HEARTBEAT]) {
+            if let Err(e) = write_frame(&mut &stream, &[FRAME_ACK]) {
                 self.swap_peer(peer, previous);
                 return Err(e);
             }
@@ -164,7 +171,7 @@ impl TcpPeers {
             s.set_nodelay(true)?;
             (&s).write_all(&(self.rank as u32).to_le_bytes())?;
             s.set_read_timeout(Some(remaining(deadline)))?;
-            if read_frame(&mut &s)?.as_deref() != Some(&[FRAME_HEARTBEAT][..]) {
+            if read_frame(&mut &s)?.as_deref() != Some(&[FRAME_ACK][..]) {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     "peer closed or answered without acknowledging the splice",
@@ -206,12 +213,6 @@ pub(super) enum PeerCmd {
     /// deliveries on the same channel, so it cannot overtake them.
     Finish,
 }
-
-/// How long a writer sits idle before sending a [`FRAME_HEARTBEAT`]. Long
-/// enough that busy links never emit one (data traffic is its own
-/// heartbeat); short enough that the phi-accrual detector keeps a fresh
-/// inter-arrival estimate on quiet links.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Route a local "peer is dead" verdict: mark membership (exactly once),
 /// record the trace instant, and push an [`Envelope::PeerDown`] into the
@@ -271,21 +272,8 @@ fn writer_loop(
         }
     };
     'outer: loop {
-        let mut cmd = match rx.recv_timeout(HEARTBEAT_INTERVAL) {
-            Ok(c) => c,
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle link: keep the peer's failure detector fed. A
-                // failed heartbeat is *not* a death verdict by itself —
-                // an orderly-finished peer also stops reading; the reader
-                // half (EOF without goodbye) is the authoritative signal.
-                if write_frame(&mut w, &[FRAME_HEARTBEAT]).is_err() || w.flush().is_err() {
-                    FRAME_POOL.put(scratch);
-                    return;
-                }
-                stats.heartbeats.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break 'outer, // orderly finish
+        let Ok(mut cmd) = rx.recv() else {
+            break 'outer; // queue closed: orderly finish
         };
         // Drain the queue before flushing so bursts coalesce into one
         // syscall batch, then flush when idle to bound latency.
@@ -343,9 +331,6 @@ fn reader_loop(
         match read_frame_into(&mut r, &mut body) {
             Ok(true) => match decode_frame(&body) {
                 Ok(WireFrame::Data(msg)) => {
-                    // Every frame is a liveness observation for the
-                    // failure detector (a couple of relaxed atomics).
-                    membership.observe(peer);
                     // Receive accounting happens at *consumption* (the
                     // matcher / the engine's envelope intake), uniformly
                     // across transports — counting here too would tally
@@ -353,13 +338,11 @@ fn reader_loop(
                     bounded_send(&inbox, Envelope::Data(msg), &stats, deadline, "local inbox");
                 }
                 Ok(WireFrame::Shutdown) => {
-                    membership.observe(peer);
                     bounded_send(&inbox, Envelope::Shutdown, &stats, deadline, "local inbox");
                 }
-                Ok(WireFrame::Heartbeat) => {
-                    // Keep-alive: feed the detector, deliver nothing.
-                    membership.observe(peer);
-                }
+                // The handshake consumed the one ack a connection
+                // carries; a late one delivers nothing.
+                Ok(WireFrame::Ack) => {}
                 Ok(WireFrame::Goodbye) => {
                     orderly = true;
                     break;
@@ -418,7 +401,7 @@ mod tests {
     use super::super::stop_accepting;
     use super::*;
     use crate::tag::{CollId, Message, WireTag};
-    use crate::{Clock, Payload, TypedBuf};
+    use crate::{Payload, TypedBuf};
     use std::thread::JoinHandle;
 
     /// A loopback connection: `(near, far)`.
@@ -441,7 +424,7 @@ mod tests {
     /// thread exits.
     fn assert_marked_down(what: &str, bytes: &[u8], hang_up: bool) {
         let (near, mut far) = loopback();
-        let membership = Arc::new(Membership::new(0, 2, Clock::wall()));
+        let membership = Arc::new(Membership::new(0, 2));
         let (inbox, rx) = bounded(16);
         let stats = Arc::new(CommStats::default());
         let m = Arc::clone(&membership);
@@ -483,11 +466,49 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_peers_writer_joins_once_teardown_closes_its_route() {
+        // Peer 1's process dies: its end of the connection closes, rank
+        // 0's reader marks it down, and teardown sends it no `Finish`.
+        // The writer still sits on an open, idle queue; closing the
+        // route, as teardown's `take_links` does, must end it.
+        let (near, far) = loopback();
+        let (inbox, rx) = bounded(16);
+        let membership = Arc::new(Membership::new(0, 2));
+        let stats = Arc::new(CommStats::default());
+        let peers = TcpPeers::new(
+            inbox,
+            Arc::clone(&membership),
+            stats,
+            16,
+            Duration::from_secs(5),
+        );
+        peers.install(1, near, false).unwrap();
+        drop(far);
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Envelope::PeerDown { peer: 1 })
+        ));
+        assert!(membership.is_down(1));
+        let (joined, done) = bounded(2);
+        for (w, r) in peers.take_links() {
+            let joined = joined.clone();
+            std::thread::spawn(move || {
+                w.join().unwrap();
+                r.join().unwrap();
+                joined.send(()).unwrap();
+            });
+        }
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("the dead peer's writer and reader join once the route is closed");
+        assert!(peers.peer_tx(1).is_none(), "teardown closes every route");
+    }
+
+    #[test]
     fn the_accept_path_drops_strays_and_installs_the_next_valid_dial() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (inbox, _rx) = bounded(16);
-        let membership = Arc::new(Membership::new(0, 3, Clock::wall()));
+        let membership = Arc::new(Membership::new(0, 3));
         let stats = Arc::new(CommStats::default());
         let peers = TcpPeers::new(inbox, membership, stats, 16, Duration::from_secs(5));
         let stop = Arc::new(AtomicBool::new(false));
@@ -511,7 +532,7 @@ mod tests {
         let good = dial(Some(2));
         assert_eq!(
             read_frame(&mut &good).unwrap().as_deref(),
-            Some(&[FRAME_HEARTBEAT][..])
+            Some(&[FRAME_ACK][..])
         );
         assert!(peers.peer_tx(2).is_some() && peers.peer_tx(1).is_none());
 

@@ -48,7 +48,7 @@ pub enum Envelope {
     Data(Message),
     /// Orderly teardown request for whoever drains this mailbox.
     Shutdown,
-    /// The failure detector declared `peer` dead: whoever drains this
+    /// Hard evidence declared `peer` dead: whoever drains this
     /// mailbox (the schedule engine) must stop waiting for that rank —
     /// synthesize its missing contributions and carry on with the
     /// survivors. Injected by the TCP reader on socket death, by
@@ -88,13 +88,6 @@ pub struct WorldConfig {
     /// the `PCOLL_TRACE`/`PCOLL_TRACE_CAP` environment (off when unset);
     /// override programmatically with [`WorldConfig::with_trace`].
     pub trace: TraceConfig,
-    /// Idle deadline for the failure detector: a peer silent for longer
-    /// than this is eligible for [`Membership::sweep_suspects`], so a
-    /// *hung* (not dead) rank eventually reaches `Suspect`. `None` — the
-    /// default — keeps [`crate::membership::DEFAULT_SUSPICION_GRACE`]
-    /// and, on the sim backend, disables the automatic per-delivery
-    /// sweep (the detector then only reacts to hard evidence).
-    pub suspect_timeout: Option<Duration>,
 }
 
 impl WorldConfig {
@@ -106,7 +99,6 @@ impl WorldConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             queue_deadline: DEFAULT_QUEUE_DEADLINE,
             trace: TraceConfig::from_env(),
-            suspect_timeout: None,
         }
     }
 
@@ -138,21 +130,6 @@ impl WorldConfig {
     pub fn with_trace(mut self, level: u8, capacity: usize) -> Self {
         self.trace = TraceConfig { level, capacity };
         self
-    }
-
-    /// Set the failure detector's idle deadline (see
-    /// [`WorldConfig::suspect_timeout`]).
-    pub fn with_suspect_timeout(mut self, timeout: Duration) -> Self {
-        assert!(!timeout.is_zero(), "suspect timeout must be positive");
-        self.suspect_timeout = Some(timeout);
-        self
-    }
-
-    /// The detector grace period this config implies: the configured
-    /// suspect timeout, or the default grace.
-    pub fn suspicion_grace(&self) -> Duration {
-        self.suspect_timeout
-            .unwrap_or(crate::membership::DEFAULT_SUSPICION_GRACE)
     }
 }
 
@@ -214,8 +191,8 @@ impl CommHandle {
 
     /// The rank's one clock: wall time shared by the launch's ranks on the
     /// in-process backend, one wall clock per TCP worker, virtual time
-    /// under the simulator. The recorder, the membership detector, the
-    /// engine, the tuner and the trainer's timers all read it.
+    /// under the simulator. The recorder, the engine, the tuner and the
+    /// trainer's timers all read it.
     pub fn clock(&self) -> &Clock {
         &self.clock
     }
@@ -428,12 +405,7 @@ impl World {
                     route: route.clone(),
                     stats: Arc::new(CommStats::with_recorder(recorder)),
                     queue_deadline: cfg.queue_deadline,
-                    membership: Arc::new(Membership::with_grace(
-                        rank,
-                        cfg.nranks,
-                        clock.clone(),
-                        cfg.suspicion_grace(),
-                    )),
+                    membership: Arc::new(Membership::new(rank, cfg.nranks)),
                     clock: clock.clone(),
                 },
                 inbox: Inbox { rx },

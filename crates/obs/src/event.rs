@@ -153,8 +153,8 @@ pub enum EventKind {
         /// Step duration.
         dur_ns: u64,
     },
-    /// A peer was declared down by the failure detector (connection
-    /// reset, read EOF, or suspicion timeout) — the membership layer's
+    /// A peer was declared down on hard evidence (connection reset,
+    /// read EOF, failed dial, scripted kill) — the membership layer's
     /// local verdict, recorded before any eviction consensus runs.
     PeerDown {
         /// The rank that stopped responding.
