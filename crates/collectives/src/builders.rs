@@ -86,7 +86,7 @@ pub const SEM_SEG: u32 = 0x1000;
 /// How the activation phase of one round of a partial collective starts —
 /// a [`crate::QuorumPolicy`] resolved for that round by the collective's
 /// round plan (candidates are ranks of the round's virtual world).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ActivationMode {
     /// Any of the listed candidate ranks may initiate; the first to arrive
     /// wins (solo = all ranks are candidates).

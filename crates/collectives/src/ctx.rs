@@ -359,10 +359,10 @@ impl RankCtx {
             // fence round. The one sanctioned Evicted → Alive transition.
             self.membership.readmit(j);
             // The engine's null-synthesis verdict reverses too, and it
-            // must land before the fence activations staged below (the
-            // command channel is ordered) — otherwise every instance this
-            // engine builds from here on, fence included, would keep
-            // nulling the joiner's contributions.
+            // must land before the fence activations posted below (both
+            // queue on this rank's inbox, in order) — otherwise every
+            // instance this engine builds from here on, fence included,
+            // would keep nulling the joiner's contributions.
             self.engine.peer_up(j);
         }
         let (fence_round, mut gate) = self.agree_fence(ar, &live);

@@ -48,7 +48,7 @@ use std::time::Duration;
 /// Which processes may trigger a round, i.e. where on the
 /// solo–majority–full spectrum this collective sits (§8's proposed
 /// extension, with the paper's two variants as the named points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QuorumPolicy {
     /// Wait-free: every rank is an initiator candidate; the first to
     /// arrive triggers the round. Expected active processes ≈ 1 under
@@ -168,8 +168,10 @@ impl RoundRules {
 }
 
 /// What [`RuleTimeline::plan`] derives for one round: identical on every
-/// rank of the round (bar `vrank`) without any communication.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// rank of the round (bar `vrank`) without any communication. The whole
+/// plan is the key of the template's schedule cache: a round's schedule
+/// is a function of its plan.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RoundPlan {
     pub policy: QuorumPolicy,
     /// `live[virtual] = global` for a round over a partial world; `None`
@@ -580,10 +582,14 @@ struct Shared {
     built_horizon: AtomicU64,
 }
 
-/// The engine-side template: builds each round's schedule from its plan
-/// and implements snapshot/complete against the shared buffers.
+/// The engine-side template: reuses one schedule per round plan and
+/// implements snapshot/complete against the shared buffers.
 struct PartialTemplate {
     shared: Arc<Shared>,
+    /// The persistent schedules (§4.1.1), one per plan seen; a miss on a
+    /// full cache clears it ([`schedule_cache_cap`] bounds it).
+    /// Engine-thread state, like `in_flight`.
+    schedules: RefCell<HashMap<RoundPlan, Arc<Schedule>>>,
     /// `(policy, fresh, null)` of each in-flight round — the plan's
     /// policy from `build`, the snapshot's flags from `snapshot` —
     /// consumed by `complete`. Engine-thread state, bounded by the rounds
@@ -592,25 +598,36 @@ struct PartialTemplate {
     op: ReduceOp,
 }
 
-impl CollectiveTemplate for PartialTemplate {
-    /// Plan, call the builder, remap peers. The builder's activation
-    /// phase also fixes the schedule's snapshot timing.
-    fn build(&self, round: u64) -> Schedule {
+/// Largest world whose template keeps a schedule for every plan.
+const CACHE_ALL_PLANS_UP_TO: usize = 8;
+
+/// How many schedules a template over `p` ranks keeps. Between rule
+/// changes a rank's plans differ only in the candidate draw: one value
+/// under `Full` and solo, `p` under majority. A small world keeps all `p`;
+/// a larger one keeps only the last (which still covers `Full` and solo),
+/// because a simulator hosting all `p` ranks would hold `p²` schedules.
+fn schedule_cache_cap(p: usize) -> usize {
+    if p <= CACHE_ALL_PLANS_UP_TO {
+        p
+    } else {
+        1
+    }
+}
+
+impl PartialTemplate {
+    fn new(shared: Arc<Shared>, op: ReduceOp) -> PartialTemplate {
+        PartialTemplate {
+            shared,
+            schedules: RefCell::default(),
+            in_flight: RefCell::default(),
+            op,
+        }
+    }
+
+    /// Call the builder for `plan` and remap its peers. The builder's
+    /// activation phase also fixes the schedule's snapshot timing.
+    fn schedule(&self, plan: &RoundPlan, vrank: Rank) -> Schedule {
         let shared = &self.shared;
-        shared.built_horizon.fetch_max(round + 1, Ordering::Relaxed);
-        let rules = &shared.rules;
-        let plan = rules.plan(round);
-        let vrank = plan.vrank.unwrap_or_else(|| {
-            panic!(
-                "rank {} builds round {round} of {:?} but is evicted from it",
-                rules.rank, rules.coll
-            )
-        });
-        // A round that completes without ever snapshotting contributed
-        // nothing of this rank's.
-        self.in_flight
-            .borrow_mut()
-            .insert(round, (plan.policy, false, true));
         let mut sched = match plan.algo {
             AllreduceAlgo::RecursiveDoubling => {
                 allreduce_schedule(vrank, plan.p_live, self.op, shared.opts.scale, &plan.mode)
@@ -629,6 +646,37 @@ impl CollectiveTemplate for PartialTemplate {
         if let Some(live) = &plan.live {
             sched.remap_peers(live);
         }
+        sched
+    }
+}
+
+impl CollectiveTemplate for PartialTemplate {
+    /// Plan the round, then reuse the plan's schedule or build it.
+    fn build(&self, round: u64) -> Arc<Schedule> {
+        let shared = &self.shared;
+        shared.built_horizon.fetch_max(round + 1, Ordering::Relaxed);
+        let rules = &shared.rules;
+        let plan = rules.plan(round);
+        let vrank = plan.vrank.unwrap_or_else(|| {
+            panic!(
+                "rank {} builds round {round} of {:?} but is evicted from it",
+                rules.rank, rules.coll
+            )
+        });
+        // A round that completes without ever snapshotting contributed
+        // nothing of this rank's.
+        self.in_flight
+            .borrow_mut()
+            .insert(round, (plan.policy, false, true));
+        let mut schedules = self.schedules.borrow_mut();
+        if let Some(sched) = schedules.get(&plan) {
+            return Arc::clone(sched);
+        }
+        if schedules.len() >= schedule_cache_cap(rules.p) {
+            schedules.clear();
+        }
+        let sched = Arc::new(self.schedule(&plan, vrank));
+        schedules.insert(plan, Arc::clone(&sched));
         sched
     }
 
@@ -796,11 +844,7 @@ impl PartialAllreduce {
         });
         host.register_template(
             coll,
-            Box::new(PartialTemplate {
-                shared: Arc::clone(&shared),
-                in_flight: RefCell::new(HashMap::new()),
-                op,
-            }),
+            Box::new(PartialTemplate::new(Arc::clone(&shared), op)),
         );
         PartialAllreduce {
             shared,
@@ -1519,10 +1563,12 @@ mod tests {
 
     #[test]
     fn schedules_timing_and_candidates_all_follow_the_plan() {
-        // Every policy × world size × rank × round, the second half of
-        // the rounds over a live set with a hole: the built schedules
-        // pair up, snapshot at activation exactly where the rank's own
-        // arrival gates the round, and candidate queries agree.
+        // Every policy × world size × rank × round, over three live sets:
+        // everyone, then a hole at rank 1, then rank 1 back and a hole at
+        // rank 0 (same size, different ranks). The built schedules pair
+        // up, snapshot at activation exactly where the rank's own arrival
+        // gates the round, candidate queries agree, and each round's
+        // reused schedule equals a fresh builder call for its plan.
         use pcoll_sched::{CmdQueue, OpKind, ScheduleBuilder, SnapshotTiming};
         use QuorumPolicy::*;
         const FENCE: u64 = 8;
@@ -1546,18 +1592,17 @@ mod tests {
                             PartialOpts::default(),
                         );
                         ar.evict_from(FENCE, &[1]);
-                        let template = PartialTemplate {
-                            shared: Arc::clone(&ar.shared),
-                            in_flight: RefCell::default(),
-                            op: ReduceOp::Sum,
-                        };
-                        (ar, template)
+                        ar.admit_from(2 * FENCE, &[1]);
+                        ar.evict_from(2 * FENCE, &[0]);
+                        let template = PartialTemplate::new(Arc::clone(&ar.shared), ReduceOp::Sum);
+                        (ar, template, RefCell::new(Vec::new()))
                     })
                     .collect();
-                for round in 0..2 * FENCE {
-                    let live: Vec<Rank> = (0..p).filter(|&r| round < FENCE || r != 1).collect();
+                for round in 0..3 * FENCE {
+                    let hole = [None, Some(1), Some(0)][(round / FENCE) as usize];
+                    let live: Vec<Rank> = (0..p).filter(|&r| Some(r) != hole).collect();
                     let build = |rank: Rank| {
-                        let (ar, template) = &world[rank];
+                        let (ar, template, seen) = &world[rank];
                         let Some(vrank) = live.iter().position(|&r| r == rank) else {
                             // Not in the round: nothing may address it.
                             let mut idle = ScheduleBuilder::new();
@@ -1565,25 +1610,44 @@ mod tests {
                             idle.completion(nop);
                             return idle.build();
                         };
-                        let (gated, virt) = match ar.shared.rules.plan(round).mode {
+                        let plan = ar.shared.rules.plan(round);
+                        let (gated, virt) = match plan.mode.clone() {
                             ActivationMode::Full => (true, (0..live.len()).collect()),
                             ActivationMode::Chain(c) => (c.contains(&vrank), c),
                             ActivationMode::Race(c) => (false, c),
                         };
                         let cands: Vec<Rank> = virt.iter().map(|&v| live[v]).collect();
                         assert_eq!(ar.candidates(round), cands, "{policy} p={p} round {round}");
+                        let hit = template.schedules.borrow().get(&plan).cloned();
                         let sched = template.build(round);
+                        let at = format!("{policy} p={p} rank {rank} round {round}");
+                        assert_eq!(*sched, template.schedule(&plan, vrank), "{at}");
+                        // A cached plan comes back as the same allocation.
+                        if let Some(hit) = hit {
+                            assert!(Arc::ptr_eq(&hit, &sched), "{at}");
+                        }
+                        let cached = template.schedules.borrow().len();
+                        assert!(cached <= schedule_cache_cap(p) && cached <= p, "{at}");
+                        let mut seen = seen.borrow_mut();
+                        if !seen.iter().any(|s| Arc::ptr_eq(s, &sched)) {
+                            seen.push(Arc::clone(&sched));
+                        }
                         let at_activation = sched.snapshot_at == SnapshotTiming::Activation;
                         // (A one-rank world is its own gate under any mode.)
                         let gated = gated || live.len() == 1;
-                        assert_eq!(
-                            at_activation, gated,
-                            "{policy} p={p} rank {rank} round {round}"
-                        );
-                        sched
+                        assert_eq!(at_activation, gated, "{at}");
+                        Schedule::clone(&sched)
                     };
                     let scheds: Vec<Schedule> = (0..p).map(build).collect();
                     crate::builders::tests::check_send_recv_pairing(&scheds);
+                }
+                if policy == Full {
+                    // One plan per live set: each segment built its
+                    // schedule once and reused that allocation.
+                    for (rank, (.., seen)) in world.iter().enumerate() {
+                        let segments = if rank < 2 { 2 } else { 3 };
+                        assert_eq!(seen.borrow().len(), segments, "p={p} rank {rank}");
+                    }
                 }
             }
         }

@@ -17,7 +17,7 @@ use pcoll_comm::DType;
 use std::fmt;
 
 /// Which data-phase algorithm a partial allreduce round runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllreduceAlgo {
     /// Whole-tensor recursive doubling (the paper's implementation
     /// shape): latency-optimal, the small-message regime.

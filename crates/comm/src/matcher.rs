@@ -95,8 +95,8 @@ impl Matcher {
                     return None;
                 }
                 // Matcher callers do their own liveness handling (or none);
-                // the notification is consumed so matching keeps draining.
-                Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => {}
+                // local control is consumed so matching keeps draining.
+                _ => {}
             }
         }
     }
@@ -129,7 +129,7 @@ impl Matcher {
                     self.shutdown_seen = true;
                     return None;
                 }
-                Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => {}
+                _ => {}
             }
         }
     }

@@ -618,7 +618,10 @@ impl SimWorld {
             }
             let bytes = match &env {
                 Envelope::Data(m) => m.wire_bytes(),
-                Envelope::Shutdown | Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => 0,
+                Envelope::Shutdown
+                | Envelope::PeerDown { .. }
+                | Envelope::PeerUp { .. }
+                | Envelope::Activate { .. } => 0,
             };
             let latency = self.planet.one_way(self.regions[src], self.regions[dst])
                 + self.network.base_latency(bytes)
@@ -764,7 +767,7 @@ impl SimWorld {
                         peer: *peer as u32,
                     });
             }
-            Envelope::Data(_) | Envelope::Shutdown => {}
+            Envelope::Data(_) | Envelope::Shutdown | Envelope::Activate { .. } => {}
         }
         if self.mb_txs[dst].try_send(env).is_err() {
             // A full mailbox here means the driver is not draining

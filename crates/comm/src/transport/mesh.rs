@@ -64,6 +64,11 @@ impl TcpPeers {
         })
     }
 
+    /// This rank's own inbox (local control and self-sends).
+    pub(super) fn local(&self) -> &Sender<Envelope> {
+        &self.local
+    }
+
     pub(super) fn deliver(&self, dst: Rank, env: Envelope, stats: &CommStats, deadline: Duration) {
         if dst == self.rank {
             bounded_send(&self.local, env, stats, deadline, "local inbox");
@@ -255,8 +260,11 @@ fn writer_loop(
                 scratch
             }
             Envelope::Shutdown => &[FRAME_SHUTDOWN],
-            // Never crosses the wire: liveness verdicts are local.
-            Envelope::PeerDown { .. } | Envelope::PeerUp { .. } => return true,
+            // Never crosses the wire: liveness verdicts and activations
+            // are local control.
+            Envelope::PeerDown { .. } | Envelope::PeerUp { .. } | Envelope::Activate { .. } => {
+                return true
+            }
         };
         match write_frame(w, body) {
             Ok(()) => true,

@@ -204,6 +204,29 @@ impl Route {
             Route::Sim(sim) => sim.deliver(dst, env, stats),
         }
     }
+
+    /// Queue local control on `rank`'s own mailbox (see
+    /// [`crate::CommHandle::post_local`]): no send counter moves, but a
+    /// full mailbox still blocks, and past `deadline` panics.
+    pub(crate) fn post_local(
+        &self,
+        rank: Rank,
+        env: Envelope,
+        stats: &CommStats,
+        deadline: Duration,
+    ) {
+        let tx = match self {
+            Route::Mailboxes(mbs) => &mbs[rank],
+            Route::Tcp(peers) => peers.local(),
+            Route::Sim(sim) => return sim.deliver(rank, env, stats),
+        };
+        let Err(TrySendError::Full(env)) = tx.try_send(env) else {
+            return;
+        };
+        if let Err(SendTimeoutError::Timeout(_)) = tx.send_timeout(env, deadline) {
+            panic!("rank {rank}'s own mailbox stayed full for {deadline:?}: its engine is stuck");
+        }
+    }
 }
 
 /// Time left until `deadline`, at least 1 ms (a zero socket timeout

@@ -24,7 +24,7 @@
 use crate::membership::Membership;
 use crate::payload::Payload;
 use crate::stats::CommStats;
-use crate::tag::{Message, Rank, WireTag};
+use crate::tag::{CollId, Message, Rank, WireTag};
 use crate::transport::{launch_tcp, Route, TcpOpts, Transport};
 use crate::TypedBuf;
 use crossbeam::channel::{bounded, Receiver};
@@ -68,6 +68,17 @@ pub enum Envelope {
     PeerUp {
         /// The rank that was readmitted.
         peer: Rank,
+    },
+    /// The local application reached round `round` of collective `coll`
+    /// (internal activation): whoever drains this mailbox (the schedule
+    /// engine) creates or gates that round's instance. Local control, like
+    /// the liveness verdicts: posted by the rank to itself, behind every
+    /// message already queued, and never sent over the wire.
+    Activate {
+        /// The activated collective.
+        coll: CollId,
+        /// The activated round.
+        round: u64,
     },
 }
 
@@ -233,15 +244,19 @@ impl CommHandle {
             .deliver(dst, Envelope::Data(msg), &self.stats, self.queue_deadline);
     }
 
-    /// Ask whoever drains `dst`'s mailbox to shut down (used by the engine
-    /// teardown; app code normally never calls this).
-    pub fn send_shutdown(&self, dst: Rank) {
+    /// Queue a local-control envelope ([`Envelope::Activate`],
+    /// [`Envelope::PeerUp`], [`Envelope::Shutdown`]) on this rank's own
+    /// mailbox, behind everything already queued there. It never crosses
+    /// the wire and is not a send (no counter moves), but a full mailbox
+    /// blocks it, and past [`WorldConfig::queue_deadline`] panics, like
+    /// one.
+    pub fn post_local(&self, env: Envelope) {
         self.route
-            .deliver(dst, Envelope::Shutdown, &self.stats, self.queue_deadline);
+            .post_local(self.rank, env, &self.stats, self.queue_deadline);
     }
 
     /// Tell whoever drains `dst`'s mailbox that `peer` is dead — local
-    /// control, like [`CommHandle::send_shutdown`]. Chaos harnesses use
+    /// control, like [`CommHandle::post_local`]. Chaos harnesses use
     /// it to inject deaths on the in-process backend; the TCP reader
     /// threads use the equivalent path on socket death.
     pub fn send_peer_down(&self, dst: Rank, peer: Rank) {
@@ -273,12 +288,6 @@ impl Inbox {
     /// Block with a timeout.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Envelope> {
         self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Expose the underlying channel receiver (the schedule engine selects
-    /// over this plus its command channel).
-    pub fn receiver(&self) -> &Receiver<Envelope> {
-        &self.rx
     }
 }
 

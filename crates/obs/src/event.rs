@@ -74,7 +74,7 @@ pub enum EventKind {
         /// Round number within the collective.
         round: u64,
         /// Op kind label (`"SendData"`, `"Combine"`, …).
-        op: String,
+        op: &'static str,
         /// How long the op ran.
         dur_ns: u64,
     },
@@ -238,7 +238,7 @@ mod tests {
             EventKind::OpExec {
                 coll: 1,
                 round: 7,
-                op: "Combine".to_string(),
+                op: "Combine",
                 dur_ns: 1500,
             },
             EventKind::RoundOpen { coll: 1, round: 7 },

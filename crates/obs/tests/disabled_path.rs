@@ -48,11 +48,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 /// An event whose construction must allocate (heap `String` label).
 fn probe() -> EventKind {
-    EventKind::OpExec {
-        coll: 1,
-        round: 0,
-        op: "SendData".to_string(),
-        dur_ns: 1,
+    EventKind::PolicySwitch {
+        from_round: 0,
+        policy: "majority".to_string(),
     }
 }
 
@@ -90,5 +88,5 @@ fn cold_record_paths_never_allocate() {
     assert!(n >= 1, "first event must materialize the ring");
     let drained = quiet.drain();
     assert_eq!(drained.len(), 1, "the materialized ring holds the event");
-    assert_eq!(drained[0].kind.name(), "op_exec");
+    assert_eq!(drained[0].kind.name(), "policy_switch");
 }

@@ -4,10 +4,11 @@
 //! application registers persistent [`CollectiveTemplate`]s, then simply
 //! activates rounds; the engine:
 //!
-//! 1. instantiates the template's schedule for a round on **internal
-//!    activation** (the app arrived) or **external activation** (the first
-//!    message for that round arrived from a faster rank — §4.1's forced
-//!    join);
+//! 1. instantiates a round on **internal activation** (the app arrived)
+//!    or **external activation** (the first message for that round
+//!    arrived from a faster rank — §4.1's forced join): the template hands
+//!    back the round's schedule, shared with every round that plans alike,
+//!    and the instance holds only what the round mutates;
 //! 2. snapshots the rank's contribution into slot 0 when the schedule it
 //!    just built says to ([`Schedule::snapshot_at`]): at instance creation
 //!    (fresh gradient if the app already deposited one, otherwise the
@@ -38,19 +39,21 @@
 //! been superseded).
 //!
 //! The progress logic itself is transport-agnostic and lives in
-//! [`EngineCore`], a plain single-threaded state machine. [`Engine`] wraps
-//! a core in a dedicated thread selecting over commands and the inbox (the
-//! in-process and TCP deployments); the discrete-event simulator instead
-//! drives one core per rank from its event loop, feeding it the very same
-//! `register`/`activate`/`on_message` calls — same engine code on every
-//! transport. All timing reads go through the clock the rank's
-//! [`CommHandle`] carries (wall on the threaded engine, virtual under the
-//! simulator), so per-round latency telemetry is deterministic whenever
-//! time itself is.
+//! [`EngineCore`], a plain single-threaded state machine. [`Engine`] puts
+//! a core behind a lock and gives it a dedicated thread that blocks on the
+//! rank's inbox, the engine's only queue (the in-process and TCP
+//! deployments): an activation, a readmission and a shutdown are local
+//! control envelopes the rank posts to itself, so they stay in order with
+//! each other and with the messages already queued. The discrete-event
+//! simulator instead drives one core per rank from its event loop,
+//! feeding it the very same `register`/`activate`/`on_message` calls —
+//! same engine code on every transport. All timing reads go through the
+//! clock the rank's [`CommHandle`] carries (wall on the threaded engine,
+//! virtual under the simulator), so per-round latency telemetry is
+//! deterministic whenever time itself is.
 
 use crate::dag::DagState;
 use crate::op::{OpId, OpKind, Schedule, SnapshotTiming, CONTRIB_SLOT};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pcoll_comm::payload::pooled_buffer;
 use pcoll_comm::{
     CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint, TypedBuf,
@@ -94,15 +97,17 @@ pub struct RoundStats {
     pub elapsed: std::time::Duration,
 }
 
-/// A persistent collective: the engine re-instantiates it for every round
-/// (§4.1.1 "Persistent schedules").
+/// A persistent collective: the engine instantiates it for every round
+/// and the template reuses one schedule per round plan (§4.1.1
+/// "Persistent schedules").
 ///
 /// Implementations live in the `pcoll` crate; they own the send/receive
 /// buffers and the schedule construction for their algorithm.
 pub trait CollectiveTemplate: Send {
-    /// Build this rank's schedule for `round` (SPMD: every rank builds a
-    /// structurally matching schedule).
-    fn build(&self, round: u64) -> Schedule;
+    /// This rank's schedule for `round` (SPMD: every rank's matches its
+    /// peers'). Rounds that plan alike may share one `Arc`: the engine
+    /// only reads it.
+    fn build(&self, round: u64) -> Arc<Schedule>;
 
     /// Capture this rank's contribution for `round`. For partial
     /// collectives this takes whatever the send buffer holds *right now* —
@@ -164,25 +169,11 @@ impl EngineStats {
     }
 }
 
-enum Cmd {
-    Register {
-        coll: CollId,
-        template: Box<dyn CollectiveTemplate>,
-    },
-    Activate {
-        coll: CollId,
-        round: u64,
-    },
-    PeerUp {
-        peer: Rank,
-    },
-    Shutdown,
-}
-
 /// Something that can host persistent collectives: accept template
 /// registrations and round activations. Two implementations:
 ///
-/// - [`Engine`] — forwards to its progress thread (inproc/TCP);
+/// - [`Engine`] — registers under its core's lock and posts activations
+///   to the rank's inbox, which its progress thread drains (inproc/TCP);
 /// - [`CmdQueue`] — stages the calls for a single-threaded driver to
 ///   drain into an [`EngineCore`] (the simulator).
 ///
@@ -254,9 +245,17 @@ impl TemplateHost for CmdQueue {
 /// Application-side handle to the progress engine. Cloneable; dropping the
 /// last handle does **not** stop the thread — call [`Engine::shutdown`]
 /// (done by `pcoll`'s finalize) after synchronizing ranks.
+///
+/// The core sits behind one lock. The progress thread takes it for each
+/// batch it drains from the inbox; [`Engine::register`] takes it to
+/// install a template. Everything else reaches the core as an envelope on
+/// the rank's inbox, so it queues in FIFO order behind what is already
+/// there.
 #[derive(Clone)]
 pub struct Engine {
-    cmd_tx: Sender<Cmd>,
+    core: Arc<parking_lot::Mutex<EngineCore>>,
+    /// Posts local control to this rank's inbox.
+    comm: CommHandle,
     stats: Arc<EngineStats>,
     join: Arc<parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>>,
 }
@@ -264,19 +263,17 @@ pub struct Engine {
 impl Engine {
     /// Spawn the progress thread for this rank.
     pub fn spawn(comm: CommHandle, inbox: Inbox) -> Engine {
-        let (cmd_tx, cmd_rx) = unbounded();
         let stats = Arc::new(EngineStats::default());
-        let st = Arc::clone(&stats);
-        let rank = comm.rank();
+        let core = EngineCore::with_stats(comm.clone(), Arc::clone(&stats));
+        let core = Arc::new(parking_lot::Mutex::new(core));
+        let progress = Arc::clone(&core);
         let join = std::thread::Builder::new()
-            .name(format!("pcoll-engine-{rank}"))
-            .spawn(move || {
-                let mut p = EngineCore::with_stats(comm, st);
-                p.run(cmd_rx, inbox);
-            })
+            .name(format!("pcoll-engine-{}", comm.rank()))
+            .spawn(move || progress_loop(&progress, &inbox))
             .expect("spawn engine thread");
         Engine {
-            cmd_tx,
+            core,
+            comm,
             stats,
             join: Arc::new(parking_lot::Mutex::new(Some(join))),
         }
@@ -286,24 +283,24 @@ impl Engine {
     /// activation of that collective on this rank; messages arriving
     /// before registration are buffered.
     pub fn register(&self, coll: CollId, template: Box<dyn CollectiveTemplate>) {
-        let _ = self.cmd_tx.send(Cmd::Register { coll, template });
+        self.core.lock().register(coll, template);
     }
 
     /// Internally activate `round` of `coll` (the app reached the
     /// collective call). Creates the instance if no message beat us to it.
     pub fn activate(&self, coll: CollId, round: u64) {
-        let _ = self.cmd_tx.send(Cmd::Activate { coll, round });
+        self.comm.post_local(Envelope::Activate { coll, round });
     }
 
     /// Reverse a peer-death verdict: the admission fence readmitted
     /// `peer`, so instances created from now on must wait for its real
-    /// contributions instead of synthesizing nulls. Ordered on the
-    /// command channel, so it takes effect before any activation staged
-    /// after it — the caller sends this before activating the fence
-    /// collectives, guaranteeing no post-fence round is born with the
-    /// joiner nulled out.
+    /// contributions instead of synthesizing nulls. Queued on the inbox
+    /// like an activation, so it takes effect after every activation
+    /// posted before it and before any posted after it — the caller sends
+    /// this before activating the fence collectives, guaranteeing no
+    /// post-fence round is born with the joiner nulled out.
     pub fn peer_up(&self, peer: Rank) {
-        let _ = self.cmd_tx.send(Cmd::PeerUp { peer });
+        self.comm.post_local(Envelope::PeerUp { peer });
     }
 
     /// Engine counters.
@@ -311,26 +308,41 @@ impl Engine {
         &self.stats
     }
 
-    /// Stop the progress thread. Callers must ensure no peer still needs
-    /// this rank's participation (e.g. via a final barrier) — this is the
+    /// Stop the progress thread once it has drained what is queued ahead
+    /// of the request. Callers must ensure no peer still needs this
+    /// rank's participation (e.g. via a final barrier) — this is the
     /// `MPI_Finalize` contract.
     pub fn shutdown(&self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
+        self.comm.post_local(Envelope::Shutdown);
         if let Some(j) = self.join.lock().take() {
             let _ = j.join();
         }
     }
 }
 
+/// The progress thread: block on the inbox, then feed the core everything
+/// queued behind that envelope under one acquisition of its lock.
+fn progress_loop(core: &parking_lot::Mutex<EngineCore>, inbox: &Inbox) {
+    while let Some(first) = inbox.recv() {
+        let mut core = core.lock();
+        let mut next = Some(first);
+        while let Some(env) = next {
+            if !core.on_envelope(env) {
+                return;
+            }
+            next = inbox.try_recv();
+        }
+    }
+}
+
 struct Instance {
-    sched: Schedule,
+    /// The round's schedule, shared with every round that plans alike.
+    sched: Arc<Schedule>,
     dag: DagState,
     /// Slot buffers hold shared payloads: a `SendData` is an `Arc` bump,
     /// a `Combine` mutates copy-on-write (in place once any in-flight
     /// sharers have drained).
     bufs: Vec<Option<Payload>>,
-    /// (peer, sem) → receive op routing table.
-    recv_route: HashMap<(Rank, u32), OpId>,
     /// Payloads that arrived but whose receive op has not fired yet.
     pending_payloads: HashMap<OpId, Option<Payload>>,
     /// Whether the contribution snapshot has been taken (see
@@ -469,6 +481,10 @@ impl EngineCore {
                 self.on_peer_up(peer);
                 true
             }
+            Envelope::Activate { coll, round } => {
+                self.activate(coll, round);
+                true
+            }
         }
     }
 
@@ -515,27 +531,6 @@ impl EngineCore {
     /// Ranks declared dead so far (see [`EngineCore::on_peer_down`]).
     pub fn down(&self) -> &HashSet<Rank> {
         &self.down
-    }
-
-    fn run(&mut self, cmd_rx: Receiver<Cmd>, inbox: Inbox) {
-        loop {
-            crossbeam::channel::select! {
-                recv(cmd_rx) -> cmd => match cmd {
-                    Ok(Cmd::Register { coll, template }) => self.register(coll, template),
-                    Ok(Cmd::Activate { coll, round }) => self.activate(coll, round),
-                    Ok(Cmd::PeerUp { peer }) => self.on_peer_up(peer),
-                    Ok(Cmd::Shutdown) | Err(_) => return,
-                },
-                recv(inbox.receiver()) -> env => match env {
-                    Ok(env) => {
-                        if !self.on_envelope(env) {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
-                },
-            }
-        }
     }
 
     /// Register a persistent collective, replaying any messages that
@@ -641,8 +636,8 @@ impl EngineCore {
             });
             new_instance(&*cs.template, round, true, now, &mut to_fire)
         });
-        match inst.recv_route.get(&(msg.src, msg.tag.sem)) {
-            Some(&op) => {
+        match inst.sched.recv_op(msg.src, msg.tag.sem) {
+            Some(op) => {
                 if inst.dag.is_fired(op) || inst.pending_payloads.contains_key(&op) {
                     EngineStats::bump(&self.stats.dropped_dup);
                 } else {
@@ -790,7 +785,7 @@ impl EngineCore {
                     .record(LEVEL_SPANS, || Ev::OpExec {
                         coll: u64::from(coll.0),
                         round,
-                        op: op_label.to_string(),
+                        op: op_label,
                         dur_ns,
                     });
             }
@@ -908,11 +903,10 @@ fn synthesize_peer_down(inst: &mut Instance, down: &HashSet<Rank>, to_fire: &mut
     let Instance {
         sched,
         dag,
-        recv_route,
         pending_payloads,
         ..
     } = inst;
-    for (&(peer, _sem), &op) in recv_route.iter() {
+    for &((peer, _sem), op) in &sched.recv_route {
         if down.contains(&peer) && !dag.is_fired(op) && !pending_payloads.contains_key(&op) {
             pending_payloads.insert(op, None);
             if dag.on_message(sched, op) {
@@ -936,13 +930,11 @@ fn new_instance(
     if snapshotted {
         bufs[CONTRIB_SLOT] = Some(template.snapshot(round));
     }
-    let recv_route = sched.recv_index().collect();
     to_fire.extend(ready);
     Instance {
         sched,
         dag,
         bufs,
-        recv_route,
         pending_payloads: HashMap::new(),
         snapshotted,
         created: now,
@@ -998,7 +990,7 @@ mod tests {
     }
 
     impl CollectiveTemplate for PairSum {
-        fn build(&self, _round: u64) -> Schedule {
+        fn build(&self, _round: u64) -> Arc<Schedule> {
             let peer = 1 - self.me;
             let mut b = ScheduleBuilder::new();
             b.slots(2);
@@ -1028,7 +1020,7 @@ mod tests {
                 vec![recv, send],
             );
             b.completion(comb).result_slot(CONTRIB_SLOT);
-            b.build()
+            Arc::new(b.build())
         }
 
         fn snapshot(&self, round: u64) -> Payload {
@@ -1199,6 +1191,103 @@ mod tests {
         assert_eq!(out, vec![4.0, 4.0]);
     }
 
+    /// `peer_up` queues on the inbox behind the activations posted before
+    /// it. Round 0's `build` stalls the progress thread (core lock held)
+    /// until the test has posted `activate(1)` and then `peer_up`: both
+    /// calls must return without the core, and round 1 must still be
+    /// born with the peer down — its null synthesized — and complete.
+    #[test]
+    fn peer_up_cannot_overtake_activations_queued_before_it() {
+        const PEER: Rank = 1;
+        /// Sums the contribution with the peer's (null while it is down).
+        struct Stall {
+            sink: Arc<Sink>,
+            inside: Arc<std::sync::Barrier>,
+            posted: Arc<(Mutex<bool>, Condvar)>,
+            posted_in_time: Arc<std::sync::atomic::AtomicBool>,
+        }
+        impl CollectiveTemplate for Stall {
+            fn build(&self, round: u64) -> Arc<Schedule> {
+                if round == 0 {
+                    self.inside.wait();
+                    let (lock, cv) = &*self.posted;
+                    let mut posted = lock.lock();
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while !*posted && Instant::now() < deadline {
+                        let _ = cv.wait_for(&mut posted, deadline - Instant::now());
+                    }
+                    self.posted_in_time.store(*posted, Ordering::Relaxed);
+                }
+                let mut b = ScheduleBuilder::new();
+                b.slots(2);
+                let gate = b.op(OpKind::InternalGate, vec![]);
+                let recv = b.op(
+                    OpKind::Recv {
+                        peer: PEER,
+                        sem: DATA,
+                        into: Some(1),
+                    },
+                    vec![],
+                );
+                let sum = OpKind::Combine {
+                    op: ReduceOp::Sum,
+                    src: 1,
+                    dst: CONTRIB_SLOT,
+                };
+                let sum = b.op(sum, vec![gate, recv]);
+                b.completion(sum).result_slot(CONTRIB_SLOT);
+                Arc::new(b.build())
+            }
+            fn snapshot(&self, round: u64) -> Payload {
+                Payload::new(TypedBuf::from(vec![round as f32 + 1.0]))
+            }
+            fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
+                self.sink.push(stats.round, result);
+            }
+        }
+
+        let out = World::launch(WorldConfig::instant(2), |c| {
+            if c.rank() == PEER {
+                return None;
+            }
+            let (h, inbox) = c.split();
+            let eng = Engine::spawn(h.clone(), inbox);
+            let sink = Arc::new(Sink::default());
+            let inside = Arc::new(std::sync::Barrier::new(2));
+            let posted = Arc::new((Mutex::new(false), Condvar::new()));
+            let posted_in_time = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            eng.register(
+                CollId(1),
+                Box::new(Stall {
+                    sink: Arc::clone(&sink),
+                    inside: Arc::clone(&inside),
+                    posted: Arc::clone(&posted),
+                    posted_in_time: Arc::clone(&posted_in_time),
+                }),
+            );
+            h.send_peer_down(h.rank(), PEER);
+            eng.activate(CollId(1), 0);
+            inside.wait();
+            // The progress thread is inside round 0's build.
+            eng.activate(CollId(1), 1);
+            eng.peer_up(PEER);
+            *posted.0.lock() = true;
+            posted.1.notify_all();
+            let got = sink.wait_for(2);
+            eng.shutdown();
+            Some((got, posted_in_time.load(Ordering::Relaxed)))
+        });
+        let (got, posted_in_time) = out[0].clone().expect("rank 0 ran the engine");
+        assert!(
+            posted_in_time,
+            "activate and peer_up waited for the stalled progress thread"
+        );
+        for (round, result) in got {
+            let want = TypedBuf::from(vec![round as f32 + 1.0]);
+            assert_eq!(result, Some(want), "round {round}: the peer's null only");
+        }
+    }
+
     /// The same PairSum template, driven single-threaded by the
     /// discrete-event simulator over a **virtual** clock: no threads, no
     /// sleeps, and `RoundStats::elapsed` is an exact function of the
@@ -1222,7 +1311,7 @@ mod tests {
                 log: Arc<Mutex<Vec<(Rank, Duration)>>>,
             }
             impl CollectiveTemplate for Timed {
-                fn build(&self, round: u64) -> Schedule {
+                fn build(&self, round: u64) -> Arc<Schedule> {
                     self.inner.build(round)
                 }
                 fn snapshot(&self, round: u64) -> Payload {
@@ -1300,7 +1389,7 @@ mod tests {
     }
 
     impl CollectiveTemplate for RingAverage {
-        fn build(&self, _round: u64) -> Schedule {
+        fn build(&self, _round: u64) -> Arc<Schedule> {
             let (me, p, n) = (self.me, self.p, self.n);
             let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
             let start = |c: usize| c * (n / p);
@@ -1382,7 +1471,7 @@ mod tests {
             }
             let done = b.op(OpKind::Nop, placed);
             b.completion(done).result_slot(result);
-            b.build()
+            Arc::new(b.build())
         }
 
         fn snapshot(&self, round: u64) -> Payload {
@@ -1457,14 +1546,14 @@ mod tests {
     fn scaling_an_empty_slot_is_a_no_op() {
         struct Nothing(Arc<Sink>);
         impl CollectiveTemplate for Nothing {
-            fn build(&self, _round: u64) -> Schedule {
+            fn build(&self, _round: u64) -> Arc<Schedule> {
                 let mut b = ScheduleBuilder::new();
                 b.slots(2);
                 let gate = b.op(OpKind::InternalGate, vec![]);
                 let factor = 0.5;
                 let scaled = b.op(OpKind::Scale { slot: 1, factor }, vec![gate]);
                 b.completion(scaled).result_slot(1);
-                b.build()
+                Arc::new(b.build())
             }
             fn snapshot(&self, _round: u64) -> Payload {
                 Payload::new(TypedBuf::from(vec![1.0f32]))
@@ -1553,8 +1642,8 @@ mod tests {
             eng.activate(CollId(1), 0);
             let _ = sink.wait_for(1);
             // Round 0 may have been externally activated here (the peer's
-            // data message can race our own Activate command through the
-            // engine's select loop — a benign, legal ordering). What the
+            // data message can reach the inbox ahead of our own activation
+            // — a benign, legal ordering). What the
             // straggler below must never do is *add* an external
             // activation, so assert on the delta.
             let externals_before = eng.stats().external_activations.load(Ordering::Relaxed);

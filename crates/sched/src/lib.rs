@@ -19,8 +19,10 @@
 //!   round) arrived from a faster rank — the external activation that
 //!   forces slow processes to join (§4.1).
 //! - **Persistent schedules**: a registered [`CollectiveTemplate`] is
-//!   re-instantiated on demand for every round, "transparently replicating
-//!   itself once executed" (§4.1.1, "Persistent schedules").
+//!   instantiated on demand for every round, "transparently replicating
+//!   itself once executed" (§4.1.1, "Persistent schedules"); rounds that
+//!   plan alike share one immutable [`Schedule`], and an instance holds
+//!   only what its round mutates.
 //! - **Latest-wins receive buffer**: completion results are delivered to
 //!   the template, which (in `pcoll`) overwrites the receive buffer so it
 //!   "always contains the value of the latest execution".

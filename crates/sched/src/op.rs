@@ -125,15 +125,18 @@ pub enum SnapshotTiming {
 }
 
 /// One vertex of the schedule DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     pub kind: OpKind,
     pub deps: Vec<OpId>,
     pub dep_mode: DepMode,
 }
 
-/// A finalized, immutable schedule for one rank and one round.
-#[derive(Debug, Clone)]
+/// A finalized, immutable schedule for one rank and one round plan. The
+/// engine shares it (`Arc`) between every round that plans alike and
+/// keeps each round's mutable state beside it (§4.1.1's persistent
+/// schedules).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     pub ops: Vec<Op>,
     /// Reverse edges, precomputed: `dependents[i]` lists ops that depend
@@ -148,6 +151,10 @@ pub struct Schedule {
     pub result_slot: Option<Slot>,
     /// When the engine snapshots this rank's contribution for the round.
     pub snapshot_at: SnapshotTiming,
+    /// Receive ops keyed by the `(peer, sem)` of the message each one
+    /// matches, sorted by key: the engine's routing table for arriving
+    /// messages, computed once per schedule ([`Schedule::recv_op`]).
+    pub recv_route: Vec<((Rank, u32), OpId)>,
 }
 
 impl Schedule {
@@ -218,6 +225,12 @@ impl Schedule {
         if seen != n {
             return Err("dependency cycle detected".into());
         }
+        if let Some(w) = self.recv_route.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!(
+                "ops {} and {} receive the same message",
+                w[0].1, w[1].1
+            ));
+        }
         Ok(())
     }
 
@@ -238,18 +251,25 @@ impl Schedule {
                 _ => {}
             }
         }
+        self.route_receives();
     }
 
-    /// Receive operations indexed by their matching key, used by the engine
-    /// to route arriving messages.
-    pub fn recv_index(&self) -> impl Iterator<Item = ((Rank, u32), OpId)> + '_ {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| match op.kind {
-                OpKind::Recv { peer, sem, .. } => Some(((peer, sem), i)),
-                _ => None,
-            })
+    /// The receive op that a message from `peer` under `sem` satisfies.
+    pub fn recv_op(&self, peer: Rank, sem: u32) -> Option<OpId> {
+        let at = self
+            .recv_route
+            .binary_search_by_key(&(peer, sem), |&(key, _)| key);
+        at.ok().map(|i| self.recv_route[i].1)
+    }
+
+    fn route_receives(&mut self) {
+        self.recv_route.clear();
+        for (i, op) in self.ops.iter().enumerate() {
+            if let OpKind::Recv { peer, sem, .. } = op.kind {
+                self.recv_route.push(((peer, sem), i));
+            }
+        }
+        self.recv_route.sort_unstable();
     }
 }
 
@@ -320,14 +340,16 @@ impl ScheduleBuilder {
                 dependents[d].push(i);
             }
         }
-        let sched = Schedule {
+        let mut sched = Schedule {
             dependents,
             nslots: self.nslots,
             completion: self.completion.expect("schedule needs a completion op"),
             result_slot: self.result_slot,
             snapshot_at: self.snapshot_at,
             ops: self.ops,
+            recv_route: Vec::new(),
         };
+        sched.route_receives();
         if let Err(e) = sched.validate() {
             panic!("invalid schedule: {e}");
         }
@@ -422,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_index_lists_receives() {
+    fn recv_route_lists_receives() {
         let mut b = ScheduleBuilder::new();
         b.slots(1);
         let r0 = b.op(
@@ -436,7 +458,8 @@ mod tests {
         let n = b.op(OpKind::Nop, vec![r0]);
         b.completion(n);
         let s = b.build();
-        let idx: Vec<_> = s.recv_index().collect();
-        assert_eq!(idx, vec![((2, 7), r0)]);
+        assert_eq!(s.recv_route, vec![((2, 7), r0)]);
+        assert_eq!(s.recv_op(2, 7), Some(r0));
+        assert_eq!(s.recv_op(2, 6), None);
     }
 }

@@ -1,11 +1,5 @@
 //! Minimal `crossbeam` stand-in: MPMC unbounded *and bounded* channels
-//! plus a `select!` macro restricted to `recv(rx) -> pat => arm` branches
-//! (the only form this workspace uses).
-//!
-//! Blocking multi-channel select is implemented with per-call wakers: the
-//! waiting side registers a waker with every polled channel, re-checks, and
-//! parks with a short backstop timeout so a lost wakeup can only cost
-//! milliseconds, never a deadlock.
+//! (the only part of crossbeam this workspace uses).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -79,60 +73,12 @@ pub mod channel {
         }
     }
 
-    /// One-shot waker a `select!` call parks on.
-    pub struct SelectWaker {
-        flag: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    impl SelectWaker {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> Self {
-            SelectWaker {
-                flag: Mutex::new(false),
-                cv: Condvar::new(),
-            }
-        }
-
-        pub fn notify(&self) {
-            *self.flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            self.cv.notify_all();
-        }
-
-        pub fn woken(&self) -> bool {
-            *self.flag.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Park until notified or `timeout` elapses (backstop against lost
-        /// wakeups); resets the flag for reuse.
-        pub fn wait_timeout(&self, timeout: Duration) {
-            let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-            if !*flag {
-                let (g, _) = self
-                    .cv
-                    .wait_timeout(flag, timeout)
-                    .unwrap_or_else(|e| e.into_inner());
-                flag = g;
-            }
-            *flag = false;
-        }
-    }
-
     struct Inner<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
-        wakers: Vec<Arc<SelectWaker>>,
         /// `None` = unbounded; `Some(cap)` = at most `cap` queued items.
         cap: Option<usize>,
-    }
-
-    impl<T> Inner<T> {
-        fn wake_all(&mut self) {
-            for w in self.wakers.drain(..) {
-                w.notify();
-            }
-        }
     }
 
     struct Shared<T> {
@@ -163,7 +109,6 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
-                wakers: Vec::new(),
                 cap,
             }),
             cv: Condvar::new(),
@@ -199,7 +144,6 @@ pub mod channel {
     impl<T> Sender<T> {
         fn push(shared: &Shared<T>, mut inner: std::sync::MutexGuard<'_, Inner<T>>, value: T) {
             inner.queue.push_back(value);
-            inner.wake_all();
             drop(inner);
             shared.cv.notify_one();
         }
@@ -288,7 +232,6 @@ pub mod channel {
             let mut inner = self.shared.lock();
             inner.senders -= 1;
             if inner.senders == 0 {
-                inner.wake_all();
                 drop(inner);
                 self.shared.cv.notify_all();
             }
@@ -306,16 +249,6 @@ pub mod channel {
                 }
                 None if inner.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// `try_recv` folded into the shape `select!` wants: `None` means
-        /// "not ready", `Some(result)` means the branch fires.
-        pub fn try_recv_res(&self) -> Option<Result<T, RecvError>> {
-            match self.try_recv() {
-                Ok(v) => Some(Ok(v)),
-                Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
-                Err(TryRecvError::Empty) => None,
             }
         }
 
@@ -370,21 +303,6 @@ pub mod channel {
         pub fn len(&self) -> usize {
             self.shared.lock().queue.len()
         }
-
-        /// Register a waker to be notified on the next send/disconnect. If
-        /// the channel is already ready, the waker fires immediately so the
-        /// caller's re-check cannot miss a message that raced registration.
-        pub fn register_waker(&self, waker: &Arc<SelectWaker>) {
-            let mut inner = self.shared.lock();
-            if !inner.queue.is_empty() || inner.senders == 0 {
-                waker.notify();
-                return;
-            }
-            inner.wakers.retain(|w| !w.woken());
-            if !inner.wakers.iter().any(|w| Arc::ptr_eq(w, waker)) {
-                inner.wakers.push(Arc::clone(waker));
-            }
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -420,33 +338,6 @@ pub mod channel {
             f.write_str("Receiver { .. }")
         }
     }
-
-    // Let `crossbeam::channel::select!` resolve (the exported macro lives
-    // at the crate root).
-    pub use crate::select;
-}
-
-/// `select!` restricted to `recv(receiver) -> pattern => arm` branches.
-///
-/// Branches are polled in order; when none is ready the caller parks on a
-/// fresh waker registered with every branch's channel (5 ms backstop).
-#[macro_export]
-macro_rules! select {
-    ($(recv($rx:expr) -> $res:pat => $body:expr),+ $(,)?) => {{
-        let __waker = ::std::sync::Arc::new($crate::channel::SelectWaker::new());
-        'select: loop {
-            $(
-                if let ::std::option::Option::Some(__r) = ($rx).try_recv_res() {
-                    let $res = __r;
-                    break 'select $body;
-                }
-            )+
-            $(
-                ($rx).register_waker(&__waker);
-            )+
-            __waker.wait_timeout(::core::time::Duration::from_millis(5));
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -528,33 +419,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(rx);
         assert!(h.join().unwrap().is_err(), "disconnect surfaces");
-    }
-
-    #[test]
-    fn select_picks_ready_branch() {
-        let (tx1, rx1) = unbounded::<u8>();
-        let (_tx2, rx2) = unbounded::<u8>();
-        tx1.send(7).unwrap();
-        let got = crate::select! {
-            recv(rx1) -> v => v.unwrap(),
-            recv(rx2) -> v => v.unwrap(),
-        };
-        assert_eq!(got, 7);
-    }
-
-    #[test]
-    fn select_blocks_until_cross_thread_send() {
-        let (tx, rx) = unbounded::<u8>();
-        let (_keep, rx2) = unbounded::<u8>();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            tx.send(3).unwrap();
-        });
-        let got = crate::select! {
-            recv(rx) -> v => v.unwrap(),
-            recv(rx2) -> v => v.unwrap(),
-        };
-        assert_eq!(got, 3);
-        h.join().unwrap();
     }
 }

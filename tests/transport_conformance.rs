@@ -151,9 +151,8 @@ fn shutdown_drains_in_flight_messages() {
                     assert_eq!(m.tag.sem, got, "drained messages must stay FIFO");
                     got += 1;
                 }
-                Some(Envelope::Shutdown | Envelope::PeerDown { .. } | Envelope::PeerUp { .. }) => {
-                    continue
-                }
+                // Control envelopes carry no data: skip them.
+                Some(_) => continue,
                 None => break,
             }
         }
@@ -206,9 +205,7 @@ fn slow_reader_exerts_bounded_backpressure() {
                         assert_eq!(p.to_buf().as_f32().unwrap()[0], got as f32);
                         got += 1;
                     }
-                    Some(
-                        Envelope::Shutdown | Envelope::PeerDown { .. } | Envelope::PeerUp { .. },
-                    ) => continue,
+                    Some(_) => continue,
                     None => break,
                 }
             }
