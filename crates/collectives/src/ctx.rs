@@ -52,7 +52,7 @@ fn barrier_over(
         ..PartialOpts::default()
     };
     PartialAllreduce::register(
-        Arc::new(engine.clone()),
+        engine.clone(),
         coll,
         rank,
         p,
@@ -190,7 +190,7 @@ impl RankCtx {
         opts: PartialOpts,
     ) -> PartialAllreduce {
         PartialAllreduce::register(
-            Arc::new(self.engine.clone()),
+            self.engine.clone(),
             coll,
             self.rank,
             self.size,

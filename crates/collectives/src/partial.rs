@@ -36,7 +36,7 @@ use crate::select::{AlgoSelector, AllreduceAlgo};
 use crate::topology::round_candidates;
 use parking_lot::{Condvar, Mutex};
 use pcoll_comm::{CollId, DType, Payload, Rank, ReduceOp, TypedBuf};
-use pcoll_sched::{CollectiveTemplate, RoundStats, Schedule, TemplateHost};
+use pcoll_sched::{CollectiveTemplate, Engine, RoundStats, Schedule};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -782,27 +782,28 @@ impl CollectiveTemplate for PartialTemplate {
 /// handles (one per tensor: deposit on all, then
 /// [`PartialAllreduce::wait_for`] each), not from several rounds of one.
 ///
-/// The handle talks to its engine through the [`TemplateHost`] trait, so
-/// the identical frontend drives the threaded [`pcoll_sched::Engine`]
-/// (in-process and TCP worlds) and the simulator's staged
-/// [`pcoll_sched::CmdQueue`] alike.
+/// The handle registers its template with the rank's [`Engine`] and
+/// activates each round through it, the same calls on every transport: a
+/// threaded engine's progress thread picks the activation up from the
+/// rank's inbox (in-process and TCP worlds), the simulator's event loop
+/// does (virtual time).
 pub struct PartialAllreduce {
     shared: Arc<Shared>,
-    host: Arc<dyn TemplateHost>,
+    engine: Engine,
     next_round: u64,
 }
 
 impl PartialAllreduce {
-    /// Register a partial allreduce with the given template host, run
-    /// from round 0 under `policy` by the sorted `live` ranks of a world
-    /// of `p` (a partial set for the fences' consensus collectives, which
+    /// Register a partial allreduce with `engine`, run from round 0
+    /// under `policy` by the sorted `live` ranks of a world of `p` (a
+    /// partial set for the fences' consensus collectives, which
     /// are born over the survivors, so even a round built from a
     /// pre-registration message sees them). Must be called in the same
     /// order on all ranks (SPMD); prefer
     /// [`crate::RankCtx::partial_allreduce`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn register(
-        host: Arc<dyn TemplateHost>,
+        engine: Engine,
         coll: CollId,
         rank: Rank,
         p: usize,
@@ -842,13 +843,13 @@ impl PartialAllreduce {
             cv: Condvar::new(),
             built_horizon: AtomicU64::new(0),
         });
-        host.register_template(
+        engine.register(
             coll,
             Box::new(PartialTemplate::new(Arc::clone(&shared), op)),
         );
         PartialAllreduce {
             shared,
-            host,
+            engine,
             next_round: 0,
         }
     }
@@ -1047,7 +1048,7 @@ impl PartialAllreduce {
             send.filled = true;
             send.last_deposit_round = Some(round);
         }
-        self.host.activate_round(self.shared.rules.coll, round);
+        self.engine.activate(self.shared.rules.coll, round);
         round
     }
 
@@ -1150,7 +1151,7 @@ mod tests {
     use super::*;
     use crate::ctx::RankCtx;
     use crate::select::{AlgoSelector, AllreduceAlgo};
-    use pcoll_comm::{World, WorldConfig};
+    use pcoll_comm::{SimOpts, SimWorld, World, WorldConfig};
 
     fn f32s(v: &[f32]) -> TypedBuf {
         TypedBuf::from(v.to_vec())
@@ -1508,8 +1509,9 @@ mod tests {
     #[test]
     fn import_state_rejects_malformed_segments_and_keeps_the_timeline() {
         use QuorumPolicy::{Full, Solo};
+        let sim = SimWorld::new(WorldConfig::instant(4), SimOpts::default());
         let ar = PartialAllreduce::register(
-            Arc::new(pcoll_sched::CmdQueue::new()),
+            Engine::new(sim.comm(0)),
             CollId(1),
             0,
             4,
@@ -1569,17 +1571,18 @@ mod tests {
         // up, snapshot at activation exactly where the rank's own arrival
         // gates the round, candidate queries agree, and each round's
         // reused schedule equals a fresh builder call for its plan.
-        use pcoll_sched::{CmdQueue, OpKind, ScheduleBuilder, SnapshotTiming};
+        use pcoll_sched::{OpKind, ScheduleBuilder, SnapshotTiming};
         use QuorumPolicy::*;
         const FENCE: u64 = 8;
         for p in 2..=9usize {
+            let sim = SimWorld::new(WorldConfig::instant(p), SimOpts::default());
             let mut policies = vec![Solo, Majority, Full];
             policies.extend((1..=p).flat_map(|m| [FirstOf(m), Chain(m)]));
             for policy in policies {
                 let world: Vec<_> = (0..p)
                     .map(|rank| {
                         let ar = PartialAllreduce::register(
-                            Arc::new(CmdQueue::new()),
+                            Engine::new(sim.comm(rank)),
                             CollId(1),
                             rank,
                             p,

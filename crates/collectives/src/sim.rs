@@ -1,10 +1,11 @@
 //! Single-process simulation harness for the partial collectives.
 //!
 //! [`SimHarness`] instantiates P ranks of the *real* stack — one
-//! [`pcoll_sched::EngineCore`] per rank, fed by the real
-//! [`PartialAllreduce`] frontend through a staged
-//! [`pcoll_sched::CmdQueue`] — and drives all of them from a
-//! [`SimWorld`]'s discrete-event loop over a virtual clock. No rank
+//! thread-less [`Engine`] per rank, activated by the real
+//! [`PartialAllreduce`] frontend through the rank's inbox exactly as on
+//! the threaded transports — and drives all of them from a
+//! [`SimWorld`]'s discrete-event loop over a virtual clock, calling
+//! [`Engine::progress`] after every delivery and every deposit. No rank
 //! threads, no sleeps: workload skew is expressed as *timer events*
 //! (rank r deposits round k at a virtual instant), message delivery
 //! comes from the simulator's region/latency composition, and the whole
@@ -46,7 +47,7 @@ use pcoll_comm::{
     DType, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf, WorldConfig,
 };
 use pcoll_obs::{perfetto_trace, EventKind, TraceEvent, LEVEL_SPANS};
-use pcoll_sched::{CmdQueue, EngineCore};
+use pcoll_sched::Engine;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -278,8 +279,7 @@ pub fn mean_nap(nap_per_round: &[u32], from: usize, to: usize) -> f64 {
 }
 
 struct SimRank {
-    core: EngineCore,
-    queue: CmdQueue,
+    engine: Engine,
     inbox: Inbox,
     ar: PartialAllreduce,
     log: Arc<RoundLog>,
@@ -353,11 +353,10 @@ impl SimHarness {
             .map(|rank| setup.build(rank, p, clock(rank)))
             .collect();
         for rank in 0..p {
-            let queue = CmdQueue::new();
-            let mut core = EngineCore::new(sim.comm(rank));
+            let engine = Engine::new(sim.comm(rank));
             let log = Arc::new(RoundLog::default());
             let ar = PartialAllreduce::register(
-                Arc::new(queue.clone()),
+                engine.clone(),
                 pcoll_comm::CollId(1),
                 rank,
                 p,
@@ -372,10 +371,8 @@ impl SimHarness {
                     ..spec.partial.clone()
                 },
             );
-            core.drain_cmds(&queue);
             ranks.push(SimRank {
-                core,
-                queue,
+                engine,
                 inbox: sim.take_inbox(rank),
                 ar,
                 log,
@@ -437,7 +434,7 @@ impl SimHarness {
             .map(|(rank, r)| {
                 (
                     self.sim.comm_stats(rank).snapshot(),
-                    r.core.stats().snapshot(),
+                    r.engine.stats().snapshot(),
                 )
             })
             .collect()
@@ -458,11 +455,10 @@ impl SimHarness {
                     self.maybe_decide();
                 }
                 SimEvent::Deliver { dst } => {
-                    // Drain everything the event delivered, then see
+                    // Feed everything the event delivered, then see
                     // whether that completed the round `dst` awaits.
-                    while let Some(env) = self.ranks[dst].inbox.try_recv() {
-                        self.ranks[dst].core.on_envelope(env);
-                    }
+                    let r = &self.ranks[dst];
+                    r.engine.progress(&r.inbox);
                     self.poll_outcome(dst);
                 }
                 SimEvent::Rejoin { rank } => {
@@ -630,7 +626,8 @@ impl SimHarness {
         let got = r.ar.deposit_fill(|send| step.fill(round, send));
         debug_assert_eq!(got, round);
         r.deposited = round + 1;
-        r.core.drain_cmds(&r.queue);
+        // The deposit posted its activation to the rank's own inbox.
+        r.engine.progress(&r.inbox);
         r.waiting = Some(round);
         r.deposited_at = self.sim.now();
         // Open loop: the next deposit is due at its slot whatever happens

@@ -310,6 +310,8 @@ pub(crate) struct SimStage {
 pub(crate) struct SimRoute {
     pub(crate) src: Rank,
     pub(crate) stage: SimStage,
+    /// `src`'s own mailbox: local control skips the stage and the model.
+    pub(crate) local: Sender<Envelope>,
 }
 
 impl SimRoute {
@@ -436,6 +438,8 @@ impl SimWorld {
 
     /// A sending handle for `rank` — the unchanged [`CommHandle`] API;
     /// sends are staged for the event schedule instead of delivered.
+    /// Local control ([`CommHandle::post_local`]) is not a send: it lands
+    /// in `rank`'s own mailbox at once, with no event and no latency.
     pub fn comm(&self, rank: Rank) -> CommHandle {
         assert!(rank < self.cfg.nranks, "rank {rank} out of range");
         CommHandle {
@@ -445,6 +449,7 @@ impl SimWorld {
             route: Route::Sim(SimRoute {
                 src: rank,
                 stage: self.stage.clone(),
+                local: self.mb_txs[rank].clone(),
             }),
             stats: Arc::clone(&self.stats[rank]),
             queue_deadline: self.cfg.queue_deadline,
@@ -844,6 +849,30 @@ mod tests {
             acc
         });
         assert_eq!(counts, vec![16; 4], "contiguous equal blocks");
+    }
+
+    /// Local control is not a network send: it is in the rank's own inbox
+    /// before any `step`, moves no send counter and schedules no event.
+    #[test]
+    fn post_local_lands_at_once_without_the_network_model() {
+        let mut w = world(
+            4,
+            NetworkModel::cloud(),
+            Planet::uniform(2, Duration::from_millis(50)),
+        );
+        let inbox = w.take_inbox(3);
+        w.comm(3).post_local(Envelope::Activate {
+            coll: CollId(1),
+            round: 7,
+        });
+        assert!(matches!(
+            inbox.try_recv(),
+            Some(Envelope::Activate { round: 7, .. })
+        ));
+        assert_eq!(w.comm_stats(3).sends.load(Ordering::Relaxed), 0);
+        assert_eq!(w.messages_delivered(), 0);
+        assert_eq!(w.step(), None);
+        assert_eq!(w.now(), TimePoint::ZERO);
     }
 
     #[test]

@@ -206,19 +206,14 @@ impl Route {
     }
 
     /// Queue local control on `rank`'s own mailbox (see
-    /// [`crate::CommHandle::post_local`]): no send counter moves, but a
-    /// full mailbox still blocks, and past `deadline` panics.
-    pub(crate) fn post_local(
-        &self,
-        rank: Rank,
-        env: Envelope,
-        stats: &CommStats,
-        deadline: Duration,
-    ) {
+    /// [`crate::CommHandle::post_local`]): no send counter moves and, on
+    /// the simulator, no network model applies, but a full mailbox still
+    /// blocks, and past `deadline` panics.
+    pub(crate) fn post_local(&self, rank: Rank, env: Envelope, deadline: Duration) {
         let tx = match self {
             Route::Mailboxes(mbs) => &mbs[rank],
             Route::Tcp(peers) => peers.local(),
-            Route::Sim(sim) => return sim.deliver(rank, env, stats),
+            Route::Sim(sim) => &sim.local,
         };
         let Err(TrySendError::Full(env)) = tx.try_send(env) else {
             return;

@@ -251,8 +251,7 @@ impl CommHandle {
     /// blocks it, and past [`WorldConfig::queue_deadline`] panics, like
     /// one.
     pub fn post_local(&self, env: Envelope) {
-        self.route
-            .post_local(self.rank, env, &self.stats, self.queue_deadline);
+        self.route.post_local(self.rank, env, self.queue_deadline);
     }
 
     /// Tell whoever drains `dst`'s mailbox that `peer` is dead — local

@@ -38,19 +38,19 @@
 //! duplicate activations or stragglers of rounds whose result has long
 //! been superseded).
 //!
-//! The progress logic itself is transport-agnostic and lives in
-//! [`EngineCore`], a plain single-threaded state machine. [`Engine`] puts
-//! a core behind a lock and gives it a dedicated thread that blocks on the
-//! rank's inbox, the engine's only queue (the in-process and TCP
-//! deployments): an activation, a readmission and a shutdown are local
-//! control envelopes the rank posts to itself, so they stay in order with
-//! each other and with the messages already queued. The discrete-event
-//! simulator instead drives one core per rank from its event loop,
-//! feeding it the very same `register`/`activate`/`on_message` calls —
-//! same engine code on every transport. All timing reads go through the
-//! clock the rank's [`CommHandle`] carries (wall on the threaded engine,
-//! virtual under the simulator), so per-round latency telemetry is
-//! deterministic whenever time itself is.
+//! The progress logic itself is transport-agnostic: a plain
+//! single-threaded state machine behind the [`Engine`] handle's lock,
+//! with one intake, the rank's inbox. An activation, a readmission and a
+//! shutdown are local control envelopes the rank posts to itself, so they
+//! stay in order with each other and with the messages already queued.
+//! [`Engine::spawn`] gives the engine a thread that blocks on the inbox
+//! (the in-process and TCP deployments); the discrete-event simulator
+//! builds it with [`Engine::new`] and calls [`Engine::progress`] after
+//! every event it hands the rank — same engine code, same intake, on
+//! every transport. All timing reads go through the clock the rank's
+//! [`CommHandle`] carries (wall on a threaded engine, virtual under the
+//! simulator), so per-round latency telemetry is deterministic whenever
+//! time itself is.
 
 use crate::dag::DagState;
 use crate::op::{OpId, OpKind, Schedule, SnapshotTiming, CONTRIB_SLOT};
@@ -62,7 +62,7 @@ use pcoll_comm::{
 use pcoll_obs::{EventKind as Ev, LEVEL_SPANS, LEVEL_VERBOSE};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How many rounds behind the latest completion a round's *completion
 /// record* is retained. Completed instances themselves are dropped at
@@ -169,88 +169,16 @@ impl EngineStats {
     }
 }
 
-/// Something that can host persistent collectives: accept template
-/// registrations and round activations. Two implementations:
-///
-/// - [`Engine`] — registers under its core's lock and posts activations
-///   to the rank's inbox, which its progress thread drains (inproc/TCP);
-/// - [`CmdQueue`] — stages the calls for a single-threaded driver to
-///   drain into an [`EngineCore`] (the simulator).
-///
-/// Collective frontends (e.g. `pcoll`'s partial allreduce) hold an
-/// `Arc<dyn TemplateHost>` so the *same* frontend code runs on every
-/// transport.
-pub trait TemplateHost: Send + Sync {
-    /// Register a persistent collective under `coll` (must precede its
-    /// first activation on this rank).
-    fn register_template(&self, coll: CollId, template: Box<dyn CollectiveTemplate>);
-
-    /// Internally activate `round` of `coll`.
-    fn activate_round(&self, coll: CollId, round: u64);
-}
-
-impl TemplateHost for Engine {
-    fn register_template(&self, coll: CollId, template: Box<dyn CollectiveTemplate>) {
-        self.register(coll, template);
-    }
-
-    fn activate_round(&self, coll: CollId, round: u64) {
-        self.activate(coll, round);
-    }
-}
-
-/// A staged command queue: the [`TemplateHost`] for event-driven
-/// deployments. Registrations and activations accumulate here (cheap,
-/// lock-guarded pushes) until the driver calls [`EngineCore::drain_cmds`]
-/// — which keeps the engine core single-threaded while letting frontends
-/// hold a cloneable, `Send + Sync` host handle.
-#[derive(Clone, Default)]
-pub struct CmdQueue {
-    staged: Arc<Mutex<Vec<(CollId, HostCmd)>>>,
-}
-
-enum HostCmd {
-    Register(Box<dyn CollectiveTemplate>),
-    Activate(u64),
-}
-
-impl CmdQueue {
-    /// An empty queue.
-    pub fn new() -> CmdQueue {
-        CmdQueue::default()
-    }
-
-    /// Whether any staged commands are pending.
-    pub fn is_empty(&self) -> bool {
-        self.staged.lock().expect("cmd queue lock").is_empty()
-    }
-}
-
-impl TemplateHost for CmdQueue {
-    fn register_template(&self, coll: CollId, template: Box<dyn CollectiveTemplate>) {
-        self.staged
-            .lock()
-            .expect("cmd queue lock")
-            .push((coll, HostCmd::Register(template)));
-    }
-
-    fn activate_round(&self, coll: CollId, round: u64) {
-        self.staged
-            .lock()
-            .expect("cmd queue lock")
-            .push((coll, HostCmd::Activate(round)));
-    }
-}
-
 /// Application-side handle to the progress engine. Cloneable; dropping the
-/// last handle does **not** stop the thread — call [`Engine::shutdown`]
-/// (done by `pcoll`'s finalize) after synchronizing ranks.
+/// last handle does **not** stop a spawned thread — call
+/// [`Engine::shutdown`] (done by `pcoll`'s finalize) after synchronizing
+/// ranks.
 ///
-/// The core sits behind one lock. The progress thread takes it for each
-/// batch it drains from the inbox; [`Engine::register`] takes it to
-/// install a template. Everything else reaches the core as an envelope on
-/// the rank's inbox, so it queues in FIFO order behind what is already
-/// there.
+/// The core sits behind one lock. Whoever drains the rank's inbox — the
+/// progress thread, or the caller of [`Engine::progress`] — takes it for
+/// each batch; [`Engine::register`] takes it to install a template.
+/// Everything else reaches the core as an envelope on the inbox, so it
+/// queues in FIFO order behind what is already there.
 #[derive(Clone)]
 pub struct Engine {
     core: Arc<parking_lot::Mutex<EngineCore>>,
@@ -261,22 +189,37 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn the progress thread for this rank.
-    pub fn spawn(comm: CommHandle, inbox: Inbox) -> Engine {
-        let stats = Arc::new(EngineStats::default());
-        let core = EngineCore::with_stats(comm.clone(), Arc::clone(&stats));
-        let core = Arc::new(parking_lot::Mutex::new(core));
-        let progress = Arc::clone(&core);
-        let join = std::thread::Builder::new()
-            .name(format!("pcoll-engine-{}", comm.rank()))
-            .spawn(move || progress_loop(&progress, &inbox))
-            .expect("spawn engine thread");
+    /// An engine for this rank with no thread of its own: it sends
+    /// through `comm`, times on its clock, and makes progress only when
+    /// the caller feeds it with [`Engine::progress`] (the simulator, after
+    /// every event it hands the rank).
+    pub fn new(comm: CommHandle) -> Engine {
+        let core = EngineCore::new(comm.clone());
         Engine {
-            core,
+            stats: Arc::clone(&core.stats),
+            core: Arc::new(parking_lot::Mutex::new(core)),
             comm,
-            stats,
-            join: Arc::new(parking_lot::Mutex::new(Some(join))),
+            join: Arc::default(),
         }
+    }
+
+    /// [`Engine::new`] plus a progress thread that blocks on `inbox`.
+    pub fn spawn(comm: CommHandle, inbox: Inbox) -> Engine {
+        let engine = Engine::new(comm);
+        let core = Arc::clone(&engine.core);
+        let join = std::thread::Builder::new()
+            .name(format!("pcoll-engine-{}", engine.comm.rank()))
+            .spawn(move || progress_loop(&core, &inbox))
+            .expect("spawn engine thread");
+        *engine.join.lock() = Some(join);
+        engine
+    }
+
+    /// Feed the core everything queued on `inbox`, without blocking (a
+    /// thread-less engine's progress; see [`Engine::new`]). A shutdown
+    /// ends the feed and leaves anything behind it unread.
+    pub fn progress(&self, inbox: &Inbox) {
+        drain(&mut self.core.lock(), inbox);
     }
 
     /// Register a persistent collective under `coll`. Must precede
@@ -308,10 +251,10 @@ impl Engine {
         &self.stats
     }
 
-    /// Stop the progress thread once it has drained what is queued ahead
-    /// of the request. Callers must ensure no peer still needs this
-    /// rank's participation (e.g. via a final barrier) — this is the
-    /// `MPI_Finalize` contract.
+    /// Stop the progress thread, if there is one, once it has drained
+    /// what is queued ahead of the request. Callers must ensure no peer
+    /// still needs this rank's participation (e.g. via a final barrier) —
+    /// this is the `MPI_Finalize` contract.
     pub fn shutdown(&self) {
         self.comm.post_local(Envelope::Shutdown);
         if let Some(j) = self.join.lock().take() {
@@ -325,14 +268,21 @@ impl Engine {
 fn progress_loop(core: &parking_lot::Mutex<EngineCore>, inbox: &Inbox) {
     while let Some(first) = inbox.recv() {
         let mut core = core.lock();
-        let mut next = Some(first);
-        while let Some(env) = next {
-            if !core.on_envelope(env) {
-                return;
-            }
-            next = inbox.try_recv();
+        if !core.on_envelope(first) || !drain(&mut core, inbox) {
+            return;
         }
     }
+}
+
+/// Feed `core` what `inbox` holds right now. Returns `false` at a
+/// shutdown.
+fn drain(core: &mut EngineCore, inbox: &Inbox) -> bool {
+    while let Some(env) = inbox.try_recv() {
+        if !core.on_envelope(env) {
+            return false;
+        }
+    }
+    true
 }
 
 struct Instance {
@@ -371,14 +321,14 @@ struct CollState {
     gc_floor: u64,
 }
 
-/// The transport-agnostic progress state machine: one per rank, strictly
-/// single-threaded, timed on its communicator's clock. [`Engine::spawn`]
-/// runs one on a dedicated thread; the discrete-event simulator owns one
-/// per simulated rank and calls [`EngineCore::drain_cmds`] /
-/// [`EngineCore::on_envelope`] from its event loop. Either way the progress
-/// semantics — forced joins, snapshot timing, consumable ops, GC — are
-/// this exact code.
-pub struct EngineCore {
+/// The transport-agnostic progress state machine behind an [`Engine`]:
+/// one per rank, strictly single-threaded, timed on its communicator's
+/// clock. Apart from [`EngineCore::register`], everything reaches it
+/// through [`EngineCore::on_envelope`], whether a progress thread or the
+/// simulator drains the inbox — so the progress semantics (forced joins,
+/// snapshot timing, consumable ops, GC) are this exact code on every
+/// transport.
+struct EngineCore {
     comm: CommHandle,
     colls: HashMap<CollId, CollState>,
     pre_register: HashMap<CollId, Vec<Message>>,
@@ -411,40 +361,17 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// A fresh core sending through `comm` and timing on its clock.
-    pub fn new(comm: CommHandle) -> EngineCore {
-        EngineCore::with_stats(comm, Arc::new(EngineStats::default()))
-    }
-
-    /// Like [`EngineCore::new`] but sharing an existing stats block (used
-    /// by [`Engine::spawn`] so its handle observes the core's counters).
-    pub fn with_stats(comm: CommHandle, stats: Arc<EngineStats>) -> EngineCore {
+    fn new(comm: CommHandle) -> EngineCore {
         let comm_stats = comm.comm_stats();
         EngineCore {
             comm,
             colls: HashMap::new(),
             pre_register: HashMap::new(),
-            stats,
+            stats: Arc::default(),
             comm_stats,
             down: HashSet::new(),
             scratch: Vec::new(),
             limbo: Vec::new(),
-        }
-    }
-
-    /// Engine counters.
-    pub fn stats(&self) -> &Arc<EngineStats> {
-        &self.stats
-    }
-
-    /// Apply every command staged on `queue` (registrations before the
-    /// activations that follow them, in staging order).
-    pub fn drain_cmds(&mut self, queue: &CmdQueue) {
-        let staged = std::mem::take(&mut *queue.staged.lock().expect("cmd queue lock"));
-        for (coll, cmd) in staged {
-            match cmd {
-                HostCmd::Register(template) => self.register(coll, template),
-                HostCmd::Activate(round) => self.activate(coll, round),
-            }
         }
     }
 
@@ -455,7 +382,7 @@ impl EngineCore {
     /// accounting lives here: a message is tallied exactly once, even if
     /// [`EngineCore::on_message`] later re-runs it from the
     /// pre-registration buffer.
-    pub fn on_envelope(&mut self, env: Envelope) -> bool {
+    fn on_envelope(&mut self, env: Envelope) -> bool {
         match env {
             Envelope::Data(msg) => {
                 let bytes = msg.payload.as_ref().map_or(0, |p| p.byte_len());
@@ -492,7 +419,7 @@ impl EngineCore {
     /// in-flight instances of all collectives — fires with a null
     /// payload, and instances created from now on are born with those
     /// nulls pre-filled, so progress never waits on the corpse.
-    pub fn on_peer_down(&mut self, peer: Rank) {
+    fn on_peer_down(&mut self, peer: Rank) {
         if !self.down.insert(peer) {
             return;
         }
@@ -524,18 +451,13 @@ impl EngineCore {
     /// rounds predate the admission fence, where the joiner's
     /// contribution is legitimately absent. Instances created from now
     /// on (rounds at or past the fence) wait for its real messages.
-    pub fn on_peer_up(&mut self, peer: Rank) {
+    fn on_peer_up(&mut self, peer: Rank) {
         self.down.remove(&peer);
-    }
-
-    /// Ranks declared dead so far (see [`EngineCore::on_peer_down`]).
-    pub fn down(&self) -> &HashSet<Rank> {
-        &self.down
     }
 
     /// Register a persistent collective, replaying any messages that
     /// arrived for it before registration.
-    pub fn register(&mut self, coll: CollId, template: Box<dyn CollectiveTemplate>) {
+    fn register(&mut self, coll: CollId, template: Box<dyn CollectiveTemplate>) {
         self.colls.insert(
             coll,
             CollState {
@@ -554,7 +476,7 @@ impl EngineCore {
     }
 
     /// Internally activate `round` of `coll` (the app arrived).
-    pub fn activate(&mut self, coll: CollId, round: u64) {
+    fn activate(&mut self, coll: CollId, round: u64) {
         let Some(cs) = self.colls.get_mut(&coll) else {
             // Activation of an unregistered collective is a programming
             // error on this rank (registration is a local, ordered call).
@@ -601,7 +523,7 @@ impl EngineCore {
 
     /// Deliver one matched message to the core (external activation if the
     /// round has no instance yet — the forced join).
-    pub fn on_message(&mut self, msg: Message) {
+    fn on_message(&mut self, msg: Message) {
         let coll = msg.tag.coll;
         let round = msg.tag.round;
         let Some(cs) = self.colls.get_mut(&coll) else {
@@ -980,6 +902,19 @@ mod tests {
 
     const DATA: u32 = 0;
 
+    /// Feed every thread-less engine what its inbox holds, then run the
+    /// simulator dry, feeding each delivery's rank as it lands.
+    fn run_sim(sim: &mut pcoll_comm::SimWorld, engines: &[Engine], inboxes: &[Inbox]) {
+        for (engine, inbox) in engines.iter().zip(inboxes) {
+            engine.progress(inbox);
+        }
+        while let Some(ev) = sim.step() {
+            if let pcoll_comm::SimEvent::Deliver { dst } = ev {
+                engines[dst].progress(&inboxes[dst]);
+            }
+        }
+    }
+
     /// Two-rank sum template: exchange contribution with the peer and add.
     /// The data send is gated on an OR of (internal gate, data receive) so
     /// a rank can be dragged in externally — a miniature solo collective.
@@ -1324,10 +1259,10 @@ mod tests {
             }
 
             let sinks: Vec<_> = (0..2).map(|_| Arc::new(Sink::default())).collect();
-            let mut cores: Vec<EngineCore> = (0..2)
+            let engines: Vec<Engine> = (0..2)
                 .map(|rank| {
-                    let mut core = EngineCore::new(sim.comm(rank));
-                    core.register(
+                    let engine = Engine::new(sim.comm(rank));
+                    engine.register(
                         CollId(1),
                         Box::new(Timed {
                             inner: PairSum {
@@ -1338,19 +1273,12 @@ mod tests {
                             log: Arc::clone(&elapsed),
                         }),
                     );
-                    core.activate(CollId(1), 0);
-                    core
+                    engine.activate(CollId(1), 0);
+                    engine
                 })
                 .collect();
             let inboxes: Vec<_> = (0..2).map(|r| sim.take_inbox(r)).collect();
-
-            while let Some(ev) = sim.step() {
-                if let pcoll_comm::SimEvent::Deliver { dst } = ev {
-                    while let Some(env) = inboxes[dst].try_recv() {
-                        cores[dst].on_envelope(env);
-                    }
-                }
-            }
+            run_sim(&mut sim, &engines, &inboxes);
 
             let results: Vec<f32> = sinks
                 .iter()
@@ -1490,32 +1418,26 @@ mod tests {
     /// its bound.
     #[test]
     fn pool_retains_every_shape_within_its_bound_over_500_ring_rounds() {
-        use pcoll_comm::{SimEvent, SimOpts, SimWorld, WorldConfig};
+        use pcoll_comm::{SimOpts, SimWorld, WorldConfig};
         const ROUNDS: u64 = 500;
         // 66 elements over 4 ranks: chunks of 16, 16, 16 and 18.
         let (p, n) = (4usize, 66usize);
         let mut sim = SimWorld::new(WorldConfig::instant(p), SimOpts::default());
         let sinks: Vec<_> = (0..p).map(|_| Arc::new(Sink::default())).collect();
-        let mut cores: Vec<EngineCore> = (0..p)
+        let engines: Vec<Engine> = (0..p)
             .map(|me| {
-                let mut core = EngineCore::new(sim.comm(me));
+                let engine = Engine::new(sim.comm(me));
                 let sink = Arc::clone(&sinks[me]);
-                core.register(CollId(1), Box::new(RingAverage { me, p, n, sink }));
-                core
+                engine.register(CollId(1), Box::new(RingAverage { me, p, n, sink }));
+                engine
             })
             .collect();
         let inboxes: Vec<_> = (0..p).map(|r| sim.take_inbox(r)).collect();
         for round in 0..ROUNDS {
-            for core in cores.iter_mut() {
-                core.activate(CollId(1), round);
+            for engine in &engines {
+                engine.activate(CollId(1), round);
             }
-            while let Some(ev) = sim.step() {
-                if let SimEvent::Deliver { dst } = ev {
-                    while let Some(env) = inboxes[dst].try_recv() {
-                        cores[dst].on_envelope(env);
-                    }
-                }
-            }
+            run_sim(&mut sim, &engines, &inboxes);
         }
         // Contributions `rank + round`: the average is `round + 1.5`.
         for (rank, sink) in sinks.iter().enumerate() {
@@ -1526,7 +1448,8 @@ mod tests {
                 assert_eq!(result.as_ref(), Some(&want), "rank {rank} round {round}");
             }
         }
-        for (rank, core) in cores.iter().enumerate() {
+        for (rank, engine) in engines.iter().enumerate() {
+            let core = engine.core.lock();
             let mut census: HashMap<usize, usize> = HashMap::new();
             for buf in &core.scratch {
                 *census.entry(buf.len()).or_default() += 1;
@@ -1562,11 +1485,12 @@ mod tests {
                 self.0.push(stats.round, result);
             }
         }
-        let sim = pcoll_comm::SimWorld::new(WorldConfig::instant(1), Default::default());
+        let mut sim = pcoll_comm::SimWorld::new(WorldConfig::instant(1), Default::default());
         let sink = Arc::new(Sink::default());
-        let mut core = EngineCore::new(sim.comm(0));
-        core.register(CollId(1), Box::new(Nothing(Arc::clone(&sink))));
-        core.activate(CollId(1), 0);
+        let engine = Engine::new(sim.comm(0));
+        engine.register(CollId(1), Box::new(Nothing(Arc::clone(&sink))));
+        engine.activate(CollId(1), 0);
+        engine.progress(&sim.take_inbox(0));
         assert_eq!(*sink.results.lock(), [(0, None)]);
     }
 
@@ -1718,10 +1642,10 @@ mod tests {
         };
         let mut sim = SimWorld::new(cfg, opts);
         let sinks: Vec<_> = (0..2).map(|_| Arc::new(Sink::default())).collect();
-        let mut cores: Vec<EngineCore> = (0..2)
+        let engines: Vec<Engine> = (0..2)
             .map(|rank| {
-                let mut core = EngineCore::new(sim.comm(rank));
-                core.register(
+                let engine = Engine::new(sim.comm(rank));
+                engine.register(
                     CollId(1),
                     Box::new(PairSum {
                         me: rank,
@@ -1729,47 +1653,39 @@ mod tests {
                         sink: Arc::clone(&sinks[rank]),
                     }),
                 );
-                core.activate(CollId(1), 0);
-                core
+                engine.activate(CollId(1), 0);
+                engine
             })
             .collect();
         let inboxes: Vec<_> = (0..2).map(|r| sim.take_inbox(r)).collect();
-        let drain = |sim: &mut SimWorld, cores: &mut Vec<EngineCore>| {
-            while let Some(ev) = sim.step() {
-                if let pcoll_comm::SimEvent::Deliver { dst } = ev {
-                    while let Some(env) = inboxes[dst].try_recv() {
-                        cores[dst].on_envelope(env);
-                    }
-                }
-            }
-        };
-        drain(&mut sim, &mut cores);
+        run_sim(&mut sim, &engines, &inboxes);
         assert_eq!(sinks[1].results.lock().len(), 1, "round 0 completed");
 
-        // Replay rank 0's round-0 data message into core 1, whose
+        // Replay rank 0's round-0 data message into rank 1's inbox; its
         // instance was dropped at completion.
         let replay = || {
-            Envelope::Data(Message {
+            sim.comm(1).post_local(Envelope::Data(Message {
                 src: 0,
                 tag: WireTag::new(CollId(1), 0, DATA),
                 payload: Some(Payload::new(TypedBuf::from(vec![99.0f32]))),
-            })
+            }));
+            engines[1].progress(&inboxes[1]);
         };
-        assert!(cores[1].on_envelope(replay()));
-        assert_eq!(cores[1].stats().snapshot()[4], 1, "dropped_late bumped");
+        replay();
+        assert_eq!(engines[1].stats().snapshot()[4], 1, "dropped_late bumped");
         // A second replay is *also* just counted — still no resurrection.
-        assert!(cores[1].on_envelope(replay()));
-        let [_, externals, completions, _, late, ..] = cores[1].stats().snapshot();
+        replay();
+        let [_, externals, completions, _, late, ..] = engines[1].stats().snapshot();
         assert_eq!(late, 2);
         assert_eq!(externals, 0, "no external re-activation");
         assert_eq!(completions, 1);
         assert_eq!(sinks[1].results.lock().len(), 1, "no duplicate delivery");
 
         // Round 1 still runs clean in virtual time.
-        for core in cores.iter_mut() {
-            core.activate(CollId(1), 1);
+        for engine in &engines {
+            engine.activate(CollId(1), 1);
         }
-        drain(&mut sim, &mut cores);
+        run_sim(&mut sim, &engines, &inboxes);
         for sink in &sinks {
             let g = sink.results.lock();
             let round1 = g

@@ -29,7 +29,8 @@
 //!
 //! The pure dependency-firing state machine lives in [`dag`] and is
 //! property-tested in isolation; [`engine`] adds buffers, matching, and the
-//! progress thread.
+//! progress thread (or, under the simulator, the event loop's
+//! [`Engine::progress`] calls).
 
 #![forbid(unsafe_code)]
 
@@ -38,9 +39,7 @@ pub mod engine;
 pub mod op;
 
 pub use dag::DagState;
-pub use engine::{
-    CmdQueue, CollectiveTemplate, Engine, EngineCore, EngineStats, RoundStats, TemplateHost,
-};
+pub use engine::{CollectiveTemplate, Engine, EngineStats, RoundStats};
 pub use op::{
     DepMode, Op, OpId, OpKind, Schedule, ScheduleBuilder, Slot, SnapshotTiming, CONTRIB_SLOT,
 };

@@ -40,11 +40,17 @@ fn sync_collectives_work_in_single_rank_world() {
 
 #[test]
 fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
-    // One rank sleeps through round 0. Under Accumulate its round-0
-    // deposit shows up in round 1 (sum 5); under Replace it is
-    // overwritten by the round-1 deposit (sum 4).
+    // Four ranks deposit one unit in rounds 0 and 1 under Solo, then
+    // zeros in round 2 under Full, whose snapshots take whatever each send
+    // buffer still holds. Rank 3 deposits round 0 only after that round
+    // completed without it, so its first unit is stale. Fig. 7: under
+    // Accumulate no deposit is lost, so the three rounds sum to exactly
+    // the 8 units deposited, whichever ranks were force-joined before
+    // their deposits; under Replace the round-2 zeros overwrite every
+    // buffer (round 2 sums to 0), and rank 3's stale unit was replaced or
+    // replaced its successor, so at most 7 units arrive.
     let run = |mode: StaleMode| {
-        World::launch(WorldConfig::instant(4).with_seed(9), move |c| {
+        let out = World::launch(WorldConfig::instant(4).with_seed(9), move |c| {
             let ctx = RankCtx::new(c);
             let mut ar = ctx.partial_allreduce(
                 DType::F32,
@@ -56,6 +62,8 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
                     ..PartialOpts::default()
                 },
             );
+            // Every rank applies the switch before any can reach round 2.
+            ar.set_policy_from(2, QuorumPolicy::Full);
             if ctx.rank() == 3 {
                 // Wait until the other ranks' round 0 has been dragged
                 // through this rank's engine by external activation, so the
@@ -70,47 +78,31 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
                     std::thread::sleep(Duration::from_millis(2));
                 }
             }
-            let _r0 = ar.allreduce(&TypedBuf::from(vec![1.0f32]));
-            ctx.barrier();
-            let r1 = ar.allreduce(&TypedBuf::from(vec![1.0f32]));
-            ctx.barrier();
+            let mut sums = Vec::new();
+            for unit in [1.0f32, 1.0, 0.0] {
+                let out = ar.allreduce(&TypedBuf::from(vec![unit]));
+                // The barrier keeps each call's result that round's own.
+                assert_eq!(out.result_round, out.requested_round);
+                sums.push(out.data.as_f32().unwrap()[0]);
+                ctx.barrier();
+            }
             ctx.finalize();
-            r1.data.as_f32().unwrap()[0]
-        })
+            sums
+        });
+        assert!(out.iter().all(|s| *s == out[0]), "{mode:?}: {out:?}");
+        out[0].clone()
     };
-    // Round 1 is still eager: any rank whose fresh deposit loses the race
-    // to the initiator's activation message contributes stale/null data —
-    // that is the semantics under test, but it means the canonical
-    // interleaving (everyone fresh) is likely, not guaranteed. Retry until
-    // it occurs; per-run invariants hold unconditionally.
-    // Each mode retries independently: the two runs are unrelated worlds,
-    // so requiring both to hit the canonical interleaving in the same
-    // iteration would square the residual flake probability.
-    let mut accumulate = None;
-    let mut replace = None;
-    for _ in 0..25 {
-        if accumulate != Some(5.0) {
-            let a = run(StaleMode::Accumulate)[0];
-            // Invariant: sums only come from 1.0 deposits; accumulate can
-            // carry rank 3's stale+fresh mass (max 5).
-            assert!((1.0..=5.0).contains(&a), "accumulate sum out of range: {a}");
-            accumulate = Some(a);
-        }
-        if replace != Some(4.0) {
-            let r = run(StaleMode::Replace)[0];
-            // Invariant: replace never exceeds one unit per rank (max 4).
-            assert!((1.0..=4.0).contains(&r), "replace sum out of range: {r}");
-            replace = Some(r);
-        }
-        if accumulate == Some(5.0) && replace == Some(4.0) {
-            break;
-        }
-    }
-    assert_eq!(accumulate, Some(5.0), "stale deposit must ride along");
+    let accumulate = run(StaleMode::Accumulate);
     assert_eq!(
-        replace,
-        Some(4.0),
-        "replace mode must drop the stale deposit"
+        accumulate.iter().sum::<f32>(),
+        8.0,
+        "accumulate must carry every deposit, stale ones included: {accumulate:?}"
+    );
+    let replace = run(StaleMode::Replace);
+    assert_eq!(replace[2], 0.0, "replace must drop the stale deposits");
+    assert!(
+        replace.iter().sum::<f32>() <= 7.0,
+        "replace must drop rank 3's stale unit: {replace:?}"
     );
 }
 

@@ -10,9 +10,11 @@
 //!    rotating `Hiccup` stragglers — because that is where hidden
 //!    wall-clock or hash-order nondeterminism would leak in first.
 //!    The simulator's closed loop is the trainer's `QuorumTuner` on the
-//!    virtual clock, so its decisions replay exactly too.
-//! 2. **Conformance**: the virtual-time stack (P `EngineCore`s driven by
-//!    one event heap) computes the same collective results as the
+//!    virtual clock, so its decisions replay exactly too. Two digests
+//!    are pinned to constants, so a change of behaviour shows across
+//!    commits, not only between two runs of one binary.
+//! 2. **Conformance**: the virtual-time stack (P thread-less `Engine`s
+//!    fed from one event heap) computes the same collective results as the
 //!    in-process backend (P real threads), because it runs the *same*
 //!    engine and schedule code behind the same `CommHandle`/`Inbox` API.
 //! 3. **Training**: `run_sim` drives the trainer's own step on the
@@ -23,6 +25,7 @@
 //! Companion to `tests/transport_conformance.rs`, which pins the
 //! in-process and TCP backends to each other the same way.
 
+use eager_sgd_repro::comm::{Fault, FaultPlan, TimePoint};
 use eager_sgd_repro::nn::zoo::hyperplane_mlp;
 use eager_sgd_repro::prelude::{
     adaptive_setup, run_rank, run_sim, AdaptiveTunerCfg, ControllerKind, DType, Hiccup,
@@ -89,6 +92,40 @@ fn same_seed_is_bit_identical_at_p64() {
     assert_ne!(a.digest(), c.digest(), "seed must influence the execution");
     assert_ne!(a.call_latency, c.call_latency, "seed must reach the jitter");
 }
+
+/// The simulator's behaviour pinned across commits, not only within one
+/// binary: the seed-42 digests of the P=64 WAN run above and of a
+/// kill → evict → rejoin chaos run. A change that moves either changed
+/// what the simulated protocol does; re-pin only a change meant to, and
+/// say so.
+#[test]
+fn sim_digests_match_their_pinned_values() {
+    let at = |ms| TimePoint::ZERO + Duration::from_millis(ms);
+    let mut chaos = SimSpec::linear_skew(12, 36, Duration::from_millis(1), QuorumPolicy::Majority);
+    chaos.world = chaos.world.with_seed(42);
+    chaos.opts.faults = FaultPlan::none()
+        .with(Fault::Kill {
+            rank: 4,
+            at: at(150),
+        })
+        .with(Fault::Rejoin {
+            rank: 4,
+            at: at(450),
+        });
+    let chaos = SimHarness::run(chaos);
+    assert_eq!((chaos.evictions.len(), chaos.rejoins.len()), (1, 1));
+    let got = (run(42).digest(), chaos.digest());
+    assert_eq!(
+        got,
+        (WAN_P64_DIGEST, CHAOS_DIGEST),
+        "digests now {:#x} and {:#x}",
+        got.0,
+        got.1
+    );
+}
+
+const WAN_P64_DIGEST: u64 = 0xf22bc5683c0e5263;
+const CHAOS_DIGEST: u64 = 0xcc0da791f113f5f0;
 
 /// `sim_scale`'s closed loop (`repro_bench::wan::tune_spec`): the stateful
 /// WAN spec with 20 ms of static skew per region and rotating 300 ms
