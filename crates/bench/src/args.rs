@@ -3,18 +3,18 @@
 
 use pcoll_comm::{TcpOpts, Transport};
 
-/// Which communication backend a harness run uses (`--transport`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A wall-clock communication backend, for the harnesses that sweep both
+/// (`comm_micro`, `coll_micro`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportChoice {
-    /// Ranks as threads in this process (the default).
-    #[default]
+    /// Ranks as threads in this process.
     InProcess,
     /// One OS process per rank over loopback TCP.
     Tcp,
 }
 
 impl TransportChoice {
-    /// The `--transport` spelling, also the prefix of sweep-point labels.
+    /// The backend's short name, the prefix of sweep-point labels.
     pub fn name(self) -> &'static str {
         match self {
             TransportChoice::InProcess => "inproc",
@@ -50,8 +50,6 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Free-form part selector (e.g. `--part a` for fig11).
     pub part: Option<String>,
-    /// Communication backend (`--transport inproc|tcp`).
-    pub transport: TransportChoice,
 }
 
 impl Default for HarnessArgs {
@@ -60,7 +58,6 @@ impl Default for HarnessArgs {
             quick: false,
             seed: 42,
             part: None,
-            transport: TransportChoice::InProcess,
         }
     }
 }
@@ -94,14 +91,6 @@ impl HarnessArgs {
                 "--quick" => out.quick = true,
                 "--seed" => out.seed = value(&mut rest, "--seed needs an integer"),
                 "--part" => out.part = Some(value(&mut rest, "--part needs a value")),
-                "--transport" => {
-                    let name: String = value(&mut rest, "--transport needs inproc|tcp");
-                    out.transport = match name.as_str() {
-                        "inproc" | "in-process" | "thread" => TransportChoice::InProcess,
-                        "tcp" => TransportChoice::Tcp,
-                        _ => usage("--transport needs inproc|tcp"),
-                    };
-                }
                 "--help" | "-h" => {
                     eprintln!("{OPTIONS}");
                     std::process::exit(0);
@@ -112,14 +101,9 @@ impl HarnessArgs {
         }
         (out, positionals)
     }
-
-    /// The chosen [`Transport`] for the launch site named `label`.
-    pub fn transport(&self, label: &str) -> Transport {
-        self.transport.labeled(label)
-    }
 }
 
-const OPTIONS: &str = "options: [--quick] [--seed N] [--part a|b|c] [--transport inproc|tcp]";
+const OPTIONS: &str = "options: [--quick] [--seed N] [--part a|b|c]";
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n{OPTIONS}");
@@ -146,24 +130,14 @@ mod tests {
         assert!(!a.quick);
         assert_eq!(a.seed, 42);
         assert!(a.part.is_none());
-        assert_eq!(a.transport, TransportChoice::InProcess);
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = HarnessArgs::parse_from(&argv(&[
-            "--quick",
-            "--seed",
-            "7",
-            "--part",
-            "a",
-            "--transport",
-            "tcp",
-        ]));
+        let a = HarnessArgs::parse_from(&argv(&["--quick", "--seed", "7", "--part", "a"]));
         assert!(a.quick);
         assert_eq!(a.seed, 7);
         assert_eq!(a.part.as_deref(), Some("a"));
-        assert_eq!(a.transport, TransportChoice::Tcp);
     }
 
     #[test]
@@ -178,16 +152,5 @@ mod tests {
         let b = HarnessArgs::parse_from(&argv(&["--quick", "--seed", "9"]));
         assert_eq!(a.quick, b.quick);
         assert_eq!(a.seed, b.seed);
-    }
-
-    #[test]
-    fn transport_maps_to_labeled_backend() {
-        let a = HarnessArgs::parse_from(&argv(&["--transport", "tcp"]));
-        match a.transport("smoke") {
-            Transport::Tcp(opts) => assert_eq!(opts.label, "smoke"),
-            other => panic!("unexpected {other:?}"),
-        }
-        let b = HarnessArgs::parse_from(&[]);
-        assert!(matches!(b.transport("x"), Transport::InProcess));
     }
 }

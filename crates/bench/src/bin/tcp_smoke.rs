@@ -1,18 +1,17 @@
 //! `tcp_smoke`: cross-process collectives smoke test.
 //!
-//! Runs synchronous and partial allreduces across `P` ranks on the
-//! selected transport (`--transport tcp` = one OS process per rank over
-//! loopback; default in-process), verifies every result exactly, pushes
-//! one multi-MiB gradient-sized buffer through the engine path, and
-//! reports per-rank round rates. CI's `tcp-smoke` job runs this with
-//! `--transport tcp` to prove the process-per-rank path end to end.
+//! Runs synchronous and partial allreduces across `P` ranks over
+//! loopback TCP, one OS process per rank, verifies every result exactly,
+//! pushes one multi-MiB gradient-sized buffer through the engine path,
+//! and reports per-rank round rates. CI's `tcp-smoke` job runs this to
+//! prove the process-per-rank path end to end.
 //!
 //! ```sh
-//! cargo run --release -p repro_bench --bin tcp_smoke -- --transport tcp --quick --seed 7
+//! cargo run --release -p repro_bench --bin tcp_smoke -- --quick --seed 7
 //! ```
 
 use pcoll::{PartialOpts, QuorumPolicy, RankCtx};
-use pcoll_comm::{DType, ReduceOp, TypedBuf, World, WorldConfig};
+use pcoll_comm::{DType, ReduceOp, TcpOpts, Transport, TypedBuf, World, WorldConfig};
 use repro_bench::report::{comment, row, Checks};
 use repro_bench::HarnessArgs;
 use std::time::Instant;
@@ -25,15 +24,15 @@ fn main() {
     // One gradient-sized buffer (f32): 1 MiB quick, 4 MiB full.
     let big: usize = if args.quick { 1 << 18 } else { 1 << 20 };
     let cfg = WorldConfig::instant(P).with_seed(args.seed);
-    let transport_name = args.transport.name();
 
     comment(&format!(
-        "tcp_smoke: {P} ranks over {transport_name}, {rounds} rounds, \
+        "tcp_smoke: {P} ranks over tcp, {rounds} rounds, \
          payload {payload} f64 elems, big buffer {big} f32 elems, seed {}",
         args.seed
     ));
 
-    let out = World::launch_with(cfg, args.transport("tcp_smoke"), move |c| {
+    let transport = Transport::Tcp(TcpOpts::labeled("tcp_smoke"));
+    let out = World::launch_with(cfg, transport, move |c| {
         let ctx = RankCtx::new(c);
         // SPMD construction order fixes the collective ids on all ranks.
         let mut ar = ctx.sync_allreduce(DType::F64, payload, ReduceOp::Sum, None);
@@ -93,7 +92,7 @@ fn main() {
     c.check(
         "all ranks verified every collective result",
         results.iter().all(|(ok, _)| *ok),
-        &format!("{transport_name}, {} ranks", results.len()),
+        &format!("tcp, {} ranks", results.len()),
     );
     std::process::exit(c.exit_code());
 }

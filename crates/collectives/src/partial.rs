@@ -549,11 +549,33 @@ struct SendBuf {
     /// deposit from an earlier round still gets *contributed* (stale
     /// data), but does not count as fresh.
     last_deposit_round: Option<u64>,
-    /// Recycled buffer for the next snapshot swap (dirty; see `filled`).
-    /// Fed by completed rounds whose superseded receive buffer came back
-    /// uniquely owned — steady state runs with zero payload-sized
-    /// allocations in the deposit/snapshot cycle.
-    spare: Option<TypedBuf>,
+    /// Recycled buffers for the next snapshot swaps (dirty; see
+    /// `filled`), at most [`SPARE_CAP`]: superseded receive buffers and
+    /// displaced send buffers. A superseded buffer an outcome still reads
+    /// is kept too — under majority a peer can complete round r + 1 while
+    /// the trainer applies round r, and rounds overlap on one rank — and
+    /// is used once its reader lets go, so the steady state runs with zero
+    /// payload-sized allocations in the deposit/snapshot cycle.
+    spares: Vec<Payload>,
+}
+
+/// Most recycled buffers a [`SendBuf`] keeps: one per round that can be
+/// in flight on a rank at once, with room to spare.
+const SPARE_CAP: usize = 4;
+
+impl SendBuf {
+    /// A recycled buffer nobody else reads any more, if there is one.
+    fn take_spare(&mut self) -> Option<TypedBuf> {
+        let free = self.spares.iter().position(|p| p.ref_count() == 1)?;
+        self.spares.swap_remove(free).try_into_buf().ok()
+    }
+
+    /// Keep `buf` for a later swap, unless enough are kept already.
+    fn put_spare(&mut self, buf: Payload) {
+        if self.spares.len() < SPARE_CAP {
+            self.spares.push(buf);
+        }
+    }
 }
 
 struct RecvBuf {
@@ -688,10 +710,10 @@ impl CollectiveTemplate for PartialTemplate {
             // zeroing pass runs exactly then.
             send.data.to_mut().clear();
         }
-        let replacement =
-            send.spare.take().map(Payload::new).unwrap_or_else(|| {
-                Payload::new(TypedBuf::zeros(self.shared.dtype, self.shared.len))
-            });
+        let replacement = send
+            .take_spare()
+            .map(Payload::new)
+            .unwrap_or_else(|| Payload::new(TypedBuf::zeros(self.shared.dtype, self.shared.len)));
         let data = std::mem::replace(&mut send.data, replacement);
         let fresh = send.last_deposit_round == Some(round);
         send.filled = false;
@@ -738,19 +760,15 @@ impl CollectiveTemplate for PartialTemplate {
         };
         drop(recv);
         // Recycle the superseded receive buffer into the deposit/snapshot
-        // cycle when no outcome clone aliases it any more: the steady
-        // state then runs without payload-sized allocations here.
+        // cycle, usable once no outcome clone aliases it any more: the
+        // steady state then runs without payload-sized allocations here.
         if let Some(old) = superseded {
-            if old.ref_count() == 1
-                && !old.is_wire()
+            if !old.is_wire()
                 && !old.is_view()
                 && old.dtype() == self.shared.dtype
                 && old.len() == self.shared.len
             {
-                let mut send = self.shared.send.lock();
-                if send.spare.is_none() {
-                    send.spare = Some(old.into_buf());
-                }
+                self.shared.send.lock().put_spare(old);
             }
         }
         self.shared.cv.notify_all();
@@ -769,9 +787,10 @@ impl CollectiveTemplate for PartialTemplate {
 /// Results are read in place from the [`AllreduceOutcome`]. Filled in
 /// place, a rank's tensor-sized buffers form one closed cycle — send →
 /// slot 0 → engine pool → assembly/result → receive → spare → send — and
-/// the caller holds none. An outcome may be held for any length of time;
-/// one still held when the *next* round completes costs that cycle the
-/// superseded receive buffer (one allocation to replace it), nothing else.
+/// the caller holds none. An outcome may be held for any length of time:
+/// one still held when the *next* round completes keeps its buffer out of
+/// the cycle only until it is dropped, and costs an allocation only if a
+/// snapshot needs the buffer before then.
 ///
 /// Under [`QuorumPolicy::Full`] this is the blocking allreduce the paper
 /// baselines against (`MPI_Allreduce`: quorum = P, no rank returns before
@@ -833,7 +852,7 @@ impl PartialAllreduce {
                 data: Payload::new(TypedBuf::zeros(dtype, len)),
                 filled: false,
                 last_deposit_round: None,
-                spare: None,
+                spares: Vec::new(),
             }),
             recv: Mutex::new(RecvBuf {
                 latest_round: None,
@@ -1016,11 +1035,11 @@ impl PartialAllreduce {
                 fill(send.data.to_mut());
                 return Ok(());
             }
-            let spare = send.spare.take();
+            let spare = send.take_spare();
             let mut fresh = spare.unwrap_or_else(|| send.data.to_mut().zeros_like());
             fill(&mut fresh);
             let folded = send.data.to_mut().combine(&fresh, ReduceOp::Sum);
-            send.spare = Some(fresh);
+            send.put_spare(Payload::new(fresh));
             folded
         })
     }
@@ -1081,9 +1100,7 @@ impl PartialAllreduce {
                 return contrib.copy_into_at(send.data.to_mut(), 0);
             }
             let old = std::mem::replace(&mut send.data, contrib);
-            if send.spare.is_none() {
-                send.spare = old.try_into_buf().ok();
-            }
+            send.put_spare(old);
             Ok(())
         })
     }

@@ -6,13 +6,13 @@
 //! delivery between `P` ranks.
 //!
 //! Three backends sit behind the same [`CommHandle`] / [`Inbox`] API; a
-//! [`Transport`] (`--transport inproc|tcp` in the harnesses) selects
+//! [`Transport`] (`quickstart`'s `--transport inproc|tcp`) selects
 //! between the first two, and the simulator is a world of its own:
 //!
 //! - **In-process** (the [`World::launch`] default): ranks are OS threads
 //!   inside one process, messages move over channels — zero setup cost,
 //!   the right tool for unit tests and single-host experiments.
-//! - **TCP** ([`World::launch_tcp`], `--transport tcp` in the harnesses):
+//! - **TCP** ([`World::launch_tcp`]; `tcp_smoke`, `quickstart --transport tcp`):
 //!   each rank is its own OS process on loopback sockets with
 //!   length-prefixed binary framing, a parent-coordinated rendezvous, and
 //!   an orderly goodbye handshake — real process-level SPMD, honest
@@ -72,7 +72,6 @@ pub mod matcher;
 pub mod membership;
 pub mod net;
 pub mod payload;
-pub mod pool;
 pub mod sim;
 pub mod stats;
 pub mod tag;
@@ -88,7 +87,6 @@ pub use net::NetworkModel;
 pub use payload::Payload;
 pub use pcoll_obs::time::{Clock, TimePoint};
 pub use pcoll_obs::{Recorder, TraceConfig};
-pub use pool::BytePool;
 pub use sim::{Fault, FaultPlan, Planet, Region, SimEvent, SimOpts, SimWorld};
 pub use stats::{CommStats, CommStatsSnapshot};
 pub use tag::{CollId, Message, Rank, WireTag};

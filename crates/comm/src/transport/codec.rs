@@ -103,7 +103,7 @@ pub(crate) fn decode_frame(body: &[u8]) -> Result<WireFrame, String> {
                         .filter(|&n| n <= MAX_FRAME)
                         .ok_or("payload length overflow")?;
                     let raw = cur.bytes(nbytes)?;
-                    // One allocation: the (pooled) frame body's payload
+                    // One allocation: the reused frame body's payload
                     // range is copied out as raw bytes and *not* decoded —
                     // a reduction consumer decodes it while folding it
                     // into its accumulator (`Payload::reduce_assign`), so

@@ -9,7 +9,6 @@ use super::codec::{
 };
 use super::{bounded_send, connect_with_retries, remaining, HANDSHAKE_TIMEOUT};
 use crate::membership::Membership;
-use crate::pool::FRAME_POOL;
 use crate::stats::CommStats;
 use crate::tag::Rank;
 use crate::world::Envelope;
@@ -250,9 +249,10 @@ fn writer_loop(
     stats: Arc<CommStats>,
 ) {
     let mut w = BufWriter::with_capacity(WRITE_CHUNK, stream);
-    // One pooled scratch buffer per writer: every frame encodes into it,
-    // so the steady state performs zero allocations per message.
-    let mut scratch = FRAME_POOL.get();
+    // One scratch buffer for the writer's lifetime, which is the
+    // connection's: every frame encodes into it, so once it has grown to
+    // the largest frame the steady state allocates nothing per message.
+    let mut scratch = Vec::new();
     let write_env = |w: &mut BufWriter<TcpStream>, scratch: &mut Vec<u8>, env: Envelope| -> bool {
         let body: &[u8] = match env {
             Envelope::Data(msg) => {
@@ -290,7 +290,6 @@ fn writer_loop(
                 PeerCmd::Deliver(env) => {
                     if !write_env(&mut w, &mut scratch, env) {
                         declare_peer_down(peer, &membership, &inbox, &stats);
-                        FRAME_POOL.put(scratch);
                         return; // peer gone: nothing left to do
                     }
                 }
@@ -303,11 +302,9 @@ fn writer_loop(
         }
         if w.flush().is_err() {
             declare_peer_down(peer, &membership, &inbox, &stats);
-            FRAME_POOL.put(scratch);
             return;
         }
     }
-    FRAME_POOL.put(scratch);
     // Shutdown handshake: everything queued before Finish has been
     // written; append GOODBYE, flush, and half-close so the peer's reader
     // sees an orderly end after draining our bytes.
@@ -329,9 +326,9 @@ fn reader_loop(
     deadline: Duration,
 ) {
     let mut r = BufReader::with_capacity(WRITE_CHUNK, stream);
-    // One pooled scratch buffer per reader: every frame body lands in it,
-    // so the steady state allocates only the decoded payload itself.
-    let mut body = FRAME_POOL.get();
+    // One scratch buffer for the reader's lifetime: every frame body
+    // lands in it, so the steady state allocates only the decoded payload.
+    let mut body = Vec::new();
     // Did the peer end the connection with an orderly GOODBYE? Anything
     // else — EOF mid-stream, a reset, a corrupt frame — is a death.
     let mut orderly = false;
@@ -375,7 +372,6 @@ fn reader_loop(
     if !orderly {
         declare_peer_down(peer, &membership, &inbox, &stats);
     }
-    FRAME_POOL.put(body);
 }
 
 /// The rank's one accept path, for the initial mesh and a rejoiner

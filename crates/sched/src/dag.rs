@@ -1,145 +1,118 @@
 //! Pure dependency-firing state machine for one schedule instance.
 //!
-//! `DagState` tracks which operations have fired, which AND/OR dependencies
-//! are satisfied, whether the round was internally activated, and which
-//! receives have their message. It performs **no** I/O and owns **no**
-//! buffers — the engine drives it with events and executes the effects —
-//! which makes the consumable-op and dependency semantics directly
-//! property-testable.
+//! Everything fixed about a round is on its [`Schedule`], including
+//! [`Schedule::waits`]: the events each op waits for — one per AND
+//! dependency, one for the first of its OR dependencies, one for a
+//! receive's message, one for an [`OpKind::InternalGate`]'s activation.
+//! An instance copies those counts and only counts down; an op is ready
+//! the moment its count reaches zero, which happens once. `DagState`
+//! performs **no** I/O and owns **no** buffers — the engine feeds it
+//! events, it pushes the ops they make ready onto the engine's queue, and
+//! the engine executes their effects — which makes the consumable-op and
+//! dependency semantics directly property-testable.
 //!
 //! The central invariant (the paper's "consumable operations"): every op is
-//! reported fireable at most once, and only when
+//! made ready at most once, and only when
 //! 1. its AND/OR dependencies are satisfied, and
 //! 2. its kind-specific trigger holds (receives need their message,
 //!    [`OpKind::InternalGate`] needs the application's activation).
 
 use crate::op::{DepMode, OpId, OpKind, Schedule};
 
+/// The receive's message has arrived.
+const ARRIVED: u8 = 1;
+/// One of the op's OR dependencies has fired.
+const OR_MET: u8 = 2;
+/// The op has fired.
+const FIRED: u8 = 4;
+
 /// Runtime firing state of one schedule instance.
 #[derive(Debug)]
 pub struct DagState {
-    fired: Vec<bool>,
-    /// Ops handed out as fireable (to avoid double-enqueue on OR fan-in).
-    queued: Vec<bool>,
-    and_remaining: Vec<u32>,
-    or_satisfied: Vec<bool>,
-    arrived: Vec<bool>,
+    /// Events each op still waits for, counted down from
+    /// [`Schedule::waits`].
+    open: Vec<u32>,
+    /// `ARRIVED`, `OR_MET` and `FIRED` bits of each op.
+    flags: Vec<u8>,
     activated: bool,
 }
 
 impl DagState {
-    /// Create the state and return the ops fireable immediately at
-    /// instance creation (dependency-free ops that are neither receives
-    /// nor internal gates).
-    pub fn new(sched: &Schedule) -> (Self, Vec<OpId>) {
-        let n = sched.ops.len();
-        let mut st = DagState {
-            fired: vec![false; n],
-            queued: vec![false; n],
-            and_remaining: sched.ops.iter().map(|o| o.deps.len() as u32).collect(),
-            or_satisfied: vec![false; n],
-            arrived: vec![false; n],
+    /// Create the state and push the ops ready at instance creation (the
+    /// ones that wait for nothing) onto `ready`, in op order.
+    pub fn new(sched: &Schedule, ready: &mut Vec<OpId>) -> Self {
+        let open = sched.waits.clone();
+        ready.extend((0..open.len()).filter(|&id| open[id] == 0));
+        DagState {
+            flags: vec![0; open.len()],
+            open,
             activated: false,
-        };
-        let mut ready = Vec::new();
-        for id in 0..n {
-            if st.fireable(sched, id) {
-                st.queued[id] = true;
-                ready.push(id);
-            }
-        }
-        (st, ready)
-    }
-
-    fn deps_satisfied(&self, sched: &Schedule, id: OpId) -> bool {
-        let op = &sched.ops[id];
-        if op.deps.is_empty() {
-            return true;
-        }
-        match op.dep_mode {
-            DepMode::And => self.and_remaining[id] == 0,
-            DepMode::Or => self.or_satisfied[id],
         }
     }
 
-    fn fireable(&self, sched: &Schedule, id: OpId) -> bool {
-        if self.fired[id] || self.queued[id] || !self.deps_satisfied(sched, id) {
-            return false;
-        }
-        match sched.ops[id].kind {
-            OpKind::Recv { .. } => self.arrived[id],
-            OpKind::InternalGate => self.activated,
-            _ => true,
+    /// One event op `id` waited for has happened; at the last it is ready.
+    fn release(&mut self, id: OpId, ready: &mut Vec<OpId>) {
+        debug_assert!(self.open[id] > 0, "op {id} released past zero");
+        self.open[id] -= 1;
+        if self.open[id] == 0 {
+            ready.push(id);
         }
     }
 
     /// Has this op fired?
     pub fn is_fired(&self, id: OpId) -> bool {
-        self.fired[id]
+        self.flags[id] & FIRED != 0
     }
 
-    /// Record the application's internal activation. Returns newly
-    /// fireable ops (typically the internal gates). Idempotent.
-    pub fn on_activate(&mut self, sched: &Schedule) -> Vec<OpId> {
+    /// Record the application's internal activation and push the internal
+    /// gates it makes ready, in op order. Idempotent.
+    pub fn on_activate(&mut self, sched: &Schedule, ready: &mut Vec<OpId>) {
         if self.activated {
-            return Vec::new();
+            return;
         }
         self.activated = true;
-        let mut ready = Vec::new();
         for (id, op) in sched.ops.iter().enumerate() {
-            if matches!(op.kind, OpKind::InternalGate) && self.fireable(sched, id) {
-                self.queued[id] = true;
-                ready.push(id);
+            if matches!(op.kind, OpKind::InternalGate) {
+                self.release(id, ready);
             }
         }
-        ready
     }
 
-    /// Record arrival of the message for receive op `id`. Returns `true`
-    /// if the receive became fireable (caller should then fire it).
-    /// Duplicate arrivals for the same op return `false` — the duplicate
-    /// activation messages of multi-initiator solo collectives are
-    /// absorbed here.
-    pub fn on_message(&mut self, sched: &Schedule, id: OpId) -> bool {
+    /// Record arrival of the message for receive op `id`, pushing the
+    /// receive if that makes it ready. Returns whether the message was
+    /// accepted: a duplicate arrival for the same op returns `false` — the
+    /// duplicate activation messages of multi-initiator solo collectives
+    /// are absorbed here.
+    pub fn on_message(&mut self, sched: &Schedule, id: OpId, ready: &mut Vec<OpId>) -> bool {
         debug_assert!(matches!(sched.ops[id].kind, OpKind::Recv { .. }));
-        if self.arrived[id] || self.fired[id] {
+        if self.flags[id] & ARRIVED != 0 {
             return false;
         }
-        self.arrived[id] = true;
-        if self.fireable(sched, id) {
-            self.queued[id] = true;
-            true
-        } else {
-            false
-        }
+        self.flags[id] |= ARRIVED;
+        self.release(id, ready);
+        true
     }
 
-    /// Record that the engine executed op `id`'s effect. Propagates to
-    /// dependents and returns any that became fireable.
+    /// Record that the engine executed op `id`'s effect, and push the
+    /// dependents that makes ready, in [`Schedule::dependents`] order.
     ///
     /// Panics if the op already fired — the consumable-op invariant is a
     /// hard error to violate, not a recoverable condition.
-    pub fn mark_fired(&mut self, sched: &Schedule, id: OpId) -> Vec<OpId> {
+    pub fn mark_fired(&mut self, sched: &Schedule, id: OpId, ready: &mut Vec<OpId>) {
         assert!(
-            !self.fired[id],
+            !self.is_fired(id),
             "op {id} fired twice (consumable invariant)"
         );
-        self.fired[id] = true;
-        let mut ready = Vec::new();
+        self.flags[id] |= FIRED;
         for &dep in &sched.dependents[id] {
-            match sched.ops[dep].dep_mode {
-                DepMode::And => {
-                    debug_assert!(self.and_remaining[dep] > 0);
-                    self.and_remaining[dep] -= 1;
+            if sched.ops[dep].dep_mode == DepMode::Or {
+                if self.flags[dep] & OR_MET != 0 {
+                    continue;
                 }
-                DepMode::Or => self.or_satisfied[dep] = true,
+                self.flags[dep] |= OR_MET;
             }
-            if self.fireable(sched, dep) {
-                self.queued[dep] = true;
-                ready.push(dep);
-            }
+            self.release(dep, ready);
         }
-        ready
     }
 }
 
@@ -148,13 +121,20 @@ mod tests {
     use super::*;
     use crate::op::ScheduleBuilder;
 
-    /// Drive a DAG to quiescence, firing everything reported fireable.
-    /// Returns the firing order.
+    /// A fresh state and the ops ready at creation.
+    fn start(sched: &Schedule) -> (DagState, Vec<OpId>) {
+        let mut ready = Vec::new();
+        let st = DagState::new(sched, &mut ready);
+        (st, ready)
+    }
+
+    /// Drive a DAG to quiescence, firing everything made ready, last
+    /// pushed first (the engine's order). Returns the firing order.
     fn run_to_quiescence(sched: &Schedule, st: &mut DagState, mut queue: Vec<OpId>) -> Vec<OpId> {
         let mut order = Vec::new();
         while let Some(id) = queue.pop() {
             order.push(id);
-            queue.extend(st.mark_fired(sched, id));
+            st.mark_fired(sched, id, &mut queue);
         }
         order
     }
@@ -172,7 +152,7 @@ mod tests {
     #[test]
     fn chain_fires_in_order() {
         let s = nop_chain();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         let order = run_to_quiescence(&s, &mut st, ready);
         assert_eq!(order, vec![0, 1, 2]);
         assert!((0..3).all(|op| st.is_fired(op)));
@@ -186,9 +166,10 @@ mod tests {
         let n = b.op(OpKind::Nop, vec![g]);
         b.completion(n);
         let s = b.build();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert!(ready.is_empty(), "gate must not fire at creation");
-        let ready = st.on_activate(&s);
+        let mut ready = Vec::new();
+        st.on_activate(&s, &mut ready);
         assert_eq!(ready, vec![g]);
         let order = run_to_quiescence(&s, &mut st, ready);
         assert_eq!(order, vec![g, n]);
@@ -201,11 +182,15 @@ mod tests {
         let g = b.op(OpKind::InternalGate, vec![]);
         b.completion(g);
         let s = b.build();
-        let (mut st, _) = DagState::new(&s);
-        assert_eq!(st.on_activate(&s), vec![g]);
-        assert!(st.on_activate(&s).is_empty());
-        st.mark_fired(&s, g);
-        assert!(st.on_activate(&s).is_empty());
+        let (mut st, _) = start(&s);
+        let mut ready = Vec::new();
+        st.on_activate(&s, &mut ready);
+        assert_eq!(ready, vec![g]);
+        st.on_activate(&s, &mut ready);
+        assert_eq!(ready, vec![g], "a second activation readies nothing");
+        st.mark_fired(&s, g, &mut ready);
+        st.on_activate(&s, &mut ready);
+        assert_eq!(ready, vec![g]);
     }
 
     #[test]
@@ -225,17 +210,20 @@ mod tests {
         let s = b.build();
 
         // Message first, dep second.
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert_eq!(ready, vec![pre]);
-        assert!(!st.on_message(&s, r), "dep not yet satisfied");
-        let newly = st.mark_fired(&s, pre);
+        let mut newly = Vec::new();
+        assert!(st.on_message(&s, r, &mut newly), "the message is accepted");
+        assert!(newly.is_empty(), "dep not yet satisfied");
+        st.mark_fired(&s, pre, &mut newly);
         assert_eq!(newly, vec![r], "dep firing unlocks buffered arrival");
 
         // Dep first, message second.
-        let (mut st, ready) = DagState::new(&s);
-        let newly = run_to_quiescence(&s, &mut st, ready);
-        assert_eq!(newly, vec![pre]);
-        assert!(st.on_message(&s, r));
+        let (mut st, ready) = start(&s);
+        assert_eq!(run_to_quiescence(&s, &mut st, ready), vec![pre]);
+        let mut newly = Vec::new();
+        assert!(st.on_message(&s, r, &mut newly));
+        assert_eq!(newly, vec![r]);
     }
 
     #[test]
@@ -252,11 +240,18 @@ mod tests {
         );
         b.completion(r);
         let s = b.build();
-        let (mut st, _) = DagState::new(&s);
-        assert!(st.on_message(&s, r));
-        assert!(!st.on_message(&s, r), "duplicate must be absorbed");
-        st.mark_fired(&s, r);
-        assert!(!st.on_message(&s, r), "post-fire message must be absorbed");
+        let (mut st, mut ready) = start(&s);
+        assert!(st.on_message(&s, r, &mut ready));
+        assert!(
+            !st.on_message(&s, r, &mut ready),
+            "duplicate must be absorbed"
+        );
+        st.mark_fired(&s, r, &mut ready);
+        assert!(
+            !st.on_message(&s, r, &mut ready),
+            "post-fire message must be absorbed"
+        );
+        assert_eq!(ready, vec![r], "the receive is readied once");
     }
 
     #[test]
@@ -270,11 +265,13 @@ mod tests {
         let sink = b.op_or(OpKind::Nop, vec![s1, s2]);
         b.completion(sink);
         let s = b.build();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert_eq!(ready.len(), 2);
-        let r1 = st.mark_fired(&s, s1);
+        let mut r1 = Vec::new();
+        st.mark_fired(&s, s1, &mut r1);
         assert_eq!(r1, vec![sink]);
-        let r2 = st.mark_fired(&s, s2);
+        let mut r2 = Vec::new();
+        st.mark_fired(&s, s2, &mut r2);
         assert!(r2.is_empty(), "sink must not be handed out twice");
     }
 
@@ -282,35 +279,47 @@ mod tests {
     #[should_panic(expected = "consumable")]
     fn double_fire_panics() {
         let s = nop_chain();
-        let (mut st, _) = DagState::new(&s);
-        st.mark_fired(&s, 0);
-        st.mark_fired(&s, 0);
+        let (mut st, mut ready) = start(&s);
+        st.mark_fired(&s, 0, &mut ready);
+        st.mark_fired(&s, 0, &mut ready);
     }
 
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Random acyclic schedule of NOPs: each op may depend (AND or OR)
-        /// on a subset of earlier ops.
+        /// Random acyclic schedule of NOPs, receives (each matching its
+        /// own message) and internal gates: each op may depend (AND or
+        /// OR) on a subset of earlier ops, so receives and gates sit both
+        /// behind dependencies and under OR sinks.
         fn arb_schedule() -> impl Strategy<Value = Schedule> {
             (2usize..40).prop_flat_map(|n| {
-                let deps = proptest::collection::vec(
+                let spec = proptest::collection::vec(
                     (
-                        proptest::collection::vec(0usize..n.max(1), 0..4),
+                        0u8..3,
+                        proptest::collection::vec(0usize..n, 0..4),
                         any::<bool>(),
                     ),
                     n,
                 );
-                deps.prop_map(move |spec| {
+                spec.prop_map(move |spec| {
                     let mut b = ScheduleBuilder::new();
                     b.slots(1);
-                    for (i, (ds, or)) in spec.iter().enumerate() {
+                    for (i, (kind, ds, or)) in spec.iter().enumerate() {
+                        let kind = match kind {
+                            0 => OpKind::Nop,
+                            1 => OpKind::Recv {
+                                peer: 0,
+                                sem: i as u32,
+                                into: None,
+                            },
+                            _ => OpKind::InternalGate,
+                        };
                         let valid: Vec<OpId> = ds.iter().copied().filter(|&d| d < i).collect();
                         if *or && !valid.is_empty() {
-                            b.op_or(OpKind::Nop, valid);
+                            b.op_or(kind, valid);
                         } else {
-                            b.op(OpKind::Nop, valid);
+                            b.op(kind, valid);
                         }
                     }
                     b.completion(0);
@@ -319,41 +328,119 @@ mod tests {
             })
         }
 
+        /// Everything one run has seen: what arrived, whether the round
+        /// was activated, which ops were made ready and which fired.
+        struct Run<'s> {
+            s: &'s Schedule,
+            st: DagState,
+            ready: Vec<OpId>,
+            readied: Vec<bool>,
+            arrived: Vec<bool>,
+            activated: bool,
+            fired: Vec<bool>,
+            order: Vec<OpId>,
+        }
+
+        impl Run<'_> {
+            /// Move what the state just pushed onto the ready list; no op
+            /// may be made ready twice.
+            fn admit(&mut self, fresh: Vec<OpId>) {
+                for id in fresh {
+                    assert!(!self.readied[id], "op {id} made ready twice");
+                    self.readied[id] = true;
+                    self.ready.push(id);
+                }
+            }
+
+            fn fire(&mut self, at: usize) {
+                let id = self.ready.swap_remove(at);
+                let op = &self.s.ops[id];
+                let fired = |d: &OpId| self.fired[*d];
+                match op.dep_mode {
+                    DepMode::And => assert!(op.deps.iter().all(fired), "op {id} before an AND dep"),
+                    DepMode::Or => assert!(
+                        op.deps.is_empty() || op.deps.iter().any(fired),
+                        "op {id} before every OR dep"
+                    ),
+                }
+                match op.kind {
+                    OpKind::Recv { .. } => {
+                        assert!(self.arrived[id], "recv {id} before its message")
+                    }
+                    OpKind::InternalGate => assert!(self.activated, "gate {id} before activation"),
+                    _ => {}
+                }
+                self.fired[id] = true;
+                self.order.push(id);
+                let mut fresh = Vec::new();
+                self.st.mark_fired(self.s, id, &mut fresh);
+                self.admit(fresh);
+            }
+
+            fn deliver(&mut self, id: OpId) {
+                let mut fresh = Vec::new();
+                let accepted = self.st.on_message(self.s, id, &mut fresh);
+                assert_eq!(
+                    accepted, !self.arrived[id],
+                    "duplicates, and only they, return false"
+                );
+                self.arrived[id] = true;
+                self.admit(fresh);
+            }
+
+            fn activate(&mut self) {
+                let mut fresh = Vec::new();
+                self.st.on_activate(self.s, &mut fresh);
+                self.activated = true;
+                self.admit(fresh);
+            }
+        }
+
         proptest! {
-            /// Liveness + consumability: on any acyclic NOP DAG, driving to
-            /// quiescence fires every op exactly once, and never fires an
-            /// op before its dependencies are satisfied.
+            /// Liveness + consumability: on any acyclic DAG of NOPs,
+            /// receives and gates, under any interleaving of firings,
+            /// message arrivals (duplicates included) and activations,
+            /// every op fires exactly once, never before its AND
+            /// dependencies, one of its OR dependencies or its trigger.
             #[test]
-            fn all_ops_fire_exactly_once(s in arb_schedule()) {
-                let (mut st, ready) = DagState::new(&s);
-                let order = run_to_quiescence(&s, &mut st, ready);
-                prop_assert_eq!(order.len(), s.ops.len());
-                // Uniqueness.
-                let mut seen = vec![false; s.ops.len()];
-                for &id in &order {
-                    prop_assert!(!seen[id]);
-                    seen[id] = true;
-                }
-                // Dependency order respected.
-                let mut pos = vec![0usize; s.ops.len()];
-                for (k, &id) in order.iter().enumerate() {
-                    pos[id] = k;
-                }
-                for (i, op) in s.ops.iter().enumerate() {
-                    if op.deps.is_empty() { continue; }
-                    match op.dep_mode {
-                        DepMode::And => {
-                            for &d in &op.deps {
-                                prop_assert!(pos[d] < pos[i],
-                                    "AND dep {} must fire before {}", d, i);
-                            }
-                        }
-                        DepMode::Or => {
-                            prop_assert!(op.deps.iter().any(|&d| pos[d] < pos[i]),
-                                "some OR dep of {} must fire before it", i);
-                        }
+            fn all_ops_fire_exactly_once(
+                s in arb_schedule(),
+                script in proptest::collection::vec((0u8..3, any::<usize>()), 0..120),
+            ) {
+                let n = s.ops.len();
+                let recvs: Vec<OpId> = s.recv_route.iter().map(|&(_, op)| op).collect();
+                let mut ready = Vec::new();
+                let st = DagState::new(&s, &mut ready);
+                let mut run = Run {
+                    s: &s,
+                    st,
+                    ready: Vec::new(),
+                    readied: vec![false; n],
+                    arrived: vec![false; n],
+                    activated: false,
+                    fired: vec![false; n],
+                    order: Vec::new(),
+                };
+                run.admit(ready);
+                for &(step, pick) in &script {
+                    match step {
+                        0 if !run.ready.is_empty() => run.fire(pick % run.ready.len()),
+                        1 if !recvs.is_empty() => run.deliver(recvs[pick % recvs.len()]),
+                        2 => run.activate(),
+                        _ => {}
                     }
                 }
+                // Then every trigger, a second activation and a duplicate
+                // of every message included, and fire to quiescence.
+                run.activate();
+                for &r in &recvs {
+                    run.deliver(r);
+                }
+                while !run.ready.is_empty() {
+                    run.fire(run.ready.len() - 1);
+                }
+                prop_assert_eq!(run.order.len(), n);
+                prop_assert!((0..n).all(|id| run.fired[id] && run.st.is_fired(id)));
             }
         }
     }

@@ -16,7 +16,10 @@
 //!    the template's `snapshot`), or at internal activation for schedules
 //!    whose sends wait on the rank's own arrival;
 //! 3. executes operations as their dependencies are satisfied, exactly once
-//!    each (consumable ops);
+//!    each (consumable ops): the round's firing state is a copy of the
+//!    schedule's wait counts ([`Schedule::waits`]) counted down by
+//!    [`DagState`], and an arriving payload lands in the slot its receive
+//!    names at once, read only by ops that wait on that receive;
 //! 4. on completion, hands the result to the template (`complete`), which
 //!    typically overwrites a latest-wins receive buffer.
 //!
@@ -291,10 +294,10 @@ struct Instance {
     dag: DagState,
     /// Slot buffers hold shared payloads: a `SendData` is an `Arc` bump,
     /// a `Combine` mutates copy-on-write (in place once any in-flight
-    /// sharers have drained).
+    /// sharers have drained). A receive's payload lands in its slot on
+    /// arrival, before the receive fires: only ops that wait on the
+    /// receive touch that slot ([`Schedule::validate`]).
     bufs: Vec<Option<Payload>>,
-    /// Payloads that arrived but whose receive op has not fired yet.
-    pending_payloads: HashMap<OpId, Option<Payload>>,
     /// Whether the contribution snapshot has been taken (see
     /// [`SnapshotTiming`]).
     snapshotted: bool,
@@ -354,9 +357,13 @@ struct EngineCore {
     /// the same shapes afresh.
     scratch: Vec<TypedBuf>,
     /// Harvest candidates that were still shared at completion (their
-    /// sender's handle had not drained yet). Retried once, at the next
-    /// completion; a buffer still shared then is dropped.
+    /// sender's handle had not drained yet). Reclaimed by the first event
+    /// after they are let go, or dropped at the next completion if still
+    /// shared then.
     limbo: Vec<Payload>,
+    /// The ready queue, kept between events for its capacity: each event
+    /// pushes the ops it makes ready and [`EngineCore::drive`] runs them.
+    ready: Vec<OpId>,
 }
 
 impl EngineCore {
@@ -372,6 +379,7 @@ impl EngineCore {
             down: HashSet::new(),
             scratch: Vec::new(),
             limbo: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -431,17 +439,13 @@ impl EngineCore {
                 .map(|cs| cs.instances.keys().copied().collect())
                 .unwrap_or_default();
             for round in rounds {
-                let mut to_fire = Vec::new();
-                {
-                    let Some(cs) = self.colls.get_mut(&coll) else {
-                        continue;
-                    };
-                    let Some(inst) = cs.instances.get_mut(&round) else {
-                        continue;
-                    };
-                    synthesize_peer_down(inst, &self.down, &mut to_fire);
-                }
-                self.drive(coll, round, to_fire);
+                let cs = self.colls.get_mut(&coll);
+                let Some(inst) = cs.and_then(|cs| cs.instances.get_mut(&round)) else {
+                    continue;
+                };
+                let mut ready = std::mem::take(&mut self.ready);
+                synthesize_peer_down(inst, &self.down, &mut ready);
+                self.drive(coll, round, ready);
             }
         }
     }
@@ -499,7 +503,7 @@ impl EngineCore {
         let recorder = self.comm_stats.recorder();
         let cid = u64::from(coll.0);
         recorder.record(LEVEL_SPANS, || Ev::RoundDeposit { coll: cid, round });
-        let mut to_fire = Vec::new();
+        let mut ready = std::mem::take(&mut self.ready);
         let inst = cs.instances.entry(round).or_insert_with(|| {
             EngineStats::bump(&self.stats.internal_activations);
             recorder.record(LEVEL_SPANS, || Ev::RoundOpen { coll: cid, round });
@@ -508,7 +512,7 @@ impl EngineCore {
                 round,
                 external: false,
             });
-            new_instance(&*cs.template, round, false, now, &mut to_fire)
+            new_instance(&*cs.template, round, false, now, &mut ready)
         });
         // Activation-timed snapshot: fill the contribution now, before any
         // gate-dependent send can fire.
@@ -516,9 +520,9 @@ impl EngineCore {
             inst.bufs[CONTRIB_SLOT] = Some(cs.template.snapshot(round));
             inst.snapshotted = true;
         }
-        to_fire.extend(inst.dag.on_activate(&inst.sched));
-        synthesize_peer_down(inst, &self.down, &mut to_fire);
-        self.drive(coll, round, to_fire);
+        inst.dag.on_activate(&inst.sched, &mut ready);
+        synthesize_peer_down(inst, &self.down, &mut ready);
+        self.drive(coll, round, ready);
     }
 
     /// Deliver one matched message to the core (external activation if the
@@ -546,7 +550,7 @@ impl EngineCore {
         }
         let now = self.comm.clock().now();
         let recorder = self.comm_stats.recorder();
-        let mut to_fire = Vec::new();
+        let mut ready = std::mem::take(&mut self.ready);
         let inst = cs.instances.entry(round).or_insert_with(|| {
             EngineStats::bump(&self.stats.external_activations);
             let cid = u64::from(coll.0);
@@ -556,26 +560,28 @@ impl EngineCore {
                 round,
                 external: true,
             });
-            new_instance(&*cs.template, round, true, now, &mut to_fire)
+            new_instance(&*cs.template, round, true, now, &mut ready)
         });
         match inst.sched.recv_op(msg.src, msg.tag.sem) {
             Some(op) => {
-                if inst.dag.is_fired(op) || inst.pending_payloads.contains_key(&op) {
+                if !inst.dag.on_message(&inst.sched, op, &mut ready) {
                     EngineStats::bump(&self.stats.dropped_dup);
-                } else {
-                    inst.pending_payloads.insert(op, msg.payload);
-                    if inst.dag.on_message(&inst.sched, op) {
-                        to_fire.push(op);
-                    }
+                } else if let OpKind::Recv {
+                    into: Some(slot), ..
+                } = inst.sched.ops[op].kind
+                {
+                    inst.bufs[slot] = msg.payload;
                 }
             }
             None => EngineStats::bump(&self.stats.dropped_unmatched),
         }
-        synthesize_peer_down(inst, &self.down, &mut to_fire);
-        self.drive(coll, round, to_fire);
+        synthesize_peer_down(inst, &self.down, &mut ready);
+        self.drive(coll, round, ready);
     }
 
-    /// Execute fireable ops to quiescence, then handle completion/GC.
+    /// Execute the ready ops in `queue` and those they make ready, last
+    /// pushed first, then handle completion/GC; the emptied queue is kept
+    /// for the next event.
     fn drive(&mut self, coll: CollId, round: u64, mut queue: Vec<OpId>) {
         let cs = self.colls.get_mut(&coll).expect("driven coll exists");
         let CollState {
@@ -588,6 +594,10 @@ impl EngineCore {
         // Disjoint field borrows: the op loop mutates the driven instance
         // *and* draws recycled buffers from the engine's pool.
         let scratch = &mut self.scratch;
+        // A parked buffer whose sharers have let go since is as good as a
+        // harvested one: reclaim it before this event's ops draw from the
+        // pool, not only at the next completion, which comes after them.
+        reclaim(&mut self.limbo, scratch);
         let inst = instances.get_mut(&round).expect("driven instance exists");
         while let Some(id) = queue.pop() {
             let kind = inst.sched.ops[id].kind.clone();
@@ -616,15 +626,6 @@ impl EngineCore {
                 OpKind::SendCtl { peer, sem } => {
                     self.comm.send(peer, WireTag::new(coll, round, sem), None);
                 }
-                OpKind::Recv { into, .. } => {
-                    let payload = inst
-                        .pending_payloads
-                        .remove(&id)
-                        .expect("recv fired without payload");
-                    if let (Some(slot), Some(buf)) = (into, payload) {
-                        inst.bufs[slot] = Some(buf);
-                    }
-                }
                 OpKind::Combine { op, src, dst } => {
                     // Null tolerance: an empty source (a dead peer's
                     // never-sent contribution) folds in as the identity —
@@ -651,9 +652,6 @@ impl EngineCore {
                         }
                     }
                 }
-                OpKind::Copy { src, dst } => {
-                    inst.bufs[dst] = inst.bufs[src].clone();
-                }
                 OpKind::SliceView {
                     src,
                     dst,
@@ -676,7 +674,7 @@ impl EngineCore {
                     // absent; eviction rebuilds schedules over the live
                     // set within a bounded number of rounds).
                     let Some(s) = inst.bufs[src].take() else {
-                        queue.extend(inst.dag.mark_fired(&inst.sched, id));
+                        inst.dag.mark_fired(&inst.sched, id, &mut queue);
                         continue;
                     };
                     if inst.bufs[dst].is_none() {
@@ -698,7 +696,8 @@ impl EngineCore {
                         d.to_mut().scale(factor);
                     }
                 }
-                OpKind::Nop | OpKind::InternalGate => {}
+                // A receive's payload landed on arrival.
+                OpKind::Recv { .. } | OpKind::Nop | OpKind::InternalGate => {}
             }
             if let Some(t0) = op_t0 {
                 let dur_ns = self.comm.clock().now().duration_since(t0).as_nanos() as u64;
@@ -711,7 +710,7 @@ impl EngineCore {
                         dur_ns,
                     });
             }
-            queue.extend(inst.dag.mark_fired(&inst.sched, id));
+            inst.dag.mark_fired(&inst.sched, id, &mut queue);
         }
 
         if inst.dag.is_fired(inst.sched.completion) {
@@ -749,6 +748,24 @@ impl EngineCore {
             harvest_instance(inst, scratch, &mut self.limbo);
             collect_garbage(instances, completed_rounds, *latest_completed, gc_floor);
         }
+        self.ready = queue;
+    }
+}
+
+/// Keep `buf` in the pool unless it holds `SHAPE_CAP` of its shape.
+fn retain(scratch: &mut Vec<TypedBuf>, buf: TypedBuf) {
+    let same_shape = |b: &&TypedBuf| b.dtype() == buf.dtype() && b.len() == buf.len();
+    if scratch.iter().filter(same_shape).count() < SHAPE_CAP {
+        scratch.push(buf);
+    }
+}
+
+/// Move the parked buffers nobody else holds any more into the pool.
+fn reclaim(limbo: &mut Vec<Payload>, scratch: &mut Vec<TypedBuf>) {
+    for p in limbo.extract_if(.., |p| p.ref_count() == 1) {
+        if let Ok(buf) = p.try_into_buf() {
+            retain(scratch, buf);
+        }
     }
 }
 
@@ -757,28 +774,22 @@ impl EngineCore {
 /// A buffer is harvestable once it is uniquely owned (no in-flight send
 /// or peer still shares it). Buffers still shared at completion — the
 /// contribution while a peer still views its chunks, a chunk the
-/// allgather forwarded — are parked in `limbo` and retried once, at the
-/// next completion; one shared even then is let go (its last holder
-/// harvests it), so two ranks' limbos never pin each other's buffers.
-/// This closes the loop: a round draws one buffer per copy-on-write
-/// combine plus the assembly buffer and returns as many here, so steady
-/// state allocates zero tensor-sized buffers.
+/// allgather forwarded — are parked in `limbo`, reclaimed by the first
+/// event after their sharers let go ([`reclaim`]) and retried a last time
+/// at the next completion; one shared even then is let go, so two ranks'
+/// limbos never pin each other's buffers. This closes the loop: a round
+/// draws one buffer per copy-on-write combine plus the assembly buffer
+/// and returns as many here, so steady state allocates zero tensor-sized
+/// buffers.
 fn harvest_instance(inst: Instance, scratch: &mut Vec<TypedBuf>, limbo: &mut Vec<Payload>) {
-    let mut retain = |buf: TypedBuf| {
-        let same_shape = |b: &&TypedBuf| b.dtype() == buf.dtype() && b.len() == buf.len();
-        if scratch.iter().filter(same_shape).count() < SHAPE_CAP {
-            scratch.push(buf);
-        }
-    };
-    for p in std::mem::take(limbo) {
+    for p in limbo.drain(..) {
         if let Ok(buf) = p.try_into_buf() {
-            retain(buf);
+            retain(scratch, buf);
         }
     }
-    let bufs = inst.bufs.into_iter().flatten();
-    for p in bufs.chain(inst.pending_payloads.into_values().flatten()) {
+    for p in inst.bufs.into_iter().flatten() {
         match p.try_into_buf() {
-            Ok(buf) => retain(buf),
+            Ok(buf) => retain(scratch, buf),
             Err(p) => {
                 if !p.is_wire() && !p.is_view() && limbo.len() < LIMBO_CAP {
                     limbo.push(p);
@@ -814,26 +825,17 @@ fn collect_garbage(
     completed_rounds.retain(|&r| r >= f);
 }
 
-/// Fire every still-pending receive from a dead peer with a null payload
-/// (the message that will never come). Idempotent: already-fired and
-/// already-pending receives are left alone, so calling this on every
+/// Deliver a null payload (the message that will never come) to every
+/// receive from a dead peer whose message has not arrived. Idempotent:
+/// the DAG absorbs arrivals it already has, so calling this on every
 /// activation/message is safe; with an empty down set it costs one check.
-fn synthesize_peer_down(inst: &mut Instance, down: &HashSet<Rank>, to_fire: &mut Vec<OpId>) {
+fn synthesize_peer_down(inst: &mut Instance, down: &HashSet<Rank>, ready: &mut Vec<OpId>) {
     if down.is_empty() {
         return;
     }
-    let Instance {
-        sched,
-        dag,
-        pending_payloads,
-        ..
-    } = inst;
-    for &((peer, _sem), op) in &sched.recv_route {
-        if down.contains(&peer) && !dag.is_fired(op) && !pending_payloads.contains_key(&op) {
-            pending_payloads.insert(op, None);
-            if dag.on_message(sched, op) {
-                to_fire.push(op);
-            }
+    for &((peer, _sem), op) in &inst.sched.recv_route {
+        if down.contains(&peer) {
+            inst.dag.on_message(&inst.sched, op, ready);
         }
     }
 }
@@ -843,21 +845,19 @@ fn new_instance(
     round: u64,
     external: bool,
     now: TimePoint,
-    to_fire: &mut Vec<OpId>,
+    ready: &mut Vec<OpId>,
 ) -> Instance {
     let sched = template.build(round);
-    let (dag, ready) = DagState::new(&sched);
+    let dag = DagState::new(&sched, ready);
     let mut bufs = vec![None; sched.nslots];
     let snapshotted = sched.snapshot_at == SnapshotTiming::Creation;
     if snapshotted {
         bufs[CONTRIB_SLOT] = Some(template.snapshot(round));
     }
-    to_fire.extend(ready);
     Instance {
         sched,
         dag,
         bufs,
-        pending_payloads: HashMap::new(),
         snapshotted,
         created: now,
         external,
@@ -1415,7 +1415,9 @@ mod tests {
     /// Retention is per shape. After 500 ring rounds every pool still
     /// holds a tensor-sized buffer — the contribution one round frees is
     /// the assembly buffer a later one draws — and no shape has outgrown
-    /// its bound.
+    /// its bound. The last round's contribution is still parked when the
+    /// run ends (peers viewed its chunks at its completion); the next
+    /// event would reclaim it, as the census does here.
     #[test]
     fn pool_retains_every_shape_within_its_bound_over_500_ring_rounds() {
         use pcoll_comm::{SimOpts, SimWorld, WorldConfig};
@@ -1449,7 +1451,9 @@ mod tests {
             }
         }
         for (rank, engine) in engines.iter().enumerate() {
-            let core = engine.core.lock();
+            let mut core = engine.core.lock();
+            let EngineCore { limbo, scratch, .. } = &mut *core;
+            reclaim(limbo, scratch);
             let mut census: HashMap<usize, usize> = HashMap::new();
             for buf in &core.scratch {
                 *census.entry(buf.len()).or_default() += 1;

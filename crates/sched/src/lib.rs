@@ -21,14 +21,17 @@
 //! - **Persistent schedules**: a registered [`CollectiveTemplate`] is
 //!   instantiated on demand for every round, "transparently replicating
 //!   itself once executed" (§4.1.1, "Persistent schedules"); rounds that
-//!   plan alike share one immutable [`Schedule`], and an instance holds
-//!   only what its round mutates.
+//!   plan alike share one immutable [`Schedule`] — ops, reverse edges,
+//!   receive routing and each op's wait count, all built once — and an
+//!   instance holds only what its round mutates: its slot buffers and a
+//!   countdown copied from those wait counts.
 //! - **Latest-wins receive buffer**: completion results are delivered to
 //!   the template, which (in `pcoll`) overwrites the receive buffer so it
 //!   "always contains the value of the latest execution".
 //!
 //! The pure dependency-firing state machine lives in [`dag`] and is
-//! property-tested in isolation; [`engine`] adds buffers, matching, and the
+//! property-tested in isolation, under random interleavings of firings,
+//! message arrivals and activations; [`engine`] adds buffers, matching, and the
 //! progress thread (or, under the simulator, the event loop's
 //! [`Engine::progress`] calls).
 

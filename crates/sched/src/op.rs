@@ -48,8 +48,6 @@ pub enum OpKind {
     },
     /// Elementwise `bufs[dst] = bufs[dst] ⊕ bufs[src]`.
     Combine { op: ReduceOp, src: Slot, dst: Slot },
-    /// `bufs[dst] = bufs[src].clone()`.
-    Copy { src: Slot, dst: Slot },
     /// `bufs[dst] = zero-copy view of bufs[src][start .. start + len]` —
     /// the chunk extraction of a segmented schedule. A reduction into the
     /// viewed chunk materializes it with one fused `out = a ⊕ b` pass
@@ -96,12 +94,25 @@ impl OpKind {
             OpKind::SendCtl { .. } => "SendCtl",
             OpKind::Recv { .. } => "Recv",
             OpKind::Combine { .. } => "Combine",
-            OpKind::Copy { .. } => "Copy",
             OpKind::SliceView { .. } => "SliceView",
             OpKind::CopyAt { .. } => "CopyAt",
             OpKind::Scale { .. } => "Scale",
             OpKind::Nop => "Nop",
             OpKind::InternalGate => "InternalGate",
+        }
+    }
+
+    /// The slot this op only reads and the slot it writes (`Combine`,
+    /// `CopyAt` and `Scale` also read the one they write).
+    fn slots(&self) -> (Option<Slot>, Option<Slot>) {
+        match *self {
+            OpKind::SendData { src, .. } => (Some(src), None),
+            OpKind::Recv { into, .. } => (None, into),
+            OpKind::Combine { src, dst, .. }
+            | OpKind::SliceView { src, dst, .. }
+            | OpKind::CopyAt { src, dst, .. } => (Some(src), Some(dst)),
+            OpKind::Scale { slot, .. } => (None, Some(slot)),
+            OpKind::SendCtl { .. } | OpKind::Nop | OpKind::InternalGate => (None, None),
         }
     }
 }
@@ -142,6 +153,11 @@ pub struct Schedule {
     /// Reverse edges, precomputed: `dependents[i]` lists ops that depend
     /// on op `i`.
     pub dependents: Vec<Vec<OpId>>,
+    /// The events each op waits for before it can fire: one per AND
+    /// dependency, one for the first of its OR dependencies, one for a
+    /// receive's message and one for an internal gate's activation. A
+    /// round copies these and counts them down ([`crate::DagState`]).
+    pub waits: Vec<u32>,
     /// Number of buffer slots the instance arena must hold.
     pub nslots: usize,
     /// The op whose firing marks the collective complete on this rank.
@@ -160,6 +176,13 @@ pub struct Schedule {
 impl Schedule {
     /// Sanity-check structural invariants; called by the builder and
     /// available to tests/property checks.
+    ///
+    /// Besides slot ranges, dependencies and acyclicity this checks the
+    /// contract that lets the engine land an arriving payload in its
+    /// receive's slot before the receive fires: that slot is filled by
+    /// the receive alone (not the snapshot's slot 0, not a second op), and
+    /// every other op that touches it waits on the receive as an AND
+    /// dependency.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.ops.len();
         if self.completion >= n {
@@ -168,40 +191,41 @@ impl Schedule {
                 self.completion
             ));
         }
+        let mut filled_by: Vec<Option<OpId>> = vec![None; self.nslots];
         for (i, op) in self.ops.iter().enumerate() {
-            for &d in &op.deps {
-                if d >= n {
-                    return Err(format!("op {i} depends on out-of-range op {d}"));
-                }
+            if let Some(d) = op.deps.iter().find(|&&d| d >= n) {
+                return Err(format!("op {i} depends on out-of-range op {d}"));
             }
-            let slot_ok = |s: Slot| s < self.nslots;
-            match &op.kind {
-                OpKind::SendData { src, .. } if !slot_ok(*src) => {
-                    return Err(format!("op {i} sends from bad slot {src}"));
+            let (src, dst) = op.kind.slots();
+            if let Some(s) = src.into_iter().chain(dst).find(|&s| s >= self.nslots) {
+                return Err(format!("op {i} uses bad slot {s}"));
+            }
+            if src.is_some() && src == dst {
+                return Err(format!("op {i} combines a slot with itself"));
+            }
+            if let OpKind::Recv { into: Some(s), .. } = op.kind {
+                if s == CONTRIB_SLOT {
+                    return Err(format!("op {i} receives into the contribution slot"));
                 }
-                OpKind::Recv { into: Some(s), .. } if !slot_ok(*s) => {
-                    return Err(format!("op {i} receives into bad slot {s}"));
+                filled_by[s] = Some(i);
+            }
+        }
+        for (i, op) in self.ops.iter().enumerate() {
+            let (src, dst) = op.kind.slots();
+            for s in src.into_iter().chain(dst) {
+                let Some(recv) = filled_by[s].filter(|&r| r != i) else {
+                    continue;
+                };
+                if dst == Some(s) {
+                    return Err(format!(
+                        "op {i} fills slot {s}, which op {recv} receives into"
+                    ));
                 }
-                OpKind::Scale { slot, .. } if !slot_ok(*slot) => {
-                    return Err(format!("op {i} scales bad slot {slot}"));
+                if op.dep_mode != DepMode::And || !op.deps.contains(&recv) {
+                    return Err(format!(
+                        "op {i} reads slot {s} without waiting on its receive, op {recv}"
+                    ));
                 }
-                OpKind::Combine { src, dst, .. } | OpKind::Copy { src, dst } => {
-                    if !slot_ok(*src) || !slot_ok(*dst) {
-                        return Err(format!("op {i} uses bad slots {src}/{dst}"));
-                    }
-                    if src == dst {
-                        return Err(format!("op {i} combines a slot with itself"));
-                    }
-                }
-                OpKind::SliceView { src, dst, .. } | OpKind::CopyAt { src, dst, .. } => {
-                    if !slot_ok(*src) || !slot_ok(*dst) {
-                        return Err(format!("op {i} uses bad slots {src}/{dst}"));
-                    }
-                    if src == dst {
-                        return Err(format!("op {i} slices a slot onto itself"));
-                    }
-                }
-                _ => {}
             }
         }
         // Cycle check via Kahn's algorithm on dependency edges.
@@ -332,7 +356,7 @@ impl ScheduleBuilder {
         self
     }
 
-    /// Finalize: compute reverse edges and validate.
+    /// Finalize: compute reverse edges and wait counts, and validate.
     pub fn build(self) -> Schedule {
         let mut dependents = vec![Vec::new(); self.ops.len()];
         for (i, op) in self.ops.iter().enumerate() {
@@ -340,7 +364,16 @@ impl ScheduleBuilder {
                 dependents[d].push(i);
             }
         }
+        let waits = self.ops.iter().map(|op| {
+            let deps = match op.dep_mode {
+                DepMode::And => op.deps.len(),
+                DepMode::Or => usize::from(!op.deps.is_empty()),
+            };
+            let trigger = matches!(op.kind, OpKind::Recv { .. } | OpKind::InternalGate);
+            (deps + usize::from(trigger)) as u32
+        });
         let mut sched = Schedule {
+            waits: waits.collect(),
             dependents,
             nslots: self.nslots,
             completion: self.completion.expect("schedule needs a completion op"),
@@ -441,6 +474,46 @@ mod tests {
         );
         b.completion(c);
         let _ = b.build();
+    }
+
+    /// A receive into slot 1, then `kind` with the dependencies `deps`
+    /// gives for that receive.
+    fn touch_a_receive_slot(kind: OpKind, deps: fn(OpId) -> Vec<OpId>) -> Schedule {
+        let mut b = ScheduleBuilder::new();
+        b.slots(2);
+        let recv = b.op(
+            OpKind::Recv {
+                peer: 1,
+                sem: 0,
+                into: Some(1),
+            },
+            vec![],
+        );
+        let touch = b.op(kind, deps(recv));
+        b.completion(touch);
+        b.build()
+    }
+
+    #[test]
+    #[should_panic(expected = "fills slot 1, which op 0 receives into")]
+    fn a_combine_into_a_receive_slot_is_rejected() {
+        let sum = OpKind::Combine {
+            op: ReduceOp::Sum,
+            src: 0,
+            dst: 1,
+        };
+        touch_a_receive_slot(sum, |recv| vec![recv]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads slot 1 without waiting on its receive")]
+    fn a_reader_that_does_not_wait_on_the_receive_is_rejected() {
+        let send = OpKind::SendData {
+            peer: 1,
+            sem: 0,
+            src: 1,
+        };
+        touch_a_receive_slot(send, |_| vec![]);
     }
 
     #[test]
