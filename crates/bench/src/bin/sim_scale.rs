@@ -30,7 +30,7 @@ use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec};
 use pcoll_comm::WorldConfig;
 use pcoll_tune::spectrum;
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::{tune_spec, wan_spec, TUNE_PERIOD, TUNE_SKEW_MS, TUNE_STRAGGLERS};
+use repro_bench::wan::{switches, tune_spec, wan_spec, TUNE_PERIOD, TUNE_SKEW_MS, TUNE_STRAGGLERS};
 use repro_bench::HarnessArgs;
 use std::time::Duration;
 
@@ -170,10 +170,17 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     let report = SimHarness::run(tune_spec(p, rounds, args.seed));
     *events_total += report.events;
 
+    // Every rank decides alone, from the same summed stats.
+    let decisions = &report.decisions[0];
+    c.check(
+        "tuners-agree",
+        report.decisions.iter().all(|d| d == decisions),
+        &format!("{} decisions on each of {p} ranks", decisions.len()),
+    );
     // Decision i closes the window [i·period, (i+1)·period), which ran
     // under the previous decision's policy.
     let mut final_policy = QuorumPolicy::Full;
-    for (i, d) in report.decisions.iter().enumerate() {
+    for (i, d) in decisions.iter().enumerate() {
         let from = i as u64 * TUNE_PERIOD;
         comment(&format!(
             "window [{from:>3}, {:>3}) {final_policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {:>7.2}",
@@ -184,7 +191,8 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
         ));
         final_policy = d.policy;
     }
-    for (from, to) in &report.switches {
+    let switches = switches(decisions);
+    for (from, to) in &switches {
         comment(&format!("switch at round {from}: -> {to}"));
     }
     let final_idx = arms
@@ -193,19 +201,16 @@ fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
         .expect("controller stays on its arm set");
     comment(&format!(
         "final policy {final_policy} (arm {final_idx}/{full_idx}), {} switches, mean NAP {:.2}",
-        report.switches.len(),
+        switches.len(),
         report.mean_nap
     ));
 
     c.check(
         "controller-leaves-full",
-        !report.switches.is_empty() && final_idx < full_idx,
-        &format!(
-            "{} switches, settled on {final_policy}",
-            report.switches.len()
-        ),
+        !switches.is_empty() && final_idx < full_idx,
+        &format!("{} switches, settled on {final_policy}", switches.len()),
     );
-    let rewards: Vec<f64> = report.decisions.iter().map(|d| d.reward).collect();
+    let rewards: Vec<f64> = decisions.iter().map(|d| d.reward).collect();
     let first = rewards.first().copied().unwrap_or(0.0);
     let last = rewards.last().copied().unwrap_or(0.0);
     c.check(

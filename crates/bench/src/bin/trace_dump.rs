@@ -23,7 +23,7 @@
 use pcoll::SimHarness;
 use pcoll_obs::{fnv1a, validate_perfetto, EventKind, TraceEvent, LEVEL_VERBOSE};
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::tune_spec;
+use repro_bench::wan::{switches, tune_spec};
 use repro_bench::HarnessArgs;
 
 /// Per-rank ring capacity: large enough that a full run never overwrites
@@ -53,7 +53,7 @@ fn traced_run(
         }
     }
     let json = pcoll_obs::perfetto_trace(&events);
-    (events, json, report.switches.len())
+    (events, json, switches(&report.decisions[0]).len())
 }
 
 fn main() {

@@ -2,7 +2,7 @@
 //! runs it for determinism and closed-loop control, `trace_dump` runs the
 //! same closed loop with the flight recorder on.
 
-use pcoll::{Hiccup, Pacing, QuorumPolicy, SimSpec, StepSetup};
+use pcoll::{Hiccup, Pacing, QuorumDecision, QuorumPolicy, SimSpec, StepSetup};
 use pcoll_comm::{NetworkModel, Planet, SimOpts, WorldConfig};
 use pcoll_tune::{adaptive_setup, AdaptiveTunerCfg, ControllerKind};
 use std::time::Duration;
@@ -59,6 +59,16 @@ pub const TUNE_STRAGGLERS: Hiccup = Hiccup {
 
 /// The closed loop's decision period, in rounds.
 pub const TUNE_PERIOD: u64 = 8;
+
+/// The policy changes in one rank's `decisions` of the closed-loop
+/// scenario, which starts at `Full`, as `(from_round, to)`.
+pub fn switches(decisions: &[QuorumDecision]) -> Vec<(u64, QuorumPolicy)> {
+    let before = std::iter::once(QuorumPolicy::Full).chain(decisions.iter().map(|d| d.policy));
+    (decisions.iter().zip(before))
+        .filter(|(d, before)| d.policy != *before)
+        .map(|(d, _)| (d.from_round, d.policy))
+        .collect()
+}
 
 /// The closed-loop scenario: [`wan_spec`] under `Full` with
 /// [`TUNE_SKEW_MS`] and [`TUNE_STRAGGLERS`], tuned by the trainer's

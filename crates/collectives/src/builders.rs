@@ -456,12 +456,14 @@ pub fn segmented_allreduce_schedule(
         // byte memcpy of the undecoded frame over TCP) and assembling
         // the result slot in place. Its buffer comes from the scratch
         // pool *uninitialized* — sound because the CopyAt writes across
-        // all segments tile every element of the tensor.
+        // all segments tile every element of the tensor (a null chunk
+        // writes zeros).
         let mut seg_finals = vec![b.op(
             OpKind::CopyAt {
                 src: chunk_slot(own_chunk),
                 dst: result,
                 dst_start: chunk_lo(own_chunk),
+                len: chunk_len(own_chunk),
                 dst_len: n_elems,
             },
             vec![reduced],
@@ -496,6 +498,7 @@ pub fn segmented_allreduce_schedule(
                     src: ag_scratch(s),
                     dst: result,
                     dst_start: chunk_lo(recv_chunk),
+                    len: chunk_len(recv_chunk),
                     dst_len: n_elems,
                 },
                 // Assembly targets its own slot, so no ordering against

@@ -896,9 +896,9 @@ impl PartialAllreduce {
     /// (otherwise a fast peer could drag a slow rank into a round whose
     /// schedule the slow rank would still build from the old rules). A
     /// barrier between the change and the next `allreduce` call provides
-    /// exactly this ordering — the adaptive trainer does allreduce(stats)
-    /// → decide → `set_policy_from` → barrier, the simulation harness
-    /// applies changes at one virtual instant.
+    /// exactly this ordering — the adaptive trainer and the simulation
+    /// harness both do allreduce(stats) → decide → `set_policy_from` →
+    /// barrier.
     pub fn set_policy_from(&self, from_round: u64, policy: QuorumPolicy) {
         self.amend(from_round, |r| r.policy = policy);
     }

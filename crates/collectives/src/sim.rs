@@ -29,14 +29,13 @@
 //!   [`StepSetup::fixed`] is the model-free step; `eager_sgd::run_sim`
 //!   runs the trainer's.
 //!
-//! With [`SimSpec::tuner`] set, every rank runs the trainer's
-//! [`QuorumTuner`] protocol on the virtual clock. Every `period()` rounds
-//! on the slowest live rank, the live ranks' stats are summed, every live
-//! rank decides, the decisions must agree, and the policy is applied on
-//! every timeline at one safe round (one virtual event, `from_round =
-//! max` over ranks of the next round) — the simulator's version of the
-//! trainer's decide→fence consensus protocol. The trainer's weight sync
-//! is one virtual event too: see [`RankStep::outcome`].
+//! Every rank registers `RankCtx`'s and `eager_sgd::run_rank`'s
+//! collectives at their SPMD ids: the barrier (0), the gradient (1), the
+//! weight sync (2) and, with [`SimSpec::tuner`], the tuner's consensus
+//! (3). A closed-loop rank waits on a fence as on a gradient round, over
+//! the modelled network ([`RankStep::outcome`]), and a tuned rank runs the
+//! trainer's boundary every `period()` rounds: stats → consensus allreduce
+//! → decide → apply from its next round → barrier.
 
 use crate::partial::{
     AllreduceOutcome, PartialAllreduce, PartialOpts, QuorumPolicy, RoundCounters, RoundEvent,
@@ -44,7 +43,8 @@ use crate::partial::{
 };
 use crate::tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};
 use pcoll_comm::{
-    DType, Inbox, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint, TypedBuf, WorldConfig,
+    CollId, DType, Inbox, Payload, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint,
+    TypedBuf, WorldConfig,
 };
 use pcoll_obs::{perfetto_trace, EventKind, TraceEvent, LEVEL_SPANS};
 use pcoll_sched::Engine;
@@ -81,20 +81,20 @@ pub trait RankStep: Send {
     /// the deposit instant ([`PartialAllreduce::deposit_fill`]).
     fn fill(&mut self, round: u64, send: &mut TypedBuf);
 
-    /// What the rank's wait ended on. `Some(buffer)` parks it at a fence
-    /// (an empty buffer: a bare barrier). Once every live rank has parked,
-    /// the harness averages their buffers in rank order and releases each
-    /// with [`Outcome::Fence`] at that instant — the stand-in for the
-    /// trainer's blocking weight sync. `None`: compute, then deposit.
+    /// What the rank's wait ended on. `Some(buffer)` enters a fence: the
+    /// weight sync with a non-empty buffer, the barrier with an empty one;
+    /// the allreduce's result comes back as [`Outcome::Fence`]. `None`:
+    /// compute, then deposit the next round.
     fn outcome(&mut self, outcome: Outcome<'_>) -> Option<TypedBuf>;
 }
 
 /// What a closed-loop rank's wait ended on (see [`RankStep::outcome`]).
 pub enum Outcome<'a> {
-    /// The latest-wins outcome of the round the rank deposited.
+    /// The latest-wins outcome of the gradient round the rank deposited.
     Round(&'a AllreduceOutcome),
-    /// The fence the rank parked at opened, with the parked buffers' average.
-    Fence(&'a TypedBuf),
+    /// The fence the rank entered completed: the weight sync's average, or
+    /// the barrier's empty result.
+    Fence(&'a AllreduceOutcome),
 }
 
 /// The per-rank [`RankStep`] factory, [`Pacing::SelfPaced`]'s payload.
@@ -223,11 +223,10 @@ pub struct SimReport {
     pub nap_per_round: Vec<u32>,
     /// Mean of `nap_per_round`.
     pub mean_nap: f64,
-    /// Policy changes the tuner applied, as `(from_round, to)`.
-    pub switches: Vec<(u64, QuorumPolicy)>,
-    /// Every tuner boundary's agreed decision; its `step` is the last
-    /// round of the window it closes. Empty without [`SimSpec::tuner`].
-    pub decisions: Vec<QuorumDecision>,
+    /// Every rank's tuner decisions, in rank order; a decision's `step`
+    /// is the last round of the window it closes. Empty lists without
+    /// [`SimSpec::tuner`].
+    pub decisions: Vec<Vec<QuorumDecision>>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
     /// that fence)` — empty unless the spec scripts
     /// [`pcoll_comm::Fault::Kill`]s.
@@ -278,20 +277,27 @@ pub fn mean_nap(nap_per_round: &[u32], from: usize, to: usize) -> f64 {
     s as f64 / (to - from) as f64
 }
 
+/// A simulated rank's collectives, indexed by the SPMD id `RankCtx` and
+/// `eager_sgd::run_rank` give them.
+const BARRIER: usize = 0;
+const GRADIENT: usize = 1;
+const WEIGHT_SYNC: usize = 2;
+const CONSENSUS: usize = 3;
+
 struct SimRank {
     engine: Engine,
     inbox: Inbox,
-    ar: PartialAllreduce,
+    /// Indexed by [`BARRIER`], [`GRADIENT`], [`WEIGHT_SYNC`], [`CONSENSUS`].
+    colls: Vec<PartialAllreduce>,
     log: Arc<RoundLog>,
-    /// Rounds deposited so far (== `ar.rounds()`).
-    deposited: u64,
-    /// The round this rank has deposited and not yet seen an outcome for
-    /// (a self-paced rank is blocked on it).
-    waiting: Option<u64>,
-    /// When `waiting`'s deposit happened.
+    /// The collective and round this rank deposited and has not yet seen
+    /// an outcome for (a self-paced rank is blocked on it).
+    waiting: Option<(usize, u64)>,
+    /// When the gradient round it waits on was deposited.
     deposited_at: TimePoint,
-    /// The buffer a closed-loop rank parked at a fence with.
-    parked: Option<TypedBuf>,
+    /// The gradient outcome a tuner boundary holds until its barrier opens.
+    held: Option<AllreduceOutcome>,
+    decisions: Vec<QuorumDecision>,
     /// Head of the latest outcome seen.
     last_result: f32,
     /// See [`SimReport::call_latency`].
@@ -308,12 +314,6 @@ pub struct SimHarness {
     tuners: Vec<Box<dyn QuorumTuner>>,
     /// One step per rank.
     steps: Vec<Box<dyn RankStep>>,
-    switches: Vec<(u64, QuorumPolicy)>,
-    decisions: Vec<QuorumDecision>,
-    /// The policy in force (changed only by the tuner).
-    policy: QuorumPolicy,
-    /// The last tuner boundary, in rounds.
-    boundary: u64,
     /// Whether the fault plan is non-empty: every fault changes membership
     /// (gates the per-event death scan so fault-free runs pay nothing).
     chaos: bool,
@@ -326,12 +326,16 @@ pub struct SimHarness {
 }
 
 impl SimHarness {
-    /// Build the world and register one partial allreduce per rank.
+    /// Build the world and register every rank's collectives.
     pub fn new(spec: SimSpec) -> SimHarness {
         let p = spec.world.nranks;
         assert!(
             spec.partial.observer.is_none(),
             "the harness wires its own observer"
+        );
+        assert!(
+            spec.tuner.is_none() || matches!(spec.pacing, Pacing::SelfPaced(_)),
+            "a tuner's boundary blocks its rank: it needs self-paced ranks"
         );
         let seed = spec.world.seed;
         let mut sim = SimWorld::new(spec.world.clone(), spec.opts.clone());
@@ -355,31 +359,42 @@ impl SimHarness {
         for rank in 0..p {
             let engine = Engine::new(sim.comm(rank));
             let log = Arc::new(RoundLog::default());
-            let ar = PartialAllreduce::register(
-                engine.clone(),
-                pcoll_comm::CollId(1),
-                rank,
-                p,
-                (0..p).collect(),
-                seed,
-                DType::F32,
-                spec.len,
-                ReduceOp::Sum,
-                policy,
-                PartialOpts {
-                    observer: Some(log.clone()),
-                    ..spec.partial.clone()
-                },
-            );
+            let register = |coll: usize, len, policy, opts| {
+                let live = (0..p).collect();
+                let (id, f32, sum) = (CollId(coll as u32), DType::F32, ReduceOp::Sum);
+                let e = engine.clone();
+                PartialAllreduce::register(e, id, rank, p, live, seed, f32, len, sum, policy, opts)
+            };
+            let mut gradient = spec.partial.clone();
+            gradient.observer = Some(log.clone());
+            let scale = Some(1.0 / p as f64);
+            let average = PartialOpts {
+                scale,
+                ..PartialOpts::default()
+            };
+            let full = QuorumPolicy::Full;
+            let mut colls = vec![
+                register(BARRIER, 0, full, PartialOpts::default()),
+                register(GRADIENT, spec.len, policy, gradient),
+                register(WEIGHT_SYNC, spec.len, full, average),
+            ];
+            if let Some(t) = tuners.get(rank) {
+                colls.push(register(
+                    CONSENSUS,
+                    t.stats_len(),
+                    full,
+                    PartialOpts::default(),
+                ));
+            }
             ranks.push(SimRank {
                 engine,
                 inbox: sim.take_inbox(rank),
-                ar,
+                colls,
                 log,
-                deposited: 0,
                 waiting: None,
                 deposited_at: TimePoint::ZERO,
-                parked: None,
+                held: None,
+                decisions: Vec::new(),
                 last_result: 0.0,
                 call_latency: vec![None; spec.rounds as usize],
             });
@@ -391,10 +406,6 @@ impl SimHarness {
             ranks,
             tuners,
             steps,
-            switches: Vec::new(),
-            decisions: Vec::new(),
-            policy,
-            boundary: 0,
             chaos,
             evicted: vec![false; p],
             evictions: Vec::new(),
@@ -452,11 +463,10 @@ impl SimHarness {
             match ev {
                 SimEvent::Timer { rank, token } => {
                     self.deposit(rank, token);
-                    self.maybe_decide();
                 }
                 SimEvent::Deliver { dst } => {
                     // Feed everything the event delivered, then see
-                    // whether that completed the round `dst` awaits.
+                    // whether that completed what `dst` awaits.
                     let r = &self.ranks[dst];
                     r.engine.progress(&r.inbox);
                     self.poll_outcome(dst);
@@ -475,18 +485,13 @@ impl SimHarness {
             if self.sim.is_dead(rank) {
                 continue; // a killed rank legitimately stops mid-run
             }
-            assert_eq!(
-                r.deposited, self.spec.rounds,
-                "rank {rank} finished {} of {} rounds with the event schedule \
-                 empty — the virtual world deadlocked",
-                r.deposited, self.spec.rounds,
-            );
+            let deposited = r.colls[GRADIENT].rounds().min(self.spec.rounds);
             assert!(
-                r.waiting.is_none() && r.parked.is_none(),
-                "rank {rank} still waits on round {:?} (parked: {}) with the \
-                 event schedule empty — the virtual world deadlocked",
+                deposited == self.spec.rounds && r.waiting.is_none(),
+                "rank {rank} deposited {deposited} of {} rounds and waits on (collective, \
+                 round) {:?} with the event schedule empty — the virtual world deadlocked",
+                self.spec.rounds,
                 r.waiting,
-                r.parked.is_some(),
             );
         }
 
@@ -508,8 +513,9 @@ impl SimHarness {
             traces,
             nap_per_round: nap,
             mean_nap: mean,
-            switches: std::mem::take(&mut self.switches),
-            decisions: std::mem::take(&mut self.decisions),
+            decisions: (self.ranks.iter_mut())
+                .map(|r| std::mem::take(&mut r.decisions))
+                .collect(),
             evictions: std::mem::take(&mut self.evictions),
             rejoins: std::mem::take(&mut self.rejoins),
             live: self.sim.live_ranks(),
@@ -517,18 +523,22 @@ impl SimHarness {
             call_latency: (self.ranks.iter_mut())
                 .map(|r| std::mem::take(&mut r.call_latency))
                 .collect(),
-            counters: self.ranks.iter().map(|r| r.ar.counters()).collect(),
+            counters: (self.ranks.iter())
+                .map(|r| r.colls[GRADIENT].counters())
+                .collect(),
         }
     }
 
-    /// Evict freshly-dead ranks from every surviving timeline, at a fence
-    /// no rank has built past. The harness owns *every* rank's frontend —
-    /// the dead ones included — so unlike the TCP path it reads the fence
-    /// directly (`max` of all horizons) instead of running the survivors'
-    /// Max-allreduce consensus; the schedules that result are identical.
-    /// Applied between events, i.e. at a single virtual instant, which is
-    /// the sim's stand-in for the decide → fence → barrier protocol of
-    /// [`crate::ctx::RankCtx::evict`].
+    /// Evict freshly-dead ranks from every collective of every surviving
+    /// timeline, each at a fence no rank has built past. The harness owns
+    /// *every* rank's frontend — the dead ones included — so unlike the
+    /// TCP path it reads the fence directly (`max` of all horizons)
+    /// instead of running the survivors' Max-allreduce consensus; the
+    /// schedules that result are identical. Applied between events, i.e.
+    /// at a single virtual instant, which is the sim's stand-in for the
+    /// decide → fence → barrier protocol of [`crate::ctx::RankCtx::evict`].
+    /// A fence a survivor waits on completes through the engine's
+    /// peer-down null synthesis, as on the threaded transports.
     fn apply_evictions(&mut self) {
         let newly: Vec<Rank> = (0..self.ranks.len())
             .filter(|&r| self.sim.is_dead(r) && !self.evicted[r])
@@ -536,7 +546,7 @@ impl SimHarness {
         if newly.is_empty() {
             return;
         }
-        let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
+        let fences = self.fences();
         // Applied on *every* frontend, the dead ones included: a corpse's
         // timeline is inert (its timers are skipped), but keeping its
         // membership log in lockstep is what lets a later scripted
@@ -544,11 +554,14 @@ impl SimHarness {
         // stand-in for the admission state transfer a relaunched TCP
         // worker receives over the rendezvous connection.
         for r in &self.ranks {
-            r.ar.evict_from(fence, &newly);
+            for (coll, fence) in r.colls.iter().zip(&fences) {
+                coll.evict_from(*fence, &newly);
+            }
         }
         for &r in &newly {
             self.evicted[r] = true;
         }
+        let fence = fences[GRADIENT];
         for survivor in (0..self.ranks.len()).filter(|&r| !self.evicted[r]) {
             let stats = self.sim.comm_stats(survivor);
             for peer in newly.iter().map(|&r| r as u32) {
@@ -559,39 +572,50 @@ impl SimHarness {
             }
         }
         self.evictions.push((fence, newly));
-        // A fence the dead were holding up opens without them.
-        self.maybe_release();
     }
 
-    /// Reverse an eviction for `joiner` at an admission fence no rank has
-    /// built past — the eviction fence run backwards. The harness owns
-    /// every frontend, so (exactly as in [`SimHarness::apply_evictions`])
-    /// it reads the fence directly as the `max` of all horizons instead
-    /// of running the live set's Max-allreduce; the schedules that result
-    /// are identical to [`crate::ctx::RankCtx::admit`]'s. The joiner
-    /// fast-forwards to the fence (the rounds it missed are gone — they
-    /// ran over the shrunken world) and its deposit timer is re-seeded so
-    /// its first post-rejoin contribution is exactly round `fence`.
+    /// Reverse an eviction for `joiner` at admission fences no rank has
+    /// built past — the eviction fence run backwards, on every collective.
+    /// The harness owns every frontend, so (exactly as in
+    /// [`SimHarness::apply_evictions`]) it reads each fence directly as
+    /// the `max` of all horizons instead of running the live set's
+    /// Max-allreduce; the schedules that result are identical to
+    /// [`crate::ctx::RankCtx::admit`]'s. The joiner fast-forwards to the
+    /// fences (the rounds it missed are gone — they ran over the shrunken
+    /// world) and its deposit timer is re-seeded so its first
+    /// post-rejoin contribution is exactly the gradient's fence round.
     fn apply_rejoin(&mut self, joiner: usize) {
         self.ranks[joiner].waiting = None;
-        self.ranks[joiner].parked = None;
+        self.ranks[joiner].held = None;
         if !self.evicted[joiner] {
             // Back before anyone evicted it: nothing to reverse — just
             // resume its deposit schedule where it stopped.
-            let round = self.ranks[joiner].deposited;
+            let round = self.ranks[joiner].colls[GRADIENT].rounds();
             self.schedule_deposit(joiner, round);
             return;
         }
-        let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
+        let fences = self.fences();
         let joiners = vec![joiner];
-        self.ranks[joiner].ar.fast_forward_to(fence);
-        self.ranks[joiner].deposited = fence.min(self.spec.rounds);
+        for (coll, fence) in self.ranks[joiner].colls.iter_mut().zip(&fences) {
+            coll.fast_forward_to(*fence);
+        }
         for r in &self.ranks {
-            r.ar.admit_from(fence, &joiners);
+            for (coll, fence) in r.colls.iter().zip(&fences) {
+                coll.admit_from(*fence, &joiners);
+            }
         }
         self.evicted[joiner] = false;
+        let fence = fences[GRADIENT];
         self.schedule_deposit(joiner, fence);
         self.rejoins.push((fence, joiners));
+    }
+
+    /// Per collective, a round no rank has built past.
+    fn fences(&self) -> Vec<u64> {
+        (0..self.ranks[0].colls.len())
+            .map(|c| self.ranks.iter().map(|r| r.colls[c].horizon()).max())
+            .map(|h| h.unwrap_or(0))
+            .collect()
     }
 
     /// Schedule `rank`'s deposit of `round` (the timer's token), if the
@@ -621,129 +645,89 @@ impl SimHarness {
             self.tuners[rank].record_step(round, &offsets);
         }
         let r = &mut self.ranks[rank];
-        debug_assert_eq!(round, r.deposited, "timers fire in round order");
         let step = &mut self.steps[rank];
-        let got = r.ar.deposit_fill(|send| step.fill(round, send));
-        debug_assert_eq!(got, round);
-        r.deposited = round + 1;
-        // The deposit posted its activation to the rank's own inbox.
-        r.engine.progress(&r.inbox);
-        r.waiting = Some(round);
+        let got = r.colls[GRADIENT].deposit_fill(|send| step.fill(round, send));
+        debug_assert_eq!(got, round, "timers fire in round order");
         r.deposited_at = self.sim.now();
         // Open loop: the next deposit is due at its slot whatever happens
-        // to this one. (Closed loop: `poll_outcome` schedules it.)
+        // to this one. (Closed loop: the outcome schedules it.)
         if matches!(self.spec.pacing, Pacing::Global { .. }) {
             self.schedule_deposit(rank, round + 1);
         }
-        // The outcome may already be there (latest-wins: a newer round
-        // completed while this rank computed).
+        self.wait_on(rank, GRADIENT, round);
+    }
+
+    /// Enter `coll` with `contrib` on `rank` and wait on its outcome.
+    fn enter(&mut self, rank: usize, coll: usize, contrib: TypedBuf) {
+        let round = self.ranks[rank].colls[coll].deposit_owned(Payload::new(contrib));
+        self.wait_on(rank, coll, round);
+    }
+
+    /// Block `rank` on `round` of `coll`, which it just deposited. The
+    /// deposit posted its activation to the rank's own inbox, and the
+    /// outcome may already be there (latest-wins: a newer round completed
+    /// while this rank computed).
+    fn wait_on(&mut self, rank: usize, coll: usize, round: u64) {
+        let r = &mut self.ranks[rank];
+        r.engine.progress(&r.inbox);
+        r.waiting = Some((coll, round));
         self.poll_outcome(rank);
     }
 
-    /// If the outcome `rank` awaits is available, record it and the call's
-    /// latency; a self-paced rank then hands it to its step.
+    /// If the outcome `rank` awaits is available, take its next step: a
+    /// gradient round goes to a tuner boundary or the step, a consensus
+    /// decides, and a fence goes to the step or releases a held round.
     fn poll_outcome(&mut self, rank: usize) {
         let r = &mut self.ranks[rank];
-        let Some(round) = r.waiting else {
+        let Some((coll, round)) = r.waiting else {
             return;
         };
-        let Some(out) = r.ar.try_outcome(round) else {
+        let Some(out) = r.colls[coll].try_outcome(round) else {
             return;
         };
         r.waiting = None;
-        r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
-        r.call_latency[round as usize] = Some(self.sim.now().duration_since(r.deposited_at));
-        if matches!(self.spec.pacing, Pacing::SelfPaced(_)) {
-            let park = self.steps[rank].outcome(Outcome::Round(&out));
-            self.resume(rank, park);
-        }
-    }
-
-    /// A self-paced rank's next move after an outcome: park with the
-    /// buffer its step returned, or compute toward its next deposit.
-    fn resume(&mut self, rank: usize, park: Option<TypedBuf>) {
-        if park.is_some() {
-            self.ranks[rank].parked = park;
-            return self.maybe_release();
-        }
-        let next = self.ranks[rank].deposited;
-        self.schedule_deposit(rank, next);
-    }
-
-    /// Once every live rank is parked, open the fence: average the parked
-    /// buffers in rank order, release every rank with it at this instant.
-    fn maybe_release(&mut self) {
-        let live = self.sim.live_ranks();
-        if live.iter().any(|&r| self.ranks[r].parked.is_none()) {
-            return;
-        }
-        let mut parked = (live.iter()).filter_map(|&r| self.ranks[r].parked.take());
-        let Some(mut avg) = parked.next() else {
-            return;
+        let step = &mut self.steps[rank];
+        let next = match coll {
+            GRADIENT => {
+                r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
+                r.call_latency[round as usize] =
+                    Some(self.sim.now().duration_since(r.deposited_at));
+                if matches!(self.spec.pacing, Pacing::Global { .. }) {
+                    return;
+                }
+                let tuner = self.tuners.get_mut(rank);
+                if let Some(t) = tuner.filter(|t| (round + 1) % t.period().max(1) == 0) {
+                    // The trainer decides before it applies the round.
+                    let comm = self.sim.comm_stats(rank).snapshot();
+                    let local = t.local_stats(r.colls[GRADIENT].counters(), comm);
+                    r.held = Some(out);
+                    return self.enter(rank, CONSENSUS, TypedBuf::from(local));
+                }
+                step.outcome(Outcome::Round(&out))
+            }
+            CONSENSUS => {
+                let summed = out.data.as_f32().expect("f32 stats vector");
+                let from = r.colls[GRADIENT].rounds();
+                if let Some(d) = self.tuners[rank].decide(from - 1, from, summed) {
+                    r.colls[GRADIENT].set_policy_from(from, d.policy);
+                    d.record(self.sim.comm_stats(rank).recorder());
+                    r.decisions.push(d);
+                }
+                Some(TypedBuf::zeros(DType::F32, 0))
+            }
+            _ => match r.held.take() {
+                Some(held) => step.outcome(Outcome::Round(&held)),
+                None => step.outcome(Outcome::Fence(&out)),
+            },
         };
-        for buf in parked {
-            avg.combine(&buf, ReduceOp::Sum).expect("same shapes");
+        match next {
+            Some(buf) if buf.is_empty() => self.enter(rank, BARRIER, buf),
+            Some(buf) => self.enter(rank, WEIGHT_SYNC, buf),
+            None => {
+                let round = self.ranks[rank].colls[GRADIENT].rounds();
+                self.schedule_deposit(rank, round);
+            }
         }
-        avg.scale(1.0 / live.len() as f64);
-        for &r in &live {
-            let park = self.steps[r].outcome(Outcome::Fence(&avg));
-            self.resume(r, park);
-        }
-    }
-
-    /// At a tuner boundary — every `period()` rounds, once the slowest
-    /// live rank has deposited them — run the trainer's measure → agree →
-    /// decide → apply step: sum the live ranks' stats, let each decide,
-    /// require one answer, and apply it on every timeline.
-    fn maybe_decide(&mut self) {
-        let Some(period) = self.tuners.first().map(|t| t.period().max(1)) else {
-            return;
-        };
-        let boundary = self.boundary + period;
-        if boundary >= self.spec.rounds {
-            return;
-        }
-        let live = self.sim.live_ranks();
-        if live.iter().any(|&r| self.ranks[r].deposited < boundary) {
-            return;
-        }
-        self.boundary = boundary;
-        let mut summed = Vec::new();
-        for &r in &live {
-            let comm = self.sim.comm_stats(r).snapshot();
-            let local = self.tuners[r].local_stats(self.ranks[r].ar.counters(), comm);
-            summed.resize(local.len(), 0.0f32);
-            summed.iter_mut().zip(local).for_each(|(s, l)| *s += l);
-        }
-        // A round no rank has deposited (and hence no message exists
-        // for): the simulator's one-event stand-in for the fence.
-        let from = self.ranks.iter().map(|r| r.ar.rounds()).max().unwrap_or(0);
-        let decided: Vec<Option<QuorumDecision>> = (live.iter())
-            .map(|&r| self.tuners[r].decide(boundary - 1, from, &summed))
-            .collect();
-        if let Some(i) = decided.iter().position(|d| d != &decided[0]) {
-            panic!(
-                "tuners disagree at the round-{boundary} boundary: rank {} decided {:?}, \
-                 rank {} decided {:?}",
-                live[0], decided[0], live[i], decided[i]
-            );
-        }
-        let Some(d) = decided.into_iter().next().flatten() else {
-            return;
-        };
-        // Every timeline, the dead ones included, so a scripted rejoin
-        // finds its rules in lockstep (as in `apply_evictions`).
-        for r in &self.ranks {
-            r.ar.set_policy_from(from, d.policy);
-        }
-        for &r in &live {
-            d.record(self.sim.comm_stats(r).recorder());
-        }
-        if d.policy != self.policy {
-            self.switches.push((from, d.policy));
-            self.policy = d.policy;
-        }
-        self.decisions.push(d);
     }
 }
 
@@ -1136,8 +1120,13 @@ mod tests {
         }
     }
 
+    /// An 8-rank spec, 40 rounds, self-paced ranks computing `r` ms each,
+    /// tuned by `setup`.
     fn tuned_spec(setup: TunerSetup) -> SimSpec {
-        let mut spec = SimSpec::linear_skew(8, 40, Duration::from_millis(1), QuorumPolicy::Full);
+        let p = 8;
+        let mut spec = SimSpec::linear_skew(p, 40, Duration::from_millis(1), QuorumPolicy::Full);
+        let compute = (0..p).map(|r| Duration::from_millis(r as u64)).collect();
+        spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute, Hiccup::default()));
         spec.tuner = Some(setup);
         spec
     }
@@ -1148,26 +1137,82 @@ mod tests {
         let rep = SimHarness::run(tuned_spec(TunerSetup::new(move |_, _, _| {
             Box::new(Fixed { to })
         })));
-        // Boundaries at rounds 10, 20, 30; the first one switches.
-        assert_eq!(rep.decisions.len(), 3, "one decision per boundary");
-        assert_eq!(rep.switches.len(), 1, "one switch: solo → full");
-        let from = rep.switches[0].0 as usize;
-        // Before the switch solo runs nearly alone; after it, everyone is
-        // fresh — visible in the NAP stream. Skip the boundary round
-        // itself (in-flight deposits straddle it).
-        assert!(mean_nap(&rep.nap_per_round, 0, from) < 2.0);
-        assert_eq!(
-            &rep.nap_per_round[from + 1..],
-            vec![8; rep.nap_per_round.len() - from - 1].as_slice()
+        // Boundaries after rounds 9, 19, 29 and 39, on every rank alike;
+        // the first one switches from the round after it.
+        assert!(rep.decisions.iter().all(|d| d == &rep.decisions[0]));
+        let from: Vec<u64> = rep.decisions[0].iter().map(|d| d.from_round).collect();
+        assert_eq!(from, [10, 20, 30, 40], "one decision per boundary");
+        assert!(
+            rep.decisions[0].iter().all(|d| d.policy == to),
+            "solo → full"
         );
+        // Before the switch solo runs nearly alone; from it on, everyone
+        // is fresh: the boundary's barrier keeps every rank out of round
+        // 10 until all have applied the decision.
+        assert!(mean_nap(&rep.nap_per_round, 0, 10) < 2.0);
+        assert_eq!(&rep.nap_per_round[10..], [8; 30].as_slice());
     }
 
     #[test]
-    #[should_panic(expected = "tuners disagree at the round-10 boundary: rank 0")]
-    fn rank_dependent_decisions_trip_the_agreement_check() {
-        SimHarness::run(tuned_spec(TunerSetup::new(|rank, _, _| {
-            let to = [QuorumPolicy::Majority, QuorumPolicy::Full][rank.min(1)];
-            Box::new(Fixed { to })
-        })));
+    fn a_fence_costs_modelled_network_time() {
+        // Every rank enters the weight sync once, after round 0, with its
+        // rank number: on the hpc network the average reaches each rank
+        // strictly after the last rank entered the fence.
+        type Log = Arc<std::sync::Mutex<Vec<(TimePoint, TimePoint, f32)>>>;
+        struct ParkOnce {
+            rank: Rank,
+            clock: pcoll_comm::Clock,
+            parked: Option<TimePoint>,
+            log: Log,
+        }
+        impl RankStep for ParkOnce {
+            fn delay(&self, rank: Rank, _: u64) -> Duration {
+                Duration::from_micros(10 * rank as u64)
+            }
+            fn fill(&mut self, _: u64, send: &mut TypedBuf) {
+                send.as_f32_mut().expect("f32").fill(1.0);
+            }
+            fn outcome(&mut self, outcome: Outcome<'_>) -> Option<TypedBuf> {
+                let now = self.clock.now();
+                match outcome {
+                    Outcome::Round(_) if self.parked.is_none() => {
+                        self.parked = Some(now);
+                        Some(TypedBuf::from(vec![self.rank as f32; 8]))
+                    }
+                    Outcome::Round(_) => None,
+                    Outcome::Fence(avg) => {
+                        let parked = self.parked.expect("parked before the fence");
+                        let head = avg.data.as_f32().expect("f32 average")[0];
+                        self.log.lock().unwrap().push((parked, now, head));
+                        None
+                    }
+                }
+            }
+        }
+        let p = 4;
+        let log = Log::default();
+        let mut spec = SimSpec::linear_skew(p, 2, Duration::from_millis(1), QuorumPolicy::Full);
+        spec.opts.network = pcoll_comm::NetworkModel::hpc();
+        let shared = Arc::clone(&log);
+        spec.pacing = Pacing::SelfPaced(StepSetup::new(move |rank, _, clock| {
+            let log = Arc::clone(&shared);
+            Box::new(ParkOnce {
+                rank,
+                clock,
+                parked: None,
+                log,
+            })
+        }));
+        SimHarness::run(spec);
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), p, "every rank's fence opened");
+        let last_park = log.iter().map(|(parked, _, _)| *parked).max().unwrap();
+        for (opened, avg) in log.iter().map(|(_, opened, avg)| (*opened, *avg)) {
+            assert!(
+                opened > last_park,
+                "the fence opened at {opened:?}, the last rank entered at {last_park:?}"
+            );
+            assert_eq!(avg, 1.5, "the mean of ranks 0..4");
+        }
     }
 }

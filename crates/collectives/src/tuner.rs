@@ -69,11 +69,13 @@ impl QuorumDecision {
 ///    summed vector (plus internal state updated only from such vectors) —
 ///    this is what keeps the SPMD ranks choosing the same policy with no
 ///    extra coordination, the same shared-seed trick the majority
-///    collective uses for initiator consensus (§4.2). The simulator
-///    checks it: ranks that disagree panic the run;
-/// 4. the runner applies the policy from the next round and fences, so
-///    every rank has appended the new policy segment before any rank can
-///    enter a round governed by it.
+///    collective uses for initiator consensus (§4.2). No runner enforces
+///    it; the tests assert that every rank logged the same decisions;
+/// 4. each rank applies the policy on its own timeline from its next
+///    round, then enters the barrier, so every rank has appended the new
+///    policy segment before any rank can enter a round governed by it.
+///    Both runners run steps 2–4 as the same collectives: a `Full` `Sum`
+///    allreduce of the stats, then the barrier.
 pub trait QuorumTuner: Send {
     /// Decide every this-many steps.
     fn period(&self) -> u64;

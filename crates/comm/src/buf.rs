@@ -170,11 +170,17 @@ impl TypedBuf {
     /// Set every element to zero, keeping the allocation (send-buffer reset
     /// to G_null after a contribution is consumed, Fig. 7).
     pub fn clear(&mut self) {
+        self.clear_range(0..self.len());
+    }
+
+    /// Set the elements in `range` to zero (a null tile of an assembled
+    /// buffer).
+    pub fn clear_range(&mut self, range: std::ops::Range<usize>) {
         match self {
-            TypedBuf::F32(v) => v.iter_mut().for_each(|x| *x = 0.0),
-            TypedBuf::F64(v) => v.iter_mut().for_each(|x| *x = 0.0),
-            TypedBuf::I32(v) => v.iter_mut().for_each(|x| *x = 0),
-            TypedBuf::I64(v) => v.iter_mut().for_each(|x| *x = 0),
+            TypedBuf::F32(v) => v[range].fill(0.0),
+            TypedBuf::F64(v) => v[range].fill(0.0),
+            TypedBuf::I32(v) => v[range].fill(0),
+            TypedBuf::I64(v) => v[range].fill(0),
         }
     }
 

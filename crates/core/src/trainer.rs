@@ -175,6 +175,8 @@ struct Step {
     /// When the epoch began and when its last step ended (rank's clock).
     epoch_t0: TimePoint,
     epoch_end: TimePoint,
+    /// The epoch-end fence the rank last entered ([`Step::end_epoch`]).
+    fence: Option<Fence>,
     /// Rank 0's evaluation sets, fetched at the first evaluation and kept:
     /// every `Workload` hands out a deep copy (MiBs for a held-out set).
     eval_sets: Option<(Vec<Batch>, Vec<Batch>)>,
@@ -195,6 +197,7 @@ impl Step {
             step: 0,
             epoch_t0: TimePoint::ZERO,
             epoch_end: TimePoint::ZERO,
+            fence: None,
             eval_sets: None,
             log: TrainLog::new(rank),
         }
@@ -239,38 +242,55 @@ impl Step {
         self.step.is_multiple_of(self.cfg.steps_per_epoch as u64)
     }
 
-    /// What the ended epoch blocks on, as `(weight sync, evaluation)`:
-    /// eager variants average the weights every `model_sync_every` epochs
-    /// (§5), rank 0 evaluates every `eval_every`; both at the end.
-    fn fences(&self) -> (bool, bool) {
+    /// The epoch-end sequence, one fence at a time: eager variants average
+    /// the weights every `model_sync_every` epochs (§5) and the epoch is
+    /// recorded; rank 0 evaluates every `eval_every` (both at the end)
+    /// between two barriers, so it competes with no rank's timed steps.
+    /// Call it once the epoch's last step applied (`epoch_end` stamped) and
+    /// again each time the returned fence opens, at `now`; `None`: the
+    /// epoch is closed.
+    fn end_epoch(
+        &mut self,
+        model: &mut dyn Model,
+        w: &dyn Workload,
+        now: TimePoint,
+    ) -> Option<Fence> {
         let (epoch, last) = (self.log.epochs.len() + 1, self.cfg.epochs);
         let sync = (self.cfg.variant.is_eager())
             && (self.cfg.model_sync_every).is_some_and(|k| epoch % k == 0 || epoch == last);
         let eval = epoch % self.cfg.eval_every.max(1) == 0 || epoch == last;
-        (sync, eval)
-    }
-
-    /// Record the ended epoch, `sync_secs` of weight sync included, after
-    /// rank 0's evaluation if `eval`.
-    fn close_epoch(&mut self, model: &mut dyn Model, w: &dyn Workload, sync_secs: f64, eval: bool) {
-        let [mut test, mut train] = [None, None];
-        if eval && self.rank == 0 {
-            let (t, tr) =
-                (self.eval_sets).get_or_insert_with(|| (w.test_batches(), w.train_batches()));
-            [test, train] = [&*t, &*tr].map(|set| evaluate(model, set));
-        }
-        let epoch_secs = self.epoch_end.duration_since(self.epoch_t0).as_secs_f64();
-        self.log.total_train_s += epoch_secs;
-        self.log.total_train_s += sync_secs;
-        let steps = self.cfg.steps_per_epoch;
-        self.log.epochs.push(EpochRecord {
-            epoch: self.log.epochs.len(),
-            train_time_s: self.log.total_train_s,
-            mean_loss: self.loss_sum / steps.max(1) as f32,
-            throughput: rate(steps as u64, epoch_secs),
-            test,
-            train,
-        });
+        self.fence = match self.fence {
+            None if sync => Some(Fence::WeightSync),
+            None | Some(Fence::WeightSync) => {
+                let epoch_secs = self.epoch_end.duration_since(self.epoch_t0).as_secs_f64();
+                // The weight sync is training time: from the epoch's end to
+                // the average's arrival.
+                let synced = now.duration_since(self.epoch_end) * u32::from(sync);
+                self.log.total_train_s += epoch_secs;
+                self.log.total_train_s += synced.as_secs_f64();
+                let steps = self.cfg.steps_per_epoch;
+                self.log.epochs.push(EpochRecord {
+                    epoch: self.log.epochs.len(),
+                    train_time_s: self.log.total_train_s,
+                    mean_loss: self.loss_sum / steps.max(1) as f32,
+                    throughput: rate(steps as u64, epoch_secs),
+                    test: None,
+                    train: None,
+                });
+                eval.then_some(Fence::BeforeEval)
+            }
+            Some(Fence::BeforeEval) => {
+                if self.rank == 0 {
+                    let (t, tr) = (self.eval_sets)
+                        .get_or_insert_with(|| (w.test_batches(), w.train_batches()));
+                    let record = self.log.epochs.last_mut().expect("the epoch is recorded");
+                    [record.test, record.train] = [&*t, &*tr].map(|set| evaluate(model, set));
+                }
+                Some(Fence::AfterEval)
+            }
+            Some(Fence::AfterEval) => None,
+        };
+        self.fence
     }
 
     /// The finished log, with the gradient collective's round counters.
@@ -280,6 +300,16 @@ impl Step {
         self.log.steps = self.step;
         self.log
     }
+}
+
+/// A blocking collective every rank enters at an epoch's end
+/// ([`Step::end_epoch`]): the weights' average, or the barrier on either
+/// side of rank 0's evaluation.
+#[derive(Clone, Copy)]
+enum Fence {
+    WeightSync,
+    BeforeEval,
+    AfterEval,
 }
 
 /// Run the full training loop on this rank, the step's threaded driver.
@@ -384,27 +414,14 @@ pub fn run_rank(
             }
         }
         st.epoch_end = clock.now();
-        let (sync, eval) = st.fences();
-
-        // Periodic model synchronization (eager variants, §5). This is
-        // *inside* the training clock: the paper counts it as (negligible)
-        // training overhead.
-        let mut sync_secs = 0.0;
-        if sync {
-            let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
-            let avg = weight_sync.wait_for(round);
-            model.read_params(avg.data.as_f32().expect("f32 params"));
-            sync_secs = clock.now().duration_since(st.epoch_end).as_secs_f64();
-        }
-
-        // Epoch-boundary evaluation on rank 0, fenced by barriers and
-        // excluded from the training clock.
-        if eval {
-            ctx.barrier();
-        }
-        st.close_epoch(model, workload, sync_secs, eval);
-        if eval {
-            ctx.barrier();
+        while let Some(fence) = st.end_epoch(model, workload, clock.now()) {
+            if let Fence::WeightSync = fence {
+                let round = weight_sync.deposit_fill(|send| model.write_params(f32s(send)));
+                let avg = weight_sync.wait_for(round);
+                model.read_params(avg.data.as_f32().expect("f32 params"));
+            } else {
+                ctx.barrier();
+            }
         }
     }
     st.finish(ar.counters())
@@ -417,18 +434,13 @@ pub fn run_rank(
 /// rank's log and final weights, in rank order.
 ///
 /// Rounds, length, policy, scale, stale mode and tuner come from `cfg` and
-/// the model, as in [`run_rank`]. What differs:
+/// the model, and every rank runs [`run_rank`]'s collectives, fences and
+/// tuner boundaries included, over the modelled network. What differs:
 /// - time is virtual: a step takes its delay, plus its batch's
 ///   [`Workload::cost_ms`], plus the modelled network time; `grad_step`,
 ///   the optimizer and evaluation take none;
-/// - the tuner's decide→fence consensus is the harness's one virtual event
-///   ([`pcoll::SimSpec::tuner`]), its offsets are the step delays (base
-///   compute included), the run's last step decides nothing (no round is
-///   left to govern), and `TrainLog::decisions` is
-///   [`pcoll::SimReport::decisions`];
-/// - the weight sync and the evaluation barriers are fences the harness
-///   opens in one event ([`pcoll::RankStep::outcome`]); the weights
-///   average in rank order.
+/// - the tuner's per-step offsets are the step delays (base compute and
+///   batch cost included), not the injected delays alone.
 pub fn run_sim(
     cfg: &TrainerConfig,
     mut build: impl FnMut(usize) -> (Box<dyn Model>, Box<dyn Optimizer>),
@@ -466,17 +478,20 @@ pub fn run_sim(
         partial: gradient_opts(cfg, p),
         tuner: cfg.tuner.clone().filter(|_| cfg.variant.is_eager()),
     });
-    (trainees.into_iter().zip(&report.counters))
-        .map(|(t, rounds)| {
-            let t = Arc::into_inner(t).expect("the harness is gone");
-            let t = t.into_inner().expect("no step panicked");
-            let mut weights = vec![0.0; n];
-            t.model.write_params(&mut weights);
-            let mut log = t.st.finish(*rounds);
-            log.decisions = report.decisions.clone();
-            (log, weights)
-        })
-        .collect()
+    (trainees
+        .into_iter()
+        .zip(&report.counters)
+        .zip(report.decisions))
+    .map(|((t, rounds), decisions)| {
+        let t = Arc::into_inner(t).expect("the harness is gone");
+        let t = t.into_inner().expect("no step panicked");
+        let mut weights = vec![0.0; n];
+        t.model.write_params(&mut weights);
+        let mut log = t.st.finish(*rounds);
+        log.decisions = decisions;
+        (log, weights)
+    })
+    .collect()
 }
 
 /// One simulated rank: its step and what the step runs on.
@@ -514,37 +529,32 @@ impl RankStep for SimStep {
     fn outcome(&mut self, outcome: Outcome<'_>) -> Option<TypedBuf> {
         let now = self.clock.now();
         let t = &mut *lock(&self.trainee);
-        let (sync, eval) = match outcome {
+        match outcome {
             Outcome::Round(out) => {
                 let avg = out.data.as_f32().expect("f32 gradients");
                 if !t.st.apply(&mut *t.model, &mut *t.opt, avg) {
                     return None;
                 }
                 t.st.epoch_end = now;
-                let (sync, eval) = t.st.fences();
-                if sync || eval {
-                    // Park at the epoch's fence, with the weights if it
-                    // averages them.
-                    let mut weights = vec![0.0; t.model.num_params() * usize::from(sync)];
-                    if sync {
-                        t.model.write_params(&mut weights);
-                    }
-                    return Some(TypedBuf::from(weights));
-                }
-                (false, false)
             }
-            Outcome::Fence(avg) => {
-                if !avg.is_empty() {
-                    t.model.read_params(avg.as_f32().expect("f32 weights"));
-                }
-                t.st.fences()
+            // The weight sync's average (a barrier's result is empty).
+            Outcome::Fence(avg) if !avg.data.is_empty() => {
+                t.model.read_params(avg.data.as_f32().expect("f32 weights"));
             }
-        };
-        // The weight sync is training time: from the park to the release.
-        let synced = now.duration_since(t.st.epoch_end) * u32::from(sync);
-        t.st.close_epoch(&mut *t.model, &*t.workload, synced.as_secs_f64(), eval);
-        t.st.begin_epoch(&mut *t.opt, now);
-        None
+            Outcome::Fence(_) => {}
+        }
+        match t.st.end_epoch(&mut *t.model, &*t.workload, now) {
+            Some(Fence::WeightSync) => {
+                let mut weights = vec![0.0; t.model.num_params()];
+                t.model.write_params(&mut weights);
+                Some(TypedBuf::from(weights))
+            }
+            Some(_) => Some(TypedBuf::zeros(DType::F32, 0)),
+            None => {
+                t.st.begin_epoch(&mut *t.opt, now);
+                None
+            }
+        }
     }
 }
 

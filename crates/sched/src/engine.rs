@@ -56,7 +56,7 @@
 //! time itself is.
 
 use crate::dag::DagState;
-use crate::op::{OpId, OpKind, Schedule, SnapshotTiming, CONTRIB_SLOT};
+use crate::op::{OpId, OpKind, Schedule, Slot, SnapshotTiming, CONTRIB_SLOT};
 use pcoll_comm::payload::pooled_buffer;
 use pcoll_comm::{
     CollId, CommHandle, CommStats, Envelope, Inbox, Message, Payload, Rank, TimePoint, TypedBuf,
@@ -64,6 +64,7 @@ use pcoll_comm::{
 };
 use pcoll_obs::{EventKind as Ev, LEVEL_SPANS, LEVEL_VERBOSE};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -298,6 +299,10 @@ struct Instance {
     /// arrival, before the receive fires: only ops that wait on the
     /// receive touch that slot ([`Schedule::validate`]).
     bufs: Vec<Option<Payload>>,
+    /// `CopyAt` tiles whose source was null before any tile drew their
+    /// slot's assembly buffer (a null carries no dtype): zeroed when the
+    /// buffer is drawn.
+    null_tiles: Vec<(Slot, Range<usize>)>,
     /// Whether the contribution snapshot has been taken (see
     /// [`SnapshotTiming`]).
     snapshotted: bool,
@@ -667,29 +672,36 @@ impl EngineCore {
                     src,
                     dst,
                     dst_start,
+                    len,
                     dst_len,
                 } => {
-                    // A null source leaves its tile of the assembly
-                    // buffer untouched (the dead peer's chunk is simply
-                    // absent; eviction rebuilds schedules over the live
-                    // set within a bounded number of rounds).
-                    let Some(s) = inst.bufs[src].take() else {
-                        inst.dag.mark_fired(&inst.sched, id, &mut queue);
-                        continue;
-                    };
-                    if inst.bufs[dst].is_none() {
-                        // Dirty pooled buffer: the schedule contract is
-                        // that CopyAt writes tile all of `dst` before it
-                        // is observed, so no zeroing pass is needed.
-                        inst.bufs[dst] =
-                            Some(Payload::new(pooled_buffer(scratch, s.dtype(), dst_len)));
+                    let tile = dst_start..dst_start + len;
+                    match inst.bufs[src].take() {
+                        // A null source (a dead peer's chunk) is absent:
+                        // its tile reads zero until eviction rebuilds the
+                        // schedules over the live set.
+                        None => match inst.bufs[dst].as_mut() {
+                            Some(d) => d.to_mut().clear_range(tile),
+                            None => inst.null_tiles.push((dst, tile)),
+                        },
+                        Some(s) => {
+                            if inst.bufs[dst].is_none() {
+                                // Dirty pooled buffer: the CopyAt tiles
+                                // cover all of `dst` (`Schedule::validate`),
+                                // so only null tiles need zeroing.
+                                let mut d = pooled_buffer(scratch, s.dtype(), dst_len);
+                                let nulls = inst.null_tiles.extract_if(.., |t| t.0 == dst);
+                                nulls.for_each(|(_, tile)| d.clear_range(tile));
+                                inst.bufs[dst] = Some(Payload::new(d));
+                            }
+                            // The assembly buffer is never sent, so it
+                            // stays uniquely owned and this writes in place.
+                            let d = inst.bufs[dst].as_mut().expect("CopyAt dst filled");
+                            s.copy_into_at(d.to_mut(), dst_start)
+                                .expect("CopyAt shape mismatch");
+                            inst.bufs[src] = Some(s);
+                        }
                     }
-                    let d = inst.bufs[dst].as_mut().expect("CopyAt dst filled");
-                    // The assembly buffer is never sent, so it stays
-                    // uniquely owned and this writes in place.
-                    s.copy_into_at(d.to_mut(), dst_start)
-                        .expect("CopyAt shape mismatch");
-                    inst.bufs[src] = Some(s);
                 }
                 OpKind::Scale { slot, factor } => {
                     if let Some(d) = inst.bufs[slot].as_mut() {
@@ -858,6 +870,7 @@ fn new_instance(
         sched,
         dag,
         bufs,
+        null_tiles: Vec::new(),
         snapshotted,
         created: now,
         external,
@@ -1373,6 +1386,7 @@ mod tests {
                 src,
                 dst: result,
                 dst_start: start(c),
+                len: len(c),
                 dst_len: n,
             };
             let mut placed = vec![b.op(place(1 + own, own), vec![reduced])];
@@ -1698,6 +1712,61 @@ mod tests {
                 .map(|(_, b)| b.as_ref().unwrap().as_f32().unwrap()[0])
                 .unwrap();
             assert_eq!(round1, 4.0, "round 1 unpolluted by the straggler");
+        }
+    }
+
+    /// A ring that loses a member before eviction: ranks 0–2 hear rank 3
+    /// is down and run rounds without it (its engine is never activated),
+    /// so every allgather tile that would pass through rank 3 arrives
+    /// null. A survivor's assembly buffer is drawn dirty from the scratch
+    /// pool, yet every element it reports is zero (a null tile) or the
+    /// average's share of a sum of survivors' contributions — never a
+    /// value a recycled buffer held.
+    #[test]
+    fn a_null_allgather_tile_reads_zero_not_a_recycled_buffer() {
+        use pcoll_comm::{SimOpts, SimWorld, WorldConfig};
+        let (p, n, rounds) = (4usize, 66usize, 8u64);
+        let mut sim = SimWorld::new(WorldConfig::instant(p), SimOpts::default());
+        let sinks: Vec<_> = (0..p).map(|_| Arc::new(Sink::default())).collect();
+        let engines: Vec<Engine> = (0..p)
+            .map(|me| {
+                let engine = Engine::new(sim.comm(me));
+                let sink = Arc::clone(&sinks[me]);
+                engine.register(CollId(1), Box::new(RingAverage { me, p, n, sink }));
+                if me != 3 {
+                    sim.comm(me).send_peer_down(me, 3);
+                }
+                engine
+            })
+            .collect();
+        let inboxes: Vec<_> = (0..p).map(|r| sim.take_inbox(r)).collect();
+        for round in 0..rounds {
+            for engine in &engines[..3] {
+                engine.activate(CollId(1), round);
+            }
+            run_sim(&mut sim, &engines, &inboxes);
+        }
+        for (rank, sink) in sinks[..3].iter().enumerate() {
+            let results = sink.results.lock();
+            assert_eq!(results.len() as u64, rounds, "rank {rank}");
+            for (round, result) in results.iter() {
+                // Survivor r contributes `r + round`, and the ring scales
+                // by 1/4: the sums over subsets of the three survivors.
+                let x = |r: u64| (r + round) as f32;
+                let sums: Vec<f32> = (0u8..8)
+                    .map(|set| (0..3).filter(|r| set >> r & 1 == 1).map(x).sum::<f32>() / 4.0)
+                    .collect();
+                let got = result
+                    .as_ref()
+                    .and_then(|b| b.as_f32())
+                    .expect("f32 result");
+                for (i, v) in got.iter().enumerate() {
+                    assert!(
+                        sums.contains(v),
+                        "rank {rank} round {round} element {i}: {v} is no partial sum {sums:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -59,17 +59,19 @@ pub enum OpKind {
         start: usize,
         len: usize,
     },
-    /// Write the whole of `bufs[src]` into `bufs[dst][dst_start ..]`,
-    /// materializing `dst` as `dst_len` *uninitialized* (scratch-pool)
-    /// elements first if the slot is empty — the segmented allgather's
-    /// assembly step. Schedules using an empty-slot destination must
-    /// cover every element of `dst` with `CopyAt` writes before the
-    /// slot is observed. A wire-borne source decodes straight into the
-    /// destination range.
+    /// Write `bufs[src]` (`len` elements) into the tile
+    /// `bufs[dst][dst_start .. dst_start + len]`, materializing `dst` as
+    /// `dst_len` *uninitialized* (scratch-pool) elements first if the
+    /// slot is empty — the segmented allgather's assembly step. The
+    /// `CopyAt` tiles into one slot cover `0..dst_len` exactly once
+    /// ([`Schedule::validate`]), and a null source (a dead peer's chunk)
+    /// zero-fills its tile, so no element keeps what the recycled buffer
+    /// held. A wire-borne source decodes straight into the tile.
     CopyAt {
         src: Slot,
         dst: Slot,
         dst_start: usize,
+        len: usize,
         dst_len: usize,
     },
     /// `bufs[slot] = bufs[slot] · factor` (`TypedBuf::scale`) — the `1/P`
@@ -182,7 +184,9 @@ impl Schedule {
     /// receive's slot before the receive fires: that slot is filled by
     /// the receive alone (not the snapshot's slot 0, not a second op), and
     /// every other op that touches it waits on the receive as an AND
-    /// dependency.
+    /// dependency. It also checks that the `CopyAt` tiles into a slot
+    /// cover its `0..dst_len` without overlap or gap, which is what lets
+    /// the engine assemble into a dirty pooled buffer.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.ops.len();
         if self.completion >= n {
@@ -254,6 +258,47 @@ impl Schedule {
                 "ops {} and {} receive the same message",
                 w[0].1, w[1].1
             ));
+        }
+        let mut tiles: Vec<(Slot, usize, usize, usize)> = (self.ops.iter())
+            .filter_map(|op| match op.kind {
+                OpKind::CopyAt {
+                    dst,
+                    dst_start,
+                    len,
+                    dst_len,
+                    ..
+                } => Some((dst, dst_start, len, dst_len)),
+                _ => None,
+            })
+            .collect();
+        tiles.sort_unstable();
+        for slot in tiles.chunk_by(|a, b| a.0 == b.0) {
+            let (dst, dst_len) = (slot[0].0, slot[0].3);
+            let mut end = 0;
+            for &(_, start, len, n) in slot {
+                if n != dst_len {
+                    return Err(format!(
+                        "CopyAt tiles into slot {dst} disagree on its length"
+                    ));
+                }
+                if start != end {
+                    let what = if start < end {
+                        "overlap"
+                    } else {
+                        "leave a gap"
+                    };
+                    let at = start.min(end);
+                    return Err(format!(
+                        "CopyAt tiles into slot {dst} {what} at element {at}"
+                    ));
+                }
+                end = start + len;
+            }
+            if end != dst_len {
+                return Err(format!(
+                    "CopyAt tiles into slot {dst} cover 0..{end}, not 0..{dst_len}"
+                ));
+            }
         }
         Ok(())
     }
@@ -514,6 +559,52 @@ mod tests {
             src: 1,
         };
         touch_a_receive_slot(send, |_| vec![]);
+    }
+
+    /// Two views of the contribution assembled into slot 3 of 10
+    /// elements, as the tiles `(start, len)`.
+    fn assemble(tiles: [(usize, usize); 2]) -> Schedule {
+        let mut b = ScheduleBuilder::new();
+        b.slots(4);
+        let placed: Vec<OpId> = (tiles.iter().enumerate())
+            .map(|(i, &(start, len))| {
+                let view = OpKind::SliceView {
+                    src: 0,
+                    dst: 1 + i,
+                    start,
+                    len,
+                };
+                let view = b.op(view, vec![]);
+                let place = OpKind::CopyAt {
+                    src: 1 + i,
+                    dst: 3,
+                    dst_start: start,
+                    len,
+                    dst_len: 10,
+                };
+                b.op(place, vec![view])
+            })
+            .collect();
+        let done = b.op(OpKind::Nop, placed);
+        b.completion(done).result_slot(3);
+        b.build()
+    }
+
+    #[test]
+    fn copy_at_tiles_that_cover_their_slot_are_accepted() {
+        assert!(assemble([(4, 6), (0, 4)]).validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "CopyAt tiles into slot 3 overlap at element 4")]
+    fn overlapping_copy_at_tiles_are_rejected() {
+        assemble([(0, 5), (4, 6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CopyAt tiles into slot 3 leave a gap at element 4")]
+    fn copy_at_tiles_that_leave_a_gap_are_rejected() {
+        assemble([(0, 4), (6, 4)]);
     }
 
     #[test]

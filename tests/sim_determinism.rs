@@ -28,8 +28,8 @@
 use eager_sgd_repro::comm::{Fault, FaultPlan, TimePoint};
 use eager_sgd_repro::nn::zoo::hyperplane_mlp;
 use eager_sgd_repro::prelude::{
-    adaptive_setup, run_rank, run_sim, AdaptiveTunerCfg, ControllerKind, DType, Hiccup,
-    HyperplaneTask, HyperplaneWorkload, Injector, Model, NetworkModel, Optimizer, Pacing,
+    adaptive_setup, run_rank, run_sim, static_setup, AdaptiveTunerCfg, ControllerKind, DType,
+    Hiccup, HyperplaneTask, HyperplaneWorkload, Injector, Model, NetworkModel, Optimizer, Pacing,
     PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, Sgd, SgdVariant, SimHarness, SimOpts,
     SimReport, SimSpec, StepSetup, TensorRng, TrainLog, TrainerConfig, TypedBuf, World,
     WorldConfig,
@@ -153,26 +153,38 @@ fn tuned_run(seed: u64) -> SimReport {
     SimHarness::run(spec)
 }
 
-/// Same seed ⇒ the simulated tuners make the same decisions, down to the
-/// reward's bits, and the run digests alike; another seed decides
-/// differently (the agreement across ranks within a run is the harness's
-/// own invariant — it panics on a split decision).
+/// Every rank's tuner decides alone from the consensus-summed stats, so
+/// within a run every rank logs the same decisions. Same seed ⇒ the
+/// simulated tuners make the same decisions, down to the reward's bits,
+/// and the run digests alike; another seed decides differently.
 #[test]
 fn sim_tuner_decisions_replay_bit_identically() {
     let bits = |r: &SimReport| -> Vec<(u64, QuorumPolicy, u64)> {
-        (r.decisions.iter())
+        (r.decisions[0].iter())
             .map(|d| (d.from_round, d.policy, d.reward.to_bits()))
             .collect()
     };
     let (a, b) = (tuned_run(42), tuned_run(42));
-    assert_eq!(a.decisions.len(), 4, "boundaries at rounds 8, 16, 24, 32");
+    for (rank, decisions) in a.decisions.iter().enumerate() {
+        assert_eq!(decisions, &a.decisions[0], "rank {rank}");
+    }
+    assert_eq!(
+        a.decisions[0].len(),
+        5,
+        "boundaries after rounds 7, 15, 23, 31 and 39"
+    );
     assert_eq!(bits(&a), bits(&b), "same seed must decide identically");
     assert_eq!(
         a.digest(),
         b.digest(),
         "same seed must replay bit-identically"
     );
-    assert!(!a.switches.is_empty(), "the hill climb leaves Full");
+    assert!(
+        a.decisions[0]
+            .iter()
+            .any(|d| d.policy != QuorumPolicy::Full),
+        "the hill climb leaves Full"
+    );
     assert_ne!(
         bits(&a),
         bits(&tuned_run(43)),
@@ -429,8 +441,8 @@ fn sim_and_threads_train_sync_sgd_to_the_same_bits() {
 }
 
 /// The hill-climb `AdaptiveTuner` on the simulated trainer: every rank
-/// records the same decisions (the harness panics on a split one), and a
-/// second run replays them — and everything else — bit for bit.
+/// records the same decisions, and a second run replays them — and
+/// everything else — bit for bit.
 #[test]
 fn sim_trainer_tuner_decisions_agree_and_replay() {
     let mut cfg = trainer_cfg(SgdVariant::EagerSolo, 42);
@@ -444,11 +456,63 @@ fn sim_trainer_tuner_decisions_agree_and_replay() {
         train_sim(&cfg, SimOpts::default()),
         train_sim(&cfg, SimOpts::default()),
     );
-    // 32 steps, a boundary every 4: the last (step 31) has no round to govern.
-    assert_eq!(a[0].0.decisions.len(), 7);
+    // 32 steps, a boundary every 4, the last one (step 31) included, as
+    // on threads.
+    assert_eq!(a[0].0.decisions.len(), 8);
     for ((log_a, w_a), (log_b, w_b)) in a.iter().zip(&b) {
         assert_eq!(log_a.decisions, a[0].0.decisions, "rank {}", log_a.rank);
         assert_eq!(log_bits(log_a), log_bits(log_b), "rank {}", log_a.rank);
         assert_eq!(bits(w_a), bits(w_b), "rank {} weights", log_a.rank);
+    }
+}
+
+/// Eager-majority with a `static_setup(Full, 4)` tuner holds every
+/// gradient round at `Full`, weights sync every epoch and rank 0
+/// evaluates every two: the simulator and real rank threads run the same
+/// collectives — gradient, tuner consensus and barrier, weight sync,
+/// evaluation barriers — so they train to identical bits on every rank and
+/// log the same decisions. P = 8 takes recursive doubling, whose
+/// reduction order is not rank order; P = 6 takes the ring.
+#[test]
+fn sim_and_threads_agree_through_every_fence() {
+    for p in [8, 6] {
+        let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 4, 8, 0.05);
+        cfg.model_sync_every = Some(1);
+        cfg.eval_every = 2;
+        cfg.tuner = Some(static_setup(QuorumPolicy::Full, 4));
+        let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
+            let model = hyperplane_mlp(DIM, &mut TensorRng::new(7));
+            (Box::new(model), Box::new(Sgd::new(0.05)))
+        };
+        let world = WorldConfig::instant(p).with_seed(cfg.seed);
+        let wl = Arc::new(train_workload());
+        let sim = run_sim(&cfg, build, wl.clone(), world.clone(), SimOpts::default());
+        let threads = World::launch(world, move |c| {
+            let ctx = RankCtx::new(c);
+            let mut model = hyperplane_mlp(DIM, &mut TensorRng::new(7));
+            let log = run_rank(&ctx, &mut model, &mut Sgd::new(0.05), &*wl, &cfg);
+            let mut weights = vec![0.0; Model::num_params(&model)];
+            model.write_params(&mut weights);
+            ctx.finalize();
+            (log, weights)
+        });
+        let losses =
+            |l: &TrainLog| -> Vec<u32> { l.epochs.iter().map(|e| e.mean_loss.to_bits()).collect() };
+        let decisions = |l: &TrainLog| -> Vec<(u64, u64, QuorumPolicy)> {
+            (l.decisions.iter())
+                .map(|d| (d.step, d.from_round, d.policy))
+                .collect()
+        };
+        for ((sim_log, sim_w), (log, w)) in sim.iter().zip(&threads) {
+            let rank = log.rank;
+            assert_eq!(losses(sim_log), losses(log), "P={p} rank {rank} losses");
+            assert_eq!(bits(sim_w), bits(w), "P={p} rank {rank} weights");
+            assert_eq!(decisions(sim_log).len(), 8, "P={p} rank {rank}");
+            assert_eq!(
+                decisions(sim_log),
+                decisions(log),
+                "P={p} rank {rank} decisions"
+            );
+        }
     }
 }
