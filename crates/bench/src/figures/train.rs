@@ -51,6 +51,25 @@ fn test_loss(s: &VariantSummary) -> f32 {
     s.final_test.map_or(f32::NAN, |t| t.loss)
 }
 
+/// Print each eager run's training time to 1.1× `sync`'s final held-out
+/// loss, next to `sync`'s own time to it ("never": not reached).
+fn time_to_loss(sync: &VariantSummary, eager: &[&VariantSummary]) {
+    let target = 1.1 * test_loss(sync);
+    let time = |s: &VariantSummary| {
+        let t = s.rank0.time_to_loss_s(target);
+        t.map_or("never".into(), |t| format!("{t:.2}s"))
+    };
+    for e in eager {
+        comment(&format!(
+            "time to held-out loss {target:.4} (1.1x sync's final): {} {}, {} {}",
+            e.label,
+            time(e),
+            sync.label,
+            time(sync)
+        ));
+    }
+}
+
 fn hyperplane(dim: usize, samples: usize, noise: f32, val: usize, seed: u64) -> Task {
     Task::Hyperplane(Arc::new(HyperplaneTask::new(
         dim, samples, noise, val, seed,
@@ -121,6 +140,11 @@ pub(super) fn fig10(args: &HarnessArgs, c: &mut Checks) {
 
     // (sync, eager) at each injection.
     let pairs: Vec<_> = s.chunks_exact(2).map(|p| (&p[0], &p[1])).collect();
+    for &(sync, eager) in &pairs {
+        time_to_loss(sync, &[eager]);
+    }
+    // The majority run shares the 200 ms sync run.
+    time_to_loss(&s[0], &[&s[6]]);
     for ((sync, eager), (ms, paper)) in pairs.iter().zip(injections) {
         let name = |what: &str| format!("{what}-at-{ms}ms");
         c.faster_than(&name("eager-beats-sync"), eager, sync, 1.2, paper);
@@ -283,6 +307,7 @@ pub(super) fn fig12(args: &HarnessArgs, c: &mut Checks) {
     let s = sync_solo_majority(args, &setup);
 
     let (sync, solo, majority) = (&s[0], &s[1], &s[2]);
+    time_to_loss(sync, &[solo, majority]);
     c.check(
         "solo-is-fastest",
         solo.train_time_s < majority.train_time_s && solo.train_time_s < sync.train_time_s,
@@ -354,6 +379,7 @@ pub(super) fn fig13(args: &HarnessArgs, c: &mut Checks) {
     let s = sync_solo_majority(args, &setup);
 
     let (sync, solo, majority) = (&s[0], &s[1], &s[2]);
+    time_to_loss(sync, &[solo, majority]);
     for (name, eager, min, paper) in [
         ("solo-fastest-on-inherent-imbalance", solo, 1.15, "1.64x"),
         ("majority-speedup-over-sync", majority, 1.05, "1.27x"),

@@ -143,6 +143,8 @@ pub struct VariantSummary {
     /// Fraction of rounds where ranks contributed fresh gradients
     /// (mean across ranks; 1.0 for synchronous variants).
     pub fresh_fraction: f64,
+    /// Rank 0's log, the one that carries the evaluations.
+    pub rank0: TrainLog,
 }
 
 impl VariantSummary {
@@ -159,6 +161,7 @@ impl VariantSummary {
             final_loss: rank0.final_loss().unwrap_or(f32::NAN),
             final_test: rank0.final_test(),
             fresh_fraction,
+            rank0: rank0.clone(),
         }
     }
 

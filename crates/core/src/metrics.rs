@@ -95,6 +95,14 @@ impl TrainLog {
     pub fn final_loss(&self) -> Option<f32> {
         self.epochs.last().map(|e| e.mean_loss)
     }
+
+    /// Training time (s) at the first evaluated epoch whose held-out loss
+    /// is at most `target`; `None` if no evaluation reached it. Only rank
+    /// 0 evaluates, so read rank 0's log.
+    pub fn time_to_loss_s(&self, target: f32) -> Option<f64> {
+        let reached = |e: &&EpochRecord| e.test.is_some_and(|t| t.loss <= target);
+        self.epochs.iter().find(reached).map(|e| e.train_time_s)
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +142,36 @@ mod tests {
         });
         assert_eq!(log.final_test().unwrap().top1, 0.5);
         assert_eq!(log.final_loss().unwrap(), 1.0);
+    }
+
+    #[test]
+    fn time_to_loss_is_the_first_evaluated_epoch_at_or_below_target() {
+        let mut log = TrainLog::new(0);
+        for (epoch, loss) in [Some(4.0), None, Some(2.0), Some(3.0), Some(1.0)]
+            .into_iter()
+            .enumerate()
+        {
+            log.epochs.push(EpochRecord {
+                epoch,
+                train_time_s: 10.0 * (epoch + 1) as f64,
+                mean_loss: 0.0,
+                throughput: 1.0,
+                test: loss.map(|loss| EvalRecord {
+                    loss,
+                    top1: 0.0,
+                    top5: 0.0,
+                }),
+                train: None,
+            });
+        }
+        // Reached mid-run: epoch 2 is the first at or below 2.5, and the
+        // later rise to 3.0 does not matter.
+        assert_eq!(log.time_to_loss_s(2.5), Some(30.0));
+        assert_eq!(log.time_to_loss_s(2.0), Some(30.0));
+        // Reached only at the last epoch.
+        assert_eq!(log.time_to_loss_s(1.5), Some(50.0));
+        // Never reached.
+        assert_eq!(log.time_to_loss_s(0.5), None);
     }
 
     #[test]
