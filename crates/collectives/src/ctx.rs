@@ -36,15 +36,15 @@ use std::time::Duration;
 /// mid-run keeps the SPMD id agreement without any up-front reservation.
 const EVICTION_COLL_BASE: u32 = 0x4000_0000;
 
-/// A barrier over the sorted `live` ranks of a world of `p`: a `Full`
-/// allreduce of zero elements, passed with [`cross`].
+/// A barrier over the ranks of a world of `p` not in the sorted
+/// `evicted`: a `Full` allreduce of zero elements, passed with [`cross`].
 fn barrier_over(
     engine: &Engine,
     coll: CollId,
     rank: Rank,
     p: usize,
     seed: u64,
-    live: Vec<Rank>,
+    evicted: Vec<Rank>,
 ) -> PartialAllreduce {
     let opts = PartialOpts {
         // How long a barrier waits for the slowest rank before panicking.
@@ -56,7 +56,7 @@ fn barrier_over(
         coll,
         rank,
         p,
-        live,
+        evicted,
         seed,
         DType::F32,
         0,
@@ -96,7 +96,7 @@ impl RankCtx {
         let (handle, inbox) = comm.split();
         let clock = handle.clock().clone();
         let engine = Engine::spawn(handle, inbox);
-        let barrier = barrier_over(&engine, CollId(0), rank, size, seed, (0..size).collect());
+        let barrier = barrier_over(&engine, CollId(0), rank, size, seed, Vec::new());
         RankCtx {
             rank,
             size,
@@ -167,22 +167,14 @@ impl RankCtx {
         policy: QuorumPolicy,
         opts: PartialOpts,
     ) -> PartialAllreduce {
-        self.register_allreduce(
-            self.alloc(),
-            (0..self.size).collect(),
-            dtype,
-            len,
-            op,
-            policy,
-            opts,
-        )
+        self.register_allreduce(self.alloc(), Vec::new(), dtype, len, op, policy, opts)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn register_allreduce(
         &self,
         coll: CollId,
-        live: Vec<Rank>,
+        evicted: Vec<Rank>,
         dtype: DType,
         len: usize,
         op: ReduceOp,
@@ -194,7 +186,7 @@ impl RankCtx {
             coll,
             self.rank,
             self.size,
-            live,
+            evicted,
             self.seed,
             dtype,
             len,
@@ -228,18 +220,19 @@ impl RankCtx {
     }
 
     /// The consensus half of [`RankCtx::evict`] and [`RankCtx::admit`]:
-    /// Max-allreduce the build horizons over `live` (sorted) and return
-    /// the agreed fence round, plus the live-set barrier the caller
-    /// enters once it has applied the membership change. Both collectives
+    /// Max-allreduce the build horizons over the ranks not in `evicted`
+    /// (sorted) and return the agreed fence round, plus the barrier over
+    /// the same ranks that the caller enters once it has applied the
+    /// membership change. Both collectives
     /// are registered lazily at the id pair reserved for `ar`'s next
     /// membership event — the epoch counts evictions *and* admissions as
     /// they are applied, so neither mixed sequences nor several events
     /// that agree on one fence ever reuse a pair.
-    fn agree_fence(&self, ar: &PartialAllreduce, live: &[Rank]) -> (u64, PartialAllreduce) {
+    fn agree_fence(&self, ar: &PartialAllreduce, evicted: &[Rank]) -> (u64, PartialAllreduce) {
         let base = EVICTION_COLL_BASE + 2 * ar.eviction_epoch() as u32;
         let mut fence = self.register_allreduce(
             CollId(base),
-            live.to_vec(),
+            evicted.to_vec(),
             DType::I64,
             1,
             ReduceOp::Max,
@@ -252,7 +245,7 @@ impl RankCtx {
             self.rank,
             self.size,
             self.seed,
-            live.to_vec(),
+            evicted.to_vec(),
         );
         let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
         let fence_round = agreed.data.as_i64().expect("i64 fence")[0] as u64;
@@ -285,14 +278,16 @@ impl RankCtx {
     /// messages for not-yet-registered collectives, so survivors need not
     /// reach this call simultaneously.
     pub fn evict(&self, ar: &PartialAllreduce, dead: &[Rank]) -> u64 {
-        let mut live = ar.live_ranks();
-        live.retain(|r| !dead.contains(r));
+        let mut evicted = ar.evicted_ranks();
+        evicted.extend_from_slice(dead);
+        evicted.sort_unstable();
+        evicted.dedup();
         assert!(
-            live.contains(&self.rank),
+            !evicted.contains(&self.rank),
             "rank {} cannot evict itself",
             self.rank
         );
-        let (fence_round, mut gate) = self.agree_fence(ar, &live);
+        let (fence_round, mut gate) = self.agree_fence(ar, &evicted);
         ar.evict_from(fence_round, dead);
         for &d in dead {
             // Promote the local verdict to a consensus fact in the
@@ -338,15 +333,10 @@ impl RankCtx {
     /// the identical grown live set — no round mixes shrunken and grown
     /// schedules.
     pub fn admit(&self, ar: &mut PartialAllreduce, joiners: &[Rank]) -> u64 {
-        let mut live = ar.live_ranks();
-        for &j in joiners {
-            if !live.contains(&j) {
-                live.push(j);
-            }
-        }
-        live.sort_unstable();
+        let mut evicted = ar.evicted_ranks();
+        evicted.retain(|r| !joiners.contains(r));
         assert!(
-            live.contains(&self.rank),
+            !evicted.contains(&self.rank),
             "rank {} is neither a survivor nor a joiner",
             self.rank
         );
@@ -365,7 +355,7 @@ impl RankCtx {
             // would keep nulling the joiner's contributions.
             self.engine.peer_up(j);
         }
-        let (fence_round, mut gate) = self.agree_fence(ar, &live);
+        let (fence_round, mut gate) = self.agree_fence(ar, &evicted);
         if joiners.contains(&self.rank) {
             ar.fast_forward_to(fence_round);
         }
@@ -454,8 +444,8 @@ mod tests {
             let pos = live.iter().position(|&r| r == ctx.rank());
             let times = pos.map(|i| {
                 let coll = CollId(0x100);
-                let mut gate =
-                    barrier_over(&ctx.engine, coll, ctx.rank, 6, ctx.seed, live.to_vec());
+                let evicted = vec![0, 2, 5];
+                let mut gate = barrier_over(&ctx.engine, coll, ctx.rank, 6, ctx.seed, evicted);
                 std::thread::sleep(Duration::from_millis(20 * i as u64));
                 let arrived = std::time::Instant::now();
                 cross(&mut gate);

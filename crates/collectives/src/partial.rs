@@ -133,37 +133,47 @@ impl fmt::Display for QuorumPolicy {
 pub struct RoundRules {
     /// Which ranks may trigger a round.
     pub policy: QuorumPolicy,
-    /// The sorted global ranks that participate. A partial world builds
-    /// its schedules over `live.len()` virtual ranks: candidates are live
-    /// ranks, nothing is addressed to an absent rank, and a population
-    /// that is not a power of two takes the any-P segmented ring.
-    pub live: Vec<Rank>,
-    /// Evictions and admissions that changed `live`, up to and including
+    /// The sorted global ranks that do not participate, empty when the
+    /// whole world does. A partial world builds its schedules over its
+    /// live ranks only, as virtual ranks: candidates are live ranks,
+    /// nothing is addressed to an absent rank, and a population that is
+    /// not a power of two takes the any-P segmented ring.
+    pub evicted: Vec<Rank>,
+    /// Evictions and admissions that changed `evicted`, up to and including
     /// this segment. Events, not segments — two events agreed at one
     /// fence share a segment — so the fences' consensus ids never repeat.
     pub events: usize,
 }
 
 impl RoundRules {
-    fn evict(&mut self, dead: &[Rank]) {
-        let before = self.live.len();
-        self.live.retain(|r| !dead.contains(r));
-        assert!(!self.live.is_empty(), "cannot evict the last live rank");
-        self.events += usize::from(self.live.len() != before);
+    fn evict(&mut self, dead: &[Rank], p: usize) {
+        let before = self.evicted.len();
+        for &d in dead {
+            assert!(d < p, "rank {d} outside the world {p}");
+            self.evicted.push(d);
+        }
+        self.evicted.sort_unstable();
+        self.evicted.dedup();
+        assert!(self.evicted.len() < p, "cannot evict the last live rank");
+        self.events += usize::from(self.evicted.len() != before);
     }
 
     /// Rank ids are stable across evictions: growth re-admits previously
     /// evicted ranks of the original world `p`, it does not mint new ids.
     fn admit(&mut self, joiners: &[Rank], p: usize) {
-        let before = self.live.len();
+        let before = self.evicted.len();
         for &j in joiners {
             assert!(j < p, "joiner {j} outside the original world {p}");
-            if !self.live.contains(&j) {
-                self.live.push(j);
-            }
         }
-        self.live.sort_unstable();
-        self.events += usize::from(self.live.len() != before);
+        self.evicted.retain(|r| !joiners.contains(r));
+        self.events += usize::from(self.evicted.len() != before);
+    }
+
+    /// The sorted ranks of a world of `p` that participate.
+    fn live(&self, p: usize) -> Vec<Rank> {
+        (0..p)
+            .filter(|r| self.evicted.binary_search(r).is_err())
+            .collect()
     }
 }
 
@@ -263,7 +273,7 @@ impl RuleTimeline {
     /// what its initiator did.
     pub(crate) fn plan(&self, round: u64) -> RoundPlan {
         let (policy, live) = self.with_rules(round, |r| {
-            (r.policy, (r.live.len() != self.p).then(|| r.live.clone()))
+            (r.policy, (!r.evicted.is_empty()).then(|| r.live(self.p)))
         });
         let (vrank, p_live) = match &live {
             None => (Some(self.rank), self.p),
@@ -341,8 +351,8 @@ impl RuleTimeline {
 }
 
 /// Segments start at round 0 with strictly increasing boundaries, and
-/// every live set is a non-empty sorted subset of the world `p`; the
-/// error names the first rule `segments` breaks.
+/// every evicted set is a sorted subset of the world `p` that leaves
+/// someone live; the error names the first rule `segments` breaks.
 fn check_segments(p: usize, segments: &[(u64, RoundRules)]) -> Result<(), String> {
     if segments.first().is_none_or(|(from, _)| *from != 0) {
         return Err(format!("round rules must start at round 0: {segments:?}"));
@@ -353,12 +363,15 @@ fn check_segments(p: usize, segments: &[(u64, RoundRules)]) -> Result<(), String
             "round-rule boundaries must strictly increase: {a} then {b}"
         ));
     }
-    let sorted_in_world =
-        |live: &[Rank]| live.windows(2).all(|w| w[0] < w[1]) && live.last().is_some_and(|&r| r < p);
-    match segments.iter().find(|(_, r)| !sorted_in_world(&r.live)) {
+    let sorted_in_world = |evicted: &[Rank]| {
+        evicted.windows(2).all(|w| w[0] < w[1])
+            && evicted.last().is_none_or(|&r| r < p)
+            && evicted.len() < p
+    };
+    match segments.iter().find(|(_, r)| !sorted_in_world(&r.evicted)) {
         Some((from, r)) => Err(format!(
-            "live set {:?} from round {from} is not a non-empty sorted subset of a world of {p}",
-            r.live
+            "evicted set {:?} from round {from} is not a sorted proper subset of a world of {p}",
+            r.evicted
         )),
         None => Ok(()),
     }
@@ -814,9 +827,9 @@ pub struct PartialAllreduce {
 
 impl PartialAllreduce {
     /// Register a partial allreduce with `engine`, run from round 0
-    /// under `policy` by the sorted `live` ranks of a world of `p` (a
-    /// partial set for the fences' consensus collectives, which
-    /// are born over the survivors, so even a round built from a
+    /// under `policy` by the ranks of a world of `p` that are not in the
+    /// sorted `evicted` (non-empty for the fences' consensus collectives,
+    /// which are born over the survivors, so even a round built from a
     /// pre-registration message sees them). Must be called in the same
     /// order on all ranks (SPMD); prefer
     /// [`crate::RankCtx::partial_allreduce`].
@@ -826,7 +839,7 @@ impl PartialAllreduce {
         coll: CollId,
         rank: Rank,
         p: usize,
-        live: Vec<Rank>,
+        evicted: Vec<Rank>,
         seed: u64,
         dtype: DType,
         len: usize,
@@ -840,7 +853,7 @@ impl PartialAllreduce {
         let bytes = len * dtype.size_of();
         let initial = RoundRules {
             policy,
-            live,
+            evicted,
             events: 0,
         };
         let shared = Arc::new(Shared {
@@ -911,7 +924,8 @@ impl PartialAllreduce {
     /// [`crate::RankCtx::evict`] packages the fence protocol that
     /// provides the ordering.
     pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
-        self.amend(from_round, |r| r.evict(dead));
+        let p = self.shared.rules.p;
+        self.amend(from_round, |r| r.evict(dead, p));
     }
 
     /// Re-admit `joiners` for every round ≥ `from_round`: those rounds
@@ -931,16 +945,16 @@ impl PartialAllreduce {
     /// The ranks live in the current tail segment (i.e. not currently
     /// evicted).
     pub fn live_ranks(&self) -> Vec<Rank> {
-        self.shared.rules.with_rules(u64::MAX, |r| r.live.clone())
+        let p = self.shared.rules.p;
+        self.shared.rules.with_rules(u64::MAX, |r| r.live(p))
     }
 
     /// All ranks currently evicted (the complement of
-    /// [`PartialAllreduce::live_ranks`]).
+    /// [`PartialAllreduce::live_ranks`]), sorted.
     pub fn evicted_ranks(&self) -> Vec<Rank> {
-        let live = self.live_ranks();
-        (0..self.shared.rules.p)
-            .filter(|r| !live.contains(r))
-            .collect()
+        self.shared
+            .rules
+            .with_rules(u64::MAX, |r| r.evicted.clone())
     }
 
     /// Number of membership events (evictions + admissions) applied so
@@ -1454,10 +1468,10 @@ mod tests {
 
     // --- The one timeline: what governs round r, derived once. ---
 
-    fn whole(p: usize, policy: QuorumPolicy) -> RoundRules {
+    fn whole(policy: QuorumPolicy) -> RoundRules {
         RoundRules {
             policy,
-            live: (0..p).collect(),
+            evicted: Vec::new(),
             events: 0,
         }
     }
@@ -1468,7 +1482,7 @@ mod tests {
             0,
             p,
             7,
-            whole(p, policy),
+            whole(policy),
             AlgoSelector::default(),
             16,
         )
@@ -1502,7 +1516,7 @@ mod tests {
         // A rewrite back to the predecessor's rules never governed a
         // round: it leaves no segment behind.
         t.amend(0, 4, |r| r.policy = QuorumPolicy::Solo);
-        assert_eq!(t.segments(), [(0, whole(4, QuorumPolicy::Solo))]);
+        assert_eq!(t.segments(), [(0, whole(QuorumPolicy::Solo))]);
     }
 
     #[test]
@@ -1511,14 +1525,14 @@ mod tests {
         // allocates the fences' consensus ids must still move twice.
         let epoch = |t: &RuleTimeline| t.with_rules(u64::MAX, |r| r.events);
         let t = timeline(8, QuorumPolicy::Full);
-        t.amend(0, 5, |r| r.evict(&[3]));
-        t.amend(0, 5, |r| r.evict(&[2]));
-        t.amend(0, 5, |r| r.evict(&[2])); // already gone: not an event
+        t.amend(0, 5, |r| r.evict(&[3], 8));
+        t.amend(0, 5, |r| r.evict(&[2], 8));
+        t.amend(0, 5, |r| r.evict(&[2], 8)); // already gone: not an event
         assert_eq!((epoch(&t), t.segments().len()), (2, 2));
         assert_eq!(t.plan(4).live, None);
         assert_eq!(t.plan(5).live, Some(vec![0, 1, 4, 5, 6, 7]));
         let t = timeline(8, QuorumPolicy::Full);
-        t.amend(0, 5, |r| r.evict(&[3]));
+        t.amend(0, 5, |r| r.evict(&[3], 8));
         t.amend(0, 5, |r| r.admit(&[3], 8));
         assert_eq!((epoch(&t), t.plan(5).live), (2, None), "whole again");
     }
@@ -1532,7 +1546,7 @@ mod tests {
             CollId(1),
             0,
             4,
-            (0..4).collect(),
+            Vec::new(),
             11,
             DType::F32,
             4,
@@ -1541,32 +1555,36 @@ mod tests {
             PartialOpts::default(),
         );
         let pristine = ar.rule_segments();
-        let over = |live: Vec<Rank>| RoundRules {
-            live,
-            ..whole(4, Full)
+        let without = |evicted: Vec<Rank>| RoundRules {
+            evicted,
+            ..whole(Full)
         };
         let malformed = [
             (vec![], "start at round 0"),
-            (vec![(3, whole(4, Full))], "start at round 0"),
+            (vec![(3, whole(Full))], "start at round 0"),
             (
                 vec![
-                    (0, whole(4, Solo)),
-                    (5, over(vec![0, 1])),
-                    (5, over(vec![0])),
+                    (0, whole(Solo)),
+                    (5, without(vec![2, 3])),
+                    (5, without(vec![1, 2, 3])),
                 ],
                 "increase",
             ),
             (
-                vec![(0, whole(4, Solo)), (4, over(vec![]))],
-                "sorted subset",
+                vec![(0, whole(Solo)), (4, without(vec![0, 1, 2, 3]))],
+                "sorted proper subset",
             ),
             (
-                vec![(0, whole(4, Solo)), (4, over(vec![2, 1]))],
-                "sorted subset",
+                vec![(0, whole(Solo)), (4, without(vec![2, 1]))],
+                "sorted proper subset",
             ),
             (
-                vec![(0, whole(4, Solo)), (4, over(vec![0, 4]))],
-                "sorted subset",
+                vec![(0, whole(Solo)), (4, without(vec![1, 1]))],
+                "sorted proper subset",
+            ),
+            (
+                vec![(0, whole(Solo)), (4, without(vec![0, 4]))],
+                "sorted proper subset",
             ),
         ];
         for (segments, why) in malformed {
@@ -1574,7 +1592,7 @@ mod tests {
             assert!(err.contains(why), "{segments:?}: {err}");
             assert_eq!(ar.rule_segments(), pristine, "{segments:?} touched it");
         }
-        let good = vec![(0, whole(4, Solo)), (6, over(vec![0, 1, 3]))];
+        let good = vec![(0, whole(Solo)), (6, without(vec![2]))];
         ar.import_state(good.clone())
             .expect("well-formed segments import");
         assert_eq!(ar.rule_segments(), good);
@@ -1603,7 +1621,7 @@ mod tests {
                             CollId(1),
                             rank,
                             p,
-                            (0..p).collect(),
+                            Vec::new(),
                             11,
                             DType::F32,
                             4,
@@ -1709,7 +1727,7 @@ mod tests {
                         1 if before.iter().all(picked) => continue, // the last live rank stays
                         1 => {
                             live.retain(|r| !picked(r));
-                            t.amend(0, from, |r| r.evict(&ranks));
+                            t.amend(0, from, |r| r.evict(&ranks, p));
                         }
                         _ => {
                             live = (0..p).filter(|r| picked(r) || before.contains(r)).collect();

@@ -360,10 +360,10 @@ impl SimHarness {
             let engine = Engine::new(sim.comm(rank));
             let log = Arc::new(RoundLog::default());
             let register = |coll: usize, len, policy, opts| {
-                let live = (0..p).collect();
                 let (id, f32, sum) = (CollId(coll as u32), DType::F32, ReduceOp::Sum);
                 let e = engine.clone();
-                PartialAllreduce::register(e, id, rank, p, live, seed, f32, len, sum, policy, opts)
+                let whole = Vec::new();
+                PartialAllreduce::register(e, id, rank, p, whole, seed, f32, len, sum, policy, opts)
             };
             let mut gradient = spec.partial.clone();
             gradient.observer = Some(log.clone());
