@@ -3,7 +3,7 @@
 //! the same collective code as the in-process and TCP transports, driven
 //! event by event from the discrete-event scheduler.
 //!
-//! Three parts (select with `--part nap|det|tune`, default all):
+//! Two parts (select with `--part nap|det`, default both):
 //!
 //! - **nap** — E\[NAP\] validation: open-loop linear skew at P = 1,024,
 //!   every quorum policy on the paper's spectrum
@@ -16,11 +16,6 @@
 //! - **det** — bit-exact determinism: a WAN-topology, jittery-network,
 //!   self-paced run executed twice from the same seed must produce
 //!   byte-identical traces ([`pcoll::SimReport::digest`]).
-//! - **tune** — closed-loop control: under region-level skew on the
-//!   four-region WAN, the trainer's hill-climb
-//!   [`pcoll_tune::AdaptiveTuner`], one per rank on the virtual clock,
-//!   migrates the quorum policy away from `Full` toward the asynchronous
-//!   end, improving the `fresh^β × rounds/s` reward.
 //!
 //! Full mode processes millions of simulated events; a final check
 //! asserts the volume so the "planet-scale" claim stays honest.
@@ -28,9 +23,8 @@
 use eager_sgd::NapModel;
 use pcoll::{Hiccup, QuorumPolicy, SimHarness, SimSpec};
 use pcoll_comm::WorldConfig;
-use pcoll_tune::spectrum;
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::{switches, tune_spec, wan_spec, TUNE_PERIOD, TUNE_SKEW_MS, TUNE_STRAGGLERS};
+use repro_bench::wan::wan_spec;
 use repro_bench::HarnessArgs;
 use std::time::Duration;
 
@@ -156,70 +150,6 @@ fn run_det_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
     );
 }
 
-fn run_tune_part(args: &HarnessArgs, c: &mut Checks, events_total: &mut u64) {
-    let p = 64;
-    let rounds = if args.quick { 120 } else { 240 };
-    comment(&format!(
-        "part tune: P={p}, 4-region WAN, {TUNE_SKEW_MS}ms/region static skew + rotating \
-         {}x{}ms stragglers, hill-climb from Full, decide every {TUNE_PERIOD} rounds",
-        TUNE_STRAGGLERS.k,
-        TUNE_STRAGGLERS.extra.as_millis()
-    ));
-    let arms = spectrum(p);
-    let full_idx = arms.len() - 1;
-    let report = SimHarness::run(tune_spec(p, rounds, args.seed));
-    *events_total += report.events;
-
-    // Every rank decides alone, from the same summed stats.
-    let decisions = &report.decisions[0];
-    c.check(
-        "tuners-agree",
-        report.decisions.iter().all(|d| d == decisions),
-        &format!("{} decisions on each of {p} ranks", decisions.len()),
-    );
-    // Decision i closes the window [i·period, (i+1)·period), which ran
-    // under the previous decision's policy.
-    let mut final_policy = QuorumPolicy::Full;
-    for (i, d) in decisions.iter().enumerate() {
-        let from = i as u64 * TUNE_PERIOD;
-        comment(&format!(
-            "window [{from:>3}, {:>3}) {final_policy:<12} fresh {:.3}  rounds/s {:>7.2}  reward {:>7.2}",
-            from + TUNE_PERIOD,
-            d.fresh_fraction,
-            d.rounds_per_s,
-            d.reward
-        ));
-        final_policy = d.policy;
-    }
-    let switches = switches(decisions);
-    for (from, to) in &switches {
-        comment(&format!("switch at round {from}: -> {to}"));
-    }
-    let final_idx = arms
-        .iter()
-        .position(|a| *a == final_policy)
-        .expect("controller stays on its arm set");
-    comment(&format!(
-        "final policy {final_policy} (arm {final_idx}/{full_idx}), {} switches, mean NAP {:.2}",
-        switches.len(),
-        report.mean_nap
-    ));
-
-    c.check(
-        "controller-leaves-full",
-        !switches.is_empty() && final_idx < full_idx,
-        &format!("{} switches, settled on {final_policy}", switches.len()),
-    );
-    let rewards: Vec<f64> = decisions.iter().map(|d| d.reward).collect();
-    let first = rewards.first().copied().unwrap_or(0.0);
-    let last = rewards.last().copied().unwrap_or(0.0);
-    c.check(
-        "reward-improves-under-control",
-        last > first,
-        &format!("first window {first:.2} -> last window {last:.2}"),
-    );
-}
-
 fn main() {
     let args = HarnessArgs::parse();
     let part = args.part.clone().unwrap_or_else(|| "all".into());
@@ -237,9 +167,6 @@ fn main() {
     }
     if part == "all" || part.contains("det") {
         run_det_part(&args, &mut c, &mut events_total);
-    }
-    if part == "all" || part.contains("tune") {
-        run_tune_part(&args, &mut c, &mut events_total);
     }
 
     comment(&format!("total simulated events: {events_total}"));

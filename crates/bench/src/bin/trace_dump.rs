@@ -1,7 +1,6 @@
-//! `trace_dump`: the flight recorder end to end. Runs a sim_scale-style
-//! closed-loop experiment — P = 64 engines on the four-region WAN with
-//! static region skew plus rotating 300 ms stragglers, a hill-climb
-//! controller migrating the quorum policy away from `Full` — with the
+//! `trace_dump`: the flight recorder end to end. Runs a self-paced
+//! experiment — P = 64 engines on the four-region WAN with static region
+//! skew plus rotating 300 ms stragglers, under `Majority` — with the
 //! recorder at verbose level, then:
 //!
 //! 1. drains every rank's ring into one merged virtual-time stream,
@@ -9,9 +8,8 @@
 //!    (`BENCH_trace_dump.perfetto.json` — load at `ui.perfetto.dev`),
 //! 3. validates the file against the trace-event schema,
 //! 4. shape-checks that the trace actually shows the phenomena the
-//!    observability layer exists for: forced joins dragging stragglers,
-//!    wire-serialization queue stalls, and at least one tuner policy
-//!    switch,
+//!    observability layer exists for: forced joins dragging stragglers
+//!    and wire-serialization queue stalls,
 //! 5. prints every rank's `CommStats`/`EngineStats` counter snapshot of
 //!    the same run.
 //!
@@ -20,28 +18,34 @@
 //! with the same seed write byte-identical JSON (checked here with an
 //! FNV digest against a second run in full mode).
 
-use pcoll::SimHarness;
+use pcoll::{Hiccup, QuorumPolicy, SimHarness};
 use pcoll_obs::{fnv1a, validate_perfetto, EventKind, TraceEvent, LEVEL_VERBOSE};
 use repro_bench::report::{comment, row, Checks};
-use repro_bench::wan::{switches, tune_spec};
+use repro_bench::wan::wan_spec;
 use repro_bench::HarnessArgs;
+use std::time::Duration;
 
 /// Per-rank ring capacity: large enough that a full run never overwrites
 /// (the dump should be the whole story, not the tail of it).
 const RING_CAP: usize = 1 << 16;
 
-/// One traced run: returns (trace events, perfetto JSON, switch count).
-fn traced_run(
-    p: usize,
-    rounds: u64,
-    seed: u64,
-    print_counters: bool,
-) -> (Vec<TraceEvent>, String, usize) {
-    // `sim_scale`'s tune part, with the recorder switched on.
-    let mut spec = tune_spec(p, rounds, seed);
+/// Static compute skew per region (ms).
+const SKEW_MS: u64 = 20;
+
+/// The rotating stragglers (the paper's dynamic-imbalance regime): a
+/// different 8 ranks stall 300 ms each round, so forced joins drag them in.
+const STRAGGLERS: Hiccup = Hiccup {
+    k: 8,
+    extra: Duration::from_millis(300),
+};
+
+/// One traced run: returns (trace events, perfetto JSON).
+fn traced_run(p: usize, rounds: u64, seed: u64, print_counters: bool) -> (Vec<TraceEvent>, String) {
+    let policy = QuorumPolicy::Majority;
+    let mut spec = wan_spec(p, rounds, seed, policy, SKEW_MS, STRAGGLERS);
     spec.world = spec.world.with_trace(LEVEL_VERBOSE, RING_CAP);
     let mut h = SimHarness::new(spec);
-    let report = h.execute();
+    h.execute();
     let events = h.trace_events();
 
     if print_counters {
@@ -53,7 +57,7 @@ fn traced_run(
         }
     }
     let json = pcoll_obs::perfetto_trace(&events);
-    (events, json, switches(&report.decisions[0]).len())
+    (events, json)
 }
 
 fn main() {
@@ -62,11 +66,11 @@ fn main() {
     let rounds = if args.quick { 48 } else { 120 };
     comment(&format!(
         "trace_dump: P={p}, 4-region WAN + rotating stragglers, recorder at verbose \
-         (ring {RING_CAP}/rank), hill-climb from Full (quick={}, seed={})",
+         (ring {RING_CAP}/rank), majority (quick={}, seed={})",
         args.quick, args.seed
     ));
 
-    let (events, json, switches) = traced_run(p, rounds, args.seed, true);
+    let (events, json) = traced_run(p, rounds, args.seed, true);
     let path = "BENCH_trace_dump.perfetto.json";
     std::fs::write(path, &json).expect("write trace file");
     comment(&format!("wrote {path} ({} bytes)", json.len()));
@@ -113,16 +117,11 @@ fn main() {
         queue_stalls > 0,
         &format!("{queue_stalls} wire-serialization stalls"),
     );
-    c.check(
-        "tuner-switches-visible",
-        switches >= 1,
-        &format!("{switches} policy switches"),
-    );
 
     let digest = fnv1a(json.as_bytes());
     if !args.quick {
         // Same seed, second harness: the trace file must be byte-identical.
-        let (_, json2, _) = traced_run(p, rounds, args.seed, false);
+        let (_, json2) = traced_run(p, rounds, args.seed, false);
         c.check(
             "same-seed-trace-byte-identical",
             json == json2,

@@ -54,7 +54,6 @@ fn skewed_allreduce(
             offsets: pauses,
         },
         partial: PartialOpts::default(),
-        tuner: None,
     })
 }
 

@@ -81,7 +81,7 @@ pub fn trainer_config(
 
 /// Train one variant of `setup` on virtual time, a pure function of
 /// `--seed`; `tweak` is the per-run override (an injection amount, a
-/// stale mode, a tuner). The network is `hpc`, so a collective is not
+/// stale mode). The network is `hpc`, so a collective is not
 /// free; every rank's model starts from the same seed (the data-parallel
 /// contract).
 pub fn train_variant(

@@ -28,8 +28,8 @@
 //! [`RankCtx`] packages the per-rank engine plus collective constructors;
 //! collectives must be created in the same order on every rank (SPMD), as
 //! with MPI communicator construction; [`RankCtx::barrier`] is the `Full`
-//! allreduce of zero elements. [`QuorumTuner`] is the closed-loop policy
-//! protocol the trainer and [`SimHarness`] both run.
+//! allreduce of zero elements. [`SimHarness`] runs P ranks of this stack
+//! in one process on a virtual clock.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +41,6 @@ pub mod partial;
 pub mod select;
 pub mod sim;
 pub mod topology;
-pub mod tuner;
 
 pub use ctx::RankCtx;
 pub use partial::{
@@ -50,4 +49,3 @@ pub use partial::{
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Outcome, Pacing, RankStep, SimHarness, SimReport, SimSpec, StepSetup};
-pub use tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};

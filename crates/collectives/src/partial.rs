@@ -439,8 +439,7 @@ impl RoundObserver for RoundLog {
 }
 
 /// Cumulative per-collective round counters on one rank: always on,
-/// lossless, and mutually consistent (all four move under one lock). A
-/// window is the delta of two snapshots, [`RoundCounters::since`].
+/// lossless, and mutually consistent (all four move under one lock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundCounters {
     /// Rounds completed on this rank.
@@ -454,18 +453,6 @@ pub struct RoundCounters {
     /// Completed rounds this rank was dragged into by a peer
     /// (Σ [`RoundEvent::external`]).
     pub external: u64,
-}
-
-impl RoundCounters {
-    /// Counter deltas since `earlier`.
-    pub fn since(&self, earlier: &RoundCounters) -> RoundCounters {
-        RoundCounters {
-            completions: self.completions.saturating_sub(earlier.completions),
-            fresh: self.fresh.saturating_sub(earlier.fresh),
-            missed: self.missed.saturating_sub(earlier.missed),
-            external: self.external.saturating_sub(earlier.external),
-        }
-    }
 }
 
 /// How a deposit that missed its round is treated.
@@ -892,11 +879,6 @@ impl PartialAllreduce {
     /// candidates.
     pub fn candidates(&self, round: u64) -> Vec<Rank> {
         self.shared.rules.plan(round).candidates()
-    }
-
-    /// The policy that will govern the next `allreduce` call.
-    pub fn current_policy(&self) -> QuorumPolicy {
-        self.shared.rules.with_rules(self.next_round, |r| r.policy)
     }
 
     /// Switch the quorum policy for every round ≥ `from_round`
@@ -1440,10 +1422,8 @@ mod tests {
                 let _ = ar.allreduce(&f32s(&[1.0]));
                 ctx.barrier();
             }
-            assert_eq!(ar.current_policy(), QuorumPolicy::Solo);
             ar.set_policy_from(ar.rounds(), QuorumPolicy::Chain(p));
             ctx.barrier();
-            assert_eq!(ar.current_policy(), QuorumPolicy::Chain(p));
             let me = ctx.rank() as f32;
             let mut sums = Vec::new();
             for _ in 0..3 {
@@ -1846,8 +1826,11 @@ mod tests {
                 ));
                 let _ = ar.allreduce(&f32s(&[1.0; 2]));
                 let now = ar.counters();
-                let window = now.since(&before);
-                assert!(window.fresh <= window.completions, "{window:?}");
+                let window = (
+                    now.fresh - before.fresh,
+                    now.completions - before.completions,
+                );
+                assert!(window.0 <= window.1, "{now:?} after {before:?}");
                 before = now;
             }
             ctx.barrier();

@@ -30,24 +30,21 @@
 //!   runs the trainer's.
 //!
 //! Every rank registers `RankCtx`'s and `eager_sgd::run_rank`'s
-//! collectives at their SPMD ids: the barrier (0), the gradient (1), the
-//! weight sync (2) and, with [`SimSpec::tuner`], the tuner's consensus
-//! (3). A closed-loop rank waits on a fence as on a gradient round, over
-//! the modelled network ([`RankStep::outcome`]), and a tuned rank runs the
-//! trainer's boundary every `period()` rounds: stats → consensus allreduce
-//! → decide → apply from its next round → barrier.
+//! collectives at their SPMD ids: the barrier (0), the gradient (1) and
+//! the weight sync (2). A closed-loop rank waits on a fence as on a
+//! gradient round, over the modelled network ([`RankStep::outcome`]).
 
 use crate::partial::{
     AllreduceOutcome, PartialAllreduce, PartialOpts, QuorumPolicy, RoundCounters, RoundEvent,
     RoundLog,
 };
-use crate::tuner::{QuorumDecision, QuorumTuner, Setup, TunerSetup};
 use pcoll_comm::{
-    CollId, DType, Inbox, Payload, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint,
+    Clock, CollId, DType, Inbox, Payload, Rank, ReduceOp, SimEvent, SimOpts, SimWorld, TimePoint,
     TypedBuf, WorldConfig,
 };
 use pcoll_obs::{perfetto_trace, EventKind, TraceEvent, LEVEL_SPANS};
 use pcoll_sched::Engine;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,8 +70,7 @@ pub enum Pacing {
 /// virtual clock (the threaded trainer blocks where this returns).
 pub trait RankStep: Send {
     /// How long `rank` computes before depositing `round` (its open-loop
-    /// offset under [`Pacing::Global`]). A pure function, so a rank can
-    /// evaluate every rank's: its tuner's `record_step` offsets, in ms.
+    /// offset under [`Pacing::Global`]).
     fn delay(&self, rank: Rank, round: u64) -> Duration;
 
     /// Write this rank's contribution to `round` into the send buffer, at
@@ -97,10 +93,27 @@ pub enum Outcome<'a> {
     Fence(&'a AllreduceOutcome),
 }
 
-/// The per-rank [`RankStep`] factory, [`Pacing::SelfPaced`]'s payload.
-pub type StepSetup = Setup<dyn RankStep>;
+/// The per-rank [`RankStep`] factory, [`Pacing::SelfPaced`]'s payload:
+/// called once per rank with (rank, world size, the rank's clock) when the
+/// harness starts, so every rank owns its step and times it on the clock
+/// the rest of the rank reads.
+#[derive(Clone)]
+pub struct StepSetup(Arc<dyn Fn(usize, usize, Clock) -> Box<dyn RankStep> + Send + Sync>);
 
 impl StepSetup {
+    /// Wrap a factory.
+    pub fn new<F>(f: F) -> Self
+    where
+        F: Fn(usize, usize, Clock) -> Box<dyn RankStep> + Send + Sync + 'static,
+    {
+        StepSetup(Arc::new(f))
+    }
+
+    /// Build the step for `rank` of `p`, timing on `clock`.
+    pub fn build(&self, rank: usize, p: usize, clock: Clock) -> Box<dyn RankStep> {
+        (self.0)(rank, p, clock)
+    }
+
     /// The model-free step: rank `r` computes for `compute[r]`, plus the
     /// hiccup's extra on the rounds it hits, and deposits all-ones. It
     /// also paces [`Pacing::Global`], with the offsets as `compute`.
@@ -111,6 +124,12 @@ impl StepSetup {
             assert!(fixed.hiccup.k <= p, "hiccup cannot stall more than P ranks");
             Box::new(Arc::clone(&fixed))
         })
+    }
+}
+
+impl fmt::Debug for StepSetup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("StepSetup(..)")
     }
 }
 
@@ -170,7 +189,7 @@ pub struct SimSpec {
     /// [`pcoll_comm::NetworkModel`] and the region topology — and the
     /// chaos script.
     pub opts: SimOpts,
-    /// Initial quorum policy (the tuner's `initial_policy` overrides it).
+    /// The gradient collective's quorum policy.
     pub policy: QuorumPolicy,
     /// Rounds each rank deposits.
     pub rounds: u64,
@@ -182,9 +201,6 @@ pub struct SimSpec {
     /// slot is the harness's: it wires a [`RoundLog`] per rank to build
     /// [`SimReport::traces`], so `partial.observer` must be `None`.
     pub partial: PartialOpts,
-    /// Closed-loop quorum tuner, one per rank on the virtual clock (see
-    /// the module docs). `None`: the harness does no tuner work.
-    pub tuner: Option<TunerSetup>,
 }
 
 impl SimSpec {
@@ -202,7 +218,6 @@ impl SimSpec {
                 offsets: (0..p).map(|r| skew_unit * r as u32).collect(),
             },
             partial: PartialOpts::default(),
-            tuner: None,
         }
     }
 }
@@ -223,10 +238,6 @@ pub struct SimReport {
     pub nap_per_round: Vec<u32>,
     /// Mean of `nap_per_round`.
     pub mean_nap: f64,
-    /// Every rank's tuner decisions, in rank order; a decision's `step`
-    /// is the last round of the window it closes. Empty lists without
-    /// [`SimSpec::tuner`].
-    pub decisions: Vec<Vec<QuorumDecision>>,
     /// Evictions the harness applied, as `(fence_round, ranks evicted at
     /// that fence)` — empty unless the spec scripts
     /// [`pcoll_comm::Fault::Kill`]s.
@@ -282,12 +293,11 @@ pub fn mean_nap(nap_per_round: &[u32], from: usize, to: usize) -> f64 {
 const BARRIER: usize = 0;
 const GRADIENT: usize = 1;
 const WEIGHT_SYNC: usize = 2;
-const CONSENSUS: usize = 3;
 
 struct SimRank {
     engine: Engine,
     inbox: Inbox,
-    /// Indexed by [`BARRIER`], [`GRADIENT`], [`WEIGHT_SYNC`], [`CONSENSUS`].
+    /// Indexed by [`BARRIER`], [`GRADIENT`], [`WEIGHT_SYNC`].
     colls: Vec<PartialAllreduce>,
     log: Arc<RoundLog>,
     /// The collective and round this rank deposited and has not yet seen
@@ -295,9 +305,6 @@ struct SimRank {
     waiting: Option<(usize, u64)>,
     /// When the gradient round it waits on was deposited.
     deposited_at: TimePoint,
-    /// The gradient outcome a tuner boundary holds until its barrier opens.
-    held: Option<AllreduceOutcome>,
-    decisions: Vec<QuorumDecision>,
     /// Head of the latest outcome seen.
     last_result: f32,
     /// See [`SimReport::call_latency`].
@@ -310,8 +317,6 @@ pub struct SimHarness {
     spec: SimSpec,
     sim: SimWorld,
     ranks: Vec<SimRank>,
-    /// One tuner per rank, or none (see [`SimSpec::tuner`]).
-    tuners: Vec<Box<dyn QuorumTuner>>,
     /// One step per rank.
     steps: Vec<Box<dyn RankStep>>,
     /// Whether the fault plan is non-empty: every fault changes membership
@@ -333,21 +338,10 @@ impl SimHarness {
             spec.partial.observer.is_none(),
             "the harness wires its own observer"
         );
-        assert!(
-            spec.tuner.is_none() || matches!(spec.pacing, Pacing::SelfPaced(_)),
-            "a tuner's boundary blocks its rank: it needs self-paced ranks"
-        );
         let seed = spec.world.seed;
         let mut sim = SimWorld::new(spec.world.clone(), spec.opts.clone());
         let mut ranks = Vec::with_capacity(p);
         let clock = |rank| sim.comm(rank).clock().clone();
-        let tuners: Vec<Box<dyn QuorumTuner>> = (spec.tuner.iter())
-            .flat_map(|t| (0..p).map(|rank| t.build(rank, p, clock(rank))))
-            .collect();
-        // One setup builds every rank's tuner: all start alike.
-        let policy = (tuners.first())
-            .and_then(|t| t.initial_policy())
-            .unwrap_or(spec.policy);
         // Open-loop offsets are the model-free step's delays.
         let setup = match &spec.pacing {
             Pacing::Global { offsets, .. } => StepSetup::fixed(offsets.clone(), Hiccup::default()),
@@ -373,19 +367,11 @@ impl SimHarness {
                 ..PartialOpts::default()
             };
             let full = QuorumPolicy::Full;
-            let mut colls = vec![
+            let colls = vec![
                 register(BARRIER, 0, full, PartialOpts::default()),
-                register(GRADIENT, spec.len, policy, gradient),
+                register(GRADIENT, spec.len, spec.policy, gradient),
                 register(WEIGHT_SYNC, spec.len, full, average),
             ];
-            if let Some(t) = tuners.get(rank) {
-                colls.push(register(
-                    CONSENSUS,
-                    t.stats_len(),
-                    full,
-                    PartialOpts::default(),
-                ));
-            }
             ranks.push(SimRank {
                 engine,
                 inbox: sim.take_inbox(rank),
@@ -393,8 +379,6 @@ impl SimHarness {
                 log,
                 waiting: None,
                 deposited_at: TimePoint::ZERO,
-                held: None,
-                decisions: Vec::new(),
                 last_result: 0.0,
                 call_latency: vec![None; spec.rounds as usize],
             });
@@ -404,7 +388,6 @@ impl SimHarness {
             spec,
             sim,
             ranks,
-            tuners,
             steps,
             chaos,
             evicted: vec![false; p],
@@ -513,9 +496,6 @@ impl SimHarness {
             traces,
             nap_per_round: nap,
             mean_nap: mean,
-            decisions: (self.ranks.iter_mut())
-                .map(|r| std::mem::take(&mut r.decisions))
-                .collect(),
             evictions: std::mem::take(&mut self.evictions),
             rejoins: std::mem::take(&mut self.rejoins),
             live: self.sim.live_ranks(),
@@ -586,7 +566,6 @@ impl SimHarness {
     /// post-rejoin contribution is exactly the gradient's fence round.
     fn apply_rejoin(&mut self, joiner: usize) {
         self.ranks[joiner].waiting = None;
-        self.ranks[joiner].held = None;
         if !self.evicted[joiner] {
             // Back before anyone evicted it: nothing to reverse — just
             // resume its deposit schedule where it stopped.
@@ -634,16 +613,8 @@ impl SimHarness {
         self.sim.schedule_timer(at, rank, round);
     }
 
-    /// Deposit `round` on `rank` and schedule what follows. A tuned rank
-    /// first records every rank's arrival offset for the round (ms), the
-    /// global view the trainer's injector gives its tuner.
+    /// Deposit `round` on `rank` and schedule what follows.
     fn deposit(&mut self, rank: usize, round: u64) {
-        if !self.tuners.is_empty() {
-            let offsets: Vec<f64> = (0..self.ranks.len())
-                .map(|r| self.steps[rank].delay(r, round).as_secs_f64() * 1e3)
-                .collect();
-            self.tuners[rank].record_step(round, &offsets);
-        }
         let r = &mut self.ranks[rank];
         let step = &mut self.steps[rank];
         let got = r.colls[GRADIENT].deposit_fill(|send| step.fill(round, send));
@@ -674,9 +645,8 @@ impl SimHarness {
         self.poll_outcome(rank);
     }
 
-    /// If the outcome `rank` awaits is available, take its next step: a
-    /// gradient round goes to a tuner boundary or the step, a consensus
-    /// decides, and a fence goes to the step or releases a held round.
+    /// If the outcome `rank` awaits is available, hand it to the rank's
+    /// step and enter the fence or schedule the deposit the step asks for.
     fn poll_outcome(&mut self, rank: usize) {
         let r = &mut self.ranks[rank];
         let Some((coll, round)) = r.waiting else {
@@ -687,38 +657,15 @@ impl SimHarness {
         };
         r.waiting = None;
         let step = &mut self.steps[rank];
-        let next = match coll {
-            GRADIENT => {
-                r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
-                r.call_latency[round as usize] =
-                    Some(self.sim.now().duration_since(r.deposited_at));
-                if matches!(self.spec.pacing, Pacing::Global { .. }) {
-                    return;
-                }
-                let tuner = self.tuners.get_mut(rank);
-                if let Some(t) = tuner.filter(|t| (round + 1) % t.period().max(1) == 0) {
-                    // The trainer decides before it applies the round.
-                    let comm = self.sim.comm_stats(rank).snapshot();
-                    let local = t.local_stats(r.colls[GRADIENT].counters(), comm);
-                    r.held = Some(out);
-                    return self.enter(rank, CONSENSUS, TypedBuf::from(local));
-                }
-                step.outcome(Outcome::Round(&out))
+        let next = if coll == GRADIENT {
+            r.last_result = out.data.as_f32().map_or(0.0, |v| v[0]);
+            r.call_latency[round as usize] = Some(self.sim.now().duration_since(r.deposited_at));
+            if matches!(self.spec.pacing, Pacing::Global { .. }) {
+                return;
             }
-            CONSENSUS => {
-                let summed = out.data.as_f32().expect("f32 stats vector");
-                let from = r.colls[GRADIENT].rounds();
-                if let Some(d) = self.tuners[rank].decide(from - 1, from, summed) {
-                    r.colls[GRADIENT].set_policy_from(from, d.policy);
-                    d.record(self.sim.comm_stats(rank).recorder());
-                    r.decisions.push(d);
-                }
-                Some(TypedBuf::zeros(DType::F32, 0))
-            }
-            _ => match r.held.take() {
-                Some(held) => step.outcome(Outcome::Round(&held)),
-                None => step.outcome(Outcome::Fence(&out)),
-            },
+            step.outcome(Outcome::Round(&out))
+        } else {
+            step.outcome(Outcome::Fence(&out))
         };
         match next {
             Some(buf) if buf.is_empty() => self.enter(rank, BARRIER, buf),
@@ -1080,77 +1027,6 @@ mod tests {
         assert_eq!(a.live, b.live);
         assert_eq!(a.events, b.events);
         assert!(!a.evictions.is_empty() && !a.rejoins.is_empty());
-    }
-
-    /// A trainer-style tuner that starts at Solo and decides `to` at
-    /// every boundary.
-    struct Fixed {
-        to: QuorumPolicy,
-    }
-
-    impl QuorumTuner for Fixed {
-        fn period(&self) -> u64 {
-            10
-        }
-        fn initial_policy(&self) -> Option<QuorumPolicy> {
-            Some(QuorumPolicy::Solo)
-        }
-        fn stats_len(&self) -> usize {
-            1
-        }
-        fn local_stats(
-            &mut self,
-            _: crate::RoundCounters,
-            _: pcoll_comm::CommStatsSnapshot,
-        ) -> Vec<f32> {
-            vec![1.0]
-        }
-        fn decide(&mut self, step: u64, from_round: u64, summed: &[f32]) -> Option<QuorumDecision> {
-            assert_eq!(summed, [8.0], "every live rank contributes once");
-            Some(QuorumDecision {
-                step,
-                from_round,
-                policy: self.to,
-                reward: 1.0,
-                fresh_fraction: 1.0,
-                rounds_per_s: 1.0,
-                spread_ms: 0.0,
-                queue_stall_ms: 0.0,
-            })
-        }
-    }
-
-    /// An 8-rank spec, 40 rounds, self-paced ranks computing `r` ms each,
-    /// tuned by `setup`.
-    fn tuned_spec(setup: TunerSetup) -> SimSpec {
-        let p = 8;
-        let mut spec = SimSpec::linear_skew(p, 40, Duration::from_millis(1), QuorumPolicy::Full);
-        let compute = (0..p).map(|r| Duration::from_millis(r as u64)).collect();
-        spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute, Hiccup::default()));
-        spec.tuner = Some(setup);
-        spec
-    }
-
-    #[test]
-    fn tuner_switches_policy_mid_run() {
-        let to = QuorumPolicy::Full;
-        let rep = SimHarness::run(tuned_spec(TunerSetup::new(move |_, _, _| {
-            Box::new(Fixed { to })
-        })));
-        // Boundaries after rounds 9, 19, 29 and 39, on every rank alike;
-        // the first one switches from the round after it.
-        assert!(rep.decisions.iter().all(|d| d == &rep.decisions[0]));
-        let from: Vec<u64> = rep.decisions[0].iter().map(|d| d.from_round).collect();
-        assert_eq!(from, [10, 20, 30, 40], "one decision per boundary");
-        assert!(
-            rep.decisions[0].iter().all(|d| d.policy == to),
-            "solo → full"
-        );
-        // Before the switch solo runs nearly alone; from it on, everyone
-        // is fresh: the boundary's barrier keeps every rank out of round
-        // 10 until all have applied the decision.
-        assert!(mean_nap(&rep.nap_per_round, 0, 10) < 2.0);
-        assert_eq!(&rep.nap_per_round[10..], [8; 30].as_slice());
     }
 
     #[test]

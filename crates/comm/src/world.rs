@@ -202,8 +202,8 @@ impl CommHandle {
 
     /// The rank's one clock: wall time shared by the launch's ranks on the
     /// in-process backend, one wall clock per TCP worker, virtual time
-    /// under the simulator. The recorder, the engine, the tuner and the
-    /// trainer's timers all read it.
+    /// under the simulator. The recorder, the engine and the trainer's
+    /// timers all read it.
     pub fn clock(&self) -> &Clock {
         &self.clock
     }

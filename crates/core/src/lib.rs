@@ -36,7 +36,5 @@ pub mod workloads;
 
 pub use metrics::{EpochRecord, TrainLog};
 pub use theory::{ConvergenceParams, NapModel, NapPrediction};
-pub use trainer::{
-    run_rank, run_sim, QuorumDecision, QuorumTuner, SgdVariant, TrainerConfig, TunerSetup,
-};
+pub use trainer::{run_rank, run_sim, SgdVariant, TrainerConfig};
 pub use workloads::{HyperplaneWorkload, ImageWorkload, VideoWorkload, Workload};

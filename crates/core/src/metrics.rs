@@ -1,7 +1,6 @@
 //! Training metrics: what the figure harnesses plot.
 
 use dnn::EvalMetrics;
-use pcoll::QuorumDecision;
 use serde::{Deserialize, Serialize};
 
 /// Evaluation numbers in serializable form.
@@ -54,9 +53,6 @@ pub(crate) fn rate(steps: u64, secs: f64) -> f64 {
 pub struct TrainLog {
     pub rank: usize,
     pub epochs: Vec<EpochRecord>,
-    /// Quorum-controller decisions, when adaptive tuning was enabled.
-    /// Every rank records the same sequence.
-    pub decisions: Vec<QuorumDecision>,
     /// Rounds where this rank's fresh gradient made it into its own round.
     pub fresh_rounds: u64,
     /// Rounds whose requested result had been superseded (staleness events).
@@ -73,7 +69,6 @@ impl TrainLog {
         TrainLog {
             rank,
             epochs: Vec::new(),
-            decisions: Vec::new(),
             fresh_rounds: 0,
             missed_rounds: 0,
             steps: 0,

@@ -81,17 +81,14 @@ impl ConvergenceParams {
 ///
 /// Under uniform offsets this reproduces the paper's closed forms
 /// (E\[NAP\] = P/2 for majority, ≈ P/(m+1) for first-of-m, ≈ P·m/(m+1)
-/// for chain-m); with offsets rebuilt from the measured skew (the tuner's
-/// EWMA mean and spread) it becomes the plant model of the closed-loop
-/// quorum tuner.
+/// for chain-m).
 #[derive(Debug, Clone)]
 pub struct NapModel {
     /// Number of processes P.
     pub p: usize,
     /// Per-rank arrival offsets in ms, sorted ascending (offset = how long
     /// after the earliest possible arrival this rank reaches the
-    /// collective; the injector's delays, or offsets spread evenly over
-    /// the tuner's measured mean ± spread/2).
+    /// collective; the injector's delays).
     pub offsets_ms: Vec<f64>,
     /// Fixed communication cost per round (ms).
     pub comm_ms: f64,
@@ -188,28 +185,6 @@ impl NapModel {
             initiator_ms,
             round_ms: self.base_ms + initiator_ms + self.comm_ms,
         }
-    }
-
-    /// Statistically-weighted update throughput: `(E[NAP]/P)^β` fresh
-    /// gradient mass per round (β < 1 models the diminishing returns of
-    /// effective batch size) divided by the round duration in seconds.
-    /// This is the objective the closed-loop controllers maximize, and it
-    /// is *measurable* online as `fresh_fraction^β × rounds_per_sec`.
-    pub fn utility(&self, policy: QuorumPolicy, beta: f64) -> f64 {
-        let pred = self.predict(policy);
-        (pred.e_nap / self.p as f64).powf(beta) / (pred.round_ms / 1e3)
-    }
-
-    /// The theory-optimal policy among `arms` under these offsets.
-    pub fn best_policy(&self, arms: &[QuorumPolicy], beta: f64) -> QuorumPolicy {
-        *arms
-            .iter()
-            .max_by(|a, b| {
-                self.utility(**a, beta)
-                    .partial_cmp(&self.utility(**b, beta))
-                    .expect("finite utilities")
-            })
-            .expect("non-empty arm set")
     }
 }
 
@@ -325,34 +300,6 @@ mod tests {
         let ch4 = m.predict(QuorumPolicy::Chain(4)).initiator_ms;
         let full = m.predict(QuorumPolicy::Full).initiator_ms;
         assert!(solo <= fo4 && fo4 <= maj && maj <= ch4 && ch4 <= full);
-    }
-
-    #[test]
-    fn utility_prefers_sync_when_balanced_and_async_under_heavy_skew() {
-        let arms = [
-            QuorumPolicy::Solo,
-            QuorumPolicy::FirstOf(4),
-            QuorumPolicy::Majority,
-            QuorumPolicy::Chain(4),
-            QuorumPolicy::Full,
-        ];
-        // No skew: waiting for everyone costs nothing, full gradients win.
-        let balanced = NapModel::new(vec![0.0; 8], 1.0, 5.0);
-        assert_eq!(balanced.best_policy(&arms, 0.5), QuorumPolicy::Full);
-        // Skew ≫ compute: waiting dominates, the async end wins.
-        let skewed = NapModel::new((0..8).map(|i| 100.0 * i as f64).collect(), 1.0, 5.0);
-        let best = skewed.best_policy(&arms, 0.5);
-        assert!(
-            matches!(best, QuorumPolicy::Solo | QuorumPolicy::FirstOf(_)),
-            "heavy skew should pick the async end, got {best}"
-        );
-        // The utility of the best arm beats the worst by a real margin.
-        let best_u = skewed.utility(best, 0.5);
-        let worst_u = arms
-            .iter()
-            .map(|a| skewed.utility(*a, 0.5))
-            .fold(f64::INFINITY, f64::min);
-        assert!(best_u > 1.5 * worst_u, "{best_u} vs {worst_u}");
     }
 
     /// The bound is *sufficient*: the ADS simulator converges to ‖∇f‖² ≤ ε

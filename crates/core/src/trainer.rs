@@ -32,7 +32,6 @@ use pcoll::{
     Outcome, Pacing, PartialOpts, QuorumPolicy, RankCtx, RankStep, RoundCounters, SimHarness,
     SimSpec, StaleMode, StepSetup,
 };
-pub use pcoll::{QuorumDecision, QuorumTuner, TunerSetup};
 use pcoll_comm::{Clock, DType, ReduceOp, SimOpts, TimePoint, TypedBuf, WorldConfig};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -115,10 +114,6 @@ pub struct TrainerConfig {
     /// Evaluate on rank 0 every k epochs (and at the end).
     pub eval_every: usize,
     pub seed: u64,
-    /// Closed-loop quorum controller (eager variants only; ignored for
-    /// the synchronous baseline), built on the rank's clock. See
-    /// [`QuorumTuner`].
-    pub tuner: Option<TunerSetup>,
 }
 
 impl TrainerConfig {
@@ -135,7 +130,6 @@ impl TrainerConfig {
             grad_clip: None,
             eval_every: 1,
             seed: 42,
-            tuner: None,
         }
     }
 }
@@ -328,36 +322,15 @@ pub fn run_rank(
     let n = model.num_params();
     let mut st = Step::new(rank, p, n, cfg);
 
-    // Per-rank closed-loop tuner (eager variants only): built before the
-    // collectives so its initial policy can be wired in.
-    let mut tuner = if cfg.variant.is_eager() {
-        (cfg.tuner.as_ref()).map(|t| t.build(rank, p, ctx.clock().clone()))
-    } else {
-        None
-    };
-    // Transport counters when training starts: decision windows count
-    // what moved since, not the world's setup traffic.
-    let comm_at_start = ctx.comm_stats().snapshot();
-
     // SPMD collective construction order: gradient reducer, weight
-    // synchronizer, tuner consensus allreduce (adaptive runs only). The
-    // gradient crosses one collective over the whole flattened buffer
-    // (Horovod-style tensor fusion), which is what the eager send-buffer
-    // semantics are defined on.
-    let policy = tuner
-        .as_ref()
-        .and_then(|t| t.initial_policy())
-        .unwrap_or(cfg.variant.quorum_policy());
+    // synchronizer. The gradient crosses one collective over the whole
+    // flattened buffer (Horovod-style tensor fusion), which is what the
+    // eager send-buffer semantics are defined on.
+    let policy = cfg.variant.quorum_policy();
     let opts = gradient_opts(cfg, p);
     let scale = opts.scale;
     let mut ar = ctx.partial_allreduce(DType::F32, n, ReduceOp::Sum, policy, opts);
     let mut weight_sync = ctx.sync_allreduce(DType::F32, n, ReduceOp::Sum, scale);
-    // Small blocking allreduce that sums every rank's stats vector at a
-    // decision boundary, so the controllers decide from an identical
-    // global view on every rank.
-    let mut consensus = tuner
-        .as_ref()
-        .map(|t| ctx.sync_allreduce(DType::F32, t.stats_len(), ReduceOp::Sum, None));
 
     // Every timer reads the rank's clock (see `RankCtx::clock`).
     let clock = ctx.clock();
@@ -379,31 +352,6 @@ pub fn run_rank(
             let round = ar.deposit_fill(|send| model.write_grads(f32s(send)));
             let out = ar.wait_for(round);
             st.apply(model, opt, out.data.as_f32().expect("f32 gradients"));
-
-            // --- Closed-loop quorum control (eager + tuner only). ---
-            if let (Some(t), Some(cons)) = (tuner.as_mut(), consensus.as_mut()) {
-                // Arrival offsets of *all* ranks this step: every rank can
-                // evaluate the injector's global pattern from the shared
-                // seed without communication.
-                t.record_step(step, &st.injector.delays_all(p, step));
-                if (step + 1).is_multiple_of(t.period().max(1)) {
-                    // measure → agree → decide → apply → fence.
-                    let comm = ctx.comm_stats().snapshot().since(&comm_at_start);
-                    let local = t.local_stats(ar.counters(), comm);
-                    let summed = cons.allreduce(&TypedBuf::from(local));
-                    let summed = summed.data.as_f32().expect("f32 stats vector");
-                    let from_round = ar.rounds();
-                    if let Some(d) = t.decide(step, from_round, summed) {
-                        ar.set_policy_from(from_round, d.policy);
-                        d.record(ctx.recorder());
-                        st.log.decisions.push(d);
-                    }
-                    // The barrier guarantees every rank has appended the
-                    // new policy segment before any rank can reach (and
-                    // drag peers into) a round it governs.
-                    ctx.barrier();
-                }
-            }
             if let Some(t0) = step_t0 {
                 let dur_ns = clock.now().duration_since(t0).as_nanos() as u64;
                 ctx.recorder()
@@ -433,14 +381,11 @@ pub fn run_rank(
 /// initialized on every rank, as on threads) and optimizer. Returns every
 /// rank's log and final weights, in rank order.
 ///
-/// Rounds, length, policy, scale, stale mode and tuner come from `cfg` and
-/// the model, and every rank runs [`run_rank`]'s collectives, fences and
-/// tuner boundaries included, over the modelled network. What differs:
-/// - time is virtual: a step takes its delay, plus its batch's
-///   [`Workload::cost_ms`], plus the modelled network time; `grad_step`,
-///   the optimizer and evaluation take none;
-/// - the tuner's per-step offsets are the step delays (base compute and
-///   batch cost included), not the injected delays alone.
+/// Rounds, length, policy, scale and stale mode come from `cfg` and the
+/// model, and every rank runs [`run_rank`]'s collectives, fences included,
+/// over the modelled network. What differs: time is virtual. A step takes
+/// its delay, plus its batch's [`Workload::cost_ms`], plus the modelled
+/// network time; `grad_step`, the optimizer and evaluation take none.
 pub fn run_sim(
     cfg: &TrainerConfig,
     mut build: impl FnMut(usize) -> (Box<dyn Model>, Box<dyn Optimizer>),
@@ -476,22 +421,16 @@ pub fn run_sim(
             Box::new(SimStep { trainee, clock })
         })),
         partial: gradient_opts(cfg, p),
-        tuner: cfg.tuner.clone().filter(|_| cfg.variant.is_eager()),
     });
-    (trainees
-        .into_iter()
-        .zip(&report.counters)
-        .zip(report.decisions))
-    .map(|((t, rounds), decisions)| {
-        let t = Arc::into_inner(t).expect("the harness is gone");
-        let t = t.into_inner().expect("no step panicked");
-        let mut weights = vec![0.0; n];
-        t.model.write_params(&mut weights);
-        let mut log = t.st.finish(*rounds);
-        log.decisions = decisions;
-        (log, weights)
-    })
-    .collect()
+    (trainees.into_iter().zip(&report.counters))
+        .map(|(t, rounds)| {
+            let t = Arc::into_inner(t).expect("the harness is gone");
+            let t = t.into_inner().expect("no step panicked");
+            let mut weights = vec![0.0; n];
+            t.model.write_params(&mut weights);
+            (t.st.finish(*rounds), weights)
+        })
+        .collect()
 }
 
 /// One simulated rank: its step and what the step runs on.
@@ -572,8 +511,7 @@ mod tests {
     use datagen::HyperplaneTask;
     use dnn::zoo::hyperplane_mlp;
     use dnn::Sgd;
-    use pcoll::RoundCounters;
-    use pcoll_comm::{CommStatsSnapshot, World, WorldConfig};
+    use pcoll_comm::{World, WorldConfig};
     use std::sync::Arc;
 
     fn run_variant(variant: SgdVariant, p: usize, epochs: usize) -> Vec<TrainLog> {
@@ -721,90 +659,6 @@ mod tests {
             assert_eq!(log.mean_throughput(), 0.0);
             assert!(log.epochs.iter().all(|e| e.throughput == 0.0), "{log:?}");
         }
-    }
-
-    #[test]
-    fn tuner_protocol_switches_policies_safely_under_skew() {
-        // A toy tuner cycling across the whole spectrum (including Full)
-        // every 4 steps: validates the measure → agree → decide → apply
-        // protocol end to end under injected skew — consensus summation,
-        // timeline appends on every rank, no deadlock across switches —
-        // and that identical decision logs land on every rank.
-        struct Cycle {
-            idx: usize,
-        }
-        const ARMS: [QuorumPolicy; 4] = [
-            QuorumPolicy::Chain(2),
-            QuorumPolicy::Majority,
-            QuorumPolicy::Full,
-            QuorumPolicy::Solo,
-        ];
-        impl QuorumTuner for Cycle {
-            fn period(&self) -> u64 {
-                4
-            }
-            fn initial_policy(&self) -> Option<QuorumPolicy> {
-                Some(QuorumPolicy::Solo)
-            }
-            fn stats_len(&self) -> usize {
-                2
-            }
-            fn local_stats(&mut self, _: RoundCounters, _: CommStatsSnapshot) -> Vec<f32> {
-                vec![1.0, 3.0]
-            }
-            fn decide(
-                &mut self,
-                step: u64,
-                from_round: u64,
-                summed: &[f32],
-            ) -> Option<QuorumDecision> {
-                // Every rank contributed exactly one stats vector.
-                assert_eq!(summed, [4.0, 12.0]);
-                let policy = ARMS[self.idx % ARMS.len()];
-                self.idx += 1;
-                Some(QuorumDecision {
-                    step,
-                    from_round,
-                    policy,
-                    reward: 1.0,
-                    fresh_fraction: 1.0,
-                    rounds_per_s: 1.0,
-                    spread_ms: 0.0,
-                    queue_stall_ms: 0.0,
-                })
-            }
-        }
-        let p = 4;
-        let task = Arc::new(HyperplaneTask::new(16, 256, 0.05, 32, 7));
-        let logs = World::launch(WorldConfig::instant(p), move |c| {
-            let ctx = RankCtx::new(c);
-            let mut rng = TensorRng::new(3);
-            let mut model = hyperplane_mlp(16, &mut rng);
-            let mut opt = Sgd::new(0.02);
-            let wl = HyperplaneWorkload {
-                task: Arc::clone(&task),
-                local_batch: 8,
-            };
-            let mut cfg = TrainerConfig::new(SgdVariant::EagerSolo, 2, 8, 0.02);
-            cfg.injector = Injector::RandomRanks {
-                k: 1,
-                amount_ms: 15.0,
-                seed: 9,
-            };
-            cfg.eval_every = 100;
-            cfg.tuner = Some(TunerSetup::new(|_, _, _| Box::new(Cycle { idx: 0 })));
-            let log = run_rank(&ctx, &mut model, &mut opt, &wl, &cfg);
-            ctx.finalize();
-            log
-        });
-        // 16 steps / period 4 = 4 decisions, identical on every rank.
-        for log in &logs {
-            assert_eq!(log.decisions.len(), 4, "rank {}", log.rank);
-            assert_eq!(log.decisions, logs[0].decisions);
-            assert_eq!(log.steps, 16);
-        }
-        let policies: Vec<QuorumPolicy> = logs[0].decisions.iter().map(|d| d.policy).collect();
-        assert_eq!(&policies, &ARMS);
     }
 
     #[test]

@@ -134,8 +134,7 @@ impl Injector {
     /// All ranks' injected delays at `step`, unscaled — the global view
     /// every rank can compute from the shared seed. Equivalent to calling
     /// [`Injector::delay_ms`] once per rank, but draws the shared
-    /// randomness once instead of `p` times (the per-step telemetry path
-    /// of the adaptive tuner calls this every training step).
+    /// randomness once instead of `p` times.
     pub fn delays_all(&self, p: usize, step: u64) -> Vec<f64> {
         match self {
             Injector::RandomRanks { k, amount_ms, seed } => {

@@ -3,14 +3,14 @@
 //! Events are deliberately *plain data* — integer collective ids, round
 //! numbers, ranks, byte counts — so the schema has no dependency on the
 //! transport crates above this one. Call-sites in `pcoll_comm`,
-//! `pcoll_sched`, `pcoll`, `pcoll_tune`, and `eager_sgd` map their own
+//! `pcoll_sched`, `pcoll` and `eager_sgd` map their own
 //! types (wire tags, policies, op kinds) into these fields.
 //!
 //! Two shapes of event share one type:
 //!
 //! - **instants** ([`EventKind::dur_ns`] is `None`): a point on the
-//!   timeline — a message handed to the transport, an activation, a tuner
-//!   decision;
+//!   timeline — a message handed to the transport, an activation, an
+//!   eviction;
 //! - **spans** (`dur_ns` is `Some`): an interval that *ended* at the
 //!   event's timestamp and lasted `dur_ns`. Spans are recorded once, at
 //!   completion, so a ring overwrite can never orphan a "begin" half —
@@ -132,20 +132,6 @@ pub enum EventKind {
         /// Modeled delay the message spent on the virtual wire.
         delay_ns: u64,
     },
-    /// The adaptive tuner evaluated its reward and (re)chose a policy.
-    TunerDecision {
-        /// Trainer step the decision was made at.
-        step: u64,
-        /// Human-readable policy label (`Debug` of the quorum policy).
-        policy: String,
-    },
-    /// A policy switch was applied to the collective's timeline.
-    PolicySwitch {
-        /// First round governed by the new policy.
-        from_round: u64,
-        /// Human-readable label of the new policy.
-        policy: String,
-    },
     /// One trainer step (forward + backward + allreduce + apply) ended.
     StepSpan {
         /// Step index.
@@ -191,8 +177,6 @@ impl EventKind {
             EventKind::RoundComplete { .. } => "round_complete",
             EventKind::QueueStall { .. } => "queue_stall",
             EventKind::NetRelease { .. } => "net_release",
-            EventKind::TunerDecision { .. } => "tuner_decision",
-            EventKind::PolicySwitch { .. } => "policy_switch",
             EventKind::StepSpan { .. } => "step",
             EventKind::PeerDown { .. } => "peer_down",
             EventKind::Eviction { .. } => "eviction",
@@ -261,14 +245,6 @@ mod tests {
             EventKind::NetRelease {
                 dst: 2,
                 delay_ns: 35_000_000,
-            },
-            EventKind::TunerDecision {
-                step: 40,
-                policy: "Majority".to_string(),
-            },
-            EventKind::PolicySwitch {
-                from_round: 41,
-                policy: "Full".to_string(),
             },
             EventKind::StepSpan {
                 step: 40,

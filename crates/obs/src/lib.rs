@@ -3,14 +3,14 @@
 //! Perfetto trace exporter.
 //!
 //! This crate sits *below* `pcoll_comm` so every layer (transport,
-//! scheduler, collectives, tuner, trainer) can record into the same
+//! scheduler, collectives, trainer) can record into the same
 //! event stream without dependency cycles:
 //!
 //! - [`time`] — `Clock`/`TimePoint`: one clock interface over wall time
 //!   (inproc/TCP) and virtual time (the discrete-event simulator).
 //! - [`event`] — the typed trace schema ([`TraceEvent`]/[`EventKind`]):
-//!   message traffic, engine ops, round lifecycle, queue stalls, tuner
-//!   decisions.
+//!   message traffic, engine ops, round lifecycle, queue stalls,
+//!   membership changes.
 //! - [`recorder`] — the bounded, overwrite-oldest ring ([`Recorder`] /
 //!   [`FlightRecorder`]) with a level gate whose disabled path costs one
 //!   relaxed atomic load.

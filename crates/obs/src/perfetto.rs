@@ -297,10 +297,7 @@ mod tests {
             TraceEvent {
                 ts_ns: 9_100,
                 rank: 0,
-                kind: EventKind::TunerDecision {
-                    step: 1,
-                    policy: "Solo".to_string(),
-                },
+                kind: EventKind::PeerDown { peer: 1 },
             },
         ]
     }
@@ -310,7 +307,7 @@ mod tests {
         let json = perfetto_trace(&sample());
         let sum = validate_perfetto(&json).expect("valid trace");
         // 2 tracks (ranks 0, 1), 1 span, 3 instants (send, recv, and the
-        // decision all render as instants), 1 flow pair.
+        // peer-down verdict all render as instants), 1 flow pair.
         assert_eq!(sum.ranks, 2);
         assert_eq!(sum.spans, 1);
         assert_eq!(sum.instants, 3);

@@ -1,8 +1,8 @@
 //! The `Time` abstraction: one clock interface, two implementations.
 //!
 //! Everything above the transport that needs to *read* time — the engine's
-//! per-round latency telemetry, the tuner's reward windows, the trainer's
-//! epoch timing, the flight recorder's event timestamps — goes through a
+//! per-round latency telemetry, the trainer's epoch timing, the flight
+//! recorder's event timestamps — goes through a
 //! [`Clock`] handle instead of calling `Instant::now()` directly. A
 //! [`Clock`] is either:
 //!

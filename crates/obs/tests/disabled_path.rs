@@ -2,9 +2,9 @@
 //! a counting global allocator instead of trust:
 //!
 //! - `record` on a disabled handle allocates nothing and never builds
-//!   the event (building it *would* allocate — the probe event carries
-//!   a heap `String` precisely so the allocator doubles as proof the
-//!   closure never ran);
+//!   the event (building it *would* allocate — the probe builds a heap
+//!   `String` precisely so the allocator doubles as proof the closure
+//!   never ran);
 //! - `record` below an enabled recorder's level is just as cold;
 //! - an enabled-but-quiet recorder never materializes its ring — the
 //!   slot array is paid for by the first *recorded* event, not by every
@@ -46,11 +46,11 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-/// An event whose construction must allocate (heap `String` label).
+/// An event whose construction must allocate (a heap `String` label).
 fn probe() -> EventKind {
-    EventKind::PolicySwitch {
-        from_round: 0,
-        policy: "majority".to_string(),
+    let label = std::hint::black_box(String::from("majority"));
+    EventKind::PeerDown {
+        peer: label.len() as u32,
     }
 }
 
@@ -88,5 +88,5 @@ fn cold_record_paths_never_allocate() {
     assert!(n >= 1, "first event must materialize the ring");
     let drained = quiet.drain();
     assert_eq!(drained.len(), 1, "the materialized ring holds the event");
-    assert_eq!(drained[0].kind.name(), "policy_switch");
+    assert_eq!(drained[0].kind.name(), "peer_down");
 }

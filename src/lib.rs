@@ -22,8 +22,7 @@
 //! → [`comm`] rank threads and typed messages →
 //! [`sched`] schedule DAG engine → [`pcoll`] partial + synchronous
 //! collectives → [`tensor`]/[`nn`]/[`data`]/[`imbalance`] the DL substrate
-//! → [`core`] the eager-SGD trainer and theory → [`tune`] the closed-loop
-//! adaptive quorum controller.
+//! → [`core`] the eager-SGD trainer and theory.
 
 pub use datagen as data;
 pub use dnn as nn;
@@ -34,15 +33,14 @@ pub use pcoll;
 pub use pcoll_comm as comm;
 pub use pcoll_obs as obs;
 pub use pcoll_sched as sched;
-pub use pcoll_tune as tune;
 
 /// The common imports for application code.
 pub mod prelude {
     pub use datagen::{GaussianMixtureTask, HyperplaneTask, VideoDatasetSpec, VideoTask};
     pub use dnn::{Batch, LossKind, Model, Momentum, Optimizer, Sgd};
     pub use eager_sgd::{
-        run_rank, run_sim, HyperplaneWorkload, ImageWorkload, NapModel, QuorumTuner, SgdVariant,
-        TrainLog, TrainerConfig, TunerSetup, VideoWorkload, Workload,
+        run_rank, run_sim, HyperplaneWorkload, ImageWorkload, NapModel, SgdVariant, TrainLog,
+        TrainerConfig, VideoWorkload, Workload,
     };
     pub use imbalance::Injector;
     pub use minitensor::{Mat, TensorRng};
@@ -53,5 +51,4 @@ pub mod prelude {
     pub use pcoll_comm::{
         DType, NetworkModel, Planet, ReduceOp, SimOpts, TypedBuf, World, WorldConfig,
     };
-    pub use pcoll_tune::{adaptive_setup, static_setup, AdaptiveTunerCfg, ControllerKind};
 }

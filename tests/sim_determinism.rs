@@ -9,17 +9,14 @@
 //!    jittery byte-latency curve, self-paced closed-loop pacing, and
 //!    rotating `Hiccup` stragglers — because that is where hidden
 //!    wall-clock or hash-order nondeterminism would leak in first.
-//!    The simulator's closed loop is the trainer's `QuorumTuner` on the
-//!    virtual clock, so its decisions replay exactly too. Two digests
-//!    are pinned to constants, so a change of behaviour shows across
+//!    Two digests are pinned to constants, so a change of behaviour shows across
 //!    commits, not only between two runs of one binary.
 //! 2. **Conformance**: the virtual-time stack (P thread-less `Engine`s
 //!    fed from one event heap) computes the same collective results as the
 //!    in-process backend (P real threads), because it runs the *same*
 //!    engine and schedule code behind the same `CommHandle`/`Inbox` API.
 //! 3. **Training**: `run_sim` drives the trainer's own step on the
-//!    harness, so a whole training run — logs, tuner decisions, final
-//!    weights — replays bit for bit, and a synchronous run trains to the
+//!    harness, so a whole training run — logs and final weights — replays bit for bit, and a synchronous run trains to the
 //!    same bits as `run_rank` on real threads.
 //!
 //! Companion to `tests/transport_conformance.rs`, which pins the
@@ -28,11 +25,10 @@
 use eager_sgd_repro::comm::{Fault, FaultPlan, TimePoint};
 use eager_sgd_repro::nn::zoo::hyperplane_mlp;
 use eager_sgd_repro::prelude::{
-    adaptive_setup, run_rank, run_sim, static_setup, AdaptiveTunerCfg, ControllerKind, DType,
-    Hiccup, HyperplaneTask, HyperplaneWorkload, Injector, Model, NetworkModel, Optimizer, Pacing,
-    PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, Sgd, SgdVariant, SimHarness, SimOpts,
-    SimReport, SimSpec, StepSetup, TensorRng, TrainLog, TrainerConfig, TypedBuf, World,
-    WorldConfig,
+    run_rank, run_sim, DType, Hiccup, HyperplaneTask, HyperplaneWorkload, Injector, Model,
+    NetworkModel, Optimizer, Pacing, PartialOpts, Planet, QuorumPolicy, RankCtx, ReduceOp, Sgd,
+    SgdVariant, SimHarness, SimOpts, SimReport, SimSpec, StepSetup, TensorRng, TrainLog,
+    TrainerConfig, TypedBuf, World, WorldConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,7 +56,6 @@ fn wan_spec(p: usize, rounds: u64, seed: u64, policy: QuorumPolicy) -> SimSpec {
             },
         )),
         partial: PartialOpts::default(),
-        tuner: None,
     }
 }
 
@@ -126,71 +121,6 @@ fn sim_digests_match_their_pinned_values() {
 
 const WAN_P64_DIGEST: u64 = 0xf22bc5683c0e5263;
 const CHAOS_DIGEST: u64 = 0xcc0da791f113f5f0;
-
-/// `sim_scale`'s closed loop (`repro_bench::wan::tune_spec`): the stateful
-/// WAN spec with 20 ms of static skew per region and rotating 300 ms
-/// stragglers, every rank running the hill-climb `AdaptiveTuner` from
-/// `Full`, deciding every 8 rounds on the virtual clock.
-fn tuned_run(seed: u64) -> SimReport {
-    const P: usize = 64;
-    let mut spec = wan_spec(P, 40, seed, QuorumPolicy::Full);
-    let planet = Planet::wan();
-    let compute = (0..P).map(|r| {
-        let region = planet.rank_region(r, P).0 as u32;
-        Duration::from_millis(5 + 20 * u64::from(region)) + Duration::from_micros(37) * r as u32
-    });
-    let hiccup = Hiccup {
-        k: 8,
-        extra: Duration::from_millis(300),
-    };
-    spec.pacing = Pacing::SelfPaced(StepSetup::fixed(compute.collect(), hiccup));
-    spec.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
-        period: 8,
-        beta: 0.5,
-        kind: ControllerKind::HillClimb,
-        initial: Some(QuorumPolicy::Full),
-    }));
-    SimHarness::run(spec)
-}
-
-/// Every rank's tuner decides alone from the consensus-summed stats, so
-/// within a run every rank logs the same decisions. Same seed ⇒ the
-/// simulated tuners make the same decisions, down to the reward's bits,
-/// and the run digests alike; another seed decides differently.
-#[test]
-fn sim_tuner_decisions_replay_bit_identically() {
-    let bits = |r: &SimReport| -> Vec<(u64, QuorumPolicy, u64)> {
-        (r.decisions[0].iter())
-            .map(|d| (d.from_round, d.policy, d.reward.to_bits()))
-            .collect()
-    };
-    let (a, b) = (tuned_run(42), tuned_run(42));
-    for (rank, decisions) in a.decisions.iter().enumerate() {
-        assert_eq!(decisions, &a.decisions[0], "rank {rank}");
-    }
-    assert_eq!(
-        a.decisions[0].len(),
-        5,
-        "boundaries after rounds 7, 15, 23, 31 and 39"
-    );
-    assert_eq!(bits(&a), bits(&b), "same seed must decide identically");
-    assert_eq!(
-        a.digest(),
-        b.digest(),
-        "same seed must replay bit-identically"
-    );
-    assert!(
-        a.decisions[0]
-            .iter()
-            .any(|d| d.policy != QuorumPolicy::Full),
-        "the hill climb leaves Full"
-    );
-    assert_ne!(
-        bits(&a),
-        bits(&tuned_run(43)),
-        "seed must reach the decisions"
-    );
-}
 
 /// Under `QuorumPolicy::Full` every deposit is provably fresh, so the
 /// reduced value each round is exactly P on every backend. Run the same
@@ -349,8 +279,8 @@ fn bits(weights: &[f32]) -> Vec<u32> {
     weights.iter().map(|w| w.to_bits()).collect()
 }
 
-/// Every field of a log, floats as their bit patterns, and its policies.
-fn log_bits(log: &TrainLog) -> (Vec<u64>, Vec<QuorumPolicy>) {
+/// Every field of a log, floats as their bit patterns.
+fn log_bits(log: &TrainLog) -> Vec<u64> {
     let mut v = vec![
         log.rank as u64,
         log.fresh_rounds,
@@ -372,16 +302,7 @@ fn log_bits(log: &TrainLog) -> (Vec<u64>, Vec<QuorumPolicy>) {
             v.extend(r.map(u64::from));
         }
     }
-    for d in &log.decisions {
-        v.extend([
-            d.step,
-            d.from_round,
-            d.reward.to_bits(),
-            d.fresh_fraction.to_bits(),
-        ]);
-        v.extend([d.rounds_per_s, d.spread_ms, d.queue_stall_ms].map(f64::to_bits));
-    }
-    (v, log.decisions.iter().map(|d| d.policy).collect())
+    v
 }
 
 /// Eager-majority training under random skew, periodic weight sync and
@@ -440,46 +361,22 @@ fn sim_and_threads_train_sync_sgd_to_the_same_bits() {
     }
 }
 
-/// The hill-climb `AdaptiveTuner` on the simulated trainer: every rank
-/// records the same decisions, and a second run replays them — and
-/// everything else — bit for bit.
-#[test]
-fn sim_trainer_tuner_decisions_agree_and_replay() {
-    let mut cfg = trainer_cfg(SgdVariant::EagerSolo, 42);
-    cfg.tuner = Some(adaptive_setup(AdaptiveTunerCfg {
-        period: 4,
-        beta: 0.5,
-        kind: ControllerKind::HillClimb,
-        initial: Some(QuorumPolicy::Full),
-    }));
-    let (a, b) = (
-        train_sim(&cfg, SimOpts::default()),
-        train_sim(&cfg, SimOpts::default()),
-    );
-    // 32 steps, a boundary every 4, the last one (step 31) included, as
-    // on threads.
-    assert_eq!(a[0].0.decisions.len(), 8);
-    for ((log_a, w_a), (log_b, w_b)) in a.iter().zip(&b) {
-        assert_eq!(log_a.decisions, a[0].0.decisions, "rank {}", log_a.rank);
-        assert_eq!(log_bits(log_a), log_bits(log_b), "rank {}", log_a.rank);
-        assert_eq!(bits(w_a), bits(w_b), "rank {} weights", log_a.rank);
-    }
-}
-
-/// Eager-majority with a `static_setup(Full, 4)` tuner holds every
-/// gradient round at `Full`, weights sync every epoch and rank 0
-/// evaluates every two: the simulator and real rank threads run the same
-/// collectives — gradient, tuner consensus and barrier, weight sync,
-/// evaluation barriers — so they train to identical bits on every rank and
-/// log the same decisions. P = 8 takes recursive doubling, whose
-/// reduction order is not rank order; P = 6 takes the ring.
+/// An eager chain-of-all-P quorum holds every gradient round at full
+/// quorum, weights sync every epoch and rank 0 evaluates every two: the
+/// simulator and real rank threads run the same collectives — gradient,
+/// weight sync, evaluation barriers — so they train to identical bits on
+/// every rank. P = 8 takes recursive doubling, whose reduction order is
+/// not rank order; P = 6 takes the ring.
 #[test]
 fn sim_and_threads_agree_through_every_fence() {
     for p in [8, 6] {
-        let mut cfg = TrainerConfig::new(SgdVariant::EagerMajority, 4, 8, 0.05);
+        let variant = SgdVariant::EagerQuorum {
+            chain: p,
+            race: false,
+        };
+        let mut cfg = TrainerConfig::new(variant, 4, 8, 0.05);
         cfg.model_sync_every = Some(1);
         cfg.eval_every = 2;
-        cfg.tuner = Some(static_setup(QuorumPolicy::Full, 4));
         let build = |_| -> (Box<dyn Model>, Box<dyn Optimizer>) {
             let model = hyperplane_mlp(DIM, &mut TensorRng::new(7));
             (Box::new(model), Box::new(Sgd::new(0.05)))
@@ -498,21 +395,10 @@ fn sim_and_threads_agree_through_every_fence() {
         });
         let losses =
             |l: &TrainLog| -> Vec<u32> { l.epochs.iter().map(|e| e.mean_loss.to_bits()).collect() };
-        let decisions = |l: &TrainLog| -> Vec<(u64, u64, QuorumPolicy)> {
-            (l.decisions.iter())
-                .map(|d| (d.step, d.from_round, d.policy))
-                .collect()
-        };
         for ((sim_log, sim_w), (log, w)) in sim.iter().zip(&threads) {
             let rank = log.rank;
             assert_eq!(losses(sim_log), losses(log), "P={p} rank {rank} losses");
             assert_eq!(bits(sim_w), bits(w), "P={p} rank {rank} weights");
-            assert_eq!(decisions(sim_log).len(), 8, "P={p} rank {rank}");
-            assert_eq!(
-                decisions(sim_log),
-                decisions(log),
-                "P={p} rank {rank} decisions"
-            );
         }
     }
 }
