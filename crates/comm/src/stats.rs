@@ -7,8 +7,7 @@
 //! rank (shared by its `CommHandle` clones and, under TCP, its socket
 //! threads). The counters are cumulative and lossless; a window is the
 //! delta of two snapshots ([`CommStatsSnapshot::since`]), which is how
-//! the adaptive-quorum layer reads congestion at each decision boundary
-//! and how the benches bracket a loop.
+//! the benches bracket a loop.
 
 use pcoll_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
