@@ -84,8 +84,8 @@ pub const SEM_CHAIN: u32 = 0x300;
 pub const SEM_SEG: u32 = 0x1000;
 
 /// How the activation phase of one round of a partial collective starts —
-/// a [`crate::QuorumPolicy`] resolved for that round by the collective's
-/// round plan (candidates are ranks of the round's virtual world).
+/// the collective's [`crate::QuorumPolicy`] with the round's candidates
+/// drawn by its round plan (ranks of the round's virtual world).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ActivationMode {
     /// Any of the listed candidate ranks may initiate; the first to arrive

@@ -10,7 +10,7 @@
 //! Everything here is transport-agnostic: a `RankCtx` built from a
 //! thread-world communicator behaves identically to one built in a TCP
 //! rank process — all cross-rank coordination (barriers, consensus
-//! randomness, policy fences) goes through messages or the shared seed,
+//! randomness, membership fences) goes through messages or the shared seed,
 //! never through shared memory.
 //!
 //! The one blocking collective is the allreduce at [`QuorumPolicy::Full`]:
@@ -223,8 +223,8 @@ impl RankCtx {
     /// Max-allreduce the build horizons over the ranks not in `evicted`
     /// (sorted) and return the agreed fence round, plus the barrier over
     /// the same ranks that the caller enters once it has applied the
-    /// membership change. Both collectives
-    /// are registered lazily at the id pair reserved for `ar`'s next
+    /// membership change. Both collectives are registered lazily at the
+    /// id pair reserved for `ar`'s next
     /// membership event — the epoch counts evictions *and* admissions as
     /// they are applied, so neither mixed sequences nor several events
     /// that agree on one fence ever reuse a pair.
@@ -269,9 +269,8 @@ impl RankCtx {
     /// already been delivered — any round it touched is already counted
     /// in some survivor's [`PartialAllreduce::horizon`], and the max over
     /// survivors covers it. Applying `evict_from` *before* the barrier
-    /// makes the barrier's completion imply every survivor has switched
-    /// schedules (barrier entry is app-side, after the local apply), so
-    /// no live-set round can start while a peer still builds full-world.
+    /// meets the ordering contract stated on
+    /// [`PartialAllreduce::evict_from`].
     ///
     /// The consensus collectives themselves are registered lazily at a
     /// reserved id (`EVICTION_COLL_BASE + 2*epoch`); the engine buffers
@@ -501,7 +500,6 @@ mod tests {
                 .collect();
             if ctx.rank() < 5 {
                 assert_eq!(ar.evicted_ranks(), vec![5, 6, 7]);
-                assert_eq!(ar.live_ranks(), vec![0, 1, 2, 3, 4]);
                 assert_eq!(ar.eviction_epoch(), 3);
                 for _ in 0..3 {
                     let out = ar.allreduce(&TypedBuf::from(vec![me; 8]));
@@ -564,7 +562,6 @@ mod tests {
             // fence must be the max, 8.
             let fence = ctx.admit(&mut ar, &[3]);
             assert_eq!(fence, 8, "rank {}", ctx.rank());
-            assert_eq!(ar.live_ranks(), vec![0, 1, 2, 3]);
             assert_eq!(ar.evicted_ranks(), Vec::<usize>::new());
             assert_eq!(ar.eviction_epoch(), 2);
             assert!(ctx.membership().live().contains(&3));

@@ -14,15 +14,15 @@
 //!   newest available result (possibly from a later round — the documented
 //!   divergence source that periodic model synchronization repairs, §5).
 //!
-//! A round is planned once. What governs round `r` — quorum policy and
-//! live set — is one append-only round → [`RoundRules`] timeline that a
-//! policy switch, an eviction and an admission all extend the same way,
-//! and `plan(r)` is the single derivation every rank runs from it and the
-//! shared seed: virtual world, candidate draw, activation mode, data-phase
-//! algorithm. The engine-side template builds round `r`'s schedule from
-//! that plan (the builder stamps the snapshot timing on the schedule),
-//! candidate queries read the same plan, and the plan's policy rides with
-//! the round's in-flight record to its completion event.
+//! A round is planned once. The quorum policy is a constant of the
+//! collective, fixed at registration; what governs round `r` beyond it —
+//! the live set — is one append-only round → [`RoundRules`] timeline that
+//! an eviction and an admission extend the same way, and `plan(r)` is the
+//! single derivation every rank runs from both and the shared seed:
+//! virtual world, candidate draw, activation mode, data-phase algorithm.
+//! The engine-side template builds round `r`'s schedule from that plan
+//! (the builder stamps the snapshot timing on the schedule), and
+//! candidate queries read the same plan.
 //!
 //! A round's facts are emitted once, at completion, from the engine-side
 //! template's `complete`: it bumps the always-on [`RoundCounters`] and, if
@@ -48,7 +48,7 @@ use std::time::Duration;
 /// Which processes may trigger a round, i.e. where on the
 /// solo–majority–full spectrum this collective sits (§8's proposed
 /// extension, with the paper's two variants as the named points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum QuorumPolicy {
     /// Wait-free: every rank is an initiator candidate; the first to
     /// arrive triggers the round. Expected active processes ≈ 1 under
@@ -124,15 +124,13 @@ impl fmt::Display for QuorumPolicy {
     }
 }
 
-/// What governs a span of rounds. A collective keeps one append-only
-/// `(from_round, RoundRules)` segment list — a policy switch, an eviction
-/// and an admission are the same operation, *append rules at an agreed
-/// fence* — and ships it whole to a re-admitted rank
+/// Who takes part in a span of rounds. A collective keeps one append-only
+/// `(from_round, RoundRules)` segment list — its membership log: an
+/// eviction and an admission are the same operation, *append rules at an
+/// agreed fence* — and ships it whole to a re-admitted rank
 /// ([`PartialAllreduce::rule_segments`] → [`PartialAllreduce::import_state`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRules {
-    /// Which ranks may trigger a round.
-    pub policy: QuorumPolicy,
     /// The sorted global ranks that do not participate, empty when the
     /// whole world does. A partial world builds its schedules over its
     /// live ranks only, as virtual ranks: candidates are live ranks,
@@ -141,7 +139,8 @@ pub struct RoundRules {
     pub evicted: Vec<Rank>,
     /// Evictions and admissions that changed `evicted`, up to and including
     /// this segment. Events, not segments — two events agreed at one
-    /// fence share a segment — so the fences' consensus ids never repeat.
+    /// fence share a segment — so the fences' consensus ids never repeat;
+    /// strictly increasing from one segment to the next.
     pub events: usize,
 }
 
@@ -183,7 +182,6 @@ impl RoundRules {
 /// is a function of its plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RoundPlan {
-    pub policy: QuorumPolicy,
     /// `live[virtual] = global` for a round over a partial world; `None`
     /// when all `p` ranks participate (nothing to clone or remap).
     pub live: Option<Vec<Rank>>,
@@ -213,36 +211,43 @@ impl RoundPlan {
 
 /// The collective's append-only round → [`RoundRules`] timeline plus the
 /// constants every per-round derivation needs, shared by the application
-/// handle (candidate queries, rule changes) and the engine-side template
-/// (schedule building on internal *or external* activation). Policy and
-/// membership are per-round properties: both threads resolve any round
+/// handle (candidate queries, membership changes) and the engine-side
+/// template (schedule building on internal *or external* activation).
+/// Membership is a per-round property: both threads resolve any round
 /// through [`RuleTimeline::plan`], under the SPMD contract stated on
-/// [`PartialAllreduce::set_policy_from`].
+/// [`PartialAllreduce::evict_from`].
 #[derive(Debug)]
 pub(crate) struct RuleTimeline {
-    /// Strictly increasing in `from_round`, starting at round 0.
+    /// Strictly increasing in `from_round` and in `events`, starting at
+    /// round 0.
     segments: Mutex<Vec<(u64, RoundRules)>>,
     coll: CollId,
     rank: Rank,
     /// Initial world size (the `p` every global rank id lives in).
     p: usize,
     seed: u64,
+    /// Which ranks may trigger a round: fixed for the collective's life.
+    policy: QuorumPolicy,
     /// Data-phase selection inputs: the override knob and message size.
     algo: AlgoSelector,
     bytes: usize,
 }
 
 impl RuleTimeline {
+    /// A timeline whose round 0 is run by the ranks of `p` not in the
+    /// sorted `evicted`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         coll: CollId,
         rank: Rank,
         p: usize,
         seed: u64,
-        initial: RoundRules,
+        policy: QuorumPolicy,
+        evicted: Vec<Rank>,
         algo: AlgoSelector,
         bytes: usize,
     ) -> Self {
-        let segments = vec![(0, initial)];
+        let segments = vec![(0, RoundRules { evicted, events: 0 })];
         check_segments(p, &segments).unwrap_or_else(|e| panic!("{e}"));
         RuleTimeline {
             segments: Mutex::new(segments),
@@ -250,6 +255,7 @@ impl RuleTimeline {
             rank,
             p,
             seed,
+            policy,
             algo,
             bytes,
         }
@@ -268,17 +274,16 @@ impl RuleTimeline {
 
     /// The one derivation of a round: rules → virtual world → candidate
     /// draw from the shared seed (§4.2's consensus without communication)
-    /// → data-phase algorithm. Deterministic in `(seed, coll, round)` and
-    /// the agreed rules, so a rank dragged into the round plans exactly
-    /// what its initiator did.
+    /// → data-phase algorithm. Deterministic in `(seed, coll, round)`, the
+    /// policy and the agreed rules, so a rank dragged into the round plans
+    /// exactly what its initiator did.
     pub(crate) fn plan(&self, round: u64) -> RoundPlan {
-        let (policy, live) = self.with_rules(round, |r| {
-            (r.policy, (!r.evicted.is_empty()).then(|| r.live(self.p)))
-        });
+        let live = self.with_rules(round, |r| (!r.evicted.is_empty()).then(|| r.live(self.p)));
         let (vrank, p_live) = match &live {
             None => (Some(self.rank), self.p),
             Some(live) => (live.iter().position(|&r| r == self.rank), live.len()),
         };
+        let policy = self.policy;
         let draw = || policy.round_candidates(self.seed, self.coll, round, p_live);
         let mode = match policy {
             QuorumPolicy::Full => ActivationMode::Full,
@@ -293,7 +298,6 @@ impl RuleTimeline {
             AllreduceAlgo::SegmentedRing
         };
         RoundPlan {
-            policy,
             live,
             vrank,
             p_live,
@@ -302,12 +306,13 @@ impl RuleTimeline {
         }
     }
 
-    /// The one mutation: apply `change` to the tail rules for every round
-    /// ≥ `from_round`. No-op if nothing changes; a change at the tail's
-    /// own fence rewrites it, merging it away if that restores its
-    /// predecessor's rules. Panics if `from_round` precedes the tail or
-    /// `next_round` (the caller's next unrequested round): an in-flight
-    /// instance may have been built from the rules already agreed.
+    /// The one mutation: apply `change` (an eviction or an admission) to
+    /// the tail rules for every round ≥ `from_round`. No-op if nothing
+    /// changes; a change at the tail's own fence rewrites it. A change
+    /// always bumps `events`, so no segment repeats its predecessor's
+    /// rules. Panics if `from_round` precedes the tail or `next_round`
+    /// (the caller's next unrequested round): an in-flight instance may
+    /// have been built from the rules already agreed.
     fn amend(&self, next_round: u64, from_round: u64, change: impl FnOnce(&mut RoundRules)) {
         let mut segs = self.segments.lock();
         let (tail_from, tail) = segs.last().cloned().expect("timeline never empty");
@@ -323,8 +328,6 @@ impl RuleTimeline {
         }
         if from_round > tail_from {
             segs.push((from_round, rules));
-        } else if segs.len() >= 2 && segs[segs.len() - 2].1 == rules {
-            segs.pop();
         } else {
             segs.last_mut().expect("timeline never empty").1 = rules;
         }
@@ -350,17 +353,19 @@ impl RuleTimeline {
     }
 }
 
-/// Segments start at round 0 with strictly increasing boundaries, and
-/// every evicted set is a sorted subset of the world `p` that leaves
-/// someone live; the error names the first rule `segments` breaks.
+/// Segments start at round 0 with strictly increasing boundaries and
+/// event counts, and every evicted set is a sorted subset of the world `p`
+/// that leaves someone live; the error names the first rule `segments`
+/// breaks.
 fn check_segments(p: usize, segments: &[(u64, RoundRules)]) -> Result<(), String> {
     if segments.first().is_none_or(|(from, _)| *from != 0) {
         return Err(format!("round rules must start at round 0: {segments:?}"));
     }
-    if let Some(w) = segments.windows(2).find(|w| w[0].0 >= w[1].0) {
-        let (a, b) = (w[0].0, w[1].0);
+    let increasing = |w: &[(u64, RoundRules)]| w[0].0 < w[1].0 && w[0].1.events < w[1].1.events;
+    if let Some(w) = segments.windows(2).find(|w| !increasing(w)) {
         return Err(format!(
-            "round-rule boundaries must strictly increase: {a} then {b}"
+            "round-rule boundaries and event counts must strictly increase: {:?} then {:?}",
+            w[0], w[1]
         ));
     }
     let sorted_in_world = |evicted: &[Rank]| {
@@ -612,11 +617,10 @@ struct PartialTemplate {
     /// full cache clears it ([`schedule_cache_cap`] bounds it).
     /// Engine-thread state, like `in_flight`.
     schedules: RefCell<HashMap<RoundPlan, Arc<Schedule>>>,
-    /// `(policy, fresh, null)` of each in-flight round — the plan's
-    /// policy from `build`, the snapshot's flags from `snapshot` —
+    /// `(fresh, null)` of each in-flight round, set by `snapshot` and
     /// consumed by `complete`. Engine-thread state, bounded by the rounds
     /// in flight.
-    in_flight: RefCell<HashMap<u64, (QuorumPolicy, bool, bool)>>,
+    in_flight: RefCell<HashMap<u64, (bool, bool)>>,
     op: ReduceOp,
 }
 
@@ -687,9 +691,7 @@ impl CollectiveTemplate for PartialTemplate {
         });
         // A round that completes without ever snapshotting contributed
         // nothing of this rank's.
-        self.in_flight
-            .borrow_mut()
-            .insert(round, (plan.policy, false, true));
+        self.in_flight.borrow_mut().insert(round, (false, true));
         let mut schedules = self.schedules.borrow_mut();
         if let Some(sched) = schedules.get(&plan) {
             return Arc::clone(sched);
@@ -720,7 +722,7 @@ impl CollectiveTemplate for PartialTemplate {
         send.last_deposit_round = None;
         drop(send);
         if let Some(flags) = self.in_flight.borrow_mut().get_mut(&round) {
-            (flags.1, flags.2) = (fresh, data.is_null());
+            *flags = (fresh, data.is_null());
         }
         data
     }
@@ -730,7 +732,7 @@ impl CollectiveTemplate for PartialTemplate {
     fn complete(&self, stats: &RoundStats, result: Option<TypedBuf>) {
         let round = stats.round;
         let data = result.expect("allreduce completion carries data");
-        let (policy, fresh, null) = self
+        let (fresh, null) = self
             .in_flight
             .borrow_mut()
             .remove(&round)
@@ -739,7 +741,7 @@ impl CollectiveTemplate for PartialTemplate {
             obs.on_round(&RoundEvent {
                 coll: self.shared.rules.coll.0,
                 round,
-                policy,
+                policy: self.shared.rules.policy,
                 fresh,
                 null,
                 external: stats.external,
@@ -838,15 +840,11 @@ impl PartialAllreduce {
         // non-power-of-two post-eviction live sets) always take the
         // segmented-ring data path, whose structure works for any P.
         let bytes = len * dtype.size_of();
-        let initial = RoundRules {
-            policy,
-            evicted,
-            events: 0,
-        };
+        let rules = RuleTimeline::new(coll, rank, p, seed, policy, evicted, opts.algo, bytes);
         let shared = Arc::new(Shared {
             dtype,
             len,
-            rules: RuleTimeline::new(coll, rank, p, seed, initial, opts.algo, bytes),
+            rules,
             opts,
             send: Mutex::new(SendBuf {
                 data: Payload::new(TypedBuf::zeros(dtype, len)),
@@ -881,33 +879,24 @@ impl PartialAllreduce {
         self.shared.rules.plan(round).candidates()
     }
 
-    /// Switch the quorum policy for every round ≥ `from_round`
-    /// (`from_round` must be ≥ [`PartialAllreduce::rounds`] — rounds
-    /// already requested keep their agreed schedule shape).
+    /// Mark `dead` as evicted for every round ≥ `from_round`: those
+    /// rounds build their schedules over the surviving live set only
+    /// (candidates included), while earlier in-flight rounds complete
+    /// through the engine's peer-down null synthesis. `from_round` must
+    /// be ≥ [`PartialAllreduce::rounds`]: rounds already requested keep
+    /// their agreed schedule shape.
     ///
-    /// SPMD + consensus contract, shared by every rule change: all
+    /// SPMD + consensus contract, shared by every membership change: all
     /// participants of round `from_round` must apply the identical
     /// change, and none may *enter* that round before all have applied it
     /// (otherwise a fast peer could drag a slow rank into a round whose
     /// schedule the slow rank would still build from the old rules). A
     /// barrier between the change and the next `allreduce` call provides
-    /// exactly this ordering — the adaptive trainer and the simulation
-    /// harness both do allreduce(stats) → decide → `set_policy_from` →
-    /// barrier.
-    pub fn set_policy_from(&self, from_round: u64, policy: QuorumPolicy) {
-        self.amend(from_round, |r| r.policy = policy);
-    }
-
-    /// Mark `dead` as evicted for every round ≥ `from_round`: those
-    /// rounds build their schedules over the surviving live set only
-    /// (candidates included), while earlier in-flight rounds complete
-    /// through the engine's peer-down null synthesis. Same contract as
-    /// [`PartialAllreduce::set_policy_from`] among the survivors;
-    /// [`crate::RankCtx::evict`] packages the fence protocol that
-    /// provides the ordering.
+    /// exactly this ordering; [`crate::RankCtx::evict`] packages the
+    /// fence protocol that provides it.
     pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
-        let p = self.shared.rules.p;
-        self.amend(from_round, |r| r.evict(dead, p));
+        let rules = &self.shared.rules;
+        rules.amend(self.next_round, from_round, |r| r.evict(dead, rules.p));
     }
 
     /// Re-admit `joiners` for every round ≥ `from_round`: those rounds
@@ -916,23 +905,11 @@ impl PartialAllreduce {
     /// survivors and joiners alike; [`crate::RankCtx::admit`] packages
     /// the admission-fence protocol.
     pub fn admit_from(&self, from_round: u64, joiners: &[Rank]) {
-        let p = self.shared.rules.p;
-        self.amend(from_round, |r| r.admit(joiners, p));
+        let rules = &self.shared.rules;
+        rules.amend(self.next_round, from_round, |r| r.admit(joiners, rules.p));
     }
 
-    fn amend(&self, from_round: u64, change: impl FnOnce(&mut RoundRules)) {
-        self.shared.rules.amend(self.next_round, from_round, change);
-    }
-
-    /// The ranks live in the current tail segment (i.e. not currently
-    /// evicted).
-    pub fn live_ranks(&self) -> Vec<Rank> {
-        let p = self.shared.rules.p;
-        self.shared.rules.with_rules(u64::MAX, |r| r.live(p))
-    }
-
-    /// All ranks currently evicted (the complement of
-    /// [`PartialAllreduce::live_ranks`]), sorted.
+    /// All ranks currently evicted, sorted.
     pub fn evicted_ranks(&self) -> Vec<Rank> {
         self.shared
             .rules
@@ -1401,102 +1378,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policy_switch_mid_run_changes_round_semantics() {
-        // Start solo, run a couple of rounds, then switch every rank to
-        // Chain(p) with the consensus ordering the trainer uses
-        // (set_policy_from on all ranks, then a barrier, then the next
-        // round). Chain-of-all rounds are deterministic full sums, which
-        // proves the engine rebuilt schedules from the new segment.
-        let p = 4;
-        let out = World::launch(WorldConfig::instant(p), move |c| {
-            let ctx = RankCtx::new(c);
-            let mut ar = ctx.partial_allreduce(
-                DType::F32,
-                1,
-                ReduceOp::Sum,
-                QuorumPolicy::Solo,
-                PartialOpts::default(),
-            );
-            for _ in 0..2 {
-                let _ = ar.allreduce(&f32s(&[1.0]));
-                ctx.barrier();
-            }
-            ar.set_policy_from(ar.rounds(), QuorumPolicy::Chain(p));
-            ctx.barrier();
-            let me = ctx.rank() as f32;
-            let mut sums = Vec::new();
-            for _ in 0..3 {
-                sums.push(ar.allreduce(&f32s(&[me])).data.as_f32().unwrap()[0]);
-            }
-            let switches = ar.rule_segments().into_iter().map(|(f, r)| (f, r.policy));
-            assert_eq!(
-                switches.collect::<Vec<_>>(),
-                [(0, QuorumPolicy::Solo), (2, QuorumPolicy::Chain(p))]
-            );
-            ctx.finalize();
-            sums
-        });
-        // Σ rank = 6 for p = 4. The first chain round may additionally
-        // carry stale solo-phase deposits (Fig. 7 accumulation), so only
-        // the settled rounds are exact.
-        for sums in out {
-            assert!(sums[0] >= 6.0, "first chain round at least the full sum");
-            assert_eq!(sums[1..], [6.0, 6.0]);
-        }
-    }
-
     // --- The one timeline: what governs round r, derived once. ---
 
-    fn whole(policy: QuorumPolicy) -> RoundRules {
-        RoundRules {
-            policy,
-            evicted: Vec::new(),
-            events: 0,
-        }
+    fn rules(evicted: Vec<Rank>, events: usize) -> RoundRules {
+        RoundRules { evicted, events }
     }
 
     fn timeline(p: usize, policy: QuorumPolicy) -> RuleTimeline {
-        RuleTimeline::new(
-            CollId(1),
-            0,
-            p,
-            7,
-            whole(policy),
-            AlgoSelector::default(),
-            16,
-        )
+        let algo = AlgoSelector::default();
+        RuleTimeline::new(CollId(1), 0, p, 7, policy, Vec::new(), algo, 16)
     }
 
     #[test]
     #[should_panic(expected = "append-only")]
     fn timeline_rejects_rewrites() {
         let t = timeline(4, QuorumPolicy::Solo);
-        t.amend(0, 10, |r| r.policy = QuorumPolicy::Majority);
-        t.amend(0, 5, |r| r.policy = QuorumPolicy::Full);
+        t.amend(0, 10, |r| r.evict(&[1], 4));
+        t.amend(0, 5, |r| r.evict(&[2], 4));
     }
 
     #[test]
     #[should_panic(expected = "append-only")]
     fn timeline_rejects_rounds_already_requested() {
-        timeline(4, QuorumPolicy::Solo).amend(3, 2, |r| r.policy = QuorumPolicy::Full);
+        timeline(4, QuorumPolicy::Solo).amend(3, 2, |r| r.evict(&[1], 4));
     }
 
     #[test]
     fn timeline_lookup_follows_segments() {
         let t = timeline(4, QuorumPolicy::Solo);
-        t.amend(0, 4, |r| r.policy = QuorumPolicy::Chain(2));
-        t.amend(0, 4, |r| r.policy = QuorumPolicy::Majority); // same boundary: replace
-        t.amend(0, 9, |r| r.policy = QuorumPolicy::Majority); // no-op: tail already holds it
-        assert_eq!(t.plan(0).policy, QuorumPolicy::Solo);
-        assert_eq!(t.plan(3).policy, QuorumPolicy::Solo);
-        assert_eq!(t.plan(4).policy, QuorumPolicy::Majority);
-        assert_eq!(t.plan(100).policy, QuorumPolicy::Majority);
-        assert_eq!(t.segments().len(), 2, "one switch");
-        // A rewrite back to the predecessor's rules never governed a
-        // round: it leaves no segment behind.
-        t.amend(0, 4, |r| r.policy = QuorumPolicy::Solo);
-        assert_eq!(t.segments(), [(0, whole(QuorumPolicy::Solo))]);
+        t.amend(0, 4, |r| r.evict(&[1], 4));
+        t.amend(0, 4, |r| r.evict(&[2], 4)); // same boundary: rewrite
+        t.amend(0, 9, |r| r.evict(&[2], 4)); // no-op: tail already evicts it
+        assert_eq!(t.plan(0).live, None);
+        assert_eq!(t.plan(3).live, None);
+        assert_eq!(t.plan(4).live, Some(vec![0, 3]));
+        assert_eq!(t.plan(100).live, Some(vec![0, 3]));
+        assert_eq!(
+            t.segments(),
+            [(0, rules(vec![], 0)), (4, rules(vec![1, 2], 2))]
+        );
+        // A rewrite back to the whole world still counts its event, so it
+        // never restores its predecessor's rules: the segment stays.
+        t.amend(0, 4, |r| r.admit(&[1, 2], 4));
+        assert_eq!(t.plan(4).live, None);
+        assert_eq!(t.segments(), [(0, rules(vec![], 0)), (4, rules(vec![], 3))]);
     }
 
     #[test]
@@ -1519,7 +1444,6 @@ mod tests {
 
     #[test]
     fn import_state_rejects_malformed_segments_and_keeps_the_timeline() {
-        use QuorumPolicy::{Full, Solo};
         let sim = SimWorld::new(WorldConfig::instant(4), SimOpts::default());
         let ar = PartialAllreduce::register(
             Engine::new(sim.comm(0)),
@@ -1531,39 +1455,48 @@ mod tests {
             DType::F32,
             4,
             ReduceOp::Sum,
-            Solo,
+            QuorumPolicy::Solo,
             PartialOpts::default(),
         );
         let pristine = ar.rule_segments();
-        let without = |evicted: Vec<Rank>| RoundRules {
-            evicted,
-            ..whole(Full)
-        };
+        let whole = || rules(vec![], 0);
+        let without = |evicted: Vec<Rank>| rules(evicted, 1);
         let malformed = [
             (vec![], "start at round 0"),
-            (vec![(3, whole(Full))], "start at round 0"),
+            (vec![(3, whole())], "start at round 0"),
             (
                 vec![
-                    (0, whole(Solo)),
+                    (0, whole()),
                     (5, without(vec![2, 3])),
-                    (5, without(vec![1, 2, 3])),
+                    (5, rules(vec![1, 2, 3], 2)),
+                ],
+                "increase",
+            ),
+            // Every membership change bumps the count: a segment that
+            // does not is no history a survivor could have built.
+            (vec![(0, whole()), (4, rules(vec![2], 0))], "increase"),
+            (
+                vec![
+                    (0, whole()),
+                    (4, without(vec![2])),
+                    (6, without(vec![2, 3])),
                 ],
                 "increase",
             ),
             (
-                vec![(0, whole(Solo)), (4, without(vec![0, 1, 2, 3]))],
+                vec![(0, whole()), (4, without(vec![0, 1, 2, 3]))],
                 "sorted proper subset",
             ),
             (
-                vec![(0, whole(Solo)), (4, without(vec![2, 1]))],
+                vec![(0, whole()), (4, without(vec![2, 1]))],
                 "sorted proper subset",
             ),
             (
-                vec![(0, whole(Solo)), (4, without(vec![1, 1]))],
+                vec![(0, whole()), (4, without(vec![1, 1]))],
                 "sorted proper subset",
             ),
             (
-                vec![(0, whole(Solo)), (4, without(vec![0, 4]))],
+                vec![(0, whole()), (4, without(vec![0, 4]))],
                 "sorted proper subset",
             ),
         ];
@@ -1572,7 +1505,7 @@ mod tests {
             assert!(err.contains(why), "{segments:?}: {err}");
             assert_eq!(ar.rule_segments(), pristine, "{segments:?} touched it");
         }
-        let good = vec![(0, whole(Solo)), (6, without(vec![2]))];
+        let good = vec![(0, whole()), (6, without(vec![2]))];
         ar.import_state(good.clone())
             .expect("well-formed segments import");
         assert_eq!(ar.rule_segments(), good);
@@ -1672,7 +1605,6 @@ mod tests {
     }
 
     mod proptests {
-        use super::QuorumPolicy::*;
         use super::*;
         use proptest::prelude::*;
 
@@ -1682,54 +1614,49 @@ mod tests {
             /// The timeline answers every round like a naive replay of
             /// the event list, survives a state transfer, counts the
             /// events that changed the live set, and is append-only.
-            /// An event is `(round advance, kind, policy pick, rank mask)`.
+            /// An event is `(round advance, evict?, rank mask)`.
             #[test]
             fn timeline_equals_a_naive_replay(
                 p in 1usize..10,
                 events in proptest::collection::vec(
-                    (0u64..4, 0usize..3, 0usize..12, any::<u16>()), 0..24),
+                    (0u64..4, any::<bool>(), any::<u16>()), 0..24),
             ) {
-                let t = timeline(p, Solo);
-                // (from_round, policy, live) after each applied event.
-                let mut replay = vec![(0u64, Solo, (0..p).collect::<Vec<Rank>>())];
+                let t = timeline(p, QuorumPolicy::Majority);
+                // (from_round, live) after each applied event.
+                let mut replay = vec![(0u64, (0..p).collect::<Vec<Rank>>())];
                 let mut changes = 0;
-                for (advance, kind, m, mask) in events {
-                    let (last, mut policy, before) = replay.last().cloned().unwrap();
+                for (advance, evict, mask) in events {
+                    let (last, before) = replay.last().cloned().unwrap();
                     let from = last + advance;
                     let picked = |r: &Rank| mask >> r & 1 == 1;
                     let ranks: Vec<Rank> = (0..p).filter(picked).collect();
                     let mut live = before.clone();
-                    match kind {
-                        0 => {
-                            policy = [Solo, Majority, FirstOf(m), Chain(m), Full][m % 5];
-                            t.amend(0, from, |r| r.policy = policy);
+                    if evict {
+                        if before.iter().all(picked) {
+                            continue; // the last live rank stays
                         }
-                        1 if before.iter().all(picked) => continue, // the last live rank stays
-                        1 => {
-                            live.retain(|r| !picked(r));
-                            t.amend(0, from, |r| r.evict(&ranks, p));
-                        }
-                        _ => {
-                            live = (0..p).filter(|r| picked(r) || before.contains(r)).collect();
-                            t.amend(0, from, |r| r.admit(&ranks, p));
-                        }
+                        live.retain(|r| !picked(r));
+                        t.amend(0, from, |r| r.evict(&ranks, p));
+                    } else {
+                        live = (0..p).filter(|r| picked(r) || before.contains(r)).collect();
+                        t.amend(0, from, |r| r.admit(&ranks, p));
                     }
                     changes += usize::from(live != before);
-                    replay.push((from, policy, live));
+                    replay.push((from, live));
                 }
                 prop_assert_eq!(t.with_rules(u64::MAX, |r| r.events), changes);
-                let copy = timeline(p, Full);
+                // A joiner registers the same policy and imports the rest.
+                let copy = timeline(p, QuorumPolicy::Majority);
                 prop_assert_eq!(copy.import(t.segments()), Ok(()));
                 for round in 0..replay.last().unwrap().0 + 2 {
-                    let (_, policy, live) = replay.iter().rev().find(|e| e.0 <= round).unwrap();
+                    let (_, live) = replay.iter().rev().find(|e| e.0 <= round).unwrap();
                     let plan = t.plan(round);
-                    prop_assert_eq!(plan.policy, *policy);
                     prop_assert_eq!(&plan.live, &(live.len() != p).then(|| live.clone()));
                     prop_assert_eq!(copy.plan(round), plan);
                 }
                 let tail = t.segments().last().unwrap().0;
                 let below = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    t.amend(0, tail.wrapping_sub(1), |r| r.policy = Chain(77));
+                    t.amend(0, tail.wrapping_sub(1), |_| {});
                 }));
                 prop_assert_eq!(below.is_err(), tail > 0, "appending below the tail panics");
             }
@@ -1863,16 +1790,14 @@ mod tests {
         };
         let s = serde_json::to_string(&e).unwrap();
         assert!(s.contains("\"round\":3"), "{s}");
-        for policy in [
-            QuorumPolicy::Solo,
-            QuorumPolicy::FirstOf(3),
-            QuorumPolicy::Chain(2),
-            QuorumPolicy::Majority,
-            QuorumPolicy::Full,
+        assert!(s.contains("\"policy\":{\"Chain\":2}"), "{s}");
+        for (policy, json) in [
+            (QuorumPolicy::Solo, "\"Solo\""),
+            (QuorumPolicy::FirstOf(3), "{\"FirstOf\":3}"),
+            (QuorumPolicy::Majority, "\"Majority\""),
+            (QuorumPolicy::Full, "\"Full\""),
         ] {
-            let s = serde_json::to_string(&policy).unwrap();
-            let back: QuorumPolicy = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, policy, "{s}");
+            assert_eq!(serde_json::to_string(&policy).unwrap(), json);
         }
     }
 

@@ -302,7 +302,7 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
             admit_fence > evict_fence,
             "admission fence {admit_fence} must follow eviction fence {evict_fence}"
         );
-        assert!(ar.live_ranks().contains(&RJ_VICTIM));
+        assert!(!ar.evicted_ranks().contains(&RJ_VICTIM));
         assert!(!ctx.membership().is_down(RJ_VICTIM));
         for _ in 0..RJ_POST {
             let out = ar.allreduce(&TypedBuf::from(vec![1.0f64; 16]));

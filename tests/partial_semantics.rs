@@ -2,6 +2,7 @@
 //! §4): degenerate worlds, extreme lag, stale-mode contrast, policy
 //! spectrum behavior, and long-run garbage-collection stress.
 
+use eager_sgd_repro::pcoll::AllreduceOutcome;
 use eager_sgd_repro::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,15 +41,16 @@ fn sync_collectives_work_in_single_rank_world() {
 
 #[test]
 fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
-    // Four ranks deposit one unit in rounds 0 and 1 under Solo, then
-    // zeros in round 2 under Full, whose snapshots take whatever each send
-    // buffer still holds. Rank 3 deposits round 0 only after that round
-    // completed without it, so its first unit is stale. Fig. 7: under
-    // Accumulate no deposit is lost, so the three rounds sum to exactly
-    // the 8 units deposited, whichever ranks were force-joined before
-    // their deposits; under Replace the round-2 zeros overwrite every
-    // buffer (round 2 sums to 0), and rank 3's stale unit was replaced or
-    // replaced its successor, so at most 7 units arrive.
+    // Four ranks under Majority deposit one unit in rounds 0 and 1, then
+    // zeros in round 2, which every rank deposits before its initiator
+    // does, so every round-2 snapshot takes whatever each send buffer then
+    // holds. The stale rank is never round 0's initiator and deposits
+    // round 0 only after that round completed without it, so its first
+    // unit is stale. Fig. 7: under Accumulate no deposit is lost, so the
+    // three rounds sum to exactly the 8 units deposited, whichever ranks
+    // were force-joined before their deposits; under Replace the round-2
+    // zeros overwrite every buffer (round 2 sums to 0), and the stale unit
+    // was replaced or replaced its successor, so at most 7 units arrive.
     let run = |mode: StaleMode| {
         let out = World::launch(WorldConfig::instant(4).with_seed(9), move |c| {
             let ctx = RankCtx::new(c);
@@ -56,19 +58,17 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
                 DType::F32,
                 1,
                 ReduceOp::Sum,
-                QuorumPolicy::Solo,
+                QuorumPolicy::Majority,
                 PartialOpts {
                     stale_mode: mode,
                     ..PartialOpts::default()
                 },
             );
-            // Every rank applies the switch before any can reach round 2.
-            ar.set_policy_from(2, QuorumPolicy::Full);
-            if ctx.rank() == 3 {
-                // Wait until the other ranks' round 0 has been dragged
-                // through this rank's engine by external activation, so the
-                // deposit below is genuinely stale. (A fixed sleep here is
-                // racy under parallel-test machine load.)
+            if ctx.rank() == (ar.candidates(0)[0] + 1) % 4 {
+                // Wait until round 0 has been dragged through this rank's
+                // engine by external activation, so the deposit below is
+                // genuinely stale. (A fixed sleep here is racy under
+                // parallel-test machine load.)
                 let deadline = std::time::Instant::now() + Duration::from_secs(10);
                 while ar.counters().completions == 0 {
                     assert!(
@@ -79,13 +79,26 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
                 }
             }
             let mut sums = Vec::new();
-            for unit in [1.0f32, 1.0, 0.0] {
-                let out = ar.allreduce(&TypedBuf::from(vec![unit]));
-                // The barrier keeps each call's result that round's own.
+            let mut record = |out: AllreduceOutcome| {
+                // The barriers keep each call's result that round's own.
                 assert_eq!(out.result_round, out.requested_round);
                 sums.push(out.data.as_f32().unwrap()[0]);
                 ctx.barrier();
+            };
+            for _ in 0..2 {
+                record(ar.allreduce(&TypedBuf::from(vec![1.0f32])));
             }
+            // Round 2's initiator deposits only once every other rank has.
+            let zeros = TypedBuf::from(vec![0.0f32]);
+            let round = if ctx.rank() == ar.candidates(2)[0] {
+                ctx.barrier();
+                ar.deposit(&zeros)
+            } else {
+                let round = ar.deposit(&zeros);
+                ctx.barrier();
+                round
+            };
+            record(ar.wait_for(round));
             ctx.finalize();
             sums
         });
@@ -102,7 +115,7 @@ fn replace_mode_drops_stale_mass_accumulate_keeps_it() {
     assert_eq!(replace[2], 0.0, "replace must drop the stale deposits");
     assert!(
         replace.iter().sum::<f32>() <= 7.0,
-        "replace must drop rank 3's stale unit: {replace:?}"
+        "replace must drop the stale unit: {replace:?}"
     );
 }
 
